@@ -14,9 +14,8 @@ and the closed-form Holevo bound
     C^H = C^R + S             otherwise,
 
 with the nonnegative correction S = [ (C^Z + C^S)/2 - C^R ]^2 / (C^Z - C^R).
-Two equivalent forms (a correction-branch rewriting in terms of TrAbs, and a
-unified piecewise-smooth form built on the C^1 profile H) are exposed for
-cross-checking.  The weight-space sign
+Equivalent rewritings of this formula live with the tests as references.
+The weight-space sign
 
     B[W] = C^R - (C^Z + C^S)/2
 
@@ -43,7 +42,6 @@ import numpy as np
 
 from .bloch import BlochModelPoint, BlochModelPoint3, q_tilde
 from .errors import (
-    BranchError,
     DomainError,
     SingularMatrixError,
     SpecialModelError,
@@ -59,18 +57,14 @@ __all__ = [
     "WeightRegionLabel",
     "BoundsReport",
     "trabs",
+    "trabs_eigenvalues",
     "bound_sld",
     "bound_rld",
     "bound_z",
     "bound_nagaoka",
-    "s_correction",
-    "h_of_x",
     "quadratic_abs_min",
     "minimizing_offset",
-    "holevo_objective_xi",
     "holevo_bound",
-    "holevo_bound_correction_form",
-    "holevo_bound_unified",
     "b_theta",
     "classify_weight",
     "alpha_theta",
@@ -175,9 +169,9 @@ def _weight(w) -> WeightMatrix:
 def trabs(weight, x) -> float:
     """Sum of absolute eigenvalues of W^(1/2) X W^(1/2) for antisymmetric X.
 
-    For 2x2 inputs the closed form 2 sqrt(det W) |x_12| is returned, checked
-    in debug builds against the eigenvalue path; for larger antisymmetric X
-    (the three-parameter bound) only the eigenvalue path exists.
+    For 2x2 inputs the closed form 2 sqrt(det W) |x_12| is returned; for
+    larger antisymmetric X (the three-parameter bound) the eigenvalue
+    definition :func:`trabs_eigenvalues` is evaluated.
     """
     w = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, dtype=float)
     xm = np.asarray(x)
@@ -194,13 +188,17 @@ def trabs(weight, x) -> float:
 
     if xm.shape == (2, 2):
         det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-        value = 2.0 * np.sqrt(det_w) * abs(xm[0, 1])
-        assert abs(value - _trabs_eigenvalue_path(w, xm)) <= 1e-12 * (1.0 + value)
-        return float(value)
-    return _trabs_eigenvalue_path(w, xm)
+        return float(2.0 * np.sqrt(det_w) * abs(xm[0, 1]))
+    return trabs_eigenvalues(w, xm)
 
 
-def _trabs_eigenvalue_path(w: np.ndarray, xm: np.ndarray) -> float:
+def trabs_eigenvalues(w: np.ndarray, xm: np.ndarray) -> float:
+    """TrAbs by its definition: sum |eig(W^(1/2) X W^(1/2))| for any size.
+
+    No input checks beyond positivity of W; :func:`trabs` is the checked
+    entry point.  The oracle calls this directly so that it never relies on
+    the 2x2 closed form it is there to test.
+    """
     evals, evecs = np.linalg.eigh(w)
     if evals.min() <= 0.0:
         raise DomainError("weight matrix must be positive definite")
@@ -233,30 +231,6 @@ def bound_nagaoka(fb: FisherBundle, w) -> float:
     wm = _weight(w)
     det_g_inv = float(np.linalg.det(fb.g_inv))
     return bound_sld(fb, wm) + 2.0 * np.sqrt(wm.det * det_g_inv)
-
-
-def s_correction(c_s: float, c_r: float, c_z: float) -> float:
-    """Correction term S = [ (C^Z + C^S)/2 - C^R ]^2 / (C^Z - C^R).
-
-    Defined only where C^Z > C^R; on the RLD branch the condition
-    C^R >= (C^Z + C^S)/2 forbids calling this.
-    """
-    gap = c_z - c_r
-    scale = abs(c_z) + abs(c_r) + abs(c_s)
-    if gap <= GAP_UNDERFLOW_RTOL * scale:
-        raise BranchError(
-            f"correction term undefined: C^Z - C^R = {gap:.3e} is not positive"
-        )
-    half_sum = 0.5 * (c_z + c_s)
-    return (half_sum - c_r) ** 2 / gap
-
-
-def h_of_x(x: float) -> float:
-    """Piecewise profile H(x) = x^2 for |x| < 1, 2|x| - 1 otherwise (C^1)."""
-    ax = abs(x)
-    if ax >= 1.0:
-        return 2.0 * ax - 1.0
-    return x * x
 
 
 def quadratic_abs_min(a, b, c: float) -> tuple[float, np.ndarray]:
@@ -308,16 +282,6 @@ def minimizing_offset(fb: FisherBundle, w) -> np.ndarray:
     return xi
 
 
-def holevo_objective_xi(fb: FisherBundle, w, xi) -> float:
-    """Reduced objective h(xi) = C^S + <l_perp,Q^-1 l_perp>(xi|W xi)
-    + 2 sqrt(det W) |Im z^12 + (1-s^2)(gamma|xi)|."""
-    wm = _weight(w)
-    xi = np.asarray(xi, dtype=float)
-    quad = fb.perp_quadratic * float(xi @ wm.matrix @ xi)
-    affine = fb.im_z12 + fb.one_minus_s_sq * float(fb.gamma @ xi)
-    return bound_sld(fb, wm) + quad + 2.0 * np.sqrt(wm.det) * abs(affine)
-
-
 def holevo_bound(fb: FisherBundle, w) -> BoundsReport:
     """Closed-form Holevo bound with branch bookkeeping.
 
@@ -362,31 +326,6 @@ def holevo_bound(fb: FisherBundle, w) -> BoundsReport:
         b_value=b_value,
         xi_star=xi_star,
     )
-
-
-def holevo_bound_correction_form(fb: FisherBundle, w) -> float:
-    """Correction-branch rewriting C^S + (TrAbs(W Im G~^-1))^2 /
-    (4 Tr(W (G^-1 - Re G~^-1))); equals the Holevo bound where B <= 0."""
-    wm = _weight(w)
-    numer = trabs(wm, fb.g_tilde_inv.imag) ** 2
-    denom = 4.0 * float(np.trace(wm.matrix @ (fb.g_inv - fb.g_tilde_inv.real)))
-    if denom <= 0.0:
-        raise BranchError("correction form undefined: Tr(W(G^-1 - Re G~^-1)) <= 0")
-    return bound_sld(fb, wm) + numer / denom
-
-
-def holevo_bound_unified(fb: FisherBundle, w) -> float:
-    """Unified form C^S + (C^Z - C^R) H( (C^Z - C^S) / (2 (C^Z - C^R)) ),
-    with the degenerate gap handled as the limit a H(b/a) -> 2|b|."""
-    wm = _weight(w)
-    c_s = bound_sld(fb, wm)
-    c_r = bound_rld(fb, wm)
-    c_z = bound_z(fb, wm)
-    gap = c_z - c_r
-    half_trabs = 0.5 * (c_z - c_s)
-    if gap < GAP_UNDERFLOW_RTOL * (abs(c_z) + 1.0):
-        return c_s + 2.0 * abs(half_trabs)
-    return c_s + gap * h_of_x(half_trabs / gap)
 
 
 def b_theta(fb: FisherBundle, w) -> float:
@@ -487,4 +426,4 @@ def holevo_bound_three_param(m3: BlochModelPoint3, w3) -> float:
     derivs = [m3.d1s, m3.d2s, m3.d3s]
     gt = np.array([[np.conj(di) @ qt @ dj for dj in derivs] for di in derivs])
     gt_inv = np.linalg.inv(gt)
-    return float(np.trace(w @ gt_inv.real) + _trabs_eigenvalue_path(w, gt_inv.imag))
+    return float(np.trace(w @ gt_inv.real) + trabs_eigenvalues(w, gt_inv.imag))

@@ -36,13 +36,13 @@ from .bloch import (
     BlochModelPoint,
     ell_perp,
     f_matrix,
+    gamma_vector,
 )
 from .bounds import WeightMatrix, trabs
 from .errors import (
     AsymptoticallyClassicalLimitError,
     PureStateError,
 )
-from .fisher import fisher_bundle
 
 __all__ = [
     "CLASSIFICATION_RTOL",
@@ -83,11 +83,13 @@ class ModelClass:
     asymptotically_classical: bool
     gamma: np.ndarray
     triple_product: float
-    rank_one_residual: float
 
 
 def classify_point(m: BlochModelPoint, rtol: float = CLASSIFICATION_RTOL) -> ModelClass:
-    """Classify a mixed model point by its radial and triple-product tests."""
+    """Classify a mixed model point by its radial and triple-product tests.
+
+    Raises :class:`DegenerateModelError` when the derivatives are dependent.
+    """
     m.require_mixed()
     d1, d2 = m.derivatives()
     s_norm = float(np.linalg.norm(m.s))
@@ -97,13 +99,9 @@ def classify_point(m: BlochModelPoint, rtol: float = CLASSIFICATION_RTOL) -> Mod
     )
     d_invariant = bool(np.all(np.abs(radial) <= rtol * radial_scales))
 
-    n = np.cross(d1, d2)
+    n = ell_perp(m)
     triple = float(m.s @ n)
     ac = bool(abs(triple) <= rtol * s_norm * np.linalg.norm(n))
-
-    fb = fisher_bundle(m)
-    diff = fb.g_inv - fb.g_tilde_inv.real
-    rank_one_residual = float(np.abs(diff).max() / max(np.abs(fb.g_inv).max(), 1e-300))
 
     if d_invariant:
         label = ModelLabel.D_INVARIANT
@@ -115,9 +113,8 @@ def classify_point(m: BlochModelPoint, rtol: float = CLASSIFICATION_RTOL) -> Mod
         label=label,
         d_invariant=d_invariant,
         asymptotically_classical=ac,
-        gamma=fb.gamma,
+        gamma=gamma_vector(m),
         triple_product=triple,
-        rank_one_residual=rank_one_residual,
     )
 
 
@@ -177,7 +174,8 @@ def pure_limit_duals(
     """SLD and RLD dual Bloch vectors via the limit-safe cross-product forms.
 
     Returns ``(l1, l2, lt1, lt2)``.  For mixed points these agree with the
-    inverse-Fisher constructions of :mod:`holevo2q.fisher`; on the pure
+    inverse-Fisher constructions l^i = sum_j (G^-1)_ji l_j and
+    l~^i = sum_j (G~^-1)_ji l~_j; on the pure
     shell they remain finite wherever the model is not asymptotically
     classical there.
     """

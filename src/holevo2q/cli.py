@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .classify import classify_family, classify_point
 from .errors import ModelError
 from .fisher import fisher_bundle
 from .models import load_model
-from .verify import run_verification
 
 __all__ = ["main", "build_parser"]
 
@@ -130,13 +128,6 @@ def _emit_csv(path, header_name: str, columns: list[str], rows) -> None:
             fh.write(text)
 
 
-def _map_cells(worker, cells, jobs: int):
-    if jobs <= 1:
-        return [worker(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, cells))
-
-
 def cmd_bounds(args) -> int:
     family = _load_family(args)
     theta = _parse_floats(args.theta, 2, "--theta")
@@ -172,15 +163,13 @@ def cmd_sweep_weight(args) -> int:
         def make_weight(a, b):
             return boundary_weight_family(fb, a, b)
 
-    cells = [(a, b) for a in first for b in second]
     cls = classify_point(point)
-
-    def worker(cell):
-        a, b = cell
-        record = _bounds_record(point, make_weight(a, b), fb=fb, cls=cls)
-        return [_fmt(a), _fmt(b)] + _record_csv_fields(record)
-
-    rows = _map_cells(worker, cells, args.jobs)
+    rows = [
+        [_fmt(a), _fmt(b)]
+        + _record_csv_fields(_bounds_record(point, make_weight(a, b), fb=fb, cls=cls))
+        for a in first
+        for b in second
+    ]
     _emit_csv(args.out, "sweep-weight", columns, rows)
     return 0
 
@@ -200,20 +189,17 @@ def cmd_sweep_theta(args) -> int:
     axis1 = _axis(*dom.theta1)
     axis2 = _axis(*dom.theta2)
     columns = ["theta1", "theta2"] + BOUND_COLUMNS
-    cells = [(t1, t2) for t1 in axis1 for t2 in axis2]
-
-    def worker(cell):
-        t1, t2 = cell
-        try:
-            point = family.evaluate((t1, t2))
+    rows = []
+    for t1 in axis1:
+        for t2 in axis2:
+            try:
+                point = family.evaluate((t1, t2))
+            except ModelError:
+                continue  # outside the mixed-state disk of the family
             if not point.is_mixed:
-                return None
-        except ModelError:
-            return None  # outside the mixed-state disk of the family
-        record = _bounds_record(point, weight)
-        return [_fmt(t1), _fmt(t2)] + _record_csv_fields(record)
-
-    rows = [row for row in _map_cells(worker, cells, args.jobs) if row is not None]
+                continue
+            record = _bounds_record(point, weight)
+            rows.append([_fmt(t1), _fmt(t2)] + _record_csv_fields(record))
     _emit_csv(args.out, "sweep-theta", columns, rows)
     return 0
 
@@ -258,6 +244,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here: the oracle behind it loads scipy, which no other
+    # subcommand needs.
+    from .verify import run_verification
+
     if args.count <= 0:
         raise ModelError("--count must be a positive integer")
     report = run_verification(
@@ -302,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--w2-min", type=float, default=0.05)
     p_sw.add_argument("--w2-max", type=float, default=1.95)
     p_sw.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p_sw.add_argument("--jobs", type=int, default=1)
     p_sw.set_defaults(func=cmd_sweep_weight)
 
     p_st = sub.add_parser("sweep-theta", help="sweep the parameter-space grid")
@@ -316,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction to shrink the domain rectangle on each side",
     )
     p_st.add_argument("--out", default=None)
-    p_st.add_argument("--jobs", type=int, default=1)
     p_st.set_defaults(func=cmd_sweep_theta)
 
     p_cl = sub.add_parser("classify", help="classify a model point or family")

@@ -6,16 +6,16 @@ forms of the derivatives under the metric factors of :mod:`holevo2q.bloch`:
     G_ij  = <d_i s, Q d_j s>          (real symmetric, SLD)
     G~_ij = <d_i s, Q~ d_j s>         (Hermitian, RLD)
 
-Dual Bloch vectors carry the inverse-metric index: l^i = sum_j (G^-1)_ji l_j
-and analogously for the RLD side, so that <l^i, Q^-1 l_j> = delta^i_j.  The
+Dual Bloch vectors carry the inverse-metric index: l^i = sum_j (G^-1)_ji l_j,
+so that <l^i, Q^-1 l_j> = delta^i_j.  The
 Z matrix collects the RLD-type pairings of the SLD duals,
 
     z^ij = <l^i, Q~^-1 l^j> = (G^-1)_ij + i <l^i, F l^j>,
 
 whose real part is exactly G^-1 and whose imaginary part equals Im G~^-1.
 
-Everything a bound computation needs is cached in a :class:`FisherBundle`;
-the individual operations are also exposed for direct use and testing.
+``fisher_bundle`` is the one producer of these quantities; everything a bound
+computation needs is cached in the :class:`FisherBundle` it returns.
 """
 
 from __future__ import annotations
@@ -32,22 +32,13 @@ from .bloch import (
     q_matrix,
     q_tilde,
     q_tilde_inverse,
-    rld_bloch_vectors,
-    sld_bloch_vectors,
 )
-from .errors import DegenerateModelError, PureStateError, SingularMatrixError
+from .errors import DegenerateModelError, PureStateError
 
 __all__ = [
     "FisherBundle",
     "fisher_bundle",
     "invert_2x2",
-    "sld_fisher",
-    "rld_fisher",
-    "dual_vectors",
-    "rld_dual_vectors",
-    "z_matrix",
-    "DeterminantIdentityResiduals",
-    "fisher_determinant_identities",
     "one_param_bound",
 ]
 
@@ -72,61 +63,20 @@ def _bilinear(u: np.ndarray, mat: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.conj(u) @ (mat @ v))
 
 
-def sld_fisher(m: BlochModelPoint) -> np.ndarray:
-    """SLD Fisher matrix G_ij = <d_i s, Q d_j s>; symmetric positive definite."""
-    q = q_matrix(m)
-    d1, d2 = m.derivatives()
-    g = np.array(
-        [
-            [float(d1 @ q @ d1), float(d1 @ q @ d2)],
-            [float(d2 @ q @ d1), float(d2 @ q @ d2)],
-        ]
-    )
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if g[0, 0] <= 0.0 or det <= SINGULAR_RTOL * float(np.sum(g**2)):
-        raise DegenerateModelError("SLD Fisher matrix is singular; derivatives degenerate")
-    return g
+def _hermitian_from_upper(u: np.ndarray, v: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """[[<u,Mu>, <u,Mv>], [conj, <v,Mv>]] for Hermitian M.
 
-
-def rld_fisher(m: BlochModelPoint) -> np.ndarray:
-    """RLD Fisher matrix G~_ij = <d_i s, Q~ d_j s>; Hermitian positive definite."""
-    qt = q_tilde(m)
-    d1, d2 = m.derivatives()
+    Only the upper triangle is evaluated: real diagonal, lower = conj(upper),
+    so the imaginary part of the result (and of its inverse) is exactly
+    antisymmetric rather than antisymmetric up to rounding.
+    """
+    off = _bilinear(u, mat, v)
     return np.array(
         [
-            [_bilinear(d1, qt, d1), _bilinear(d1, qt, d2)],
-            [_bilinear(d2, qt, d1), _bilinear(d2, qt, d2)],
-        ]
-    )
-
-
-def dual_vectors(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray]:
-    """SLD dual Bloch vectors l^i = sum_j (G^-1)_ji l_j (real)."""
-    g_inv = invert_2x2(sld_fisher(m))
-    l1, l2 = sld_bloch_vectors(m)
-    dual1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
-    dual2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2
-    return dual1, dual2
-
-
-def rld_dual_vectors(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray]:
-    """RLD dual Bloch vectors l~^i = sum_j (G~^-1)_ji l~_j (complex)."""
-    gt_inv = invert_2x2(rld_fisher(m))
-    lt1, lt2 = rld_bloch_vectors(m)
-    rdual1 = gt_inv[0, 0] * lt1 + gt_inv[1, 0] * lt2
-    rdual2 = gt_inv[0, 1] * lt1 + gt_inv[1, 1] * lt2
-    return rdual1, rdual2
-
-
-def z_matrix(m: BlochModelPoint) -> np.ndarray:
-    """Hermitian Z with z^ij = <l^i, Q~^-1 l^j> on the SLD duals."""
-    qt_inv = q_tilde_inverse(m)
-    dual1, dual2 = dual_vectors(m)
-    return np.array(
-        [
-            [_bilinear(dual1, qt_inv, dual1), _bilinear(dual1, qt_inv, dual2)],
-            [_bilinear(dual2, qt_inv, dual1), _bilinear(dual2, qt_inv, dual2)],
-        ]
+            [_bilinear(u, mat, u).real, off],
+            [off.conjugate(), _bilinear(v, mat, v).real],
+        ],
+        dtype=complex,
     )
 
 
@@ -134,8 +84,8 @@ def z_matrix(m: BlochModelPoint) -> np.ndarray:
 class FisherBundle:
     """All Fisher-level data for one mixed model point.
 
-    Fields mirror the operations above; ``point`` keeps the source data so
-    bound computations can reach the raw geometry (l_perp, 1 - s^2, ...).
+    ``point`` keeps the source data so bound computations can reach the raw
+    geometry (l_perp, 1 - s^2, ...).
     """
 
     point: BlochModelPoint
@@ -146,8 +96,6 @@ class FisherBundle:
     z: np.ndarray            # Hermitian (2, 2)
     dual1: np.ndarray        # SLD dual Bloch vectors, real (3,)
     dual2: np.ndarray
-    rdual1: np.ndarray       # RLD dual Bloch vectors, complex (3,)
-    rdual2: np.ndarray
     gamma: np.ndarray        # radial components, real (2,)
 
     @property
@@ -171,31 +119,32 @@ class FisherBundle:
 
 
 def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
-    """Compute every Fisher-level quantity for a mixed model point at once."""
+    """Compute every Fisher-level quantity for a mixed model point at once.
+
+    Raises :class:`PureStateError` off the open Bloch ball and
+    :class:`DegenerateModelError` when the SLD Fisher matrix is singular.
+    """
     m.require_mixed()
     q = q_matrix(m)
-    qt_inv = q_tilde_inverse(m)
     d1, d2 = m.derivatives()
     l1, l2 = q @ d1, q @ d2
 
-    g = sld_fisher(m)
+    g = np.array(
+        [
+            [float(d1 @ q @ d1), float(d1 @ q @ d2)],
+            [float(d2 @ q @ d1), float(d2 @ q @ d2)],
+        ]
+    )
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    if g[0, 0] <= 0.0 or det <= SINGULAR_RTOL * float(np.sum(g**2)):
+        raise DegenerateModelError("SLD Fisher matrix is singular; derivatives degenerate")
     g_inv = invert_2x2(g)
-    g_tilde = rld_fisher(m)
+    g_tilde = _hermitian_from_upper(d1, d2, q_tilde(m))
     g_tilde_inv = invert_2x2(g_tilde)
 
     dual1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
     dual2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2
-    lt1, lt2 = rld_bloch_vectors(m)
-    rdual1 = g_tilde_inv[0, 0] * lt1 + g_tilde_inv[1, 0] * lt2
-    rdual2 = g_tilde_inv[0, 1] * lt1 + g_tilde_inv[1, 1] * lt2
-
-    z = np.array(
-        [
-            [_bilinear(dual1, qt_inv, dual1), _bilinear(dual1, qt_inv, dual2)],
-            [_bilinear(dual2, qt_inv, dual1), _bilinear(dual2, qt_inv, dual2)],
-        ]
-    )
-    gamma = gamma_vector(m)
+    z = _hermitian_from_upper(dual1, dual2, q_tilde_inverse(m))
     return FisherBundle(
         point=m,
         g=g,
@@ -205,67 +154,8 @@ def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
         z=z,
         dual1=dual1,
         dual2=dual2,
-        rdual1=rdual1,
-        rdual2=rdual2,
-        gamma=gamma,
+        gamma=gamma_vector(m),
     )
-
-
-@dataclass(frozen=True)
-class DeterminantIdentityResiduals:
-    """Relative residuals of the three closed-form identities linking the
-    reduced quadratic coefficient, the determinants, the TrAbs terms and the
-    gap C^Z - C^R.  All three vanish for exact arithmetic."""
-
-    quadratic_vs_determinants: float
-    trabs_consistency: float
-    gamma_gap: float
-
-    def max_residual(self) -> float:
-        return max(self.quadratic_vs_determinants, self.trabs_consistency, self.gamma_gap)
-
-
-def fisher_determinant_identities(m: BlochModelPoint, weight) -> DeterminantIdentityResiduals:
-    """Evaluate the three structural identities at a mixed point.
-
-    1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
-    2. 2 sqrt(det W) |<l^1, F l^2>| = TrAbs(W Im G~^-1) = TrAbs(W Im Z)
-    3. (gamma | W^-1 gamma) = det(W^-1 G)/(1-s^2) * (C^Z - C^R)
-
-    ``weight`` is a :class:`holevo2q.bounds.WeightMatrix`.  Imported lazily
-    to keep the module dependency order one-way.
-    """
-    from .bounds import WeightMatrix, bound_rld, bound_z, trabs
-
-    if not isinstance(weight, WeightMatrix):
-        weight = WeightMatrix.from_matrix(np.asarray(weight, dtype=float))
-
-    fb = fisher_bundle(m)
-    one_minus = fb.one_minus_s_sq
-
-    lhs1 = fb.perp_quadratic
-    det_g = float(np.linalg.det(fb.g))
-    det_gt = float(np.linalg.det(fb.g_tilde).real)
-    mid1 = one_minus * det_g
-    rhs1 = one_minus**2 * det_gt
-    scale1 = max(abs(lhs1), abs(mid1), abs(rhs1), 1e-300)
-    res1 = max(abs(lhs1 - mid1), abs(mid1 - rhs1)) / scale1
-
-    w = weight.matrix
-    lhs2 = 2.0 * np.sqrt(weight.det) * abs(fb.im_z12)
-    mid2 = trabs(w, fb.g_tilde_inv.imag)
-    rhs2 = trabs(w, fb.z.imag)
-    scale2 = max(abs(lhs2), abs(mid2), abs(rhs2), 1.0)
-    res2 = max(abs(lhs2 - mid2), abs(mid2 - rhs2)) / scale2
-
-    w_inv = invert_2x2(w, exc=SingularMatrixError)
-    lhs3 = float(fb.gamma @ w_inv @ fb.gamma)
-    gap = bound_z(fb, weight) - bound_rld(fb, weight)
-    rhs3 = det_g / weight.det / one_minus * gap
-    scale3 = max(abs(lhs3), abs(rhs3), 1.0)
-    res3 = abs(lhs3 - rhs3) / scale3
-
-    return DeterminantIdentityResiduals(res1, res2, res3)
 
 
 def one_param_bound(s, ds) -> float:

@@ -28,14 +28,14 @@ import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
 from .bloch import BlochModelPoint
-from .bounds import WeightMatrix, trabs
+from .bounds import WeightMatrix, _reduction_coefficients, trabs_eigenvalues
 from .errors import (
     DegenerateModelError,
     FeasibilityError,
     PureStateError,
     SingularMatrixError,
 )
-from .fisher import dual_vectors, invert_2x2
+from .fisher import fisher_bundle, invert_2x2
 
 __all__ = [
     "PAULI",
@@ -274,7 +274,8 @@ def _holevo_value(rho: np.ndarray, x1: np.ndarray, x2: np.ndarray, weight: Weigh
     z = np.array(
         [[np.trace(rho @ xs[j] @ xs[i]) for j in range(2)] for i in range(2)]
     )
-    return float(np.trace(weight.matrix @ z.real) + trabs(weight, _antisym(z.imag)))
+    wm = weight.matrix
+    return float(np.trace(wm @ z.real) + trabs_eigenvalues(wm, _antisym(z.imag)))
 
 
 def _antisym(mat: np.ndarray) -> np.ndarray:
@@ -356,9 +357,9 @@ def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
     and minimized by grid search plus Nelder-Mead.  Returns (value, xi*).
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
-    m.require_mixed()
+    fb = fisher_bundle(m)
     d1, d2 = m.derivatives()
-    dual1, dual2 = dual_vectors(m)
+    dual1, dual2 = fb.dual1, fb.dual2
     perp = np.cross(d1, d2)
 
     # Independent feasibility check of the affine parametrization.
@@ -400,16 +401,12 @@ def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
             + 2.0 * sqrt_det_w * np.abs(cross)
         )
 
-    radius = _search_radius_2d(m, weight, perp, q_inv)
+    radius = _search_radius_2d(fb, weight)
     return _grid_then_refine(objective, radius, 81, batch_fun=batch_objective)
 
 
-def _search_radius_2d(m, weight, perp, q_inv) -> float:
+def _search_radius_2d(fb, weight) -> float:
     """Box radius 10 (alpha + |c| + 1) / lambda_min(A) of the reduced problem."""
-    from .bounds import _reduction_coefficients  # local import to avoid cycle
-    from .fisher import fisher_bundle
-
-    fb = fisher_bundle(m)
     a, b, c = _reduction_coefficients(fb, weight)
     lam_min = float(np.linalg.eigvalsh(a).min())
     a_inv = invert_2x2(a, exc=SingularMatrixError)

@@ -14,22 +14,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import ell_perp, f_matrix, q_inverse, rld_bloch_vectors, sld_bloch_vectors
-from .bounds import bound_z, holevo_bound
-from .fisher import fisher_bundle, fisher_determinant_identities, invert_2x2
+from .bounds import WeightMatrix, bound_rld, bound_z, holevo_bound, trabs
+from .errors import SingularMatrixError
+from .fisher import fisher_bundle, invert_2x2
 from .oracle import (
     commutation_operator,
     density_point,
     dual_operators,
+    holevo_function,
     minimize_holevo_2d,
     minimize_holevo_6d,
     operator_fisher,
+    pair_from_bloch_vectors,
     rld_operators,
     sld_inner,
     sld_operators,
 )
 from .sampling import random_generic_pair, random_model_point, random_weight
 
-__all__ = ["CheckRow", "VerificationReport", "run_verification"]
+__all__ = [
+    "CheckRow",
+    "VerificationReport",
+    "run_verification",
+    "DeterminantIdentityResiduals",
+    "fisher_determinant_identities",
+]
 
 
 @dataclass
@@ -94,12 +103,71 @@ class _Tracker:
         )
 
 
-def _describe(m) -> str:
-    return (
-        f"s={np.array2string(m.s, precision=10)} "
-        f"d1s={np.array2string(m.d1s, precision=10)} "
-        f"d2s={np.array2string(m.d2s, precision=10)}"
-    )
+@dataclass(frozen=True)
+class DeterminantIdentityResiduals:
+    """Relative residuals of the three closed-form identities linking the
+    reduced quadratic coefficient, the determinants, the TrAbs terms and the
+    gap C^Z - C^R.  All three vanish for exact arithmetic."""
+
+    quadratic_vs_determinants: float
+    trabs_consistency: float
+    gamma_gap: float
+
+    def max_residual(self) -> float:
+        return max(self.quadratic_vs_determinants, self.trabs_consistency, self.gamma_gap)
+
+
+def fisher_determinant_identities(m, weight) -> DeterminantIdentityResiduals:
+    """Evaluate the three structural identities at a mixed point.
+
+    1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
+    2. 2 sqrt(det W) |<l^1, F l^2>| = TrAbs(W Im G~^-1) = TrAbs(W Im Z)
+    3. (gamma | W^-1 gamma) = det(W^-1 G)/(1-s^2) * (C^Z - C^R)
+
+    ``weight`` is a :class:`holevo2q.bounds.WeightMatrix` or a 2x2 array.
+    """
+    if not isinstance(weight, WeightMatrix):
+        weight = WeightMatrix.from_matrix(np.asarray(weight, dtype=float))
+
+    fb = fisher_bundle(m)
+    one_minus = fb.one_minus_s_sq
+
+    lhs1 = fb.perp_quadratic
+    det_g = float(np.linalg.det(fb.g))
+    det_gt = float(np.linalg.det(fb.g_tilde).real)
+    mid1 = one_minus * det_g
+    rhs1 = one_minus**2 * det_gt
+    scale1 = max(abs(lhs1), abs(mid1), abs(rhs1), 1e-300)
+    res1 = max(abs(lhs1 - mid1), abs(mid1 - rhs1)) / scale1
+
+    w = weight.matrix
+    lhs2 = 2.0 * np.sqrt(weight.det) * abs(fb.im_z12)
+    mid2 = trabs(w, fb.g_tilde_inv.imag)
+    rhs2 = trabs(w, fb.z.imag)
+    scale2 = max(abs(lhs2), abs(mid2), abs(rhs2), 1.0)
+    res2 = max(abs(lhs2 - mid2), abs(mid2 - rhs2)) / scale2
+
+    w_inv = invert_2x2(w, exc=SingularMatrixError)
+    lhs3 = float(fb.gamma @ w_inv @ fb.gamma)
+    gap = bound_z(fb, weight) - bound_rld(fb, weight)
+    rhs3 = det_g / weight.det / one_minus * gap
+    scale3 = max(abs(lhs3), abs(rhs3), 1.0)
+    res3 = abs(lhs3 - rhs3) / scale3
+
+    return DeterminantIdentityResiduals(res1, res2, res3)
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def _describe(m, w=None) -> str:
+    """Witness text that replays bit-for-bit: shortest round-trip reprs of
+    s, d1s, d2s and, for checks that draw a weight, W = (w11, w12, w22)."""
+    text = f"s={_floats(m.s)} d1s={_floats(m.d1s)} d2s={_floats(m.d2s)}"
+    if w is not None:
+        text += f" W={(w.w11, w.w12, w.w22)}"
+    return text
 
 
 def run_verification(
@@ -146,10 +214,11 @@ def run_verification(
 
         # Structural identities.
         w = random_weight(rng)
+        witness_w = _describe(m, w)
         ids = fisher_determinant_identities(m, w)
-        track.note("identity_quadratic_determinant", ids.quadratic_vs_determinants, witness)
-        track.note("identity_trabs_forms", ids.trabs_consistency, witness)
-        track.note("identity_gamma_gap", ids.gamma_gap, witness)
+        track.note("identity_quadratic_determinant", ids.quadratic_vs_determinants, witness_w)
+        track.note("identity_trabs_forms", ids.trabs_consistency, witness_w)
+        track.note("identity_gamma_gap", ids.gamma_gap, witness_w)
         track.note(
             "im_z_equals_im_rld_inverse",
             np.abs(fb.z.imag - fb.g_tilde_inv.imag).max(),
@@ -234,13 +303,13 @@ def run_verification(
             report.c_r - report.c_h - slack_scale,
             0.0,
         )
-        track.note("bound_inequality_chain", violation, witness)
+        track.note("bound_inequality_chain", violation, witness_w)
 
     # Closed form versus brute-force minimization, on fresh generic pairs.
     branch_counts: dict[str, int] = {}
     for _ in range(count):
         m, w = random_generic_pair(rng)
-        witness = _describe(m)
+        witness = _describe(m, w)
         fb = fisher_bundle(m)
         report = holevo_bound(fb, w)
         branch_counts[report.branch.value] = branch_counts.get(report.branch.value, 0) + 1
@@ -258,7 +327,7 @@ def run_verification(
         )
         track.note(
             "z_bound_from_duals",
-            abs(bound_z(fb, w) - _holevo_at_duals(m, w)) / abs(report.c_z),
+            abs(bound_z(fb, w) - _holevo_at_duals(fb, w)) / abs(report.c_z),
             witness,
         )
 
@@ -294,12 +363,9 @@ def run_verification(
     return report
 
 
-def _holevo_at_duals(m, w) -> float:
+def _holevo_at_duals(fb, w) -> float:
     """Holevo function at the feasible point given by the dual vectors;
     equals the D-invariant bound by construction."""
-    from .oracle import holevo_function, pair_from_bloch_vectors
-
-    fb = fisher_bundle(m)
-    dp = density_point(m)
+    m = fb.point
     pair = pair_from_bloch_vectors(m, fb.dual1, fb.dual2)
-    return holevo_function(dp, pair, w)
+    return holevo_function(density_point(m), pair, w)

@@ -28,11 +28,7 @@ from holevo2q.bounds import (
 )
 from holevo2q.classify import pure_limit_holevo
 from holevo2q.cli import main as cli_main
-from holevo2q.fisher import (
-    fisher_bundle,
-    fisher_determinant_identities,
-    invert_2x2,
-)
+from holevo2q.fisher import fisher_bundle, invert_2x2
 from holevo2q.models import GenericZ
 from holevo2q.oracle import (
     commutation_operator,
@@ -53,6 +49,7 @@ from holevo2q.sampling import (
     random_planar_point,
     random_weight,
 )
+from holevo2q.verify import fisher_determinant_identities
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])

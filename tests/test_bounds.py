@@ -1,4 +1,10 @@
-"""Scalar bounds, the closed-form Holevo bound and weight-space geometry."""
+"""Scalar bounds, the closed-form Holevo bound and weight-space geometry.
+
+The alternate forms of the Holevo bound (the bare correction term, the
+TrAbs rewriting of the correction branch and the unified form built on the
+C^1 profile H) live here as reference helpers: they exist only to
+cross-check ``holevo_bound``, the one production formula.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ import pytest
 from holevo2q.bloch import BlochModelPoint, BlochModelPoint3
 from holevo2q.bounds import (
     BOUNDARY_RTOL,
+    GAP_UNDERFLOW_RTOL,
     Branch,
     WeightMatrix,
     WeightRegion,
@@ -17,20 +24,17 @@ from holevo2q.bounds import (
     bound_z,
     boundary_weight_family,
     classify_weight,
-    h_of_x,
     holevo_bound,
-    holevo_bound_correction_form,
     holevo_bound_three_param,
-    holevo_bound_unified,
-    holevo_objective_xi,
     minimizing_offset,
     quadratic_abs_min,
-    s_correction,
     trabs,
+    trabs_eigenvalues,
     weight_from_angles,
 )
 from holevo2q.errors import BranchError, DomainError, SpecialModelError
 from holevo2q.fisher import fisher_bundle
+from holevo2q.oracle import density_point, minimize_holevo_6d
 from holevo2q.sampling import (
     random_d_invariant_point,
     random_model_point,
@@ -45,6 +49,65 @@ IDENTITY = WeightMatrix.identity()
 
 def bundle(s, d1=XHAT, d2=YHAT):
     return fisher_bundle(BlochModelPoint(s=s, d1s=d1, d2s=d2))
+
+
+# Reference forms of the Holevo bound.
+
+
+def s_correction(c_s: float, c_r: float, c_z: float) -> float:
+    """Correction term S = [ (C^Z + C^S)/2 - C^R ]^2 / (C^Z - C^R).
+
+    Defined only where C^Z > C^R; on the RLD branch the condition
+    C^R >= (C^Z + C^S)/2 forbids calling this.
+    """
+    gap = c_z - c_r
+    scale = abs(c_z) + abs(c_r) + abs(c_s)
+    if gap <= GAP_UNDERFLOW_RTOL * scale:
+        raise BranchError(
+            f"correction term undefined: C^Z - C^R = {gap:.3e} is not positive"
+        )
+    half_sum = 0.5 * (c_z + c_s)
+    return (half_sum - c_r) ** 2 / gap
+
+
+def h_of_x(x: float) -> float:
+    """Piecewise profile H(x) = x^2 for |x| < 1, 2|x| - 1 otherwise (C^1)."""
+    ax = abs(x)
+    if ax >= 1.0:
+        return 2.0 * ax - 1.0
+    return x * x
+
+
+def holevo_objective_xi(fb, w, xi) -> float:
+    """Reduced objective h(xi) = C^S + <l_perp,Q^-1 l_perp>(xi|W xi)
+    + 2 sqrt(det W) |Im z^12 + (1-s^2)(gamma|xi)|."""
+    xi = np.asarray(xi, dtype=float)
+    quad = fb.perp_quadratic * float(xi @ w.matrix @ xi)
+    affine = fb.im_z12 + fb.one_minus_s_sq * float(fb.gamma @ xi)
+    return bound_sld(fb, w) + quad + 2.0 * np.sqrt(w.det) * abs(affine)
+
+
+def holevo_bound_correction_form(fb, w) -> float:
+    """Correction-branch rewriting C^S + (TrAbs(W Im G~^-1))^2 /
+    (4 Tr(W (G^-1 - Re G~^-1))); equals the Holevo bound where B <= 0."""
+    numer = trabs(w, fb.g_tilde_inv.imag) ** 2
+    denom = 4.0 * float(np.trace(w.matrix @ (fb.g_inv - fb.g_tilde_inv.real)))
+    if denom <= 0.0:
+        raise BranchError("correction form undefined: Tr(W(G^-1 - Re G~^-1)) <= 0")
+    return bound_sld(fb, w) + numer / denom
+
+
+def holevo_bound_unified(fb, w) -> float:
+    """Unified form C^S + (C^Z - C^R) H( (C^Z - C^S) / (2 (C^Z - C^R)) ),
+    with the degenerate gap handled as the limit a H(b/a) -> 2|b|."""
+    c_s = bound_sld(fb, w)
+    c_r = bound_rld(fb, w)
+    c_z = bound_z(fb, w)
+    gap = c_z - c_r
+    half_trabs = 0.5 * (c_z - c_s)
+    if gap < GAP_UNDERFLOW_RTOL * (abs(c_z) + 1.0):
+        return c_s + 2.0 * abs(half_trabs)
+    return c_s + gap * h_of_x(half_trabs / gap)
 
 
 class TestWeightMatrix:
@@ -75,6 +138,15 @@ class TestTrAbs:
     def test_rejects_symmetric(self):
         with pytest.raises(DomainError):
             trabs(IDENTITY, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_closed_form_matches_eigenvalue_definition(self):
+        rng = np.random.default_rng(46)
+        for _ in range(1000):
+            w = random_weight(rng).scaled(10.0 ** rng.uniform(-3, 3))
+            x12 = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+            x = np.array([[0.0, x12], [-x12, 0.0]])
+            value = trabs(w, x)
+            assert abs(value - trabs_eigenvalues(w.matrix, x)) <= 1e-12 * (1.0 + value)
 
     def test_three_by_three(self):
         # W^(1/2) X W^(1/2) has eigenvalues {0, +-i nu}; TrAbs = 2 nu.
@@ -265,6 +337,20 @@ class TestHolevoBound:
             rep = holevo_bound(fb, w)
             value = holevo_objective_xi(fb, w, rep.xi_star)
             assert value == pytest.approx(rep.c_h, rel=1e-9)
+
+    def test_admitted_point_with_ill_scaled_rld_inverse(self):
+        # Re G~^-1 is ~2,000 here while Im G~^-1 is at most ~8.6; with the
+        # four entries of G~ rounded independently the diagonal of
+        # Im G~^-1 picked up 5e-10 and trabs rejected it as not antisymmetric.
+        m = BlochModelPoint(
+            s=[-0.8365880493419933, -0.05923574154370826, -0.2167119071471894],
+            d1s=[-0.5637234349386784, 0.5888714353308676, 0.393274887547495],
+            d2s=[-0.541995985742637, 0.5491500723978269, 0.3702742265516413],
+        )
+        w = WeightMatrix(1.4102896412670454, 0.42989690065871755, 0.67572319476129)
+        rep = holevo_bound(fisher_bundle(m), w)
+        brute = minimize_holevo_6d(density_point(m), w)
+        assert abs(rep.c_h - brute) <= 1e-8 * abs(rep.c_h)
 
     def test_branch_matches_weight_region(self):
         rng = np.random.default_rng(38)

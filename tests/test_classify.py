@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from holevo2q.bloch import BlochModelPoint
+from holevo2q.bloch import BlochModelPoint, rld_bloch_vectors
 from holevo2q.bounds import WeightMatrix, bound_rld
 from holevo2q.classify import (
     ModelLabel,
@@ -13,7 +13,11 @@ from holevo2q.classify import (
     pure_limit_holevo,
     pure_limit_rld_inverse,
 )
-from holevo2q.errors import AsymptoticallyClassicalLimitError, PureStateError
+from holevo2q.errors import (
+    AsymptoticallyClassicalLimitError,
+    DegenerateModelError,
+    PureStateError,
+)
 from holevo2q.fisher import fisher_bundle
 from holevo2q.models import GenericZ, Planar, Unitary
 from holevo2q.sampling import (
@@ -55,6 +59,10 @@ class TestClassifyPoint:
         cls = classify_point(point([0, 0, 0]))
         assert cls.d_invariant and cls.asymptotically_classical
 
+    def test_dependent_derivatives_rejected(self):
+        with pytest.raises(DegenerateModelError):
+            classify_point(point([0.1, 0.2, 0.3], d1=XHAT, d2=-3.0 * XHAT))
+
     def test_gamma_and_rank_one_tests_agree(self):
         rng = np.random.default_rng(50)
         for _ in range(1000):
@@ -63,7 +71,10 @@ class TestClassifyPoint:
             else:
                 m = random_model_point(rng)
             cls = classify_point(m)
-            rank_one_says = cls.rank_one_residual <= 1e-10
+            fb = fisher_bundle(m)
+            diff = fb.g_inv - fb.g_tilde_inv.real
+            rank_one_residual = np.abs(diff).max() / max(np.abs(fb.g_inv).max(), 1e-300)
+            rank_one_says = rank_one_residual <= 1e-10
             assert cls.d_invariant == rank_one_says
 
 
@@ -99,12 +110,16 @@ class TestPureLimitDuals:
         for _ in range(300):
             m = random_model_point(rng)
             fb = fisher_bundle(m)
+            gt_inv = fb.g_tilde_inv
+            r1, r2 = rld_bloch_vectors(m)
+            rdual1 = gt_inv[0, 0] * r1 + gt_inv[1, 0] * r2
+            rdual2 = gt_inv[0, 1] * r1 + gt_inv[1, 1] * r2
             l1, l2, lt1, lt2 = pure_limit_duals(m)
             scale = 1 + max(np.abs(fb.dual1).max(), np.abs(fb.dual2).max())
             assert np.abs(l1 - fb.dual1).max() <= 1e-9 * scale
             assert np.abs(l2 - fb.dual2).max() <= 1e-9 * scale
-            assert np.abs(lt1 - fb.rdual1).max() <= 1e-9 * scale
-            assert np.abs(lt2 - fb.rdual2).max() <= 1e-9 * scale
+            assert np.abs(lt1 - rdual1).max() <= 1e-9 * scale
+            assert np.abs(lt2 - rdual2).max() <= 1e-9 * scale
 
     def test_tangent_pure_point_finite(self):
         m = point([0, 0, 1.0])

@@ -3,12 +3,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holevo2q
 from holevo2q.cli import main
+
+SRC_DIR = str(Path(holevo2q.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -32,6 +39,16 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter that imports this checkout's holevo2q."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True,
+        timeout=300,
+    )
 
 
 def read_csv(path):
@@ -91,10 +108,9 @@ class TestSweepWeight:
                 "--theta", f"{t},{t}",
                 "--grid", "21",
                 "--out", str(out),
-                "--jobs", "2" if out is out2 else "1",
             )
             assert code == 0
-        assert out1.read_text() == out2.read_text()  # order-independent output
+        assert out1.read_text() == out2.read_text()  # repeat runs agree byte for byte
         rows = read_csv(str(out1))
         assert len(rows) == 21 * 21
         branches = {r["branch"] for r in rows}
@@ -105,6 +121,20 @@ class TestSweepWeight:
                 assert b > 0
             elif r["branch"] == "correction":
                 assert b < 0
+
+    def test_output_unchanged_under_optimize_flag(self, generic_model, tmp_path):
+        t = 0.346 / np.sqrt(2.0)
+        texts = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / f"sweep{len(flags)}.csv"
+            proc = run_python(
+                *flags, "-m", "holevo2q.cli", "sweep-weight",
+                "--model", generic_model, "--theta", f"{t},{t}",
+                "--grid", "21", "--out", str(out),
+            )
+            assert proc.returncode == 0, proc.stderr
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
     def test_boundary_family_sweep(self, generic_model, tmp_path):
         t = 0.346 / np.sqrt(2.0)
@@ -219,6 +249,19 @@ class TestClassifyCommand:
         assert code == 0
         data = json.loads(out)
         assert data["family"]["globally_d_invariant"] is True
+
+
+class TestLazyImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = (
+            "import sys\n"
+            "import holevo2q.cli as cli\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n"
+            "sys.exit(cli.main(['verify', '--count', '2']))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "all 21 checks passed" in proc.stdout
 
 
 class TestVerifyCommand:

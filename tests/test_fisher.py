@@ -1,4 +1,5 @@
-"""Fisher matrices, dual vectors, Z matrix and the structural identities."""
+"""Fisher matrices, dual vectors, Z matrix and the structural identities,
+all read from the one producer ``fisher_bundle``."""
 
 import numpy as np
 import pytest
@@ -6,18 +7,9 @@ import pytest
 from holevo2q.bloch import BlochModelPoint, ell_perp, q_inverse
 from holevo2q.bounds import WeightMatrix
 from holevo2q.errors import DegenerateModelError, PureStateError
-from holevo2q.fisher import (
-    dual_vectors,
-    fisher_bundle,
-    fisher_determinant_identities,
-    invert_2x2,
-    one_param_bound,
-    rld_dual_vectors,
-    rld_fisher,
-    sld_fisher,
-    z_matrix,
-)
+from holevo2q.fisher import fisher_bundle, invert_2x2, one_param_bound
 from holevo2q.sampling import random_model_point, random_weight
+from holevo2q.verify import fisher_determinant_identities
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -47,12 +39,12 @@ class TestInvert2x2:
 
 class TestSldFisher:
     def test_orthogonal_derivatives_identity(self):
-        assert np.allclose(sld_fisher(point([0, 0, 0.5])), np.eye(2))
+        assert np.allclose(fisher_bundle(point([0, 0, 0.5])).g, np.eye(2))
 
     def test_planar_inverse_formula(self):
         # s = (t1, t2, 0) with unit axis derivatives.
         for t1, t2 in [(0.3, 0.2), (0.6, 0.0), (-0.4, 0.5)]:
-            g_inv = invert_2x2(sld_fisher(point([t1, t2, 0.0])))
+            g_inv = fisher_bundle(point([t1, t2, 0.0])).g_inv
             expected = np.array(
                 [[1 - t1**2, -t1 * t2], [-t1 * t2, 1 - t2**2]]
             )
@@ -61,7 +53,7 @@ class TestSldFisher:
     def test_fixed_height_inverse_formula(self):
         t0 = 0.35
         for t1, t2 in [(0.3, 0.2), (0.1, -0.4)]:
-            g_inv = invert_2x2(sld_fisher(generic_z_point(t1, t2, t0)))
+            g_inv = fisher_bundle(generic_z_point(t1, t2, t0)).g_inv
             expected = np.array(
                 [
                     [1 - t0**2 - t1**2, -t1 * t2],
@@ -72,14 +64,18 @@ class TestSldFisher:
 
     def test_pure_guard(self):
         with pytest.raises(PureStateError):
-            sld_fisher(point([0, 0, 1.0]))
+            fisher_bundle(point([0, 0, 1.0]))
+
+    def test_degenerate_guard(self):
+        with pytest.raises(DegenerateModelError):
+            fisher_bundle(point([0.1, 0.2, 0.3], d1=XHAT, d2=2.0 * XHAT))
 
 
 class TestRldFisher:
     def test_fixed_height_inverse_formula(self):
         t0, t1, t2 = 0.35, 0.3, 0.2
         m = generic_z_point(t1, t2, t0)
-        gt_inv = invert_2x2(rld_fisher(m))
+        gt_inv = fisher_bundle(m).g_tilde_inv
         s_sq = t1**2 + t2**2 + t0**2
         expected = (1 - s_sq) / (1 - t0**2) * np.array(
             [[1.0, -1.0j * t0], [1.0j * t0, 1.0]]
@@ -87,17 +83,17 @@ class TestRldFisher:
         assert np.abs(gt_inv - expected).max() <= 1e-12
 
     def test_real_at_origin(self):
-        m = point([0, 0, 0])
-        gt = rld_fisher(m)
-        assert np.abs(gt.imag).max() <= 1e-15
-        assert np.allclose(gt.real, sld_fisher(m))
+        fb = fisher_bundle(point([0, 0, 0]))
+        assert np.abs(fb.g_tilde.imag).max() <= 1e-15
+        assert np.allclose(fb.g_tilde.real, fb.g)
 
     def test_determinant_chain(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             m = random_model_point(rng, radius=0.99)
-            det_g = np.linalg.det(sld_fisher(m))
-            det_gt = np.linalg.det(rld_fisher(m)).real
+            fb = fisher_bundle(m)
+            det_g = np.linalg.det(fb.g)
+            det_gt = np.linalg.det(fb.g_tilde).real
             assert abs((1 - m.s_squared) * det_gt - det_g) <= 1e-10 * abs(det_g)
 
     def test_rank_one_real_part_relation(self):
@@ -112,8 +108,8 @@ class TestRldFisher:
 
 class TestDualVectors:
     def test_identity_fisher_case(self):
-        m = point([0, 0, 0.5])
-        d1, d2 = dual_vectors(m)
+        fb = fisher_bundle(point([0, 0, 0.5]))
+        d1, d2 = fb.dual1, fb.dual2
         assert np.allclose(d1, XHAT) and np.allclose(d2, YHAT)
 
     def test_inverse_fisher_bilinear(self):
@@ -148,9 +144,11 @@ class TestDualVectors:
 
         for _ in range(100):
             m = random_model_point(rng)
-            r1, r2 = rld_dual_vectors(m)
-            qti = q_tilde_inverse(m)
+            gt_inv = fisher_bundle(m).g_tilde_inv
             lt = rld_bloch_vectors(m)
+            r1 = gt_inv[0, 0] * lt[0] + gt_inv[1, 0] * lt[1]
+            r2 = gt_inv[0, 1] * lt[0] + gt_inv[1, 1] * lt[1]
+            qti = q_tilde_inverse(m)
             for i, r in enumerate((r1, r2)):
                 for j in range(2):
                     val = np.conj(r) @ qti @ lt[j]
@@ -159,19 +157,17 @@ class TestDualVectors:
 
 class TestZMatrix:
     def test_d_invariant_point_equals_rld_inverse(self):
-        m = point([0, 0, 0.5])
-        z = z_matrix(m)
-        gt_inv = invert_2x2(rld_fisher(m))
-        assert np.abs(z - gt_inv).max() <= 1e-12
+        fb = fisher_bundle(point([0, 0, 0.5]))
+        assert np.abs(fb.z - fb.g_tilde_inv).max() <= 1e-12
 
     def test_value_at_z_half(self):
         # Derived from the fixed-height inverse-RLD formula at theta = 0.
-        z = z_matrix(point([0, 0, 0.5]))
+        z = fisher_bundle(point([0, 0, 0.5])).z
         expected = np.array([[1.0, -0.5j], [0.5j, 1.0]])
         assert np.abs(z - expected).max() <= 1e-12
 
     def test_planar_imaginary_part_vanishes(self):
-        z = z_matrix(point([0.3, 0.2, 0.0]))
+        z = fisher_bundle(point([0.3, 0.2, 0.0])).z
         assert np.abs(z.imag).max() <= 1e-14
 
     def test_real_part_is_inverse_sld_fisher(self):
@@ -182,6 +178,17 @@ class TestZMatrix:
             assert np.abs(fb.z.real - fb.g_inv).max() <= 1e-10 * (
                 1 + np.abs(fb.g_inv).max()
             )
+
+    def test_imaginary_parts_exactly_antisymmetric(self):
+        # G~ and Z are built from their upper triangles, so TrAbs never sees
+        # a rounding residue on the diagonal of Im G~^-1 or Im Z.
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            fb = fisher_bundle(random_model_point(rng))
+            for mat in (fb.g_tilde, fb.g_tilde_inv, fb.z):
+                im = mat.imag
+                assert im[0, 0] == 0.0 and im[1, 1] == 0.0
+                assert im[1, 0] == -im[0, 1]
 
     def test_imaginary_parts_agree(self):
         rng = np.random.default_rng(27)
@@ -209,7 +216,7 @@ class TestDeterminantIdentities:
     def test_origin_first_identity(self):
         m = point([0, 0, 0], d1=np.array([1.0, 0.2, 0.0]), d2=np.array([0.0, 1.0, 0.4]))
         perp = ell_perp(m)
-        det_g = np.linalg.det(sld_fisher(m))
+        det_g = np.linalg.det(fisher_bundle(m).g)
         assert abs(perp @ perp - det_g) <= 1e-12 * abs(det_g)
 
 

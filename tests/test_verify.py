@@ -1,6 +1,23 @@
 """Verification-suite surface: report structure, thresholds, failure hook."""
 
-from holevo2q.verify import run_verification
+import ast
+import re
+
+from holevo2q.bloch import BlochModelPoint
+from holevo2q.bounds import WeightMatrix, holevo_bound
+from holevo2q.fisher import fisher_bundle
+from holevo2q.oracle import minimize_holevo_2d
+from holevo2q.verify import fisher_determinant_identities, run_verification
+
+WITNESS = re.compile(r"s=(\[.*?\]) d1s=(\[.*?\]) d2s=(\[.*?\])(?: W=(\(.*?\)))?$")
+
+
+def parse_witness(text):
+    s, d1s, d2s, w = WITNESS.fullmatch(text).groups()
+    point = BlochModelPoint(
+        s=ast.literal_eval(s), d1s=ast.literal_eval(d1s), d2s=ast.literal_eval(d2s)
+    )
+    return point, (WeightMatrix(*ast.literal_eval(w)) if w else None)
 
 
 def test_small_run_all_checks_pass():
@@ -47,3 +64,20 @@ def test_injected_failure_reports_witness():
     failing = [row for row in report.rows if not row.ok]
     assert failing and all(row.name == "cross_path_sld_fisher" for row in failing)
     assert failing[0].witness  # reproduction data for the worst instance
+
+
+def test_witnesses_replay_bit_for_bit():
+    report = run_verification(seed=9, count=3)
+    rows = {row.name: row for row in report.rows}
+
+    m, w = parse_witness(rows["identity_gamma_gap"].witness)
+    assert fisher_determinant_identities(m, w).gamma_gap == rows["identity_gamma_gap"].value
+
+    row = rows["holevo_vs_reduced_search"]
+    m, w = parse_witness(row.witness)
+    c_h = holevo_bound(fisher_bundle(m), w).c_h
+    value_2d, _ = minimize_holevo_2d(m, w)
+    assert abs(value_2d - c_h) / abs(c_h) == row.value
+
+    m, w = parse_witness(rows["sld_defining_equation"].witness)
+    assert w is None  # checks that draw no weight print none
