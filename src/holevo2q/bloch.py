@@ -29,6 +29,7 @@ from .errors import DegenerateModelError, DomainError, PureStateError
 __all__ = [
     "PURE_SHELL_TOL",
     "DERIVATIVE_INDEPENDENCE_RTOL",
+    "CLASSIFICATION_RTOL",
     "BlochModelPoint",
     "BlochModelPoint3",
     "inner",
@@ -41,6 +42,7 @@ __all__ = [
     "rld_bloch_vectors",
     "gamma_vector",
     "ell_perp",
+    "special_model_tests",
 ]
 
 # |s| >= 1 - PURE_SHELL_TOL counts as pure: (1-s^2)^{-1} is no longer trusted.
@@ -48,6 +50,9 @@ PURE_SHELL_TOL = 1e-12
 
 # |d1s x d2s| below this fraction of |d1s||d2s| counts as linearly dependent.
 DERIVATIVE_INDEPENDENCE_RTOL = 1e-10
+
+# Relative tolerance of the exact-zero classification tests.
+CLASSIFICATION_RTOL = 1e-10
 
 
 def _as_real_vec3(value, name: str) -> np.ndarray:
@@ -197,8 +202,25 @@ def ell_perp(m: BlochModelPoint) -> np.ndarray:
     Raises :class:`DegenerateModelError` when the derivatives are parallel
     beyond ``DERIVATIVE_INDEPENDENCE_RTOL``.
     """
-    perp = np.cross(m.d1s, m.d2s)
+    (a1, a2, a3), (b1, b2, b3) = m.d1s.tolist(), m.d2s.tolist()
+    perp = np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
     scale = np.linalg.norm(m.d1s) * np.linalg.norm(m.d2s)
     if scale == 0.0 or np.linalg.norm(perp) < DERIVATIVE_INDEPENDENCE_RTOL * scale:
         raise DegenerateModelError("d1s and d2s are linearly dependent")
     return perp
+
+
+def special_model_tests(
+    m: BlochModelPoint, rtol: float = CLASSIFICATION_RTOL
+) -> tuple[bool, bool, float]:
+    """(D-invariant, asymptotically classical, <s, n>) with n = d1s x d2s, by
+    the derivative-scale-invariant tests |<s, d_i s>| <= rtol |s||d_i s|
+    (both i) and |<s, n>| <= rtol |s||n|."""
+    s_norm = float(np.linalg.norm(m.s))
+    n = ell_perp(m)
+    triple = float(m.s @ n)
+    return (
+        all(abs(float(m.s @ d)) <= rtol * s_norm * np.linalg.norm(d) for d in m.derivatives()),
+        abs(triple) <= rtol * s_norm * float(np.linalg.norm(n)),
+        triple,
+    )

@@ -1,46 +1,50 @@
 """Scalar precision bounds for two-parameter qubit models.
 
-Given the Fisher data of a mixed model point and a positive weight matrix W,
-this module evaluates
+For a mixed model point and a positive weight matrix W this module gives
 
     C^S = Tr(W G^-1)                                   SLD Cramer-Rao bound
     C^R = Tr(W Re G~^-1) + TrAbs(W Im G~^-1)           RLD Cramer-Rao bound
     C^Z = Tr(W Re Z)     + TrAbs(W Im Z)               D-invariant bound
     C^N = C^S + 2 sqrt(det W det G^-1)                 Nagaoka bound
 
-and the closed-form Holevo bound
+and the Holevo bound C^H = C^R where B[W] = C^R - (C^Z + C^S)/2 >= 0 (the
+RLD region) and C^H = C^R + B^2/(C^Z - C^R) where B < 0 (the correction
+region); ``classify_weight`` labels the regions and their boundary, and
+``boundary_weight_family`` parametrizes weights of prescribed region.
 
-    C^H = C^R                 if C^R >= (C^Z + C^S)/2
-    C^H = C^R + S             otherwise,
+Explicit formula.  G^-1, Re G~^-1 and Im G~^-1 share the denominator
+p = <n, Q^-1 n> = eps |n|^2 + |s x n|^2 with n = d1s x d2s and eps = 1 - s^2,
+so with the Bloch scalars of :class:`~holevo2q.fisher.FisherBundle`
+(Gram matrix, r_i = <s, d_i s>, k = <s, n>, p) and
 
-with the nonnegative correction S = [ (C^Z + C^S)/2 - C^R ]^2 / (C^Z - C^R).
-Equivalent rewritings of this formula live with the tests as references.
-The weight-space sign
+    a = w11 |d2s|^2 - 2 w12 <d1s, d2s> + w22 |d1s|^2,
+    q = (r | adj W r),    t = eps sqrt(det W) |k|:
 
-    B[W] = C^R - (C^Z + C^S)/2
+    C^S = (eps a + q)/p,   C^Z = C^S + 2t/p,   C^R = eps (a + 2 sqrt(det W)|k|)/p,
+    C^N = C^S + 2 sqrt(det W eps/p),   B = (t - q)/p,   C^Z - C^R = q/p,
+    C^H = C^R if B >= 0, else C^S + t^2/(q p) = C^R + (q - t)^2/(q p),
+    xi* = sign(k) min(1, t/q) adj(W) r / (p sqrt(det W))   (0 when q = 0),
 
-partitions the positive-definite cone into the RLD region (B > 0), the
-correction region (B < 0) and their shared boundary; ``classify_weight``
-reports that label and ``boundary_weight_family`` parametrizes weights of
-prescribed region for a generic model.
+xi* minimizing the reduced problem (xi|p W xi) + 2|(sqrt(det W) r|xi) + c|
+with c = -eps sqrt(det W) k/p, which ``quadratic_abs_min`` solves in general.
 
-The minimization behind the Holevo bound reduces to
-
-    min_xi (xi | A xi) + 2 |(b | xi) + c|
-
-over xi in R^2 with A = <l_perp, Q^-1 l_perp> W, b = (1-s^2) sqrt(det W)
-gamma and c = sqrt(det W) Im z^12; ``quadratic_abs_min`` solves that piecewise
-problem exactly and ``minimizing_offset`` returns the optimal xi.
+Error model.  The one cancellation is eps = 1 - s.s, known to about
+u/(1-|s|^2) relative (u = 2^-53); it enters only through eps a and t.  C^R,
+and C^H on the RLD branch, carry all of it unless n is parallel to s
+(unitary families), where eps cancels.  C^S, C^Z and C^H on the correction
+branch carry about u (a + 2 sqrt(det W)|k|)/q: a few ulps unless the
+derivatives are nearly tangent to the sphere (r ~ 0).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochModelPoint, BlochModelPoint3, q_tilde
+from .bloch import BlochModelPoint, BlochModelPoint3, q_tilde, special_model_tests
 from .errors import (
     DomainError,
     SingularMatrixError,
@@ -50,7 +54,6 @@ from .fisher import FisherBundle, invert_2x2
 
 __all__ = [
     "BOUNDARY_RTOL",
-    "GAP_UNDERFLOW_RTOL",
     "WeightMatrix",
     "Branch",
     "WeightRegion",
@@ -63,7 +66,6 @@ __all__ = [
     "bound_z",
     "bound_nagaoka",
     "quadratic_abs_min",
-    "minimizing_offset",
     "holevo_bound",
     "b_theta",
     "classify_weight",
@@ -75,10 +77,6 @@ __all__ = [
 
 # Boundary band: |B| <= BOUNDARY_RTOL * (|C^Z| + |C^S|) counts as W_boundary.
 BOUNDARY_RTOL = 1e-9
-
-# Below this relative gap the correction branch switches to the a*H(b/a)
-# limit 2|b| to avoid dividing by an underflowed C^Z - C^R.
-GAP_UNDERFLOW_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -160,12 +158,6 @@ class BoundsReport:
     xi_star: np.ndarray
 
 
-def _weight(w) -> WeightMatrix:
-    if isinstance(w, WeightMatrix):
-        return w
-    return WeightMatrix.from_matrix(w)
-
-
 def trabs(weight, x) -> float:
     """Sum of absolute eigenvalues of W^(1/2) X W^(1/2) for antisymmetric X.
 
@@ -209,28 +201,22 @@ def trabs_eigenvalues(w: np.ndarray, xm: np.ndarray) -> float:
 
 def bound_sld(fb: FisherBundle, w) -> float:
     """SLD Cramer-Rao bound Tr(W G^-1)."""
-    return float(np.trace(_weight(w).matrix @ fb.g_inv))
+    return holevo_bound(fb, w).c_s
 
 
 def bound_rld(fb: FisherBundle, w) -> float:
     """RLD Cramer-Rao bound Tr(W Re G~^-1) + TrAbs(W Im G~^-1)."""
-    wm = _weight(w)
-    return float(
-        np.trace(wm.matrix @ fb.g_tilde_inv.real) + trabs(wm, fb.g_tilde_inv.imag)
-    )
+    return holevo_bound(fb, w).c_r
 
 
 def bound_z(fb: FisherBundle, w) -> float:
     """D-invariant bound Tr(W Re Z) + TrAbs(W Im Z)."""
-    wm = _weight(w)
-    return float(np.trace(wm.matrix @ fb.z.real) + trabs(wm, fb.z.imag))
+    return holevo_bound(fb, w).c_z
 
 
 def bound_nagaoka(fb: FisherBundle, w) -> float:
     """Nagaoka bound C^S + 2 sqrt(det(W G^-1)), achievable by separable POVMs."""
-    wm = _weight(w)
-    det_g_inv = float(np.linalg.det(fb.g_inv))
-    return bound_sld(fb, wm) + 2.0 * np.sqrt(wm.det * det_g_inv)
+    return holevo_bound(fb, w).c_n
 
 
 def quadratic_abs_min(a, b, c: float) -> tuple[float, np.ndarray]:
@@ -264,108 +250,87 @@ def quadratic_abs_min(a, b, c: float) -> tuple[float, np.ndarray]:
     return c * c / alpha, xi
 
 
-def _reduction_coefficients(fb: FisherBundle, wm: WeightMatrix):
-    """(A, b, c) of the unconstrained 2-d reduction of the Holevo minimization."""
-    sqrt_det_w = np.sqrt(wm.det)
-    a = fb.perp_quadratic * wm.matrix
-    b = fb.one_minus_s_sq * sqrt_det_w * fb.gamma
-    c = sqrt_det_w * fb.im_z12
-    return a, b, c
-
-
-def minimizing_offset(fb: FisherBundle, w) -> np.ndarray:
-    """Optimal xi of the reduced minimization; plugs back into the objective
-    to reproduce the Holevo bound."""
-    wm = _weight(w)
-    a, b, c = _reduction_coefficients(fb, wm)
-    _, xi = quadratic_abs_min(a, b, c)
-    return xi
-
-
 def holevo_bound(fb: FisherBundle, w) -> BoundsReport:
-    """Closed-form Holevo bound with branch bookkeeping.
+    """Closed-form Holevo bound: the explicit formula of the module docstring.
 
-    The branch is decided by the sign of B = C^R - (C^Z + C^S)/2 inside a
-    relative band of ``BOUNDARY_RTOL``; on the band both expressions agree
-    and the RLD value is reported with branch ``BOUNDARY``.
+    The branch label is the sign of B outside a relative band of
+    ``BOUNDARY_RTOL``, where it is ``BOUNDARY``.
     """
-    wm = _weight(w)
-    c_s = bound_sld(fb, wm)
-    c_r = bound_rld(fb, wm)
-    c_z = bound_z(fb, wm)
-    c_n = bound_nagaoka(fb, wm)
-    b_value = c_r - 0.5 * (c_z + c_s)
-    tau = BOUNDARY_RTOL * (abs(c_z) + abs(c_s))
+    wm = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
+    w11, w12, w22 = wm.w11, wm.w12, wm.w22
+    sqrt_det_w = math.sqrt(wm.det)
+    eps = fb.one_minus_s_sq
+    p = fb.perp_quadratic
+    k = fb.triple_product
+    (g11, g12), (_, g22) = fb.gram.tolist()
+    r1, r2 = fb.radial.tolist()
 
+    a = w11 * g22 - 2.0 * w12 * g12 + w22 * g11
+    q = w11 * r2 * r2 - 2.0 * w12 * r1 * r2 + w22 * r1 * r1
+    t = eps * sqrt_det_w * abs(k)
+    c_s = (eps * a + q) / p
+    c_z = c_s + 2.0 * t / p
+    c_n = c_s + 2.0 * math.sqrt(wm.det * eps / p)
+    b_value = (t - q) / p
+    tau = BOUNDARY_RTOL * (abs(c_z) + abs(c_s))
     if b_value > tau:
-        branch, corr = Branch.RLD, 0.0
-        c_h = c_r
+        branch = Branch.RLD
     elif b_value < -tau:
         branch = Branch.CORRECTION
-        gap = c_z - c_r
-        if gap < GAP_UNDERFLOW_RTOL * abs(c_z):
-            # Degenerate-gap limit of the unified form: a H(b/a) -> 2|b|.
-            c_h = c_s + (c_z - c_s)
-            corr = c_h - c_r
-        else:
-            corr = b_value**2 / gap
-            c_h = c_r + corr
     else:
-        branch, corr = Branch.BOUNDARY, 0.0
-        c_h = c_r
+        branch = Branch.BOUNDARY
 
-    xi_star = minimizing_offset(fb, wm)
-    return BoundsReport(
-        c_s=c_s,
-        c_r=c_r,
-        c_z=c_z,
-        c_n=c_n,
-        c_h=c_h,
-        s_correction=corr,
-        branch=branch,
-        b_value=b_value,
-        xi_star=xi_star,
-    )
+    # Exact rewritings under which max(C^S, C^R) <= C^H <= C^Z follows from
+    # monotone rounding, so it holds without a tolerance.
+    if t >= q:  # B >= 0: C^H = C^R = C^S + (2t - q)/p, 0 <= 2t - q <= 2t
+        c_r = c_h = c_s + (2.0 * t - q) / p
+        corr = 0.0
+    else:
+        # q > 0.  Add the smaller of the two increments to its own base; the
+        # other lower bound then keeps a margin of at least |B|/2.
+        c_r = eps * (a + 2.0 * sqrt_det_w * abs(k)) / p
+        corr = (q - t) ** 2 / (q * p)
+        c_h = c_r + corr if q <= 2.0 * t else c_s + t * t / (q * p)
+
+    scale = math.copysign(min(1.0, t / q), k) / (p * sqrt_det_w) if q > 0.0 else 0.0
+    xi_star = scale * np.array([w22 * r1 - w12 * r2, w11 * r2 - w12 * r1])
+    return BoundsReport(c_s, c_r, c_z, c_n, c_h, corr, branch, b_value, xi_star)
 
 
 def b_theta(fb: FisherBundle, w) -> float:
     """Weight-region indicator B[W] = C^R - (C^Z + C^S)/2."""
-    wm = _weight(w)
-    return bound_rld(fb, wm) - 0.5 * (bound_z(fb, wm) + bound_sld(fb, wm))
+    return holevo_bound(fb, w).b_value
+
+
+_REGION_OF_BRANCH = {
+    Branch.RLD: WeightRegion.W_PLUS,
+    Branch.CORRECTION: WeightRegion.W_MINUS,
+    Branch.BOUNDARY: WeightRegion.W_BOUNDARY,
+}
 
 
 def classify_weight(fb: FisherBundle, w) -> WeightRegionLabel:
     """Label a weight as W_plus / W_minus / W_boundary by the sign of B[W]."""
-    wm = _weight(w)
-    value = b_theta(fb, wm)
-    tau = BOUNDARY_RTOL * (abs(bound_z(fb, wm)) + abs(bound_sld(fb, wm)))
-    if value > tau:
-        region = WeightRegion.W_PLUS
-    elif value < -tau:
-        region = WeightRegion.W_MINUS
-    else:
-        region = WeightRegion.W_BOUNDARY
-    return WeightRegionLabel(region=region, b_value=value)
+    report = holevo_bound(fb, w)
+    return WeightRegionLabel(region=_REGION_OF_BRANCH[report.branch], b_value=report.b_value)
 
 
 def alpha_theta(fb: FisherBundle) -> float:
-    """Model constant |Im z^12| / Tr(G^-1 - Re G~^-1) for a generic point.
+    """Model constant |Im z^12| / Tr(G^-1 - Re G~^-1) = (1-s^2)|k| / |r|^2.
 
-    Raises :class:`SpecialModelError` on D-invariant (gamma = 0) or
-    asymptotically classical (Im z^12 = 0) points, where the boundary family
-    is empty or the whole cone is one region.
+    Raises :class:`SpecialModelError` where ``classify_point`` finds the
+    point D-invariant (no boundary family) or asymptotically classical
+    (the whole cone is one region).
     """
-    numer = abs(fb.im_z12)
-    denom = float(np.trace(fb.g_inv - fb.g_tilde_inv.real))
-    gamma_scale = float(np.linalg.norm(fb.gamma))
-    z_scale = float(np.abs(fb.z).max())
-    if gamma_scale <= 1e-12 * (1.0 + z_scale) or denom <= 0.0:
+    d_invariant, asymptotically_classical, _ = special_model_tests(fb.point)
+    if d_invariant:
         raise SpecialModelError("model is D-invariant: boundary weight family is empty")
-    if numer <= 1e-12 * (1.0 + z_scale):
+    if asymptotically_classical:
         raise SpecialModelError(
             "model is asymptotically classical: every weight is in the correction region"
         )
-    return numer / denom
+    r = fb.radial
+    return fb.one_minus_s_sq * abs(fb.triple_product) / float(r @ r)
 
 
 def boundary_weight_family(fb: FisherBundle, w: float, w2: float, c: float = 1.0) -> WeightMatrix:

@@ -33,10 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (
+    CLASSIFICATION_RTOL,
     BlochModelPoint,
     ell_perp,
     f_matrix,
     gamma_vector,
+    special_model_tests,
 )
 from .bounds import WeightMatrix, trabs
 from .errors import (
@@ -56,9 +58,6 @@ __all__ = [
     "pure_limit_rld_inverse",
     "pure_limit_holevo",
 ]
-
-# Relative tolerance of the exact-zero classification tests.
-CLASSIFICATION_RTOL = 1e-10
 
 # |l_perp x s| below this fraction of |l_perp| counts as tangent on the shell.
 TANGENCY_RTOL = 1e-8
@@ -91,18 +90,7 @@ def classify_point(m: BlochModelPoint, rtol: float = CLASSIFICATION_RTOL) -> Mod
     Raises :class:`DegenerateModelError` when the derivatives are dependent.
     """
     m.require_mixed()
-    d1, d2 = m.derivatives()
-    s_norm = float(np.linalg.norm(m.s))
-    radial = np.array([float(m.s @ d1), float(m.s @ d2)])
-    radial_scales = np.array(
-        [s_norm * np.linalg.norm(d1), s_norm * np.linalg.norm(d2)]
-    )
-    d_invariant = bool(np.all(np.abs(radial) <= rtol * radial_scales))
-
-    n = ell_perp(m)
-    triple = float(m.s @ n)
-    ac = bool(abs(triple) <= rtol * s_norm * np.linalg.norm(n))
-
+    d_invariant, ac, triple = special_model_tests(m, rtol)
     if d_invariant:
         label = ModelLabel.D_INVARIANT
     elif ac:

@@ -14,6 +14,9 @@ Z matrix collects the RLD-type pairings of the SLD duals,
 
 whose real part is exactly G^-1 and whose imaginary part equals Im G~^-1.
 
+The bundle also keeps the Bloch scalars the explicit bounds are built from;
+p is taken in Lagrange form because the equal |n|^2 - k^2 cancels near the shell.
+
 ``fisher_bundle`` is the one producer of these quantities; everything a bound
 computation needs is cached in the :class:`FisherBundle` it returns.
 """
@@ -27,8 +30,6 @@ import numpy as np
 from .bloch import (
     BlochModelPoint,
     ell_perp,
-    gamma_vector,
-    q_inverse,
     q_matrix,
     q_tilde,
     q_tilde_inverse,
@@ -84,8 +85,7 @@ def _hermitian_from_upper(u: np.ndarray, v: np.ndarray, mat: np.ndarray) -> np.n
 class FisherBundle:
     """All Fisher-level data for one mixed model point.
 
-    ``point`` keeps the source data so bound computations can reach the raw
-    geometry (l_perp, 1 - s^2, ...).
+    ``point`` keeps the source data (s, d1s, d2s, 1 - s^2).
     """
 
     point: BlochModelPoint
@@ -96,36 +96,27 @@ class FisherBundle:
     z: np.ndarray            # Hermitian (2, 2)
     dual1: np.ndarray        # SLD dual Bloch vectors, real (3,)
     dual2: np.ndarray
-    gamma: np.ndarray        # radial components, real (2,)
+    gamma: np.ndarray        # gamma_i = r_i / (1 - s^2), real (2,)
+    gram: np.ndarray         # <d_i s, d_j s>, real symmetric (2, 2)
+    radial: np.ndarray       # r_i = <s, d_i s>, real (2,)
+    triple_product: float    # k = <s, n>, n = l_perp = d1s x d2s
+    perp_quadratic: float    # p = <n, Q^-1 n> = (1-s^2)|n|^2 + |s x n|^2
 
     @property
     def one_minus_s_sq(self) -> float:
         return 1.0 - self.point.s_squared
-
-    @property
-    def ell_perp(self) -> np.ndarray:
-        return ell_perp(self.point)
-
-    @property
-    def perp_quadratic(self) -> float:
-        """<l_perp, Q^-1 l_perp>, the coefficient of the reduced quadratic."""
-        perp = self.ell_perp
-        return float(perp @ q_inverse(self.point) @ perp)
-
-    @property
-    def im_z12(self) -> float:
-        """Im z^12 = <l^1, F l^2>, the single imaginary degree of freedom."""
-        return float(self.z[0, 1].imag)
 
 
 def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
     """Compute every Fisher-level quantity for a mixed model point at once.
 
     Raises :class:`PureStateError` off the open Bloch ball and
-    :class:`DegenerateModelError` when the SLD Fisher matrix is singular.
+    :class:`DegenerateModelError` when the derivatives are dependent or the
+    SLD Fisher matrix is singular.
     """
     m.require_mixed()
     q = q_matrix(m)
+    s = m.s
     d1, d2 = m.derivatives()
     l1, l2 = q @ d1, q @ d2
 
@@ -138,6 +129,11 @@ def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if g[0, 0] <= 0.0 or det <= SINGULAR_RTOL * float(np.sum(g**2)):
         raise DegenerateModelError("SLD Fisher matrix is singular; derivatives degenerate")
+    n = ell_perp(m)
+    one_minus = 1.0 - m.s_squared
+    radial = np.array([float(s @ d1), float(s @ d2)])
+    s_cross_n = radial[1] * d1 - radial[0] * d2
+    d12 = float(d1 @ d2)
     g_inv = invert_2x2(g)
     g_tilde = _hermitian_from_upper(d1, d2, q_tilde(m))
     g_tilde_inv = invert_2x2(g_tilde)
@@ -154,7 +150,11 @@ def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
         z=z,
         dual1=dual1,
         dual2=dual2,
-        gamma=gamma_vector(m),
+        gamma=radial / one_minus,
+        gram=np.array([[float(d1 @ d1), d12], [d12, float(d2 @ d2)]]),
+        radial=radial,
+        triple_product=float(s @ n),
+        perp_quadratic=one_minus * float(n @ n) + float(s_cross_n @ s_cross_n),
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
 from .bloch import BlochModelPoint
-from .bounds import WeightMatrix, _reduction_coefficients, trabs_eigenvalues
+from .bounds import WeightMatrix, trabs_eigenvalues
 from .errors import (
     DegenerateModelError,
     FeasibilityError,
@@ -401,13 +401,18 @@ def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
             + 2.0 * sqrt_det_w * np.abs(cross)
         )
 
-    radius = _search_radius_2d(fb, weight)
+    # The objective is (xi|A xi) + 2 sqrt(det W)|(b|xi) + c| plus a constant,
+    # with A, b and c read off the expansion in xi of the same geometry.
+    a = float(perp @ q_inv @ perp) * wm
+    b = sqrt_det_w * np.array([perp @ np.cross(s, dual2), dual1 @ np.cross(s, perp)])
+    c = sqrt_det_w * float(dual1 @ np.cross(s, dual2))
+    radius = _search_radius_2d(a, b, c)
     return _grid_then_refine(objective, radius, 81, batch_fun=batch_objective)
 
 
-def _search_radius_2d(fb, weight) -> float:
-    """Box radius 10 (alpha + |c| + 1) / lambda_min(A) of the reduced problem."""
-    a, b, c = _reduction_coefficients(fb, weight)
+def _search_radius_2d(a: np.ndarray, b: np.ndarray, c: float) -> float:
+    """Box radius 10 (alpha + |c| + 1) / lambda_min(A) of the reduced problem
+    min (xi|A xi) + 2|(b|xi) + c|, with alpha = (b|A^-1 b)."""
     lam_min = float(np.linalg.eigvalsh(a).min())
     a_inv = invert_2x2(a, exc=SingularMatrixError)
     alpha = float(b @ a_inv @ b)

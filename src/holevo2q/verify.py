@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import ell_perp, f_matrix, q_inverse, rld_bloch_vectors, sld_bloch_vectors
-from .bounds import WeightMatrix, bound_rld, bound_z, holevo_bound, trabs
+from .bounds import WeightMatrix, holevo_bound, trabs
 from .errors import SingularMatrixError
 from .fisher import fisher_bundle, invert_2x2
 from .oracle import (
@@ -103,6 +103,16 @@ class _Tracker:
         )
 
 
+def _matrix_form_bounds(fb, weight: WeightMatrix) -> tuple[float, float, float]:
+    """(C^S, C^R, C^Z) from their matrix definitions on the bundle:
+    Tr(W G^-1), Tr(W Re G~^-1) + TrAbs(W Im G~^-1), Tr(W Re Z) + TrAbs(W Im Z)."""
+    w = weight.matrix
+    c_s = float(np.trace(w @ fb.g_inv))
+    c_r = float(np.trace(w @ fb.g_tilde_inv.real)) + trabs(weight, fb.g_tilde_inv.imag)
+    c_z = float(np.trace(w @ fb.z.real)) + trabs(weight, fb.z.imag)
+    return c_s, c_r, c_z
+
+
 @dataclass(frozen=True)
 class DeterminantIdentityResiduals:
     """Relative residuals of the three closed-form identities linking the
@@ -141,7 +151,7 @@ def fisher_determinant_identities(m, weight) -> DeterminantIdentityResiduals:
     res1 = max(abs(lhs1 - mid1), abs(mid1 - rhs1)) / scale1
 
     w = weight.matrix
-    lhs2 = 2.0 * np.sqrt(weight.det) * abs(fb.im_z12)
+    lhs2 = 2.0 * np.sqrt(weight.det) * abs(fb.z[0, 1].imag)
     mid2 = trabs(w, fb.g_tilde_inv.imag)
     rhs2 = trabs(w, fb.z.imag)
     scale2 = max(abs(lhs2), abs(mid2), abs(rhs2), 1.0)
@@ -149,7 +159,8 @@ def fisher_determinant_identities(m, weight) -> DeterminantIdentityResiduals:
 
     w_inv = invert_2x2(w, exc=SingularMatrixError)
     lhs3 = float(fb.gamma @ w_inv @ fb.gamma)
-    gap = bound_z(fb, weight) - bound_rld(fb, weight)
+    _, c_r, c_z = _matrix_form_bounds(fb, weight)
+    gap = c_z - c_r
     rhs3 = det_g / weight.det / one_minus * gap
     scale3 = max(abs(lhs3), abs(rhs3), 1.0)
     res3 = abs(lhs3 - rhs3) / scale3
@@ -304,6 +315,12 @@ def run_verification(
             0.0,
         )
         track.note("bound_inequality_chain", violation, witness_w)
+        closed = (report.c_s, report.c_r, report.c_z)
+        track.note(
+            "bounds_vs_matrix_forms",
+            max(abs(x - y) / abs(y) for x, y in zip(closed, _matrix_form_bounds(fb, w))),
+            witness_w,
+        )
 
     # Closed form versus brute-force minimization, on fresh generic pairs.
     branch_counts: dict[str, int] = {}
@@ -327,7 +344,7 @@ def run_verification(
         )
         track.note(
             "z_bound_from_duals",
-            abs(bound_z(fb, w) - _holevo_at_duals(fb, w)) / abs(report.c_z),
+            abs(report.c_z - _holevo_at_duals(fb, w)) / abs(report.c_z),
             witness,
         )
 
@@ -350,6 +367,7 @@ def run_verification(
         "commutation_sld_pairing": 1e-10,
         "commutation_mixed_pairing": 1e-10,
         "bound_inequality_chain": 0.0,
+        "bounds_vs_matrix_forms": 1e-10,
         "holevo_vs_reduced_search": 1e-8,
         "holevo_vs_constrained_search": 1e-8,
         "z_bound_from_duals": 1e-10,

@@ -6,13 +6,14 @@ C^1 profile H) live here as reference helpers: they exist only to
 cross-check ``holevo_bound``, the one production formula.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from holevo2q.bloch import BlochModelPoint, BlochModelPoint3
 from holevo2q.bounds import (
     BOUNDARY_RTOL,
-    GAP_UNDERFLOW_RTOL,
     Branch,
     WeightMatrix,
     WeightRegion,
@@ -26,14 +27,14 @@ from holevo2q.bounds import (
     classify_weight,
     holevo_bound,
     holevo_bound_three_param,
-    minimizing_offset,
     quadratic_abs_min,
     trabs,
     trabs_eigenvalues,
     weight_from_angles,
 )
 from holevo2q.errors import BranchError, DomainError, SpecialModelError
-from holevo2q.fisher import fisher_bundle
+from holevo2q.fisher import fisher_bundle, invert_2x2
+from holevo2q.models import Unitary
 from holevo2q.oracle import density_point, minimize_holevo_6d
 from holevo2q.sampling import (
     random_d_invariant_point,
@@ -52,6 +53,9 @@ def bundle(s, d1=XHAT, d2=YHAT):
 
 
 # Reference forms of the Holevo bound.
+
+# Below this relative gap the reference forms treat C^Z - C^R as zero.
+GAP_UNDERFLOW_RTOL = 1e-13
 
 
 def s_correction(c_s: float, c_r: float, c_z: float) -> float:
@@ -83,8 +87,19 @@ def holevo_objective_xi(fb, w, xi) -> float:
     + 2 sqrt(det W) |Im z^12 + (1-s^2)(gamma|xi)|."""
     xi = np.asarray(xi, dtype=float)
     quad = fb.perp_quadratic * float(xi @ w.matrix @ xi)
-    affine = fb.im_z12 + fb.one_minus_s_sq * float(fb.gamma @ xi)
+    affine = fb.z[0, 1].imag + fb.one_minus_s_sq * float(fb.gamma @ xi)
     return bound_sld(fb, w) + quad + 2.0 * np.sqrt(w.det) * abs(affine)
+
+
+def reduction_coefficients(fb, w):
+    """(A, b, c) of the reduced minimization min (xi|A xi) + 2|(b|xi) + c|:
+    A = <l_perp, Q^-1 l_perp> W, b = (1-s^2) sqrt(det W) gamma and
+    c = sqrt(det W) Im z^12, all from the bundle's matrices."""
+    sqrt_det_w = np.sqrt(w.det)
+    a = fb.perp_quadratic * w.matrix
+    b = fb.one_minus_s_sq * sqrt_det_w * fb.gamma
+    c = sqrt_det_w * fb.z[0, 1].imag
+    return a, b, c
 
 
 def holevo_bound_correction_form(fb, w) -> float:
@@ -108,6 +123,60 @@ def holevo_bound_unified(fb, w) -> float:
     if gap < GAP_UNDERFLOW_RTOL * (abs(c_z) + 1.0):
         return c_s + 2.0 * abs(half_trabs)
     return c_s + gap * h_of_x(half_trabs / gap)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _apply(mat, v):
+    return [_dot(row, v) for row in mat]
+
+
+def exact_bounds(m, w):
+    """(C^S, C^R, C^Z, C^H) as exact Fractions, from the matrix definitions
+    G = D^T Q D, G~ = D^T Q~ D and z^ij = <l^i, Q~^-1 l^j> on the SLD duals
+    l^i = sum_j (G^-1)_ji Q d_j s.  Complex entries are kept as separate
+    real and imaginary parts.  W must have det W = 1, so that
+    TrAbs(W X) = 2 |x_12| is exact."""
+    wm = [[Fraction(w.w11), Fraction(w.w12)], [Fraction(w.w12), Fraction(w.w22)]]
+    assert wm[0][0] * wm[1][1] - wm[0][1] ** 2 == 1
+    s = [Fraction(x) for x in m.s]
+    ds = [[Fraction(x) for x in m.d1s], [Fraction(x) for x in m.d2s]]
+    eps = 1 - _dot(s, s)
+    eye = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
+    q = [[eye[a][b] + s[a] * s[b] / eps for b in range(3)] for a in range(3)]
+    f = [[0, -s[2], s[1]], [s[2], 0, -s[0]], [-s[1], s[0], 0]]  # F a = s x a
+    q_inv = [[eye[a][b] - s[a] * s[b] for b in range(3)] for a in range(3)]
+
+    def inv2(mat):
+        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+        return [[mat[1][1] / det, -mat[0][1] / det], [-mat[1][0] / det, mat[0][0] / det]]
+
+    def tr_w(mat):
+        return sum(wm[i][j] * mat[j][i] for i in range(2) for j in range(2))
+
+    g = [[_dot(di, _apply(q, dj)) for dj in ds] for di in ds]
+    g_inv = inv2(g)
+    # Q~ = (I - iF)/eps; G~ = re + i im is Hermitian.
+    gt_re = [[_dot(di, dj) / eps for dj in ds] for di in ds]
+    gt_im = [[-_dot(di, _apply(f, dj)) / eps for dj in ds] for di in ds]
+    det_gt = gt_re[0][0] * gt_re[1][1] - gt_re[0][1] ** 2 - gt_im[0][1] ** 2
+    gti_re = [[gt_re[1][1] / det_gt, -gt_re[0][1] / det_gt],
+              [-gt_re[1][0] / det_gt, gt_re[0][0] / det_gt]]
+    gti_im12 = -gt_im[0][1] / det_gt
+    ls = [_apply(q, d) for d in ds]
+    duals = [[g_inv[0][i] * a + g_inv[1][i] * b for a, b in zip(*ls)] for i in range(2)]
+    # Q~^-1 = Q^-1 + iF.
+    z_re = [[_dot(li, _apply(q_inv, lj)) for lj in duals] for li in duals]
+    z_im12 = _dot(duals[0], _apply(f, duals[1]))
+
+    c_s = tr_w(g_inv)
+    c_r = tr_w(gti_re) + 2 * abs(gti_im12)
+    c_z = tr_w(z_re) + 2 * abs(z_im12)
+    b_value = c_r - (c_z + c_s) / 2
+    c_h = c_r if b_value >= 0 else c_r + b_value**2 / (c_z - c_r)
+    return c_s, c_r, c_z, c_h
 
 
 class TestWeightMatrix:
@@ -370,25 +439,22 @@ class TestHolevoBound:
 class TestMinimizingOffset:
     def test_zero_for_d_invariant(self):
         fb = bundle([0, 0, 0.5])
-        assert np.allclose(minimizing_offset(fb, IDENTITY), 0.0)
+        assert np.allclose(holevo_bound(fb, IDENTITY).xi_star, 0.0)
 
     def test_small_offset_formula(self):
         rng = np.random.default_rng(39)
-        from holevo2q.bounds import _reduction_coefficients
-        from holevo2q.fisher import invert_2x2
-
         found = 0
         for _ in range(300):
             fb = fisher_bundle(random_model_point(rng))
             w = random_weight(rng)
-            a, b, c = _reduction_coefficients(fb, w)
+            a, b, c = reduction_coefficients(fb, w)
             a_inv = invert_2x2(a)
             alpha = float(b @ a_inv @ b)
             if alpha <= 0.0 or abs(c) >= alpha:
                 continue
             found += 1
             expected = -(c / alpha) * (a_inv @ b)
-            assert np.allclose(minimizing_offset(fb, w), expected)
+            assert np.allclose(holevo_bound(fb, w).xi_star, expected)
         assert found > 20
 
 
@@ -434,6 +500,19 @@ class TestWeightRegions:
             outer = boundary_weight_family(fb, w_out, w2_out)
             assert classify_weight(fb, outer).region is WeightRegion.W_MINUS
 
+    def test_chain_without_slack_at_the_band_edge(self):
+        # Just outside the BOUNDARY_RTOL band C^H - C^R = B^2 p/q is below one
+        # ulp of C^H, and on both sides of it the chain must hold exactly.
+        rng = np.random.default_rng(49)
+        for _ in range(300):
+            fb = fisher_bundle(random_model_point(rng))
+            for _ in range(6):
+                phi = rng.uniform(0.05, np.pi - 0.05)
+                rho = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10, -6)
+                w = boundary_weight_family(fb, rho * np.cos(phi), rho * np.sin(phi))
+                rep = holevo_bound(fb, w)
+                assert max(rep.c_s, rep.c_r) <= rep.c_h <= rep.c_z
+
     def test_family_output_positive_definite(self):
         fb = bundle([0.25, 0.35, 0.4])
         w = boundary_weight_family(fb, 0.3, 0.8, c=2.0)
@@ -458,6 +537,53 @@ class TestWeightRegions:
             alpha_theta(bundle([0, 0, 0.5]))  # D-invariant
         with pytest.raises(SpecialModelError):
             alpha_theta(bundle([0.3, 0.2, 0.0]))  # asymptotically classical
+
+    def test_alpha_theta_invariant_under_derivative_scale(self):
+        # alpha = (1-s^2)|k|/|r|^2 does not change under d_i s -> lambda d_i s,
+        # and neither may the special-model guards in front of it.
+        expected = (1.0 - 0.29) * 0.4 / 0.13
+        for lam in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+            fb = bundle([0.3, 0.2, 0.4], d1=lam * XHAT, d2=lam * YHAT)
+            assert alpha_theta(fb) == pytest.approx(expected, rel=1e-12)
+
+
+class TestNearShell:
+    """Closed forms against the exact rational reference as |s| -> 1."""
+
+    W = WeightMatrix(1.25, 0.5, 1.0)  # det W = 1
+    DELTAS = [10.0**-e for e in range(2, 12)]  # 1 - |s|
+
+    def points(self, delta, rng):
+        for _ in range(6):
+            u = rng.normal(size=3)
+            s = (1.0 - delta) * u / np.linalg.norm(u)
+            yield BlochModelPoint(s=s, d1s=rng.normal(size=3), d2s=rng.normal(size=3))
+        family = Unitary(radius=1.0 - delta)
+        for _ in range(4):
+            yield family.evaluate((rng.uniform(0.3, 2.8), rng.uniform(0.0, 6.2)))
+
+    def test_chain_and_exact_reference(self):
+        u = 2.0**-53
+        rng = np.random.default_rng(48)
+        branches = set()
+        for delta in self.DELTAS:
+            for m in self.points(delta, rng):
+                rep = holevo_bound(fisher_bundle(m), self.W)
+                assert max(rep.c_s, rep.c_r) <= rep.c_h <= rep.c_z
+                exact = exact_bounds(m, self.W)
+
+                def rel(value, ref):
+                    return float(abs(Fraction(value) - ref) / ref)
+
+                rld_tol = 10.0 * u / (1.0 - m.s_squared)
+                c_s, c_r, c_z, c_h = exact
+                assert rel(rep.c_s, c_s) <= 1e-12
+                assert rel(rep.c_z, c_z) <= 1e-12
+                assert rel(rep.c_r, c_r) <= rld_tol
+                h_tol = 1e-12 if rep.branch is Branch.CORRECTION else rld_tol
+                assert rel(rep.c_h, c_h) <= h_tol
+                branches.add(rep.branch)
+        assert branches == {Branch.RLD, Branch.CORRECTION}
 
 
 class TestWeightFromAngles:

@@ -261,7 +261,7 @@ class TestLazyImport:
         )
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "all 21 checks passed" in proc.stdout
+        assert "all 22 checks passed" in proc.stdout
 
 
 class TestVerifyCommand:

@@ -43,6 +43,7 @@ def test_small_run_all_checks_pass():
         "commutation_sld_pairing",
         "commutation_mixed_pairing",
         "bound_inequality_chain",
+        "bounds_vs_matrix_forms",
         "holevo_vs_reduced_search",
         "holevo_vs_constrained_search",
         "z_bound_from_duals",
