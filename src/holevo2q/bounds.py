@@ -61,6 +61,8 @@ __all__ = [
     "BoundsReport",
     "trabs",
     "trabs_eigenvalues",
+    "weight_root",
+    "trabs_from_root",
     "bound_sld",
     "bound_rld",
     "bound_z",
@@ -191,12 +193,22 @@ def trabs_eigenvalues(w: np.ndarray, xm: np.ndarray) -> float:
     entry point.  The oracle calls this directly so that it never relies on
     the 2x2 closed form it is there to test.
     """
+    return trabs_from_root(weight_root(w), xm)
+
+
+def weight_root(w: np.ndarray) -> np.ndarray:
+    """W^(1/2) from the eigen-decomposition of a positive-definite W."""
     evals, evecs = np.linalg.eigh(w)
     if evals.min() <= 0.0:
         raise DomainError("weight matrix must be positive definite")
-    w_half = (evecs * np.sqrt(evals)) @ evecs.T
+    return (evecs * np.sqrt(evals)) @ evecs.T
+
+
+def trabs_from_root(w_half: np.ndarray, xm: np.ndarray) -> float:
+    """sum |eig(W^(1/2) X W^(1/2))| given ``w_half`` = :func:`weight_root` (W),
+    for callers that evaluate TrAbs at many X under one W."""
     sandwich = w_half @ xm @ w_half
-    return float(np.sum(np.abs(np.linalg.eigvals(sandwich))))
+    return float(np.abs(np.linalg.eigvals(sandwich)).sum())
 
 
 def bound_sld(fb: FisherBundle, w) -> float:

@@ -17,7 +17,11 @@ module is to validate those formulas from scratch:
   minimum.
 
 Minimizations use a coarse grid followed by Nelder-Mead refinement; the
-objective is convex, so the refined grid minimum is the global one.
+objective is convex, so the refined grid minimum is the global one.  Each
+minimizer computes what does not depend on the search point once: W^(1/2)
+and rho for the 6-d search, the duals, l_perp and Q^-1 for the 2-d one.  A
+Nelder-Mead step then evaluates the same definitions with the same floating
+point operations as a from-scratch evaluation, so it returns the same float.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
-from .bloch import BlochModelPoint
-from .bounds import WeightMatrix, trabs_eigenvalues
+from .bloch import BlochModelPoint, cross
+from .bounds import WeightMatrix, trabs_from_root, weight_root
 from .errors import (
     DegenerateModelError,
     FeasibilityError,
@@ -266,16 +270,29 @@ def holevo_function(dp: DensityPoint, pair: HermitianPair, w) -> float:
         raise FeasibilityError(
             f"observable pair violates unbiasedness constraints by {residual:.3e}"
         )
-    return _holevo_value(dp.rho, pair.x1, pair.x2, weight)
+    return _holevo_evaluator(dp.rho, weight)(pair.x1, pair.x2)
 
 
-def _holevo_value(rho: np.ndarray, x1: np.ndarray, x2: np.ndarray, weight: WeightMatrix) -> float:
-    xs = (x1, x2)
-    z = np.array(
-        [[np.trace(rho @ xs[j] @ xs[i]) for j in range(2)] for i in range(2)]
-    )
+def _holevo_evaluator(rho: np.ndarray, weight: WeightMatrix):
+    """The Holevo function of observable pairs at fixed (rho, W).
+
+    W^(1/2) is computed once; each call forms rho X^j once per j and takes
+    Z_ij = tr((rho X^j) X^i), the same products as tr(rho X^j X^i).
+    """
     wm = weight.matrix
-    return float(np.trace(wm @ z.real) + trabs_eigenvalues(wm, _antisym(z.imag)))
+    w_half = weight_root(wm)
+
+    def value(x1: np.ndarray, x2: np.ndarray) -> float:
+        rx1, rx2 = rho @ x1, rho @ x2
+        z = np.array(
+            [
+                [(rx1 @ x1).trace(), (rx2 @ x1).trace()],
+                [(rx1 @ x2).trace(), (rx2 @ x2).trace()],
+            ]
+        )
+        return float((wm @ z.real).trace() + trabs_from_root(w_half, _antisym(z.imag)))
+
+    return value
 
 
 def _antisym(mat: np.ndarray) -> np.ndarray:
@@ -286,12 +303,27 @@ def _antisym(mat: np.ndarray) -> np.ndarray:
 
 def pair_from_bloch_vectors(m: BlochModelPoint, x1, x2) -> HermitianPair:
     """Observables X^i = -<s, x^i> I + x^i . sigma for real 3-vectors x^i."""
-    ops = []
-    for vec in (x1, x2):
-        v = np.asarray(vec, dtype=float)
-        op = -float(m.s @ v) * _ID2 + sum(v[k] * PAULI[k] for k in range(3))
-        ops.append(op)
-    return HermitianPair(x1=ops[0], x2=ops[1])
+    return HermitianPair(
+        x1=_bloch_operator(m.s, np.asarray(x1, dtype=float)),
+        x2=_bloch_operator(m.s, np.asarray(x2, dtype=float)),
+    )
+
+
+def _bloch_operator(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """-<s, v> I + v.sigma, written out entry by entry.
+
+    Each entry has one nonzero term of the Pauli sum, so it equals the sum
+    ``-<s, v> I + sum_k v_k sigma_k`` bit for bit; the ``+ 0.0`` turns -0.0
+    into 0.0, as that sum (which starts from 0) does.
+    """
+    c = float(s @ v)
+    v1, v2, v3 = v.tolist()
+    return np.array(
+        [
+            [complex(-c + v3 + 0.0, 0.0), complex(v1 + 0.0, -v2 + 0.0)],
+            [complex(v1 + 0.0, v2 + 0.0), complex(-c - v3 + 0.0, 0.0)],
+        ]
+    )
 
 
 def _nelder_mead(fun, x0: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
@@ -326,22 +358,14 @@ def _initial_simplex(center: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _grid_then_refine(
-    fun, radius: float, grid_points: int, batch_fun=None
+    fun, radius: float, grid_points: int, batch_fun
 ) -> tuple[float, np.ndarray]:
-    """Coarse grid scan (optionally batched) followed by simplex refinement."""
+    """Batched coarse grid scan followed by simplex refinement of ``fun``."""
     axis = np.linspace(-radius, radius, grid_points)
     xi1 = np.repeat(axis, grid_points)
     xi2 = np.tile(axis, grid_points)
-    if batch_fun is not None:
-        values = batch_fun(xi1, xi2)
-        idx = int(np.argmin(values))
-        best_x = np.array([xi1[idx], xi2[idx]])
-    else:
-        best_f, best_x = np.inf, np.zeros(2)
-        for a, b in zip(xi1, xi2):
-            value = fun(np.array([a, b]))
-            if value < best_f:
-                best_f, best_x = value, np.array([a, b])
+    idx = int(np.argmin(batch_fun(xi1, xi2)))
+    best_x = np.array([xi1[idx], xi2[idx]])
     step = 2.0 * radius / (grid_points - 1)
     return _nelder_mead(fun, best_x, step)
 
@@ -355,12 +379,14 @@ def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
         h(x1, x2) = sum_ij w_ij <x^i, Q^-1 x^j> + 2 sqrt(det W) |<x^1, F x^2>|,
 
     and minimized by grid search plus Nelder-Mead.  Returns (value, xi*).
+    The duals, l_perp and Q^-1 are computed once; a step reuses x^i Q^-1 for
+    both of its quadratic terms and takes s x x^2 in scalar arithmetic.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     fb = fisher_bundle(m)
     d1, d2 = m.derivatives()
     dual1, dual2 = fb.dual1, fb.dual2
-    perp = np.cross(d1, d2)
+    perp = cross(d1, d2)
 
     # Independent feasibility check of the affine parametrization.
     constraints = np.array(
@@ -375,17 +401,15 @@ def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
     s = m.s
     q_inv = np.eye(3) - np.outer(s, s)
     wm = weight.matrix
+    w11, w12, w22 = weight.w11, weight.w12, weight.w22
     sqrt_det_w = np.sqrt(weight.det)
 
     def objective(xi: np.ndarray) -> float:
         x1 = dual1 + xi[0] * perp
         x2 = dual2 + xi[1] * perp
-        xs = (x1, x2)
-        quad = sum(
-            wm[i, j] * float(xs[i] @ q_inv @ xs[j]) for i in range(2) for j in range(2)
-        )
-        cross_term = float(x1 @ np.cross(s, x2))
-        return quad + 2.0 * sqrt_det_w * abs(cross_term)
+        y1, y2 = x1 @ q_inv, x2 @ q_inv
+        quad = w11 * (y1 @ x1) + w12 * (y1 @ x2) + w12 * (y2 @ x1) + w22 * (y2 @ x2)
+        return quad + 2.0 * sqrt_det_w * abs(x1 @ cross(s, x2))
 
     def batch_objective(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
         x1 = dual1[None, :] + xi1[:, None] * perp[None, :]
@@ -393,21 +417,21 @@ def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
         q11 = np.einsum("ni,ij,nj->n", x1, q_inv, x1)
         q12 = np.einsum("ni,ij,nj->n", x1, q_inv, x2)
         q22 = np.einsum("ni,ij,nj->n", x2, q_inv, x2)
-        cross = np.einsum("ni,ni->n", x1, np.cross(np.broadcast_to(s, x2.shape), x2))
+        triple = np.einsum("ni,ni->n", x1, np.cross(np.broadcast_to(s, x2.shape), x2))
         return (
             wm[0, 0] * q11
             + 2.0 * wm[0, 1] * q12
             + wm[1, 1] * q22
-            + 2.0 * sqrt_det_w * np.abs(cross)
+            + 2.0 * sqrt_det_w * np.abs(triple)
         )
 
     # The objective is (xi|A xi) + 2 sqrt(det W)|(b|xi) + c| plus a constant,
     # with A, b and c read off the expansion in xi of the same geometry.
     a = float(perp @ q_inv @ perp) * wm
-    b = sqrt_det_w * np.array([perp @ np.cross(s, dual2), dual1 @ np.cross(s, perp)])
-    c = sqrt_det_w * float(dual1 @ np.cross(s, dual2))
+    b = sqrt_det_w * np.array([perp @ cross(s, dual2), dual1 @ cross(s, perp)])
+    c = sqrt_det_w * float(dual1 @ cross(s, dual2))
     radius = _search_radius_2d(a, b, c)
-    return _grid_then_refine(objective, radius, 81, batch_fun=batch_objective)
+    return _grid_then_refine(objective, radius, 81, batch_objective)
 
 
 def _search_radius_2d(a: np.ndarray, b: np.ndarray, c: float) -> float:
@@ -425,7 +449,8 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
     The four unbiasedness constraints on (x^1, x^2) in R^6 are solved by
     least squares; the remaining two directions come from the SVD null
     space.  The objective is the operator-trace Holevo function, so this
-    route shares nothing with the closed Bloch-side formulas.
+    route shares nothing with the closed Bloch-side formulas; it is the
+    evaluator of :func:`holevo_function`, built once for (rho, W).
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     # Recover the Bloch data from the operators themselves.
@@ -455,12 +480,11 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
     sigma = np.stack(PAULI)
     wm = weight.matrix
     sqrt_det_w = np.sqrt(weight.det)
+    holevo = _holevo_evaluator(rho, weight)
 
     def objective(t: np.ndarray) -> float:
         x = x0 + null_basis @ t
-        op1 = -float(s @ x[0:3]) * _ID2 + sum(x[k] * PAULI[k] for k in range(3))
-        op2 = -float(s @ x[3:6]) * _ID2 + sum(x[3 + k] * PAULI[k] for k in range(3))
-        return _holevo_value(rho, op1, op2, weight)
+        return holevo(_bloch_operator(s, x[0:3]), _bloch_operator(s, x[3:6]))
 
     def batch_objective(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
         # Same operator traces as ``objective``, batched over grid cells.
@@ -484,7 +508,7 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
         )
 
     radius = _adaptive_radius(objective)
-    value, _ = _grid_then_refine(objective, radius, 41, batch_fun=batch_objective)
+    value, _ = _grid_then_refine(objective, radius, 41, batch_objective)
     return value
 
 
@@ -523,5 +547,5 @@ def grid_min_quadratic_abs(a, b, c: float) -> float:
     a_inv = invert_2x2(a, exc=SingularMatrixError)
     alpha = float(b @ a_inv @ b)
     radius = 10.0 * (alpha + abs(c) + 1.0) / lam_min
-    value, _ = _grid_then_refine(objective, radius, 201, batch_fun=batch_objective)
+    value, _ = _grid_then_refine(objective, radius, 201, batch_objective)
     return value

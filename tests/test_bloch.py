@@ -5,6 +5,7 @@ import pytest
 
 from holevo2q.bloch import (
     BlochModelPoint,
+    cross,
     ell_perp,
     f_matrix,
     gamma_vector,
@@ -187,6 +188,17 @@ class TestGamma:
             vals = np.array([np.vdot(m.s, lt1), np.vdot(m.s, lt2)])
             assert np.abs(vals.real - g).max() <= 1e-12
             assert np.abs(vals.imag).max() <= 1e-12
+
+
+class TestCross:
+    def test_bit_identical_to_numpy(self):
+        # Scales over 12 decades, with exact (signed) zeros in some components.
+        rng = np.random.default_rng(17)
+        pairs = rng.normal(size=(20_000, 2, 3)) * 10.0 ** rng.uniform(-6, 6, size=(20_000, 2, 1))
+        pairs[rng.random(size=pairs.shape) < 0.05] = 0.0
+        pairs[rng.random(size=pairs.shape) < 0.05] = -0.0
+        for a, b in pairs:
+            assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 class TestEllPerp:

@@ -1,5 +1,7 @@
 """Density-matrix oracle: operator solves, traces, brute-force minima."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from holevo2q.bounds import (
     holevo_bound,
     holevo_bound_three_param,
     quadratic_abs_min,
+    trabs_eigenvalues,
 )
 from holevo2q.errors import FeasibilityError, PureStateError
 from holevo2q.fisher import fisher_bundle, invert_2x2
@@ -265,6 +268,44 @@ class TestHolevoFunction:
         bad = HermitianPair(x1=PAULI[0], x2=PAULI[1])
         with pytest.raises(FeasibilityError):
             holevo_function(dp, bad, WeightMatrix.identity())
+
+    def test_bit_identical_to_definition(self):
+        # The definition written out: X^i = -<s, x^i> I + sum_k x^i_k sigma_k,
+        # Z_ij = tr(rho X^j X^i), value Tr(W Re Z) + TrAbs(W Im Z).
+        def pauli_sum(s, v):
+            return -float(s @ v) * np.eye(2, dtype=complex) + sum(
+                v[k] * PAULI[k] for k in range(3)
+            )
+
+        # Operators alone (no feasibility needed), down to the sign of zero.
+        entries = (0.0, -0.0, 0.7, -0.3)
+        for s in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.1, -0.2, 0.3], [0.0, 0.0, -0.5]):
+            m = point(s)
+            for v in itertools.product(entries, repeat=3):
+                pair = pair_from_bloch_vectors(m, v, v)
+                assert pair.x1.tobytes() == pauli_sum(m.s, np.array(v)).tobytes()
+
+        rng = np.random.default_rng(82)
+        for _ in range(500):
+            m = random_model_point(rng)
+            w = random_weight(rng)
+            fb = fisher_bundle(m)
+            perp = np.cross(m.d1s, m.d2s)
+            xi = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 1, size=2)
+            vecs = (fb.dual1 + xi[0] * perp, fb.dual2 + xi[1] * perp)
+            ops = [pauli_sum(m.s, v) for v in vecs]
+            dp = density_point(m)
+            z = np.array(
+                [[np.trace(dp.rho @ ops[j] @ ops[i]) for j in range(2)] for i in range(2)]
+            )
+            wm = w.matrix
+            expected = float(
+                np.trace(wm @ z.real) + trabs_eigenvalues(wm, (z.imag - z.imag.T) / 2)
+            )
+            pair = pair_from_bloch_vectors(m, *vecs)
+            assert pair.x1.tobytes() == ops[0].tobytes()
+            assert pair.x2.tobytes() == ops[1].tobytes()
+            assert holevo_function(dp, pair, w) == expected
 
     def test_optimal_pair_attains_bound(self):
         # Observables built from the optimal offset reproduce the bound.
