@@ -11,7 +11,6 @@ module is elementary 3-vector/3x3-matrix calculus on that data:
 * ``Q~ = (I - iF)/(1 - s^2)`` and its inverse ``Q^{-1} + iF``, the
   Hermitian metric factor for RLD Bloch vectors,
 * SLD / RLD Bloch vectors ``l_i = Q d_i s`` and ``l~_i = Q~ d_i s``,
-* ``gamma_i = <s, l_i>``, the radial components that detect D-invariance,
 * ``l_perp = d1s x d2s``, the direction orthogonal to the tangent plane.
 
 Inner products are conjugate-linear in the first argument.  All functions
@@ -41,9 +40,7 @@ __all__ = [
     "q_tilde_inverse",
     "sld_bloch_vectors",
     "rld_bloch_vectors",
-    "gamma_vector",
     "ell_perp",
-    "special_model_tests",
 ]
 
 # |s| >= 1 - PURE_SHELL_TOL counts as pure: (1-s^2)^{-1} is no longer trusted.
@@ -201,13 +198,6 @@ def rld_bloch_vectors(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray]:
     return qt @ m.d1s, qt @ m.d2s
 
 
-def gamma_vector(m: BlochModelPoint) -> np.ndarray:
-    """gamma_i = <s, l_i> = <s, d_i s>/(1 - s^2), the radial SLD components."""
-    m.require_mixed()
-    denom = 1.0 - m.s_squared
-    return np.array([float(m.s @ m.d1s), float(m.s @ m.d2s)]) / denom
-
-
 def ell_perp(m: BlochModelPoint) -> np.ndarray:
     """l_perp = d1s x d2s, orthogonal to both derivatives.
 
@@ -220,18 +210,3 @@ def ell_perp(m: BlochModelPoint) -> np.ndarray:
         raise DegenerateModelError("d1s and d2s are linearly dependent")
     return perp
 
-
-def special_model_tests(
-    m: BlochModelPoint, rtol: float = CLASSIFICATION_RTOL
-) -> tuple[bool, bool, float]:
-    """(D-invariant, asymptotically classical, <s, n>) with n = d1s x d2s, by
-    the derivative-scale-invariant tests |<s, d_i s>| <= rtol |s||d_i s|
-    (both i) and |<s, n>| <= rtol |s||n|."""
-    s_norm = float(np.linalg.norm(m.s))
-    n = ell_perp(m)
-    triple = float(m.s @ n)
-    return (
-        all(abs(float(m.s @ d)) <= rtol * s_norm * np.linalg.norm(d) for d in m.derivatives()),
-        abs(triple) <= rtol * s_norm * float(np.linalg.norm(n)),
-        triple,
-    )

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochModelPoint, BlochModelPoint3, q_tilde, special_model_tests
+from .bloch import BlochModelPoint, BlochModelPoint3, q_tilde
 from .errors import (
     DomainError,
     SingularMatrixError,
@@ -334,10 +334,9 @@ def alpha_theta(fb: FisherBundle) -> float:
     point D-invariant (no boundary family) or asymptotically classical
     (the whole cone is one region).
     """
-    d_invariant, asymptotically_classical, _ = special_model_tests(fb.point)
-    if d_invariant:
+    if fb.d_invariant:
         raise SpecialModelError("model is D-invariant: boundary weight family is empty")
-    if asymptotically_classical:
+    if fb.asymptotically_classical:
         raise SpecialModelError(
             "model is asymptotically classical: every weight is in the correction region"
         )

@@ -37,14 +37,13 @@ from .bloch import (
     BlochModelPoint,
     ell_perp,
     f_matrix,
-    gamma_vector,
-    special_model_tests,
 )
 from .bounds import WeightMatrix, trabs
 from .errors import (
     AsymptoticallyClassicalLimitError,
     PureStateError,
 )
+from .fisher import bloch_scalars
 
 __all__ = [
     "CLASSIFICATION_RTOL",
@@ -84,25 +83,21 @@ class ModelClass:
     triple_product: float
 
 
-def classify_point(m: BlochModelPoint, rtol: float = CLASSIFICATION_RTOL) -> ModelClass:
-    """Classify a mixed model point by its radial and triple-product tests.
+def classify_point(m: BlochModelPoint) -> ModelClass:
+    """Classify a mixed model point by the flags of :func:`holevo2q.fisher.bloch_scalars`.
 
-    Raises :class:`DegenerateModelError` when the derivatives are dependent.
+    Raises :class:`DegenerateModelError` when the derivatives are dependent;
+    a singular SLD Fisher matrix is not an error here.
     """
-    m.require_mixed()
-    d_invariant, ac, triple = special_model_tests(m, rtol)
-    if d_invariant:
+    fb = bloch_scalars(m)
+    if fb.d_invariant:
         label = ModelLabel.D_INVARIANT
-    elif ac:
+    elif fb.asymptotically_classical:
         label = ModelLabel.ASYMPTOTICALLY_CLASSICAL
     else:
         label = ModelLabel.GENERIC
     return ModelClass(
-        label=label,
-        d_invariant=d_invariant,
-        asymptotically_classical=ac,
-        gamma=gamma_vector(m),
-        triple_product=triple,
+        label, fb.d_invariant, fb.asymptotically_classical, fb.gamma, fb.triple_product
     )
 
 
@@ -201,7 +196,7 @@ def _duals_from_geometry(m, n, c, qn, quad):
 def pure_limit_rld_inverse(m: BlochModelPoint) -> np.ndarray:
     """Inverse RLD Fisher matrix through the limit-safe dual route.
 
-    For mixed points this reproduces ``fisher_bundle(m).g_tilde_inv``; on
+    For mixed points this reproduces ``fisher_matrices(m).g_tilde_inv``; on
     the shell it evaluates the tangent-limit form with Re part the Gram
     matrix of the limiting duals and Im part -J/c.
     """

@@ -18,12 +18,12 @@ printed to 17 significant digits, and the header carries a schema version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from .bloch import BlochModelPoint
 from .bounds import (
     WeightMatrix,
     boundary_weight_family,
@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .classify import classify_family, classify_point
 from .errors import ModelError
-from .fisher import fisher_bundle
+from .fisher import FisherBundle, fisher_bundle
 from .models import load_model
 
 __all__ = ["main", "build_parser"]
@@ -79,14 +79,8 @@ def _load_family(args):
     return load_model(args.model)
 
 
-def _bounds_record(
-    point: BlochModelPoint, weight: WeightMatrix, fb=None, cls=None
-) -> dict:
-    if fb is None:
-        fb = fisher_bundle(point)
+def _bounds_record(fb: FisherBundle, weight: WeightMatrix) -> dict:
     report = holevo_bound(fb, weight)
-    if cls is None:
-        cls = classify_point(point)
     return {
         "c_s": report.c_s,
         "c_r": report.c_r,
@@ -98,8 +92,8 @@ def _bounds_record(
         "branch": report.branch.value,
         "gamma1": float(fb.gamma[0]),
         "gamma2": float(fb.gamma[1]),
-        "d_invariant": cls.d_invariant,
-        "asymptotically_classical": cls.asymptotically_classical,
+        "d_invariant": fb.d_invariant,
+        "asymptotically_classical": fb.asymptotically_classical,
         "xi_star": [float(v) for v in report.xi_star],
     }
 
@@ -132,8 +126,8 @@ def cmd_bounds(args) -> int:
     family = _load_family(args)
     theta = _parse_floats(args.theta, 2, "--theta")
     weight = _parse_weight(args.weight)
-    point = family.evaluate(theta)
-    record = {"theta1": theta[0], "theta2": theta[1], **_bounds_record(point, weight)}
+    fb = fisher_bundle(family.evaluate(theta))
+    record = {"theta1": theta[0], "theta2": theta[1], **_bounds_record(fb, weight)}
     print(json.dumps(record, indent=2))
     return 0
 
@@ -141,8 +135,7 @@ def cmd_bounds(args) -> int:
 def cmd_sweep_weight(args) -> int:
     family = _load_family(args)
     theta = _parse_floats(args.theta, 2, "--theta")
-    point = family.evaluate(theta)
-    fb = fisher_bundle(point)
+    fb = fisher_bundle(family.evaluate(theta))
     n = args.grid
     if n < 2:
         raise ModelError("--grid must be at least 2")
@@ -151,22 +144,15 @@ def cmd_sweep_weight(args) -> int:
         first = np.linspace(-args.w_max, args.w_max, n)
         second = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         columns = ["w", "omega"] + BOUND_COLUMNS
-
-        def make_weight(a, b):
-            return weight_from_angles(a, b)
-
+        make_weight = weight_from_angles
     else:  # family "42": boundary-adapted coordinates (w, w2)
         first = np.linspace(-args.w_max, args.w_max, n)
         second = np.linspace(args.w2_min, args.w2_max, n)
         columns = ["w", "w2"] + BOUND_COLUMNS
+        make_weight = functools.partial(boundary_weight_family, fb)
 
-        def make_weight(a, b):
-            return boundary_weight_family(fb, a, b)
-
-    cls = classify_point(point)
     rows = [
-        [_fmt(a), _fmt(b)]
-        + _record_csv_fields(_bounds_record(point, make_weight(a, b), fb=fb, cls=cls))
+        [_fmt(a), _fmt(b)] + _record_csv_fields(_bounds_record(fb, make_weight(a, b)))
         for a in first
         for b in second
     ]
@@ -198,13 +184,15 @@ def cmd_sweep_theta(args) -> int:
                 continue  # outside the mixed-state disk of the family
             if not point.is_mixed:
                 continue
-            record = _bounds_record(point, weight)
+            record = _bounds_record(fisher_bundle(point), weight)
             rows.append([_fmt(t1), _fmt(t2)] + _record_csv_fields(record))
     _emit_csv(args.out, "sweep-theta", columns, rows)
     return 0
 
 
 def cmd_classify(args) -> int:
+    if args.grid < 0:
+        raise ModelError("--grid must be non-negative")
     family = _load_family(args)
     out: dict = {"model": family.to_descriptor()}
     if args.theta is not None:
@@ -232,6 +220,8 @@ def cmd_classify(args) -> int:
                 usable.append(th)
             except ModelError:
                 continue
+        if not usable:
+            raise ModelError(f"no point of the {n}x{n} grid gives a valid model point")
         fam = classify_family(family, usable)
         labels = sorted({c.label.value for c in fam.point_classes})
         out["family"] = {

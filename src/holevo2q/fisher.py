@@ -14,20 +14,29 @@ Z matrix collects the RLD-type pairings of the SLD duals,
 
 whose real part is exactly G^-1 and whose imaginary part equals Im G~^-1.
 
-The bundle also keeps the Bloch scalars the explicit bounds are built from;
-p is taken in Lagrange form because the equal |n|^2 - k^2 cancels near the shell.
+Each quantity has one producer:
 
-``fisher_bundle`` is the one producer of these quantities; everything a bound
-computation needs is cached in the :class:`FisherBundle` it returns.
+* ``bloch_scalars`` computes, in one pass, the Bloch scalars the explicit
+  bounds are built from (Gram matrix, r_i = <s, d_i s>, k = <s, n>,
+  p = <n, Q^-1 n>, 1 - s^2), gamma and the two special-model flags that
+  ``classify_point`` reports.  p is taken in Lagrange form because the equal
+  |n|^2 - k^2 cancels near the shell.  ``fisher_bundle`` is the same
+  :class:`FisherBundle` after a guard on the singularity of G; it is what
+  every bound reads.
+* ``fisher_matrices`` builds G, G~, their inverses, the SLD duals and Z.
+  Only the verification suite, the oracle's reduced search and the tests
+  read them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import (
+    CLASSIFICATION_RTOL,
     BlochModelPoint,
     ell_perp,
     q_matrix,
@@ -38,7 +47,10 @@ from .errors import DegenerateModelError, PureStateError
 
 __all__ = [
     "FisherBundle",
+    "FisherMatrices",
+    "bloch_scalars",
     "fisher_bundle",
+    "fisher_matrices",
     "invert_2x2",
     "one_param_bound",
 ]
@@ -72,21 +84,78 @@ def _hermitian_from_upper(u: np.ndarray, v: np.ndarray, mat: np.ndarray) -> np.n
     antisymmetric rather than antisymmetric up to rounding.
     """
     off = _bilinear(u, mat, v)
-    return np.array(
-        [
-            [_bilinear(u, mat, u).real, off],
-            [off.conjugate(), _bilinear(v, mat, v).real],
-        ],
-        dtype=complex,
-    )
+    diag = _bilinear(u, mat, u).real, _bilinear(v, mat, v).real
+    return np.array([[diag[0], off], [off.conjugate(), diag[1]]], dtype=complex)
 
 
 @dataclass(frozen=True)
 class FisherBundle:
-    """All Fisher-level data for one mixed model point.
+    """The Bloch scalars and class flags of one mixed model point."""
 
-    ``point`` keeps the source data (s, d1s, d2s, 1 - s^2).
+    point: BlochModelPoint
+    gram: np.ndarray         # <d_i s, d_j s>, real symmetric (2, 2)
+    radial: np.ndarray       # r_i = <s, d_i s>, real (2,)
+    triple_product: float    # k = <s, n>, n = l_perp = d1s x d2s
+    perp_quadratic: float    # p = <n, Q^-1 n> = (1-s^2)|n|^2 + |s x n|^2
+    gamma: np.ndarray        # gamma_i = <s, l_i> = r_i / (1 - s^2), real (2,)
+    one_minus_s_sq: float
+    d_invariant: bool        # |r_i| <= CLASSIFICATION_RTOL |s||d_i s|, both i
+    asymptotically_classical: bool  # |k| <= CLASSIFICATION_RTOL |s||n|
+
+
+def bloch_scalars(m: BlochModelPoint) -> FisherBundle:
+    """One pass over (s, d1s, d2s): the Bloch scalars and the class flags.
+
+    Raises :class:`PureStateError` off the open Bloch ball and
+    :class:`DegenerateModelError` when the derivatives are dependent; unlike
+    :func:`fisher_bundle` it admits a numerically singular SLD Fisher matrix.
     """
+    m.require_mixed()
+    s = m.s
+    d1, d2 = m.derivatives()
+    s_squared = m.s_squared
+    one_minus = 1.0 - s_squared
+    radial = np.array([float(s @ d1), float(s @ d2)])
+    d12 = float(d1 @ d2)
+    gram = np.array([[float(d1 @ d1), d12], [d12, float(d2 @ d2)]])
+    n = ell_perp(m)
+    n_squared = float(n @ n)
+    triple = float(s @ n)
+    s_cross_n = radial[1] * d1 - radial[0] * d2
+    # Norms as sqrt of the dot products above, bit-identical to np.linalg.norm.
+    tol = CLASSIFICATION_RTOL * math.sqrt(s_squared)
+    radial_zero = np.abs(radial) <= tol * np.sqrt(np.diag(gram))
+    return FisherBundle(
+        point=m,
+        gram=gram,
+        radial=radial,
+        triple_product=triple,
+        perp_quadratic=one_minus * n_squared + float(s_cross_n @ s_cross_n),
+        gamma=radial / one_minus,
+        one_minus_s_sq=one_minus,
+        d_invariant=bool(radial_zero.all()),
+        asymptotically_classical=abs(triple) <= tol * math.sqrt(n_squared),
+    )
+
+
+def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
+    """:func:`bloch_scalars` of a point whose SLD Fisher matrix
+    G = Gram + r r^T/(1 - s^2) is invertible: the input of every bound.
+
+    Raises what :func:`bloch_scalars` raises, and
+    :class:`DegenerateModelError` when G is singular.
+    """
+    fb = bloch_scalars(m)
+    g = fb.gram + np.outer(fb.radial, fb.radial) / fb.one_minus_s_sq
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    if g[0, 0] <= 0.0 or det <= SINGULAR_RTOL * float(np.sum(g**2)):
+        raise DegenerateModelError("SLD Fisher matrix is singular; derivatives degenerate")
+    return fb
+
+
+@dataclass(frozen=True)
+class FisherMatrices:
+    """The Fisher matrices, SLD duals and Z of one mixed model point."""
 
     point: BlochModelPoint
     g: np.ndarray            # SLD Fisher, real symmetric (2, 2)
@@ -96,44 +165,20 @@ class FisherBundle:
     z: np.ndarray            # Hermitian (2, 2)
     dual1: np.ndarray        # SLD dual Bloch vectors, real (3,)
     dual2: np.ndarray
-    gamma: np.ndarray        # gamma_i = r_i / (1 - s^2), real (2,)
-    gram: np.ndarray         # <d_i s, d_j s>, real symmetric (2, 2)
-    radial: np.ndarray       # r_i = <s, d_i s>, real (2,)
-    triple_product: float    # k = <s, n>, n = l_perp = d1s x d2s
-    perp_quadratic: float    # p = <n, Q^-1 n> = (1-s^2)|n|^2 + |s x n|^2
-
-    @property
-    def one_minus_s_sq(self) -> float:
-        return 1.0 - self.point.s_squared
 
 
-def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
-    """Compute every Fisher-level quantity for a mixed model point at once.
+def fisher_matrices(m: BlochModelPoint) -> FisherMatrices:
+    """Build G, G~, their inverses, the SLD duals and Z from the metric factors.
 
-    Raises :class:`PureStateError` off the open Bloch ball and
-    :class:`DegenerateModelError` when the derivatives are dependent or the
-    SLD Fisher matrix is singular.
+    Accepts exactly the points :func:`fisher_bundle` accepts and raises what
+    it raises.
     """
-    m.require_mixed()
+    fisher_bundle(m)
     q = q_matrix(m)
-    s = m.s
     d1, d2 = m.derivatives()
     l1, l2 = q @ d1, q @ d2
 
-    g = np.array(
-        [
-            [float(d1 @ q @ d1), float(d1 @ q @ d2)],
-            [float(d2 @ q @ d1), float(d2 @ q @ d2)],
-        ]
-    )
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if g[0, 0] <= 0.0 or det <= SINGULAR_RTOL * float(np.sum(g**2)):
-        raise DegenerateModelError("SLD Fisher matrix is singular; derivatives degenerate")
-    n = ell_perp(m)
-    one_minus = 1.0 - m.s_squared
-    radial = np.array([float(s @ d1), float(s @ d2)])
-    s_cross_n = radial[1] * d1 - radial[0] * d2
-    d12 = float(d1 @ d2)
+    g = np.array([[float(a @ q @ b) for b in (d1, d2)] for a in (d1, d2)])
     g_inv = invert_2x2(g)
     g_tilde = _hermitian_from_upper(d1, d2, q_tilde(m))
     g_tilde_inv = invert_2x2(g_tilde)
@@ -141,21 +186,7 @@ def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
     dual1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
     dual2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2
     z = _hermitian_from_upper(dual1, dual2, q_tilde_inverse(m))
-    return FisherBundle(
-        point=m,
-        g=g,
-        g_inv=g_inv,
-        g_tilde=g_tilde,
-        g_tilde_inv=g_tilde_inv,
-        z=z,
-        dual1=dual1,
-        dual2=dual2,
-        gamma=radial / one_minus,
-        gram=np.array([[float(d1 @ d1), d12], [d12, float(d2 @ d2)]]),
-        radial=radial,
-        triple_product=float(s @ n),
-        perp_quadratic=one_minus * float(n @ n) + float(s_cross_n @ s_cross_n),
-    )
+    return FisherMatrices(m, g, g_inv, g_tilde, g_tilde_inv, z, dual1, dual2)
 
 
 def one_param_bound(s, ds) -> float:

@@ -39,7 +39,7 @@ from .errors import (
     PureStateError,
     SingularMatrixError,
 )
-from .fisher import fisher_bundle, invert_2x2
+from .fisher import fisher_matrices, invert_2x2
 
 __all__ = [
     "PAULI",
@@ -383,9 +383,9 @@ def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
     both of its quadratic terms and takes s x x^2 in scalar arithmetic.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
-    fb = fisher_bundle(m)
+    fm = fisher_matrices(m)
     d1, d2 = m.derivatives()
-    dual1, dual2 = fb.dual1, fb.dual2
+    dual1, dual2 = fm.dual1, fm.dual2
     perp = cross(d1, d2)
 
     # Independent feasibility check of the affine parametrization.

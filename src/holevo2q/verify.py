@@ -16,7 +16,7 @@ import numpy as np
 from .bloch import ell_perp, f_matrix, q_inverse, rld_bloch_vectors, sld_bloch_vectors
 from .bounds import WeightMatrix, holevo_bound, trabs
 from .errors import SingularMatrixError
-from .fisher import fisher_bundle, invert_2x2
+from .fisher import fisher_bundle, fisher_matrices, invert_2x2
 from .oracle import (
     commutation_operator,
     density_point,
@@ -103,13 +103,13 @@ class _Tracker:
         )
 
 
-def _matrix_form_bounds(fb, weight: WeightMatrix) -> tuple[float, float, float]:
-    """(C^S, C^R, C^Z) from their matrix definitions on the bundle:
+def _matrix_form_bounds(fm, weight: WeightMatrix) -> tuple[float, float, float]:
+    """(C^S, C^R, C^Z) from their matrix definitions on ``fisher_matrices``:
     Tr(W G^-1), Tr(W Re G~^-1) + TrAbs(W Im G~^-1), Tr(W Re Z) + TrAbs(W Im Z)."""
     w = weight.matrix
-    c_s = float(np.trace(w @ fb.g_inv))
-    c_r = float(np.trace(w @ fb.g_tilde_inv.real)) + trabs(weight, fb.g_tilde_inv.imag)
-    c_z = float(np.trace(w @ fb.z.real)) + trabs(weight, fb.z.imag)
+    c_s = float(np.trace(w @ fm.g_inv))
+    c_r = float(np.trace(w @ fm.g_tilde_inv.real)) + trabs(weight, fm.g_tilde_inv.imag)
+    c_z = float(np.trace(w @ fm.z.real)) + trabs(weight, fm.z.imag)
     return c_s, c_r, c_z
 
 
@@ -140,26 +140,27 @@ def fisher_determinant_identities(m, weight) -> DeterminantIdentityResiduals:
         weight = WeightMatrix.from_matrix(np.asarray(weight, dtype=float))
 
     fb = fisher_bundle(m)
+    fm = fisher_matrices(m)
     one_minus = fb.one_minus_s_sq
 
     lhs1 = fb.perp_quadratic
-    det_g = float(np.linalg.det(fb.g))
-    det_gt = float(np.linalg.det(fb.g_tilde).real)
+    det_g = float(np.linalg.det(fm.g))
+    det_gt = float(np.linalg.det(fm.g_tilde).real)
     mid1 = one_minus * det_g
     rhs1 = one_minus**2 * det_gt
     scale1 = max(abs(lhs1), abs(mid1), abs(rhs1), 1e-300)
     res1 = max(abs(lhs1 - mid1), abs(mid1 - rhs1)) / scale1
 
     w = weight.matrix
-    lhs2 = 2.0 * np.sqrt(weight.det) * abs(fb.z[0, 1].imag)
-    mid2 = trabs(w, fb.g_tilde_inv.imag)
-    rhs2 = trabs(w, fb.z.imag)
+    lhs2 = 2.0 * np.sqrt(weight.det) * abs(fm.z[0, 1].imag)
+    mid2 = trabs(w, fm.g_tilde_inv.imag)
+    rhs2 = trabs(w, fm.z.imag)
     scale2 = max(abs(lhs2), abs(mid2), abs(rhs2), 1.0)
     res2 = max(abs(lhs2 - mid2), abs(mid2 - rhs2)) / scale2
 
     w_inv = invert_2x2(w, exc=SingularMatrixError)
     lhs3 = float(fb.gamma @ w_inv @ fb.gamma)
-    _, c_r, c_z = _matrix_form_bounds(fb, weight)
+    _, c_r, c_z = _matrix_form_bounds(fm, weight)
     gap = c_z - c_r
     rhs3 = det_g / weight.det / one_minus * gap
     scale3 = max(abs(lhs3), abs(rhs3), 1.0)
@@ -192,6 +193,7 @@ def run_verification(
         m = random_model_point(rng)
         witness = _describe(m)
         fb = fisher_bundle(m)
+        fm = fisher_matrices(m)
         dp = density_point(m)
         rho = dp.rho
 
@@ -209,17 +211,17 @@ def run_verification(
         g_op, gt_op, z_op = operator_fisher(dp)
         track.note(
             "cross_path_sld_fisher",
-            np.abs(g_op - fb.g).max() / max(1.0, np.abs(fb.g).max()),
+            np.abs(g_op - fm.g).max() / max(1.0, np.abs(fm.g).max()),
             witness,
         )
         track.note(
             "cross_path_rld_fisher",
-            np.abs(gt_op - fb.g_tilde).max() / max(1.0, np.abs(fb.g_tilde).max()),
+            np.abs(gt_op - fm.g_tilde).max() / max(1.0, np.abs(fm.g_tilde).max()),
             witness,
         )
         track.note(
             "cross_path_z_matrix",
-            np.abs(z_op - fb.z).max() / max(1.0, np.abs(fb.z).max()),
+            np.abs(z_op - fm.z).max() / max(1.0, np.abs(fm.z).max()),
             witness,
         )
 
@@ -232,12 +234,12 @@ def run_verification(
         track.note("identity_gamma_gap", ids.gamma_gap, witness_w)
         track.note(
             "im_z_equals_im_rld_inverse",
-            np.abs(fb.z.imag - fb.g_tilde_inv.imag).max(),
+            np.abs(fm.z.imag - fm.g_tilde_inv.imag).max(),
             witness,
         )
-        diff = fb.g_inv - fb.g_tilde_inv.real
+        diff = fm.g_inv - fm.g_tilde_inv.real
         evals = np.linalg.eigvalsh(diff)
-        scale = max(float(np.abs(fb.g_inv).max()), 1.0)
+        scale = max(float(np.abs(fm.g_inv).max()), 1.0)
         track.note(
             "rank_one_law", max(abs(evals[0]), max(0.0, -evals[1])) / scale, witness
         )
@@ -254,10 +256,10 @@ def run_verification(
         )
         qi = q_inverse(m)
         orth = max(
-            abs(float(fb.dual1 @ qi @ l1) - 1.0),
-            abs(float(fb.dual1 @ qi @ l2)),
-            abs(float(fb.dual2 @ qi @ l1)),
-            abs(float(fb.dual2 @ qi @ l2) - 1.0),
+            abs(float(fm.dual1 @ qi @ l1) - 1.0),
+            abs(float(fm.dual1 @ qi @ l2)),
+            abs(float(fm.dual2 @ qi @ l1)),
+            abs(float(fm.dual2 @ qi @ l2) - 1.0),
         )
         track.note("dual_orthogonality", orth, witness)
         perp = ell_perp(m)
@@ -265,13 +267,13 @@ def run_verification(
         track.note(
             "perp_gamma_relations",
             max(
-                abs(float(perp @ f @ fb.dual2) - one_minus * fb.gamma[0]),
-                abs(float(perp @ f @ fb.dual1) + one_minus * fb.gamma[1]),
+                abs(float(perp @ f @ fm.dual2) - one_minus * fb.gamma[0]),
+                abs(float(perp @ f @ fm.dual1) + one_minus * fb.gamma[1]),
             ),
             witness,
         )
-        detg = float(np.linalg.det(fb.g))
-        detgt = float(np.linalg.det(fb.g_tilde).real)
+        detg = float(np.linalg.det(fm.g))
+        detgt = float(np.linalg.det(fm.g_tilde).real)
         track.note(
             "determinant_chain", abs(one_minus * detgt - detg) / abs(detg), witness
         )
@@ -280,6 +282,8 @@ def run_verification(
         duals = dual_operators(dp)
         g_inv = invert_2x2(g_op)
         gt_inv = invert_2x2(gt_op)
+        # Relative like cross_path_*: the residual is the rounding of G^-1 and G~^-1.
+        pairing_scale = max(1.0, np.abs(g_inv).max(), np.abs(gt_inv).max())
         rduals = (
             gt_inv[0, 0] * lt_ops[0] + gt_inv[1, 0] * lt_ops[1],
             gt_inv[0, 1] * lt_ops[0] + gt_inv[1, 1] * lt_ops[1],
@@ -301,7 +305,8 @@ def run_verification(
                     abs(
                         sld_inner(rho, rduals[j], d_dual)
                         - (-1j) * (gt_inv[j, i] - g_inv[j, i])
-                    ),
+                    )
+                    / pairing_scale,
                     witness,
                 )
 
@@ -318,7 +323,7 @@ def run_verification(
         closed = (report.c_s, report.c_r, report.c_z)
         track.note(
             "bounds_vs_matrix_forms",
-            max(abs(x - y) / abs(y) for x, y in zip(closed, _matrix_form_bounds(fb, w))),
+            max(abs(x - y) / abs(y) for x, y in zip(closed, _matrix_form_bounds(fm, w))),
             witness_w,
         )
 
@@ -344,7 +349,7 @@ def run_verification(
         )
         track.note(
             "z_bound_from_duals",
-            abs(report.c_z - _holevo_at_duals(fb, w)) / abs(report.c_z),
+            abs(report.c_z - _holevo_at_duals(fisher_matrices(m), w)) / abs(report.c_z),
             witness,
         )
 
@@ -381,9 +386,9 @@ def run_verification(
     return report
 
 
-def _holevo_at_duals(fb, w) -> float:
+def _holevo_at_duals(fm, w) -> float:
     """Holevo function at the feasible point given by the dual vectors;
     equals the D-invariant bound by construction."""
-    m = fb.point
-    pair = pair_from_bloch_vectors(m, fb.dual1, fb.dual2)
+    m = fm.point
+    pair = pair_from_bloch_vectors(m, fm.dual1, fm.dual2)
     return holevo_function(density_point(m), pair, w)

@@ -28,7 +28,7 @@ from holevo2q.bounds import (
 )
 from holevo2q.classify import pure_limit_holevo
 from holevo2q.cli import main as cli_main
-from holevo2q.fisher import fisher_bundle, invert_2x2
+from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
 from holevo2q.models import GenericZ
 from holevo2q.oracle import (
     commutation_operator,
@@ -124,15 +124,16 @@ def test_criterion_3_identity_suite():
         m = random_model_point(rng)
         w = random_weight(rng)
         fb = fisher_bundle(m)
+        fm = fisher_matrices(m)
         ids = fisher_determinant_identities(m, w)
         worst = max(worst, ids.max_residual())
 
-        z_scale = max(1.0, float(np.abs(fb.z).max()))
-        worst = max(worst, float(np.abs(fb.z.imag - fb.g_tilde_inv.imag).max()) / z_scale)
+        z_scale = max(1.0, float(np.abs(fm.z).max()))
+        worst = max(worst, float(np.abs(fm.z.imag - fm.g_tilde_inv.imag).max()) / z_scale)
 
-        diff = fb.g_inv - fb.g_tilde_inv.real
+        diff = fm.g_inv - fm.g_tilde_inv.real
         evals = np.linalg.eigvalsh(diff)
-        scale = max(1.0, float(np.abs(fb.g_inv).max()))
+        scale = max(1.0, float(np.abs(fm.g_inv).max()))
         worst = max(worst, abs(evals[0]) / scale, max(0.0, -evals[1]) / scale)
 
         f = f_matrix(m)
@@ -147,12 +148,12 @@ def test_criterion_3_identity_suite():
             float(np.abs((eye3 + 1j * f) @ lt2 - l2).max()) / lscale,
         )
 
-        det_g = float(np.linalg.det(fb.g))
-        det_gt = float(np.linalg.det(fb.g_tilde).real)
+        det_g = float(np.linalg.det(fm.g))
+        det_gt = float(np.linalg.det(fm.g_tilde).real)
         worst = max(worst, abs(fb.one_minus_s_sq * det_gt - det_g) / abs(det_g))
 
         qi = q_inverse(m)
-        for i, dual in enumerate((fb.dual1, fb.dual2)):
+        for i, dual in enumerate((fm.dual1, fm.dual2)):
             for j, vec in enumerate((l1, l2)):
                 target = 1.0 if i == j else 0.0
                 worst = max(worst, abs(float(dual @ qi @ vec) - target))

@@ -8,7 +8,6 @@ from holevo2q.bloch import (
     cross,
     ell_perp,
     f_matrix,
-    gamma_vector,
     inner,
     q_inverse,
     q_matrix,
@@ -18,6 +17,7 @@ from holevo2q.bloch import (
     sld_bloch_vectors,
 )
 from holevo2q.errors import DegenerateModelError, DomainError, PureStateError
+from holevo2q.fisher import fisher_bundle
 from holevo2q.sampling import random_model_point
 
 XHAT = np.array([1.0, 0.0, 0.0])
@@ -166,25 +166,25 @@ class TestRldVectors:
 class TestGamma:
     def test_figure_point_a(self):
         t = 0.346 / np.sqrt(2.0)
-        g = gamma_vector(point([t, t, 0.2]))
+        g = fisher_bundle(point([t, t, 0.2])).gamma
         assert g[0] == pytest.approx(0.292, abs=1e-3)
         assert g[1] == pytest.approx(0.292, abs=1e-3)
 
     def test_figure_point_b(self):
         t = 0.476 / np.sqrt(2.0)
-        g = gamma_vector(point([t, t, 0.275]))
+        g = fisher_bundle(point([t, t, 0.275])).gamma
         assert g[0] == pytest.approx(0.483, abs=1e-3)
         assert g[1] == pytest.approx(0.483, abs=1e-3)
 
     def test_orthogonal_derivatives_vanish(self):
-        assert np.allclose(gamma_vector(point([0, 0, 0.7])), 0.0)
+        assert np.allclose(fisher_bundle(point([0, 0, 0.7])).gamma, 0.0)
 
     def test_matches_rld_radial_component(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
             m = random_model_point(rng)
             lt1, lt2 = rld_bloch_vectors(m)
-            g = gamma_vector(m)
+            g = fisher_bundle(m).gamma
             vals = np.array([np.vdot(m.s, lt1), np.vdot(m.s, lt2)])
             assert np.abs(vals.real - g).max() <= 1e-12
             assert np.abs(vals.imag).max() <= 1e-12

@@ -33,7 +33,7 @@ from holevo2q.bounds import (
     weight_from_angles,
 )
 from holevo2q.errors import BranchError, DomainError, SpecialModelError
-from holevo2q.fisher import fisher_bundle, invert_2x2
+from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
 from holevo2q.models import Unitary
 from holevo2q.oracle import density_point, minimize_holevo_6d
 from holevo2q.sampling import (
@@ -87,7 +87,8 @@ def holevo_objective_xi(fb, w, xi) -> float:
     + 2 sqrt(det W) |Im z^12 + (1-s^2)(gamma|xi)|."""
     xi = np.asarray(xi, dtype=float)
     quad = fb.perp_quadratic * float(xi @ w.matrix @ xi)
-    affine = fb.z[0, 1].imag + fb.one_minus_s_sq * float(fb.gamma @ xi)
+    im_z12 = fisher_matrices(fb.point).z[0, 1].imag
+    affine = im_z12 + fb.one_minus_s_sq * float(fb.gamma @ xi)
     return bound_sld(fb, w) + quad + 2.0 * np.sqrt(w.det) * abs(affine)
 
 
@@ -98,15 +99,16 @@ def reduction_coefficients(fb, w):
     sqrt_det_w = np.sqrt(w.det)
     a = fb.perp_quadratic * w.matrix
     b = fb.one_minus_s_sq * sqrt_det_w * fb.gamma
-    c = sqrt_det_w * fb.z[0, 1].imag
+    c = sqrt_det_w * fisher_matrices(fb.point).z[0, 1].imag
     return a, b, c
 
 
 def holevo_bound_correction_form(fb, w) -> float:
     """Correction-branch rewriting C^S + (TrAbs(W Im G~^-1))^2 /
     (4 Tr(W (G^-1 - Re G~^-1))); equals the Holevo bound where B <= 0."""
-    numer = trabs(w, fb.g_tilde_inv.imag) ** 2
-    denom = 4.0 * float(np.trace(w.matrix @ (fb.g_inv - fb.g_tilde_inv.real)))
+    fm = fisher_matrices(fb.point)
+    numer = trabs(w, fm.g_tilde_inv.imag) ** 2
+    denom = 4.0 * float(np.trace(w.matrix @ (fm.g_inv - fm.g_tilde_inv.real)))
     if denom <= 0.0:
         raise BranchError("correction form undefined: Tr(W(G^-1 - Re G~^-1)) <= 0")
     return bound_sld(fb, w) + numer / denom
@@ -250,7 +252,7 @@ class TestScalarBounds:
 
     def test_rld_planar_real_only(self):
         fb = bundle([0.3, 0.2, 0.0])
-        expected = float(np.trace(fb.g_tilde_inv.real))
+        expected = float(np.trace(fisher_matrices(fb.point).g_tilde_inv.real))
         assert bound_rld(fb, IDENTITY) == pytest.approx(expected, rel=1e-12)
 
     def test_z_equals_rld_on_d_invariant(self):
@@ -278,7 +280,7 @@ class TestScalarBounds:
             w = random_weight(rng)
             gap = bound_z(fb, w) - bound_rld(fb, w)
             w_inv = np.linalg.inv(w.matrix)
-            det_ratio = np.linalg.det(fb.g) / w.det
+            det_ratio = np.linalg.det(fisher_matrices(m).g) / w.det
             expected = (1 - m.s_squared) * (fb.gamma @ w_inv @ fb.gamma) / det_ratio
             assert abs(gap - expected) <= 1e-10 * (1 + abs(gap))
 

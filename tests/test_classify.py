@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from holevo2q.bloch import BlochModelPoint, rld_bloch_vectors
+from holevo2q.bloch import CLASSIFICATION_RTOL, BlochModelPoint, rld_bloch_vectors
 from holevo2q.bounds import WeightMatrix, bound_rld
 from holevo2q.classify import (
     ModelLabel,
@@ -18,11 +18,12 @@ from holevo2q.errors import (
     DegenerateModelError,
     PureStateError,
 )
-from holevo2q.fisher import fisher_bundle
+from holevo2q.fisher import fisher_bundle, fisher_matrices
 from holevo2q.models import GenericZ, Planar, Unitary
 from holevo2q.sampling import (
     random_d_invariant_point,
     random_model_point,
+    random_planar_point,
     random_weight,
 )
 
@@ -71,11 +72,73 @@ class TestClassifyPoint:
             else:
                 m = random_model_point(rng)
             cls = classify_point(m)
-            fb = fisher_bundle(m)
-            diff = fb.g_inv - fb.g_tilde_inv.real
-            rank_one_residual = np.abs(diff).max() / max(np.abs(fb.g_inv).max(), 1e-300)
+            fm = fisher_matrices(m)
+            diff = fm.g_inv - fm.g_tilde_inv.real
+            rank_one_residual = np.abs(diff).max() / max(np.abs(fm.g_inv).max(), 1e-300)
             rank_one_says = rank_one_residual <= 1e-10
             assert cls.d_invariant == rank_one_says
+
+
+def definition_gamma(m):
+    return np.array([float(m.s @ m.d1s), float(m.s @ m.d2s)]) / (1.0 - m.s_squared)
+
+
+def definition_flags(m):
+    """The radial and triple-product tests written out with np.linalg.norm."""
+    s_norm = np.linalg.norm(m.s)
+    n = np.cross(m.d1s, m.d2s)
+    triple = float(m.s @ n)
+    d_invariant = all(
+        abs(float(m.s @ d)) <= CLASSIFICATION_RTOL * s_norm * np.linalg.norm(d)
+        for d in (m.d1s, m.d2s)
+    )
+    return d_invariant, abs(triple) <= CLASSIFICATION_RTOL * s_norm * np.linalg.norm(n), triple
+
+
+class TestOneScalarPass:
+    """classify_point and fisher_bundle read one scalar pass."""
+
+    def special_points(self):
+        fams = [
+            (Unitary(radius=0.8), [(0.3, 0.0), (1.2, 2.0), (2.5, 5.0)]),
+            (Planar(u1=XHAT, u2=YHAT), [(0.1, 0.2), (0.0, 0.0), (-0.4, 0.3)]),
+            (GenericZ(0.35), [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.2, -0.1)]),
+        ]
+        return [fam.evaluate(theta) for fam, thetas in fams for theta in thetas]
+
+    def test_bundle_matches_classify_point(self):
+        rng = np.random.default_rng(54)
+        points = [random_model_point(rng) for _ in range(1000)]
+        points += [random_d_invariant_point(rng) for _ in range(50)]
+        points += [random_planar_point(rng) for _ in range(50)]
+        points += self.special_points()
+        labels = set()
+        for m in points:
+            fb = fisher_bundle(m)
+            cls = classify_point(m)
+            labels.add(cls.label)
+            assert fb.d_invariant == cls.d_invariant
+            assert fb.asymptotically_classical == cls.asymptotically_classical
+            assert fb.triple_product == cls.triple_product
+            assert fb.gamma.tobytes() == cls.gamma.tobytes()
+            # ... and both equal the written-out definitions, bit for bit.
+            assert (cls.d_invariant, cls.asymptotically_classical, cls.triple_product) == (
+                definition_flags(m)
+            )
+            assert cls.gamma.tobytes() == definition_gamma(m).tobytes()
+        assert labels == set(ModelLabel)
+
+    def test_nearly_dependent_point_classified_not_bounded(self):
+        # |d1 x d2| / (|d1||d2|) ~ 1e-9 passes the independence test
+        # (DERIVATIVE_INDEPENDENCE_RTOL = 1e-10) but leaves G numerically singular.
+        d2 = XHAT + 1e-9 * YHAT
+        m = point([0.1, 0.2, 0.3], d1=XHAT, d2=d2)
+        ratio = np.linalg.norm(np.cross(XHAT, d2)) / np.linalg.norm(d2)
+        assert 0.5e-9 < ratio < 2e-9
+        cls = classify_point(m)
+        assert cls.label is ModelLabel.GENERIC
+        with pytest.raises(DegenerateModelError, match="SLD Fisher matrix is singular"):
+            fisher_bundle(m)
 
 
 class TestClassifyFamily:
@@ -109,15 +172,15 @@ class TestPureLimitDuals:
         rng = np.random.default_rng(51)
         for _ in range(300):
             m = random_model_point(rng)
-            fb = fisher_bundle(m)
-            gt_inv = fb.g_tilde_inv
+            fm = fisher_matrices(m)
+            gt_inv = fm.g_tilde_inv
             r1, r2 = rld_bloch_vectors(m)
             rdual1 = gt_inv[0, 0] * r1 + gt_inv[1, 0] * r2
             rdual2 = gt_inv[0, 1] * r1 + gt_inv[1, 1] * r2
             l1, l2, lt1, lt2 = pure_limit_duals(m)
-            scale = 1 + max(np.abs(fb.dual1).max(), np.abs(fb.dual2).max())
-            assert np.abs(l1 - fb.dual1).max() <= 1e-9 * scale
-            assert np.abs(l2 - fb.dual2).max() <= 1e-9 * scale
+            scale = 1 + max(np.abs(fm.dual1).max(), np.abs(fm.dual2).max())
+            assert np.abs(l1 - fm.dual1).max() <= 1e-9 * scale
+            assert np.abs(l2 - fm.dual2).max() <= 1e-9 * scale
             assert np.abs(lt1 - rdual1).max() <= 1e-9 * scale
             assert np.abs(lt2 - rdual2).max() <= 1e-9 * scale
 
@@ -185,10 +248,10 @@ class TestPureLimitHolevo:
         rng = np.random.default_rng(53)
         for _ in range(100):
             m = random_model_point(rng)
-            fb = fisher_bundle(m)
+            fm = fisher_matrices(m)
             gt = pure_limit_rld_inverse(m)
-            assert np.abs(gt - fb.g_tilde_inv).max() <= 1e-9 * (
-                1 + np.abs(fb.g_tilde_inv).max()
+            assert np.abs(gt - fm.g_tilde_inv).max() <= 1e-9 * (
+                1 + np.abs(fm.g_tilde_inv).max()
             )
 
 

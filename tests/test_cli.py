@@ -251,6 +251,69 @@ class TestClassifyCommand:
         assert data["family"]["globally_d_invariant"] is True
 
 
+    def test_negative_grid_invalid(self, generic_model):
+        code, out, err = run_cli("classify", "--model", generic_model, "--grid", "-1")
+        assert code == 2
+        assert out == ""
+        assert "ModelError" in err and "--grid" in err
+
+    def test_no_usable_grid_point_invalid(self, tmp_path):
+        # s = (0, 0, 2) everywhere: every grid point lies outside the Bloch ball.
+        path = tmp_path / "outside.json"
+        path.write_text(
+            json.dumps({"kind": "explicit", "components": [[[0.0]], [[0.0]], [[2.0]]]})
+        )
+        code, out, err = run_cli("classify", "--model", str(path), "--grid", "3")
+        assert code == 2
+        assert out == ""
+        assert "ModelError" in err and "no point" in err
+
+
+class TestFisherMatricesOffProductionPaths:
+    """bounds and both sweeps read only the scalar bundle: they succeed with
+    the verification-side ``fisher_matrices`` replaced by a function that raises."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_fisher_matrices(self, monkeypatch):
+        import holevo2q.fisher
+
+        original = holevo2q.fisher.fisher_matrices
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fisher_matrices called on a production path")
+
+        for name, module in list(sys.modules.items()):
+            holds_it = getattr(module, "fisher_matrices", None) is original
+            if name.startswith("holevo2q") and holds_it:
+                monkeypatch.setattr(module, "fisher_matrices", forbidden)
+
+    def test_bounds(self, generic_model):
+        code, out, _ = run_cli(
+            "bounds", "--model", generic_model, "--theta", "0.2,0.1", "--weight", "1,0.2,0.8"
+        )
+        assert code == 0
+        assert json.loads(out)["branch"] in ("rld", "correction", "boundary")
+
+    @pytest.mark.parametrize("family", ["53", "42"])
+    def test_sweep_weight(self, generic_model, tmp_path, family):
+        out = tmp_path / f"sweep{family}.csv"
+        code, _, err = run_cli(
+            "sweep-weight", "--model", generic_model, "--theta", "0.2,0.1",
+            "--grid", "11", "--weight-family", family, "--out", str(out),
+        )
+        assert code == 0, err
+        assert len(read_csv(str(out))) == 11 * 11
+
+    def test_sweep_theta(self, generic_model, tmp_path):
+        out = tmp_path / "theta.csv"
+        code, _, err = run_cli(
+            "sweep-theta", "--model", generic_model, "--weight", "0.55,0.1,0.45",
+            "--grid", "11", "--out", str(out),
+        )
+        assert code == 0, err
+        assert read_csv(str(out))
+
+
 class TestLazyImport:
     def test_cli_import_leaves_scipy_unloaded(self):
         code = (

@@ -1,5 +1,5 @@
 """Fisher matrices, dual vectors, Z matrix and the structural identities,
-all read from the one producer ``fisher_bundle``."""
+read from their one producer ``fisher_matrices``; gamma from ``fisher_bundle``."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from holevo2q.bloch import BlochModelPoint, ell_perp, q_inverse
 from holevo2q.bounds import WeightMatrix
 from holevo2q.errors import DegenerateModelError, PureStateError
-from holevo2q.fisher import fisher_bundle, invert_2x2, one_param_bound
+from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2, one_param_bound
 from holevo2q.sampling import random_model_point, random_weight
 from holevo2q.verify import fisher_determinant_identities
 
@@ -39,12 +39,12 @@ class TestInvert2x2:
 
 class TestSldFisher:
     def test_orthogonal_derivatives_identity(self):
-        assert np.allclose(fisher_bundle(point([0, 0, 0.5])).g, np.eye(2))
+        assert np.allclose(fisher_matrices(point([0, 0, 0.5])).g, np.eye(2))
 
     def test_planar_inverse_formula(self):
         # s = (t1, t2, 0) with unit axis derivatives.
         for t1, t2 in [(0.3, 0.2), (0.6, 0.0), (-0.4, 0.5)]:
-            g_inv = fisher_bundle(point([t1, t2, 0.0])).g_inv
+            g_inv = fisher_matrices(point([t1, t2, 0.0])).g_inv
             expected = np.array(
                 [[1 - t1**2, -t1 * t2], [-t1 * t2, 1 - t2**2]]
             )
@@ -53,7 +53,7 @@ class TestSldFisher:
     def test_fixed_height_inverse_formula(self):
         t0 = 0.35
         for t1, t2 in [(0.3, 0.2), (0.1, -0.4)]:
-            g_inv = fisher_bundle(generic_z_point(t1, t2, t0)).g_inv
+            g_inv = fisher_matrices(generic_z_point(t1, t2, t0)).g_inv
             expected = np.array(
                 [
                     [1 - t0**2 - t1**2, -t1 * t2],
@@ -75,7 +75,7 @@ class TestRldFisher:
     def test_fixed_height_inverse_formula(self):
         t0, t1, t2 = 0.35, 0.3, 0.2
         m = generic_z_point(t1, t2, t0)
-        gt_inv = fisher_bundle(m).g_tilde_inv
+        gt_inv = fisher_matrices(m).g_tilde_inv
         s_sq = t1**2 + t2**2 + t0**2
         expected = (1 - s_sq) / (1 - t0**2) * np.array(
             [[1.0, -1.0j * t0], [1.0j * t0, 1.0]]
@@ -83,60 +83,61 @@ class TestRldFisher:
         assert np.abs(gt_inv - expected).max() <= 1e-12
 
     def test_real_at_origin(self):
-        fb = fisher_bundle(point([0, 0, 0]))
-        assert np.abs(fb.g_tilde.imag).max() <= 1e-15
-        assert np.allclose(fb.g_tilde.real, fb.g)
+        fm = fisher_matrices(point([0, 0, 0]))
+        assert np.abs(fm.g_tilde.imag).max() <= 1e-15
+        assert np.allclose(fm.g_tilde.real, fm.g)
 
     def test_determinant_chain(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             m = random_model_point(rng, radius=0.99)
-            fb = fisher_bundle(m)
-            det_g = np.linalg.det(fb.g)
-            det_gt = np.linalg.det(fb.g_tilde).real
+            fm = fisher_matrices(m)
+            det_g = np.linalg.det(fm.g)
+            det_gt = np.linalg.det(fm.g_tilde).real
             assert abs((1 - m.s_squared) * det_gt - det_g) <= 1e-10 * abs(det_g)
 
     def test_rank_one_real_part_relation(self):
         rng = np.random.default_rng(22)
         for _ in range(300):
             m = random_model_point(rng)
-            fb = fisher_bundle(m)
-            lhs = fb.g / (1 - m.s_squared) - fb.g_tilde.real
-            expected = np.outer(fb.gamma, fb.gamma)
-            assert np.abs(lhs - expected).max() <= 1e-10 * (1 + np.abs(fb.g).max())
+            fm = fisher_matrices(m)
+            gamma = fisher_bundle(m).gamma
+            lhs = fm.g / (1 - m.s_squared) - fm.g_tilde.real
+            expected = np.outer(gamma, gamma)
+            assert np.abs(lhs - expected).max() <= 1e-10 * (1 + np.abs(fm.g).max())
 
 
 class TestDualVectors:
     def test_identity_fisher_case(self):
-        fb = fisher_bundle(point([0, 0, 0.5]))
-        d1, d2 = fb.dual1, fb.dual2
+        fm = fisher_matrices(point([0, 0, 0.5]))
+        d1, d2 = fm.dual1, fm.dual2
         assert np.allclose(d1, XHAT) and np.allclose(d2, YHAT)
 
     def test_inverse_fisher_bilinear(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             m = random_model_point(rng)
-            fb = fisher_bundle(m)
+            fm = fisher_matrices(m)
             qi = q_inverse(m)
-            duals = (fb.dual1, fb.dual2)
+            duals = (fm.dual1, fm.dual2)
             for i in range(2):
                 for j in range(2):
                     val = duals[i] @ qi @ duals[j]
-                    assert abs(val - fb.g_inv[i, j]) <= 1e-12 * (1 + abs(val))
+                    assert abs(val - fm.g_inv[i, j]) <= 1e-12 * (1 + abs(val))
 
     def test_cross_product_formulas(self):
         rng = np.random.default_rng(24)
         for _ in range(200):
             m = random_model_point(rng)
-            fb = fisher_bundle(m)
+            fm = fisher_matrices(m)
             perp = ell_perp(m)
             qn = q_inverse(m) @ perp
             quad = perp @ qn
             d1_expected = -np.cross(qn, m.d2s) / quad
             d2_expected = np.cross(qn, m.d1s) / quad
             scale = max(np.abs(d1_expected).max(), np.abs(d2_expected).max())
-            assert np.abs(fb.dual1 - d1_expected).max() <= 1e-10 * scale
-            assert np.abs(fb.dual2 - d2_expected).max() <= 1e-10 * scale
+            assert np.abs(fm.dual1 - d1_expected).max() <= 1e-10 * scale
+            assert np.abs(fm.dual2 - d2_expected).max() <= 1e-10 * scale
 
     def test_rld_duals_pair_to_identity(self):
         rng = np.random.default_rng(25)
@@ -144,7 +145,7 @@ class TestDualVectors:
 
         for _ in range(100):
             m = random_model_point(rng)
-            gt_inv = fisher_bundle(m).g_tilde_inv
+            gt_inv = fisher_matrices(m).g_tilde_inv
             lt = rld_bloch_vectors(m)
             r1 = gt_inv[0, 0] * lt[0] + gt_inv[1, 0] * lt[1]
             r2 = gt_inv[0, 1] * lt[0] + gt_inv[1, 1] * lt[1]
@@ -157,26 +158,26 @@ class TestDualVectors:
 
 class TestZMatrix:
     def test_d_invariant_point_equals_rld_inverse(self):
-        fb = fisher_bundle(point([0, 0, 0.5]))
-        assert np.abs(fb.z - fb.g_tilde_inv).max() <= 1e-12
+        fm = fisher_matrices(point([0, 0, 0.5]))
+        assert np.abs(fm.z - fm.g_tilde_inv).max() <= 1e-12
 
     def test_value_at_z_half(self):
         # Derived from the fixed-height inverse-RLD formula at theta = 0.
-        z = fisher_bundle(point([0, 0, 0.5])).z
+        z = fisher_matrices(point([0, 0, 0.5])).z
         expected = np.array([[1.0, -0.5j], [0.5j, 1.0]])
         assert np.abs(z - expected).max() <= 1e-12
 
     def test_planar_imaginary_part_vanishes(self):
-        z = fisher_bundle(point([0.3, 0.2, 0.0])).z
+        z = fisher_matrices(point([0.3, 0.2, 0.0])).z
         assert np.abs(z.imag).max() <= 1e-14
 
     def test_real_part_is_inverse_sld_fisher(self):
         rng = np.random.default_rng(26)
         for _ in range(200):
             m = random_model_point(rng)
-            fb = fisher_bundle(m)
-            assert np.abs(fb.z.real - fb.g_inv).max() <= 1e-10 * (
-                1 + np.abs(fb.g_inv).max()
+            fm = fisher_matrices(m)
+            assert np.abs(fm.z.real - fm.g_inv).max() <= 1e-10 * (
+                1 + np.abs(fm.g_inv).max()
             )
 
     def test_imaginary_parts_exactly_antisymmetric(self):
@@ -184,8 +185,8 @@ class TestZMatrix:
         # a rounding residue on the diagonal of Im G~^-1 or Im Z.
         rng = np.random.default_rng(29)
         for _ in range(300):
-            fb = fisher_bundle(random_model_point(rng))
-            for mat in (fb.g_tilde, fb.g_tilde_inv, fb.z):
+            fm = fisher_matrices(random_model_point(rng))
+            for mat in (fm.g_tilde, fm.g_tilde_inv, fm.z):
                 im = mat.imag
                 assert im[0, 0] == 0.0 and im[1, 1] == 0.0
                 assert im[1, 0] == -im[0, 1]
@@ -193,9 +194,9 @@ class TestZMatrix:
     def test_imaginary_parts_agree(self):
         rng = np.random.default_rng(27)
         for _ in range(300):
-            fb = fisher_bundle(random_model_point(rng))
-            assert np.abs(fb.z.imag - fb.g_tilde_inv.imag).max() <= 1e-12 * (
-                1 + np.abs(fb.z).max()
+            fm = fisher_matrices(random_model_point(rng))
+            assert np.abs(fm.z.imag - fm.g_tilde_inv.imag).max() <= 1e-12 * (
+                1 + np.abs(fm.z).max()
             )
 
 
@@ -216,7 +217,7 @@ class TestDeterminantIdentities:
     def test_origin_first_identity(self):
         m = point([0, 0, 0], d1=np.array([1.0, 0.2, 0.0]), d2=np.array([0.0, 1.0, 0.4]))
         perp = ell_perp(m)
-        det_g = np.linalg.det(fisher_bundle(m).g)
+        det_g = np.linalg.det(fisher_matrices(m).g)
         assert abs(perp @ perp - det_g) <= 1e-12 * abs(det_g)
 
 

@@ -15,7 +15,7 @@ from holevo2q.bounds import (
     trabs_eigenvalues,
 )
 from holevo2q.errors import FeasibilityError, PureStateError
-from holevo2q.fisher import fisher_bundle, invert_2x2
+from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
 from holevo2q.oracle import (
     PAULI,
     HermitianPair,
@@ -129,13 +129,13 @@ class TestOperatorFisher:
         rng = np.random.default_rng(74)
         for _ in range(500):
             m = random_model_point(rng)
-            fb = fisher_bundle(m)
+            fm = fisher_matrices(m)
             g, gt, z = operator_fisher(density_point(m))
-            assert np.abs(g - fb.g).max() <= 1e-10 * max(1.0, np.abs(fb.g).max())
-            assert np.abs(gt - fb.g_tilde).max() <= 1e-10 * max(
-                1.0, np.abs(fb.g_tilde).max()
+            assert np.abs(g - fm.g).max() <= 1e-10 * max(1.0, np.abs(fm.g).max())
+            assert np.abs(gt - fm.g_tilde).max() <= 1e-10 * max(
+                1.0, np.abs(fm.g_tilde).max()
             )
-            assert np.abs(z - fb.z).max() <= 1e-10 * max(1.0, np.abs(fb.z).max())
+            assert np.abs(z - fm.z).max() <= 1e-10 * max(1.0, np.abs(fm.z).max())
 
 
 class TestCommutationOperator:
@@ -192,9 +192,9 @@ class TestCommutationOperator:
         rng = np.random.default_rng(90)
         for _ in range(100):
             m = random_d_invariant_point(rng)
-            fb = fisher_bundle(m)
-            assert np.abs(fb.z - fb.g_tilde_inv).max() <= 1e-10 * max(
-                1.0, np.abs(fb.z).max()
+            fm = fisher_matrices(m)
+            assert np.abs(fm.z - fm.g_tilde_inv).max() <= 1e-10 * max(
+                1.0, np.abs(fm.z).max()
             )
             dp = density_point(m)
             duals = dual_operators(dp)
@@ -236,8 +236,9 @@ class TestHolevoFunction:
         for _ in range(100):
             m = random_model_point(rng)
             fb = fisher_bundle(m)
+            fm = fisher_matrices(m)
             w = random_weight(rng)
-            pair = pair_from_bloch_vectors(m, fb.dual1, fb.dual2)
+            pair = pair_from_bloch_vectors(m, fm.dual1, fm.dual2)
             value = holevo_function(density_point(m), pair, w)
             assert value == pytest.approx(bound_z(fb, w), rel=1e-10)
 
@@ -246,8 +247,9 @@ class TestHolevoFunction:
         for _ in range(50):
             m = random_d_invariant_point(rng)
             fb = fisher_bundle(m)
+            fm = fisher_matrices(m)
             w = random_weight(rng)
-            pair = pair_from_bloch_vectors(m, fb.dual1, fb.dual2)
+            pair = pair_from_bloch_vectors(m, fm.dual1, fm.dual2)
             value = holevo_function(density_point(m), pair, w)
             rep = holevo_bound(fb, w)
             assert value == pytest.approx(rep.c_r, rel=1e-10)
@@ -255,8 +257,8 @@ class TestHolevoFunction:
 
     def test_weight_scaling(self):
         m = point([0.2, 0.1, 0.3])
-        fb = fisher_bundle(m)
-        pair = pair_from_bloch_vectors(m, fb.dual1, fb.dual2)
+        fm = fisher_matrices(m)
+        pair = pair_from_bloch_vectors(m, fm.dual1, fm.dual2)
         dp = density_point(m)
         w = WeightMatrix(1.0, 0.2, 0.8)
         assert holevo_function(dp, pair, w.scaled(2.5)) == pytest.approx(
@@ -289,10 +291,10 @@ class TestHolevoFunction:
         for _ in range(500):
             m = random_model_point(rng)
             w = random_weight(rng)
-            fb = fisher_bundle(m)
+            fm = fisher_matrices(m)
             perp = np.cross(m.d1s, m.d2s)
             xi = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 1, size=2)
-            vecs = (fb.dual1 + xi[0] * perp, fb.dual2 + xi[1] * perp)
+            vecs = (fm.dual1 + xi[0] * perp, fm.dual2 + xi[1] * perp)
             ops = [pauli_sum(m.s, v) for v in vecs]
             dp = density_point(m)
             z = np.array(
@@ -312,11 +314,11 @@ class TestHolevoFunction:
         rng = np.random.default_rng(81)
         for _ in range(50):
             m, w = random_generic_pair(rng)
-            fb = fisher_bundle(m)
-            rep = holevo_bound(fb, w)
+            fm = fisher_matrices(m)
+            rep = holevo_bound(fisher_bundle(m), w)
             perp = np.cross(m.d1s, m.d2s)
-            x1 = fb.dual1 + rep.xi_star[0] * perp
-            x2 = fb.dual2 + rep.xi_star[1] * perp
+            x1 = fm.dual1 + rep.xi_star[0] * perp
+            x2 = fm.dual2 + rep.xi_star[1] * perp
             pair = pair_from_bloch_vectors(m, x1, x2)
             value = holevo_function(density_point(m), pair, w)
             assert value == pytest.approx(rep.c_h, rel=1e-9)

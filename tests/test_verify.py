@@ -82,3 +82,14 @@ def test_witnesses_replay_bit_for_bit():
 
     m, w = parse_witness(rows["sld_defining_equation"].witness)
     assert w is None  # checks that draw no weight print none
+
+
+def test_ill_conditioned_mixed_pairing_witness_passes():
+    # cond G = 2,756 at this instance.  The absolute pairing residual of
+    # 1.76e-10 is the rounding of G^-1 and G~^-1 (an mpmath evaluation of the
+    # same pairing from the same inputs gives 7e-56); relative to the scale
+    # of those terms (|G^-1| = 668) it is 2.6e-13.
+    report = run_verification(seed=2127877499, count=8)
+    rows = {row.name: row for row in report.rows}
+    assert rows["commutation_mixed_pairing"].value <= 1e-12
+    assert report.passed

@@ -1,0 +1,128 @@
+"""Wall times of the user-visible holevo2q paths, written to a BENCH file.
+
+    python3 tools/bench_summary.py OUT.json NAME=ROOT [NAME=ROOT ...]
+
+Each NAME=ROOT pair is one column: a source tree (ROOT holds ``src/holevo2q``)
+measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
+
+* ``bounds``: ``holevo2q bounds`` at one point, interpreter start included;
+* ``sweep_weight_53``, ``sweep_weight_42``: ``sweep-weight --grid 101`` on
+  generic_z theta0=0.2 at theta=(0.2447, 0.2447), both weight families;
+* ``sweep_theta``: ``sweep-theta --grid 101`` on generic_z theta0=0.23 at
+  W=(0.55, 0.1, 0.45);
+* ``verify``: ``verify --seed 42 --count 200``;
+* ``tier1``: ``python -m pytest -q --continue-on-collection-errors`` in ROOT,
+  run once per column.
+
+Every other path runs REPEATS = 3 times.  Repetitions alternate between the
+columns, so a drift in host speed reaches every column alike.  A column keeps
+each run's seconds and their median, the sha256 of each path's output (equal
+hashes mean byte-identical CSV/JSON) and the tier-1 summary line.  Columns
+already in OUT.json that are not named again are kept; the machine record
+(usable cores, Python, numpy) is rewritten.  Standard library only.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+REPEATS = 3
+MODELS = {"gz02.json": {"kind": "generic_z", "theta0": 0.2},
+          "gz023.json": {"kind": "generic_z", "theta0": 0.23}}
+THETA = "0.2447,0.2447"
+WEIGHT = "0.55,0.1,0.45"
+PATHS = {
+    "bounds": ["bounds", "--model", "gz02.json", "--theta", THETA, "--weight", WEIGHT],
+    "sweep_weight_53": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
+                        "--weight-family", "53", "--out", "out.csv"],
+    "sweep_weight_42": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
+                        "--weight-family", "42", "--out", "out.csv"],
+    "sweep_theta": ["sweep-theta", "--model", "gz023.json", "--weight", WEIGHT,
+                    "--out", "out.csv"],
+    "verify": ["verify", "--seed", "42", "--count", "200"],
+}
+
+
+def _env(root):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    return env
+
+
+def _run(argv, root, cwd):
+    """(seconds, stdout) of one fresh-interpreter run; raises on failure."""
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=cwd, env=_env(root), capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{argv} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    return seconds, proc.stdout
+
+
+def _machine():
+    probe = "import numpy; print(numpy.__version__)"
+    numpy_version = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                   text=True, check=True).stdout.strip()
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"usable_cores": cores, "python": platform.python_version(), "numpy": numpy_version,
+            "system": f"{platform.system()} {platform.machine()}"}
+
+
+def main(argv):
+    if len(argv) < 3 or any("=" not in a for a in argv[2:]):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out_path = argv[1]
+    columns = dict(a.split("=", 1) for a in argv[2:])
+    runs = {name: {path: [] for path in PATHS} for name in columns}
+    digests = {name: {} for name in columns}
+    results = {}
+    with tempfile.TemporaryDirectory() as work:
+        out_csv = os.path.join(work, "out.csv")
+        for filename, desc in MODELS.items():
+            with open(os.path.join(work, filename), "w", encoding="utf-8") as fh:
+                json.dump(desc, fh)
+        for _ in range(REPEATS):
+            for name, root in columns.items():
+                for path, args in PATHS.items():
+                    cmd = [sys.executable, "-m", "holevo2q.cli", *args]
+                    seconds, stdout = _run(cmd, os.path.abspath(root), work)
+                    data = stdout.encode()
+                    if os.path.exists(out_csv):  # the sweeps write their CSV here
+                        with open(out_csv, "rb") as fh:
+                            data = fh.read()
+                        os.remove(out_csv)
+                    runs[name][path].append(round(seconds, 4))
+                    digests[name][path] = hashlib.sha256(data).hexdigest()
+        for name, root in columns.items():
+            cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                   "-p", "no:cacheprovider"]
+            seconds, stdout = _run(cmd, os.path.abspath(root), os.path.abspath(root))
+            paths = {path: {"runs_s": r, "median_s": round(statistics.median(r), 4)}
+                     for path, r in runs[name].items()}
+            paths["tier1"] = {"runs_s": [round(seconds, 4)], "median_s": round(seconds, 4),
+                              "summary": stdout.strip().splitlines()[-1]}
+            results[name] = {"paths": paths, "output_sha256": digests[name]}
+    record = {}
+    if os.path.exists(out_path):
+        with open(out_path, encoding="utf-8") as fh:
+            record = json.load(fh)
+    record["machine"] = _machine()
+    record.setdefault("columns", {}).update(results)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    for name, res in results.items():
+        medians = ", ".join(f"{p} {v['median_s']:.3f}" for p, v in res["paths"].items())
+        print(f"{name}: {medians} (s)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
