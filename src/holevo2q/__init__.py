@@ -37,6 +37,7 @@ from .errors import (
     DomainError,
     FeasibilityError,
     ModelError,
+    OracleCertificateError,
     PureStateError,
     SingularMatrixError,
     SpecialModelError,
@@ -83,6 +84,7 @@ __all__ = [
     "SpecialModelError",
     "DomainError",
     "FeasibilityError",
+    "OracleCertificateError",
     "AsymptoticallyClassicalLimitError",
     "__version__",
 ]

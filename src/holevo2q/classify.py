@@ -41,6 +41,7 @@ from .bloch import (
 from .bounds import WeightMatrix, trabs
 from .errors import (
     AsymptoticallyClassicalLimitError,
+    DomainError,
     PureStateError,
 )
 from .fisher import bloch_scalars
@@ -118,7 +119,7 @@ def classify_family(family, grid) -> FamilyClassification:
     """
     points = [family.evaluate(theta) for theta in grid]
     if not points:
-        raise ValueError("classification grid is empty")
+        raise DomainError("classification grid is empty")
     radii = np.array([np.linalg.norm(p.s) for p in points])
     spread = float(radii.max() - radii.min())
     globally_d_invariant = spread <= CLASSIFICATION_RTOL * max(float(radii.max()), 1e-300)

@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+import types
 
 import numpy as np
 
@@ -212,17 +213,16 @@ def cmd_classify(args) -> int:
         n = args.grid
         f1 = np.linspace(dom.theta1[0], dom.theta1[1], n + 2)[1:-1]
         f2 = np.linspace(dom.theta2[0], dom.theta2[1], n + 2)[1:-1]
-        grid = [(a, b) for a in f1 for b in f2]
-        usable = []
-        for th in grid:
+        usable = {}
+        for th in ((a, b) for a in f1 for b in f2):
             try:
-                family.evaluate(th)
-                usable.append(th)
+                usable[th] = family.evaluate(th)
             except ModelError:
                 continue
         if not usable:
             raise ModelError(f"no point of the {n}x{n} grid gives a valid model point")
-        fam = classify_family(family, usable)
+        # Each grid point is evaluated once: classify_family reads the points above.
+        fam = classify_family(types.SimpleNamespace(evaluate=usable.__getitem__), usable)
         labels = sorted({c.label.value for c in fam.point_classes})
         out["family"] = {
             "globally_d_invariant": fam.globally_d_invariant,
@@ -234,8 +234,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # Imported here: the oracle behind it loads scipy, which no other
-    # subcommand needs.
+    # Imported here: only verify needs the oracle and the verification suite.
     from .verify import run_verification
 
     if args.count <= 0:

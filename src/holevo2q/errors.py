@@ -17,6 +17,7 @@ __all__ = [
     "SpecialModelError",
     "DomainError",
     "FeasibilityError",
+    "OracleCertificateError",
     "AsymptoticallyClassicalLimitError",
 ]
 
@@ -53,6 +54,11 @@ class DomainError(ModelError):
 
 class FeasibilityError(ModelError):
     """An observable pair violates the local-unbiasedness constraints."""
+
+
+class OracleCertificateError(ModelError):
+    """An oracle minimizer's raw objective contradicts its closed-form
+    minimum: the model fit or the subgradient certificate failed."""
 
 
 class AsymptoticallyClassicalLimitError(ModelError):

@@ -11,17 +11,16 @@ module is to validate those formulas from scratch:
 * the commutation superoperator from its defining inner-product relation,
   solved as a 4x4 real linear system in the Pauli basis,
 * the Holevo function on explicit Hermitian observable pairs,
-* brute-force minimizations of the Holevo function (a 2-d reduced search
-  and a 6-d constrained search through a generic null-space
-  parametrization), and a grid oracle for the piecewise quadratic/absolute
-  minimum.
+* exact minimizations of the Holevo function (a 2-d reduced search and a
+  6-d constrained search through a generic null-space parametrization),
+  and a grid oracle for the piecewise quadratic/absolute minimum.
 
-Minimizations use a coarse grid followed by Nelder-Mead refinement; the
-objective is convex, so the refined grid minimum is the global one.  Each
-minimizer computes what does not depend on the search point once: W^(1/2)
-and rho for the 6-d search, the duals, l_perp and Q^-1 for the 2-d one.  A
-Nelder-Mead step then evaluates the same definitions with the same floating
-point operations as a from-scratch evaluation, so it returns the same float.
+On its 2-d feasible slice the Holevo function is a convex quadratic plus
+2|affine|, so both minimizers return the lowest raw value among three
+closed-form candidates once raw values at probe points and around that
+minimum have confirmed the model (``_kink_minimum``).  Only the grid oracle,
+the derivative-free check of the closed form's case split, uses Nelder-Mead
+and so scipy.
 """
 
 from __future__ import annotations
@@ -29,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from .bloch import BlochModelPoint, cross
 from .bounds import WeightMatrix, trabs_from_root, weight_root
 from .errors import (
     DegenerateModelError,
     FeasibilityError,
+    OracleCertificateError,
     PureStateError,
     SingularMatrixError,
 )
@@ -68,6 +67,12 @@ PAULI = (_SX, _SY, _SZ)
 _ID2 = np.eye(2, dtype=complex)
 
 MIN_EIGENVALUE = 1e-12
+
+# Raise thresholds of the exact minimizers (see ``_kink_minimum``).
+FIT_RTOL = 1e-6
+CERTIFICATE_RTOL = 1e-9
+_FIT_PROBES = (np.array([0.6, 0.8]), np.array([-0.8, 0.6]))
+_CERTIFICATE_STEPS = (1e-2, 1e-4, 1e-6)
 
 
 def _herm(mat: np.ndarray) -> np.ndarray:
@@ -276,23 +281,28 @@ def holevo_function(dp: DensityPoint, pair: HermitianPair, w) -> float:
 def _holevo_evaluator(rho: np.ndarray, weight: WeightMatrix):
     """The Holevo function of observable pairs at fixed (rho, W).
 
-    W^(1/2) is computed once; each call forms rho X^j once per j and takes
-    Z_ij = tr((rho X^j) X^i), the same products as tr(rho X^j X^i).
+    W^(1/2) is computed once per (rho, W).
     """
     wm = weight.matrix
     w_half = weight_root(wm)
 
     def value(x1: np.ndarray, x2: np.ndarray) -> float:
-        rx1, rx2 = rho @ x1, rho @ x2
-        z = np.array(
-            [
-                [(rx1 @ x1).trace(), (rx2 @ x1).trace()],
-                [(rx1 @ x2).trace(), (rx2 @ x2).trace()],
-            ]
-        )
+        z = _z_matrix(rho, x1, x2)
         return float((wm @ z.real).trace() + trabs_from_root(w_half, _antisym(z.imag)))
 
     return value
+
+
+def _z_matrix(rho: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Z_ij = tr((rho X^j) X^i), the same products as tr(rho X^j X^i), with
+    rho X^j formed once per j."""
+    rx1, rx2 = rho @ x1, rho @ x2
+    return np.array(
+        [
+            [(rx1 @ x1).trace(), (rx2 @ x1).trace()],
+            [(rx1 @ x2).trace(), (rx2 @ x2).trace()],
+        ]
+    )
 
 
 def _antisym(mat: np.ndarray) -> np.ndarray:
@@ -328,10 +338,12 @@ def _bloch_operator(s: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _nelder_mead(fun, x0: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
     """Two-stage Nelder-Mead refinement with a restart from the first result."""
+    from scipy.optimize import minimize  # lazy: only grid_min_quadratic_abs needs scipy
+
     best_x = np.asarray(x0, dtype=float)
     best_f = fun(best_x)
     for _ in range(2):
-        result = _nm_minimize(
+        result = minimize(
             fun,
             best_x,
             method="Nelder-Mead",
@@ -339,7 +351,8 @@ def _nelder_mead(fun, x0: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
                 "xatol": 1e-10,
                 "fatol": 1e-13 * (1.0 + abs(best_f)),
                 "maxfev": 10**5,
-                "initial_simplex": _initial_simplex(best_x, scale),
+                # best_x and best_x + scale e_k for each axis k.
+                "initial_simplex": best_x + scale * np.eye(best_x.size + 1, best_x.size, -1),
             },
         )
         if result.fun < best_f:
@@ -349,38 +362,56 @@ def _nelder_mead(fun, x0: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
     return best_f, best_x
 
 
-def _initial_simplex(center: np.ndarray, scale: float) -> np.ndarray:
-    dim = center.size
-    simplex = np.tile(center, (dim + 1, 1))
-    for k in range(dim):
-        simplex[k + 1, k] += scale
-    return simplex
+def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]:
+    """Lowest raw value of ``fun`` among the three minimizers of its 2-d model
 
+        m(xi) = s0 + 2 (g|xi) + (xi|A xi) + 2 |(b|xi) + c|,   A > 0:
 
-def _grid_then_refine(
-    fun, radius: float, grid_points: int, batch_fun
-) -> tuple[float, np.ndarray]:
-    """Batched coarse grid scan followed by simplex refinement of ``fun``."""
-    axis = np.linspace(-radius, radius, grid_points)
-    xi1 = np.repeat(axis, grid_points)
-    xi2 = np.tile(axis, grid_points)
-    idx = int(np.argmin(batch_fun(xi1, xi2)))
-    best_x = np.array([xi1[idx], xi2[idx]])
-    step = 2.0 * radius / (grid_points - 1)
-    return _nelder_mead(fun, best_x, step)
+    -A^-1 (g + b), -A^-1 (g - b) and the minimum of the quadratic on the kink
+    line (b|xi) + c = 0 (absent when (b|A^-1 b) = 0).  Returns (value, xi*).
+    Raises :class:`OracleCertificateError` when ``fun`` departs from m at two
+    probe points by more than ``FIT_RTOL`` (1 + |fun|), or falls below the
+    value by more than ``CERTIFICATE_RTOL`` (relative) at xi* +- h (1 + |xi*|) d
+    for d along e1, e2 and the kink line and h in ``_CERTIFICATE_STEPS``.
+    """
+    a_inv = invert_2x2(a, exc=SingularMatrixError)
+    candidates = [-a_inv @ (g + b), -a_inv @ (g - b)]
+    beta = float(b @ a_inv @ b)
+    if beta > 0.0:
+        candidates.append(-a_inv @ (g + (c - float(b @ a_inv @ g)) / beta * b))
+    value, xi = min(
+        ((float(fun(x)), x) for x in candidates if np.isfinite(x).all()),
+        key=lambda pair: pair[0],
+    )
+    scale = 1.0 + float(np.hypot(*xi))
+    for u in _FIT_PROBES:
+        x = xi + scale * u
+        raw = float(fun(x))
+        fit = raw - s0 - 2.0 * float(g @ x) - float(x @ a @ x) - 2.0 * abs(float(b @ x) + c)
+        if abs(fit) > FIT_RTOL * (1.0 + abs(raw)):
+            raise OracleCertificateError(f"raw objective departs from its model by {fit:.3e}")
+    b_norm = float(np.hypot(*b))
+    kink = [np.array([-b[1], b[0]]) / b_norm] if b_norm > 0.0 else []
+    for d in [np.array([1.0, 0.0]), np.array([0.0, 1.0]), *kink]:
+        for step in (sign * h * scale * d for h in _CERTIFICATE_STEPS for sign in (1, -1)):
+            drop = value - float(fun(xi + step))
+            if drop > CERTIFICATE_RTOL * abs(value):
+                raise OracleCertificateError(f"raw objective is {drop:.3e} below its minimum")
+    return value, xi
 
 
 def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
-    """Brute-force Holevo bound via the unconstrained 2-d reduction.
+    """Holevo bound by exact minimization of the unconstrained 2-d reduction.
 
     Candidate Bloch vectors x^i = l^i + xi_i l_perp stay feasible for every
     xi (checked explicitly); the objective is evaluated from raw geometry,
 
-        h(x1, x2) = sum_ij w_ij <x^i, Q^-1 x^j> + 2 sqrt(det W) |<x^1, F x^2>|,
+        h(x1, x2) = sum_ij w_ij <x^i, Q^-1 x^j> + 2 sqrt(det W) |<x^1, F x^2>|.
 
-    and minimized by grid search plus Nelder-Mead.  Returns (value, xi*).
-    The duals, l_perp and Q^-1 are computed once; a step reuses x^i Q^-1 for
-    both of its quadratic terms and takes s x x^2 in scalar arithmetic.
+    Because <l_perp, F l_perp> = 0, h is a convex quadratic in xi plus
+    2 |(b|xi) + c|; its coefficients come from the expansion of the same
+    geometry, and :func:`_kink_minimum` returns the lowest raw value among
+    the three closed-form candidates.  Returns (value, xi*).
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     fm = fisher_matrices(m)
@@ -411,46 +442,27 @@ def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
         quad = w11 * (y1 @ x1) + w12 * (y1 @ x2) + w12 * (y2 @ x1) + w22 * (y2 @ x2)
         return quad + 2.0 * sqrt_det_w * abs(x1 @ cross(s, x2))
 
-    def batch_objective(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-        x1 = dual1[None, :] + xi1[:, None] * perp[None, :]
-        x2 = dual2[None, :] + xi2[:, None] * perp[None, :]
-        q11 = np.einsum("ni,ij,nj->n", x1, q_inv, x1)
-        q12 = np.einsum("ni,ij,nj->n", x1, q_inv, x2)
-        q22 = np.einsum("ni,ij,nj->n", x2, q_inv, x2)
-        triple = np.einsum("ni,ni->n", x1, np.cross(np.broadcast_to(s, x2.shape), x2))
-        return (
-            wm[0, 0] * q11
-            + 2.0 * wm[0, 1] * q12
-            + wm[1, 1] * q22
-            + 2.0 * sqrt_det_w * np.abs(triple)
-        )
-
-    # The objective is (xi|A xi) + 2 sqrt(det W)|(b|xi) + c| plus a constant,
-    # with A, b and c read off the expansion in xi of the same geometry.
-    a = float(perp @ q_inv @ perp) * wm
+    # Expansion in xi: x^i Q^-1 x^j and <x^1, F x^2> with F x = s x x.
+    y1, y2, yp = dual1 @ q_inv, dual2 @ q_inv, perp @ q_inv
+    s0 = float(w11 * (y1 @ dual1) + 2.0 * w12 * (y1 @ dual2) + w22 * (y2 @ dual2))
+    g = wm @ np.array([yp @ dual1, yp @ dual2])
+    a = float(yp @ perp) * wm
     b = sqrt_det_w * np.array([perp @ cross(s, dual2), dual1 @ cross(s, perp)])
     c = sqrt_det_w * float(dual1 @ cross(s, dual2))
-    radius = _search_radius_2d(a, b, c)
-    return _grid_then_refine(objective, radius, 81, batch_objective)
-
-
-def _search_radius_2d(a: np.ndarray, b: np.ndarray, c: float) -> float:
-    """Box radius 10 (alpha + |c| + 1) / lambda_min(A) of the reduced problem
-    min (xi|A xi) + 2|(b|xi) + c|, with alpha = (b|A^-1 b)."""
-    lam_min = float(np.linalg.eigvalsh(a).min())
-    a_inv = invert_2x2(a, exc=SingularMatrixError)
-    alpha = float(b @ a_inv @ b)
-    return 10.0 * (alpha + abs(c) + 1.0) / max(lam_min, 1e-12)
+    return _kink_minimum(objective, s0, g, a, b, c)
 
 
 def minimize_holevo_6d(dp: DensityPoint, w) -> float:
-    """Brute-force Holevo bound through a generic affine parametrization.
+    """Holevo bound by exact minimization over a generic affine parametrization.
 
     The four unbiasedness constraints on (x^1, x^2) in R^6 are solved by
-    least squares; the remaining two directions come from the SVD null
+    least squares; the remaining two directions t come from the SVD null
     space.  The objective is the operator-trace Holevo function, so this
     route shares nothing with the closed Bloch-side formulas; it is the
-    evaluator of :func:`holevo_function`, built once for (rho, W).
+    evaluator of :func:`holevo_function`, built once for (rho, W).  Its
+    quadratic part Tr(W Re Z) is fitted from raw traces at t in {0, +-e1,
+    +-e2, e1 + e2} and the affine Im Z_12 from t in {0, +-e1, +-e2}; then
+    :func:`_kink_minimum` returns the lowest raw value among the candidates.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     # Recover the Bloch data from the operators themselves.
@@ -477,69 +489,44 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
     null_basis = vt[4:].T  # (6, 2)
 
     rho = dp.rho
-    sigma = np.stack(PAULI)
     wm = weight.matrix
-    sqrt_det_w = np.sqrt(weight.det)
     holevo = _holevo_evaluator(rho, weight)
 
-    def objective(t: np.ndarray) -> float:
+    def operators(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = x0 + null_basis @ t
-        return holevo(_bloch_operator(s, x[0:3]), _bloch_operator(s, x[3:6]))
+        return _bloch_operator(s, x[0:3]), _bloch_operator(s, x[3:6])
 
-    def batch_objective(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        # Same operator traces as ``objective``, batched over grid cells.
-        x = x0[None, :] + t1[:, None] * null_basis[:, 0] + t2[:, None] * null_basis[:, 1]
-        op1 = (
-            -(x[:, 0:3] @ s)[:, None, None] * _ID2
-            + np.einsum("nk,kab->nab", x[:, 0:3], sigma)
-        )
-        op2 = (
-            -(x[:, 3:6] @ s)[:, None, None] * _ID2
-            + np.einsum("nk,kab->nab", x[:, 3:6], sigma)
-        )
-        z11 = np.einsum("ab,nbc,nca->n", rho, op1, op1)
-        z22 = np.einsum("ab,nbc,nca->n", rho, op2, op2)
-        z12 = np.einsum("ab,nbc,nca->n", rho, op2, op1)  # tr(rho X^2 X^1)
-        return (
-            wm[0, 0] * z11.real
-            + 2.0 * wm[0, 1] * z12.real
-            + wm[1, 1] * z22.real
-            + 2.0 * sqrt_det_w * np.abs(z12.imag)
-        )
+    def objective(t: np.ndarray) -> float:
+        return holevo(*operators(t))
 
-    radius = _adaptive_radius(objective)
-    value, _ = _grid_then_refine(objective, radius, 41, batch_objective)
+    def re_im(t) -> tuple[float, float]:
+        z = _z_matrix(rho, *operators(np.asarray(t, dtype=float)))
+        return float((wm @ z.real).trace()), float(_antisym(z.imag)[0, 1])
+
+    (s0, l0), (sp1, lp1), (sm1, lm1), (sp2, lp2), (sm2, lm2), (s12, _) = (
+        re_im(t) for t in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1))
+    )
+    g = np.array([sp1 - sm1, sp2 - sm2]) / 4.0
+    a11, a22 = 0.5 * (sp1 + sm1) - s0, 0.5 * (sp2 + sm2) - s0
+    a12 = 0.5 * (s12 - s0 - 2.0 * (g[0] + g[1]) - a11 - a22)
+    sqrt_det_w = np.sqrt(weight.det)
+    b = sqrt_det_w * np.array([lp1 - lm1, lp2 - lm2]) / 2.0
+    a = np.array([[a11, a12], [a12, a22]])
+    value, _ = _kink_minimum(objective, s0, g, a, b, sqrt_det_w * l0)
     return value
 
 
-def _adaptive_radius(objective, start: float = 1.0) -> float:
-    """Grow the search box until the ring values exceed the center (convexity)."""
-    center = objective(np.zeros(2))
-    radius = start
-    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    for _ in range(60):
-        ring = min(
-            objective(radius * np.array([np.cos(a), np.sin(a)])) for a in angles
-        )
-        if ring > center + 1.0:
-            return radius
-        radius *= 2.0
-    return radius
-
-
 def grid_min_quadratic_abs(a, b, c: float) -> float:
-    """Grid + refinement oracle for min (xi|A xi) + 2|(b|xi) + c|."""
+    """Grid + refinement oracle for min (xi|A xi) + 2|(b|xi) + c|.
+
+    Derivative-free on purpose: it is the independent check of the case
+    split in :func:`holevo2q.bounds.quadratic_abs_min`.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
 
     def objective(xi: np.ndarray) -> float:
         return float(xi @ a @ xi) + 2.0 * abs(float(b @ xi) + c)
-
-    def batch_objective(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-        quad = (
-            a[0, 0] * xi1**2 + 2.0 * a[0, 1] * xi1 * xi2 + a[1, 1] * xi2**2
-        )
-        return quad + 2.0 * np.abs(b[0] * xi1 + b[1] * xi2 + c)
 
     lam_min = float(np.linalg.eigvalsh(a).min())
     if lam_min <= 0.0:
@@ -547,5 +534,9 @@ def grid_min_quadratic_abs(a, b, c: float) -> float:
     a_inv = invert_2x2(a, exc=SingularMatrixError)
     alpha = float(b @ a_inv @ b)
     radius = 10.0 * (alpha + abs(c) + 1.0) / lam_min
-    value, _ = _grid_then_refine(objective, radius, 201, batch_objective)
+    axis = np.linspace(-radius, radius, 201)
+    xi1, xi2 = np.repeat(axis, 201), np.tile(axis, 201)
+    quad = a[0, 0] * xi1**2 + 2.0 * a[0, 1] * xi1 * xi2 + a[1, 1] * xi2**2
+    idx = int(np.argmin(quad + 2.0 * np.abs(b[0] * xi1 + b[1] * xi2 + c)))
+    value, _ = _nelder_mead(objective, np.array([xi1[idx], xi2[idx]]), 2.0 * radius / 200)
     return value

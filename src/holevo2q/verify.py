@@ -327,7 +327,7 @@ def run_verification(
             witness_w,
         )
 
-    # Closed form versus brute-force minimization, on fresh generic pairs.
+    # Closed form versus the oracle minimizations, on fresh generic pairs.
     branch_counts: dict[str, int] = {}
     for _ in range(count):
         m, w = random_generic_pair(rng)

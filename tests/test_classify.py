@@ -16,6 +16,7 @@ from holevo2q.classify import (
 from holevo2q.errors import (
     AsymptoticallyClassicalLimitError,
     DegenerateModelError,
+    DomainError,
     PureStateError,
 )
 from holevo2q.fisher import fisher_bundle, fisher_matrices
@@ -159,6 +160,10 @@ class TestClassifyFamily:
         assert labels[0] is ModelLabel.GENERIC
         assert labels[1] is ModelLabel.D_INVARIANT  # the origin
         assert labels[3] is ModelLabel.GENERIC  # single-axis point
+
+    def test_empty_grid_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="empty"):
+            classify_family(GenericZ(0.35), [])
 
     def test_planar_family_all_classical(self):
         fam = Planar(u1=XHAT, u2=YHAT)

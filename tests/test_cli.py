@@ -268,6 +268,18 @@ class TestClassifyCommand:
         assert out == ""
         assert "ModelError" in err and "no point" in err
 
+    def test_grid_points_evaluated_once(self, generic_model, monkeypatch):
+        from holevo2q.models import GenericZ
+
+        calls = []
+        evaluate = GenericZ.evaluate
+        monkeypatch.setattr(
+            GenericZ, "evaluate", lambda self, th: calls.append(th) or evaluate(self, th)
+        )
+        code, out, _ = run_cli("classify", "--model", generic_model, "--grid", "4")
+        assert code == 0
+        assert len(calls) == 16 == json.loads(out)["family"]["grid_points"]
+
 
 class TestFisherMatricesOffProductionPaths:
     """bounds and both sweeps read only the scalar bundle: they succeed with
@@ -319,8 +331,11 @@ class TestLazyImport:
         code = (
             "import sys\n"
             "import holevo2q.cli as cli\n"
+            "import holevo2q.oracle\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n"
-            "sys.exit(cli.main(['verify', '--count', '2']))\n"
+            "code = cli.main(['verify', '--count', '2'])\n"
+            "assert 'scipy' not in sys.modules, 'verify loaded scipy'\n"
+            "sys.exit(code)\n"
         )
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,21 +1,25 @@
-"""Density-matrix oracle: operator solves, traces, brute-force minima."""
+"""Density-matrix oracle: operator solves, traces, exact minima."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from holevo2q import oracle
 from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import (
+    Branch,
     WeightMatrix,
+    boundary_weight_family,
     bound_z,
     holevo_bound,
     holevo_bound_three_param,
     quadratic_abs_min,
     trabs_eigenvalues,
 )
-from holevo2q.errors import FeasibilityError, PureStateError
+from holevo2q.errors import FeasibilityError, OracleCertificateError, PureStateError
 from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
+from holevo2q.models import Unitary
 from holevo2q.oracle import (
     PAULI,
     HermitianPair,
@@ -361,6 +365,108 @@ class TestMinimizers:
             density_point(point([0, 0, 0.5])), WeightMatrix.identity()
         )
         assert value == pytest.approx(3.0, rel=1e-8)
+
+
+def both_minima(m, w):
+    value_2d, _ = minimize_holevo_2d(m, w)
+    return value_2d, minimize_holevo_6d(density_point(m), w)
+
+
+def assert_oracle_matches(m, w, target="c_h"):
+    """Both minima within 1e-8 of the closed form, never below C^H - 1e-10 |C^Z|."""
+    rep = holevo_bound(fisher_bundle(m), w)
+    expected = getattr(rep, target)
+    for value in both_minima(m, w):
+        assert abs(value - expected) <= 1e-8 * abs(expected)
+        assert value >= rep.c_h - 1e-10 * abs(rep.c_z)
+    return rep
+
+
+def near_shell_points(delta, rng):
+    """Random and unitary-family points at 1 - |s| = delta."""
+    for _ in range(4):
+        u = rng.normal(size=3)
+        s = (1.0 - delta) * u / np.linalg.norm(u)
+        yield BlochModelPoint(s=s, d1s=rng.normal(size=3), d2s=rng.normal(size=3))
+    family = Unitary(radius=1.0 - delta)
+    for _ in range(3):
+        yield family.evaluate((rng.uniform(0.3, 2.8), rng.uniform(0.0, 6.2)))
+
+
+class TestExactSolve:
+    """Regression cases of the closed-form (kink-aware) minimizers."""
+
+    def test_boundary_weights(self):
+        # B[W] = 0: one stationary candidate lies on the kink line and ties
+        # with the kink-line candidate.
+        rng = np.random.default_rng(91)
+        for _ in range(20):
+            m, _ = random_generic_pair(rng)
+            w = rng.uniform(-0.9, 0.9)
+            weight = boundary_weight_family(fisher_bundle(m), w, np.sqrt(1.0 - w * w))
+            assert_oracle_matches(m, weight)
+
+    def test_d_invariant_points(self):
+        # b = 0: there is no kink line.
+        rng = np.random.default_rng(92)
+        for _ in range(20):
+            assert_oracle_matches(random_d_invariant_point(rng), random_weight(rng))
+
+    def test_planar_points_reach_sld_bound(self):
+        rng = np.random.default_rng(93)
+        for _ in range(20):
+            assert_oracle_matches(random_planar_point(rng), random_weight(rng), "c_s")
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    def test_near_shell_points(self, delta):
+        rng = np.random.default_rng(94)
+        branches = set()
+        for m in near_shell_points(delta, rng):
+            for _ in range(3):
+                branches.add(assert_oracle_matches(m, random_weight(rng)).branch)
+        assert Branch.CORRECTION in branches
+
+    def test_values_are_builtin_floats(self):
+        # A numpy scalar here turns the perfbench tallies into numpy integers,
+        # which json cannot write.
+        rng = np.random.default_rng(95)
+        pairs = {Branch.RLD: None, Branch.CORRECTION: None}
+        while None in pairs.values():
+            m, w = random_generic_pair(rng)
+            pairs[holevo_bound(fisher_bundle(m), w).branch] = (m, w)
+        m_gen = pairs[Branch.CORRECTION][0]
+        cases = [
+            (point([0, 0, 0.5]), WeightMatrix(1.0, 0.2, 0.7)),
+            *pairs.values(),
+            (m_gen, boundary_weight_family(fisher_bundle(m_gen), 0.3, np.sqrt(0.91))),
+        ]
+        for m, w in cases:
+            value_2d, value_6d = both_minima(m, w)
+            assert type(value_2d) is float
+            assert type(value_6d) is float
+
+    def test_certificate_tolerance(self):
+        # The raw objective may sit a rounding error below the returned value
+        # at a nearby point; a larger drop raises.  Model: 1 + 1e-6 |xi|^2.
+        def solve_with_drop(drop):
+            def fun(xi):
+                return 1.0 + 1e-6 * float(xi @ xi) - (drop if xi.any() else 0.0)
+
+            return oracle._kink_minimum(
+                fun, 1.0, np.zeros(2), 1e-6 * np.eye(2), np.zeros(2), 0.0
+            )
+
+        assert solve_with_drop(1e-15)[0] == 1.0
+        with pytest.raises(OracleCertificateError, match="below its minimum"):
+            solve_with_drop(10.0 * oracle.CERTIFICATE_RTOL)
+
+    def test_fit_check_raises(self):
+        # Coefficients that do not describe the raw objective are rejected.
+        def fun(xi):
+            return 1.0 + 2.0 * float(xi @ xi)
+
+        with pytest.raises(OracleCertificateError, match="departs from its model"):
+            oracle._kink_minimum(fun, 1.0, np.zeros(2), np.eye(2), np.zeros(2), 0.0)
 
 
 class TestGridQuadraticOracle:
