@@ -70,14 +70,43 @@ def inner(a, b) -> complex:
 
 
 def cross(a, b) -> np.ndarray:
-    """a x b for real 3-vectors in scalar arithmetic.
+    """a x b for real 3-vectors, or row-wise for stacks (..., 3).
 
     Bit-identical to ``np.cross(a, b)`` (the same separately rounded
-    products and differences), at a small fraction of its per-call cost.
+    products and differences), at a fraction of its per-call cost.
     """
-    a1, a2, a3 = np.asarray(a, dtype=float).tolist()
-    b1, b2, b3 = np.asarray(b, dtype=float).tolist()
-    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # One vector: the same arithmetic on Python floats, cheaper than on numpy scalars.
+    (a1, a2, a3), (b1, b2, b3) = (a.tolist(), b.tolist()) if a.ndim == b.ndim == 1 else (a.T, b.T)
+    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]).T
+
+
+def dot3(a, b):
+    """Row-wise dot products of (..., 3) stacks, each the bits of ``a[i] @ b[i]``
+    (the same BLAS call; elementwise sums round differently)."""
+    return a @ b if a.ndim == 1 else (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def stack_last(nested, depth: int) -> np.ndarray:
+    """``np.array(nested)`` of scalars or equal-shape arrays, with the nesting
+    as the trailing ``depth`` axes (C-contiguous, like ``np.stack(..., -1)``)."""
+    a = np.array(nested)
+    return np.ascontiguousarray(a.transpose(*range(depth, a.ndim), *range(depth)))
+
+
+def mixed(s_squared):
+    """|s|^2 < (1 - PURE_SHELL_TOL)^2: where (1-s^2)^{-1} is trusted."""
+    return s_squared < (1.0 - PURE_SHELL_TOL) ** 2
+
+
+def not_mixed_message(s_squared: float) -> str:
+    return f"operation requires |s| < 1 - {PURE_SHELL_TOL:g}, got |s| = {np.sqrt(s_squared):.12g}"
+
+
+def dependent(d1, d2, perp):
+    """|d1 x d2| < DERIVATIVE_INDEPENDENCE_RTOL |d1||d2|, row-wise."""
+    scale = np.sqrt(dot3(d1, d1)) * np.sqrt(dot3(d2, d2))
+    return (scale == 0.0) | (np.sqrt(dot3(perp, perp)) < DERIVATIVE_INDEPENDENCE_RTOL * scale)
 
 
 @dataclass(frozen=True)
@@ -107,14 +136,11 @@ class BlochModelPoint:
 
     @property
     def is_mixed(self) -> bool:
-        return self.s_squared < (1.0 - PURE_SHELL_TOL) ** 2
+        return bool(mixed(self.s_squared))
 
     def require_mixed(self) -> None:
         if not self.is_mixed:
-            raise PureStateError(
-                f"operation requires |s| < 1 - {PURE_SHELL_TOL:g}, got |s| = "
-                f"{np.linalg.norm(self.s):.12g}"
-            )
+            raise PureStateError(not_mixed_message(self.s_squared))
 
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         return self.d1s, self.d2s
@@ -205,8 +231,7 @@ def ell_perp(m: BlochModelPoint) -> np.ndarray:
     beyond ``DERIVATIVE_INDEPENDENCE_RTOL``.
     """
     perp = cross(m.d1s, m.d2s)
-    scale = np.linalg.norm(m.d1s) * np.linalg.norm(m.d2s)
-    if scale == 0.0 or np.linalg.norm(perp) < DERIVATIVE_INDEPENDENCE_RTOL * scale:
+    if dependent(m.d1s, m.d2s, perp):
         raise DegenerateModelError("d1s and d2s are linearly dependent")
     return perp
 

@@ -39,16 +39,16 @@ derivatives are nearly tangent to the sphere (r ~ 0).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochModelPoint, BlochModelPoint3, q_tilde
+from .bloch import BlochModelPoint, BlochModelPoint3, q_tilde, stack_last
 from .errors import (
     DomainError,
     SingularMatrixError,
     SpecialModelError,
+    raise_first,
 )
 from .fisher import FisherBundle, invert_2x2
 
@@ -69,16 +69,52 @@ __all__ = [
     "bound_nagaoka",
     "quadratic_abs_min",
     "holevo_bound",
+    "holevo_bounds_many",
     "b_theta",
     "classify_weight",
     "alpha_theta",
     "boundary_weight_family",
+    "boundary_weight_family_many",
     "weight_from_angles",
+    "weight_from_angles_many",
     "holevo_bound_three_param",
 ]
 
 # Boundary band: |B| <= BOUNDARY_RTOL * (|C^Z| + |C^S|) counts as W_boundary.
 BOUNDARY_RTOL = 1e-9
+
+
+def _det(w11, w12, w22):
+    return w11 * w22 - w12 * w12
+
+
+def _require_positive(w11, w12, w22) -> None:
+    """DomainError for the first weight that is not finite positive definite."""
+
+    def indefinite(i):
+        a, b, c = (x.flat[i] for x in np.broadcast_arrays(w11, w12, w22))
+        return f"weight matrix [[{a}, {b}], [{b}, {c}]] is not positive definite"
+
+    finite = np.isfinite(w11) & np.isfinite(w12) & np.isfinite(w22)
+    raise_first([(~finite, DomainError, "weight matrix entries must be finite"),
+                 ((w11 <= 0.0) | (_det(w11, w12, w22) <= 0.0), DomainError, indefinite)])
+
+
+def _symmetric_entries(mat):
+    """(w11, w12, w22) of a symmetric positive-definite 2x2 matrix, or of a stack of them."""
+    m = np.asarray(mat, dtype=float)
+    if m.shape[-2:] != (2, 2) or np.count_nonzero(
+        np.abs(m[..., 0, 1] - m[..., 1, 0]) > 1e-12 * (1.0 + np.abs(m).max(axis=(-2, -1)))
+    ):
+        raise DomainError("weight matrix must be symmetric 2x2")
+    w11, w12, w22 = m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1]
+    _require_positive(w11, w12, w22)
+    return w11, w12, w22
+
+
+def _where(cond, a, b):
+    """``np.where(cond, a, b)``, without its per-call cost at one cell."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 @dataclass(frozen=True)
@@ -92,17 +128,11 @@ class WeightMatrix:
     def __post_init__(self):
         for name in ("w11", "w12", "w22"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not np.all(np.isfinite([self.w11, self.w12, self.w22])):
-            raise DomainError("weight matrix entries must be finite")
-        if self.w11 <= 0.0 or self.det <= 0.0:
-            raise DomainError(
-                f"weight matrix [[{self.w11}, {self.w12}], [{self.w12}, {self.w22}]] "
-                "is not positive definite"
-            )
+        _require_positive(self.w11, self.w12, self.w22)
 
     @property
     def det(self) -> float:
-        return self.w11 * self.w22 - self.w12**2
+        return _det(self.w11, self.w12, self.w22)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -110,10 +140,7 @@ class WeightMatrix:
 
     @classmethod
     def from_matrix(cls, mat) -> WeightMatrix:
-        m = np.asarray(mat, dtype=float)
-        if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-12 * (1.0 + np.abs(m).max()):
-            raise DomainError("weight matrix must be symmetric 2x2")
-        return cls(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1])
+        return cls(*_symmetric_entries(mat))
 
     @classmethod
     def identity(cls) -> WeightMatrix:
@@ -262,51 +289,59 @@ def quadratic_abs_min(a, b, c: float) -> tuple[float, np.ndarray]:
     return c * c / alpha, xi
 
 
-def holevo_bound(fb: FisherBundle, w) -> BoundsReport:
-    """Closed-form Holevo bound: the explicit formula of the module docstring.
-
-    The branch label is the sign of B outside a relative band of
-    ``BOUNDARY_RTOL``, where it is ``BOUNDARY``.
-    """
-    wm = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
-    w11, w12, w22 = wm.w11, wm.w12, wm.w22
-    sqrt_det_w = math.sqrt(wm.det)
+def holevo_bounds_many(fb: FisherBundle, w11, w12, w22) -> BoundsReport:
+    """The explicit formula of the module docstring, elementwise over the
+    points of ``fb`` (one, or a stack from ``fisher_bundle_many``) broadcast
+    against the entries of positive-definite weights: a grid of weights at
+    one point, or of points at one weight.  Each report field is an array
+    over the cells (``branch`` of ``Branch`` values: the sign of B outside a
+    relative band of ``BOUNDARY_RTOL``, where it is ``BOUNDARY``)."""
+    det_w = _det(w11, w12, w22)
+    sqrt_det_w = np.sqrt(det_w)
     eps = fb.one_minus_s_sq
     p = fb.perp_quadratic
     k = fb.triple_product
-    (g11, g12), (_, g22) = fb.gram.tolist()
-    r1, r2 = fb.radial.tolist()
+    (g11, g12), (_, g22) = fb.gram.T  # .T: numpy scalars, not 0-d arrays, at one point
+    r1, r2 = fb.radial.T
 
     a = w11 * g22 - 2.0 * w12 * g12 + w22 * g11
     q = w11 * r2 * r2 - 2.0 * w12 * r1 * r2 + w22 * r1 * r1
     t = eps * sqrt_det_w * abs(k)
     c_s = (eps * a + q) / p
     c_z = c_s + 2.0 * t / p
-    c_n = c_s + 2.0 * math.sqrt(wm.det * eps / p)
+    c_n = c_s + 2.0 * np.sqrt(det_w * eps / p)
     b_value = (t - q) / p
     tau = BOUNDARY_RTOL * (abs(c_z) + abs(c_s))
-    if b_value > tau:
-        branch = Branch.RLD
-    elif b_value < -tau:
-        branch = Branch.CORRECTION
-    else:
-        branch = Branch.BOUNDARY
+    branch = _where(
+        b_value > tau,
+        Branch.RLD.value,
+        _where(b_value < -tau, Branch.CORRECTION.value, Branch.BOUNDARY.value),
+    )
 
     # Exact rewritings under which max(C^S, C^R) <= C^H <= C^Z follows from
-    # monotone rounding, so it holds without a tolerance.
-    if t >= q:  # B >= 0: C^H = C^R = C^S + (2t - q)/p, 0 <= 2t - q <= 2t
-        c_r = c_h = c_s + (2.0 * t - q) / p
-        corr = 0.0
-    else:
-        # q > 0.  Add the smaller of the two increments to its own base; the
-        # other lower bound then keeps a margin of at least |B|/2.
-        c_r = eps * (a + 2.0 * sqrt_det_w * abs(k)) / p
-        corr = (q - t) ** 2 / (q * p)
-        c_h = c_r + corr if q <= 2.0 * t else c_s + t * t / (q * p)
-
-    scale = math.copysign(min(1.0, t / q), k) / (p * sqrt_det_w) if q > 0.0 else 0.0
-    xi_star = scale * np.array([w22 * r1 - w12 * r2, w11 * r2 - w12 * r1])
+    # monotone rounding, so it holds without a tolerance.  Both branches are
+    # evaluated everywhere; the one that does not apply is discarded.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # B >= 0: C^H = C^R = C^S + (2t - q)/p, 0 <= 2t - q <= 2t
+        rld = t >= q
+        c_rld = c_s + (2.0 * t - q) / p
+        # Else q > 0.  Add the smaller of the two increments to its own base;
+        # the other lower bound then keeps a margin of at least |B|/2.
+        c_r = _where(rld, c_rld, eps * (a + 2.0 * sqrt_det_w * abs(k)) / p)
+        corr = _where(rld, 0.0, (q - t) * (q - t) / (q * p))
+        c_h = _where(rld, c_rld, _where(q <= 2.0 * t, c_r + corr, c_s + t * t / (q * p)))
+        ratio = np.copysign(np.minimum(1.0, t / q), k) / (p * sqrt_det_w)
+    scale = _where(q > 0.0, ratio, 0.0)
+    xi_star = stack_last([scale * (w22 * r1 - w12 * r2), scale * (w11 * r2 - w12 * r1)], 1)
     return BoundsReport(c_s, c_r, c_z, c_n, c_h, corr, branch, b_value, xi_star)
+
+
+def holevo_bound(fb: FisherBundle, w) -> BoundsReport:
+    """:func:`holevo_bounds_many` at one point and one weight."""
+    wm = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
+    r = holevo_bounds_many(fb, wm.w11, wm.w12, wm.w22)
+    values = map(float, (r.c_s, r.c_r, r.c_z, r.c_n, r.c_h, r.s_correction))
+    return BoundsReport(*values, Branch(str(r.branch)), float(r.b_value), r.xi_star)
 
 
 def b_theta(fb: FisherBundle, w) -> float:
@@ -344,43 +379,50 @@ def alpha_theta(fb: FisherBundle) -> float:
     return fb.one_minus_s_sq * abs(fb.triple_product) / float(r @ r)
 
 
-def boundary_weight_family(fb: FisherBundle, w: float, w2: float, c: float = 1.0) -> WeightMatrix:
-    """Weights c U [[1, a w w2], [a w w2, a^2 w2^2]] U^T with a = alpha_theta.
-
-    U is the rotation built from gamma.  The resulting weight lies in
-    W_plus, W_boundary or W_minus according to w^2 + w2^2 <, =, > 1.
-    """
-    if not (abs(w) < 1.0):
-        raise DomainError("require |w| < 1 for positive definiteness")
-    if w2 <= 0.0:
-        raise DomainError("require w2 > 0")
-    if c <= 0.0:
-        raise DomainError("require scale c > 0")
+def boundary_weight_family_many(fb: FisherBundle, w, w2, c: float = 1.0):
+    """(w11, w12, w22) of c U [[1, a w w2], [a w w2, a^2 w2^2]] U^T, a = alpha_theta,
+    over broadcast arrays w, w2; U is the rotation built from gamma.  The
+    weight lies in W_plus, W_boundary or W_minus as w^2 + w2^2 <, =, > 1."""
+    w, w2 = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(w2, dtype=float))
+    checks = [
+        (~(np.abs(w) < 1.0), DomainError, "require |w| < 1 for positive definiteness"),
+        (w2 <= 0.0, DomainError, "require w2 > 0"),
+        (np.full(w.shape, c <= 0.0), DomainError, "require scale c > 0"),
+    ]
+    # The first cell's own guards come before the point's special-model guard.
+    raise_first([(bad.ravel()[:1], exc, message) for bad, exc, message in checks])
     alpha = alpha_theta(fb)
+    raise_first(checks)
     g1, g2 = fb.gamma
     norm = np.hypot(g1, g2)
     u = np.array([[g1, -g2], [g2, g1]]) / norm
-    core = np.array(
-        [
-            [1.0, alpha * w * w2],
-            [alpha * w * w2, alpha**2 * w2**2],
-        ]
-    )
-    return WeightMatrix.from_matrix(c * (u @ core @ u.T))
+    off = alpha * w * w2
+    core = stack_last([[np.ones_like(off), off], [off, alpha * alpha * (w2 * w2)]], 2)
+    return _symmetric_entries(c * (u @ core @ u.T))
+
+
+def boundary_weight_family(fb: FisherBundle, w: float, w2: float, c: float = 1.0) -> WeightMatrix:
+    """:func:`boundary_weight_family_many` at one (w, w2)."""
+    return WeightMatrix(*boundary_weight_family_many(fb, w, w2, c))
+
+
+def weight_from_angles_many(w, omega):
+    """(w11, w12, w22) of the trace-one R(omega) diag((1+w)/2, (1-w)/2) R(omega)^T
+    over broadcast arrays: w in (-1, 1) sets the eigenvalue split
+    (det W = (1-w^2)/4), omega rotates the eigenbasis."""
+    w, omega = np.asarray(w, dtype=float), np.asarray(omega, dtype=float)
+    message = "weight parameter w = {} must lie in (-1, 1)"
+    raise_first([(~((-1.0 < w) & (w < 1.0)), DomainError, lambda i: message.format(w.flat[i]))])
+    cos, sin = np.cos(omega), np.sin(omega)
+    rot = stack_last([[cos, -sin], [sin, cos]], 2)
+    zero = np.zeros_like(w)
+    core = stack_last([[0.5 * (1.0 + w), zero], [zero, 0.5 * (1.0 - w)]], 2)
+    return _symmetric_entries(rot @ core @ np.swapaxes(rot, -1, -2))
 
 
 def weight_from_angles(w: float, omega: float) -> WeightMatrix:
-    """Trace-one weight R(omega) diag((1+w)/2, (1-w)/2) R(omega)^T.
-
-    ``w`` in (-1, 1) sets the eigenvalue split (det W = (1-w^2)/4) and
-    ``omega`` rotates the eigenbasis.
-    """
-    if not (-1.0 < w < 1.0):
-        raise DomainError(f"weight parameter w = {w} must lie in (-1, 1)")
-    cos, sin = np.cos(omega), np.sin(omega)
-    rot = np.array([[cos, -sin], [sin, cos]])
-    core = np.diag([0.5 * (1.0 + w), 0.5 * (1.0 - w)])
-    return WeightMatrix.from_matrix(rot @ core @ rot.T)
+    """:func:`weight_from_angles_many` at one (w, omega)."""
+    return WeightMatrix(*weight_from_angles_many(w, omega))
 
 
 def holevo_bound_three_param(m3: BlochModelPoint3, w3) -> float:

@@ -13,12 +13,21 @@ validation failures print the exception class name (for example
 ``PureStateError``) with the message.  CSV output is deterministic for a
 fixed spec and seed: rows are emitted in row-major grid order with floats
 printed to 17 significant digits, and the header carries a schema version.
+
+A sweep is one batched pass over its whole grid, with no per-cell Python
+loop: sweep-theta maps the cells through the family's ``evaluate_many``
+(dropping cells outside the domain or the mixed-state disk) and
+``fisher_bundle_many``; sweep-weight builds every weight with
+``weight_from_angles_many`` or ``boundary_weight_family_many`` at one
+``fisher_bundle``.  ``holevo_bounds_many`` then evaluates all cells at
+once, and ``_emit_csv`` formats each row with one %-format and writes the
+file in one call.  Invalid input raises what a cell-by-cell loop would
+raise first.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import types
@@ -27,13 +36,14 @@ import numpy as np
 
 from .bounds import (
     WeightMatrix,
-    boundary_weight_family,
+    boundary_weight_family_many,
     holevo_bound,
-    weight_from_angles,
+    holevo_bounds_many,
+    weight_from_angles_many,
 )
 from .classify import classify_family, classify_point
 from .errors import ModelError
-from .fisher import FisherBundle, fisher_bundle
+from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from .models import load_model
 
 __all__ = ["main", "build_parser"]
@@ -53,10 +63,6 @@ BOUND_COLUMNS = [
     "d_invariant",
     "asymptotically_classical",
 ]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_floats(text: str, count: int, name: str) -> tuple[float, ...]:
@@ -99,22 +105,26 @@ def _bounds_record(fb: FisherBundle, weight: WeightMatrix) -> dict:
     }
 
 
-def _record_csv_fields(record: dict) -> list[str]:
-    out = []
-    for col in BOUND_COLUMNS:
-        value = record[col]
-        if col == "branch":
-            out.append(str(value))
-        elif isinstance(value, bool):
-            out.append("1" if value else "0")
-        else:
-            out.append(_fmt(value))
-    return out
+def _grid(axis1, axis2):
+    """The cells of the grid axis1 x axis2 in row-major order, as two arrays."""
+    return np.repeat(axis1, len(axis2)), np.tile(axis2, len(axis1))
 
 
-def _emit_csv(path, header_name: str, columns: list[str], rows) -> None:
-    lines = [f"# holevo2q {header_name} schema {CSV_SCHEMA}", ",".join(columns)]
-    lines.extend(",".join(row) for row in rows)
+def _emit_csv(path, header_name: str, coords: list[str], axes, fb, report, keep=...) -> None:
+    """One CSV row per kept cell of the grid ``axes``: the coordinates, then
+    BOUND_COLUMNS.  Axis values, and values shared by every row (baked into
+    the row template), are formatted once."""
+    labels = _grid(*(np.array(["%.17g" % x for x in a.tolist()], dtype=object) for a in axes))
+    values = (
+        labels[0][keep], labels[1][keep], report.c_s, report.c_r, report.c_z, report.c_n,
+        report.c_h, report.s_correction, report.b_value, report.branch, fb.gamma[..., 0],
+        fb.gamma[..., 1], fb.d_invariant, fb.asymptotically_classical,
+    )
+    specs = ["%s"] * 2 + ["%.17g"] * 7 + ["%s"] + ["%.17g"] * 2 + ["%d"] * 2
+    row = ",".join(spec % v if np.ndim(v) == 0 else spec for spec, v in zip(specs, values))
+    columns = [v.tolist() for v in values if np.ndim(v)]
+    lines = [f"# holevo2q {header_name} schema {CSV_SCHEMA}", ",".join(coords + BOUND_COLUMNS)]
+    lines.extend(row % cells for cells in zip(*columns))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -141,23 +151,17 @@ def cmd_sweep_weight(args) -> int:
     if n < 2:
         raise ModelError("--grid must be at least 2")
 
+    first = np.linspace(-args.w_max, args.w_max, n)
     if args.weight_family == "53":
-        first = np.linspace(-args.w_max, args.w_max, n)
         second = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        columns = ["w", "omega"] + BOUND_COLUMNS
-        make_weight = weight_from_angles
+        coords = ["w", "omega"]
+        weights = weight_from_angles_many(*_grid(first, second))
     else:  # family "42": boundary-adapted coordinates (w, w2)
-        first = np.linspace(-args.w_max, args.w_max, n)
         second = np.linspace(args.w2_min, args.w2_max, n)
-        columns = ["w", "w2"] + BOUND_COLUMNS
-        make_weight = functools.partial(boundary_weight_family, fb)
-
-    rows = [
-        [_fmt(a), _fmt(b)] + _record_csv_fields(_bounds_record(fb, make_weight(a, b)))
-        for a in first
-        for b in second
-    ]
-    _emit_csv(args.out, "sweep-weight", columns, rows)
+        coords = ["w", "w2"]
+        weights = boundary_weight_family_many(fb, *_grid(first, second))
+    report = holevo_bounds_many(fb, *weights)
+    _emit_csv(args.out, "sweep-weight", coords, (first, second), fb, report)
     return 0
 
 
@@ -173,21 +177,12 @@ def cmd_sweep_theta(args) -> int:
         pad = args.shrink * (hi - lo)
         return np.linspace(lo + pad, hi - pad, n)
 
-    axis1 = _axis(*dom.theta1)
-    axis2 = _axis(*dom.theta2)
-    columns = ["theta1", "theta2"] + BOUND_COLUMNS
-    rows = []
-    for t1 in axis1:
-        for t2 in axis2:
-            try:
-                point = family.evaluate((t1, t2))
-            except ModelError:
-                continue  # outside the mixed-state disk of the family
-            if not point.is_mixed:
-                continue
-            record = _bounds_record(fisher_bundle(point), weight)
-            rows.append([_fmt(t1), _fmt(t2)] + _record_csv_fields(record))
-    _emit_csv(args.out, "sweep-theta", columns, rows)
+    axes = (_axis(*dom.theta1), _axis(*dom.theta2))
+    # Cells outside the domain or the mixed-state disk of the family are skipped.
+    s, d1, d2, usable = family.evaluate_many(*_grid(*axes))
+    fb = fisher_bundle_many(s[usable], d1[usable], d2[usable])
+    report = holevo_bounds_many(fb, weight.w11, weight.w12, weight.w22)
+    _emit_csv(args.out, "sweep-theta", ["theta1", "theta2"], axes, fb, report, usable)
     return 0
 
 

@@ -8,6 +8,8 @@ them verbatim when rejecting input.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "ModelError",
     "PureStateError",
@@ -19,6 +21,7 @@ __all__ = [
     "FeasibilityError",
     "OracleCertificateError",
     "AsymptoticallyClassicalLimitError",
+    "raise_first",
 ]
 
 
@@ -64,3 +67,16 @@ class OracleCertificateError(ModelError):
 class AsymptoticallyClassicalLimitError(ModelError):
     """The pure-state limit formulas degenerate: the model is asymptotically
     classical at the pure shell."""
+
+
+def raise_first(checks) -> None:
+    """Raise what a loop over the cells would raise first: ``checks`` holds
+    ``(bad, exc_class, message)``, ``bad`` a mask over the cells, ``message``
+    a string or a function of the flat index; within a cell the earlier
+    check wins."""
+    hits = [(np.flatnonzero(bad)[0], k)
+            for k, (bad, *_) in enumerate(checks) if np.count_nonzero(bad)]
+    if hits:
+        index, k = min(hits)
+        _, exc, message = checks[k]
+        raise exc(message(int(index)) if callable(message) else message)

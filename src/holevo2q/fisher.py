@@ -16,13 +16,14 @@ whose real part is exactly G^-1 and whose imaginary part equals Im G~^-1.
 
 Each quantity has one producer:
 
-* ``bloch_scalars`` computes, in one pass, the Bloch scalars the explicit
-  bounds are built from (Gram matrix, r_i = <s, d_i s>, k = <s, n>,
-  p = <n, Q^-1 n>, 1 - s^2), gamma and the two special-model flags that
-  ``classify_point`` reports.  p is taken in Lagrange form because the equal
-  |n|^2 - k^2 cancels near the shell.  ``fisher_bundle`` is the same
-  :class:`FisherBundle` after a guard on the singularity of G; it is what
-  every bound reads.
+* ``bloch_scalars_many`` computes, in one pass over (N, 3) stacks of
+  (s, d1s, d2s), the Bloch scalars the explicit bounds are built from (Gram
+  matrix, r_i = <s, d_i s>, k = <s, n>, p = <n, Q^-1 n>, 1 - s^2), gamma
+  and the two special-model flags that ``classify_point`` reports.  p is
+  taken in Lagrange form because the equal |n|^2 - k^2 cancels near the
+  shell.  ``fisher_bundle_many`` is the same pass with a guard on the
+  singularity of G; it is what every bound reads.  ``bloch_scalars`` and
+  ``fisher_bundle`` are the same pass on one point.
 * ``fisher_matrices`` builds G, G~, their inverses, the SLD duals and Z.
   Only the verification suite, the oracle's reduced search and the tests
   read them.
@@ -30,7 +31,6 @@ Each quantity has one producer:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +38,25 @@ import numpy as np
 from .bloch import (
     CLASSIFICATION_RTOL,
     BlochModelPoint,
-    ell_perp,
+    cross,
+    dependent,
+    dot3,
+    mixed,
+    stack_last,
+    not_mixed_message,
     q_matrix,
     q_tilde,
     q_tilde_inverse,
 )
-from .errors import DegenerateModelError, PureStateError
+from .errors import DegenerateModelError, PureStateError, raise_first
 
 __all__ = [
     "FisherBundle",
     "FisherMatrices",
     "bloch_scalars",
+    "bloch_scalars_many",
     "fisher_bundle",
+    "fisher_bundle_many",
     "fisher_matrices",
     "invert_2x2",
     "one_param_bound",
@@ -90,67 +97,87 @@ def _hermitian_from_upper(u: np.ndarray, v: np.ndarray, mat: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class FisherBundle:
-    """The Bloch scalars and class flags of one mixed model point."""
+    """The Bloch scalars and class flags of one mixed model point, or of a
+    stack of points (``point`` None, each field with the stack's leading axes)."""
 
-    point: BlochModelPoint
-    gram: np.ndarray         # <d_i s, d_j s>, real symmetric (2, 2)
-    radial: np.ndarray       # r_i = <s, d_i s>, real (2,)
+    point: BlochModelPoint | None
+    gram: np.ndarray         # <d_i s, d_j s>, real symmetric (..., 2, 2)
+    radial: np.ndarray       # r_i = <s, d_i s>, real (..., 2)
     triple_product: float    # k = <s, n>, n = l_perp = d1s x d2s
     perp_quadratic: float    # p = <n, Q^-1 n> = (1-s^2)|n|^2 + |s x n|^2
-    gamma: np.ndarray        # gamma_i = <s, l_i> = r_i / (1 - s^2), real (2,)
+    gamma: np.ndarray        # gamma_i = <s, l_i> = r_i / (1 - s^2), real (..., 2)
     one_minus_s_sq: float
     d_invariant: bool        # |r_i| <= CLASSIFICATION_RTOL |s||d_i s|, both i
     asymptotically_classical: bool  # |k| <= CLASSIFICATION_RTOL |s||n|
 
 
-def bloch_scalars(m: BlochModelPoint) -> FisherBundle:
-    """One pass over (s, d1s, d2s): the Bloch scalars and the class flags.
+def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
+    """The Bloch scalars and class flags of the rows of (N, 3) stacks of
+    (s, d1s, d2s), or of one point's 3-vectors.
 
-    Raises :class:`PureStateError` off the open Bloch ball and
-    :class:`DegenerateModelError` when the derivatives are dependent; unlike
-    :func:`fisher_bundle` it admits a numerically singular SLD Fisher matrix.
+    Raises, for the first row that fails and in this order within a row,
+    :class:`PureStateError` off the open Bloch ball,
+    :class:`DegenerateModelError` for dependent derivatives and, when
+    ``invertible``, :class:`DegenerateModelError` for a singular SLD Fisher
+    matrix G = Gram + r r^T/(1 - s^2).
     """
-    m.require_mixed()
-    s = m.s
-    d1, d2 = m.derivatives()
-    s_squared = m.s_squared
-    one_minus = 1.0 - s_squared
-    radial = np.array([float(s @ d1), float(s @ d2)])
-    d12 = float(d1 @ d2)
-    gram = np.array([[float(d1 @ d1), d12], [d12, float(d2 @ d2)]])
-    n = ell_perp(m)
-    n_squared = float(n @ n)
-    triple = float(s @ n)
-    s_cross_n = radial[1] * d1 - radial[0] * d2
-    # Norms as sqrt of the dot products above, bit-identical to np.linalg.norm.
-    tol = CLASSIFICATION_RTOL * math.sqrt(s_squared)
-    radial_zero = np.abs(radial) <= tol * np.sqrt(np.diag(gram))
+    s, d1, d2 = (np.asarray(x, dtype=float) for x in (s, d1, d2))
+    s_squared = dot3(s, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one_minus = 1.0 - s_squared
+        r1, r2 = dot3(s, d1), dot3(s, d2)
+        g11, g12, g22 = dot3(d1, d1), dot3(d1, d2), dot3(d2, d2)
+        n = np.ascontiguousarray(cross(d1, d2))
+        checks = [
+            (~mixed(s_squared), PureStateError, lambda i: not_mixed_message(s_squared.flat[i])),
+            (dependent(d1, d2, n), DegenerateModelError, "d1s and d2s are linearly dependent"),
+        ]
+        if invertible:
+            h11, h12 = g11 + r1 * r1 / one_minus, g12 + r1 * r2 / one_minus
+            h22 = g22 + r2 * r2 / one_minus
+            norm_sq = h11 * h11 + h12 * h12 + h12 * h12 + h22 * h22
+            singular = (h11 <= 0.0) | (h11 * h22 - h12 * h12 <= SINGULAR_RTOL * norm_sq)
+            message = "SLD Fisher matrix is singular; derivatives degenerate"
+            checks.append((singular, DegenerateModelError, message))
+        raise_first(checks)
+    n_squared = dot3(n, n)
+    triple = dot3(s, n)
+    s_cross_n = r2[..., None] * d1 - r1[..., None] * d2
+    tol = CLASSIFICATION_RTOL * np.sqrt(s_squared)
     return FisherBundle(
-        point=m,
-        gram=gram,
-        radial=radial,
+        point=None,
+        gram=stack_last([[g11, g12], [g12, g22]], 2),
+        radial=stack_last([r1, r2], 1),
         triple_product=triple,
-        perp_quadratic=one_minus * n_squared + float(s_cross_n @ s_cross_n),
-        gamma=radial / one_minus,
+        perp_quadratic=one_minus * n_squared + dot3(s_cross_n, s_cross_n),
+        gamma=stack_last([r1 / one_minus, r2 / one_minus], 1),
         one_minus_s_sq=one_minus,
-        d_invariant=bool(radial_zero.all()),
-        asymptotically_classical=abs(triple) <= tol * math.sqrt(n_squared),
+        d_invariant=(abs(r1) <= tol * np.sqrt(g11)) & (abs(r2) <= tol * np.sqrt(g22)),
+        asymptotically_classical=abs(triple) <= tol * np.sqrt(n_squared),
     )
 
 
-def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
-    """:func:`bloch_scalars` of a point whose SLD Fisher matrix
-    G = Gram + r r^T/(1 - s^2) is invertible: the input of every bound.
+def _one(fb: FisherBundle, m: BlochModelPoint) -> FisherBundle:
+    return FisherBundle(
+        m, fb.gram, fb.radial, float(fb.triple_product), float(fb.perp_quadratic), fb.gamma,
+        float(fb.one_minus_s_sq), bool(fb.d_invariant), bool(fb.asymptotically_classical),
+    )
 
-    Raises what :func:`bloch_scalars` raises, and
-    :class:`DegenerateModelError` when G is singular.
-    """
-    fb = bloch_scalars(m)
-    g = fb.gram + np.outer(fb.radial, fb.radial) / fb.one_minus_s_sq
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if g[0, 0] <= 0.0 or det <= SINGULAR_RTOL * float(np.sum(g**2)):
-        raise DegenerateModelError("SLD Fisher matrix is singular; derivatives degenerate")
-    return fb
+
+def fisher_bundle_many(s, d1, d2) -> FisherBundle:
+    """:func:`bloch_scalars_many` of rows whose SLD Fisher matrix is
+    invertible: the input of every bound."""
+    return bloch_scalars_many(s, d1, d2, invertible=True)
+
+
+def bloch_scalars(m: BlochModelPoint) -> FisherBundle:
+    """:func:`bloch_scalars_many` of one point."""
+    return _one(bloch_scalars_many(m.s, m.d1s, m.d2s), m)
+
+
+def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
+    """:func:`fisher_bundle_many` of one point."""
+    return _one(fisher_bundle_many(m.s, m.d1s, m.d2s), m)
 
 
 @dataclass(frozen=True)

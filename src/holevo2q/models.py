@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import BlochModelPoint
+from .bloch import BlochModelPoint, dot3, mixed, stack_last
 from .errors import DomainError, PureStateError
 
 __all__ = [
@@ -56,10 +56,11 @@ class Poly2D:
             raise DomainError("polynomial coefficients must form a 2-d array")
         object.__setattr__(self, "coeffs", c)
 
-    def __call__(self, x: float, y: float) -> float:
-        xs = x ** np.arange(self.coeffs.shape[0])
-        ys = y ** np.arange(self.coeffs.shape[1])
-        return float(xs @ self.coeffs @ ys)
+    def __call__(self, x, y):
+        """f at (x, y), elementwise over arrays of points."""
+        xs = np.asarray(x, dtype=float)[..., None] ** np.arange(self.coeffs.shape[0])
+        ys = np.asarray(y, dtype=float)[..., None] ** np.arange(self.coeffs.shape[1])
+        return ((xs[..., None, :] @ self.coeffs) @ ys[..., :, None])[..., 0, 0]
 
     def dx(self) -> Poly2D:
         c = self.coeffs
@@ -94,8 +95,11 @@ class Domain:
             object.__setattr__(self, name, (lo, hi))
 
     def contains(self, theta) -> bool:
-        t1, t2 = float(theta[0]), float(theta[1])
-        return self.theta1[0] <= t1 <= self.theta1[1] and self.theta2[0] <= t2 <= self.theta2[1]
+        """Whether theta = (theta1, theta2) lies in the rectangle, elementwise
+        for arrays theta1, theta2."""
+        (lo1, hi1), (lo2, hi2) = self.theta1, self.theta2
+        t1, t2 = (np.asarray(t, dtype=float) for t in theta[:2])
+        return (lo1 <= t1) & (t1 <= hi1) & (lo2 <= t2) & (t2 <= hi2)
 
     def require(self, theta) -> None:
         if not self.contains(theta):
@@ -118,8 +122,32 @@ def _point(s, d1s, d2s) -> BlochModelPoint:
     return BlochModelPoint(s=s, d1s=d1s, d2s=d2s)
 
 
+class _Family:
+    """``evaluate``/``evaluate_many`` over ``_bloch_arrays``, which maps arrays
+    theta1, theta2 of in-domain points to (N, 3) arrays of s, d1s and d2s."""
+
+    def evaluate(self, theta) -> BlochModelPoint:
+        """:meth:`evaluate_many` of one point; raises where that is unusable."""
+        t1, t2 = _check_theta(theta)
+        self.domain.require((t1, t2))
+        s, d1, d2 = (x[0] for x in self._bloch_arrays(np.array([t1]), np.array([t2])))
+        return _point(s, d1, d2)
+
+    def evaluate_many(self, theta1, theta2):
+        """(S, D1, D2, usable) at the points (theta1[i], theta2[i]): (N, 3)
+        arrays, and the mask of points in the domain where the family gives a
+        finite, strictly mixed point (the others are skipped by sweeps)."""
+        t1, t2 = (np.asarray(t, dtype=float).ravel() for t in (theta1, theta2))
+        inside = self.domain.contains((t1, t2))
+        out = np.zeros((3, t1.size, 3))
+        if inside.any():
+            out[:, inside] = self._bloch_arrays(t1[inside], t2[inside])
+        s, d1, d2 = out
+        return s, d1, d2, inside & np.isfinite(out).all(axis=(0, 2)) & mixed(dot3(s, s))
+
+
 @dataclass(frozen=True)
-class Unitary:
+class Unitary(_Family):
     """Fixed-length Bloch vector r (sin t1 cos t2, sin t1 sin t2, cos t1),
     optionally mapped through an orthonormal frame.  Globally D-invariant."""
 
@@ -141,16 +169,18 @@ class Unitary:
             raise DomainError("axes must form a 3x3 orthogonal matrix")
         object.__setattr__(self, "axes", a)
 
-    def evaluate(self, theta) -> BlochModelPoint:
-        t1, t2 = _check_theta(theta)
-        self.domain.require((t1, t2))
-        r, a = self.radius, self.axes
+    def _bloch_arrays(self, t1, t2):
+        ra = self.radius * self.axes
         sin1, cos1 = np.sin(t1), np.cos(t1)
         sin2, cos2 = np.sin(t2), np.cos(t2)
-        s = r * a @ np.array([sin1 * cos2, sin1 * sin2, cos1])
-        d1 = r * a @ np.array([cos1 * cos2, cos1 * sin2, -sin1])
-        d2 = r * a @ np.array([-sin1 * sin2, sin1 * cos2, 0.0])
-        return _point(s, d1, d2)
+
+        def frame(x, y, z):
+            return (ra @ stack_last([x, y, z], 1)[..., None])[..., 0]
+
+        s = frame(sin1 * cos2, sin1 * sin2, cos1)
+        d1 = frame(cos1 * cos2, cos1 * sin2, -sin1)
+        d2 = frame(-sin1 * sin2, sin1 * cos2, np.zeros_like(t1))
+        return s, d1, d2
 
     def to_descriptor(self) -> dict:
         return {
@@ -162,7 +192,7 @@ class Unitary:
 
 
 @dataclass(frozen=True)
-class Planar:
+class Planar(_Family):
     """s = f1(theta) u1 + f2(theta) u2 with unit (not necessarily orthogonal)
     vectors u_i and polynomial f_i.  Asymptotically classical everywhere."""
 
@@ -184,13 +214,12 @@ class Planar:
         if cross < 1e-10:
             raise DomainError("u1 and u2 must be linearly independent")
 
-    def evaluate(self, theta) -> BlochModelPoint:
-        t1, t2 = _check_theta(theta)
-        self.domain.require((t1, t2))
-        s = self.f1(t1, t2) * self.u1 + self.f2(t1, t2) * self.u2
-        d1 = self.f1.dx()(t1, t2) * self.u1 + self.f2.dx()(t1, t2) * self.u2
-        d2 = self.f1.dy()(t1, t2) * self.u1 + self.f2.dy()(t1, t2) * self.u2
-        return _point(s, d1, d2)
+    def _bloch_arrays(self, t1, t2):
+        def combine(f1, f2):
+            return f1(t1, t2)[:, None] * self.u1 + f2(t1, t2)[:, None] * self.u2
+
+        f1, f2 = self.f1, self.f2
+        return combine(f1, f2), combine(f1.dx(), f2.dx()), combine(f1.dy(), f2.dy())
 
     def to_descriptor(self) -> dict:
         return {
@@ -209,7 +238,7 @@ def _generic_z_domain(theta0: float) -> Domain:
 
 
 @dataclass(frozen=True)
-class GenericZ:
+class GenericZ(_Family):
     """s = (theta1, theta2, theta0) with fixed 0 < |theta0| < 1.
 
     Neither D-invariant nor asymptotically classical wherever both theta
@@ -228,11 +257,10 @@ class GenericZ:
         if self.domain is None:
             object.__setattr__(self, "domain", _generic_z_domain(t0))
 
-    def evaluate(self, theta) -> BlochModelPoint:
-        t1, t2 = _check_theta(theta)
-        self.domain.require((t1, t2))
-        s = np.array([t1, t2, self.theta0])
-        return _point(s, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    def _bloch_arrays(self, t1, t2):
+        unit = np.zeros((2, t1.size, 3))
+        unit[0, :, 0] = unit[1, :, 1] = 1.0
+        return stack_last([t1, t2, np.full_like(t1, self.theta0)], 1), unit[0], unit[1]
 
     def to_descriptor(self) -> dict:
         return {
@@ -243,7 +271,7 @@ class GenericZ:
 
 
 @dataclass(frozen=True)
-class Explicit:
+class Explicit(_Family):
     """User-supplied s(theta) with finite-difference derivatives.
 
     ``func`` maps a 2-vector to a real 3-vector.  When built from a JSON
@@ -276,17 +304,16 @@ class Explicit:
         kwargs = {} if domain is None else {"domain": domain}
         return cls(func=func, step=step, components=polys, **kwargs)
 
-    def evaluate(self, theta) -> BlochModelPoint:
-        t1, t2 = _check_theta(theta)
-        self.domain.require((t1, t2))
-        t = np.array([t1, t2])
+    def _bloch_arrays(self, t1, t2):
+        def f(a, b):
+            if self.components is not None:
+                return stack_last([p(a, b) for p in self.components], 1)
+            return np.array([np.asarray(self.func(np.array(t)), float) for t in zip(a, b)])
+
         h = self.step
-        s = np.asarray(self.func(t), dtype=float)
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        d1 = (np.asarray(self.func(t + e1)) - np.asarray(self.func(t - e1))) / (2.0 * h)
-        d2 = (np.asarray(self.func(t + e2)) - np.asarray(self.func(t - e2))) / (2.0 * h)
-        return _point(s, d1, d2)
+        d1 = (f(t1 + h, t2 + 0.0) - f(t1 - h, t2 - 0.0)) / (2.0 * h)
+        d2 = (f(t1 + 0.0, t2 + h) - f(t1 - 0.0, t2 - h)) / (2.0 * h)
+        return f(t1, t2), d1, d2
 
     def to_descriptor(self) -> dict:
         if self.components is None:

@@ -25,6 +25,7 @@ and so scipy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,13 @@ class DensityPoint:
 
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         return self.drho1, self.drho2
+
+    @functools.cached_property
+    def pauli_gram(self) -> np.ndarray:
+        """<a, b>_rho over the basis {I, sx, sy, sz}, built once per point:
+        the matrix :func:`commutation_operator` solves with."""
+        basis = (_ID2,) + PAULI
+        return np.array([[sld_inner(self.rho, a, b).real for b in basis] for a in basis])
 
 
 @dataclass(frozen=True)
@@ -239,14 +247,11 @@ def commutation_operator(dp: DensityPoint, x: np.ndarray) -> np.ndarray:
 
     basis = (_ID2,) + PAULI
     rho = dp.rho
-    gram = np.array(
-        [[sld_inner(rho, a, b).real for b in basis] for a in basis]
-    )
     rhs = np.array(
         [float((np.trace(rho @ (x @ a - a @ x)) / 2.0j).real) for a in basis]
     )
     try:
-        coeffs = np.linalg.solve(gram, rhs)
+        coeffs = np.linalg.solve(dp.pauli_gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("Pauli-basis Gram matrix is singular") from exc
     return sum(coeffs[k] * basis[k] for k in range(4))
@@ -400,7 +405,7 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
     return value, xi
 
 
-def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
+def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarray]:
     """Holevo bound by exact minimization of the unconstrained 2-d reduction.
 
     Candidate Bloch vectors x^i = l^i + xi_i l_perp stay feasible for every
@@ -411,10 +416,11 @@ def minimize_holevo_2d(m: BlochModelPoint, w) -> tuple[float, np.ndarray]:
     Because <l_perp, F l_perp> = 0, h is a convex quadratic in xi plus
     2 |(b|xi) + c|; its coefficients come from the expansion of the same
     geometry, and :func:`_kink_minimum` returns the lowest raw value among
-    the three closed-form candidates.  Returns (value, xi*).
+    the three closed-form candidates.  Returns (value, xi*).  ``fm`` is
+    ``fisher_matrices(m)`` when the caller already has it.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
-    fm = fisher_matrices(m)
+    fm = fisher_matrices(m) if fm is None else fm
     d1, d2 = m.derivatives()
     dual1, dual2 = fm.dual1, fm.dual2
     perp = cross(d1, d2)

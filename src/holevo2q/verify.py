@@ -127,20 +127,21 @@ class DeterminantIdentityResiduals:
         return max(self.quadratic_vs_determinants, self.trabs_consistency, self.gamma_gap)
 
 
-def fisher_determinant_identities(m, weight) -> DeterminantIdentityResiduals:
+def fisher_determinant_identities(m, weight, fm=None) -> DeterminantIdentityResiduals:
     """Evaluate the three structural identities at a mixed point.
 
     1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
     2. 2 sqrt(det W) |<l^1, F l^2>| = TrAbs(W Im G~^-1) = TrAbs(W Im Z)
     3. (gamma | W^-1 gamma) = det(W^-1 G)/(1-s^2) * (C^Z - C^R)
 
-    ``weight`` is a :class:`holevo2q.bounds.WeightMatrix` or a 2x2 array.
+    ``weight`` is a :class:`holevo2q.bounds.WeightMatrix` or a 2x2 array;
+    ``fm`` is ``fisher_matrices(m)`` when the caller already has it.
     """
     if not isinstance(weight, WeightMatrix):
         weight = WeightMatrix.from_matrix(np.asarray(weight, dtype=float))
 
     fb = fisher_bundle(m)
-    fm = fisher_matrices(m)
+    fm = fisher_matrices(m) if fm is None else fm
     one_minus = fb.one_minus_s_sq
 
     lhs1 = fb.perp_quadratic
@@ -228,7 +229,7 @@ def run_verification(
         # Structural identities.
         w = random_weight(rng)
         witness_w = _describe(m, w)
-        ids = fisher_determinant_identities(m, w)
+        ids = fisher_determinant_identities(m, w, fm)
         track.note("identity_quadratic_determinant", ids.quadratic_vs_determinants, witness_w)
         track.note("identity_trabs_forms", ids.trabs_consistency, witness_w)
         track.note("identity_gamma_gap", ids.gamma_gap, witness_w)
@@ -335,7 +336,8 @@ def run_verification(
         fb = fisher_bundle(m)
         report = holevo_bound(fb, w)
         branch_counts[report.branch.value] = branch_counts.get(report.branch.value, 0) + 1
-        value_2d, _ = minimize_holevo_2d(m, w)
+        fm = fisher_matrices(m)
+        value_2d, _ = minimize_holevo_2d(m, w, fm)
         track.note(
             "holevo_vs_reduced_search",
             abs(value_2d - report.c_h) / abs(report.c_h),
@@ -349,7 +351,7 @@ def run_verification(
         )
         track.note(
             "z_bound_from_duals",
-            abs(report.c_z - _holevo_at_duals(fisher_matrices(m), w)) / abs(report.c_z),
+            abs(report.c_z - _holevo_at_duals(fm, w)) / abs(report.c_z),
             witness,
         )
 

@@ -17,9 +17,11 @@ measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
 Every other path runs REPEATS = 3 times.  Repetitions alternate between the
 columns, so a drift in host speed reaches every column alike.  A column keeps
 each run's seconds and their median, the sha256 of each path's output (equal
-hashes mean byte-identical CSV/JSON) and the tier-1 summary line.  Columns
-already in OUT.json that are not named again are kept; the machine record
-(usable cores, Python, numpy) is rewritten.  Standard library only.
+hashes mean byte-identical CSV/JSON), the tier-1 summary line, and whether
+the median of every 101x101 sweep is under SWEEP_TARGET_S (the ROADMAP's
+0.4 s target).  Columns already in OUT.json that are not named again are
+kept; the machine record (usable cores, Python, numpy) is rewritten.
+Standard library only.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ import tempfile
 import time
 
 REPEATS = 3
+SWEEP_TARGET_S = 0.4
 MODELS = {"gz02.json": {"kind": "generic_z", "theta0": 0.2},
           "gz023.json": {"kind": "generic_z", "theta0": 0.23}}
 THETA = "0.2447,0.2447"
@@ -108,7 +111,10 @@ def main(argv):
                      for path, r in runs[name].items()}
             paths["tier1"] = {"runs_s": [round(seconds, 4)], "median_s": round(seconds, 4),
                               "summary": stdout.strip().splitlines()[-1]}
-            results[name] = {"paths": paths, "output_sha256": digests[name]}
+            sweeps = [v["median_s"] for p, v in paths.items() if p.startswith("sweep")]
+            results[name] = {"paths": paths, "output_sha256": digests[name],
+                             "sweeps_under_target_s": {"target_s": SWEEP_TARGET_S,
+                                                       "all": max(sweeps) < SWEEP_TARGET_S}}
     record = {}
     if os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as fh:
