@@ -253,6 +253,7 @@ def test_batch_raises_for_the_first_offending_row():
         stacks = [np.array([row[k] for row in rows], dtype=float) for k in range(3)]
         with pytest.raises(exc, match=message):
             fisher_bundle_many(*stacks)
+    # Without the SLD guard a singular G is admitted, as bloch_scalars admits it.
     bloch_scalars_many(*(np.array([row[k] for row in [singular]]) for k in range(3)))
 
 
