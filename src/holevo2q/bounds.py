@@ -231,11 +231,16 @@ def weight_root(w: np.ndarray) -> np.ndarray:
     return (evecs * np.sqrt(evals)) @ evecs.T
 
 
-def trabs_from_root(w_half: np.ndarray, xm: np.ndarray) -> float:
+def trabs_from_root(w_half: np.ndarray, xm: np.ndarray):
     """sum |eig(W^(1/2) X W^(1/2))| given ``w_half`` = :func:`weight_root` (W),
-    for callers that evaluate TrAbs at many X under one W."""
-    sandwich = w_half @ xm @ w_half
-    return float(np.abs(np.linalg.eigvals(sandwich)).sum())
+    for callers that evaluate TrAbs at many X under one W.
+
+    ``xm`` is one 2x2 X (a float is returned) or an (N, 2, 2) stack (an array
+    of N values, each the bits of the one-X call); ``w_half`` may be a
+    matching stack of roots.
+    """
+    sums = np.abs(np.linalg.eigvals(w_half @ xm @ w_half)).sum(axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def bound_sld(fb: FisherBundle, w) -> float:

@@ -18,7 +18,9 @@ module is to validate those formulas from scratch:
 On its 2-d feasible slice the Holevo function is a convex quadratic plus
 2|affine|, so both minimizers return the lowest raw value among three
 closed-form candidates once raw values at probe points and around that
-minimum have confirmed the model (``_kink_minimum``).  Only the grid oracle,
+minimum have confirmed the model (``_kink_minimum``).  The raw objectives
+take (N, 2) stacks of points, so a solve is two stacked evaluations: one of
+the candidates and one of every probe.  Only the grid oracle,
 the derivative-free check of the closed form's case split, uses Nelder-Mead
 and so scipy.
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochModelPoint, cross
+from .bloch import BlochModelPoint, cross, dot3
 from .bounds import WeightMatrix, trabs_from_root, weight_root
 from .errors import (
     DegenerateModelError,
@@ -280,65 +282,59 @@ def holevo_function(dp: DensityPoint, pair: HermitianPair, w) -> float:
         raise FeasibilityError(
             f"observable pair violates unbiasedness constraints by {residual:.3e}"
         )
-    return _holevo_evaluator(dp.rho, weight)(pair.x1, pair.x2)
+    return float(_holevo_evaluator(dp.rho, weight)(pair.x1[None], pair.x2[None])[0])
 
 
 def _holevo_evaluator(rho: np.ndarray, weight: WeightMatrix):
-    """The Holevo function of observable pairs at fixed (rho, W).
-
-    W^(1/2) is computed once per (rho, W).
+    """The Holevo function of stacks (N, 2, 2) of observable pairs at fixed
+    (rho, W), as N values.  W^(1/2) is computed once per (rho, W).
     """
     wm = weight.matrix
     w_half = weight_root(wm)
 
-    def value(x1: np.ndarray, x2: np.ndarray) -> float:
-        z = _z_matrix(rho, x1, x2)
-        return float((wm @ z.real).trace() + trabs_from_root(w_half, _antisym(z.imag)))
+    def values(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        re, im = _re_im(wm, _z_matrix(rho, x1, x2))
+        return re + trabs_from_root(w_half, im)
 
-    return value
+    return values
 
 
 def _z_matrix(rho: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Z_ij = tr((rho X^j) X^i), the same products as tr(rho X^j X^i), with
-    rho X^j formed once per j."""
-    rx1, rx2 = rho @ x1, rho @ x2
-    return np.array(
-        [
-            [(rx1 @ x1).trace(), (rx2 @ x1).trace()],
-            [(rx1 @ x2).trace(), (rx2 @ x2).trace()],
-        ]
-    )
+    """Z_ij = tr((rho X^j) X^i) for stacks (N, 2, 2) of X^1, X^2: the same
+    products as tr(rho X^j X^i), with rho X^j formed once per j."""
+    xs = np.stack([x1, x2], axis=1)
+    prod = (rho @ xs)[:, None] @ xs[:, :, None]  # [n, i, j] = rho X^j X^i
+    return prod[..., 0, 0] + prod[..., 1, 1]
 
 
-def _antisym(mat: np.ndarray) -> np.ndarray:
-    # Z[X] is Hermitian, so Im Z is antisymmetric up to rounding; symmetrize
-    # the rounding away before TrAbs.
-    return 0.5 * (mat - mat.T)
+def _re_im(wm: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tr(W Re Z) and Im Z of a stack (N, 2, 2) of Z matrices.  Z[X] is
+    Hermitian, so Im Z is antisymmetric up to rounding; the rounding is
+    symmetrized away before TrAbs."""
+    re = wm @ z.real
+    return re[:, 0, 0] + re[:, 1, 1], 0.5 * (z.imag - z.imag.swapaxes(1, 2))
 
 
 def pair_from_bloch_vectors(m: BlochModelPoint, x1, x2) -> HermitianPair:
     """Observables X^i = -<s, x^i> I + x^i . sigma for real 3-vectors x^i."""
-    return HermitianPair(
-        x1=_bloch_operator(m.s, np.asarray(x1, dtype=float)),
-        x2=_bloch_operator(m.s, np.asarray(x2, dtype=float)),
-    )
+    ops = _bloch_operator(m.s, np.array([x1, x2], dtype=float))
+    return HermitianPair(x1=ops[0], x2=ops[1])
 
 
 def _bloch_operator(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """-<s, v> I + v.sigma, written out entry by entry.
+    """-<s, v> I + v.sigma for each row of an (N, 3) stack, entry by entry.
 
     Each entry has one nonzero term of the Pauli sum, so it equals the sum
     ``-<s, v> I + sum_k v_k sigma_k`` bit for bit; the ``+ 0.0`` turns -0.0
     into 0.0, as that sum (which starts from 0) does.
     """
-    c = float(s @ v)
-    v1, v2, v3 = v.tolist()
-    return np.array(
-        [
-            [complex(-c + v3 + 0.0, 0.0), complex(v1 + 0.0, -v2 + 0.0)],
-            [complex(v1 + 0.0, v2 + 0.0), complex(-c - v3 + 0.0, 0.0)],
-        ]
-    )
+    c = dot3(v, s)
+    v1, v2, v3 = v.T
+    ops = np.zeros((len(v), 2, 2), dtype=complex)
+    ops.real[:, 0, 0], ops.real[:, 1, 1] = -c + v3 + 0.0, -c - v3 + 0.0
+    ops.real[:, 0, 1] = ops.real[:, 1, 0] = v1 + 0.0
+    ops.imag[:, 0, 1], ops.imag[:, 1, 0] = -v2 + 0.0, v2 + 0.0
+    return ops
 
 
 def _nelder_mead(fun, x0: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
@@ -374,34 +370,41 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
 
     -A^-1 (g + b), -A^-1 (g - b) and the minimum of the quadratic on the kink
     line (b|xi) + c = 0 (absent when (b|A^-1 b) = 0).  Returns (value, xi*).
-    Raises :class:`OracleCertificateError` when ``fun`` departs from m at two
-    probe points by more than ``FIT_RTOL`` (1 + |fun|), or falls below the
-    value by more than ``CERTIFICATE_RTOL`` (relative) at xi* +- h (1 + |xi*|) d
-    for d along e1, e2 and the kink line and h in ``_CERTIFICATE_STEPS``.
+    ``fun`` maps an (N, 2) stack of points to N raw values; it is called
+    twice, on the finite candidates and then on every probe point at once.
+    Raises :class:`OracleCertificateError` when no candidate is finite, when
+    ``fun`` departs from m at two probe points by more than ``FIT_RTOL``
+    (1 + |fun|), or when it falls below the value by more than
+    ``CERTIFICATE_RTOL`` (relative) at xi* +- h (1 + |xi*|) d for d along e1,
+    e2 and the kink line and h in ``_CERTIFICATE_STEPS``; the fit is checked
+    first.
     """
     a_inv = invert_2x2(a, exc=SingularMatrixError)
     candidates = [-a_inv @ (g + b), -a_inv @ (g - b)]
     beta = float(b @ a_inv @ b)
     if beta > 0.0:
         candidates.append(-a_inv @ (g + (c - float(b @ a_inv @ g)) / beta * b))
-    value, xi = min(
-        ((float(fun(x)), x) for x in candidates if np.isfinite(x).all()),
-        key=lambda pair: pair[0],
-    )
+    candidates = [x for x in candidates if np.isfinite(x).all()]
+    if not candidates:
+        raise OracleCertificateError("no finite candidate")
+    value, xi = min(zip(fun(np.array(candidates)).tolist(), candidates), key=lambda p: p[0])
     scale = 1.0 + float(np.hypot(*xi))
-    for u in _FIT_PROBES:
-        x = xi + scale * u
-        raw = float(fun(x))
+    b_norm = float(np.hypot(*b))
+    kink = [np.array([-b[1], b[0]]) / b_norm] if b_norm > 0.0 else []
+    directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), *kink]
+    probes = [xi + scale * u for u in _FIT_PROBES] + [
+        xi + sign * h * scale * d
+        for d in directions for h in _CERTIFICATE_STEPS for sign in (1, -1)
+    ]
+    raws = fun(np.array(probes)).tolist()
+    for x, raw in zip(probes, raws[: len(_FIT_PROBES)]):
         fit = raw - s0 - 2.0 * float(g @ x) - float(x @ a @ x) - 2.0 * abs(float(b @ x) + c)
         if abs(fit) > FIT_RTOL * (1.0 + abs(raw)):
             raise OracleCertificateError(f"raw objective departs from its model by {fit:.3e}")
-    b_norm = float(np.hypot(*b))
-    kink = [np.array([-b[1], b[0]]) / b_norm] if b_norm > 0.0 else []
-    for d in [np.array([1.0, 0.0]), np.array([0.0, 1.0]), *kink]:
-        for step in (sign * h * scale * d for h in _CERTIFICATE_STEPS for sign in (1, -1)):
-            drop = value - float(fun(xi + step))
-            if drop > CERTIFICATE_RTOL * abs(value):
-                raise OracleCertificateError(f"raw objective is {drop:.3e} below its minimum")
+    for raw in raws[len(_FIT_PROBES) :]:
+        drop = value - raw
+        if drop > CERTIFICATE_RTOL * abs(value):
+            raise OracleCertificateError(f"raw objective is {drop:.3e} below its minimum")
     return value, xi
 
 
@@ -416,7 +419,8 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
     Because <l_perp, F l_perp> = 0, h is a convex quadratic in xi plus
     2 |(b|xi) + c|; its coefficients come from the expansion of the same
     geometry, and :func:`_kink_minimum` returns the lowest raw value among
-    the three closed-form candidates.  Returns (value, xi*).  ``fm`` is
+    the three closed-form candidates, evaluating h on two stacks of xi (the
+    candidates, then every probe).  Returns (value, xi*).  ``fm`` is
     ``fisher_matrices(m)`` when the caller already has it.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
@@ -441,12 +445,12 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
     w11, w12, w22 = weight.w11, weight.w12, weight.w22
     sqrt_det_w = np.sqrt(weight.det)
 
-    def objective(xi: np.ndarray) -> float:
-        x1 = dual1 + xi[0] * perp
-        x2 = dual2 + xi[1] * perp
-        y1, y2 = x1 @ q_inv, x2 @ q_inv
-        quad = w11 * (y1 @ x1) + w12 * (y1 @ x2) + w12 * (y2 @ x1) + w22 * (y2 @ x2)
-        return quad + 2.0 * sqrt_det_w * abs(x1 @ cross(s, x2))
+    def objective(xi: np.ndarray) -> np.ndarray:
+        x1 = dual1 + xi[:, :1] * perp
+        x2 = dual2 + xi[:, 1:] * perp
+        y1, y2 = (x1[:, None, :] @ q_inv)[:, 0, :], (x2[:, None, :] @ q_inv)[:, 0, :]
+        quad = w11 * dot3(y1, x1) + w12 * dot3(y1, x2) + w12 * dot3(y2, x1) + w22 * dot3(y2, x2)
+        return quad + 2.0 * sqrt_det_w * np.abs(dot3(x1, cross(s, x2)))
 
     # Expansion in xi: x^i Q^-1 x^j and <x^1, F x^2> with F x = s x x.
     y1, y2, yp = dual1 @ q_inv, dual2 @ q_inv, perp @ q_inv
@@ -467,8 +471,9 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
     route shares nothing with the closed Bloch-side formulas; it is the
     evaluator of :func:`holevo_function`, built once for (rho, W).  Its
     quadratic part Tr(W Re Z) is fitted from raw traces at t in {0, +-e1,
-    +-e2, e1 + e2} and the affine Im Z_12 from t in {0, +-e1, +-e2}; then
-    :func:`_kink_minimum` returns the lowest raw value among the candidates.
+    +-e2, e1 + e2} and the affine Im Z_12 from t in {0, +-e1, +-e2}, all six
+    in one stacked evaluation; then :func:`_kink_minimum` returns the lowest
+    raw value among the candidates, with two more stacked evaluations.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     # Recover the Bloch data from the operators themselves.
@@ -494,31 +499,23 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
         raise DegenerateModelError("constraint matrix is rank deficient")
     null_basis = vt[4:].T  # (6, 2)
 
-    rho = dp.rho
-    wm = weight.matrix
-    holevo = _holevo_evaluator(rho, weight)
+    holevo = _holevo_evaluator(dp.rho, weight)
 
     def operators(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = x0 + null_basis @ t
-        return _bloch_operator(s, x[0:3]), _bloch_operator(s, x[3:6])
+        x = x0 + (null_basis @ t[:, :, None])[:, :, 0]
+        return _bloch_operator(s, x[:, 0:3]), _bloch_operator(s, x[:, 3:6])
 
-    def objective(t: np.ndarray) -> float:
-        return holevo(*operators(t))
-
-    def re_im(t) -> tuple[float, float]:
-        z = _z_matrix(rho, *operators(np.asarray(t, dtype=float)))
-        return float((wm @ z.real).trace()), float(_antisym(z.imag)[0, 1])
-
-    (s0, l0), (sp1, lp1), (sm1, lm1), (sp2, lp2), (sm2, lm2), (s12, _) = (
-        re_im(t) for t in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1))
-    )
+    fit_t = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)], dtype=float)
+    re, im = _re_im(weight.matrix, _z_matrix(dp.rho, *operators(fit_t)))
+    s0, sp1, sm1, sp2, sm2, s12 = re.tolist()
+    l0, lp1, lm1, lp2, lm2, _ = im[:, 0, 1].tolist()
     g = np.array([sp1 - sm1, sp2 - sm2]) / 4.0
     a11, a22 = 0.5 * (sp1 + sm1) - s0, 0.5 * (sp2 + sm2) - s0
     a12 = 0.5 * (s12 - s0 - 2.0 * (g[0] + g[1]) - a11 - a22)
     sqrt_det_w = np.sqrt(weight.det)
     b = sqrt_det_w * np.array([lp1 - lm1, lp2 - lm2]) / 2.0
     a = np.array([[a11, a12], [a12, a22]])
-    value, _ = _kink_minimum(objective, s0, g, a, b, sqrt_det_w * l0)
+    value, _ = _kink_minimum(lambda t: holevo(*operators(t)), s0, g, a, b, sqrt_det_w * l0)
     return value
 
 

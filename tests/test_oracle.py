@@ -16,6 +16,8 @@ from holevo2q.bounds import (
     holevo_bound_three_param,
     quadratic_abs_min,
     trabs_eigenvalues,
+    trabs_from_root,
+    weight_root,
 )
 from holevo2q.errors import FeasibilityError, OracleCertificateError, PureStateError
 from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
@@ -450,7 +452,7 @@ class TestExactSolve:
         # at a nearby point; a larger drop raises.  Model: 1 + 1e-6 |xi|^2.
         def solve_with_drop(drop):
             def fun(xi):
-                return 1.0 + 1e-6 * float(xi @ xi) - (drop if xi.any() else 0.0)
+                return 1.0 + 1e-6 * (xi * xi).sum(axis=1) - np.where(xi.any(axis=1), drop, 0.0)
 
             return oracle._kink_minimum(
                 fun, 1.0, np.zeros(2), 1e-6 * np.eye(2), np.zeros(2), 0.0
@@ -463,10 +465,87 @@ class TestExactSolve:
     def test_fit_check_raises(self):
         # Coefficients that do not describe the raw objective are rejected.
         def fun(xi):
-            return 1.0 + 2.0 * float(xi @ xi)
+            return 1.0 + 2.0 * (xi * xi).sum(axis=1)
 
         with pytest.raises(OracleCertificateError, match="departs from its model"):
             oracle._kink_minimum(fun, 1.0, np.zeros(2), np.eye(2), np.zeros(2), 0.0)
+
+    def test_two_stacked_calls(self):
+        # One call on the candidates, one on every fit and certificate probe.
+        calls = []
+
+        def fun(xi):
+            calls.append(len(xi))
+            return 1.0 + (xi * xi).sum(axis=1) + 2.0 * np.abs(xi[:, 0] - 0.5)
+
+        value, xi = oracle._kink_minimum(
+            fun, 1.0, np.zeros(2), np.eye(2), np.array([1.0, 0.0]), -0.5
+        )
+        assert value == pytest.approx(1.25) and xi == pytest.approx([0.5, 0.0])
+        assert calls == [3, 2 + 3 * 2 * len(oracle._CERTIFICATE_STEPS)]
+
+    def test_fit_check_precedes_certificate(self):
+        # 1 + 2|xi|^2 minus 1e-7 away from 0: within the fit tolerance but not
+        # the certificate's, which fails under the right model; under the wrong
+        # one both fail, and the fit message wins.
+        def fun(xi):
+            return 1.0 + 2.0 * (xi * xi).sum(axis=1) - np.where(xi.any(axis=1), 1e-7, 0.0)
+
+        def solve(a):
+            oracle._kink_minimum(fun, 1.0, np.zeros(2), a, np.zeros(2), 0.0)
+
+        with pytest.raises(OracleCertificateError, match="below its minimum"):
+            solve(2.0 * np.eye(2))
+        with pytest.raises(OracleCertificateError, match="departs from its model"):
+            solve(np.eye(2))
+
+    def test_no_finite_candidate(self):
+        # A tiny A and a huge g overflow every candidate; fun is never called.
+        def fun(xi):
+            raise AssertionError("fun called")
+
+        with np.errstate(over="ignore"), pytest.raises(
+            OracleCertificateError, match="no finite candidate"
+        ):
+            oracle._kink_minimum(
+                fun, 1.0, np.array([1e300, 0.0]), 1e-150 * np.eye(2), np.zeros(2), 0.0
+            )
+
+
+class TestStackedEvaluation:
+    """Stacked raw evaluations return the bits of their one-item forms."""
+
+    def test_holevo_evaluator_matches_holevo_function(self):
+        # 20 seeded points, 25 feasible pairs each, drawn as in
+        # TestHolevoFunction.test_bit_identical_to_definition.
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            m = random_model_point(rng)
+            w = random_weight(rng)
+            fm = fisher_matrices(m)
+            perp = np.cross(m.d1s, m.d2s)
+            xi = rng.normal(size=(25, 2)) * 10.0 ** rng.uniform(-3, 1, size=(25, 2))
+            vecs1 = fm.dual1 + xi[:, :1] * perp
+            vecs2 = fm.dual2 + xi[:, 1:] * perp
+            dp = density_point(m)
+            stacked = oracle._holevo_evaluator(dp.rho, w)(
+                oracle._bloch_operator(m.s, vecs1), oracle._bloch_operator(m.s, vecs2)
+            )
+            one_by_one = [
+                holevo_function(dp, pair_from_bloch_vectors(m, v1, v2), w)
+                for v1, v2 in zip(vecs1, vecs2)
+            ]
+            assert stacked.tobytes() == np.array(one_by_one).tobytes()
+
+    def test_trabs_from_root_matches_one_x(self):
+        rng = np.random.default_rng(84)
+        w_halves = np.array([weight_root(random_weight(rng).matrix) for _ in range(1000)])
+        xms = rng.normal(size=(1000, 2, 2)) * 10.0 ** rng.uniform(-3, 3, size=(1000, 1, 1))
+        xms[::2] -= xms[::2].swapaxes(1, 2)  # antisymmetric, as oracle Im Z is
+        stacked = trabs_from_root(w_halves, xms)
+        one_by_one = [trabs_from_root(wh, xm) for wh, xm in zip(w_halves, xms)]
+        assert all(type(v) is float for v in one_by_one)
+        assert stacked.tobytes() == np.array(one_by_one).tobytes()
 
 
 class TestGridQuadraticOracle:

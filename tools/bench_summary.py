@@ -11,15 +11,17 @@ measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
 * ``sweep_theta``: ``sweep-theta --grid 101`` on generic_z theta0=0.23 at
   W=(0.55, 0.1, 0.45);
 * ``verify``: ``verify --seed 42 --count 200``;
+* ``oracle_values``: ROOT's ``tools/oracle_values.py 21 31 77``, both oracle
+  minimizers on the 288 seeded cases of the benchmark's ``oracle`` workload;
 * ``tier1``: ``python -m pytest -q --continue-on-collection-errors`` in ROOT,
   run once per column.
 
 Every other path runs REPEATS = 3 times.  Repetitions alternate between the
 columns, so a drift in host speed reaches every column alike.  A column keeps
 each run's seconds and their median, the sha256 of each path's output (equal
-hashes mean byte-identical CSV/JSON), the tier-1 summary line, and whether
-the median of every 101x101 sweep is under SWEEP_TARGET_S (the ROADMAP's
-0.4 s target).  Columns already in OUT.json that are not named again are
+hashes mean byte-identical CSV, JSON or text), the tier-1 summary line, and
+whether the median of every 101x101 sweep is under SWEEP_TARGET_S (the
+ROADMAP's 0.4 s target).  Columns already in OUT.json that are not named again are
 kept; the machine record (usable cores, Python, numpy) is rewritten.
 Standard library only.
 """
@@ -49,6 +51,7 @@ PATHS = {
     "sweep_theta": ["sweep-theta", "--model", "gz023.json", "--weight", WEIGHT,
                     "--out", "out.csv"],
     "verify": ["verify", "--seed", "42", "--count", "200"],
+    "oracle_values": ["oracle_values.py", "21", "31", "77"],
 }
 
 
@@ -56,6 +59,13 @@ def _env(root):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
     return env
+
+
+def _command(args, root):
+    """Interpreter argv of one path: a script of ROOT's tools/, or the CLI."""
+    if args[0].endswith(".py"):
+        return [sys.executable, os.path.join(root, "tools", args[0]), *args[1:]]
+    return [sys.executable, "-m", "holevo2q.cli", *args]
 
 
 def _run(argv, root, cwd):
@@ -82,7 +92,7 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     out_path = argv[1]
-    columns = dict(a.split("=", 1) for a in argv[2:])
+    columns = {name: os.path.abspath(root) for name, root in (a.split("=", 1) for a in argv[2:])}
     runs = {name: {path: [] for path in PATHS} for name in columns}
     digests = {name: {} for name in columns}
     results = {}
@@ -94,8 +104,7 @@ def main(argv):
         for _ in range(REPEATS):
             for name, root in columns.items():
                 for path, args in PATHS.items():
-                    cmd = [sys.executable, "-m", "holevo2q.cli", *args]
-                    seconds, stdout = _run(cmd, os.path.abspath(root), work)
+                    seconds, stdout = _run(_command(args, root), root, work)
                     data = stdout.encode()
                     if os.path.exists(out_csv):  # the sweeps write their CSV here
                         with open(out_csv, "rb") as fh:
@@ -106,7 +115,7 @@ def main(argv):
         for name, root in columns.items():
             cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
                    "-p", "no:cacheprovider"]
-            seconds, stdout = _run(cmd, os.path.abspath(root), os.path.abspath(root))
+            seconds, stdout = _run(cmd, root, root)
             paths = {path: {"runs_s": r, "median_s": round(statistics.median(r), 4)}
                      for path, r in runs[name].items()}
             paths["tier1"] = {"runs_s": [round(seconds, 4)], "median_s": round(seconds, 4),
