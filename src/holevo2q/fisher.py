@@ -60,6 +60,7 @@ __all__ = [
     "fisher_matrices",
     "invert_2x2",
     "one_param_bound",
+    "sld_duals",
 ]
 
 # Reject 2x2 inversion when |det| < SINGULAR_RTOL * ||M||_F^2.
@@ -71,12 +72,12 @@ def invert_2x2(mat: np.ndarray, exc: type[Exception] = DegenerateModelError) -> 
     m = np.asarray(mat)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    norm_sq = float(np.sum(np.abs(m) ** 2))
+    (a, b), (c, d) = m.tolist()
+    det = a * d - b * c
+    norm_sq = sum(x * x for x in map(abs, (a, b, c, d)))
     if abs(det) < SINGULAR_RTOL * norm_sq or norm_sq == 0.0:
         raise exc(f"2x2 matrix is singular beyond tolerance (det = {det:.3e})")
-    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    return adj / det
+    return np.array([[d, -b], [-c, a]], dtype=m.dtype) / det
 
 
 def _bilinear(u: np.ndarray, mat: np.ndarray, v: np.ndarray) -> complex:
@@ -194,24 +195,31 @@ class FisherMatrices:
     dual2: np.ndarray
 
 
-def fisher_matrices(m: BlochModelPoint) -> FisherMatrices:
-    """Build G, G~, their inverses, the SLD duals and Z from the metric factors.
+def sld_duals(m: BlochModelPoint, fb: FisherBundle | None = None):
+    """(G, G^-1, l^1, l^2), the SLD side of :func:`fisher_matrices`.
 
     Accepts exactly the points :func:`fisher_bundle` accepts and raises what
-    it raises.
+    it raises; ``fb`` is ``fisher_bundle(m)`` when the caller already has it.
     """
-    fisher_bundle(m)
+    if fb is None:
+        fisher_bundle(m)
     q = q_matrix(m)
     d1, d2 = m.derivatives()
     l1, l2 = q @ d1, q @ d2
-
     g = np.array([[float(a @ q @ b) for b in (d1, d2)] for a in (d1, d2)])
     g_inv = invert_2x2(g)
-    g_tilde = _hermitian_from_upper(d1, d2, q_tilde(m))
-    g_tilde_inv = invert_2x2(g_tilde)
-
     dual1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
     dual2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2
+    return g, g_inv, dual1, dual2
+
+
+def fisher_matrices(m: BlochModelPoint, fb: FisherBundle | None = None) -> FisherMatrices:
+    """G, G~, their inverses, the SLD duals and Z from the metric factors;
+    accepts, raises and takes ``fb`` as :func:`sld_duals` does."""
+    g, g_inv, dual1, dual2 = sld_duals(m, fb)
+    d1, d2 = m.derivatives()
+    g_tilde = _hermitian_from_upper(d1, d2, q_tilde(m))
+    g_tilde_inv = invert_2x2(g_tilde)
     z = _hermitian_from_upper(dual1, dual2, q_tilde_inverse(m))
     return FisherMatrices(m, g, g_inv, g_tilde, g_tilde_inv, z, dual1, dual2)
 

@@ -20,9 +20,10 @@ On its 2-d feasible slice the Holevo function is a convex quadratic plus
 closed-form candidates once raw values at probe points and around that
 minimum have confirmed the model (``_kink_minimum``).  The raw objectives
 take (N, 2) stacks of points, so a solve is two stacked evaluations: one of
-the candidates and one of every probe.  Only the grid oracle,
-the derivative-free check of the closed form's case split, uses Nelder-Mead
-and so scipy.
+the candidates and one of every probe, checked as arrays.  Density matrices,
+Pauli coefficients and 2x2 traces are read entry by entry, with the bits of
+the numpy calls they replace.  Only the grid oracle, the derivative-free
+check of the closed form's case split, uses Nelder-Mead and so scipy.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     PureStateError,
     SingularMatrixError,
 )
-from .fisher import fisher_matrices, invert_2x2
+from .fisher import invert_2x2, sld_duals
 
 __all__ = [
     "PAULI",
@@ -76,10 +77,20 @@ FIT_RTOL = 1e-6
 CERTIFICATE_RTOL = 1e-9
 _FIT_PROBES = (np.array([0.6, 0.8]), np.array([-0.8, 0.6]))
 _CERTIFICATE_STEPS = (1e-2, 1e-4, 1e-6)
+# As arrays: the fit offsets, +-h in probe order, and the directions e1, e2.
+_FIT_OFFSETS = np.array(_FIT_PROBES)
+_SIGNED_STEPS = np.array([sign * h for h in _CERTIFICATE_STEPS for sign in (1, -1)])
+_AXES = np.eye(2)
 
 
 def _herm(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
+
+
+def _trace(mat: np.ndarray):
+    """The bits of ``np.trace`` of a 2x2 matrix or of each of a stack, without
+    its call overhead: np.trace sums from 0, so an exact zero is +0.0."""
+    return mat[..., 0, 0] + mat[..., 1, 1] + 0.0
 
 
 @dataclass(frozen=True)
@@ -91,18 +102,21 @@ class DensityPoint:
     drho2: np.ndarray
 
     def __post_init__(self):
-        for name in ("rho", "drho1", "drho2"):
-            mat = np.asarray(getattr(self, name), dtype=complex)
-            if mat.shape != (2, 2):
+        names = ("rho", "drho1", "drho2")
+        for name in names:
+            if np.shape(getattr(self, name)) != (2, 2):
                 raise ValueError(f"{name} must be 2x2")
-            if np.abs(mat - mat.conj().T).max() > 1e-12 * (1.0 + np.abs(mat).max()):
+        mats = np.array([getattr(self, name) for name in names], dtype=complex)
+        asym = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        skew = asym > 1e-12 * (1.0 + np.abs(mats).max(axis=(1, 2)))
+        for name, mat, bad in zip(names, mats, skew.tolist()):
+            if bad:
                 raise ValueError(f"{name} must be Hermitian")
             object.__setattr__(self, name, mat)
-        if abs(np.trace(self.rho) - 1.0) > 1e-12:
-            raise ValueError("rho must have unit trace")
-        for name in ("drho1", "drho2"):
-            if abs(np.trace(getattr(self, name))) > 1e-12:
-                raise ValueError(f"{name} must be traceless")
+        wanted = ("have unit trace", "be traceless", "be traceless")
+        for name, tr, target, what in zip(names, _trace(mats).tolist(), (1.0, 0.0, 0.0), wanted):
+            if abs(tr - target) > 1e-12:
+                raise ValueError(f"{name} must {what}")
         if np.linalg.eigvalsh(self.rho).min() < MIN_EIGENVALUE:
             raise PureStateError("rho is not strictly positive")
 
@@ -139,10 +153,10 @@ class HermitianPair:
 
 def density_point(m: BlochModelPoint) -> DensityPoint:
     """rho = (I + s.sigma)/2 and its derivatives from a Bloch model point."""
-    s, (d1, d2) = m.s, m.derivatives()
-    rho = 0.5 * (_ID2 + sum(s[k] * PAULI[k] for k in range(3)))
-    dr1 = 0.5 * sum(d1[k] * PAULI[k] for k in range(3))
-    dr2 = 0.5 * sum(d2[k] * PAULI[k] for k in range(3))
+    # v.sigma for v = s, d1s, d2s: -<0, v> I + v.sigma, the bits of the Pauli sum.
+    ops = _bloch_operator(np.zeros(3), np.array([m.s, m.d1s, m.d2s]))
+    ops[0] += _ID2
+    rho, dr1, dr2 = 0.5 * ops
     return DensityPoint(rho=rho, drho1=dr1, drho2=dr2)
 
 
@@ -176,12 +190,12 @@ def sld_inner(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
     linear in ``x``) is what the mixed relations with the commutation
     superoperator use.
     """
-    return complex(0.5 * np.trace(rho @ (y @ x.conj().T + x.conj().T @ y)))
+    return complex(0.5 * _trace(rho @ (y @ x.conj().T + x.conj().T @ y)))
 
 
 def rld_inner(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
     """Right inner product tr(rho y x^dagger)."""
-    return complex(np.trace(rho @ y @ x.conj().T))
+    return complex(_trace(rho @ y @ x.conj().T))
 
 
 def operator_fisher(dp: DensityPoint):
@@ -207,7 +221,7 @@ def operator_fisher(dp: DensityPoint):
     du2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2
     duals = (du1, du2)
     z = np.array(
-        [[np.trace(rho @ duals[j] @ duals[i]) for j in range(2)] for i in range(2)]
+        [[_trace(rho @ duals[j] @ duals[i]) for j in range(2)] for i in range(2)]
     )
     return g, gt, z
 
@@ -227,9 +241,10 @@ def dual_operators(dp: DensityPoint) -> tuple[np.ndarray, np.ndarray]:
 
 def bloch_coefficients(op: np.ndarray) -> tuple[complex, np.ndarray]:
     """Expansion op = a I + v.sigma; returns (a, v) with v the sigma part."""
-    a = complex(np.trace(op)) / 2.0
-    v = np.array([complex(np.trace(op @ PAULI[k])) / 2.0 for k in range(3)])
-    return a, v
+    # tr(op) and tr(op sigma_k) from the entries, + 0.0 as in _trace.
+    (a00, a01), (a10, a11) = np.asarray(op).tolist()
+    halves = (np.array([a00 + a11, a01 + a10, 1j * (a01 - a10), a00 - a11]) + 0.0) / 2.0
+    return complex(halves[0]), halves[1:]
 
 
 def commutation_operator(dp: DensityPoint, x: np.ndarray) -> np.ndarray:
@@ -250,7 +265,7 @@ def commutation_operator(dp: DensityPoint, x: np.ndarray) -> np.ndarray:
     basis = (_ID2,) + PAULI
     rho = dp.rho
     rhs = np.array(
-        [float((np.trace(rho @ (x @ a - a @ x)) / 2.0j).real) for a in basis]
+        [float((_trace(rho @ (x @ a - a @ x)) / 2.0j).real) for a in basis]
     )
     try:
         coeffs = np.linalg.solve(dp.pauli_gram, rhs)
@@ -262,11 +277,11 @@ def commutation_operator(dp: DensityPoint, x: np.ndarray) -> np.ndarray:
 def _feasibility_residual(dp: DensityPoint, pair: HermitianPair) -> float:
     res = 0.0
     for x in pair.operators():
-        res = max(res, abs(np.trace(dp.rho @ x)))
+        res = max(res, abs(_trace(dp.rho @ x)))
     for i, drho in enumerate(dp.derivatives()):
         for j, x in enumerate(pair.operators()):
             target = 1.0 if i == j else 0.0
-            res = max(res, abs(np.trace(drho @ x) - target))
+            res = max(res, abs(_trace(drho @ x) - target))
     return float(res)
 
 
@@ -384,27 +399,29 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
     beta = float(b @ a_inv @ b)
     if beta > 0.0:
         candidates.append(-a_inv @ (g + (c - float(b @ a_inv @ g)) / beta * b))
-    candidates = [x for x in candidates if np.isfinite(x).all()]
-    if not candidates:
+    candidates = np.array(candidates)
+    candidates = candidates[np.isfinite(candidates).all(axis=1)]
+    if not len(candidates):
         raise OracleCertificateError("no finite candidate")
-    value, xi = min(zip(fun(np.array(candidates)).tolist(), candidates), key=lambda p: p[0])
+    value, xi = min(zip(fun(candidates).tolist(), candidates), key=lambda p: p[0])
     scale = 1.0 + float(np.hypot(*xi))
     b_norm = float(np.hypot(*b))
-    kink = [np.array([-b[1], b[0]]) / b_norm] if b_norm > 0.0 else []
-    directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), *kink]
-    probes = [xi + scale * u for u in _FIT_PROBES] + [
-        xi + sign * h * scale * d
-        for d in directions for h in _CERTIFICATE_STEPS for sign in (1, -1)
-    ]
-    raws = fun(np.array(probes)).tolist()
-    for x, raw in zip(probes, raws[: len(_FIT_PROBES)]):
-        fit = raw - s0 - 2.0 * float(g @ x) - float(x @ a @ x) - 2.0 * abs(float(b @ x) + c)
-        if abs(fit) > FIT_RTOL * (1.0 + abs(raw)):
-            raise OracleCertificateError(f"raw objective departs from its model by {fit:.3e}")
-    for raw in raws[len(_FIT_PROBES) :]:
-        drop = value - raw
-        if drop > CERTIFICATE_RTOL * abs(value):
-            raise OracleCertificateError(f"raw objective is {drop:.3e} below its minimum")
+    directions = np.array([*_AXES, (-b[1] / b_norm, b[0] / b_norm)] if b_norm > 0.0 else _AXES)
+    steps = (_SIGNED_STEPS * scale)[:, None] * directions[:, None]  # [d, step, :]
+    probes = xi + np.concatenate([scale * _FIT_OFFSETS, steps.reshape(-1, 2)])
+    raws = fun(probes)
+    # Row-wise dot3 (any row length) gives each row the bits of its own g @ x.
+    x, raw = probes[: len(_FIT_PROBES)], raws[: len(_FIT_PROBES)]
+    fits = raw - s0 - 2.0 * dot3(x, g) - dot3(x @ a, x) - 2.0 * abs(dot3(x, b) + c)
+    misfit = abs(fits) > FIT_RTOL * (1.0 + abs(raw))
+    if misfit.any():
+        fit = fits[misfit.argmax()]
+        raise OracleCertificateError(f"raw objective departs from its model by {fit:.3e}")
+    drops = value - raws[len(_FIT_PROBES) :]
+    below = drops > CERTIFICATE_RTOL * abs(value)
+    if below.any():
+        drop = drops[below.argmax()]
+        raise OracleCertificateError(f"raw objective is {drop:.3e} below its minimum")
     return value, xi
 
 
@@ -420,13 +437,12 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
     2 |(b|xi) + c|; its coefficients come from the expansion of the same
     geometry, and :func:`_kink_minimum` returns the lowest raw value among
     the three closed-form candidates, evaluating h on two stacks of xi (the
-    candidates, then every probe).  Returns (value, xi*).  ``fm`` is
-    ``fisher_matrices(m)`` when the caller already has it.
+    candidates, then every probe).  Returns (value, xi*).  Only the SLD duals
+    are read: from ``fm = fisher_matrices(m)`` if given, else :func:`sld_duals`.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
-    fm = fisher_matrices(m) if fm is None else fm
+    dual1, dual2 = sld_duals(m)[2:] if fm is None else (fm.dual1, fm.dual2)
     d1, d2 = m.derivatives()
-    dual1, dual2 = fm.dual1, fm.dual2
     perp = cross(d1, d2)
 
     # Independent feasibility check of the affine parametrization.
@@ -476,20 +492,11 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
     raw value among the candidates, with two more stacked evaluations.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
-    # Recover the Bloch data from the operators themselves.
-    _, s = bloch_coefficients(dp.rho)
-    s = 2.0 * s.real  # rho = (I + s.sigma)/2
-    d_vecs = []
-    for drho in dp.derivatives():
-        _, v = bloch_coefficients(drho)
-        d_vecs.append(2.0 * v.real)
-    d1, d2 = d_vecs
+    # Recover the Bloch data from the operators themselves: rho = (I + s.sigma)/2.
+    s, d1, d2 = (2.0 * bloch_coefficients(op)[1].real for op in (dp.rho, dp.drho1, dp.drho2))
 
     constraint = np.zeros((4, 6))
-    constraint[0, 0:3] = d1
-    constraint[1, 0:3] = d2
-    constraint[2, 3:6] = d1
-    constraint[3, 3:6] = d2
+    constraint[0:2, 0:3] = constraint[2:4, 3:6] = (d1, d2)
     target = np.array([1.0, 0.0, 0.0, 1.0])
 
     x0, *_ = np.linalg.lstsq(constraint, target, rcond=None)
@@ -501,9 +508,9 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
 
     holevo = _holevo_evaluator(dp.rho, weight)
 
-    def operators(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def operators(t: np.ndarray) -> np.ndarray:  # (2, N, 2, 2): X^1 and X^2 in one build
         x = x0 + (null_basis @ t[:, :, None])[:, :, 0]
-        return _bloch_operator(s, x[:, 0:3]), _bloch_operator(s, x[:, 3:6])
+        return _bloch_operator(s, x.reshape(-1, 3)).reshape(-1, 2, 2, 2).swapaxes(0, 1)
 
     fit_t = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)], dtype=float)
     re, im = _re_im(weight.matrix, _z_matrix(dp.rho, *operators(fit_t)))

@@ -127,7 +127,7 @@ class DeterminantIdentityResiduals:
         return max(self.quadratic_vs_determinants, self.trabs_consistency, self.gamma_gap)
 
 
-def fisher_determinant_identities(m, weight, fm=None) -> DeterminantIdentityResiduals:
+def fisher_determinant_identities(m, weight, fm=None, fb=None) -> DeterminantIdentityResiduals:
     """Evaluate the three structural identities at a mixed point.
 
     1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
@@ -135,13 +135,13 @@ def fisher_determinant_identities(m, weight, fm=None) -> DeterminantIdentityResi
     3. (gamma | W^-1 gamma) = det(W^-1 G)/(1-s^2) * (C^Z - C^R)
 
     ``weight`` is a :class:`holevo2q.bounds.WeightMatrix` or a 2x2 array;
-    ``fm`` is ``fisher_matrices(m)`` when the caller already has it.
+    ``fm`` and ``fb`` are ``fisher_matrices(m)`` and ``fisher_bundle(m)`` if already built.
     """
     if not isinstance(weight, WeightMatrix):
         weight = WeightMatrix.from_matrix(np.asarray(weight, dtype=float))
 
-    fb = fisher_bundle(m)
-    fm = fisher_matrices(m) if fm is None else fm
+    fb = fisher_bundle(m) if fb is None else fb
+    fm = fisher_matrices(m, fb) if fm is None else fm
     one_minus = fb.one_minus_s_sq
 
     lhs1 = fb.perp_quadratic
@@ -194,7 +194,7 @@ def run_verification(
         m = random_model_point(rng)
         witness = _describe(m)
         fb = fisher_bundle(m)
-        fm = fisher_matrices(m)
+        fm = fisher_matrices(m, fb)
         dp = density_point(m)
         rho = dp.rho
 
@@ -229,7 +229,7 @@ def run_verification(
         # Structural identities.
         w = random_weight(rng)
         witness_w = _describe(m, w)
-        ids = fisher_determinant_identities(m, w, fm)
+        ids = fisher_determinant_identities(m, w, fm, fb)
         track.note("identity_quadratic_determinant", ids.quadratic_vs_determinants, witness_w)
         track.note("identity_trabs_forms", ids.trabs_consistency, witness_w)
         track.note("identity_gamma_gap", ids.gamma_gap, witness_w)
@@ -336,7 +336,7 @@ def run_verification(
         fb = fisher_bundle(m)
         report = holevo_bound(fb, w)
         branch_counts[report.branch.value] = branch_counts.get(report.branch.value, 0) + 1
-        fm = fisher_matrices(m)
+        fm = fisher_matrices(m, fb)
         value_2d, _ = minimize_holevo_2d(m, w, fm)
         track.note(
             "holevo_vs_reduced_search",

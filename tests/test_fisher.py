@@ -6,8 +6,14 @@ import pytest
 
 from holevo2q.bloch import BlochModelPoint, ell_perp, q_inverse
 from holevo2q.bounds import WeightMatrix
-from holevo2q.errors import DegenerateModelError, PureStateError
-from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2, one_param_bound
+from holevo2q.errors import DegenerateModelError, PureStateError, SingularMatrixError
+from holevo2q.fisher import (
+    fisher_bundle,
+    fisher_matrices,
+    invert_2x2,
+    one_param_bound,
+    sld_duals,
+)
 from holevo2q.sampling import random_model_point, random_weight
 from holevo2q.verify import fisher_determinant_identities
 
@@ -35,6 +41,32 @@ class TestInvert2x2:
     def test_singular_raises(self):
         with pytest.raises(DegenerateModelError):
             invert_2x2(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "m, det",
+        [
+            (np.array([[1.0, 2.0], [2.0, 4.0]]), "0.000e+00"),
+            (np.array([[1.0, 1.0j], [1.0j, -1.0]]), "0.000e+00+0.000e+00j"),
+        ],
+    )
+    def test_singular_message_real_and_complex(self, m, det):
+        message = f"2x2 matrix is singular beyond tolerance (det = {det})"
+        for exc in (DegenerateModelError, SingularMatrixError):
+            with pytest.raises(exc) as info:
+                invert_2x2(m, exc=exc)
+            assert type(info.value) is exc and str(info.value) == message
+
+    def test_bits_of_adjugate_definition(self):
+        # The adjugate over the determinant, both from numpy scalars.
+        rng = np.random.default_rng(97)
+        for k in range(200):
+            m = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-5, 5)
+            if k % 2:
+                m = m + 1j * rng.normal(size=(2, 2))
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+            got = invert_2x2(m)
+            assert got.dtype == m.dtype and got.tobytes() == (adj / det).tobytes()
 
 
 class TestSldFisher:
@@ -69,6 +101,37 @@ class TestSldFisher:
     def test_degenerate_guard(self):
         with pytest.raises(DegenerateModelError):
             fisher_bundle(point([0.1, 0.2, 0.3], d1=XHAT, d2=2.0 * XHAT))
+
+
+class TestSldDuals:
+    def test_bits_of_fisher_matrices(self):
+        rng = np.random.default_rng(98)
+        for _ in range(100):
+            m = random_model_point(rng)
+            fm = fisher_matrices(m)
+            for fb in (None, fisher_bundle(m)):
+                got = sld_duals(m, fb)
+                want = (fm.g, fm.g_inv, fm.dual1, fm.dual2)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "s, d2, exc, message",
+        [
+            ([0.0, 0.0, 1.0], YHAT, PureStateError, "requires |s|"),
+            ([0.1, 0.2, 0.3], 2.0 * XHAT, DegenerateModelError, "linearly dependent"),
+            # Independent, but G is numerically singular.
+            ([0.1, 0.2, 0.3], [1.0, 1e-9, 0.0], DegenerateModelError, "Fisher matrix is singular"),
+        ],
+    )
+    def test_guards_of_fisher_bundle(self, s, d2, exc, message):
+        m = point(s, XHAT, d2)
+        with pytest.raises(exc) as want:
+            fisher_bundle(m)
+        for producer in (sld_duals, fisher_matrices):
+            with pytest.raises(exc) as got:
+                producer(m)
+            assert type(got.value) is type(want.value)
+            assert message in str(got.value) and str(got.value) == str(want.value)
 
 
 class TestRldFisher:

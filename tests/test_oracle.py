@@ -21,9 +21,10 @@ from holevo2q.bounds import (
 )
 from holevo2q.errors import FeasibilityError, OracleCertificateError, PureStateError
 from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
-from holevo2q.models import Unitary
+from holevo2q.models import GenericZ, Unitary
 from holevo2q.oracle import (
     PAULI,
+    DensityPoint,
     HermitianPair,
     bloch_coefficients,
     commutation_operator,
@@ -71,6 +72,50 @@ class TestDensityPoint:
     def test_pure_state_rejected(self):
         with pytest.raises(PureStateError):
             density_point(point([0, 0, 1.0]))
+
+    def test_each_check_names_its_matrix(self):
+        dp = density_point(point([0.1, 0.2, 0.3]))
+        good = {"rho": dp.rho, "drho1": dp.drho1, "drho2": dp.drho2}
+        cases = [
+            ({"drho1": np.zeros(3)}, ValueError, "drho1 must be 2x2"),
+            ({"drho2": dp.drho2 + [[0, 1], [0, 0]]}, ValueError, "drho2 must be Hermitian"),
+            ({"rho": 2.0 * dp.rho}, ValueError, "rho must have unit trace"),
+            ({"drho1": dp.drho1 + 0.1 * np.eye(2)}, ValueError, "drho1 must be traceless"),
+            ({"rho": np.diag([1.5, -0.5])}, PureStateError, "rho is not strictly positive"),
+        ]
+        for change, exc, message in cases:
+            with pytest.raises(exc) as info:
+                DensityPoint(**{**good, **change})
+            assert type(info.value) is exc and str(info.value) == message
+        kept = DensityPoint(rho=[[0.5, 0.0], [0.0, 0.5]], drho1=good["drho1"], drho2=good["drho2"])
+        assert kept.rho.dtype == complex and kept.rho.shape == (2, 2)
+
+    def test_bits_of_pauli_sums(self):
+        # rho = (I + s.sigma)/2 and d rho = d.sigma/2 as Pauli sums, and the
+        # coefficients as traces of op and op sigma_k: the entrywise forms give
+        # the same bits, down to the sign of zero.
+        def pauli_sum(v):
+            return sum(v[k] * PAULI[k] for k in range(3))
+
+        def coefficients(op):
+            v = np.array([complex(np.trace(op @ PAULI[k])) / 2.0 for k in range(3)])
+            return complex(np.trace(op)) / 2.0, v
+
+        def same(x, y):
+            return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+        entries = (0.0, -0.0, 0.3, -0.45)
+        rng = np.random.default_rng(99)
+        for v in itertools.product(entries, repeat=3):
+            m = point(v, d1=v[::-1], d2=rng.choice(entries, size=3))
+            dp = density_point(m)
+            assert same(dp.rho, 0.5 * (np.eye(2, dtype=complex) + pauli_sum(m.s)))
+            assert same(dp.drho1, 0.5 * pauli_sum(m.d1s))
+            assert same(dp.drho2, 0.5 * pauli_sum(m.d2s))
+            other = rng.choice(entries, size=(2, 2)) + 1j * rng.choice(entries, size=(2, 2))
+            for op in (dp.rho, dp.drho1, other):
+                (a, v_got), (a_want, v_want) = bloch_coefficients(op), coefficients(op)
+                assert type(a) is complex and same(a, a_want) and same(v_got, v_want)
 
 
 class TestSldOperators:
@@ -510,6 +555,87 @@ class TestExactSolve:
             oracle._kink_minimum(
                 fun, 1.0, np.array([1e300, 0.0]), 1e-150 * np.eye(2), np.zeros(2), 0.0
             )
+
+
+# Both minimizers on generic_z cases (theta0 = 0.2) as float.hex of value_2d,
+# value_6d and xi*, recorded at commit 152dad4: an RLD-branch and a
+# correction-branch weight from random_weight at two points, two weights from
+# boundary_weight_family (B[W] = 0; entries written out) and the D-invariant
+# point theta = (0, 0).
+PINNED_ORACLE_BITS = [
+    ((0.3, -0.25), (2.4468655557226846, -1.2287057625374183, 1.1301515503468968),  # rld
+     '0x1.b16229ffc4c49p+1', '0x1.b16229ffc4c47p+1',
+     '0x1.e56394224ed9dp-6', '-0x1.ced5480543f0bp-3'),
+    ((0.3, -0.25), (1.3046090581628846, 0.06611519605023888, 1.786620566469605),  # correction
+     '0x1.8e878dc4d9ad2p+1', '0x1.8e878dc4d9ad0p+1',
+     '0x1.79526af5114c3p-2', '-0x1.d88f87d5f89f0p-3'),
+    ((-0.41, 0.17), (1.2817376791724389, -1.0532366805901012, 1.1644234627132715),  # rld
+     '0x1.120bbd3e37c34p+1', '0x1.120bbd3e37c37p+1',
+     '-0x1.0110cd14da3a0p-1', '-0x1.70a4109ecad61p-2'),
+    ((-0.41, 0.17), (0.42028650644816024, 0.2177004996858095, 0.1872342713893408),  # correction
+     '0x1.23ecd6b0d1abcp-1', '0x1.23ecd6b0d1abdp-1',
+     '-0x1.f4bf1552cdba4p-3', '0x1.61a620030cef8p-2'),
+    ((0.12, 0.55), (0.14015120087500538, 0.07145096657330646, 1.0097530417180942),  # boundary
+     '0x1.bd12cdeb9eb60p-1', '0x1.bd12cdeb9eb5ep-1',
+     '0x1.d8e618f8bf7eap-3', '0x1.8bb636c01bba1p-3'),
+    ((-0.3, -0.2), (1.5791723258989534, -0.255835411925353, 0.46436850250341405),  # boundary
+     '0x1.0653f376fc33dp+1', '0x1.0653f376fc33dp+1',
+     '-0x1.f13b13b13b13ep-3', '-0x1.0034834834835p-1'),
+    ((0.0, 0.0), (1.0, 0.0, 1.0),  # D-invariant
+     '0x1.3333333333333p+1', '0x1.3333333333333p+1',
+     '0x0.0p+0', '0x0.0p+0'),
+    ((0.0, 0.0), (0.7, -0.2, 0.4),  # D-invariant
+     '0x1.4bc3fb1492408p+0', '0x1.4bc3fb1492408p+0',
+     '0x0.0p+0', '0x0.0p+0'),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_ORACLE_BITS)
+def test_pinned_oracle_bits(case):
+    theta, weight, *bits = case
+    m = GenericZ(0.2).evaluate(theta)
+    w = WeightMatrix(*weight)
+    value_2d, xi = minimize_holevo_2d(m, w)
+    value_6d = minimize_holevo_6d(density_point(m), w)
+    assert [value_2d.hex(), value_6d.hex(), *(float(x).hex() for x in xi)] == bits
+
+
+class TestKinkProbes:
+    def test_probes_are_the_written_out_points(self):
+        # Every fit and certificate probe has the bits of its own
+        # xi + scale u and xi + (+-h) scale d, for d = e1, e2 and the kink line.
+        g = np.array([0.1, -0.2])
+        for b in (np.array([0.3, -1.7]), np.zeros(2)):
+            calls = []
+
+            def fun(xi):
+                calls.append(xi.copy())
+                return 1.0 + 2.0 * xi @ g + (xi * xi).sum(axis=1) + 2.0 * np.abs(xi @ b - 0.25)
+
+            _, xi = oracle._kink_minimum(fun, 1.0, g, np.eye(2), b, -0.25)
+            scale = 1.0 + float(np.hypot(*xi))
+            b_norm = float(np.hypot(*b))
+            kink = [np.array([-b[1], b[0]]) / b_norm] if b_norm > 0.0 else []
+            directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), *kink]
+            probes = [xi + scale * u for u in oracle._FIT_PROBES] + [
+                xi + sign * h * scale * d
+                for d in directions for h in oracle._CERTIFICATE_STEPS for sign in (1, -1)
+            ]
+            assert calls[1].tobytes() == np.array(probes).tobytes()
+
+    def test_first_failing_probe_is_reported(self):
+        # Two certificate probes fall below the minimum; the message gives the
+        # drop of the first in probe order (+h before -h, larger h first):
+        # 2e-3 less the h^2 = 1e-4 that the quadratic adds at h = 1e-2.
+        def fun(xi):
+            out = 1.0 + (xi * xi).sum(axis=1)
+            if len(xi) > 3:  # the probes, after the candidates
+                out[len(oracle._FIT_PROBES) + 3] -= 1e-3
+                out[len(oracle._FIT_PROBES)] -= 2e-3
+            return out
+
+        with pytest.raises(OracleCertificateError, match=r"^raw objective is 1\.900e-03 below"):
+            oracle._kink_minimum(fun, 1.0, np.zeros(2), np.eye(2), np.zeros(2), 0.0)
 
 
 class TestStackedEvaluation:

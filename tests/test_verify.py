@@ -104,3 +104,23 @@ def test_kink_valley_reduced_search_witness_passes():
     rows = {row.name: row for row in report.rows}
     assert rows["holevo_vs_reduced_search"].value <= 1e-12
     assert report.passed
+
+
+def test_one_fisher_bundle_per_point(monkeypatch):
+    # Each sampled point builds its bundle once; fisher_matrices, the identities
+    # and the reduced search take it from the caller.
+    import holevo2q.fisher
+    import holevo2q.verify
+
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return fisher_bundle(m)
+
+    monkeypatch.setattr(holevo2q.fisher, "fisher_bundle", counted)
+    monkeypatch.setattr(holevo2q.verify, "fisher_bundle", counted)
+    before = run_verification(seed=7, count=3).table()
+    assert len(calls) == 2 * 3
+    monkeypatch.undo()
+    assert run_verification(seed=7, count=3).table() == before
