@@ -5,86 +5,44 @@ The package computes, for any mixed two-parameter qubit model given locally
 by (s, d1s, d2s), the SLD / RLD / D-invariant / Nagaoka bounds and the exact
 Holevo bound with its weight-dependent branch structure, together with an
 independent density-matrix oracle that validates every closed formula.
+
+The exported names are resolved on first access (PEP 562): ``import holevo2q``
+loads no submodule, and ``holevo2q.classify_point`` loads ``holevo2q.classify``.
 """
 
-from .bloch import BlochModelPoint, BlochModelPoint3
-from .bounds import (
-    BoundsReport,
-    Branch,
-    WeightMatrix,
-    WeightRegion,
-    WeightRegionLabel,
-    bound_nagaoka,
-    bound_rld,
-    bound_sld,
-    bound_z,
-    holevo_bound,
-    holevo_bound_three_param,
-    weight_from_angles,
-)
-from .classify import (
-    ModelClass,
-    ModelLabel,
-    classify_family,
-    classify_point,
-    pure_limit_duals,
-    pure_limit_holevo,
-)
-from .errors import (
-    AsymptoticallyClassicalLimitError,
-    BranchError,
-    DegenerateModelError,
-    DomainError,
-    FeasibilityError,
-    ModelError,
-    OracleCertificateError,
-    PureStateError,
-    SingularMatrixError,
-    SpecialModelError,
-)
-from .fisher import FisherBundle, fisher_bundle
-from .models import Explicit, GenericZ, Planar, Unitary, evaluate, from_descriptor
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochModelPoint",
-    "BlochModelPoint3",
-    "BoundsReport",
-    "Branch",
-    "WeightMatrix",
-    "WeightRegion",
-    "WeightRegionLabel",
-    "bound_nagaoka",
-    "bound_rld",
-    "bound_sld",
-    "bound_z",
-    "holevo_bound",
-    "holevo_bound_three_param",
-    "weight_from_angles",
-    "ModelClass",
-    "ModelLabel",
-    "classify_family",
-    "classify_point",
-    "pure_limit_duals",
-    "pure_limit_holevo",
-    "FisherBundle",
-    "fisher_bundle",
-    "Explicit",
-    "GenericZ",
-    "Planar",
-    "Unitary",
-    "evaluate",
-    "from_descriptor",
-    "ModelError",
-    "PureStateError",
-    "DegenerateModelError",
-    "SingularMatrixError",
-    "BranchError",
-    "SpecialModelError",
-    "DomainError",
-    "FeasibilityError",
-    "OracleCertificateError",
-    "AsymptoticallyClassicalLimitError",
-    "__version__",
-]
+# Exported name -> the submodule that defines it, in the order of ``__all__``.
+_EXPORTS = {
+    name: module
+    for module, names in [
+        ("bloch", "BlochModelPoint BlochModelPoint3"),
+        ("bounds", "BoundsReport Branch WeightMatrix WeightRegion WeightRegionLabel bound_nagaoka"
+                   " bound_rld bound_sld bound_z holevo_bound holevo_bound_three_param"
+                   " weight_from_angles"),
+        ("classify", "ModelClass ModelLabel classify_family classify_point pure_limit_duals"
+                     " pure_limit_holevo"),
+        ("fisher", "FisherBundle fisher_bundle"),
+        ("models", "Explicit GenericZ Planar Unitary evaluate from_descriptor"),
+        ("errors", "ModelError PureStateError DegenerateModelError SingularMatrixError BranchError"
+                   " SpecialModelError DomainError FeasibilityError OracleCertificateError"
+                   " AsymptoticallyClassicalLimitError"),
+    ]
+    for name in names.split()
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

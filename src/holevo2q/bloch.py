@@ -19,8 +19,6 @@ are pure; none mutate their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateModelError, DomainError, PureStateError
@@ -31,6 +29,8 @@ __all__ = [
     "CLASSIFICATION_RTOL",
     "BlochModelPoint",
     "BlochModelPoint3",
+    "Record",
+    "factory",
     "inner",
     "cross",
     "q_matrix",
@@ -53,11 +53,82 @@ DERIVATIVE_INDEPENDENCE_RTOL = 1e-10
 CLASSIFICATION_RTOL = 1e-10
 
 
+class factory:
+    """Default of a :class:`Record` field that is made afresh for each instance."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def _required(owner: str, name: str) -> factory:
+    def missing():
+        raise TypeError(f"{owner}() missing required argument {name!r}")
+
+    return factory(missing)
+
+
+class Record:
+    """Base of the package's frozen value classes.
+
+    The annotated class attributes are the fields, in order; a value assigned
+    to one is its default.  A record takes its fields positionally or by
+    keyword, then runs ``__post_init__`` (which may normalize a field with
+    ``object.__setattr__``).  It prints as ``Name(field=value, ...)``, compares
+    and hashes as the tuple of its fields, and refuses assignment and deletion.
+    """
+
+    _fields: tuple = ()
+    _defaults: tuple = ()  # per field: its default, a factory, or a factory that raises
+
+    def __init_subclass__(cls):
+        namespace = vars(cls)
+        own = tuple(namespace.get("__annotations__", ()))
+        cls._fields += own
+        cls._defaults += tuple(namespace[n] if n in namespace else _required(cls.__name__, n)
+                               for n in own)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = [*args, *map(kwargs.pop, fields[len(args):], self._defaults[len(args):])]
+            if kwargs or len(args) > len(fields):
+                extra = [*args[len(fields):], *kwargs]
+                raise TypeError(f"{type(self).__name__}({', '.join(fields)}) got unexpected "
+                                f"or repeated arguments {extra}")
+            args = [v.make() if type(v) is factory else v for v in args]
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _as_real_vec3(value, name: str) -> np.ndarray:
     vec = np.asarray(value, dtype=float)
     if vec.shape != (3,):
         raise DomainError(f"{name} must be a real 3-vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise DomainError(f"{name} has non-finite components: {vec}")
     return vec
 
@@ -109,8 +180,7 @@ def dependent(d1, d2, perp):
     return (scale == 0.0) | (np.sqrt(dot3(perp, perp)) < DERIVATIVE_INDEPENDENCE_RTOL * scale)
 
 
-@dataclass(frozen=True)
-class BlochModelPoint:
+class BlochModelPoint(Record):
     """A two-parameter qubit model evaluated at one parameter point.
 
     ``s`` is the Bloch vector, ``d1s`` and ``d2s`` its partial derivatives.
@@ -146,8 +216,7 @@ class BlochModelPoint:
         return self.d1s, self.d2s
 
 
-@dataclass(frozen=True)
-class BlochModelPoint3:
+class BlochModelPoint3(Record):
     """A three-parameter qubit model point (used by the D-invariant bound)."""
 
     s: np.ndarray

@@ -39,11 +39,11 @@ derivatives are nearly tangent to the sphere (r ~ 0).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .bloch import BlochModelPoint, BlochModelPoint3, q_tilde, stack_last
+from .bloch import BlochModelPoint, BlochModelPoint3, Record, q_tilde, stack_last
 from .errors import (
     DomainError,
     SingularMatrixError,
@@ -117,8 +117,7 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(Record):
     """Real symmetric positive-definite 2x2 cost weight."""
 
     w11: float
@@ -128,7 +127,10 @@ class WeightMatrix:
     def __post_init__(self):
         for name in ("w11", "w12", "w22"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        _require_positive(self.w11, self.w12, self.w22)
+        w = self.w11, self.w12, self.w22
+        # The usual valid weight in plain floats; _require_positive raises the errors.
+        if not (w[0] > 0.0 and _det(*w) > 0.0 and math.isfinite(sum(w))):
+            _require_positive(*w)
 
     @property
     def det(self) -> float:
@@ -166,14 +168,12 @@ class WeightRegion(enum.Enum):
     W_BOUNDARY = "w_boundary"
 
 
-@dataclass(frozen=True)
-class WeightRegionLabel:
+class WeightRegionLabel(Record):
     region: WeightRegion
     b_value: float
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     """All scalar bounds at one (model point, weight) pair."""
 
     c_s: float

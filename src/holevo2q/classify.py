@@ -28,13 +28,13 @@ forms that stay finite as |s| -> 1.  With n = d1s x d2s and c = <s, n>:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import (
     CLASSIFICATION_RTOL,
     BlochModelPoint,
+    Record,
     ell_perp,
     f_matrix,
 )
@@ -69,8 +69,7 @@ class ModelLabel(enum.Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class ModelClass:
+class ModelClass(Record):
     """Classification verdict with the raw diagnostics that produced it.
 
     Both flags can hold at once (e.g. at the Bloch-ball origin); the label
@@ -102,8 +101,7 @@ def classify_point(m: BlochModelPoint) -> ModelClass:
     )
 
 
-@dataclass(frozen=True)
-class FamilyClassification:
+class FamilyClassification(Record):
     globally_d_invariant: bool
     radii: np.ndarray
     point_classes: tuple[ModelClass, ...]

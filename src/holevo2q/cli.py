@@ -23,6 +23,10 @@ loop: sweep-theta maps the cells through the family's ``evaluate_many``
 once, and ``_emit_csv`` formats each row with one %-format and writes the
 file in one call.  Invalid input raises what a cell-by-cell loop would
 raise first.
+
+Imports are lazy per subcommand: ``classify`` loads :mod:`holevo2q.classify`
+and ``verify`` the oracle and the verification suite inside their command
+functions, so ``bounds`` and the sweeps load only the module-level imports.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .bounds import (
     holevo_bounds_many,
     weight_from_angles_many,
 )
-from .classify import classify_family, classify_point
 from .errors import ModelError
 from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from .models import load_model
@@ -187,6 +190,8 @@ def cmd_sweep_theta(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify_family, classify_point
+
     if args.grid < 0:
         raise ModelError("--grid must be non-negative")
     family = _load_family(args)
@@ -229,7 +234,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # Imported here: only verify needs the oracle and the verification suite.
     from .verify import run_verification
 
     if args.count <= 0:

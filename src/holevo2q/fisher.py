@@ -31,13 +31,12 @@ Each quantity has one producer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bloch import (
     CLASSIFICATION_RTOL,
     BlochModelPoint,
+    Record,
     cross,
     dependent,
     dot3,
@@ -96,8 +95,7 @@ def _hermitian_from_upper(u: np.ndarray, v: np.ndarray, mat: np.ndarray) -> np.n
     return np.array([[diag[0], off], [off.conjugate(), diag[1]]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class FisherBundle:
+class FisherBundle(Record):
     """The Bloch scalars and class flags of one mixed model point, or of a
     stack of points (``point`` None, each field with the stack's leading axes)."""
 
@@ -181,8 +179,7 @@ def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
     return _one(fisher_bundle_many(m.s, m.d1s, m.d2s), m)
 
 
-@dataclass(frozen=True)
-class FisherMatrices:
+class FisherMatrices(Record):
     """The Fisher matrices, SLD duals and Z of one mixed model point."""
 
     point: BlochModelPoint

@@ -18,12 +18,11 @@ Families serialize to plain JSON descriptors (``to_descriptor`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .bloch import BlochModelPoint, dot3, mixed, stack_last
+from .bloch import BlochModelPoint, Record, dot3, factory, mixed, stack_last
 from .errors import DomainError, PureStateError
 
 __all__ = [
@@ -44,8 +43,7 @@ __all__ = [
 DEFAULT_FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class Poly2D:
+class Poly2D(Record):
     """Bivariate polynomial f(x, y) = sum_ij c[i, j] x^i y^j."""
 
     coeffs: np.ndarray
@@ -80,8 +78,7 @@ class Poly2D:
         return self.coeffs.tolist()
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """Rectangle in parameter space; evaluation outside raises DomainError."""
 
     theta1: tuple[float, float]
@@ -119,10 +116,10 @@ def _check_theta(theta) -> tuple[float, float]:
 def _point(s, d1s, d2s) -> BlochModelPoint:
     if float(np.dot(s, s)) >= 1.0:
         raise PureStateError(f"family evaluates to |s| = {np.linalg.norm(s):.6g} >= 1")
-    return BlochModelPoint(s=s, d1s=d1s, d2s=d2s)
+    return BlochModelPoint(s, d1s, d2s)
 
 
-class _Family:
+class _Family(Record):
     """``evaluate``/``evaluate_many`` over ``_bloch_arrays``, which maps arrays
     theta1, theta2 of in-domain points to (N, 3) arrays of s, d1s and d2s."""
 
@@ -146,16 +143,13 @@ class _Family:
         return s, d1, d2, inside & np.isfinite(out).all(axis=(0, 2)) & mixed(dot3(s, s))
 
 
-@dataclass(frozen=True)
 class Unitary(_Family):
     """Fixed-length Bloch vector r (sin t1 cos t2, sin t1 sin t2, cos t1),
     optionally mapped through an orthonormal frame.  Globally D-invariant."""
 
     radius: float
-    axes: np.ndarray = field(default_factory=lambda: np.eye(3))
-    domain: Domain = field(
-        default_factory=lambda: Domain((0.2, np.pi - 0.2), (0.0, 2.0 * np.pi))
-    )
+    axes: np.ndarray = factory(lambda: np.eye(3))
+    domain: Domain = factory(lambda: Domain((0.2, np.pi - 0.2), (0.0, 2.0 * np.pi)))
 
     kind = "unitary"
 
@@ -191,16 +185,15 @@ class Unitary(_Family):
         }
 
 
-@dataclass(frozen=True)
 class Planar(_Family):
     """s = f1(theta) u1 + f2(theta) u2 with unit (not necessarily orthogonal)
     vectors u_i and polynomial f_i.  Asymptotically classical everywhere."""
 
     u1: np.ndarray
     u2: np.ndarray
-    f1: Poly2D = field(default_factory=lambda: Poly2D([[0.0, 0.0], [1.0, 0.0]]))
-    f2: Poly2D = field(default_factory=lambda: Poly2D([[0.0, 1.0], [0.0, 0.0]]))
-    domain: Domain = field(default_factory=lambda: Domain((-0.7, 0.7), (-0.7, 0.7)))
+    f1: Poly2D = factory(lambda: Poly2D([[0.0, 0.0], [1.0, 0.0]]))
+    f2: Poly2D = factory(lambda: Poly2D([[0.0, 1.0], [0.0, 0.0]]))
+    domain: Domain = factory(lambda: Domain((-0.7, 0.7), (-0.7, 0.7)))
 
     kind = "planar"
 
@@ -237,7 +230,6 @@ def _generic_z_domain(theta0: float) -> Domain:
     return Domain((-r, r), (-r, r))
 
 
-@dataclass(frozen=True)
 class GenericZ(_Family):
     """s = (theta1, theta2, theta0) with fixed 0 < |theta0| < 1.
 
@@ -270,7 +262,6 @@ class GenericZ(_Family):
         }
 
 
-@dataclass(frozen=True)
 class Explicit(_Family):
     """User-supplied s(theta) with finite-difference derivatives.
 
@@ -281,7 +272,7 @@ class Explicit(_Family):
 
     func: Callable[[np.ndarray], np.ndarray]
     step: float = DEFAULT_FD_STEP
-    domain: Domain = field(default_factory=lambda: Domain((-0.7, 0.7), (-0.7, 0.7)))
+    domain: Domain = factory(lambda: Domain((-0.7, 0.7), (-0.7, 0.7)))
     components: tuple[Poly2D, Poly2D, Poly2D] | None = None
 
     kind = "explicit"

@@ -29,11 +29,10 @@ check of the closed form's case split, uses Nelder-Mead and so scipy.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochModelPoint, cross, dot3
+from .bloch import BlochModelPoint, Record, cross, dot3
 from .bounds import WeightMatrix, trabs_from_root, weight_root
 from .errors import (
     DegenerateModelError,
@@ -93,8 +92,7 @@ def _trace(mat: np.ndarray):
     return mat[..., 0, 0] + mat[..., 1, 1] + 0.0
 
 
-@dataclass(frozen=True)
-class DensityPoint:
+class DensityPoint(Record):
     """2x2 density matrix with its two parameter derivatives."""
 
     rho: np.ndarray
@@ -131,8 +129,7 @@ class DensityPoint:
         return np.array([[sld_inner(self.rho, a, b).real for b in basis] for a in basis])
 
 
-@dataclass(frozen=True)
-class HermitianPair:
+class HermitianPair(Record):
     """Candidate observable pair for the Holevo function."""
 
     x1: np.ndarray
@@ -157,7 +154,7 @@ def density_point(m: BlochModelPoint) -> DensityPoint:
     ops = _bloch_operator(np.zeros(3), np.array([m.s, m.d1s, m.d2s]))
     ops[0] += _ID2
     rho, dr1, dr2 = 0.5 * ops
-    return DensityPoint(rho=rho, drho1=dr1, drho2=dr2)
+    return DensityPoint(rho, dr1, dr2)
 
 
 def sld_operators(dp: DensityPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -198,44 +195,31 @@ def rld_inner(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
     return complex(_trace(rho @ y @ x.conj().T))
 
 
-def operator_fisher(dp: DensityPoint):
+def operator_fisher(dp: DensityPoint, slds=None, rlds=None):
     """(G, G~, Z) as operator traces; the cross-check for the Bloch route.
 
     G_ij  = tr(rho (L_i L_j + L_j L_i))/2
     G~_ij = tr(rho L~_j L~_i^dagger)
     z^ij  = tr(rho L^j L^i) on the SLD duals L^i = sum_j (G^-1)_ji L_j.
+
+    ``slds`` and ``rlds`` are ``sld_operators(dp)`` and ``rld_operators(dp)``
+    when the caller has already solved them.
     """
-    l1, l2 = sld_operators(dp)
-    lt1, lt2 = rld_operators(dp)
+    l1, l2 = slds = sld_operators(dp) if slds is None else slds
+    rlds = rld_operators(dp) if rlds is None else rlds
     rho = dp.rho
-    slds = (l1, l2)
-    g = np.array(
-        [[sld_inner(rho, a, b).real for b in slds] for a in slds]
-    )
-    rlds = (lt1, lt2)
-    gt = np.array(
-        [[rld_inner(rho, a, b) for b in rlds] for a in rlds]
-    )
+    g = np.array([[sld_inner(rho, a, b).real for b in slds] for a in slds])
+    gt = np.array([[rld_inner(rho, a, b) for b in rlds] for a in rlds])
     g_inv = invert_2x2(g)
-    du1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
-    du2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2
-    duals = (du1, du2)
-    z = np.array(
-        [[_trace(rho @ duals[j] @ duals[i]) for j in range(2)] for i in range(2)]
-    )
+    duals = (g_inv[0, 0] * l1 + g_inv[1, 0] * l2, g_inv[0, 1] * l1 + g_inv[1, 1] * l2)
+    z = np.array([[_trace(rho @ duals[j] @ duals[i]) for j in range(2)] for i in range(2)])
     return g, gt, z
 
 
 def dual_operators(dp: DensityPoint) -> tuple[np.ndarray, np.ndarray]:
     """SLD dual operators L^i = sum_j (G^-1)_ji L_j."""
-    l1, l2 = sld_operators(dp)
-    g = np.array(
-        [
-            [sld_inner(dp.rho, l1, l1).real, sld_inner(dp.rho, l1, l2).real],
-            [sld_inner(dp.rho, l2, l1).real, sld_inner(dp.rho, l2, l2).real],
-        ]
-    )
-    g_inv = invert_2x2(g)
+    l1, l2 = slds = sld_operators(dp)
+    g_inv = invert_2x2(np.array([[sld_inner(dp.rho, a, b).real for b in slds] for a in slds]))
     return g_inv[0, 0] * l1 + g_inv[1, 0] * l2, g_inv[0, 1] * l1 + g_inv[1, 1] * l2
 
 

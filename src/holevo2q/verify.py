@@ -9,18 +9,16 @@ acceptance tests call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .bloch import ell_perp, f_matrix, q_inverse, rld_bloch_vectors, sld_bloch_vectors
+from .bloch import (Record, ell_perp, f_matrix, factory, q_inverse, rld_bloch_vectors,
+                    sld_bloch_vectors)
 from .bounds import WeightMatrix, holevo_bound, trabs
 from .errors import SingularMatrixError
 from .fisher import fisher_bundle, fisher_matrices, invert_2x2
 from .oracle import (
     commutation_operator,
     density_point,
-    dual_operators,
     holevo_function,
     minimize_holevo_2d,
     minimize_holevo_6d,
@@ -41,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class CheckRow:
+class CheckRow(Record):
     name: str
     tolerance: float
     value: float
@@ -53,12 +50,11 @@ class CheckRow:
         return self.value <= self.tolerance
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     seed: int
     count: int
-    rows: list[CheckRow] = field(default_factory=list)
-    branch_counts: dict = field(default_factory=dict)
+    rows: list[CheckRow] = factory(list)
+    branch_counts: dict = factory(dict)
 
     @property
     def passed(self) -> bool:
@@ -113,8 +109,7 @@ def _matrix_form_bounds(fm, weight: WeightMatrix) -> tuple[float, float, float]:
     return c_s, c_r, c_z
 
 
-@dataclass(frozen=True)
-class DeterminantIdentityResiduals:
+class DeterminantIdentityResiduals(Record):
     """Relative residuals of the three closed-form identities linking the
     reduced quadratic coefficient, the determinants, the TrAbs terms and the
     gap C^Z - C^R.  All three vanish for exact arithmetic."""
@@ -209,7 +204,7 @@ def run_verification(
             )
 
         # Cross-path Fisher equality (entrywise, relative to matrix scale).
-        g_op, gt_op, z_op = operator_fisher(dp)
+        g_op, gt_op, z_op = operator_fisher(dp, l_ops, lt_ops)
         track.note(
             "cross_path_sld_fisher",
             np.abs(g_op - fm.g).max() / max(1.0, np.abs(fm.g).max()),
@@ -280,11 +275,14 @@ def run_verification(
         )
 
         # Commutation-operator relations.
-        duals = dual_operators(dp)
         g_inv = invert_2x2(g_op)
         gt_inv = invert_2x2(gt_op)
         # Relative like cross_path_*: the residual is the rounding of G^-1 and G~^-1.
         pairing_scale = max(1.0, np.abs(g_inv).max(), np.abs(gt_inv).max())
+        duals = (
+            g_inv[0, 0] * l_ops[0] + g_inv[1, 0] * l_ops[1],
+            g_inv[0, 1] * l_ops[0] + g_inv[1, 1] * l_ops[1],
+        )
         rduals = (
             gt_inv[0, 0] * lt_ops[0] + gt_inv[1, 0] * lt_ops[1],
             gt_inv[0, 1] * lt_ops[0] + gt_inv[1, 1] * lt_ops[1],
@@ -343,7 +341,8 @@ def run_verification(
             abs(value_2d - report.c_h) / abs(report.c_h),
             witness,
         )
-        value_6d = minimize_holevo_6d(density_point(m), w)
+        dp = density_point(m)
+        value_6d = minimize_holevo_6d(dp, w)
         track.note(
             "holevo_vs_constrained_search",
             abs(value_6d - report.c_h) / abs(report.c_h),
@@ -351,7 +350,7 @@ def run_verification(
         )
         track.note(
             "z_bound_from_duals",
-            abs(report.c_z - _holevo_at_duals(fm, w)) / abs(report.c_z),
+            abs(report.c_z - _holevo_at_duals(fm, w, dp)) / abs(report.c_z),
             witness,
         )
 
@@ -388,9 +387,9 @@ def run_verification(
     return report
 
 
-def _holevo_at_duals(fm, w) -> float:
-    """Holevo function at the feasible point given by the dual vectors;
-    equals the D-invariant bound by construction."""
-    m = fm.point
-    pair = pair_from_bloch_vectors(m, fm.dual1, fm.dual2)
-    return holevo_function(density_point(m), pair, w)
+def _holevo_at_duals(fm, w, dp) -> float:
+    """Holevo function at the feasible point given by the dual vectors, with
+    ``dp`` the density point of ``fm.point``; equals the D-invariant bound by
+    construction."""
+    pair = pair_from_bloch_vectors(fm.point, fm.dual1, fm.dual2)
+    return holevo_function(dp, pair, w)

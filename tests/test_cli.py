@@ -341,6 +341,29 @@ class TestLazyImport:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "all 22 checks passed" in proc.stdout
 
+    def test_bounds_and_sweeps_load_no_record_machinery_or_lazy_module(self, generic_model):
+        code = (
+            "import sys\n"
+            "import holevo2q.cli as cli\n"
+            f"model = {generic_model!r}\n"
+            "assert cli.main(['bounds', '--model', model, '--theta', '0.2,0.1',\n"
+            "                 '--weight', '1,0,1']) == 0\n"
+            "assert cli.main(['sweep-theta', '--model', model, '--weight', '1,0,1',\n"
+            "                 '--grid', '5']) == 0\n"
+            "lazy = ['dataclasses', 'holevo2q.classify', 'holevo2q.oracle',\n"
+            "        'holevo2q.verify', 'holevo2q.sampling']\n"
+            "loaded = [name for name in lazy if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "import holevo2q\n"
+            "namespace = {}\n"
+            "exec('from holevo2q import *', namespace)\n"
+            "missing = [name for name in holevo2q.__all__ if name not in namespace]\n"
+            "assert not missing, missing\n"
+            "assert set(holevo2q.__all__) <= set(dir(holevo2q))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self):

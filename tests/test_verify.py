@@ -124,3 +124,26 @@ def test_one_fisher_bundle_per_point(monkeypatch):
     assert len(calls) == 2 * 3
     monkeypatch.undo()
     assert run_verification(seed=7, count=3).table() == before
+
+
+def test_operators_solved_once_per_point(monkeypatch):
+    # The first loop solves each point's SLD and RLD operators once and takes G
+    # and the SLD duals from them; each point of either loop has one density point.
+    import holevo2q.oracle
+    import holevo2q.verify
+
+    calls = {"sld_operators": 0, "rld_operators": 0, "density_point": 0}
+    for name in calls:
+        original = getattr(holevo2q.oracle, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (holevo2q.oracle, holevo2q.verify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    before = run_verification(seed=7, count=3).table()
+    assert calls == {"sld_operators": 3, "rld_operators": 3, "density_point": 2 * 3}
+    monkeypatch.undo()
+    assert run_verification(seed=7, count=3).table() == before

@@ -5,6 +5,8 @@
 Each NAME=ROOT pair is one column: a source tree (ROOT holds ``src/holevo2q``)
 measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
 
+* ``import``: ``python -c "import holevo2q.cli"``, the interpreter start and
+  package import that every CLI path below pays first;
 * ``bounds``: ``holevo2q bounds`` at one point, interpreter start included;
 * ``sweep_weight_53``, ``sweep_weight_42``: ``sweep-weight --grid 101`` on
   generic_z theta0=0.2 at theta=(0.2447, 0.2447), both weight families;
@@ -43,6 +45,7 @@ MODELS = {"gz02.json": {"kind": "generic_z", "theta0": 0.2},
 THETA = "0.2447,0.2447"
 WEIGHT = "0.55,0.1,0.45"
 PATHS = {
+    "import": ["-c", "import holevo2q.cli"],
     "bounds": ["bounds", "--model", "gz02.json", "--theta", THETA, "--weight", WEIGHT],
     "sweep_weight_53": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
                         "--weight-family", "53", "--out", "out.csv"],
@@ -62,7 +65,9 @@ def _env(root):
 
 
 def _command(args, root):
-    """Interpreter argv of one path: a script of ROOT's tools/, or the CLI."""
+    """Interpreter argv of one path: inline code, a script of ROOT's tools/, or the CLI."""
+    if args[0] == "-c":
+        return [sys.executable, *args]
     if args[0].endswith(".py"):
         return [sys.executable, os.path.join(root, "tools", args[0]), *args[1:]]
     return [sys.executable, "-m", "holevo2q.cli", *args]
