@@ -11,18 +11,13 @@ A mixed two-parameter qubit point falls into one of three classes:
 A family is globally D-invariant exactly when |s_theta| is constant, which
 happens iff the family is unitary.
 
-The pure-shell operations evaluate the dual Bloch vectors and the bound via
-forms that stay finite as |s| -> 1.  With n = d1s x d2s and c = <s, n>:
-
-* away from the shell the duals are  l^1 = -(Q^-1 n) x d2s / N,
-  l^2 = +(Q^-1 n) x d1s / N  with N = <n, Q^-1 n> = |n|^2 - c^2 + |n|^2(1-s^2)
-  corrections folded in, and the analogous RLD expressions;
-* on the shell with tangent derivatives (a genuine pure model) both N and
-  Q^-1 n vanish; the cancelled limits are l^1 = -(s x d2s)/c and
-  l^2 = +(s x d1s)/c, the RLD duals coincide with the SLD duals, and the
-  bound becomes Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|;
-* c -> 0 on the shell is the asymptotically classical degeneration, where
-  the RLD-side limit collapses and an error is raised instead.
+The pure-limit operations read the Fisher route at a mixed point
+(``fisher_matrices``, ``holevo_bound``).  On the shell, with n = d1s x d2s
+and c = <s, n>, a genuine pure model has derivatives tangent to the sphere
+(n parallel to s); the SLD duals then have the limits l^1 = -(s x d2s)/c and
+l^2 = (s x d1s)/c, the RLD duals coincide with them, and the bound is
+Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|.  c -> 0 is the asymptotically
+classical degeneration, where an error is raised instead.
 """
 
 from __future__ import annotations
@@ -35,16 +30,17 @@ from .bloch import (
     CLASSIFICATION_RTOL,
     BlochModelPoint,
     Record,
+    cross,
     ell_perp,
-    f_matrix,
+    rld_bloch_vectors,
 )
-from .bounds import WeightMatrix, trabs
+from .bounds import WeightMatrix, holevo_bound
 from .errors import (
     AsymptoticallyClassicalLimitError,
     DomainError,
     PureStateError,
 )
-from .fisher import bloch_scalars
+from .fisher import bloch_scalars, fisher_bundle, fisher_matrices
 
 __all__ = [
     "CLASSIFICATION_RTOL",
@@ -129,116 +125,66 @@ def classify_family(family, grid) -> FamilyClassification:
     )
 
 
-def _limit_geometry(m: BlochModelPoint):
-    """Shared ingredients of the limit-safe dual formulas."""
+def _shell_limit(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray, float]:
+    """(l^1, l^2, c) at a pure-shell point: the tangent limits of the SLD duals.
+
+    Raises :class:`AsymptoticallyClassicalLimitError` where c = <s, n>
+    vanishes and :class:`PureStateError` where the derivatives are not
+    tangent to the sphere.  The tangency test reads |n x s| itself: its
+    square, |n|^2 - c^2, cancels to rounding size, far above TANGENCY_RTOL^2.
+    """
     n = ell_perp(m)
     c = float(m.s @ n)
-    qn = n - c * m.s  # Q^-1 n
-    quad = float(n @ qn)  # <n, Q^-1 n>
-    return n, c, qn, quad
-
-
-def _classical_guard(m: BlochModelPoint, n: np.ndarray, c: float) -> None:
     scale = float(np.linalg.norm(m.s) * np.linalg.norm(n))
     if abs(c) <= CLASSIFICATION_RTOL * max(scale, 1e-300):
         raise AsymptoticallyClassicalLimitError(
             "pure-state limit degenerates: <s, d1s x d2s> = 0 at the shell"
         )
-
-
-def _is_tangent(n: np.ndarray, quad: float) -> bool:
-    return quad <= (TANGENCY_RTOL * float(np.linalg.norm(n))) ** 2
+    if np.linalg.norm(cross(n, m.s)) > TANGENCY_RTOL * np.linalg.norm(n):
+        raise PureStateError(
+            "pure-shell point has non-tangent derivatives; the RLD limit "
+            "collapses and is not a valid pure-state model"
+        )
+    return -cross(m.s, m.d2s) / c, cross(m.s, m.d1s) / c, c
 
 
 def pure_limit_duals(
     m: BlochModelPoint,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """SLD and RLD dual Bloch vectors via the limit-safe cross-product forms.
+    """SLD and RLD dual Bloch vectors ``(l1, l2, lt1, lt2)``.
 
-    Returns ``(l1, l2, lt1, lt2)``.  For mixed points these agree with the
-    inverse-Fisher constructions l^i = sum_j (G^-1)_ji l_j and
-    l~^i = sum_j (G~^-1)_ji l~_j; on the pure
-    shell they remain finite wherever the model is not asymptotically
-    classical there.
+    At a mixed point these are ``fisher_matrices(m).dual1/dual2`` and
+    l~^i = sum_j (G~^-1)_ji l~_j; on the shell, the tangent limits, with the
+    RLD duals equal to the SLD ones.
     """
-    n, c, qn, quad = _limit_geometry(m)
     if m.is_mixed:
-        return _duals_from_geometry(m, n, c, qn, quad)
-    _classical_guard(m, n, c)
-    if _is_tangent(n, quad):
-        # Genuine pure model: derivatives tangent, n parallel to s.  The
-        # 0/0 in the generic formulas cancels to the expressions below,
-        # and D-invariance of constant-norm families makes the RLD duals
-        # coincide with the SLD ones.
-        l1 = -np.cross(m.s, m.d2s) / c
-        l2 = np.cross(m.s, m.d1s) / c
-        return l1, l2, l1.astype(complex), l2.astype(complex)
-    return _duals_from_geometry(m, n, c, qn, quad)
-
-
-def _duals_from_geometry(m, n, c, qn, quad):
-    if quad <= 0.0:
-        raise AsymptoticallyClassicalLimitError(
-            "dual-vector denominator <l_perp, Q^-1 l_perp> vanishes"
-        )
-    l1 = -np.cross(qn, m.d2s) / quad
-    l2 = np.cross(qn, m.d1s) / quad
-    f = f_matrix(m)
-    v1 = -(np.cross(n, m.d2s) - 1j * c * m.d2s)
-    v2 = np.cross(n, m.d1s) - 1j * c * m.d1s
-    one_minus_if = np.eye(3) - 1j * f
-    lt1 = one_minus_if @ v1 / quad
-    lt2 = one_minus_if @ v2 / quad
-    return l1, l2, lt1, lt2
+        fm = fisher_matrices(m)
+        gt_inv = fm.g_tilde_inv
+        r1, r2 = rld_bloch_vectors(m)
+        rdual1 = gt_inv[0, 0] * r1 + gt_inv[1, 0] * r2
+        rdual2 = gt_inv[0, 1] * r1 + gt_inv[1, 1] * r2
+        return fm.dual1, fm.dual2, rdual1, rdual2
+    l1, l2, _ = _shell_limit(m)
+    return l1, l2, l1.astype(complex), l2.astype(complex)
 
 
 def pure_limit_rld_inverse(m: BlochModelPoint) -> np.ndarray:
-    """Inverse RLD Fisher matrix through the limit-safe dual route.
-
-    For mixed points this reproduces ``fisher_matrices(m).g_tilde_inv``; on
-    the shell it evaluates the tangent-limit form with Re part the Gram
-    matrix of the limiting duals and Im part -J/c.
-    """
-    n, c, qn, quad = _limit_geometry(m)
+    """Inverse RLD Fisher matrix: ``fisher_matrices(m).g_tilde_inv`` at a
+    mixed point; on the shell, Gram(l^1, l^2) with imaginary part -J/c."""
     if m.is_mixed:
-        one_minus_sq = 1.0 - m.s_squared
-        f = f_matrix(m)
-        one_minus_if = np.eye(3) - 1j * f
-        v1 = -(np.cross(n, m.d2s) - 1j * c * m.d2s)
-        v2 = np.cross(n, m.d1s) - 1j * c * m.d1s
-        lhs = [one_minus_if @ v1, one_minus_if @ v2]
-        rhs = [v1, v2]
-        return np.array(
-            [[one_minus_sq * np.vdot(li, vj) / quad**2 for vj in rhs] for li in lhs]
-        )
-    _classical_guard(m, n, c)
-    if not _is_tangent(n, quad):
-        raise PureStateError(
-            "pure-shell point has non-tangent derivatives; the RLD limit "
-            "collapses and is not a valid pure-state model"
-        )
-    l1, l2, _, _ = pure_limit_duals(m)
-    gram = np.array(
-        [
-            [np.dot(l1, l1), np.dot(l1, l2)],
-            [np.dot(l2, l1), np.dot(l2, l2)],
-        ],
-        dtype=complex,
-    )
-    gram[0, 1] += -1j / c
-    gram[1, 0] += 1j / c
-    return gram
+        return fisher_matrices(m).g_tilde_inv
+    l1, l2, c = _shell_limit(m)
+    g12 = float(l1 @ l2)
+    return np.array([[l1 @ l1, g12 - 1j / c], [g12 + 1j / c, l2 @ l2]], dtype=complex)
 
 
 def pure_limit_holevo(m: BlochModelPoint, w) -> float:
-    """Holevo bound in the pure-state limit: the RLD expression evaluated
-    through the limit-safe inverse RLD Fisher matrix.
-
-    For mixed points the value equals the RLD bound; on the shell the
-    tangent-limit form Tr(W Gram) + 2 sqrt(det W)/|c| is returned.
-    """
+    """Holevo bound in the pure-state limit: the RLD bound ``c_r`` of
+    :func:`holevo2q.bounds.holevo_bound` at a mixed point; on the shell,
+    Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|."""
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
-    gt_inv = pure_limit_rld_inverse(m)
-    return float(
-        np.trace(weight.matrix @ gt_inv.real) + trabs(weight, gt_inv.imag)
-    )
+    if m.is_mixed:
+        return holevo_bound(fisher_bundle(m), weight).c_r
+    l1, l2, c = _shell_limit(m)
+    trace = weight.w11 * (l1 @ l1) + 2.0 * weight.w12 * (l1 @ l2) + weight.w22 * (l2 @ l2)
+    return float(trace + 2.0 * np.sqrt(weight.det) / abs(c))

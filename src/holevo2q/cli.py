@@ -216,9 +216,11 @@ def cmd_classify(args) -> int:
         usable = {}
         for th in ((a, b) for a in f1 for b in f2):
             try:
-                usable[th] = family.evaluate(th)
+                point = family.evaluate(th)
             except ModelError:
                 continue
+            if point.is_mixed:  # the rule evaluate_many applies to sweep cells
+                usable[th] = point
         if not usable:
             raise ModelError(f"no point of the {n}x{n} grid gives a valid model point")
         # Each grid point is evaluated once: classify_family reads the points above.
@@ -238,9 +240,7 @@ def cmd_verify(args) -> int:
 
     if args.count <= 0:
         raise ModelError("--count must be a positive integer")
-    report = run_verification(
-        seed=args.seed, count=args.count, inject_failure=args.inject_failure
-    )
+    report = run_verification(seed=args.seed, count=args.count)
     print(report.table())
     if report.passed:
         print(f"verify: all {len(report.rows)} checks passed")
@@ -304,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run the oracle verification suite")
     p_v.add_argument("--seed", type=int, default=42)
     p_v.add_argument("--count", type=int, default=200)
-    p_v.add_argument(
-        "--inject-failure",
-        action="store_true",
-        help="test hook: corrupt one tolerance to force a failing run",
-    )
     p_v.set_defaults(func=cmd_verify)
     return parser
 

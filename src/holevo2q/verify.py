@@ -2,9 +2,9 @@
 
 ``run_verification`` draws seeded random model points and weights, evaluates
 every structural identity through both the Bloch-vector closed forms and the
-density-matrix oracle, and reports the worst residual per check against a
-fixed tolerance.  The suite is what ``holevo2q verify`` runs and what the
-acceptance tests call.
+density-matrix oracle, and reports the worst residual per check against its
+tolerance in ``TOLERANCES``.  The suite is what ``holevo2q verify`` runs and
+what the acceptance tests call.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "CheckRow",
     "VerificationReport",
     "run_verification",
+    "TOLERANCES",
     "DeterminantIdentityResiduals",
     "fisher_determinant_identities",
 ]
@@ -165,6 +166,33 @@ def fisher_determinant_identities(m, weight, fm=None, fb=None) -> DeterminantIde
     return DeterminantIdentityResiduals(res1, res2, res3)
 
 
+# The tolerance of each check, in report order.
+TOLERANCES = {
+    "sld_defining_equation": 1e-12,
+    "rld_defining_equation": 1e-12,
+    "cross_path_sld_fisher": 1e-10,
+    "cross_path_rld_fisher": 1e-10,
+    "cross_path_z_matrix": 1e-10,
+    "identity_quadratic_determinant": 1e-10,
+    "identity_trabs_forms": 1e-10,
+    "identity_gamma_gap": 1e-10,
+    "im_z_equals_im_rld_inverse": 1e-12,
+    "rank_one_law": 1e-10,
+    "sld_rld_vector_consistency": 1e-12,
+    "dual_orthogonality": 1e-10,
+    "perp_gamma_relations": 1e-10,
+    "determinant_chain": 1e-10,
+    "commutation_reconstruction": 1e-10,
+    "commutation_sld_pairing": 1e-10,
+    "commutation_mixed_pairing": 1e-10,
+    "bound_inequality_chain": 0.0,
+    "bounds_vs_matrix_forms": 1e-10,
+    "holevo_vs_reduced_search": 1e-8,
+    "holevo_vs_constrained_search": 1e-8,
+    "z_bound_from_duals": 1e-10,
+}
+
+
 def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
@@ -178,9 +206,7 @@ def _describe(m, w=None) -> str:
     return text
 
 
-def run_verification(
-    seed: int = 42, count: int = 200, inject_failure: bool = False
-) -> VerificationReport:
+def run_verification(seed: int = 42, count: int = 200) -> VerificationReport:
     """Run every cross-path check on ``count`` random instances."""
     rng = np.random.default_rng(seed)
     track = _Tracker()
@@ -354,35 +380,8 @@ def run_verification(
             witness,
         )
 
-    tolerances = {
-        "sld_defining_equation": 1e-12,
-        "rld_defining_equation": 1e-12,
-        "cross_path_sld_fisher": 1e-10,
-        "cross_path_rld_fisher": 1e-10,
-        "cross_path_z_matrix": 1e-10,
-        "identity_quadratic_determinant": 1e-10,
-        "identity_trabs_forms": 1e-10,
-        "identity_gamma_gap": 1e-10,
-        "im_z_equals_im_rld_inverse": 1e-12,
-        "rank_one_law": 1e-10,
-        "sld_rld_vector_consistency": 1e-12,
-        "dual_orthogonality": 1e-10,
-        "perp_gamma_relations": 1e-10,
-        "determinant_chain": 1e-10,
-        "commutation_reconstruction": 1e-10,
-        "commutation_sld_pairing": 1e-10,
-        "commutation_mixed_pairing": 1e-10,
-        "bound_inequality_chain": 0.0,
-        "bounds_vs_matrix_forms": 1e-10,
-        "holevo_vs_reduced_search": 1e-8,
-        "holevo_vs_constrained_search": 1e-8,
-        "z_bound_from_duals": 1e-10,
-    }
-    if inject_failure:
-        tolerances["cross_path_sld_fisher"] = 0.0
-
     report = VerificationReport(seed=seed, count=count, branch_counts=branch_counts)
-    for name, tol in tolerances.items():
+    for name, tol in TOLERANCES.items():
         report.rows.append(track.row(name, tol))
     return report
 

@@ -268,6 +268,16 @@ class TestClassifyCommand:
         assert out == ""
         assert "ModelError" in err and "no point" in err
 
+    def test_near_shell_grid_points_skipped(self, tmp_path):
+        # (+-0.8, 0) lie within PURE_SHELL_TOL of the shell: the family
+        # evaluates them, but they are not mixed, so the grid skips them.
+        path = tmp_path / "near_shell.json"
+        domain = {"theta1": [-1.5999999999999, 1.5999999999999], "theta2": [-0.5, 0.5]}
+        path.write_text(json.dumps({"kind": "generic_z", "theta0": 0.6, "domain": domain}))
+        code, out, err = run_cli("classify", "--model", str(path), "--grid", "3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["family"]["grid_points"] == 3
+
     def test_grid_points_evaluated_once(self, generic_model, monkeypatch):
         from holevo2q.models import GenericZ
 
@@ -376,9 +386,10 @@ class TestVerifyCommand:
         assert code == 2
         assert "ModelError" in err
 
-    def test_injected_failure(self):
-        code, out, _ = run_cli(
-            "verify", "--seed", "7", "--count", "3", "--inject-failure"
-        )
+    def test_injected_failure(self, monkeypatch):
+        from holevo2q import verify
+
+        monkeypatch.setitem(verify.TOLERANCES, "cross_path_sld_fisher", 0.0)
+        code, out, _ = run_cli("verify", "--seed", "7", "--count", "3")
         assert code == 1
         assert "FAIL" in out

@@ -18,14 +18,18 @@ measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
 * ``tier1``: ``python -m pytest -q --continue-on-collection-errors`` in ROOT,
   run once per column.
 
-Every other path runs REPEATS = 3 times.  Repetitions alternate between the
-columns, so a drift in host speed reaches every column alike.  A column keeps
-each run's seconds and their median, the sha256 of each path's output (equal
-hashes mean byte-identical CSV, JSON or text), the tier-1 summary line, and
-whether the median of every 101x101 sweep is under SWEEP_TARGET_S (the
-ROADMAP's 0.4 s target).  Columns already in OUT.json that are not named again are
-kept; the machine record (usable cores, Python, numpy) is rewritten.
-Standard library only.
+Every other path runs REPEATS times, the short start-up paths SHORT_REPEATS
+times.  A path's repetitions run back to back, one run per column each, and
+the column that runs first alternates between repetitions, so a drift in host
+speed reaches every column alike and each repetition is a pair (or tuple) of
+adjacent runs.  A column keeps each run's seconds, their median, the number
+of repetitions in which it was the fastest column, the sha256 of each path's
+output (equal hashes mean byte-identical CSV, JSON or text; a path whose
+output differs between repetitions of one column is an error), the tier-1
+summary line, and whether the median of every 101x101 sweep is under
+SWEEP_TARGET_S (the ROADMAP's 0.4 s target).  Columns already in OUT.json that
+are not named again are kept; the machine record (usable cores, Python, numpy)
+is rewritten.  Standard library only.
 """
 
 import hashlib
@@ -38,7 +42,9 @@ import sys
 import tempfile
 import time
 
-REPEATS = 3
+REPEATS = 5
+SHORT_REPEATS = 15
+SHORT_PATHS = ("import", "bounds")
 SWEEP_TARGET_S = 0.4
 MODELS = {"gz02.json": {"kind": "generic_z", "theta0": 0.2},
           "gz023.json": {"kind": "generic_z", "theta0": 0.23}}
@@ -99,6 +105,7 @@ def main(argv):
     out_path = argv[1]
     columns = {name: os.path.abspath(root) for name, root in (a.split("=", 1) for a in argv[2:])}
     runs = {name: {path: [] for path in PATHS} for name in columns}
+    fastest = {name: dict.fromkeys(PATHS, 0) for name in columns}
     digests = {name: {} for name in columns}
     results = {}
     with tempfile.TemporaryDirectory() as work:
@@ -106,22 +113,30 @@ def main(argv):
         for filename, desc in MODELS.items():
             with open(os.path.join(work, filename), "w", encoding="utf-8") as fh:
                 json.dump(desc, fh)
-        for _ in range(REPEATS):
-            for name, root in columns.items():
-                for path, args in PATHS.items():
-                    seconds, stdout = _run(_command(args, root), root, work)
+        for path, args in PATHS.items():
+            for rep in range(SHORT_REPEATS if path in SHORT_PATHS else REPEATS):
+                order = list(columns) if rep % 2 == 0 else list(reversed(columns))
+                seconds_of = {}
+                for name in order:
+                    seconds, stdout = _run(_command(args, columns[name]), columns[name], work)
                     data = stdout.encode()
                     if os.path.exists(out_csv):  # the sweeps write their CSV here
                         with open(out_csv, "rb") as fh:
                             data = fh.read()
                         os.remove(out_csv)
+                    digest = hashlib.sha256(data).hexdigest()
+                    if digests[name].setdefault(path, digest) != digest:
+                        raise RuntimeError(f"{path} output of column {name} differs "
+                                           f"between repetitions")
                     runs[name][path].append(round(seconds, 4))
-                    digests[name][path] = hashlib.sha256(data).hexdigest()
+                    seconds_of[name] = seconds
+                fastest[min(seconds_of, key=seconds_of.get)][path] += 1
         for name, root in columns.items():
             cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
                    "-p", "no:cacheprovider"]
             seconds, stdout = _run(cmd, root, root)
-            paths = {path: {"runs_s": r, "median_s": round(statistics.median(r), 4)}
+            paths = {path: {"runs_s": r, "median_s": round(statistics.median(r), 4),
+                            "fastest_in": fastest[name][path]}
                      for path, r in runs[name].items()}
             paths["tier1"] = {"runs_s": [round(seconds, 4)], "median_s": round(seconds, 4),
                               "summary": stdout.strip().splitlines()[-1]}
