@@ -12,23 +12,24 @@ module is to validate those formulas from scratch:
   solved as a 4x4 real linear system in the Pauli basis,
 * the Holevo function on explicit Hermitian observable pairs,
 * exact minimizations of the Holevo function (a 2-d reduced search and a
-  6-d constrained search through a generic null-space parametrization),
-  and a grid oracle for the piecewise quadratic/absolute minimum.
+  6-d constrained search through a generic null-space parametrization).
 
 On its 2-d feasible slice the Holevo function is a convex quadratic plus
 2|affine|, so both minimizers return the lowest raw value among three
 closed-form candidates once raw values at probe points and around that
 minimum have confirmed the model (``_kink_minimum``).  The raw objectives
-take (N, 2) stacks of points, so a solve is two stacked evaluations: one of
-the candidates and one of every probe, checked as arrays.  Density matrices,
-Pauli coefficients and 2x2 traces are read entry by entry, with the bits of
-the numpy calls they replace.  Only the grid oracle, the derivative-free
-check of the closed form's case split, uses Nelder-Mead and so scipy.
+take (N, 2) stacks of points, so a solve is one stacked evaluation: the
+candidates together with the probes of the one the model ranks lowest (a
+second evaluation, of another candidate's probes, only when the raw values
+disagree with that ranking).  Density matrices, Pauli coefficients and 2x2
+traces are read entry by entry, with the bits of the numpy calls they
+replace.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -60,7 +61,6 @@ __all__ = [
     "pair_from_bloch_vectors",
     "minimize_holevo_2d",
     "minimize_holevo_6d",
-    "grid_min_quadratic_abs",
 ]
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -76,10 +76,9 @@ FIT_RTOL = 1e-6
 CERTIFICATE_RTOL = 1e-9
 _FIT_PROBES = (np.array([0.6, 0.8]), np.array([-0.8, 0.6]))
 _CERTIFICATE_STEPS = (1e-2, 1e-4, 1e-6)
-# As arrays: the fit offsets, +-h in probe order, and the directions e1, e2.
-_FIT_OFFSETS = np.array(_FIT_PROBES)
-_SIGNED_STEPS = np.array([sign * h for h in _CERTIFICATE_STEPS for sign in (1, -1)])
-_AXES = np.eye(2)
+# As floats: the fit offsets, and +-h in probe order.
+_FIT_OFFSETS = [u.tolist() for u in _FIT_PROBES]
+_SIGNED_STEPS = [sign * h for h in _CERTIFICATE_STEPS for sign in (1, -1)]
 
 
 def _herm(mat: np.ndarray) -> np.ndarray:
@@ -105,16 +104,18 @@ class DensityPoint(Record):
             if np.shape(getattr(self, name)) != (2, 2):
                 raise ValueError(f"{name} must be 2x2")
         mats = np.array([getattr(self, name) for name in names], dtype=complex)
-        asym = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        skew = asym > 1e-12 * (1.0 + np.abs(mats).max(axis=(1, 2)))
-        for name, mat, bad in zip(names, mats, skew.tolist()):
-            if bad:
+        entries = mats.tolist()
+        # max |m - m^dagger| against max |m|: |m10 - conj(m01)| = |m01 - conj(m10)|.
+        for name, ((m00, m01), (m10, m11)) in zip(names, entries):
+            asym = max(2.0 * abs(m00.imag), abs(m01 - m10.conjugate()), 2.0 * abs(m11.imag))
+            if asym > 1e-12 * (1.0 + max(abs(m00), abs(m01), abs(m10), abs(m11))):
                 raise ValueError(f"{name} must be Hermitian")
-            object.__setattr__(self, name, mat)
         wanted = ("have unit trace", "be traceless", "be traceless")
-        for name, tr, target, what in zip(names, _trace(mats).tolist(), (1.0, 0.0, 0.0), wanted):
-            if abs(tr - target) > 1e-12:
+        for name, (row0, row1), target, what in zip(names, entries, (1.0, 0.0, 0.0), wanted):
+            if abs(row0[0] + row1[1] + 0.0 - target) > 1e-12:
                 raise ValueError(f"{name} must {what}")
+        for name, mat in zip(names, mats):
+            object.__setattr__(self, name, mat)
         if np.linalg.eigvalsh(self.rho).min() < MIN_EIGENVALUE:
             raise PureStateError("rho is not strictly positive")
 
@@ -336,32 +337,6 @@ def _bloch_operator(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ops
 
 
-def _nelder_mead(fun, x0: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
-    """Two-stage Nelder-Mead refinement with a restart from the first result."""
-    from scipy.optimize import minimize  # lazy: only grid_min_quadratic_abs needs scipy
-
-    best_x = np.asarray(x0, dtype=float)
-    best_f = fun(best_x)
-    for _ in range(2):
-        result = minimize(
-            fun,
-            best_x,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-10,
-                "fatol": 1e-13 * (1.0 + abs(best_f)),
-                "maxfev": 10**5,
-                # best_x and best_x + scale e_k for each axis k.
-                "initial_simplex": best_x + scale * np.eye(best_x.size + 1, best_x.size, -1),
-            },
-        )
-        if result.fun < best_f:
-            best_f = float(result.fun)
-            best_x = np.asarray(result.x)
-        scale = max(1e-6 * scale, 1e-8)
-    return best_f, best_x
-
-
 def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]:
     """Lowest raw value of ``fun`` among the three minimizers of its 2-d model
 
@@ -369,11 +344,14 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
 
     -A^-1 (g + b), -A^-1 (g - b) and the minimum of the quadratic on the kink
     line (b|xi) + c = 0 (absent when (b|A^-1 b) = 0).  Returns (value, xi*).
-    ``fun`` maps an (N, 2) stack of points to N raw values; it is called
-    twice, on the finite candidates and then on every probe point at once.
-    Raises :class:`OracleCertificateError` when no candidate is finite, when
-    ``fun`` departs from m at two probe points by more than ``FIT_RTOL``
-    (1 + |fun|), or when it falls below the value by more than
+    ``fun`` maps an (N, 2) stack of points to N raw values, each row the bits
+    of its own one-row call.  It is called once, on the finite candidates
+    stacked with the probes of the candidate the model ranks lowest; only
+    when the raw minimum falls on another candidate is it called again, on
+    that candidate's probes.  Raises :class:`OracleCertificateError` when no
+    candidate is finite, when the value or a probe's raw value is not
+    finite, when ``fun`` departs from m at two probe points by more than
+    ``FIT_RTOL`` (1 + |fun|), or when it falls below the value by more than
     ``CERTIFICATE_RTOL`` (relative) at xi* +- h (1 + |xi*|) d for d along e1,
     e2 and the kink line and h in ``_CERTIFICATE_STEPS``; the fit is checked
     first.
@@ -387,26 +365,45 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
     candidates = candidates[np.isfinite(candidates).all(axis=1)]
     if not len(candidates):
         raise OracleCertificateError("no finite candidate")
-    value, xi = min(zip(fun(candidates).tolist(), candidates), key=lambda p: p[0])
-    scale = 1.0 + float(np.hypot(*xi))
-    b_norm = float(np.hypot(*b))
-    directions = np.array([*_AXES, (-b[1] / b_norm, b[0] / b_norm)] if b_norm > 0.0 else _AXES)
-    steps = (_SIGNED_STEPS * scale)[:, None] * directions[:, None]  # [d, step, :]
-    probes = xi + np.concatenate([scale * _FIT_OFFSETS, steps.reshape(-1, 2)])
-    raws = fun(probes)
-    # Row-wise dot3 (any row length) gives each row the bits of its own g @ x.
-    x, raw = probes[: len(_FIT_PROBES)], raws[: len(_FIT_PROBES)]
-    fits = raw - s0 - 2.0 * dot3(x, g) - dot3(x @ a, x) - 2.0 * abs(dot3(x, b) + c)
-    misfit = abs(fits) > FIT_RTOL * (1.0 + abs(raw))
-    if misfit.any():
-        fit = fits[misfit.argmax()]
-        raise OracleCertificateError(f"raw objective departs from its model by {fit:.3e}")
-    drops = value - raws[len(_FIT_PROBES) :]
-    below = drops > CERTIFICATE_RTOL * abs(value)
-    if below.any():
-        drop = drops[below.argmax()]
-        raise OracleCertificateError(f"raw objective is {drop:.3e} below its minimum")
-    return value, xi
+    (g1, g2), ((a11, a12), (a21, a22)), (b1, b2) = g.tolist(), a.tolist(), b.tolist()
+    c = float(c)
+
+    def model(x1: float, x2: float) -> float:
+        quad = x1 * (x1 * a11 + x2 * a21) + x2 * (x1 * a12 + x2 * a22)
+        return s0 + 2.0 * (x1 * g1 + x2 * g2) + quad + 2.0 * abs(x1 * b1 + x2 * b2 + c)
+
+    b_norm = float(np.hypot(b1, b2))
+    directions = [(1.0, 0.0), (0.0, 1.0)] + ([(-b2 / b_norm, b1 / b_norm)] if b_norm > 0.0 else [])
+
+    def probes(x1: float, x2: float) -> list:
+        # xi + scale u and xi + (h scale) d, one rounding per operation as in
+        # numpy's elementwise arithmetic; np.hypot, as math.hypot may differ.
+        scale = 1.0 + float(np.hypot(x1, x2))
+        steps = [h * scale for h in _SIGNED_STEPS]
+        fit = [(x1 + scale * u1, x2 + scale * u2) for u1, u2 in _FIT_OFFSETS]
+        return fit + [(x1 + h * d1, x2 + h * d2) for d1, d2 in directions for h in steps]
+
+    # min keeps the first of equal keys, as the choice among raw values must.
+    points = candidates.tolist()
+    pick = min(range(len(points)), key=lambda i: model(*points[i]))
+    probe = probes(*points[pick])
+    raws = fun(np.array(points + probe)).tolist()
+    best = min(range(len(points)), key=raws.__getitem__)
+    value, probe_raws = raws[best], raws[len(points) :]
+    if candidates[best].tobytes() != candidates[pick].tobytes():  # bytes, so -0.0 != 0.0
+        probe = probes(*points[best])
+        probe_raws = fun(np.array(probe)).tolist()
+    if not all(map(math.isfinite, [value, *probe_raws])):
+        raise OracleCertificateError("raw objective is not finite at its minimum or a probe")
+    for x, raw in zip(probe[: len(_FIT_PROBES)], probe_raws):
+        fit = raw - model(*x)
+        if abs(fit) > FIT_RTOL * (1.0 + abs(raw)):
+            raise OracleCertificateError(f"raw objective departs from its model by {fit:.3e}")
+    tolerance = CERTIFICATE_RTOL * abs(value)
+    for raw in probe_raws[len(_FIT_PROBES) :]:
+        if value - raw > tolerance:
+            raise OracleCertificateError(f"raw objective is {value - raw:.3e} below its minimum")
+    return value, candidates[best]
 
 
 def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarray]:
@@ -420,8 +417,8 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
     Because <l_perp, F l_perp> = 0, h is a convex quadratic in xi plus
     2 |(b|xi) + c|; its coefficients come from the expansion of the same
     geometry, and :func:`_kink_minimum` returns the lowest raw value among
-    the three closed-form candidates, evaluating h on two stacks of xi (the
-    candidates, then every probe).  Returns (value, xi*).  Only the SLD duals
+    the three closed-form candidates, evaluating h on one stack of xi (the
+    candidates and the probes).  Returns (value, xi*).  Only the SLD duals
     are read: from ``fm = fisher_matrices(m)`` if given, else :func:`sld_duals`.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
@@ -445,12 +442,14 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
     w11, w12, w22 = weight.w11, weight.w12, weight.w22
     sqrt_det_w = np.sqrt(weight.det)
 
+    duals = np.array([dual1, dual2])
+
     def objective(xi: np.ndarray) -> np.ndarray:
-        x1 = dual1 + xi[:, :1] * perp
-        x2 = dual2 + xi[:, 1:] * perp
-        y1, y2 = (x1[:, None, :] @ q_inv)[:, 0, :], (x2[:, None, :] @ q_inv)[:, 0, :]
-        quad = w11 * dot3(y1, x1) + w12 * dot3(y1, x2) + w12 * dot3(y2, x1) + w22 * dot3(y2, x2)
-        return quad + 2.0 * sqrt_det_w * np.abs(dot3(x1, cross(s, x2)))
+        xs = duals + xi[:, :, None] * perp  # [n, i] = x^i
+        # <y^i, x^j> for ij = 11, 12, 21, 22, with y^i = x^i Q^-1.
+        pairs = dot3((xs @ q_inv)[:, [0, 0, 1, 1]], xs[:, [0, 1, 0, 1]])
+        quad = w11 * pairs[:, 0] + w12 * pairs[:, 1] + w12 * pairs[:, 2] + w22 * pairs[:, 3]
+        return quad + 2.0 * sqrt_det_w * np.abs(dot3(xs[:, 0], cross(s, xs[:, 1])))
 
     # Expansion in xi: x^i Q^-1 x^j and <x^1, F x^2> with F x = s x x.
     y1, y2, yp = dual1 @ q_inv, dual2 @ q_inv, perp @ q_inv
@@ -473,7 +472,7 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
     quadratic part Tr(W Re Z) is fitted from raw traces at t in {0, +-e1,
     +-e2, e1 + e2} and the affine Im Z_12 from t in {0, +-e1, +-e2}, all six
     in one stacked evaluation; then :func:`_kink_minimum` returns the lowest
-    raw value among the candidates, with two more stacked evaluations.
+    raw value among the candidates, with one more stacked evaluation.
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     # Recover the Bloch data from the operators themselves: rho = (I + s.sigma)/2.
@@ -507,30 +506,4 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
     b = sqrt_det_w * np.array([lp1 - lm1, lp2 - lm2]) / 2.0
     a = np.array([[a11, a12], [a12, a22]])
     value, _ = _kink_minimum(lambda t: holevo(*operators(t)), s0, g, a, b, sqrt_det_w * l0)
-    return value
-
-
-def grid_min_quadratic_abs(a, b, c: float) -> float:
-    """Grid + refinement oracle for min (xi|A xi) + 2|(b|xi) + c|.
-
-    Derivative-free on purpose: it is the independent check of the case
-    split in :func:`holevo2q.bounds.quadratic_abs_min`.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-
-    def objective(xi: np.ndarray) -> float:
-        return float(xi @ a @ xi) + 2.0 * abs(float(b @ xi) + c)
-
-    lam_min = float(np.linalg.eigvalsh(a).min())
-    if lam_min <= 0.0:
-        raise SingularMatrixError("quadratic coefficient matrix must be positive definite")
-    a_inv = invert_2x2(a, exc=SingularMatrixError)
-    alpha = float(b @ a_inv @ b)
-    radius = 10.0 * (alpha + abs(c) + 1.0) / lam_min
-    axis = np.linspace(-radius, radius, 201)
-    xi1, xi2 = np.repeat(axis, 201), np.tile(axis, 201)
-    quad = a[0, 0] * xi1**2 + 2.0 * a[0, 1] * xi1 * xi2 + a[1, 1] * xi2**2
-    idx = int(np.argmin(quad + 2.0 * np.abs(b[0] * xi1 + b[1] * xi2 + c)))
-    value, _ = _nelder_mead(objective, np.array([xi1[idx], xi2[idx]]), 2.0 * radius / 200)
     return value

@@ -34,7 +34,6 @@ from holevo2q.oracle import (
     commutation_operator,
     density_point,
     dual_operators,
-    grid_min_quadratic_abs,
     minimize_holevo_2d,
     minimize_holevo_6d,
     operator_fisher,
@@ -50,6 +49,7 @@ from holevo2q.sampling import (
     random_weight,
 )
 from holevo2q.verify import fisher_determinant_identities
+from reference import grid_min_quadratic_abs
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])

@@ -182,12 +182,9 @@ class TestPureLimitDuals:
             r1, r2 = rld_bloch_vectors(m)
             rdual1 = gt_inv[0, 0] * r1 + gt_inv[1, 0] * r2
             rdual2 = gt_inv[0, 1] * r1 + gt_inv[1, 1] * r2
-            l1, l2, lt1, lt2 = pure_limit_duals(m)
-            scale = 1 + max(np.abs(fm.dual1).max(), np.abs(fm.dual2).max())
-            assert np.abs(l1 - fm.dual1).max() <= 1e-9 * scale
-            assert np.abs(l2 - fm.dual2).max() <= 1e-9 * scale
-            assert np.abs(lt1 - rdual1).max() <= 1e-9 * scale
-            assert np.abs(lt2 - rdual2).max() <= 1e-9 * scale
+            got = pure_limit_duals(m)
+            want = (fm.dual1, fm.dual2, rdual1, rdual2)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     def test_tangent_pure_point_finite(self):
         m = point([0, 0, 1.0])
@@ -220,9 +217,7 @@ class TestPureLimitHolevo:
             m = random_model_point(rng)
             w = random_weight(rng)
             fb = fisher_bundle(m)
-            assert pure_limit_holevo(m, w) == pytest.approx(
-                bound_rld(fb, w), rel=1e-9
-            )
+            assert pure_limit_holevo(m, w).hex() == bound_rld(fb, w).hex()
 
     def test_tangent_pure_value(self):
         w = WeightMatrix.identity()
@@ -254,10 +249,7 @@ class TestPureLimitHolevo:
         for _ in range(100):
             m = random_model_point(rng)
             fm = fisher_matrices(m)
-            gt = pure_limit_rld_inverse(m)
-            assert np.abs(gt - fm.g_tilde_inv).max() <= 1e-9 * (
-                1 + np.abs(fm.g_tilde_inv).max()
-            )
+            assert pure_limit_rld_inverse(m).tobytes() == fm.g_tilde_inv.tobytes()
 
 
 class TestGammaDecaySequence:

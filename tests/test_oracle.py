@@ -30,7 +30,6 @@ from holevo2q.oracle import (
     commutation_operator,
     density_point,
     dual_operators,
-    grid_min_quadratic_abs,
     holevo_function,
     minimize_holevo_2d,
     minimize_holevo_6d,
@@ -49,6 +48,7 @@ from holevo2q.sampling import (
     random_planar_point,
     random_weight,
 )
+from reference import grid_min_quadratic_abs
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -515,8 +515,9 @@ class TestExactSolve:
         with pytest.raises(OracleCertificateError, match="departs from its model"):
             oracle._kink_minimum(fun, 1.0, np.zeros(2), np.eye(2), np.zeros(2), 0.0)
 
-    def test_two_stacked_calls(self):
-        # One call on the candidates, one on every fit and certificate probe.
+    def test_one_stacked_call(self):
+        # One call on the candidates stacked with every fit and certificate
+        # probe of the model's lowest candidate, which is the raw minimum here.
         calls = []
 
         def fun(xi):
@@ -527,7 +528,42 @@ class TestExactSolve:
             fun, 1.0, np.zeros(2), np.eye(2), np.array([1.0, 0.0]), -0.5
         )
         assert value == pytest.approx(1.25) and xi == pytest.approx([0.5, 0.0])
-        assert calls == [3, 2 + 3 * 2 * len(oracle._CERTIFICATE_STEPS)]
+        assert calls == [3 + 2 + 3 * 2 * len(oracle._CERTIFICATE_STEPS)]
+
+    def test_second_call_when_raw_minimum_is_another_candidate(self):
+        # Model 1 + |xi|^2 + 2|xi_1 - 0.5| ranks the kink-line candidate
+        # (0.5, 0) lowest, but the raw objective is 10 lower exactly at the
+        # stationary candidate (1, 0), whose probes then take a second call.
+        calls = []
+
+        def fun(xi):
+            calls.append(len(xi))
+            out = 1.0 + (xi * xi).sum(axis=1) + 2.0 * np.abs(xi[:, 0] - 0.5)
+            return out - np.where((xi == [1.0, 0.0]).all(axis=1), 10.0, 0.0)
+
+        value, xi = oracle._kink_minimum(
+            fun, 1.0, np.zeros(2), np.eye(2), np.array([1.0, 0.0]), -0.5
+        )
+        assert value == -7.0 and xi.tolist() == [1.0, 0.0]
+        n_probes = 2 + 3 * 2 * len(oracle._CERTIFICATE_STEPS)
+        assert calls == [3 + n_probes, n_probes]
+
+    def test_non_finite_raw_values_raise(self):
+        # NaN passes every comparison of the fit and certificate checks.
+        def solve(fun):
+            oracle._kink_minimum(fun, 1.0, np.zeros(2), np.eye(2), np.zeros(2), 0.0)
+
+        with pytest.raises(OracleCertificateError, match="not finite"):
+            solve(lambda xi: np.full(len(xi), np.nan))
+        for bad in (np.nan, np.inf):
+
+            def fun(xi):
+                out = 1.0 + (xi * xi).sum(axis=1)
+                out[-1] = bad  # the last certificate probe
+                return out
+
+            with pytest.raises(OracleCertificateError, match="not finite"):
+                solve(fun)
 
     def test_fit_check_precedes_certificate(self):
         # 1 + 2|xi|^2 minus 1e-7 away from 0: within the fit tolerance but not
@@ -600,6 +636,30 @@ def test_pinned_oracle_bits(case):
     assert [value_2d.hex(), value_6d.hex(), *(float(x).hex() for x in xi)] == bits
 
 
+def test_one_raw_evaluation_per_solve(monkeypatch):
+    # On every pinned case the model ranks the raw minimum lowest, so each
+    # minimizer calls its raw objective once: on the candidates and the probes.
+    kink_minimum = oracle._kink_minimum
+    calls = []
+
+    def counted(fun, *coefficients):
+        def counted_fun(xi):
+            calls[-1].append(len(xi))
+            return fun(xi)
+
+        return kink_minimum(counted_fun, *coefficients)
+
+    monkeypatch.setattr(oracle, "_kink_minimum", counted)
+    for theta, weight, *_ in PINNED_ORACLE_BITS:
+        m = GenericZ(0.2).evaluate(theta)
+        w = WeightMatrix(*weight)
+        calls.append([])
+        minimize_holevo_2d(m, w)
+        calls.append([])
+        minimize_holevo_6d(density_point(m), w)
+    assert [len(sizes) for sizes in calls] == [1] * (2 * len(PINNED_ORACLE_BITS)), calls
+
+
 class TestKinkProbes:
     def test_probes_are_the_written_out_points(self):
         # Every fit and certificate probe has the bits of its own
@@ -621,17 +681,20 @@ class TestKinkProbes:
                 xi + sign * h * scale * d
                 for d in directions for h in oracle._CERTIFICATE_STEPS for sign in (1, -1)
             ]
-            assert calls[1].tobytes() == np.array(probes).tobytes()
+            assert len(calls) == 1 and len(calls[0]) == (3 if b.any() else 2) + len(probes)
+            assert calls[0][-len(probes) :].tobytes() == np.array(probes).tobytes()
 
     def test_first_failing_probe_is_reported(self):
         # Two certificate probes fall below the minimum; the message gives the
         # drop of the first in probe order (+h before -h, larger h first):
         # 2e-3 less the h^2 = 1e-4 that the quadratic adds at h = 1e-2.
+        n_probes = len(oracle._FIT_PROBES) + 2 * 2 * len(oracle._CERTIFICATE_STEPS)
+
         def fun(xi):
             out = 1.0 + (xi * xi).sum(axis=1)
-            if len(xi) > 3:  # the probes, after the candidates
-                out[len(oracle._FIT_PROBES) + 3] -= 1e-3
-                out[len(oracle._FIT_PROBES)] -= 2e-3
+            first = len(xi) - n_probes + len(oracle._FIT_PROBES)  # after the fit probes
+            out[first + 3] -= 1e-3
+            out[first] -= 2e-3
             return out
 
         with pytest.raises(OracleCertificateError, match=r"^raw objective is 1\.900e-03 below"):
