@@ -34,14 +34,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import types
 
 import numpy as np
 
 from .bounds import (
     WeightMatrix,
     boundary_weight_family_many,
-    holevo_bound,
     holevo_bounds_many,
     weight_from_angles_many,
 )
@@ -52,20 +50,22 @@ from .models import load_model
 __all__ = ["main", "build_parser"]
 
 CSV_SCHEMA = "v1"
-BOUND_COLUMNS = [
-    "c_s",
-    "c_r",
-    "c_z",
-    "c_n",
-    "c_h",
-    "s_correction",
-    "b_theta",
-    "branch",
-    "gamma1",
-    "gamma2",
-    "d_invariant",
-    "asymptotically_classical",
-]
+# The bound columns of the CSV rows and the bounds JSON: (name, CSV format, value(fb, report)).
+_COLUMNS = (
+    ("c_s", "%.17g", lambda fb, report: report.c_s),
+    ("c_r", "%.17g", lambda fb, report: report.c_r),
+    ("c_z", "%.17g", lambda fb, report: report.c_z),
+    ("c_n", "%.17g", lambda fb, report: report.c_n),
+    ("c_h", "%.17g", lambda fb, report: report.c_h),
+    ("s_correction", "%.17g", lambda fb, report: report.s_correction),
+    ("b_theta", "%.17g", lambda fb, report: report.b_value),
+    ("branch", "%s", lambda fb, report: report.branch),
+    ("gamma1", "%.17g", lambda fb, report: fb.gamma[..., 0]),
+    ("gamma2", "%.17g", lambda fb, report: fb.gamma[..., 1]),
+    ("d_invariant", "%d", lambda fb, report: fb.d_invariant),
+    ("asymptotically_classical", "%d", lambda fb, report: fb.asymptotically_classical),
+)
+BOUND_COLUMNS = [name for name, _, _ in _COLUMNS]
 
 
 def _parse_floats(text: str, count: int, name: str) -> tuple[float, ...]:
@@ -83,29 +83,11 @@ def _parse_weight(text: str) -> WeightMatrix:
     return WeightMatrix(w11, w12, w22)
 
 
-def _load_family(args):
-    if args.model is None:
-        raise ModelError("--model FILE is required")
-    return load_model(args.model)
-
-
 def _bounds_record(fb: FisherBundle, weight: WeightMatrix) -> dict:
-    report = holevo_bound(fb, weight)
-    return {
-        "c_s": report.c_s,
-        "c_r": report.c_r,
-        "c_z": report.c_z,
-        "c_n": report.c_n,
-        "c_h": report.c_h,
-        "s_correction": report.s_correction,
-        "b_theta": report.b_value,
-        "branch": report.branch.value,
-        "gamma1": float(fb.gamma[0]),
-        "gamma2": float(fb.gamma[1]),
-        "d_invariant": fb.d_invariant,
-        "asymptotically_classical": fb.asymptotically_classical,
-        "xi_star": [float(v) for v in report.xi_star],
-    }
+    """The bound columns and the optimal offset ``xi_star`` at one point."""
+    report = holevo_bounds_many(fb, weight.w11, weight.w12, weight.w22)
+    record = {name: np.asarray(get(fb, report)).tolist() for name, _, get in _COLUMNS}
+    return {**record, "xi_star": report.xi_star.tolist()}
 
 
 def _grid(axis1, axis2):
@@ -118,12 +100,8 @@ def _emit_csv(path, header_name: str, coords: list[str], axes, fb, report, keep=
     BOUND_COLUMNS.  Axis values, and values shared by every row (baked into
     the row template), are formatted once."""
     labels = _grid(*(np.array(["%.17g" % x for x in a.tolist()], dtype=object) for a in axes))
-    values = (
-        labels[0][keep], labels[1][keep], report.c_s, report.c_r, report.c_z, report.c_n,
-        report.c_h, report.s_correction, report.b_value, report.branch, fb.gamma[..., 0],
-        fb.gamma[..., 1], fb.d_invariant, fb.asymptotically_classical,
-    )
-    specs = ["%s"] * 2 + ["%.17g"] * 7 + ["%s"] + ["%.17g"] * 2 + ["%d"] * 2
+    values = (labels[0][keep], labels[1][keep], *(get(fb, report) for _, _, get in _COLUMNS))
+    specs = ["%s", "%s", *(spec for _, spec, _ in _COLUMNS)]
     row = ",".join(spec % v if np.ndim(v) == 0 else spec for spec, v in zip(specs, values))
     columns = [v.tolist() for v in values if np.ndim(v)]
     lines = [f"# holevo2q {header_name} schema {CSV_SCHEMA}", ",".join(coords + BOUND_COLUMNS)]
@@ -137,7 +115,7 @@ def _emit_csv(path, header_name: str, coords: list[str], axes, fb, report, keep=
 
 
 def cmd_bounds(args) -> int:
-    family = _load_family(args)
+    family = load_model(args.model)
     theta = _parse_floats(args.theta, 2, "--theta")
     weight = _parse_weight(args.weight)
     fb = fisher_bundle(family.evaluate(theta))
@@ -147,7 +125,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sweep_weight(args) -> int:
-    family = _load_family(args)
+    family = load_model(args.model)
     theta = _parse_floats(args.theta, 2, "--theta")
     fb = fisher_bundle(family.evaluate(theta))
     n = args.grid
@@ -169,11 +147,13 @@ def cmd_sweep_weight(args) -> int:
 
 
 def cmd_sweep_theta(args) -> int:
-    family = _load_family(args)
+    family = load_model(args.model)
     weight = _parse_weight(args.weight)
     n = args.grid
     if n < 2:
         raise ModelError("--grid must be at least 2")
+    if not 0.0 <= args.shrink < 0.5:
+        raise ModelError(f"--shrink must lie in [0, 0.5), got {args.shrink}")
     dom = family.domain
 
     def _axis(lo: float, hi: float) -> np.ndarray:
@@ -194,7 +174,7 @@ def cmd_classify(args) -> int:
 
     if args.grid < 0:
         raise ModelError("--grid must be non-negative")
-    family = _load_family(args)
+    family = load_model(args.model)
     out: dict = {"model": family.to_descriptor()}
     if args.theta is not None:
         theta = _parse_floats(args.theta, 2, "--theta")
@@ -209,26 +189,17 @@ def cmd_classify(args) -> int:
             "triple_product": cls.triple_product,
         }
     if args.grid:
-        dom = family.domain
         n = args.grid
-        f1 = np.linspace(dom.theta1[0], dom.theta1[1], n + 2)[1:-1]
-        f2 = np.linspace(dom.theta2[0], dom.theta2[1], n + 2)[1:-1]
-        usable = {}
-        for th in ((a, b) for a in f1 for b in f2):
-            try:
-                point = family.evaluate(th)
-            except ModelError:
-                continue
-            if point.is_mixed:  # the rule evaluate_many applies to sweep cells
-                usable[th] = point
-        if not usable:
+        limits = (family.domain.theta1, family.domain.theta2)
+        t1, t2 = _grid(*(np.linspace(lo, hi, n + 2)[1:-1] for lo, hi in limits))
+        *_, usable = family.evaluate_many(t1, t2)  # the cells sweep-theta keeps
+        if not usable.any():
             raise ModelError(f"no point of the {n}x{n} grid gives a valid model point")
-        # Each grid point is evaluated once: classify_family reads the points above.
-        fam = classify_family(types.SimpleNamespace(evaluate=usable.__getitem__), usable)
+        fam = classify_family(family, zip(t1[usable], t2[usable]))
         labels = sorted({c.label.value for c in fam.point_classes})
         out["family"] = {
             "globally_d_invariant": fam.globally_d_invariant,
-            "grid_points": len(usable),
+            "grid_points": len(fam.point_classes),
             "labels_present": labels,
         }
     print(json.dumps(out, indent=2))
@@ -313,10 +284,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ModelError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

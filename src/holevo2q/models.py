@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .bloch import BlochModelPoint, Record, dot3, factory, mixed, stack_last
-from .errors import DomainError, PureStateError
+from .errors import DomainError, ModelError, PureStateError
 
 __all__ = [
     "DEFAULT_FD_STEP",
@@ -124,7 +124,9 @@ class _Family(Record):
     theta1, theta2 of in-domain points to (N, 3) arrays of s, d1s and d2s."""
 
     def evaluate(self, theta) -> BlochModelPoint:
-        """:meth:`evaluate_many` of one point; raises where that is unusable."""
+        """:meth:`evaluate_many` of one point.  Raises outside the domain, for a
+        non-finite s and where |s| >= 1, but returns the points with
+        1 - PURE_SHELL_TOL <= |s| < 1 that :meth:`evaluate_many` marks unusable."""
         t1, t2 = _check_theta(theta)
         self.domain.require((t1, t2))
         s, d1, d2 = (x[0] for x in self._bloch_arrays(np.array([t1]), np.array([t2])))
@@ -141,6 +143,16 @@ class _Family(Record):
             out[:, inside] = self._bloch_arrays(t1[inside], t2[inside])
         s, d1, d2 = out
         return s, d1, d2, inside & np.isfinite(out).all(axis=(0, 2)) & mixed(dot3(s, s))
+
+    def to_descriptor(self) -> dict:
+        """``kind``, then each field as plain JSON: what :func:`from_descriptor` reads."""
+        desc = {"kind": self.kind}
+        for name in self._fields:
+            value = getattr(self, name)
+            if isinstance(value, Domain):
+                value = value.to_descriptor()
+            desc[name] = value.tolist() if isinstance(value, (np.ndarray, Poly2D)) else value
+        return desc
 
 
 class Unitary(_Family):
@@ -176,14 +188,6 @@ class Unitary(_Family):
         d2 = frame(-sin1 * sin2, sin1 * cos2, np.zeros_like(t1))
         return s, d1, d2
 
-    def to_descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "radius": self.radius,
-            "axes": self.axes.tolist(),
-            "domain": self.domain.to_descriptor(),
-        }
-
 
 class Planar(_Family):
     """s = f1(theta) u1 + f2(theta) u2 with unit (not necessarily orthogonal)
@@ -203,6 +207,9 @@ class Planar(_Family):
             if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > 1e-10:
                 raise DomainError(f"{name} must be a unit 3-vector")
             object.__setattr__(self, name, u)
+        for name in ("f1", "f2"):
+            f = getattr(self, name)
+            object.__setattr__(self, name, f if isinstance(f, Poly2D) else Poly2D(f))
         cross = np.linalg.norm(np.cross(self.u1, self.u2))
         if cross < 1e-10:
             raise DomainError("u1 and u2 must be linearly independent")
@@ -213,16 +220,6 @@ class Planar(_Family):
 
         f1, f2 = self.f1, self.f2
         return combine(f1, f2), combine(f1.dx(), f2.dx()), combine(f1.dy(), f2.dy())
-
-    def to_descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "u1": self.u1.tolist(),
-            "u2": self.u2.tolist(),
-            "f1": self.f1.tolist(),
-            "f2": self.f2.tolist(),
-            "domain": self.domain.to_descriptor(),
-        }
 
 
 def _generic_z_domain(theta0: float) -> Domain:
@@ -253,13 +250,6 @@ class GenericZ(_Family):
         unit = np.zeros((2, t1.size, 3))
         unit[0, :, 0] = unit[1, :, 1] = 1.0
         return stack_last([t1, t2, np.full_like(t1, self.theta0)], 1), unit[0], unit[1]
-
-    def to_descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "theta0": self.theta0,
-            "domain": self.domain.to_descriptor(),
-        }
 
 
 class Explicit(_Family):
@@ -318,6 +308,7 @@ class Explicit(_Family):
 
 
 ModelFamily = Unitary | Planar | GenericZ | Explicit
+_KINDS = {cls.kind: cls for cls in (Unitary, Planar, GenericZ, Explicit)}
 
 
 def evaluate(family: ModelFamily, theta) -> BlochModelPoint:
@@ -326,48 +317,29 @@ def evaluate(family: ModelFamily, theta) -> BlochModelPoint:
 
 
 def from_descriptor(desc: dict) -> ModelFamily:
-    """Build a family from a JSON descriptor dictionary."""
+    """Build a family from a JSON descriptor dictionary: ``kind`` and the
+    family's fields (for ``explicit``: ``components``, ``step``, ``domain``).
+    Other keys are ignored; a malformed value raises :class:`DomainError`."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise DomainError("model descriptor must be an object with a 'kind' key")
     kind = desc["kind"]
-    domain = None
-    if "domain" in desc:
-        d = desc["domain"]
-        domain = Domain(tuple(d["theta1"]), tuple(d["theta2"]))
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DomainError(f"unknown model kind {kind!r}")
+    kwargs = {key: value for key, value in desc.items() if key in cls._fields}
     try:
-        if kind == "generic_z":
-            kwargs = {"theta0": desc["theta0"]}
-            if domain is not None:
-                kwargs["domain"] = domain
-            return GenericZ(**kwargs)
-        if kind == "unitary":
-            kwargs = {"radius": desc["radius"]}
-            if "axes" in desc:
-                kwargs["axes"] = np.asarray(desc["axes"], dtype=float)
-            if domain is not None:
-                kwargs["domain"] = domain
-            return Unitary(**kwargs)
-        if kind == "planar":
-            kwargs = {
-                "u1": np.asarray(desc["u1"], dtype=float),
-                "u2": np.asarray(desc["u2"], dtype=float),
-            }
-            if "f1" in desc:
-                kwargs["f1"] = Poly2D(desc["f1"])
-            if "f2" in desc:
-                kwargs["f2"] = Poly2D(desc["f2"])
-            if domain is not None:
-                kwargs["domain"] = domain
-            return Planar(**kwargs)
-        if kind == "explicit":
-            return Explicit.from_polynomials(
-                desc["components"],
-                step=desc.get("step", DEFAULT_FD_STEP),
-                domain=domain,
-            )
+        if "domain" in kwargs:
+            kwargs["domain"] = Domain(kwargs["domain"]["theta1"], kwargs["domain"]["theta2"])
+        if cls is Explicit:
+            step = kwargs.get("step", DEFAULT_FD_STEP)
+            return Explicit.from_polynomials(kwargs["components"], step, kwargs.get("domain"))
+        return cls(**kwargs)
+    except ModelError:
+        raise
     except KeyError as exc:
         raise DomainError(f"model descriptor missing required key {exc}") from exc
-    raise DomainError(f"unknown model kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {kind} model descriptor: {exc}") from exc
 
 
 def load_model(path) -> ModelFamily:
@@ -375,7 +347,11 @@ def load_model(path) -> ModelFamily:
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
-        return from_descriptor(json.load(fh))
+        try:
+            desc = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"model file {path} is not valid JSON: {exc}") from exc
+    return from_descriptor(desc)
 
 
 def n_copy_bound(single_copy_value: float, n: int) -> float:

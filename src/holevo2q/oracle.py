@@ -28,6 +28,7 @@ replace.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -105,8 +106,10 @@ class DensityPoint(Record):
                 raise ValueError(f"{name} must be 2x2")
         mats = np.array([getattr(self, name) for name in names], dtype=complex)
         entries = mats.tolist()
-        # max |m - m^dagger| against max |m|: |m10 - conj(m01)| = |m01 - conj(m10)|.
         for name, ((m00, m01), (m10, m11)) in zip(names, entries):
+            if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+                raise ValueError(f"{name} must be finite")
+            # max |m - m^dagger| against max |m|: |m10 - conj(m01)| = |m01 - conj(m10)|.
             asym = max(2.0 * abs(m00.imag), abs(m01 - m10.conjugate()), 2.0 * abs(m11.imag))
             if asym > 1e-12 * (1.0 + max(abs(m00), abs(m01), abs(m10), abs(m11))):
                 raise ValueError(f"{name} must be Hermitian")
@@ -143,6 +146,8 @@ class HermitianPair(Record):
                 1.0 + np.abs(mat).max()
             ):
                 raise ValueError(f"{name} must be a Hermitian 2x2 matrix")
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, mat)
 
     def operators(self) -> tuple[np.ndarray, np.ndarray]:

@@ -231,6 +231,17 @@ class TestSweepTheta:
         off_axis = [r for r in rows if float(r["theta1"]) != 0.0]
         assert all(r["d_invariant"] == "0" for r in off_axis)
 
+    @pytest.mark.parametrize("shrink", ["1.0", "0.75", "0.5", "-0.3", "nan"])
+    def test_shrink_outside_half_interval_rejected(self, generic_model, shrink):
+        # 1.0 and 0.75 would sweep reversed axes, -0.3 cells beyond the
+        # domain, and nan a header-only CSV.
+        code, out, err = run_cli(
+            "sweep-theta", "--model", generic_model, "--weight", "1,0,1",
+            "--grid", "5", "--shrink", shrink,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("ModelError:") and "--shrink" in err
+
 
 class TestClassifyCommand:
     def test_point_and_family(self, generic_model):
@@ -289,6 +300,36 @@ class TestClassifyCommand:
         code, out, _ = run_cli("classify", "--model", generic_model, "--grid", "4")
         assert code == 0
         assert len(calls) == 16 == json.loads(out)["family"]["grid_points"]
+
+
+MALFORMED_MODELS = {
+    "non_numeric_height": '{"kind": "generic_z", "theta0": "abc"}',
+    "empty_domain": '{"kind": "generic_z", "theta0": 0.2, "domain": {}}',
+    "one_ended_interval": '{"kind": "generic_z", "theta0": 0.2, '
+                          '"domain": {"theta1": [1], "theta2": [-0.5, 0.5]}}',
+    "non_numeric_planar_coefficients": '{"kind": "planar", "u1": [1, 0, 0], '
+                                       '"u2": [0, 1, 0], "f1": "x"}',
+    "non_numeric_explicit_component": '{"kind": "explicit", '
+                                      '"components": [[[0.1]], [["y"]], [[0.3]]]}',
+    "truncated_json": '{"kind": "generic_z", "theta0": 0.',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+def test_malformed_model_file_is_invalid_input(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    model = str(path)
+    commands = [
+        ["bounds", "--model", model, "--theta", "0.1,0.1", "--weight", "1,0,1"],
+        ["sweep-weight", "--model", model, "--theta", "0.1,0.1", "--grid", "3"],
+        ["sweep-theta", "--model", model, "--weight", "1,0,1", "--grid", "3"],
+        ["classify", "--model", model, "--grid", "3"],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("DomainError:"), (argv, err)
 
 
 class TestFisherMatricesOffProductionPaths:

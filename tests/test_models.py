@@ -157,6 +157,13 @@ class TestDescriptors:
     )
     def test_round_trip(self, family):
         desc = family.to_descriptor()
+        keys = {
+            "generic_z": ["theta0", "domain"],
+            "unitary": ["radius", "axes", "domain"],
+            "planar": ["u1", "u2", "f1", "f2", "domain"],
+            "explicit": ["components", "step", "domain"],
+        }
+        assert list(desc) == ["kind", *keys[family.kind]]  # classify prints it in this order
         text = json.dumps(desc)
         rebuilt = from_descriptor(json.loads(text))
         assert rebuilt.to_descriptor() == desc
@@ -164,6 +171,13 @@ class TestDescriptors:
         a = evaluate(family, theta)
         b = evaluate(rebuilt, theta)
         assert np.allclose(a.s, b.s) and np.allclose(a.d1s, b.d1s)
+
+    def test_planar_takes_plain_coefficient_lists(self):
+        family = Planar(u1=XHAT, u2=YHAT, f1=[[0.0, 0.5], [1.0, 0.0]], f2=[[0.0, 1.0]])
+        assert isinstance(family.f1, Poly2D) and isinstance(family.f2, Poly2D)
+        assert family.f1.tolist() == [[0.0, 0.5], [1.0, 0.0]]
+        rebuilt = from_descriptor(family.to_descriptor())
+        assert rebuilt.to_descriptor() == family.to_descriptor()
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

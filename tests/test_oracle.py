@@ -82,6 +82,8 @@ class TestDensityPoint:
             ({"rho": 2.0 * dp.rho}, ValueError, "rho must have unit trace"),
             ({"drho1": dp.drho1 + 0.1 * np.eye(2)}, ValueError, "drho1 must be traceless"),
             ({"rho": np.diag([1.5, -0.5])}, PureStateError, "rho is not strictly positive"),
+            ({"rho": [[0.5, np.nan], [np.nan, 0.5]]}, ValueError, "rho must be finite"),
+            ({"drho2": dp.drho2 + [[np.inf, 0], [0, 0]]}, ValueError, "drho2 must be finite"),
         ]
         for change, exc, message in cases:
             with pytest.raises(exc) as info:
@@ -89,6 +91,11 @@ class TestDensityPoint:
             assert type(info.value) is exc and str(info.value) == message
         kept = DensityPoint(rho=[[0.5, 0.0], [0.0, 0.5]], drho1=good["drho1"], drho2=good["drho2"])
         assert kept.rho.dtype == complex and kept.rho.shape == (2, 2)
+
+    def test_hermitian_pair_rejects_nan(self):
+        with pytest.raises(ValueError) as info:
+            HermitianPair(x1=PAULI[0], x2=[[np.nan, 0.0], [0.0, 1.0]])
+        assert str(info.value) == "x2 must be finite"
 
     def test_bits_of_pauli_sums(self):
         # rho = (I + s.sigma)/2 and d rho = d.sigma/2 as Pauli sums, and the
