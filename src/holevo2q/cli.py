@@ -43,7 +43,7 @@ from .bounds import (
     holevo_bounds_many,
     weight_from_angles_many,
 )
-from .errors import ModelError
+from .errors import DomainError, ModelError
 from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from .models import load_model
 
@@ -90,6 +90,19 @@ def _bounds_record(fb: FisherBundle, weight: WeightMatrix) -> dict:
     return {**record, "xi_star": report.xi_star.tolist()}
 
 
+def _require_finite(value, name: str = "report") -> None:
+    """Raise DomainError naming the field of a JSON report that holds NaN or
+    an infinity (strict JSON has neither)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, key)
+    elif isinstance(value, list):
+        for item in value:
+            _require_finite(item, name)
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise DomainError(f"{name} is not finite ({value})")
+
+
 def _grid(axis1, axis2):
     """The cells of the grid axis1 x axis2 in row-major order, as two arrays."""
     return np.repeat(axis1, len(axis2)), np.tile(axis2, len(axis1))
@@ -120,7 +133,8 @@ def cmd_bounds(args) -> int:
     weight = _parse_weight(args.weight)
     fb = fisher_bundle(family.evaluate(theta))
     record = {"theta1": theta[0], "theta2": theta[1], **_bounds_record(fb, weight)}
-    print(json.dumps(record, indent=2))
+    _require_finite(record)
+    print(json.dumps(record, indent=2, allow_nan=False))
     return 0
 
 
@@ -202,7 +216,8 @@ def cmd_classify(args) -> int:
             "grid_points": len(fam.point_classes),
             "labels_present": labels,
         }
-    print(json.dumps(out, indent=2))
+    _require_finite(out)
+    print(json.dumps(out, indent=2, allow_nan=False))
     return 0
 
 

@@ -23,7 +23,8 @@ Each quantity has one producer:
   taken in Lagrange form because the equal |n|^2 - k^2 cancels near the
   shell.  ``fisher_bundle_many`` is the same pass with a guard on the
   singularity of G; it is what every bound reads.  ``bloch_scalars`` and
-  ``fisher_bundle`` are the same pass on one point.
+  ``fisher_bundle`` are the same pass on one point; without a bundle,
+  ``sld_duals`` runs only its accept/reject half (``_admit``), the one guard.
 * ``fisher_matrices`` builds G, G~, their inverses, the SLD duals and Z.
   Only the verification suite, the oracle's reduced search and the tests
   read them.
@@ -110,16 +111,8 @@ class FisherBundle(Record):
     asymptotically_classical: bool  # |k| <= CLASSIFICATION_RTOL |s||n|
 
 
-def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
-    """The Bloch scalars and class flags of the rows of (N, 3) stacks of
-    (s, d1s, d2s), or of one point's 3-vectors.
-
-    Raises, for the first row that fails and in this order within a row,
-    :class:`PureStateError` off the open Bloch ball,
-    :class:`DegenerateModelError` for dependent derivatives and, when
-    ``invertible``, :class:`DegenerateModelError` for a singular SLD Fisher
-    matrix G = Gram + r r^T/(1 - s^2).
-    """
+def _admit(s, d1, d2, invertible: bool):
+    """The accept/reject half of :func:`bloch_scalars_many`, which reuses its scalars."""
     s, d1, d2 = (np.asarray(x, dtype=float) for x in (s, d1, d2))
     s_squared = dot3(s, s)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -139,6 +132,20 @@ def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
             message = "SLD Fisher matrix is singular; derivatives degenerate"
             checks.append((singular, DegenerateModelError, message))
         raise_first(checks)
+    return s, d1, d2, s_squared, one_minus, r1, r2, g11, g12, g22, n
+
+
+def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
+    """The Bloch scalars and class flags of the rows of (N, 3) stacks of
+    (s, d1s, d2s), or of one point's 3-vectors.
+
+    Raises, for the first row that fails and in this order within a row,
+    :class:`PureStateError` off the open Bloch ball,
+    :class:`DegenerateModelError` for dependent derivatives and, when
+    ``invertible``, :class:`DegenerateModelError` for a singular SLD Fisher
+    matrix G = Gram + r r^T/(1 - s^2).
+    """
+    s, d1, d2, s_squared, one_minus, r1, r2, g11, g12, g22, n = _admit(s, d1, d2, invertible)
     n_squared = dot3(n, n)
     triple = dot3(s, n)
     s_cross_n = r2[..., None] * d1 - r1[..., None] * d2
@@ -195,15 +202,15 @@ class FisherMatrices(Record):
 def sld_duals(m: BlochModelPoint, fb: FisherBundle | None = None):
     """(G, G^-1, l^1, l^2), the SLD side of :func:`fisher_matrices`.
 
-    Accepts exactly the points :func:`fisher_bundle` accepts and raises what
-    it raises; ``fb`` is ``fisher_bundle(m)`` when the caller already has it.
+    Without ``fb`` (``fisher_bundle(m)``, when the caller has it) it runs the
+    guard half of :func:`fisher_bundle` alone: it accepts and raises the same.
     """
     if fb is None:
-        fisher_bundle(m)
+        _admit(m.s, m.d1s, m.d2s, invertible=True)
     q = q_matrix(m)
     d1, d2 = m.derivatives()
     l1, l2 = q @ d1, q @ d2
-    g = np.array([[float(a @ q @ b) for b in (d1, d2)] for a in (d1, d2)])
+    g = np.array([[float(dq @ b) for b in (d1, d2)] for dq in (d1 @ q, d2 @ q)])
     g_inv = invert_2x2(g)
     dual1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
     dual2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2

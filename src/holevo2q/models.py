@@ -43,13 +43,21 @@ __all__ = [
 DEFAULT_FD_STEP = 1e-5
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array; NaN fails every range check, so it is refused here."""
+    a = np.asarray(value, dtype=float)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} has non-finite components: {a.tolist()}")
+    return a
+
+
 class Poly2D(Record):
     """Bivariate polynomial f(x, y) = sum_ij c[i, j] x^i y^j."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
+        c = np.atleast_2d(_finite(self.coeffs, "polynomial coefficients"))
         if c.ndim != 2:
             raise DomainError("polynomial coefficients must form a 2-d array")
         object.__setattr__(self, "coeffs", c)
@@ -170,7 +178,7 @@ class Unitary(_Family):
         if not 0.0 < r < 1.0:
             raise DomainError(f"unitary family radius must lie in (0, 1), got {r}")
         object.__setattr__(self, "radius", r)
-        a = np.asarray(self.axes, dtype=float)
+        a = _finite(self.axes, "axes")
         if a.shape != (3, 3) or np.abs(a @ a.T - np.eye(3)).max() > 1e-10:
             raise DomainError("axes must form a 3x3 orthogonal matrix")
         object.__setattr__(self, "axes", a)
@@ -203,7 +211,7 @@ class Planar(_Family):
 
     def __post_init__(self):
         for name in ("u1", "u2"):
-            u = np.asarray(getattr(self, name), dtype=float)
+            u = _finite(getattr(self, name), name)
             if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > 1e-10:
                 raise DomainError(f"{name} must be a unit 3-vector")
             object.__setattr__(self, name, u)

@@ -21,9 +21,10 @@ minimum have confirmed the model (``_kink_minimum``).  The raw objectives
 take (N, 2) stacks of points, so a solve is one stacked evaluation: the
 candidates together with the probes of the one the model ranks lowest (a
 second evaluation, of another candidate's probes, only when the raw values
-disagree with that ranking).  Density matrices, Pauli coefficients and 2x2
-traces are read entry by entry, with the bits of the numpy calls they
-replace.
+disagree with that ranking).  An evaluation's observable pairs are one
+(N, 2, 2, 2) operator stack, [n, i] = X^i, built in one pass and fed as it
+is to Z.  Density matrices, Pauli coefficients and 2x2 traces are read entry
+by entry, with the bits of the numpy calls they replace.
 """
 
 from __future__ import annotations
@@ -287,35 +288,30 @@ def holevo_function(dp: DensityPoint, pair: HermitianPair, w) -> float:
         raise FeasibilityError(
             f"observable pair violates unbiasedness constraints by {residual:.3e}"
         )
-    return float(_holevo_evaluator(dp.rho, weight)(pair.x1[None], pair.x2[None])[0])
+    return float(_holevo_evaluator(dp.rho, weight)(np.array([pair.operators()]))[0])
 
 
 def _holevo_evaluator(rho: np.ndarray, weight: WeightMatrix):
-    """The Holevo function of stacks (N, 2, 2) of observable pairs at fixed
-    (rho, W), as N values.  W^(1/2) is computed once per (rho, W).
+    """The Holevo function of a stack (N, 2, 2, 2) of pairs, [n, i] = X^i, at
+    fixed (rho, W), as N values.  W^(1/2) is computed once per (rho, W).
     """
     wm = weight.matrix
     w_half = weight_root(wm)
 
-    def values(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        re, im = _re_im(wm, _z_matrix(rho, x1, x2))
+    def values(xs: np.ndarray) -> np.ndarray:
+        re, im = _z_parts(rho, wm, xs)
         return re + trabs_from_root(w_half, im)
 
     return values
 
 
-def _z_matrix(rho: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Z_ij = tr((rho X^j) X^i) for stacks (N, 2, 2) of X^1, X^2: the same
-    products as tr(rho X^j X^i), with rho X^j formed once per j."""
-    xs = np.stack([x1, x2], axis=1)
+def _z_parts(rho: np.ndarray, wm: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tr(W Re Z) and Im Z of Z_ij = tr((rho X^j) X^i) for a stack (N, 2, 2, 2)
+    of pairs, [n, i] = X^i: the products of tr(rho X^j X^i), with rho X^j
+    formed once per j.  Z[X] is Hermitian, so Im Z is antisymmetric up to
+    rounding; the rounding is symmetrized away before TrAbs."""
     prod = (rho @ xs)[:, None] @ xs[:, :, None]  # [n, i, j] = rho X^j X^i
-    return prod[..., 0, 0] + prod[..., 1, 1]
-
-
-def _re_im(wm: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tr(W Re Z) and Im Z of a stack (N, 2, 2) of Z matrices.  Z[X] is
-    Hermitian, so Im Z is antisymmetric up to rounding; the rounding is
-    symmetrized away before TrAbs."""
+    z = prod[..., 0, 0] + prod[..., 1, 1]
     re = wm @ z.real
     return re[:, 0, 0] + re[:, 1, 1], 0.5 * (z.imag - z.imag.swapaxes(1, 2))
 
@@ -362,16 +358,18 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
     first.
     """
     a_inv = invert_2x2(a, exc=SingularMatrixError)
-    candidates = [-a_inv @ (g + b), -a_inv @ (g - b)]
-    beta = float(b @ a_inv @ b)
+    (g1, g2), ((a11, a12), (a21, a22)), (b1, b2), c = g.tolist(), a.tolist(), b.tolist(), float(c)
+    # g + b, g - b and g + t b in Python floats (numpy's roundings), then one gemv a row.
+    b_a_inv = b @ a_inv
+    beta = float(b_a_inv @ b)
+    rows = [[g1 + b1, g2 + b2], [g1 - b1, g2 - b2]]
     if beta > 0.0:
-        candidates.append(-a_inv @ (g + (c - float(b @ a_inv @ g)) / beta * b))
-    candidates = np.array(candidates)
-    candidates = candidates[np.isfinite(candidates).all(axis=1)]
-    if not len(candidates):
+        t = (c - float(b_a_inv @ g)) / beta
+        rows.append([g1 + t * b1, g2 + t * b2])
+    candidates = (-a_inv @ np.array(rows)[:, :, None])[:, :, 0].tolist()
+    points = [x for x in candidates if math.isfinite(x[0]) and math.isfinite(x[1])]
+    if not points:
         raise OracleCertificateError("no finite candidate")
-    (g1, g2), ((a11, a12), (a21, a22)), (b1, b2) = g.tolist(), a.tolist(), b.tolist()
-    c = float(c)
 
     def model(x1: float, x2: float) -> float:
         quad = x1 * (x1 * a11 + x2 * a21) + x2 * (x1 * a12 + x2 * a22)
@@ -388,14 +386,15 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
         fit = [(x1 + scale * u1, x2 + scale * u2) for u1, u2 in _FIT_OFFSETS]
         return fit + [(x1 + h * d1, x2 + h * d2) for d1, d2 in directions for h in steps]
 
-    # min keeps the first of equal keys, as the choice among raw values must.
-    points = candidates.tolist()
-    pick = min(range(len(points)), key=lambda i: model(*points[i]))
+    # min and index keep the first of equal keys, as the choice among raw values must;
+    # as fun maps equal rows to equal bits, best == pick iff their points' bits agree.
+    keys = [model(*x) for x in points]
+    pick = keys.index(min(keys))
     probe = probes(*points[pick])
     raws = fun(np.array(points + probe)).tolist()
-    best = min(range(len(points)), key=raws.__getitem__)
-    value, probe_raws = raws[best], raws[len(points) :]
-    if candidates[best].tobytes() != candidates[pick].tobytes():  # bytes, so -0.0 != 0.0
+    value = min(raws[: len(points)])
+    best, probe_raws = raws.index(value), raws[len(points) :]
+    if best != pick:
         probe = probes(*points[best])
         probe_raws = fun(np.array(probe)).tolist()
     if not all(map(math.isfinite, [value, *probe_raws])):
@@ -408,7 +407,7 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
     for raw in probe_raws[len(_FIT_PROBES) :]:
         if value - raw > tolerance:
             raise OracleCertificateError(f"raw objective is {value - raw:.3e} below its minimum")
-    return value, candidates[best]
+    return value, np.array(points[best])
 
 
 def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarray]:
@@ -428,26 +427,21 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     dual1, dual2 = sld_duals(m)[2:] if fm is None else (fm.dual1, fm.dual2)
-    d1, d2 = m.derivatives()
+    s, (d1, d2) = m.s, m.derivatives()
     perp = cross(d1, d2)
 
     # Independent feasibility check of the affine parametrization.
-    constraints = np.array(
-        [
-            [dual1 @ d1 - 1.0, dual1 @ d2, perp @ d1, perp @ d2],
-            [dual2 @ d1, dual2 @ d2 - 1.0, 0.0, 0.0],
-        ]
-    )
-    if np.abs(constraints).max() > 1e-9:
+    residuals = (dual1 @ d1 - 1.0, dual1 @ d2, perp @ d1, perp @ d2, dual2 @ d1, dual2 @ d2 - 1.0)
+    if not all(abs(r) <= 1e-9 for r in residuals):
         raise DegenerateModelError("reduced parametrization violates the constraints")
 
-    s = m.s
-    q_inv = np.eye(3) - np.outer(s, s)
+    q_inv = np.eye(3) - s[:, None] * s  # np.outer(s, s), without its call overhead
     wm = weight.matrix
     w11, w12, w22 = weight.w11, weight.w12, weight.w22
     sqrt_det_w = np.sqrt(weight.det)
 
     duals = np.array([dual1, dual2])
+    s_x_dual2 = cross(s, dual2)
 
     def objective(xi: np.ndarray) -> np.ndarray:
         xs = duals + xi[:, :, None] * perp  # [n, i] = x^i
@@ -458,11 +452,11 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
 
     # Expansion in xi: x^i Q^-1 x^j and <x^1, F x^2> with F x = s x x.
     y1, y2, yp = dual1 @ q_inv, dual2 @ q_inv, perp @ q_inv
-    s0 = float(w11 * (y1 @ dual1) + 2.0 * w12 * (y1 @ dual2) + w22 * (y2 @ dual2))
+    s0 = w11 * float(y1 @ dual1) + 2.0 * w12 * float(y1 @ dual2) + w22 * float(y2 @ dual2)
     g = wm @ np.array([yp @ dual1, yp @ dual2])
     a = float(yp @ perp) * wm
-    b = sqrt_det_w * np.array([perp @ cross(s, dual2), dual1 @ cross(s, perp)])
-    c = sqrt_det_w * float(dual1 @ cross(s, dual2))
+    b = sqrt_det_w * np.array([perp @ s_x_dual2, dual1 @ cross(s, perp)])
+    c = sqrt_det_w * float(dual1 @ s_x_dual2)
     return _kink_minimum(objective, s0, g, a, b, c)
 
 
@@ -485,30 +479,26 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
 
     constraint = np.zeros((4, 6))
     constraint[0:2, 0:3] = constraint[2:4, 3:6] = (d1, d2)
-    target = np.array([1.0, 0.0, 0.0, 1.0])
-
-    x0, *_ = np.linalg.lstsq(constraint, target, rcond=None)
+    x0, *_ = np.linalg.lstsq(constraint, [1.0, 0.0, 0.0, 1.0], rcond=None)
     _, svals, vt = np.linalg.svd(constraint)
-    rank = int(np.sum(svals > 1e-10 * svals.max()))
-    if rank != 4:
+    if np.count_nonzero(svals > 1e-10 * svals.max()) != 4:
         raise DegenerateModelError("constraint matrix is rank deficient")
     null_basis = vt[4:].T  # (6, 2)
 
     holevo = _holevo_evaluator(dp.rho, weight)
 
-    def operators(t: np.ndarray) -> np.ndarray:  # (2, N, 2, 2): X^1 and X^2 in one build
+    def operators(t: np.ndarray) -> np.ndarray:  # (N, 2, 2, 2): [n, i] = X^i, one build
         x = x0 + (null_basis @ t[:, :, None])[:, :, 0]
-        return _bloch_operator(s, x.reshape(-1, 3)).reshape(-1, 2, 2, 2).swapaxes(0, 1)
+        return _bloch_operator(s, x.reshape(-1, 3)).reshape(-1, 2, 2, 2)
 
     fit_t = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)], dtype=float)
-    re, im = _re_im(weight.matrix, _z_matrix(dp.rho, *operators(fit_t)))
+    re, im = _z_parts(dp.rho, weight.matrix, operators(fit_t))
     s0, sp1, sm1, sp2, sm2, s12 = re.tolist()
     l0, lp1, lm1, lp2, lm2, _ = im[:, 0, 1].tolist()
-    g = np.array([sp1 - sm1, sp2 - sm2]) / 4.0
+    g1, g2 = (sp1 - sm1) / 4.0, (sp2 - sm2) / 4.0
     a11, a22 = 0.5 * (sp1 + sm1) - s0, 0.5 * (sp2 + sm2) - s0
-    a12 = 0.5 * (s12 - s0 - 2.0 * (g[0] + g[1]) - a11 - a22)
+    a12 = 0.5 * (s12 - s0 - 2.0 * (g1 + g2) - a11 - a22)
     sqrt_det_w = np.sqrt(weight.det)
-    b = sqrt_det_w * np.array([lp1 - lm1, lp2 - lm2]) / 2.0
-    a = np.array([[a11, a12], [a12, a22]])
-    value, _ = _kink_minimum(lambda t: holevo(*operators(t)), s0, g, a, b, sqrt_det_w * l0)
-    return value
+    b = [sqrt_det_w * (lp1 - lm1) / 2.0, sqrt_det_w * (lp2 - lm2) / 2.0]
+    g, a, b = np.array([g1, g2]), np.array([[a11, a12], [a12, a22]]), np.array(b)
+    return _kink_minimum(lambda t: holevo(operators(t)), s0, g, a, b, sqrt_det_w * l0)[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import BlochModelPoint, BlochModelPoint3
+from .bloch import BlochModelPoint, BlochModelPoint3, cross
 from .bounds import WeightMatrix
 
 __all__ = [
@@ -47,7 +47,7 @@ def _independent_derivatives(rng: np.random.Generator) -> tuple[np.ndarray, np.n
         d1 = rng.standard_normal(3)
         d2 = rng.standard_normal(3)
         scale = np.linalg.norm(d1) * np.linalg.norm(d2)
-        if scale > 0.0 and np.linalg.norm(np.cross(d1, d2)) >= MIN_CROSS_FRACTION * scale:
+        if scale > 0.0 and np.linalg.norm(cross(d1, d2)) >= MIN_CROSS_FRACTION * scale:
             return d1, d2
 
 
@@ -68,7 +68,7 @@ def random_d_invariant_point(rng: np.random.Generator, radius: float = 0.95) -> 
         d1 = d1 - (d1 @ s) / s_sq * s
         d2 = d2 - (d2 @ s) / s_sq * s
         scale = np.linalg.norm(d1) * np.linalg.norm(d2)
-        if scale > 0.0 and np.linalg.norm(np.cross(d1, d2)) >= MIN_CROSS_FRACTION * scale:
+        if scale > 0.0 and np.linalg.norm(cross(d1, d2)) >= MIN_CROSS_FRACTION * scale:
             return BlochModelPoint(s=s, d1s=d1, d2s=d2)
 
 

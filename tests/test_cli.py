@@ -332,6 +332,47 @@ def test_malformed_model_file_is_invalid_input(tmp_path, text):
         assert err.startswith("DomainError:"), (argv, err)
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_MODELS = {
+    "unitary_axes": {"kind": "unitary", "radius": 0.5,
+                     "axes": [[NAN, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "planar_u1": {"kind": "planar", "u1": [NAN, 0, 0], "u2": [0, 1, 0]},
+    "planar_u2": {"kind": "planar", "u1": [1, 0, 0], "u2": [0, INF, 0]},
+    "planar_coefficient": {"kind": "planar", "u1": [1, 0, 0], "u2": [0, 1, 0],
+                           "f1": [[0.0, NAN], [1.0, 0.0]]},
+    "explicit_component": {"kind": "explicit",
+                           "components": [[[0.0, 1.0]], [[NAN]], [[0.3]]]},
+}
+
+
+@pytest.mark.parametrize("desc", NON_FINITE_MODELS.values(), ids=NON_FINITE_MODELS.keys())
+def test_non_finite_model_parameter_is_invalid_input(tmp_path, desc):
+    # NaN fails every range check, so each parameter has its own finiteness test.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(desc))
+    model, out_csv = str(path), str(tmp_path / "out.csv")
+    commands = [
+        ["bounds", "--model", model, "--theta", "0.1,0.1", "--weight", "1,0,1"],
+        ["sweep-weight", "--model", model, "--theta", "0.1,0.1", "--grid", "3"],
+        ["sweep-theta", "--model", model, "--weight", "1,0,1", "--grid", "3", "--out", out_csv],
+        ["classify", "--model", model, "--grid", "3"],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("DomainError:"), (argv, err)
+    assert not os.path.exists(out_csv)
+
+
+def test_bounds_with_overflowing_weight_is_invalid_input(generic_model):
+    # det W overflows at this scale; JSON has no Infinity, so it is not printed.
+    code, out, err = run_cli(
+        "bounds", "--model", generic_model, "--theta", "0.2447,0.1", "--weight", "1e160,0,1e160"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("DomainError: c_r is not finite"), err
+
+
 class TestFisherMatricesOffProductionPaths:
     """bounds and both sweeps read only the scalar bundle: they succeed with
     the verification-side ``fisher_matrices`` replaced by a function that raises."""

@@ -4,9 +4,20 @@ read from their one producer ``fisher_matrices``; gamma from ``fisher_bundle``."
 import numpy as np
 import pytest
 
-from holevo2q.bloch import BlochModelPoint, ell_perp, q_inverse
+from holevo2q.bloch import (
+    DERIVATIVE_INDEPENDENCE_RTOL,
+    PURE_SHELL_TOL,
+    BlochModelPoint,
+    ell_perp,
+    q_inverse,
+)
 from holevo2q.bounds import WeightMatrix
-from holevo2q.errors import DegenerateModelError, PureStateError, SingularMatrixError
+from holevo2q.errors import (
+    DegenerateModelError,
+    ModelError,
+    PureStateError,
+    SingularMatrixError,
+)
 from holevo2q.fisher import (
     fisher_bundle,
     fisher_matrices,
@@ -132,6 +143,55 @@ class TestSldDuals:
                 producer(m)
             assert type(got.value) is type(want.value)
             assert message in str(got.value) and str(got.value) == str(want.value)
+
+
+def _outcome(producer, m):
+    try:
+        producer(m)
+    except ModelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _guard_table(rng):
+    """Points on each side of the three guards: |s| within 6 ulps of
+    1 - PURE_SHELL_TOL, |d1 x d2| within 1e-3 (relative) of
+    DERIVATIVE_INDEPENDENCE_RTOL |d1||d2|, and a relative angle of about
+    1e-7 between d1 and d2, where det G crosses SINGULAR_RTOL ||G||^2."""
+    groups = {"near_shell": [], "near_dependent": [], "near_singular": []}
+    for _ in range(4):
+        u, d1, d2 = _unit(rng.normal(size=3)), rng.normal(size=3), rng.normal(size=3)
+        e = _unit(np.cross(d1, rng.normal(size=3)))
+        r = 1.0 - PURE_SHELL_TOL
+        groups["near_shell"] += [((r + k * np.spacing(r)) * u, d1, d2) for k in range(-6, 7)]
+        for delta in (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3):
+            beta = DERIVATIVE_INDEPENDENCE_RTOL * (1.0 + delta) * np.linalg.norm(d1)
+            groups["near_dependent"].append((0.5 * u, d1, d1 + beta * e))
+        for k in range(-8, 9):
+            t = 1e-7 * 2.0 ** (k / 4)
+            groups["near_singular"].append((0.5 * u, d1, d1 + t * np.linalg.norm(d1) * e))
+    return groups
+
+
+class TestAdmitOnlyGuard:
+    """``sld_duals(m)`` without a bundle runs only the guard half of
+    ``fisher_bundle``: it accepts the same points and raises the same class
+    and message at the edge of every guard."""
+
+    @pytest.mark.parametrize("group", ["near_shell", "near_dependent", "near_singular"])
+    def test_same_verdicts_as_fisher_bundle(self, group):
+        verdicts = set()
+        for s, d1, d2 in _guard_table(np.random.default_rng(97))[group]:
+            m = BlochModelPoint(s=s, d1s=d1, d2s=d2)
+            want = _outcome(fisher_bundle, m)
+            assert _outcome(sld_duals, m) == want
+            verdicts.add(want if want is None else want[1].split(",")[0])
+        # Each group straddles its guard: two verdicts, accepted or raised.
+        assert len(verdicts) == 2, verdicts
 
 
 class TestRldFisher:

@@ -667,6 +667,26 @@ def test_one_raw_evaluation_per_solve(monkeypatch):
     assert [len(sizes) for sizes in calls] == [1] * (2 * len(PINNED_ORACLE_BITS)), calls
 
 
+def test_2d_solve_builds_no_fisher_bundle(monkeypatch):
+    # Without fm, the duals' guard is the admit-only half of fisher_bundle.
+    import holevo2q.fisher
+
+    built = []
+    bundle = holevo2q.fisher.FisherBundle
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return bundle(*args, **kwargs)
+
+    monkeypatch.setattr(holevo2q.fisher, "FisherBundle", counted)
+    m = GenericZ(0.2).evaluate((0.2447, 0.1))
+    fisher_bundle(m)
+    assert len(built) == 2  # the stack's bundle and its one-point view: the count sees them
+    built.clear()
+    minimize_holevo_2d(m, WeightMatrix(0.55, 0.1, 0.45))
+    assert built == []
+
+
 class TestKinkProbes:
     def test_probes_are_the_written_out_points(self):
         # Every fit and certificate probe has the bits of its own
@@ -724,9 +744,9 @@ class TestStackedEvaluation:
             vecs1 = fm.dual1 + xi[:, :1] * perp
             vecs2 = fm.dual2 + xi[:, 1:] * perp
             dp = density_point(m)
-            stacked = oracle._holevo_evaluator(dp.rho, w)(
-                oracle._bloch_operator(m.s, vecs1), oracle._bloch_operator(m.s, vecs2)
-            )
+            stacked = oracle._holevo_evaluator(dp.rho, w)(np.stack(
+                [oracle._bloch_operator(m.s, vecs1), oracle._bloch_operator(m.s, vecs2)], axis=1
+            ))
             one_by_one = [
                 holevo_function(dp, pair_from_bloch_vectors(m, v1, v2), w)
                 for v1, v2 in zip(vecs1, vecs2)
