@@ -31,7 +31,6 @@ __all__ = [
     "BlochModelPoint3",
     "Record",
     "factory",
-    "inner",
     "cross",
     "q_matrix",
     "q_inverse",
@@ -131,13 +130,6 @@ def _as_real_vec3(value, name: str) -> np.ndarray:
     if not np.isfinite(vec).all():
         raise DomainError(f"{name} has non-finite components: {vec}")
     return vec
-
-
-def inner(a, b) -> complex:
-    """Standard inner product on C^3, conjugate-linear in the first slot."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return complex(np.vdot(a, b))
 
 
 def cross(a, b) -> np.ndarray:

@@ -26,7 +26,9 @@ so with the Bloch scalars of :class:`~holevo2q.fisher.FisherBundle`
     xi* = sign(k) min(1, t/q) adj(W) r / (p sqrt(det W))   (0 when q = 0),
 
 xi* minimizing the reduced problem (xi|p W xi) + 2|(sqrt(det W) r|xi) + c|
-with c = -eps sqrt(det W) k/p, which ``quadratic_abs_min`` solves in general.
+with c = -eps sqrt(det W) k/p.  ``holevo_bounds_many`` inlines the case split
+of that problem; its general solver, ``quadratic_abs_min`` in
+``tests/reference.py``, is the test-side cross-check.
 
 Error model.  The one cancellation is eps = 1 - s.s, known to about
 u/(1-|s|^2) relative (u = 2^-53); it enters only through eps a and t.  C^R,
@@ -44,13 +46,8 @@ import math
 import numpy as np
 
 from .bloch import BlochModelPoint, BlochModelPoint3, Record, q_tilde, stack_last
-from .errors import (
-    DomainError,
-    SingularMatrixError,
-    SpecialModelError,
-    raise_first,
-)
-from .fisher import FisherBundle, invert_2x2
+from .errors import DomainError, SpecialModelError, raise_first
+from .fisher import FisherBundle
 
 __all__ = [
     "BOUNDARY_RTOL",
@@ -67,7 +64,6 @@ __all__ = [
     "bound_rld",
     "bound_z",
     "bound_nagaoka",
-    "quadratic_abs_min",
     "holevo_bound",
     "holevo_bounds_many",
     "b_theta",
@@ -261,37 +257,6 @@ def bound_z(fb: FisherBundle, w) -> float:
 def bound_nagaoka(fb: FisherBundle, w) -> float:
     """Nagaoka bound C^S + 2 sqrt(det(W G^-1)), achievable by separable POVMs."""
     return holevo_bound(fb, w).c_n
-
-
-def quadratic_abs_min(a, b, c: float) -> tuple[float, np.ndarray]:
-    """Exact minimum of f(xi) = (xi|A xi) + 2|(b|xi) + c| over xi in R^2.
-
-    A must be symmetric positive definite.  With alpha = (b|A^-1 b):
-
-        min f = 2|c| - alpha   at xi = -sign(c) A^-1 b      if |c| >= alpha
-        min f = c^2 / alpha    at xi = -(c/alpha) A^-1 b    if |c| <  alpha
-
-    and b = 0 degenerates to (2|c|, 0).  Ties |c| = alpha use the first
-    branch; both give the same value.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (2, 2) or b.shape != (2,):
-        raise DomainError("quadratic_abs_min expects a 2x2 matrix and a 2-vector")
-    if abs(a[0, 1] - a[1, 0]) > 1e-10 * (1.0 + np.abs(a).max()):
-        raise DomainError("quadratic coefficient matrix must be symmetric")
-    if a[0, 0] <= 0.0 or np.linalg.det(a) <= 0.0:
-        raise SingularMatrixError("quadratic coefficient matrix must be positive definite")
-    a_inv = invert_2x2(a, exc=SingularMatrixError)
-    a_inv_b = a_inv @ b
-    alpha = float(b @ a_inv_b)
-    if alpha == 0.0:
-        return 2.0 * abs(c), np.zeros(2)
-    if abs(c) >= alpha:
-        xi = -np.sign(c) * a_inv_b
-        return 2.0 * abs(c) - alpha, xi
-    xi = -(c / alpha) * a_inv_b
-    return c * c / alpha, xi
 
 
 def holevo_bounds_many(fb: FisherBundle, w11, w12, w22) -> BoundsReport:

@@ -43,7 +43,10 @@ class SingularMatrixError(ModelError):
 
 
 class BranchError(ModelError):
-    """The correction term was requested where its denominator is not positive."""
+    """The correction term was requested where its denominator is not positive.
+
+    Deprecated: no holevo2q function raises it; it stays exported for callers
+    that catch it."""
 
 
 class SpecialModelError(ModelError):

@@ -59,7 +59,6 @@ __all__ = [
     "fisher_bundle_many",
     "fisher_matrices",
     "invert_2x2",
-    "one_param_bound",
     "sld_duals",
 ]
 
@@ -226,19 +225,3 @@ def fisher_matrices(m: BlochModelPoint, fb: FisherBundle | None = None) -> Fishe
     g_tilde_inv = invert_2x2(g_tilde)
     z = _hermitian_from_upper(dual1, dual2, q_tilde_inverse(m))
     return FisherMatrices(m, g, g_inv, g_tilde, g_tilde_inv, z, dual1, dual2)
-
-
-def one_param_bound(s, ds) -> float:
-    """Holevo bound of a one-parameter model: 1/g with g = <ds, Q ds>.
-
-    For a single parameter the bound coincides with the SLD Cramer-Rao bound.
-    """
-    point = BlochModelPoint(s=s, d1s=ds, d2s=ds)
-    point.require_mixed()
-    ds = np.asarray(ds, dtype=float)
-    if np.linalg.norm(ds) == 0.0:
-        raise DegenerateModelError("derivative vector vanishes")
-    g = float(ds @ q_matrix(point) @ ds)
-    if g <= 0.0:
-        raise PureStateError("SLD Fisher information is not positive")
-    return 1.0 / g

@@ -9,8 +9,12 @@ Each family maps a parameter pair theta = (theta1, theta2) to a
   coefficient functions; asymptotically classical everywhere.
 * :class:`GenericZ` -- s = (theta1, theta2, theta0) with fixed height
   theta0; generic away from the axes' origin.
-* :class:`Explicit` -- any user-supplied s(theta), differentiated by
-  central finite differences of step ``h`` (O(h^2) error).
+* :class:`Explicit` -- any user-supplied s(theta): three polynomial
+  components, or a callable.
+
+Polynomial components, of :class:`Planar` and :class:`Explicit` alike, are
+differentiated exactly through one path (``_poly_arrays``); only a callable
+is differentiated by central finite differences of step ``h`` (O(h^2) error).
 
 Families serialize to plain JSON descriptors (``to_descriptor`` /
 ``from_descriptor``) so the CLI can load them from files.
@@ -37,7 +41,6 @@ __all__ = [
     "evaluate",
     "from_descriptor",
     "load_model",
-    "n_copy_bound",
 ]
 
 DEFAULT_FD_STEP = 1e-5
@@ -95,8 +98,8 @@ class Domain(Record):
     def __post_init__(self):
         for name in ("theta1", "theta2"):
             lo, hi = (float(v) for v in getattr(self, name))
-            if not lo < hi:
-                raise DomainError(f"domain interval {name} = ({lo}, {hi}) is empty")
+            if not -np.inf < lo < hi < np.inf:
+                raise DomainError(f"domain interval {name} = ({lo}, {hi}) is empty or infinite")
             object.__setattr__(self, name, (lo, hi))
 
     def contains(self, theta) -> bool:
@@ -125,6 +128,13 @@ def _point(s, d1s, d2s) -> BlochModelPoint:
     if float(np.dot(s, s)) >= 1.0:
         raise PureStateError(f"family evaluates to |s| = {np.linalg.norm(s):.6g} >= 1")
     return BlochModelPoint(s, d1s, d2s)
+
+
+def _poly_arrays(polys, t1, t2):
+    """(values, d/dtheta1, d/dtheta2) of the polynomials ``polys`` at arrays
+    t1, t2: three (N, len(polys)) arrays, the derivatives exact."""
+    return tuple(stack_last([p(t1, t2) for p in ps], 1)
+                 for ps in (polys, [p.dx() for p in polys], [p.dy() for p in polys]))
 
 
 class _Family(Record):
@@ -223,11 +233,8 @@ class Planar(_Family):
             raise DomainError("u1 and u2 must be linearly independent")
 
     def _bloch_arrays(self, t1, t2):
-        def combine(f1, f2):
-            return f1(t1, t2)[:, None] * self.u1 + f2(t1, t2)[:, None] * self.u2
-
-        f1, f2 = self.f1, self.f2
-        return combine(f1, f2), combine(f1.dx(), f2.dx()), combine(f1.dy(), f2.dy())
+        return tuple(f[:, :1] * self.u1 + f[:, 1:] * self.u2
+                     for f in _poly_arrays((self.f1, self.f2), t1, t2))
 
 
 def _generic_z_domain(theta0: float) -> Domain:
@@ -261,12 +268,13 @@ class GenericZ(_Family):
 
 
 class Explicit(_Family):
-    """User-supplied s(theta) with finite-difference derivatives.
+    """User-supplied s(theta).
 
-    ``func`` maps a 2-vector to a real 3-vector.  When built from a JSON
-    descriptor the three components are :class:`Poly2D`; direct library use
-    may pass any callable.  Derivatives are central differences of step
-    ``step`` (error O(step^2))."""
+    ``func`` maps a 2-vector to a real 3-vector.  Built by
+    :meth:`from_polynomials` (as from a JSON descriptor), the three
+    ``components`` are :class:`Poly2D` and are differentiated exactly; direct
+    library use may pass any callable, whose derivatives are central
+    differences of step ``step`` (error O(step^2))."""
 
     func: Callable[[np.ndarray], np.ndarray]
     step: float = DEFAULT_FD_STEP
@@ -280,8 +288,7 @@ class Explicit(_Family):
             raise DomainError(f"finite-difference step {self.step} out of range")
 
     @classmethod
-    def from_polynomials(cls, components, step: float = DEFAULT_FD_STEP,
-                         domain: Domain | None = None) -> Explicit:
+    def from_polynomials(cls, components, domain: Domain | None = None) -> Explicit:
         polys = tuple(p if isinstance(p, Poly2D) else Poly2D(p) for p in components)
         if len(polys) != 3:
             raise DomainError("explicit family needs exactly 3 component polynomials")
@@ -291,12 +298,13 @@ class Explicit(_Family):
             return np.array([p(t1, t2) for p in polys])
 
         kwargs = {} if domain is None else {"domain": domain}
-        return cls(func=func, step=step, components=polys, **kwargs)
+        return cls(func=func, components=polys, **kwargs)
 
     def _bloch_arrays(self, t1, t2):
+        if self.components is not None:
+            return _poly_arrays(self.components, t1, t2)
+
         def f(a, b):
-            if self.components is not None:
-                return stack_last([p(a, b) for p in self.components], 1)
             return np.array([np.asarray(self.func(np.array(t)), float) for t in zip(a, b)])
 
         h = self.step
@@ -310,7 +318,6 @@ class Explicit(_Family):
         return {
             "kind": self.kind,
             "components": [p.tolist() for p in self.components],
-            "step": self.step,
             "domain": self.domain.to_descriptor(),
         }
 
@@ -326,8 +333,10 @@ def evaluate(family: ModelFamily, theta) -> BlochModelPoint:
 
 def from_descriptor(desc: dict) -> ModelFamily:
     """Build a family from a JSON descriptor dictionary: ``kind`` and the
-    family's fields (for ``explicit``: ``components``, ``step``, ``domain``).
-    Other keys are ignored; a malformed value raises :class:`DomainError`."""
+    family's fields (for ``explicit``: ``components`` and ``domain``).
+    Other keys, such as the finite-difference ``step`` that older explicit
+    descriptors carry, are ignored; a malformed value raises
+    :class:`DomainError`."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise DomainError("model descriptor must be an object with a 'kind' key")
     kind = desc["kind"]
@@ -339,8 +348,7 @@ def from_descriptor(desc: dict) -> ModelFamily:
         if "domain" in kwargs:
             kwargs["domain"] = Domain(kwargs["domain"]["theta1"], kwargs["domain"]["theta2"])
         if cls is Explicit:
-            step = kwargs.get("step", DEFAULT_FD_STEP)
-            return Explicit.from_polynomials(kwargs["components"], step, kwargs.get("domain"))
+            return Explicit.from_polynomials(kwargs["components"], kwargs.get("domain"))
         return cls(**kwargs)
     except ModelError:
         raise
@@ -360,10 +368,3 @@ def load_model(path) -> ModelFamily:
         except ValueError as exc:
             raise DomainError(f"model file {path} is not valid JSON: {exc}") from exc
     return from_descriptor(desc)
-
-
-def n_copy_bound(single_copy_value: float, n: int) -> float:
-    """Additivity of the Holevo bound over i.i.d. copies: value / n."""
-    if n < 1:
-        raise DomainError("copy count must be a positive integer")
-    return single_copy_value / n

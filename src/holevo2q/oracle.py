@@ -53,7 +53,6 @@ __all__ = [
     "density_point",
     "sld_operators",
     "rld_operators",
-    "dual_operators",
     "operator_fisher",
     "bloch_coefficients",
     "commutation_operator",
@@ -221,13 +220,6 @@ def operator_fisher(dp: DensityPoint, slds=None, rlds=None):
     duals = (g_inv[0, 0] * l1 + g_inv[1, 0] * l2, g_inv[0, 1] * l1 + g_inv[1, 1] * l2)
     z = np.array([[_trace(rho @ duals[j] @ duals[i]) for j in range(2)] for i in range(2)])
     return g, gt, z
-
-
-def dual_operators(dp: DensityPoint) -> tuple[np.ndarray, np.ndarray]:
-    """SLD dual operators L^i = sum_j (G^-1)_ji L_j."""
-    l1, l2 = slds = sld_operators(dp)
-    g_inv = invert_2x2(np.array([[sld_inner(dp.rho, a, b).real for b in slds] for a in slds]))
-    return g_inv[0, 0] * l1 + g_inv[1, 0] * l2, g_inv[0, 1] * l1 + g_inv[1, 1] * l2
 
 
 def bloch_coefficients(op: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -429,9 +421,14 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
     dual1, dual2 = sld_duals(m)[2:] if fm is None else (fm.dual1, fm.dual2)
     s, (d1, d2) = m.s, m.derivatives()
     perp = cross(d1, d2)
+    norm_perp = math.sqrt(perp @ perp)
 
-    # Independent feasibility check of the affine parametrization.
-    residuals = (dual1 @ d1 - 1.0, dual1 @ d2, perp @ d1, perp @ d2, dual2 @ d1, dual2 @ d2 - 1.0)
+    # Independent feasibility check of the affine parametrization: the dual
+    # rows are dimensionless, and perp's tangency is tested as a cosine.
+    residuals = (dual1 @ d1 - 1.0, dual1 @ d2,
+                 perp @ d1 / (norm_perp * math.sqrt(d1 @ d1)),
+                 perp @ d2 / (norm_perp * math.sqrt(d2 @ d2)),
+                 dual2 @ d1, dual2 @ d2 - 1.0)
     if not all(abs(r) <= 1e-9 for r in residuals):
         raise DegenerateModelError("reduced parametrization violates the constraints")
 

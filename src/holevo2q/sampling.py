@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import BlochModelPoint, BlochModelPoint3, cross
+from .bloch import BlochModelPoint, cross
 from .bounds import WeightMatrix
 
 __all__ = [
     "random_unit_vector",
     "random_model_point",
     "random_d_invariant_point",
-    "random_planar_point",
-    "random_model_point_3",
     "random_weight",
     "random_generic_pair",
 ]
@@ -70,30 +68,6 @@ def random_d_invariant_point(rng: np.random.Generator, radius: float = 0.95) -> 
         scale = np.linalg.norm(d1) * np.linalg.norm(d2)
         if scale > 0.0 and np.linalg.norm(cross(d1, d2)) >= MIN_CROSS_FRACTION * scale:
             return BlochModelPoint(s=s, d1s=d1, d2s=d2)
-
-
-def random_planar_point(rng: np.random.Generator, radius: float = 0.8) -> BlochModelPoint:
-    """Model point with s inside span{d1s, d2s} (triple product zero)."""
-    while True:
-        d1, d2 = _independent_derivatives(rng)
-        coeff = rng.standard_normal(2)
-        s = coeff[0] * d1 + coeff[1] * d2
-        norm = np.linalg.norm(s)
-        if norm < 1e-6:
-            continue
-        target = radius * (0.2 + 0.8 * rng.random())
-        s = s * (target / norm)
-        return BlochModelPoint(s=s, d1s=d1, d2s=d2)
-
-
-def random_model_point_3(rng: np.random.Generator, radius: float = 0.95) -> BlochModelPoint3:
-    """Three-parameter model point with independent derivatives."""
-    while True:
-        s = _ball_point(rng, radius)
-        derivs = rng.standard_normal((3, 3))
-        scale = np.prod([np.linalg.norm(d) for d in derivs])
-        if scale > 0.0 and abs(np.linalg.det(derivs)) >= MIN_CROSS_FRACTION * scale:
-            return BlochModelPoint3(s=s, d1s=derivs[0], d2s=derivs[1], d3s=derivs[2])
 
 
 def random_weight(rng: np.random.Generator) -> WeightMatrix:

@@ -1,11 +1,22 @@
-"""Test-only reference computations: derivative-free checks that no
-production module calls.  scipy is a test dependency and is imported lazily.
+"""Test-only reference computations that no production module calls.
+
+* Derivative-free oracles (``grid_min_quadratic_abs`` via Nelder-Mead);
+  scipy is a test dependency and is imported lazily.
+* Second texts of production formulas, kept only to cross-check them:
+  ``quadratic_abs_min`` solves the reduced problem whose case split
+  :func:`holevo2q.bounds.holevo_bounds_many` inlines, and ``dual_operators``
+  repeats the raising step of :func:`holevo2q.oracle.operator_fisher`.
+* Small closed forms and samplers that only tests use: ``one_param_bound``,
+  ``n_copy_bound``, ``random_planar_point`` and ``random_model_point_3``.
 """
 
 import numpy as np
 
-from holevo2q.errors import SingularMatrixError
+from holevo2q.bloch import BlochModelPoint, BlochModelPoint3, q_matrix
+from holevo2q.errors import DegenerateModelError, DomainError, PureStateError, SingularMatrixError
 from holevo2q.fisher import invert_2x2
+from holevo2q.oracle import DensityPoint, sld_inner, sld_operators
+from holevo2q.sampling import MIN_CROSS_FRACTION, _ball_point, _independent_derivatives
 
 
 def _nelder_mead(fun, x0: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
@@ -38,7 +49,7 @@ def grid_min_quadratic_abs(a, b, c: float) -> float:
     """Grid + refinement oracle for min (xi|A xi) + 2|(b|xi) + c|.
 
     Derivative-free on purpose: it is the independent check of the case
-    split in :func:`holevo2q.bounds.quadratic_abs_min`.
+    split in :func:`quadratic_abs_min`.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -58,3 +69,88 @@ def grid_min_quadratic_abs(a, b, c: float) -> float:
     idx = int(np.argmin(quad + 2.0 * np.abs(b[0] * xi1 + b[1] * xi2 + c)))
     value, _ = _nelder_mead(objective, np.array([xi1[idx], xi2[idx]]), 2.0 * radius / 200)
     return value
+
+
+def quadratic_abs_min(a, b, c: float) -> tuple[float, np.ndarray]:
+    """Exact minimum of f(xi) = (xi|A xi) + 2|(b|xi) + c| over xi in R^2.
+
+    A must be symmetric positive definite.  With alpha = (b|A^-1 b):
+
+        min f = 2|c| - alpha   at xi = -sign(c) A^-1 b      if |c| >= alpha
+        min f = c^2 / alpha    at xi = -(c/alpha) A^-1 b    if |c| <  alpha
+
+    and b = 0 degenerates to (2|c|, 0).  Ties |c| = alpha use the first
+    branch; both give the same value.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != (2, 2) or b.shape != (2,):
+        raise DomainError("quadratic_abs_min expects a 2x2 matrix and a 2-vector")
+    if abs(a[0, 1] - a[1, 0]) > 1e-10 * (1.0 + np.abs(a).max()):
+        raise DomainError("quadratic coefficient matrix must be symmetric")
+    if a[0, 0] <= 0.0 or np.linalg.det(a) <= 0.0:
+        raise SingularMatrixError("quadratic coefficient matrix must be positive definite")
+    a_inv = invert_2x2(a, exc=SingularMatrixError)
+    a_inv_b = a_inv @ b
+    alpha = float(b @ a_inv_b)
+    if alpha == 0.0:
+        return 2.0 * abs(c), np.zeros(2)
+    if abs(c) >= alpha:
+        xi = -np.sign(c) * a_inv_b
+        return 2.0 * abs(c) - alpha, xi
+    xi = -(c / alpha) * a_inv_b
+    return c * c / alpha, xi
+
+
+def dual_operators(dp: DensityPoint) -> tuple[np.ndarray, np.ndarray]:
+    """SLD dual operators L^i = sum_j (G^-1)_ji L_j."""
+    l1, l2 = slds = sld_operators(dp)
+    g_inv = invert_2x2(np.array([[sld_inner(dp.rho, a, b).real for b in slds] for a in slds]))
+    return g_inv[0, 0] * l1 + g_inv[1, 0] * l2, g_inv[0, 1] * l1 + g_inv[1, 1] * l2
+
+
+def one_param_bound(s, ds) -> float:
+    """Holevo bound of a one-parameter model: 1/g with g = <ds, Q ds>.
+
+    For a single parameter the bound coincides with the SLD Cramer-Rao bound.
+    """
+    point = BlochModelPoint(s=s, d1s=ds, d2s=ds)
+    point.require_mixed()
+    ds = np.asarray(ds, dtype=float)
+    if np.linalg.norm(ds) == 0.0:
+        raise DegenerateModelError("derivative vector vanishes")
+    g = float(ds @ q_matrix(point) @ ds)
+    if g <= 0.0:
+        raise PureStateError("SLD Fisher information is not positive")
+    return 1.0 / g
+
+
+def n_copy_bound(single_copy_value: float, n: int) -> float:
+    """Additivity of the Holevo bound over i.i.d. copies: value / n."""
+    if n < 1:
+        raise DomainError("copy count must be a positive integer")
+    return single_copy_value / n
+
+
+def random_planar_point(rng: np.random.Generator, radius: float = 0.8) -> BlochModelPoint:
+    """Model point with s inside span{d1s, d2s} (triple product zero)."""
+    while True:
+        d1, d2 = _independent_derivatives(rng)
+        coeff = rng.standard_normal(2)
+        s = coeff[0] * d1 + coeff[1] * d2
+        norm = np.linalg.norm(s)
+        if norm < 1e-6:
+            continue
+        target = radius * (0.2 + 0.8 * rng.random())
+        s = s * (target / norm)
+        return BlochModelPoint(s=s, d1s=d1, d2s=d2)
+
+
+def random_model_point_3(rng: np.random.Generator, radius: float = 0.95) -> BlochModelPoint3:
+    """Three-parameter model point with independent derivatives."""
+    while True:
+        s = _ball_point(rng, radius)
+        derivs = rng.standard_normal((3, 3))
+        scale = np.prod([np.linalg.norm(d) for d in derivs])
+        if scale > 0.0 and abs(np.linalg.det(derivs)) >= MIN_CROSS_FRACTION * scale:
+            return BlochModelPoint3(s=s, d1s=derivs[0], d2s=derivs[1], d3s=derivs[2])

@@ -24,7 +24,6 @@ from holevo2q.bounds import (
     boundary_weight_family,
     classify_weight,
     holevo_bound,
-    quadratic_abs_min,
 )
 from holevo2q.classify import pure_limit_holevo
 from holevo2q.cli import main as cli_main
@@ -33,7 +32,6 @@ from holevo2q.models import GenericZ
 from holevo2q.oracle import (
     commutation_operator,
     density_point,
-    dual_operators,
     minimize_holevo_2d,
     minimize_holevo_6d,
     operator_fisher,
@@ -45,11 +43,15 @@ from holevo2q.sampling import (
     random_d_invariant_point,
     random_generic_pair,
     random_model_point,
-    random_planar_point,
     random_weight,
 )
 from holevo2q.verify import fisher_determinant_identities
-from reference import grid_min_quadratic_abs
+from reference import (
+    dual_operators,
+    grid_min_quadratic_abs,
+    quadratic_abs_min,
+    random_planar_point,
+)
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])

@@ -8,7 +8,6 @@ from holevo2q.bloch import (
     cross,
     ell_perp,
     f_matrix,
-    inner,
     q_inverse,
     q_matrix,
     q_tilde,
@@ -27,18 +26,6 @@ ZHAT = np.array([0.0, 0.0, 1.0])
 
 def point(s, d1=XHAT, d2=YHAT):
     return BlochModelPoint(s=s, d1s=d1, d2s=d2)
-
-
-class TestInner:
-    def test_unit_vector(self):
-        assert inner(XHAT, XHAT) == 1.0
-
-    def test_conjugation_convention(self):
-        v = np.array([1j, 0.0, 0.0])
-        assert inner(v, v) == pytest.approx(1.0)
-
-    def test_hand_value(self):
-        assert inner([1, 2, 3], [4, 5, 6]) == pytest.approx(32.0)
 
 
 class TestModelPoint:

@@ -27,7 +27,6 @@ from holevo2q.bounds import (
     classify_weight,
     holevo_bound,
     holevo_bound_three_param,
-    quadratic_abs_min,
     trabs,
     trabs_eigenvalues,
     weight_from_angles,
@@ -38,10 +37,11 @@ from holevo2q.models import Unitary
 from holevo2q.oracle import density_point, minimize_holevo_6d
 from holevo2q.sampling import (
     random_d_invariant_point,
+    random_generic_pair,
     random_model_point,
-    random_planar_point,
     random_weight,
 )
+from reference import quadratic_abs_min, random_planar_point
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -346,6 +346,21 @@ class TestQuadraticAbsMin:
         value, xi = quadratic_abs_min(2.0 * np.eye(2), np.array([0.0, 1.0]), 0.25)
         assert value == pytest.approx(0.125)
         assert np.allclose(xi, [0.0, -0.25])
+
+
+    def test_reduced_problem_of_the_kernel(self):
+        # holevo_bounds_many inlines this solve: C^H = C^S + min, xi* = argmin.
+        rng = np.random.default_rng(35)
+        for _ in range(500):
+            m, w = random_generic_pair(rng)
+            fb = fisher_bundle(m)
+            rep = holevo_bound(fb, w)
+            p, root = fb.perp_quadratic, np.sqrt(w.det)
+            value, xi = quadratic_abs_min(
+                p * w.matrix, root * fb.radial, -fb.one_minus_s_sq * root * fb.triple_product / p
+            )
+            assert abs(rep.c_s + value - rep.c_h) <= 1e-12 * rep.c_h
+            np.testing.assert_allclose(xi, rep.xi_star, rtol=1e-12, atol=1e-12)
 
 
 class TestHolevoBound:

@@ -24,9 +24,9 @@ from holevo2q.models import GenericZ, Planar, Unitary
 from holevo2q.sampling import (
     random_d_invariant_point,
     random_model_point,
-    random_planar_point,
     random_weight,
 )
+from reference import random_planar_point
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])

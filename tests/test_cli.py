@@ -14,6 +14,7 @@ import pytest
 
 import holevo2q
 from holevo2q.cli import main
+from holevo2q.models import GenericZ
 
 SRC_DIR = str(Path(holevo2q.__file__).resolve().parents[1])
 
@@ -362,6 +363,48 @@ def test_non_finite_model_parameter_is_invalid_input(tmp_path, desc):
         assert (code, out) == (2, ""), argv
         assert err.startswith("DomainError:"), (argv, err)
     assert not os.path.exists(out_csv)
+
+
+def test_infinite_domain_bound_is_invalid_input(tmp_path):
+    # An infinite bound passes lo < hi; the grid commands would sample no cell.
+    desc = {"kind": "generic_z", "theta0": 0.2,
+            "domain": {"theta1": [-INF, 0.5], "theta2": [-0.5, 0.5]}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(desc))
+    model, out_csv = str(path), str(tmp_path / "out.csv")
+    commands = [
+        ["bounds", "--model", model, "--theta", "0.1,0.1", "--weight", "1,0,1"],
+        ["sweep-theta", "--model", model, "--weight", "1,0,1", "--grid", "3", "--out", out_csv],
+        ["classify", "--model", model, "--grid", "3"],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("DomainError:"), (argv, err)
+    assert not os.path.exists(out_csv)
+
+
+def test_explicit_polynomials_give_the_exact_derivatives(tmp_path):
+    # s = (theta1, theta2, 0.23) written as polynomials is generic_z(0.23):
+    # exact derivatives make every reported bit the same.
+    models = [
+        {"kind": "explicit", "components": [[[0.0], [1.0]], [[0.0, 1.0]], [[0.23]]],
+         "domain": GenericZ(0.23).domain.to_descriptor()},
+        {"kind": "generic_z", "theta0": 0.23},
+    ]
+    outputs = []
+    for desc in models:
+        path, out_csv = tmp_path / f"{desc['kind']}.json", tmp_path / f"{desc['kind']}.csv"
+        path.write_text(json.dumps(desc))
+        code, record, _ = run_cli(
+            "bounds", "--model", str(path), "--theta", "0.1,-0.2", "--weight", "1,0.3,2"
+        )
+        assert code == 0
+        argv = ["sweep-theta", "--model", str(path), "--weight", "1,0.3,2", "--grid", "21"]
+        assert run_cli(*argv, "--out", str(out_csv))[0] == 0
+        outputs.append((record, out_csv.read_text().splitlines()[2:]))
+    assert len(outputs[1][1]) == 305  # the in-ball cells of the 21 x 21 grid
+    assert outputs[0] == outputs[1]
 
 
 def test_bounds_with_overflowing_weight_is_invalid_input(generic_model):

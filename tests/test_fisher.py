@@ -22,11 +22,11 @@ from holevo2q.fisher import (
     fisher_bundle,
     fisher_matrices,
     invert_2x2,
-    one_param_bound,
     sld_duals,
 )
 from holevo2q.sampling import random_model_point, random_weight
 from holevo2q.verify import fisher_determinant_identities
+from reference import one_param_bound
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])

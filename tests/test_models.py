@@ -16,8 +16,8 @@ from holevo2q.models import (
     Unitary,
     evaluate,
     from_descriptor,
-    n_copy_bound,
 )
+from reference import n_copy_bound
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -150,7 +150,6 @@ class TestDescriptors:
             Planar(u1=XHAT, u2=YHAT),
             Explicit.from_polynomials(
                 [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.3]]],
-                step=2e-5,
             ),
         ],
         ids=["generic_z", "unitary", "planar", "explicit"],
@@ -161,7 +160,7 @@ class TestDescriptors:
             "generic_z": ["theta0", "domain"],
             "unitary": ["radius", "axes", "domain"],
             "planar": ["u1", "u2", "f1", "f2", "domain"],
-            "explicit": ["components", "step", "domain"],
+            "explicit": ["components", "domain"],
         }
         assert list(desc) == ["kind", *keys[family.kind]]  # classify prints it in this order
         text = json.dumps(desc)

@@ -14,7 +14,6 @@ from holevo2q.bounds import (
     bound_z,
     holevo_bound,
     holevo_bound_three_param,
-    quadratic_abs_min,
     trabs_eigenvalues,
     trabs_from_root,
     weight_root,
@@ -29,7 +28,6 @@ from holevo2q.oracle import (
     bloch_coefficients,
     commutation_operator,
     density_point,
-    dual_operators,
     holevo_function,
     minimize_holevo_2d,
     minimize_holevo_6d,
@@ -44,11 +42,15 @@ from holevo2q.sampling import (
     random_d_invariant_point,
     random_generic_pair,
     random_model_point,
-    random_model_point_3,
-    random_planar_point,
     random_weight,
 )
-from reference import grid_min_quadratic_abs
+from reference import (
+    dual_operators,
+    grid_min_quadratic_abs,
+    quadratic_abs_min,
+    random_model_point_3,
+    random_planar_point,
+)
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -413,6 +415,14 @@ class TestMinimizers:
             rep = holevo_bound(fisher_bundle(m), w)
             value = minimize_holevo_6d(density_point(m), w)
             assert value == pytest.approx(rep.c_h, rel=1e-8)
+
+    @pytest.mark.parametrize("j", [10, 20])
+    def test_both_accept_scaled_derivatives(self, j):
+        # perp . d_i scales as |d|^3; the 2-d guard tests it relative to |perp||d_i|.
+        rng = np.random.default_rng(85)
+        for _ in range(20):
+            m, w = random_generic_pair(rng)
+            assert_oracle_matches(BlochModelPoint(m.s, np.ldexp(m.d1s, j), np.ldexp(m.d2s, j)), w)
 
     def test_6d_d_invariant(self):
         value = minimize_holevo_6d(
