@@ -24,9 +24,11 @@ import numpy as np
 from .errors import DegenerateModelError, DomainError, PureStateError
 
 __all__ = [
-    "PURE_SHELL_TOL",
-    "DERIVATIVE_INDEPENDENCE_RTOL",
-    "CLASSIFICATION_RTOL",
+    # The tolerance table.
+    "PURE_SHELL_TOL", "BALL_SLACK", "DERIVATIVE_INDEPENDENCE_RTOL", "CLASSIFICATION_RTOL",
+    "TANGENCY_RTOL", "SINGULAR_RTOL", "BOUNDARY_RTOL", "HERMITIAN_RTOL", "PAIR_RTOL",
+    "ORTHONORMAL_TOL", "MIN_EIGENVALUE", "FEASIBILITY_RTOL", "CONSTRAINT_RTOL", "RANK_RTOL",
+    "FIT_RTOL", "CERTIFICATE_RTOL",
     "BlochModelPoint",
     "BlochModelPoint3",
     "Record",
@@ -42,14 +44,25 @@ __all__ = [
     "ell_perp",
 ]
 
-# |s| >= 1 - PURE_SHELL_TOL counts as pure: (1-s^2)^{-1} is no longer trusted.
-PURE_SHELL_TOL = 1e-12
-
-# |d1s x d2s| below this fraction of |d1s||d2s| counts as linearly dependent.
-DERIVATIVE_INDEPENDENCE_RTOL = 1e-10
-
-# Relative tolerance of the exact-zero classification tests.
-CLASSIFICATION_RTOL = 1e-10
+# The package's tolerances, each assigned here only, with what it bounds.  Every
+# test is relative (|s| and rho have fixed scales), so scaling an input by a
+# power of two keeps its verdict.  ``verify.TOLERANCES`` holds the checks' own.
+PURE_SHELL_TOL = 1e-12  # |s| >= 1 - this is pure: (1-s^2)^-1 is no longer trusted
+BALL_SLACK = 1e-9  # |s|^2 > 1 + this lies outside the Bloch ball
+DERIVATIVE_INDEPENDENCE_RTOL = 1e-10  # |d1s x d2s| (|det| of three) below this times the norms
+CLASSIFICATION_RTOL = 1e-10  # |r_i| <= this |s||d_i s|, |k| <= this |s||n|: exact-zero classes
+TANGENCY_RTOL = 1e-8  # |n x s| <= this |n|: shell derivatives tangent to the sphere
+SINGULAR_RTOL = 1e-14  # |det M| < this ||M||_F^2: a singular 2x2 matrix
+BOUNDARY_RTOL = 1e-9  # |B| <= this (|C^Z| + |C^S|): the weight lies on W_boundary
+HERMITIAN_RTOL = 1e-12  # max|M - M^H| > this max|M|: weights, rho, d_i rho, D's X; Tr, trabs Im X
+PAIR_RTOL = 1e-10  # the Hermitian test of observable pairs and of i X for trabs's antisymmetric X
+ORTHONORMAL_TOL = 1e-10  # |A A^T - I| of unitary axes, ||u_i| - 1| of planar directions
+MIN_EIGENVALUE = 1e-12  # an eigenvalue of the unit-trace rho below this: not strictly positive
+FEASIBILITY_RTOL = 1e-8  # an unbiasedness residual of a pair over the size of its trace's terms
+CONSTRAINT_RTOL = 1e-9  # the 2-d oracle's dimensionless parametrization residuals
+RANK_RTOL = 1e-10  # the 6-d oracle's constraint singular values, against the largest
+FIT_RTOL = 1e-6  # an oracle's raw objective off its 2-d model, relative to the raw value
+CERTIFICATE_RTOL = 1e-9  # an oracle's raw value below its minimum, relative to the minimum
 
 
 class factory:
@@ -166,6 +179,13 @@ def not_mixed_message(s_squared: float) -> str:
     return f"operation requires |s| < 1 - {PURE_SHELL_TOL:g}, got |s| = {np.sqrt(s_squared):.12g}"
 
 
+def not_hermitian(m, rtol: float):
+    """max|M - M^H| > rtol max|M| for a matrix, or per matrix of a stack (..., n, n)."""
+    m = np.asarray(m)
+    residual = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max(axis=(-2, -1))
+    return residual > rtol * np.abs(m).max(axis=(-2, -1))
+
+
 def dependent(d1, d2, perp):
     """|d1 x d2| < DERIVATIVE_INDEPENDENCE_RTOL |d1||d2|, row-wise."""
     scale = np.sqrt(dot3(d1, d1)) * np.sqrt(dot3(d2, d2))
@@ -189,7 +209,7 @@ class BlochModelPoint(Record):
         object.__setattr__(self, "s", _as_real_vec3(self.s, "s"))
         object.__setattr__(self, "d1s", _as_real_vec3(self.d1s, "d1s"))
         object.__setattr__(self, "d2s", _as_real_vec3(self.d2s, "d2s"))
-        if self.s_squared > 1.0 + 1e-9:
+        if self.s_squared > 1.0 + BALL_SLACK:
             raise DomainError(f"|s| = {np.linalg.norm(self.s):.6g} lies outside the Bloch ball")
 
     @property
@@ -208,32 +228,18 @@ class BlochModelPoint(Record):
         return self.d1s, self.d2s
 
 
-class BlochModelPoint3(Record):
+class BlochModelPoint3(BlochModelPoint):
     """A three-parameter qubit model point (used by the D-invariant bound)."""
 
-    s: np.ndarray
-    d1s: np.ndarray
-    d2s: np.ndarray
     d3s: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _as_real_vec3(self.s, "s"))
-        for name in ("d1s", "d2s", "d3s"):
-            object.__setattr__(self, name, _as_real_vec3(getattr(self, name), name))
-        if self.s_squared > 1.0 + 1e-9:
-            raise DomainError(f"|s| = {np.linalg.norm(self.s):.6g} lies outside the Bloch ball")
+        super().__post_init__()
+        object.__setattr__(self, "d3s", _as_real_vec3(self.d3s, "d3s"))
         derivs = np.column_stack([self.d1s, self.d2s, self.d3s])
         scale = np.prod([np.linalg.norm(d) for d in derivs.T])
         if scale == 0.0 or abs(np.linalg.det(derivs)) < DERIVATIVE_INDEPENDENCE_RTOL * scale:
             raise DegenerateModelError("the three derivative vectors are linearly dependent")
-
-    @property
-    def s_squared(self) -> float:
-        return float(self.s @ self.s)
-
-    def require_mixed(self) -> None:
-        if self.s_squared >= (1.0 - PURE_SHELL_TOL) ** 2:
-            raise PureStateError("three-parameter bound requires a strictly mixed state")
 
 
 def q_matrix(m: BlochModelPoint) -> np.ndarray:

@@ -45,7 +45,8 @@ import math
 
 import numpy as np
 
-from .bloch import BlochModelPoint, BlochModelPoint3, Record, q_tilde, stack_last
+from .bloch import (BOUNDARY_RTOL, HERMITIAN_RTOL, PAIR_RTOL, BlochModelPoint3, Record,
+                    not_hermitian, q_tilde, stack_last)
 from .errors import DomainError, SpecialModelError, raise_first
 from .fisher import FisherBundle
 
@@ -76,10 +77,6 @@ __all__ = [
     "holevo_bound_three_param",
 ]
 
-# Boundary band: |B| <= BOUNDARY_RTOL * (|C^Z| + |C^S|) counts as W_boundary.
-BOUNDARY_RTOL = 1e-9
-
-
 def _det(w11, w12, w22):
     return w11 * w22 - w12 * w12
 
@@ -99,9 +96,7 @@ def _require_positive(w11, w12, w22) -> None:
 def _symmetric_entries(mat):
     """(w11, w12, w22) of a symmetric positive-definite 2x2 matrix, or of a stack of them."""
     m = np.asarray(mat, dtype=float)
-    if m.shape[-2:] != (2, 2) or np.count_nonzero(
-        np.abs(m[..., 0, 1] - m[..., 1, 0]) > 1e-12 * (1.0 + np.abs(m).max(axis=(-2, -1)))
-    ):
+    if m.shape[-2:] != (2, 2) or np.count_nonzero(not_hermitian(m, HERMITIAN_RTOL)):
         raise DomainError("weight matrix must be symmetric 2x2")
     w11, w12, w22 = m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1]
     _require_positive(w11, w12, w22)
@@ -193,13 +188,12 @@ def trabs(weight, x) -> float:
     w = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, dtype=float)
     xm = np.asarray(x)
     if np.iscomplexobj(xm):
-        if np.abs(xm.imag).max(initial=0.0) > 1e-12 * (1.0 + np.abs(xm).max()):
+        if np.abs(xm.imag).max(initial=0.0) > HERMITIAN_RTOL * np.abs(xm).max():
             raise DomainError("trabs expects the (real) imaginary part of a Hermitian matrix")
         xm = xm.real
     if xm.shape != w.shape:
         raise DomainError(f"shape mismatch: weight {w.shape} vs argument {xm.shape}")
-    asym = np.abs(xm + xm.T).max(initial=0.0)
-    if asym > 1e-10 * (1.0 + np.abs(xm).max()):
+    if not_hermitian(1j * xm, PAIR_RTOL):  # X is antisymmetric iff i X is Hermitian
         raise DomainError("trabs argument must be antisymmetric")
     xm = 0.5 * (xm - xm.T)  # scrub rounding off the exact antisymmetry
 
@@ -404,13 +398,12 @@ def holevo_bound_three_param(m3: BlochModelPoint3, w3) -> float:
     """
     m3.require_mixed()
     w = np.asarray(w3, dtype=float)
-    if w.shape != (3, 3) or np.abs(w - w.T).max() > 1e-12 * (1.0 + np.abs(w).max()):
+    if w.shape != (3, 3) or not_hermitian(w, HERMITIAN_RTOL):
         raise DomainError("three-parameter weight must be a symmetric 3x3 matrix")
     if np.linalg.eigvalsh(w).min() <= 0.0:
         raise DomainError("three-parameter weight must be positive definite")
 
-    point2 = BlochModelPoint(s=m3.s, d1s=m3.d1s, d2s=m3.d2s)
-    qt = q_tilde(point2)  # depends only on s
+    qt = q_tilde(m3)  # depends only on s
     derivs = [m3.d1s, m3.d2s, m3.d3s]
     gt = np.array([[np.conj(di) @ qt @ dj for dj in derivs] for di in derivs])
     gt_inv = np.linalg.inv(gt)

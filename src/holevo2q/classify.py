@@ -26,21 +26,11 @@ import enum
 
 import numpy as np
 
-from .bloch import (
-    CLASSIFICATION_RTOL,
-    BlochModelPoint,
-    Record,
-    cross,
-    ell_perp,
-    rld_bloch_vectors,
-)
+from .bloch import (CLASSIFICATION_RTOL, TANGENCY_RTOL, BlochModelPoint, Record, cross, dot3,
+                    ell_perp, rld_bloch_vectors)
 from .bounds import WeightMatrix, holevo_bound
-from .errors import (
-    AsymptoticallyClassicalLimitError,
-    DomainError,
-    PureStateError,
-)
-from .fisher import bloch_scalars, fisher_bundle, fisher_matrices
+from .errors import AsymptoticallyClassicalLimitError, DomainError, PureStateError
+from .fisher import bloch_scalars, bloch_scalars_many, fisher_bundle, fisher_matrices
 
 __all__ = [
     "CLASSIFICATION_RTOL",
@@ -50,14 +40,11 @@ __all__ = [
     "classify_point",
     "FamilyClassification",
     "classify_family",
+    "classify_rows",
     "pure_limit_duals",
     "pure_limit_rld_inverse",
     "pure_limit_holevo",
 ]
-
-# |l_perp x s| below this fraction of |l_perp| counts as tangent on the shell.
-TANGENCY_RTOL = 1e-8
-
 
 class ModelLabel(enum.Enum):
     D_INVARIANT = "d_invariant"
@@ -79,6 +66,13 @@ class ModelClass(Record):
     triple_product: float
 
 
+def _model_class(d_invariant, asymptotically_classical, gamma, triple_product) -> ModelClass:
+    """The verdict of one point's flags and scalars: D-invariance wins where both flags hold."""
+    label = (ModelLabel.D_INVARIANT if d_invariant else ModelLabel.ASYMPTOTICALLY_CLASSICAL
+             if asymptotically_classical else ModelLabel.GENERIC)
+    return ModelClass(label, d_invariant, asymptotically_classical, gamma, triple_product)
+
+
 def classify_point(m: BlochModelPoint) -> ModelClass:
     """Classify a mixed model point by the flags of :func:`holevo2q.fisher.bloch_scalars`.
 
@@ -86,15 +80,7 @@ def classify_point(m: BlochModelPoint) -> ModelClass:
     a singular SLD Fisher matrix is not an error here.
     """
     fb = bloch_scalars(m)
-    if fb.d_invariant:
-        label = ModelLabel.D_INVARIANT
-    elif fb.asymptotically_classical:
-        label = ModelLabel.ASYMPTOTICALLY_CLASSICAL
-    else:
-        label = ModelLabel.GENERIC
-    return ModelClass(
-        label, fb.d_invariant, fb.asymptotically_classical, fb.gamma, fb.triple_product
-    )
+    return _model_class(fb.d_invariant, fb.asymptotically_classical, fb.gamma, fb.triple_product)
 
 
 class FamilyClassification(Record):
@@ -103,26 +89,43 @@ class FamilyClassification(Record):
     point_classes: tuple[ModelClass, ...]
 
 
+def classify_rows(s, d1, d2) -> FamilyClassification:
+    """:func:`classify_point` of each row of (N, 3) stacks of (s, d1s, d2s), in
+    one :func:`~holevo2q.fisher.bloch_scalars_many` pass that raises what
+    ``classify_point`` raises at the first row that fails.  The rows are
+    globally D-invariant iff |s| is constant over them (relative spread below
+    ``CLASSIFICATION_RTOL``).
+    """
+    s = np.asarray(s, dtype=float)
+    if not len(s):
+        raise DomainError("classification grid is empty")
+    fb = bloch_scalars_many(s, d1, d2)
+    radii = np.sqrt(dot3(s, s))
+    spread = float(radii.max() - radii.min())
+    globally_d_invariant = spread <= CLASSIFICATION_RTOL * max(float(radii.max()), 1e-300)
+    flags = fb.d_invariant.tolist(), fb.asymptotically_classical.tolist()
+    point_classes = map(_model_class, *flags, fb.gamma, fb.triple_product.tolist())
+    return FamilyClassification(globally_d_invariant, radii, tuple(point_classes))
+
+
 def classify_family(family, grid) -> FamilyClassification:
     """Classify a parametric family over a grid of parameter points.
 
-    ``family`` is any object with ``evaluate(theta) -> BlochModelPoint``
-    (see :mod:`holevo2q.models`); ``grid`` is an iterable of 2-vectors.
-    The family is globally D-invariant iff |s| is constant over the grid
-    (relative spread below ``CLASSIFICATION_RTOL``).
+    ``family`` is a family of :mod:`holevo2q.models`; ``grid`` is an iterable
+    of 2-vectors.  The grid is one ``evaluate_many`` pass, classified by
+    :func:`classify_rows`.  At the first grid point where
+    ``classify_point(family.evaluate(theta))`` raises, this raises the same.
     """
-    points = [family.evaluate(theta) for theta in grid]
-    if not points:
-        raise DomainError("classification grid is empty")
-    radii = np.array([np.linalg.norm(p.s) for p in points])
-    spread = float(radii.max() - radii.min())
-    globally_d_invariant = spread <= CLASSIFICATION_RTOL * max(float(radii.max()), 1e-300)
-    point_classes = tuple(classify_point(p) for p in points)
-    return FamilyClassification(
-        globally_d_invariant=globally_d_invariant,
-        radii=radii,
-        point_classes=point_classes,
-    )
+    thetas = list(grid)
+    # A malformed theta becomes a NaN row, which evaluate_many marks unusable.
+    rows = [t if np.shape(t) == (2,) else (np.nan, np.nan) for t in thetas]
+    t1, t2 = np.array(rows, dtype=float).reshape(-1, 2).T
+    s, d1, d2, usable = family.evaluate_many(t1, t2)
+    if not usable.all():
+        first = int(np.argmin(usable))
+        bloch_scalars_many(s[:first], d1[:first], d2[:first])  # a failing earlier row raises
+        classify_point(family.evaluate(thetas[first]))  # an unusable point raises here
+    return classify_rows(s, d1, d2)
 
 
 def _shell_limit(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray, float]:

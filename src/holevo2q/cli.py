@@ -184,7 +184,7 @@ def cmd_sweep_theta(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .classify import classify_family, classify_point
+    from .classify import classify_point, classify_rows
 
     if args.grid < 0:
         raise ModelError("--grid must be non-negative")
@@ -206,10 +206,10 @@ def cmd_classify(args) -> int:
         n = args.grid
         limits = (family.domain.theta1, family.domain.theta2)
         t1, t2 = _grid(*(np.linspace(lo, hi, n + 2)[1:-1] for lo, hi in limits))
-        *_, usable = family.evaluate_many(t1, t2)  # the cells sweep-theta keeps
+        s, d1, d2, usable = family.evaluate_many(t1, t2)  # the cells sweep-theta keeps
         if not usable.any():
             raise ModelError(f"no point of the {n}x{n} grid gives a valid model point")
-        fam = classify_family(family, zip(t1[usable], t2[usable]))
+        fam = classify_rows(s[usable], d1[usable], d2[usable])
         labels = sorted({c.label.value for c in fam.point_classes})
         out["family"] = {
             "globally_d_invariant": fam.globally_d_invariant,

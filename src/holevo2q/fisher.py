@@ -34,20 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import (
-    CLASSIFICATION_RTOL,
-    BlochModelPoint,
-    Record,
-    cross,
-    dependent,
-    dot3,
-    mixed,
-    stack_last,
-    not_mixed_message,
-    q_matrix,
-    q_tilde,
-    q_tilde_inverse,
-)
+from .bloch import (CLASSIFICATION_RTOL, SINGULAR_RTOL, BlochModelPoint, Record, cross, dependent,
+                    dot3, mixed, not_mixed_message, q_matrix, q_tilde, q_tilde_inverse, stack_last)
 from .errors import DegenerateModelError, PureStateError, raise_first
 
 __all__ = [
@@ -61,10 +49,6 @@ __all__ = [
     "invert_2x2",
     "sld_duals",
 ]
-
-# Reject 2x2 inversion when |det| < SINGULAR_RTOL * ||M||_F^2.
-SINGULAR_RTOL = 1e-14
-
 
 def invert_2x2(mat: np.ndarray, exc: type[Exception] = DegenerateModelError) -> np.ndarray:
     """Closed-form adjugate inversion of a 2x2 matrix (real or complex)."""

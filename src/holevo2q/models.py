@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import BlochModelPoint, Record, dot3, factory, mixed, stack_last
+from .bloch import (ORTHONORMAL_TOL, BlochModelPoint, Record, cross, dependent, dot3, factory,
+                    mixed, stack_last)
 from .errors import DomainError, ModelError, PureStateError
 
 __all__ = [
@@ -189,7 +190,7 @@ class Unitary(_Family):
             raise DomainError(f"unitary family radius must lie in (0, 1), got {r}")
         object.__setattr__(self, "radius", r)
         a = _finite(self.axes, "axes")
-        if a.shape != (3, 3) or np.abs(a @ a.T - np.eye(3)).max() > 1e-10:
+        if a.shape != (3, 3) or np.abs(a @ a.T - np.eye(3)).max() > ORTHONORMAL_TOL:
             raise DomainError("axes must form a 3x3 orthogonal matrix")
         object.__setattr__(self, "axes", a)
 
@@ -222,14 +223,13 @@ class Planar(_Family):
     def __post_init__(self):
         for name in ("u1", "u2"):
             u = _finite(getattr(self, name), name)
-            if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > 1e-10:
+            if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > ORTHONORMAL_TOL:
                 raise DomainError(f"{name} must be a unit 3-vector")
             object.__setattr__(self, name, u)
         for name in ("f1", "f2"):
             f = getattr(self, name)
             object.__setattr__(self, name, f if isinstance(f, Poly2D) else Poly2D(f))
-        cross = np.linalg.norm(np.cross(self.u1, self.u2))
-        if cross < 1e-10:
+        if dependent(self.u1, self.u2, cross(self.u1, self.u2)):
             raise DomainError("u1 and u2 must be linearly independent")
 
     def _bloch_arrays(self, t1, t2):

@@ -35,7 +35,9 @@ import math
 
 import numpy as np
 
-from .bloch import BlochModelPoint, Record, cross, dot3
+from .bloch import (CERTIFICATE_RTOL, CONSTRAINT_RTOL, FEASIBILITY_RTOL, FIT_RTOL, HERMITIAN_RTOL,
+                    MIN_EIGENVALUE, PAIR_RTOL, RANK_RTOL, BlochModelPoint, Record, cross, dot3,
+                    not_hermitian)
 from .bounds import WeightMatrix, trabs_from_root, weight_root
 from .errors import (
     DegenerateModelError,
@@ -70,11 +72,6 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (_SX, _SY, _SZ)
 _ID2 = np.eye(2, dtype=complex)
 
-MIN_EIGENVALUE = 1e-12
-
-# Raise thresholds of the exact minimizers (see ``_kink_minimum``).
-FIT_RTOL = 1e-6
-CERTIFICATE_RTOL = 1e-9
 _FIT_PROBES = (np.array([0.6, 0.8]), np.array([-0.8, 0.6]))
 _CERTIFICATE_STEPS = (1e-2, 1e-4, 1e-6)
 # As floats: the fit offsets, and +-h in probe order.
@@ -111,11 +108,13 @@ class DensityPoint(Record):
                 raise ValueError(f"{name} must be finite")
             # max |m - m^dagger| against max |m|: |m10 - conj(m01)| = |m01 - conj(m10)|.
             asym = max(2.0 * abs(m00.imag), abs(m01 - m10.conjugate()), 2.0 * abs(m11.imag))
-            if asym > 1e-12 * (1.0 + max(abs(m00), abs(m01), abs(m10), abs(m11))):
+            if asym > HERMITIAN_RTOL * max(abs(m00), abs(m01), abs(m10), abs(m11)):
                 raise ValueError(f"{name} must be Hermitian")
         wanted = ("have unit trace", "be traceless", "be traceless")
         for name, (row0, row1), target, what in zip(names, entries, (1.0, 0.0, 0.0), wanted):
-            if abs(row0[0] + row1[1] + 0.0 - target) > 1e-12:
+            # Against the unit trace of rho, and the diagonal of a derivative.
+            scale = target or abs(row0[0]) + abs(row1[1])
+            if abs(row0[0] + row1[1] + 0.0 - target) > HERMITIAN_RTOL * scale:
                 raise ValueError(f"{name} must {what}")
         for name, mat in zip(names, mats):
             object.__setattr__(self, name, mat)
@@ -142,9 +141,7 @@ class HermitianPair(Record):
     def __post_init__(self):
         for name in ("x1", "x2"):
             mat = np.asarray(getattr(self, name), dtype=complex)
-            if mat.shape != (2, 2) or np.abs(mat - mat.conj().T).max() > 1e-10 * (
-                1.0 + np.abs(mat).max()
-            ):
+            if mat.shape != (2, 2) or not_hermitian(mat, PAIR_RTOL):
                 raise ValueError(f"{name} must be a Hermitian 2x2 matrix")
             if not np.isfinite(mat).all():
                 raise ValueError(f"{name} must be finite")
@@ -240,7 +237,7 @@ def commutation_operator(dp: DensityPoint, x: np.ndarray) -> np.ndarray:
     Complex-linear extension: non-Hermitian x is split into Hermitian parts.
     """
     x = np.asarray(x, dtype=complex)
-    if np.abs(x - x.conj().T).max() > 1e-12 * (1.0 + np.abs(x).max()):
+    if not_hermitian(x, HERMITIAN_RTOL):
         xh = _herm(x)
         xa = _herm(-1j * (x - xh))  # x = xh + i xa with both Hermitian
         return commutation_operator(dp, xh) + 1j * commutation_operator(dp, xa)
@@ -257,26 +254,21 @@ def commutation_operator(dp: DensityPoint, x: np.ndarray) -> np.ndarray:
     return sum(coeffs[k] * basis[k] for k in range(4))
 
 
-def _feasibility_residual(dp: DensityPoint, pair: HermitianPair) -> float:
-    res = 0.0
-    for x in pair.operators():
-        res = max(res, abs(_trace(dp.rho @ x)))
-    for i, drho in enumerate(dp.derivatives()):
-        for j, x in enumerate(pair.operators()):
-            target = 1.0 if i == j else 0.0
-            res = max(res, abs(_trace(drho @ x) - target))
-    return float(res)
-
-
 def holevo_function(dp: DensityPoint, pair: HermitianPair, w) -> float:
     """Tr(W Re Z[X]) + TrAbs(W Im Z[X]) with Z[X]_ij = tr(rho X^j X^i).
 
-    Raises :class:`FeasibilityError` when the observables violate the
-    local-unbiasedness constraints beyond 1e-8.
+    Raises :class:`FeasibilityError` when tr(rho X^j) = 0 or tr(d_i rho X^j) =
+    delta_ij is violated by more than ``FEASIBILITY_RTOL`` of the sum of the
+    absolute terms of its trace (by its target where all terms vanish, as for
+    a zero operator).
     """
     weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
-    residual = _feasibility_residual(dp, pair)
-    if residual > 1e-8:
+    ops, xs_t = np.array([dp.rho, dp.drho1, dp.drho2]), np.array(pair.operators()).swapaxes(1, 2)
+    terms = ops[:, None] * xs_t  # [a, j, k, l] = A_kl X^j_lk for A = rho, d_1 rho, d_2 rho
+    miss = np.abs(terms.sum(axis=(2, 3)) - [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    size = np.abs(terms).sum(axis=(2, 3))
+    residual = float((miss / np.where(size > 0.0, size, 1.0)).max())
+    if residual > FEASIBILITY_RTOL:
         raise FeasibilityError(
             f"observable pair violates unbiasedness constraints by {residual:.3e}"
         )
@@ -344,7 +336,7 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
     that candidate's probes.  Raises :class:`OracleCertificateError` when no
     candidate is finite, when the value or a probe's raw value is not
     finite, when ``fun`` departs from m at two probe points by more than
-    ``FIT_RTOL`` (1 + |fun|), or when it falls below the value by more than
+    ``FIT_RTOL`` |fun|, or when it falls below the value by more than
     ``CERTIFICATE_RTOL`` (relative) at xi* +- h (1 + |xi*|) d for d along e1,
     e2 and the kink line and h in ``_CERTIFICATE_STEPS``; the fit is checked
     first.
@@ -393,7 +385,7 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
         raise OracleCertificateError("raw objective is not finite at its minimum or a probe")
     for x, raw in zip(probe[: len(_FIT_PROBES)], probe_raws):
         fit = raw - model(*x)
-        if abs(fit) > FIT_RTOL * (1.0 + abs(raw)):
+        if abs(fit) > FIT_RTOL * abs(raw):
             raise OracleCertificateError(f"raw objective departs from its model by {fit:.3e}")
     tolerance = CERTIFICATE_RTOL * abs(value)
     for raw in probe_raws[len(_FIT_PROBES) :]:
@@ -429,7 +421,7 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
                  perp @ d1 / (norm_perp * math.sqrt(d1 @ d1)),
                  perp @ d2 / (norm_perp * math.sqrt(d2 @ d2)),
                  dual2 @ d1, dual2 @ d2 - 1.0)
-    if not all(abs(r) <= 1e-9 for r in residuals):
+    if not all(abs(r) <= CONSTRAINT_RTOL for r in residuals):
         raise DegenerateModelError("reduced parametrization violates the constraints")
 
     q_inv = np.eye(3) - s[:, None] * s  # np.outer(s, s), without its call overhead
@@ -478,7 +470,7 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
     constraint[0:2, 0:3] = constraint[2:4, 3:6] = (d1, d2)
     x0, *_ = np.linalg.lstsq(constraint, [1.0, 0.0, 0.0, 1.0], rcond=None)
     _, svals, vt = np.linalg.svd(constraint)
-    if np.count_nonzero(svals > 1e-10 * svals.max()) != 4:
+    if np.count_nonzero(svals > RANK_RTOL * svals.max()) != 4:
         raise DegenerateModelError("constraint matrix is rank deficient")
     null_basis = vt[4:].T  # (6, 2)
 

@@ -335,15 +335,10 @@ def run_verification(seed: int = 42, count: int = 200) -> VerificationReport:
                     witness,
                 )
 
-        # Bound inequalities.
+        # Bound inequalities: they hold by construction, so with no slack.
         report = holevo_bound(fb, w)
-        slack_scale = 1e-10 * abs(report.c_z)
-        violation = max(
-            report.c_h - report.c_z - slack_scale,
-            report.c_s - report.c_h - slack_scale,
-            report.c_r - report.c_h - slack_scale,
-            0.0,
-        )
+        violation = max(report.c_h - report.c_z, report.c_s - report.c_h,
+                        report.c_r - report.c_h, 0.0)
         track.note("bound_inequality_chain", violation, witness_w)
         closed = (report.c_s, report.c_r, report.c_z)
         track.note(

@@ -1,5 +1,7 @@
 """Model classification and pure-limit operations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ from holevo2q.errors import (
     AsymptoticallyClassicalLimitError,
     DegenerateModelError,
     DomainError,
+    ModelError,
     PureStateError,
 )
 from holevo2q.fisher import fisher_bundle, fisher_matrices
-from holevo2q.models import GenericZ, Planar, Unitary
+from holevo2q.models import Explicit, GenericZ, Planar, Unitary
 from holevo2q.sampling import (
     random_d_invariant_point,
     random_model_point,
@@ -30,6 +33,12 @@ from reference import random_planar_point
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
+FAMILIES = [
+    GenericZ(0.35),
+    Unitary(radius=0.8),
+    Planar(u1=XHAT, u2=np.array([0.6, 0.8, 0.0]), f1=[[0.1, 0.2], [1.0, 0.3]]),
+    Explicit.from_polynomials([[[0.0, 0.1], [0.9, 0.0]], [[0.0, 0.8], [0.2, 0.0]], [[0.3, 0.1]]]),
+]
 
 
 def point(s, d1=XHAT, d2=YHAT):
@@ -170,6 +179,38 @@ class TestClassifyFamily:
         grid = [(0.1, 0.2), (0.3, -0.1), (-0.2, 0.4)]
         rep = classify_family(fam, grid)
         assert all(c.asymptotically_classical for c in rep.point_classes)
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.kind)
+    def test_bit_identical_to_per_point_definition(self, fam):
+        (lo1, hi1), (lo2, hi2) = fam.domain.theta1, fam.domain.theta2
+        # The middle half of the domain, where every family is strictly mixed.
+        axis1, axis2 = np.linspace(lo1, hi1, 9)[2:-2], np.linspace(lo2, hi2, 9)[2:-2]
+        grid = [(a, b) for a in axis1 for b in axis2]
+        rep = classify_family(fam, grid)
+        points = [fam.evaluate(theta) for theta in grid]
+        radii = np.array([np.linalg.norm(p.s) for p in points])
+        assert rep.radii.tobytes() == radii.tobytes()
+        for got, want in zip(rep.point_classes, [classify_point(p) for p in points], strict=True):
+            assert (got.label, got.d_invariant, got.asymptotically_classical) == (
+                want.label, want.d_invariant, want.asymptotically_classical)
+            assert got.gamma.tobytes() == want.gamma.tobytes()
+            assert np.float64(got.triple_product).tobytes() == np.float64(
+                want.triple_product).tobytes()
+
+    @pytest.mark.parametrize("fam, bad", [
+        (GenericZ(0.35), (2.0, 0.0)),              # outside the domain
+        (GenericZ(0.35), (0.9, 0.3)),              # |s| > 1
+        (GenericZ(0.6), (0.8 - 2e-13, 0.0)),       # within PURE_SHELL_TOL of the shell
+        (GenericZ(0.35), (0.1,)),                  # not a 2-vector
+        (Planar(u1=XHAT, u2=YHAT, f1=[[0.0], [0.0], [1.0]]), (0.0, 0.2)),  # d1s = 0
+    ], ids=["outside", "beyond_shell", "near_shell", "malformed", "dependent"])
+    def test_first_failing_point_raises_as_per_point(self, fam, bad):
+        grid = [(0.1, 0.2), bad, (0.3, 0.1), (5.0, 5.0)]
+        with pytest.raises(ModelError) as per_point:
+            for theta in grid:
+                classify_point(fam.evaluate(theta))
+        with pytest.raises(type(per_point.value), match=re.escape(str(per_point.value))):
+            classify_family(fam, grid)
 
 
 class TestPureLimitDuals:

@@ -293,14 +293,17 @@ class TestClassifyCommand:
     def test_grid_points_evaluated_once(self, generic_model, monkeypatch):
         from holevo2q.models import GenericZ
 
-        calls = []
-        evaluate = GenericZ.evaluate
+        rows, calls = [], []
+        evaluate_many = GenericZ.evaluate_many
         monkeypatch.setattr(
-            GenericZ, "evaluate", lambda self, th: calls.append(th) or evaluate(self, th)
+            GenericZ, "evaluate_many",
+            lambda self, t1, t2: rows.append(np.size(t1)) or evaluate_many(self, t1, t2),
         )
+        monkeypatch.setattr(GenericZ, "evaluate", lambda self, th: calls.append(th))
         code, out, _ = run_cli("classify", "--model", generic_model, "--grid", "4")
         assert code == 0
-        assert len(calls) == 16 == json.loads(out)["family"]["grid_points"]
+        assert sum(rows) == 16 == json.loads(out)["family"]["grid_points"]
+        assert calls == []
 
 
 MALFORMED_MODELS = {

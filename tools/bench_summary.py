@@ -12,6 +12,7 @@ measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
   generic_z theta0=0.2 at theta=(0.2447, 0.2447), both weight families;
 * ``sweep_theta``: ``sweep-theta --grid 101`` on generic_z theta0=0.23 at
   W=(0.55, 0.1, 0.45);
+* ``classify_grid``: ``classify --grid 101`` on generic_z theta0=0.2;
 * ``verify``: ``verify --seed 42 --count 200``;
 * ``oracle_values``: ROOT's ``tools/oracle_values.py 21 31 77``, both oracle
   minimizers on the 288 seeded cases of the benchmark's ``oracle`` workload;
@@ -59,6 +60,7 @@ PATHS = {
                         "--weight-family", "42", "--out", "out.csv"],
     "sweep_theta": ["sweep-theta", "--model", "gz023.json", "--weight", WEIGHT,
                     "--out", "out.csv"],
+    "classify_grid": ["classify", "--model", "gz02.json", "--grid", "101"],
     "verify": ["verify", "--seed", "42", "--count", "200"],
     "oracle_values": ["oracle_values.py", "21", "31", "77"],
 }
