@@ -224,8 +224,6 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verification
 
-    if args.count <= 0:
-        raise ModelError("--count must be a positive integer")
     report = run_verification(seed=args.seed, count=args.count)
     print(report.table())
     if report.passed:

@@ -3,8 +3,11 @@
 ``run_verification`` draws seeded random model points and weights, evaluates
 every structural identity through both the Bloch-vector closed forms and the
 density-matrix oracle, and reports the worst residual per check against its
-tolerance in ``TOLERANCES``.  The suite is what ``holevo2q verify`` runs and
-what the acceptance tests call.
+tolerance in ``TOLERANCES``.  Three functions hold the checks, each mapping
+one instance to ``{check name: residual}``: ``_point_checks`` (a model
+point), ``_weight_checks`` (a point and a weight) and ``_oracle_checks`` (a
+generic pair against the oracle minimizers).  The suite is what
+``holevo2q verify`` runs and what the acceptance tests call.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from .bloch import (Record, ell_perp, f_matrix, factory, q_inverse, rld_bloch_vectors,
                     sld_bloch_vectors)
 from .bounds import WeightMatrix, holevo_bound, trabs
-from .errors import SingularMatrixError
+from .errors import ModelError, SingularMatrixError
 from .fisher import fisher_bundle, fisher_matrices, invert_2x2
 from .oracle import (
     commutation_operator,
@@ -76,28 +79,6 @@ class VerificationReport(Record):
             counts = ", ".join(f"{k}: {v}" for k, v in sorted(self.branch_counts.items()))
             lines.append(f"branches: {counts}")
         return "\n".join(lines)
-
-
-class _Tracker:
-    """Collects the worst residual per check plus the instance that hit it."""
-
-    def __init__(self):
-        self.values: dict[str, float] = {}
-        self.witnesses: dict[str, str] = {}
-
-    def note(self, name: str, value: float, witness: str = "") -> None:
-        value = float(value)
-        if value > self.values.get(name, -np.inf):
-            self.values[name] = value
-            self.witnesses[name] = witness
-
-    def row(self, name: str, tolerance: float) -> CheckRow:
-        return CheckRow(
-            name=name,
-            tolerance=tolerance,
-            value=self.values.get(name, 0.0),
-            witness=self.witnesses.get(name, ""),
-        )
 
 
 def _matrix_form_bounds(fm, weight: WeightMatrix) -> tuple[float, float, float]:
@@ -193,6 +174,100 @@ TOLERANCES = {
 }
 
 
+def _point_checks(fb, fm) -> dict:
+    """Residuals of the checks that read only the model point ``fm.point``
+    (``fb`` is its bundle): the oracle's operator equations and Fisher
+    matrices against the closed forms, the Bloch-vector relations and the
+    commutation-operator relations.  A check of several parts maps to their
+    list, of which the suite takes the max."""
+    m = fm.point
+    dp = density_point(m)
+    rho = dp.rho
+    l_ops, lt_ops = sld_operators(dp), rld_operators(dp)
+    g_op, gt_op, z_op = operator_fisher(dp, l_ops, lt_ops)
+    f = f_matrix(m)
+    l1, l2 = sld_bloch_vectors(m)
+    lt1, lt2 = rld_bloch_vectors(m)
+    qi = q_inverse(m)
+    perp = ell_perp(m)
+    one_minus = fb.one_minus_s_sq
+    evals = np.linalg.eigvalsh(fm.g_inv - fm.g_tilde_inv.real)
+    scale = max(float(np.abs(fm.g_inv).max()), 1.0)
+    detg = float(np.linalg.det(fm.g))
+    detgt = float(np.linalg.det(fm.g_tilde).real)
+    g_inv, gt_inv = invert_2x2(g_op), invert_2x2(gt_op)
+    duals = [g_inv[0, i] * l_ops[0] + g_inv[1, i] * l_ops[1] for i in range(2)]
+    rduals = [gt_inv[0, i] * lt_ops[0] + gt_inv[1, i] * lt_ops[1] for i in range(2)]
+    d_duals = [commutation_operator(dp, dual) for dual in duals]
+    # Relative like cross_path_*: the residual is the rounding of G^-1 and G~^-1.
+    pairing_scale = max(1.0, np.abs(g_inv).max(), np.abs(gt_inv).max())
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    return {
+        "sld_defining_equation": [np.abs(d - 0.5 * (rho @ l + l @ rho)).max()
+                                  for d, l in zip(dp.derivatives(), l_ops)],
+        "rld_defining_equation": [np.abs(d - rho @ lt).max()
+                                  for d, lt in zip(dp.derivatives(), lt_ops)],
+        # Entrywise, relative to the matrix scale.
+        "cross_path_sld_fisher": np.abs(g_op - fm.g).max() / max(1.0, np.abs(fm.g).max()),
+        "cross_path_rld_fisher":
+            np.abs(gt_op - fm.g_tilde).max() / max(1.0, np.abs(fm.g_tilde).max()),
+        "cross_path_z_matrix": np.abs(z_op - fm.z).max() / max(1.0, np.abs(fm.z).max()),
+        "im_z_equals_im_rld_inverse": np.abs(fm.z.imag - fm.g_tilde_inv.imag).max(),
+        "rank_one_law": [abs(evals[0]) / scale, 0.0, -evals[1] / scale],
+        "sld_rld_vector_consistency": [np.abs((np.eye(3) + 1j * f) @ lt - l).max()
+                                       for l, lt in ((l1, lt1), (l2, lt2))],
+        "dual_orthogonality": [
+            abs(float(fm.dual1 @ qi @ l1) - 1.0), abs(float(fm.dual1 @ qi @ l2)),
+            abs(float(fm.dual2 @ qi @ l1)), abs(float(fm.dual2 @ qi @ l2) - 1.0)],
+        "perp_gamma_relations": [abs(float(perp @ f @ fm.dual2) - one_minus * fb.gamma[0]),
+                                 abs(float(perp @ f @ fm.dual1) + one_minus * fb.gamma[1])],
+        "determinant_chain": abs(one_minus * detgt - detg) / abs(detg),
+        "commutation_reconstruction": [
+            np.abs(lt + 1j * commutation_operator(dp, lt) - l).max()
+            for l, lt in zip(l_ops, lt_ops)],
+        "commutation_sld_pairing": [abs(sld_inner(rho, duals[j], d_duals[i]) - z_op[j, i].imag)
+                                    for i, j in pairs],
+        "commutation_mixed_pairing": [
+            abs(sld_inner(rho, rduals[j], d_duals[i]) - (-1j) * (gt_inv[j, i] - g_inv[j, i]))
+            / pairing_scale for i, j in pairs],
+    }
+
+
+def _weight_checks(fb, fm, w) -> dict:
+    """Residuals of the checks that read the model point and a weight ``w``:
+    the three identities of :func:`fisher_determinant_identities`, and the
+    bounds against each other and against their matrix definitions."""
+    ids = fisher_determinant_identities(fm.point, w, fm, fb)
+    report = holevo_bound(fb, w)
+    closed = (report.c_s, report.c_r, report.c_z)
+    return {
+        "identity_quadratic_determinant": ids.quadratic_vs_determinants,
+        "identity_trabs_forms": ids.trabs_consistency,
+        "identity_gamma_gap": ids.gamma_gap,
+        # The inequalities hold by construction, so with no slack.
+        "bound_inequality_chain": [report.c_h - report.c_z, report.c_s - report.c_h,
+                                   report.c_r - report.c_h, 0.0],
+        "bounds_vs_matrix_forms": [abs(x - y) / abs(y)
+                                   for x, y in zip(closed, _matrix_form_bounds(fm, w))],
+    }
+
+
+def _oracle_checks(fm, w, report) -> dict:
+    """Residuals of the closed form ``report`` = ``holevo_bound`` at
+    (``fm.point``, ``w``) against the oracle: both minimizations of the Holevo
+    function, and its value at the SLD duals, which equals C^Z by construction."""
+    m = fm.point
+    value_2d, _ = minimize_holevo_2d(m, w, fm)
+    dp = density_point(m)
+    value_6d = minimize_holevo_6d(dp, w)
+    at_duals = holevo_function(dp, pair_from_bloch_vectors(m, fm.dual1, fm.dual2), w)
+    return {
+        "holevo_vs_reduced_search": abs(value_2d - report.c_h) / abs(report.c_h),
+        "holevo_vs_constrained_search": abs(value_6d - report.c_h) / abs(report.c_h),
+        "z_bound_from_duals": abs(report.c_z - at_duals) / abs(report.c_z),
+    }
+
+
 def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
@@ -207,183 +282,44 @@ def _describe(m, w=None) -> str:
 
 
 def run_verification(seed: int = 42, count: int = 200) -> VerificationReport:
-    """Run every cross-path check on ``count`` random instances."""
-    rng = np.random.default_rng(seed)
-    track = _Tracker()
+    """Run every check on ``count`` seeded instances of each kind.
 
+    Each instance's residuals come from one of the check functions above; a
+    row holds the worst residual of its check (NaN counts as the worst) and
+    the first instance that reached it.  Raises ``RuntimeError`` if the
+    names the functions produce are not the keys of ``TOLERANCES``.
+    """
+    if count <= 0:
+        raise ModelError(f"count must be a positive integer, got {count}")
+    rng = np.random.default_rng(seed)
+    results = []  # (residuals, instance) in draw order
     for _ in range(count):
         m = random_model_point(rng)
-        witness = _describe(m)
         fb = fisher_bundle(m)
         fm = fisher_matrices(m, fb)
-        dp = density_point(m)
-        rho = dp.rho
-
-        # Defining operator equations.
-        l_ops = sld_operators(dp)
-        lt_ops = rld_operators(dp)
-        for i, drho in enumerate(dp.derivatives()):
-            sym = 0.5 * (rho @ l_ops[i] + l_ops[i] @ rho)
-            track.note("sld_defining_equation", np.abs(drho - sym).max(), witness)
-            track.note(
-                "rld_defining_equation", np.abs(drho - rho @ lt_ops[i]).max(), witness
-            )
-
-        # Cross-path Fisher equality (entrywise, relative to matrix scale).
-        g_op, gt_op, z_op = operator_fisher(dp, l_ops, lt_ops)
-        track.note(
-            "cross_path_sld_fisher",
-            np.abs(g_op - fm.g).max() / max(1.0, np.abs(fm.g).max()),
-            witness,
-        )
-        track.note(
-            "cross_path_rld_fisher",
-            np.abs(gt_op - fm.g_tilde).max() / max(1.0, np.abs(fm.g_tilde).max()),
-            witness,
-        )
-        track.note(
-            "cross_path_z_matrix",
-            np.abs(z_op - fm.z).max() / max(1.0, np.abs(fm.z).max()),
-            witness,
-        )
-
-        # Structural identities.
+        results.append((_point_checks(fb, fm), (m,)))
         w = random_weight(rng)
-        witness_w = _describe(m, w)
-        ids = fisher_determinant_identities(m, w, fm, fb)
-        track.note("identity_quadratic_determinant", ids.quadratic_vs_determinants, witness_w)
-        track.note("identity_trabs_forms", ids.trabs_consistency, witness_w)
-        track.note("identity_gamma_gap", ids.gamma_gap, witness_w)
-        track.note(
-            "im_z_equals_im_rld_inverse",
-            np.abs(fm.z.imag - fm.g_tilde_inv.imag).max(),
-            witness,
-        )
-        diff = fm.g_inv - fm.g_tilde_inv.real
-        evals = np.linalg.eigvalsh(diff)
-        scale = max(float(np.abs(fm.g_inv).max()), 1.0)
-        track.note(
-            "rank_one_law", max(abs(evals[0]), max(0.0, -evals[1])) / scale, witness
-        )
-        f = f_matrix(m)
-        l1, l2 = sld_bloch_vectors(m)
-        lt1, lt2 = rld_bloch_vectors(m)
-        track.note(
-            "sld_rld_vector_consistency",
-            max(
-                np.abs((np.eye(3) + 1j * f) @ lt1 - l1).max(),
-                np.abs((np.eye(3) + 1j * f) @ lt2 - l2).max(),
-            ),
-            witness,
-        )
-        qi = q_inverse(m)
-        orth = max(
-            abs(float(fm.dual1 @ qi @ l1) - 1.0),
-            abs(float(fm.dual1 @ qi @ l2)),
-            abs(float(fm.dual2 @ qi @ l1)),
-            abs(float(fm.dual2 @ qi @ l2) - 1.0),
-        )
-        track.note("dual_orthogonality", orth, witness)
-        perp = ell_perp(m)
-        one_minus = fb.one_minus_s_sq
-        track.note(
-            "perp_gamma_relations",
-            max(
-                abs(float(perp @ f @ fm.dual2) - one_minus * fb.gamma[0]),
-                abs(float(perp @ f @ fm.dual1) + one_minus * fb.gamma[1]),
-            ),
-            witness,
-        )
-        detg = float(np.linalg.det(fm.g))
-        detgt = float(np.linalg.det(fm.g_tilde).real)
-        track.note(
-            "determinant_chain", abs(one_minus * detgt - detg) / abs(detg), witness
-        )
+        results.append((_weight_checks(fb, fm, w), (m, w)))
 
-        # Commutation-operator relations.
-        g_inv = invert_2x2(g_op)
-        gt_inv = invert_2x2(gt_op)
-        # Relative like cross_path_*: the residual is the rounding of G^-1 and G~^-1.
-        pairing_scale = max(1.0, np.abs(g_inv).max(), np.abs(gt_inv).max())
-        duals = (
-            g_inv[0, 0] * l_ops[0] + g_inv[1, 0] * l_ops[1],
-            g_inv[0, 1] * l_ops[0] + g_inv[1, 1] * l_ops[1],
-        )
-        rduals = (
-            gt_inv[0, 0] * lt_ops[0] + gt_inv[1, 0] * lt_ops[1],
-            gt_inv[0, 1] * lt_ops[0] + gt_inv[1, 1] * lt_ops[1],
-        )
-        for i in range(2):
-            recon = lt_ops[i] + 1j * commutation_operator(dp, lt_ops[i])
-            track.note(
-                "commutation_reconstruction", np.abs(recon - l_ops[i]).max(), witness
-            )
-            d_dual = commutation_operator(dp, duals[i])
-            for j in range(2):
-                track.note(
-                    "commutation_sld_pairing",
-                    abs(sld_inner(rho, duals[j], d_dual) - z_op[j, i].imag),
-                    witness,
-                )
-                track.note(
-                    "commutation_mixed_pairing",
-                    abs(
-                        sld_inner(rho, rduals[j], d_dual)
-                        - (-1j) * (gt_inv[j, i] - g_inv[j, i])
-                    )
-                    / pairing_scale,
-                    witness,
-                )
-
-        # Bound inequalities: they hold by construction, so with no slack.
-        report = holevo_bound(fb, w)
-        violation = max(report.c_h - report.c_z, report.c_s - report.c_h,
-                        report.c_r - report.c_h, 0.0)
-        track.note("bound_inequality_chain", violation, witness_w)
-        closed = (report.c_s, report.c_r, report.c_z)
-        track.note(
-            "bounds_vs_matrix_forms",
-            max(abs(x - y) / abs(y) for x, y in zip(closed, _matrix_form_bounds(fm, w))),
-            witness_w,
-        )
-
-    # Closed form versus the oracle minimizations, on fresh generic pairs.
     branch_counts: dict[str, int] = {}
-    for _ in range(count):
+    for _ in range(count):  # fresh generic pairs for the oracle
         m, w = random_generic_pair(rng)
-        witness = _describe(m, w)
         fb = fisher_bundle(m)
         report = holevo_bound(fb, w)
         branch_counts[report.branch.value] = branch_counts.get(report.branch.value, 0) + 1
-        fm = fisher_matrices(m, fb)
-        value_2d, _ = minimize_holevo_2d(m, w, fm)
-        track.note(
-            "holevo_vs_reduced_search",
-            abs(value_2d - report.c_h) / abs(report.c_h),
-            witness,
-        )
-        dp = density_point(m)
-        value_6d = minimize_holevo_6d(dp, w)
-        track.note(
-            "holevo_vs_constrained_search",
-            abs(value_6d - report.c_h) / abs(report.c_h),
-            witness,
-        )
-        track.note(
-            "z_bound_from_duals",
-            abs(report.c_z - _holevo_at_duals(fm, w, dp)) / abs(report.c_z),
-            witness,
-        )
+        results.append((_oracle_checks(fisher_matrices(m, fb), w, report), (m, w)))
 
-    report = VerificationReport(seed=seed, count=count, branch_counts=branch_counts)
-    for name, tol in TOLERANCES.items():
-        report.rows.append(track.row(name, tol))
-    return report
-
-
-def _holevo_at_duals(fm, w, dp) -> float:
-    """Holevo function at the feasible point given by the dual vectors, with
-    ``dp`` the density point of ``fm.point``; equals the D-invariant bound by
-    construction."""
-    pair = pair_from_bloch_vectors(fm.point, fm.dual1, fm.dual2)
-    return holevo_function(dp, pair, w)
+    worst: dict[str, tuple[float, tuple]] = {}
+    for residuals, instance in results:
+        for name, parts in residuals.items():
+            value = float(np.max(parts))  # NaN if any part is NaN
+            old = worst.get(name, (-np.inf,))[0]
+            if value > old or (np.isnan(value) and not np.isnan(old)):
+                worst[name] = (value, instance)
+    if worst.keys() != TOLERANCES.keys():
+        unknown, unchecked = worst.keys() - TOLERANCES.keys(), TOLERANCES.keys() - worst.keys()
+        raise RuntimeError(f"checks without a tolerance: {sorted(unknown)}; "
+                           f"tolerances without a check: {sorted(unchecked)}")
+    rows = [CheckRow(name, tol, worst[name][0], _describe(*worst[name][1]))
+            for name, tol in TOLERANCES.items()]
+    return VerificationReport(seed=seed, count=count, rows=rows, branch_counts=branch_counts)
