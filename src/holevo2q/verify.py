@@ -16,7 +16,7 @@ import numpy as np
 
 from .bloch import (Record, ell_perp, f_matrix, factory, q_inverse, rld_bloch_vectors,
                     sld_bloch_vectors)
-from .bounds import WeightMatrix, holevo_bound, trabs
+from .bounds import WeightMatrix, holevo_bound, trabs_from_root, weight_root
 from .errors import ModelError, SingularMatrixError
 from .fisher import fisher_bundle, fisher_matrices, invert_2x2
 from .oracle import (
@@ -85,10 +85,18 @@ def _matrix_form_bounds(fm, weight: WeightMatrix) -> tuple[float, float, float]:
     """(C^S, C^R, C^Z) from their matrix definitions on ``fisher_matrices``:
     Tr(W G^-1), Tr(W Re G~^-1) + TrAbs(W Im G~^-1), Tr(W Re Z) + TrAbs(W Im Z)."""
     w = weight.matrix
+    trabs_r, trabs_z = trabs_from_root(weight_root(w), np.stack([fm.g_tilde_inv.imag, fm.z.imag]))
     c_s = float(np.trace(w @ fm.g_inv))
-    c_r = float(np.trace(w @ fm.g_tilde_inv.real)) + trabs(weight, fm.g_tilde_inv.imag)
-    c_z = float(np.trace(w @ fm.z.real)) + trabs(weight, fm.z.imag)
+    c_r = float(np.trace(w @ fm.g_tilde_inv.real)) + trabs_r
+    c_z = float(np.trace(w @ fm.z.real)) + trabs_z
     return c_s, c_r, c_z
+
+
+def _spread(*ends, floor: float) -> float:
+    """max |difference of consecutive ends| relative to max(max |end|, floor);
+    NaN if any end is NaN."""
+    ends = np.array(ends)
+    return float(np.abs(np.diff(ends)).max() / np.maximum(np.abs(ends).max(), floor))
 
 
 class DeterminantIdentityResiduals(Record):
@@ -101,14 +109,16 @@ class DeterminantIdentityResiduals(Record):
     gamma_gap: float
 
     def max_residual(self) -> float:
-        return max(self.quadratic_vs_determinants, self.trabs_consistency, self.gamma_gap)
+        return float(np.max([self.quadratic_vs_determinants, self.trabs_consistency,
+                             self.gamma_gap]))
 
 
 def fisher_determinant_identities(m, weight, fm=None, fb=None) -> DeterminantIdentityResiduals:
     """Evaluate the three structural identities at a mixed point.
 
     1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
-    2. 2 sqrt(det W) |<l^1, F l^2>| = TrAbs(W Im G~^-1) = TrAbs(W Im Z)
+    2. 2 sqrt(det W) |<l^1, F l^2>| = TrAbs(W Im G~^-1) = TrAbs(W Im Z), with
+       TrAbs from its eigenvalue definition
     3. (gamma | W^-1 gamma) = det(W^-1 G)/(1-s^2) * (C^Z - C^R)
 
     ``weight`` is a :class:`holevo2q.bounds.WeightMatrix` or a 2x2 array;
@@ -121,29 +131,20 @@ def fisher_determinant_identities(m, weight, fm=None, fb=None) -> DeterminantIde
     fm = fisher_matrices(m, fb) if fm is None else fm
     one_minus = fb.one_minus_s_sq
 
-    lhs1 = fb.perp_quadratic
     det_g = float(np.linalg.det(fm.g))
     det_gt = float(np.linalg.det(fm.g_tilde).real)
-    mid1 = one_minus * det_g
-    rhs1 = one_minus**2 * det_gt
-    scale1 = max(abs(lhs1), abs(mid1), abs(rhs1), 1e-300)
-    res1 = max(abs(lhs1 - mid1), abs(mid1 - rhs1)) / scale1
+    res1 = _spread(fb.perp_quadratic, one_minus * det_g, one_minus**2 * det_gt, floor=1e-300)
 
     w = weight.matrix
     lhs2 = 2.0 * np.sqrt(weight.det) * abs(fm.z[0, 1].imag)
-    mid2 = trabs(w, fm.g_tilde_inv.imag)
-    rhs2 = trabs(w, fm.z.imag)
-    scale2 = max(abs(lhs2), abs(mid2), abs(rhs2), 1.0)
-    res2 = max(abs(lhs2 - mid2), abs(mid2 - rhs2)) / scale2
+    mid2, rhs2 = trabs_from_root(weight_root(w), np.stack([fm.g_tilde_inv.imag, fm.z.imag]))
+    res2 = _spread(lhs2, mid2, rhs2, floor=1.0)
 
     w_inv = invert_2x2(w, exc=SingularMatrixError)
-    lhs3 = float(fb.gamma @ w_inv @ fb.gamma)
     _, c_r, c_z = _matrix_form_bounds(fm, weight)
     gap = c_z - c_r
-    rhs3 = det_g / weight.det / one_minus * gap
-    scale3 = max(abs(lhs3), abs(rhs3), 1.0)
-    res3 = abs(lhs3 - rhs3) / scale3
-
+    res3 = _spread(float(fb.gamma @ w_inv @ fb.gamma), det_g / weight.det / one_minus * gap,
+                   floor=1.0)
     return DeterminantIdentityResiduals(res1, res2, res3)
 
 
