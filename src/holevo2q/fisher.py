@@ -36,7 +36,7 @@ import numpy as np
 
 from .bloch import (CLASSIFICATION_RTOL, SINGULAR_RTOL, BlochModelPoint, Record, cross, dependent,
                     dot3, mixed, not_mixed_message, q_matrix, q_tilde, q_tilde_inverse, stack_last)
-from .errors import DegenerateModelError, PureStateError, raise_first
+from .errors import DegenerateModelError, DomainError, PureStateError, raise_first
 
 __all__ = [
     "FisherBundle",
@@ -54,7 +54,7 @@ def invert_2x2(mat: np.ndarray, exc: type[Exception] = DegenerateModelError) -> 
     """Closed-form adjugate inversion of a 2x2 matrix (real or complex)."""
     m = np.asarray(mat)
     if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+        raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
     (a, b), (c, d) = m.tolist()
     det = a * d - b * c
     norm_sq = sum(x * x for x in map(abs, (a, b, c, d)))

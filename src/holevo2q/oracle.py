@@ -41,6 +41,7 @@ from .bloch import (CERTIFICATE_RTOL, CONSTRAINT_RTOL, FEASIBILITY_RTOL, FIT_RTO
 from .bounds import WeightMatrix, trabs_from_root, weight_root
 from .errors import (
     DegenerateModelError,
+    DomainError,
     FeasibilityError,
     OracleCertificateError,
     PureStateError,
@@ -100,22 +101,22 @@ class DensityPoint(Record):
         names = ("rho", "drho1", "drho2")
         for name in names:
             if np.shape(getattr(self, name)) != (2, 2):
-                raise ValueError(f"{name} must be 2x2")
+                raise DomainError(f"{name} must be 2x2")
         mats = np.array([getattr(self, name) for name in names], dtype=complex)
         entries = mats.tolist()
         for name, ((m00, m01), (m10, m11)) in zip(names, entries):
             if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
-                raise ValueError(f"{name} must be finite")
+                raise DomainError(f"{name} must be finite")
             # max |m - m^dagger| against max |m|: |m10 - conj(m01)| = |m01 - conj(m10)|.
             asym = max(2.0 * abs(m00.imag), abs(m01 - m10.conjugate()), 2.0 * abs(m11.imag))
             if asym > HERMITIAN_RTOL * max(abs(m00), abs(m01), abs(m10), abs(m11)):
-                raise ValueError(f"{name} must be Hermitian")
+                raise DomainError(f"{name} must be Hermitian")
         wanted = ("have unit trace", "be traceless", "be traceless")
         for name, (row0, row1), target, what in zip(names, entries, (1.0, 0.0, 0.0), wanted):
             # Against the unit trace of rho, and the diagonal of a derivative.
             scale = target or abs(row0[0]) + abs(row1[1])
             if abs(row0[0] + row1[1] + 0.0 - target) > HERMITIAN_RTOL * scale:
-                raise ValueError(f"{name} must {what}")
+                raise DomainError(f"{name} must {what}")
         for name, mat in zip(names, mats):
             object.__setattr__(self, name, mat)
         if np.linalg.eigvalsh(self.rho).min() < MIN_EIGENVALUE:
@@ -142,9 +143,9 @@ class HermitianPair(Record):
         for name in ("x1", "x2"):
             mat = np.asarray(getattr(self, name), dtype=complex)
             if mat.shape != (2, 2) or not_hermitian(mat, PAIR_RTOL):
-                raise ValueError(f"{name} must be a Hermitian 2x2 matrix")
+                raise DomainError(f"{name} must be a Hermitian 2x2 matrix")
             if not np.isfinite(mat).all():
-                raise ValueError(f"{name} must be finite")
+                raise DomainError(f"{name} must be finite")
             object.__setattr__(self, name, mat)
 
     def operators(self) -> tuple[np.ndarray, np.ndarray]:

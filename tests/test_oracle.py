@@ -18,7 +18,7 @@ from holevo2q.bounds import (
     trabs_from_root,
     weight_root,
 )
-from holevo2q.errors import FeasibilityError, OracleCertificateError, PureStateError
+from holevo2q.errors import DomainError, FeasibilityError, OracleCertificateError, PureStateError
 from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
 from holevo2q.models import GenericZ, Unitary
 from holevo2q.oracle import (
@@ -79,13 +79,13 @@ class TestDensityPoint:
         dp = density_point(point([0.1, 0.2, 0.3]))
         good = {"rho": dp.rho, "drho1": dp.drho1, "drho2": dp.drho2}
         cases = [
-            ({"drho1": np.zeros(3)}, ValueError, "drho1 must be 2x2"),
-            ({"drho2": dp.drho2 + [[0, 1], [0, 0]]}, ValueError, "drho2 must be Hermitian"),
-            ({"rho": 2.0 * dp.rho}, ValueError, "rho must have unit trace"),
-            ({"drho1": dp.drho1 + 0.1 * np.eye(2)}, ValueError, "drho1 must be traceless"),
+            ({"drho1": np.zeros(3)}, DomainError, "drho1 must be 2x2"),
+            ({"drho2": dp.drho2 + [[0, 1], [0, 0]]}, DomainError, "drho2 must be Hermitian"),
+            ({"rho": 2.0 * dp.rho}, DomainError, "rho must have unit trace"),
+            ({"drho1": dp.drho1 + 0.1 * np.eye(2)}, DomainError, "drho1 must be traceless"),
             ({"rho": np.diag([1.5, -0.5])}, PureStateError, "rho is not strictly positive"),
-            ({"rho": [[0.5, np.nan], [np.nan, 0.5]]}, ValueError, "rho must be finite"),
-            ({"drho2": dp.drho2 + [[np.inf, 0], [0, 0]]}, ValueError, "drho2 must be finite"),
+            ({"rho": [[0.5, np.nan], [np.nan, 0.5]]}, DomainError, "rho must be finite"),
+            ({"drho2": dp.drho2 + [[np.inf, 0], [0, 0]]}, DomainError, "drho2 must be finite"),
         ]
         for change, exc, message in cases:
             with pytest.raises(exc) as info:

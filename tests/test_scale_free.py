@@ -75,12 +75,12 @@ CASES = {
     "trabs_complex_argument": (lambda c: trabs(W, c * np.array(
         [[0.0, 1.0 + 0.1j], [-1.0 - 0.1j, 0.0]])), DomainError, SCALES),
     "drho_10pct_trace": (lambda c: DensityPoint(RHO, c * np.array(
-        [[0.55, 0.3], [0.3, -0.45]]), c * DRHO), ValueError, SCALES),
+        [[0.55, 0.3], [0.3, -0.45]]), c * DRHO), DomainError, SCALES),
     "drho_not_hermitian": (lambda c: DensityPoint(RHO, c * np.array(
-        [[0.5, 0.3], [0.1, -0.5]]), c * DRHO), ValueError, SCALES),
+        [[0.5, 0.3], [0.1, -0.5]]), c * DRHO), DomainError, SCALES),
     "drho_valid": (lambda c: DensityPoint(RHO, c * DRHO, c * DRHO.conj()), None, SCALES),
     "pair_not_hermitian": (lambda c: HermitianPair(c * np.array(
-        [[1.0, 0.3], [0.1, -1.0]]), c * DRHO), ValueError, SCALES),
+        [[1.0, 0.3], [0.1, -1.0]]), c * DRHO), DomainError, SCALES),
     "pair_hermitian": (lambda c: HermitianPair(c * DRHO, c * RHO), None, SCALES),
     "three_param_weight_asymmetric": (lambda c: holevo_bound_three_param(
         BlochModelPoint3(S_IN, D1, D2, D3), c * np.triu(W3)), DomainError, SCALES),
