@@ -108,12 +108,30 @@ def _grid(axis1, axis2):
     return np.repeat(axis1, len(axis2)), np.tile(axis2, len(axis1))
 
 
+def _usable_rows(family, axes):
+    """(S, D1, D2) at the usable cells of the grid ``axes`` and the usable
+    mask: cells outside the domain or the mixed-state disk of the family are
+    skipped, and a grid without a usable cell is invalid input."""
+    s, d1, d2, usable = family.evaluate_many(*_grid(*axes))
+    if not usable.any():
+        shape = "x".join(str(len(a)) for a in axes)
+        raise ModelError(f"no point of the {shape} grid gives a valid model point")
+    return s[usable], d1[usable], d2[usable], usable
+
+
 def _emit_csv(path, header_name: str, coords: list[str], axes, fb, report, keep=...) -> None:
     """One CSV row per kept cell of the grid ``axes``: the coordinates, then
     BOUND_COLUMNS.  Axis values, and values shared by every row (baked into
-    the row template), are formatted once."""
+    the row template), are formatted once.  A non-finite float raises
+    DomainError naming its column and cell before anything is written."""
     labels = _grid(*(np.array(["%.17g" % x for x in a.tolist()], dtype=object) for a in axes))
     values = (labels[0][keep], labels[1][keep], *(get(fb, report) for _, _, get in _COLUMNS))
+    for (name, spec, _), value in zip(_COLUMNS, values[2:]):
+        bad = np.flatnonzero(~np.isfinite(value)) if spec == "%.17g" else ()
+        if len(bad):
+            i = bad[0]
+            raise DomainError(f"{name} is not finite ({float(np.ravel(value)[i])}) at "
+                              f"{coords[0]}={values[0][i]}, {coords[1]}={values[1][i]}")
     specs = ["%s", "%s", *(spec for _, spec, _ in _COLUMNS)]
     row = ",".join(spec % v if np.ndim(v) == 0 else spec for spec, v in zip(specs, values))
     columns = [v.tolist() for v in values if np.ndim(v)]
@@ -175,9 +193,8 @@ def cmd_sweep_theta(args) -> int:
         return np.linspace(lo + pad, hi - pad, n)
 
     axes = (_axis(*dom.theta1), _axis(*dom.theta2))
-    # Cells outside the domain or the mixed-state disk of the family are skipped.
-    s, d1, d2, usable = family.evaluate_many(*_grid(*axes))
-    fb = fisher_bundle_many(s[usable], d1[usable], d2[usable])
+    s, d1, d2, usable = _usable_rows(family, axes)
+    fb = fisher_bundle_many(s, d1, d2)
     report = holevo_bounds_many(fb, weight.w11, weight.w12, weight.w22)
     _emit_csv(args.out, "sweep-theta", ["theta1", "theta2"], axes, fb, report, usable)
     return 0
@@ -203,13 +220,10 @@ def cmd_classify(args) -> int:
             "triple_product": cls.triple_product,
         }
     if args.grid:
-        n = args.grid
         limits = (family.domain.theta1, family.domain.theta2)
-        t1, t2 = _grid(*(np.linspace(lo, hi, n + 2)[1:-1] for lo, hi in limits))
-        s, d1, d2, usable = family.evaluate_many(t1, t2)  # the cells sweep-theta keeps
-        if not usable.any():
-            raise ModelError(f"no point of the {n}x{n} grid gives a valid model point")
-        fam = classify_rows(s[usable], d1[usable], d2[usable])
+        axes = [np.linspace(lo, hi, args.grid + 2)[1:-1] for lo, hi in limits]
+        s, d1, d2, _ = _usable_rows(family, axes)
+        fam = classify_rows(s, d1, d2)
         labels = sorted({c.label.value for c in fam.point_classes})
         out["family"] = {
             "globally_d_invariant": fam.globally_d_invariant,

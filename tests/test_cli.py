@@ -160,6 +160,19 @@ class TestSweepWeight:
             expected = "rld" if radius_sq < 1.0 else "correction"
             assert r["branch"] == expected
 
+    def test_overflowing_bound_is_invalid_input(self, tmp_path):
+        # Derivatives of size 1e-80: C^N overflows; no row is written.
+        path = tmp_path / "tiny.json"
+        components = [[[0.1, 0.0], [1e-80, 0.0]], [[0.2, 1e-80], [0.0, 0.0]], [[0.3]]]
+        path.write_text(json.dumps({"kind": "explicit", "components": components}))
+        out = tmp_path / "tiny.csv"
+        argv = ["sweep-weight", "--model", str(path), "--theta", "0.1,0.1", "--grid", "3"]
+        for extra in ([], ["--out", str(out)]):
+            code, stdout, err = run_cli(*argv, *extra)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("DomainError: c_n is not finite (inf) at w=-0.98"), err
+        assert not out.exists()
+
 
 class TestSweepTheta:
     def test_fixed_weight_regions(self, generic_model, tmp_path):
@@ -242,6 +255,32 @@ class TestSweepTheta:
         )
         assert (code, out) == (2, "")
         assert err.startswith("ModelError:") and "--shrink" in err
+
+    def test_overflowing_weight_is_invalid_input(self, tmp_path):
+        # det W overflows at this scale, as for `bounds`; no row is written.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"kind": "generic_z", "theta0": 0.23}))
+        out = tmp_path / "theta.csv"
+        argv = ["sweep-theta", "--model", str(path), "--weight", "1e160,0,1e160", "--grid", "3"]
+        for extra in ([], ["--out", str(out)]):
+            code, stdout, err = run_cli(*argv, *extra)
+            assert (code, stdout) == (2, "")
+            assert err == "DomainError: c_r is not finite (inf) at theta1=0, theta2=0\n"
+        assert not out.exists()
+
+    def test_no_usable_grid_point_invalid(self, tmp_path):
+        # Every cell of the domain lies outside the Bloch ball.
+        path = tmp_path / "outside.json"
+        domain = {"theta1": [0.9, 0.95], "theta2": [0.9, 0.95]}
+        path.write_text(json.dumps({"kind": "generic_z", "theta0": 0.5, "domain": domain}))
+        out = tmp_path / "theta.csv"
+        code, stdout, err = run_cli(
+            "sweep-theta", "--model", str(path), "--weight", "1,0,1", "--grid", "5",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == "ModelError: no point of the 5x5 grid gives a valid model point\n"
+        assert not out.exists()
 
 
 class TestClassifyCommand:
