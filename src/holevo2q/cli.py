@@ -27,11 +27,16 @@ raise first.
 Imports are lazy per subcommand: ``classify`` loads :mod:`holevo2q.classify`
 and ``verify`` the oracle and the verification suite inside their command
 functions, so ``bounds`` and the sweeps load only the module-level imports.
+The parser is lazy the same way: each subcommand is declared once in
+``_COMMANDS``, and ``main`` builds only the invoked subcommand's parser (the
+full one for no arguments, ``--help`` or an unknown command), once per
+process.  Usage lines and error texts are the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -251,66 +256,83 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand once: name -> (function, help, arguments), each argument a
+# (flag, options) pair for ``add_argument``.
+_COMMANDS = {
+    "bounds": (cmd_bounds, "evaluate bounds at one point", (
+        ("--model", dict(required=True, help="model descriptor JSON file")),
+        ("--theta", dict(required=True, help="parameter point A,B")),
+        ("--weight", dict(required=True, help="weight entries w11,w12,w22")),
+    )),
+    "sweep-weight": (cmd_sweep_weight, "sweep the weight-space grid", (
+        ("--model", dict(required=True)),
+        ("--theta", dict(required=True)),
+        ("--grid", dict(type=int, default=101, help="grid points per axis")),
+        ("--weight-family", dict(
+            choices=("53", "42"), default="53",
+            help="53: rotated trace-one weights (w, omega); 42: boundary-adapted (w, w2)")),
+        ("--w-max", dict(type=float, default=0.99)),
+        ("--w2-min", dict(type=float, default=0.05)),
+        ("--w2-max", dict(type=float, default=1.95)),
+        ("--out", dict(default=None, help="output CSV path (default stdout)")),
+    )),
+    "sweep-theta": (cmd_sweep_theta, "sweep the parameter-space grid", (
+        ("--model", dict(required=True)),
+        ("--weight", dict(required=True)),
+        ("--grid", dict(type=int, default=101)),
+        ("--shrink", dict(type=float, default=0.0,
+                          help="fraction to shrink the domain rectangle on each side")),
+        ("--out", dict(default=None)),
+    )),
+    "classify": (cmd_classify, "classify a model point or family", (
+        ("--model", dict(required=True)),
+        ("--theta", dict(default=None)),
+        ("--grid", dict(type=int, default=0, help="family grid points per axis")),
+    )),
+    "verify": (cmd_verify, "run the oracle verification suite", (
+        ("--seed", dict(type=int, default=42)),
+        ("--count", dict(type=int, default=200)),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with only ``command``'s.
+
+    Both print the same usage and error texts for ``command``: the
+    one-command parser spells out the full choice list as its metavar, which
+    the full parser renders by default (an explicit metavar there would also
+    rename ``command`` in its missing- and invalid-command errors)."""
     parser = argparse.ArgumentParser(
         prog="holevo2q",
         description="Bounds for two-parameter qubit estimation models",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bounds = sub.add_parser("bounds", help="evaluate bounds at one point")
-    p_bounds.add_argument("--model", required=True, help="model descriptor JSON file")
-    p_bounds.add_argument("--theta", required=True, help="parameter point A,B")
-    p_bounds.add_argument("--weight", required=True, help="weight entries w11,w12,w22")
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_sw = sub.add_parser("sweep-weight", help="sweep the weight-space grid")
-    p_sw.add_argument("--model", required=True)
-    p_sw.add_argument("--theta", required=True)
-    p_sw.add_argument("--grid", type=int, default=101, help="grid points per axis")
-    p_sw.add_argument(
-        "--weight-family",
-        choices=("53", "42"),
-        default="53",
-        help="53: rotated trace-one weights (w, omega); 42: boundary-adapted (w, w2)",
-    )
-    p_sw.add_argument("--w-max", type=float, default=0.99)
-    p_sw.add_argument("--w2-min", type=float, default=0.05)
-    p_sw.add_argument("--w2-max", type=float, default=1.95)
-    p_sw.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p_sw.set_defaults(func=cmd_sweep_weight)
-
-    p_st = sub.add_parser("sweep-theta", help="sweep the parameter-space grid")
-    p_st.add_argument("--model", required=True)
-    p_st.add_argument("--weight", required=True)
-    p_st.add_argument("--grid", type=int, default=101)
-    p_st.add_argument(
-        "--shrink",
-        type=float,
-        default=0.0,
-        help="fraction to shrink the domain rectangle on each side",
-    )
-    p_st.add_argument("--out", default=None)
-    p_st.set_defaults(func=cmd_sweep_theta)
-
-    p_cl = sub.add_parser("classify", help="classify a model point or family")
-    p_cl.add_argument("--model", required=True)
-    p_cl.add_argument("--theta", default=None)
-    p_cl.add_argument("--grid", type=int, default=0, help="family grid points per axis")
-    p_cl.set_defaults(func=cmd_classify)
-
-    p_v = sub.add_parser("verify", help="run the oracle verification suite")
-    p_v.add_argument("--seed", type=int, default=42)
-    p_v.add_argument("--count", type=int, default=200)
-    p_v.set_defaults(func=cmd_verify)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        func, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built at most once per process."""
+    return build_parser(command)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only a named subcommand's parser; no arguments, --help or a typo get the full one.
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite result is refused with DomainError before anything is
+        # written, so numpy's warnings on the way there are noise.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ModelError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

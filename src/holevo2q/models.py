@@ -22,6 +22,7 @@ Families serialize to plain JSON descriptors (``to_descriptor`` /
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -86,6 +87,12 @@ class Poly2D(Record):
         cols = np.arange(1, c.shape[1])
         return Poly2D(c[:, 1:] * cols[None, :])
 
+    @functools.cached_property
+    def gradient(self) -> tuple[Poly2D, Poly2D]:
+        """(:meth:`dx`, :meth:`dy`), built once per polynomial: what
+        ``_poly_arrays`` evaluates on every call."""
+        return self.dx(), self.dy()
+
     def tolist(self) -> list:
         return self.coeffs.tolist()
 
@@ -134,8 +141,8 @@ def _point(s, d1s, d2s) -> BlochModelPoint:
 def _poly_arrays(polys, t1, t2):
     """(values, d/dtheta1, d/dtheta2) of the polynomials ``polys`` at arrays
     t1, t2: three (N, len(polys)) arrays, the derivatives exact."""
-    return tuple(stack_last([p(t1, t2) for p in ps], 1)
-                 for ps in (polys, [p.dx() for p in polys], [p.dy() for p in polys]))
+    dxs, dys = zip(*(p.gradient for p in polys))
+    return tuple(stack_last([p(t1, t2) for p in ps], 1) for ps in (polys, dxs, dys))
 
 
 class _Family(Record):

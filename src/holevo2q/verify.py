@@ -81,11 +81,17 @@ class VerificationReport(Record):
         return "\n".join(lines)
 
 
-def _matrix_form_bounds(fm, weight: WeightMatrix) -> tuple[float, float, float]:
+def _trabs_pair(fm, weight: WeightMatrix) -> np.ndarray:
+    """[TrAbs(W Im G~^-1), TrAbs(W Im Z)] from the eigenvalue definition."""
+    return trabs_from_root(weight_root(weight.matrix), np.stack([fm.g_tilde_inv.imag, fm.z.imag]))
+
+
+def _matrix_form_bounds(fm, weight: WeightMatrix, trabs) -> tuple[float, float, float]:
     """(C^S, C^R, C^Z) from their matrix definitions on ``fisher_matrices``:
-    Tr(W G^-1), Tr(W Re G~^-1) + TrAbs(W Im G~^-1), Tr(W Re Z) + TrAbs(W Im Z)."""
+    Tr(W G^-1), Tr(W Re G~^-1) + TrAbs(W Im G~^-1), Tr(W Re Z) + TrAbs(W Im Z),
+    given ``trabs`` = :func:`_trabs_pair` (fm, weight)."""
     w = weight.matrix
-    trabs_r, trabs_z = trabs_from_root(weight_root(w), np.stack([fm.g_tilde_inv.imag, fm.z.imag]))
+    trabs_r, trabs_z = trabs
     c_s = float(np.trace(w @ fm.g_inv))
     c_r = float(np.trace(w @ fm.g_tilde_inv.real)) + trabs_r
     c_z = float(np.trace(w @ fm.z.real)) + trabs_z
@@ -129,6 +135,11 @@ def fisher_determinant_identities(m, weight, fm=None, fb=None) -> DeterminantIde
 
     fb = fisher_bundle(m) if fb is None else fb
     fm = fisher_matrices(m, fb) if fm is None else fm
+    return _identities(fb, fm, weight, _trabs_pair(fm, weight))
+
+
+def _identities(fb, fm, weight: WeightMatrix, trabs) -> DeterminantIdentityResiduals:
+    """:func:`fisher_determinant_identities` given ``trabs`` = :func:`_trabs_pair` (fm, weight)."""
     one_minus = fb.one_minus_s_sq
 
     det_g = float(np.linalg.det(fm.g))
@@ -137,11 +148,11 @@ def fisher_determinant_identities(m, weight, fm=None, fb=None) -> DeterminantIde
 
     w = weight.matrix
     lhs2 = 2.0 * np.sqrt(weight.det) * abs(fm.z[0, 1].imag)
-    mid2, rhs2 = trabs_from_root(weight_root(w), np.stack([fm.g_tilde_inv.imag, fm.z.imag]))
+    mid2, rhs2 = trabs
     res2 = _spread(lhs2, mid2, rhs2, floor=1.0)
 
     w_inv = invert_2x2(w, exc=SingularMatrixError)
-    _, c_r, c_z = _matrix_form_bounds(fm, weight)
+    _, c_r, c_z = _matrix_form_bounds(fm, weight, trabs)
     gap = c_z - c_r
     res3 = _spread(float(fb.gamma @ w_inv @ fb.gamma), det_g / weight.det / one_minus * gap,
                    floor=1.0)
@@ -238,7 +249,8 @@ def _weight_checks(fb, fm, w) -> dict:
     """Residuals of the checks that read the model point and a weight ``w``:
     the three identities of :func:`fisher_determinant_identities`, and the
     bounds against each other and against their matrix definitions."""
-    ids = fisher_determinant_identities(fm.point, w, fm, fb)
+    trabs = _trabs_pair(fm, w)
+    ids = _identities(fb, fm, w, trabs)
     report = holevo_bound(fb, w)
     closed = (report.c_s, report.c_r, report.c_z)
     return {
@@ -249,7 +261,7 @@ def _weight_checks(fb, fm, w) -> dict:
         "bound_inequality_chain": [report.c_h - report.c_z, report.c_s - report.c_h,
                                    report.c_r - report.c_h, 0.0],
         "bounds_vs_matrix_forms": [abs(x - y) / abs(y)
-                                   for x, y in zip(closed, _matrix_form_bounds(fm, w))],
+                                   for x, y in zip(closed, _matrix_form_bounds(fm, w, trabs))],
     }
 
 

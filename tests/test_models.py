@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from holevo2q.bloch import stack_last
 from holevo2q.classify import classify_point
 from holevo2q.errors import DomainError, PureStateError
 from holevo2q.models import (
@@ -14,6 +15,7 @@ from holevo2q.models import (
     Planar,
     Poly2D,
     Unitary,
+    _poly_arrays,
     evaluate,
     from_descriptor,
 )
@@ -33,6 +35,44 @@ class TestPoly2D:
         p = Poly2D([[0.0, 0.0], [1.0, 2.0]])  # x + 2 x y
         assert p.dx()(0.3, 0.7) == pytest.approx(1 + 2 * 0.7)
         assert p.dy()(0.3, 0.7) == pytest.approx(2 * 0.3)
+
+
+class TestPolyArrays:
+    POLYS = ([[0.0, 0.0], [1.0, 2.0]], [[0.3]], [[0.1, -0.4, 0.2]], [[0.2], [0.5], [-0.1]])
+
+    @staticmethod
+    def rebuilt_each_call(polys, t1, t2):
+        """The derivative polynomials built anew on every call."""
+        return tuple(stack_last([p(t1, t2) for p in ps], 1)
+                     for ps in (polys, [p.dx() for p in polys], [p.dy() for p in polys]))
+
+    def test_outputs_bit_equal_to_rebuilding(self):
+        rng = np.random.default_rng(11)
+        t1, t2 = rng.uniform(-0.7, 0.7, (2, 50))
+        polys = [Poly2D(c) for c in self.POLYS]
+        for _ in range(2):
+            got = _poly_arrays(polys, t1, t2)
+            want = self.rebuilt_each_call([Poly2D(c) for c in self.POLYS], t1, t2)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_derivatives_built_once_per_component(self, monkeypatch):
+        calls = {"dx": [], "dy": []}
+        for name in calls:
+            original = getattr(Poly2D, name)
+
+            def counted(self, _name=name, _original=original):
+                calls[_name].append(id(self))
+                return _original(self)
+
+            monkeypatch.setattr(Poly2D, name, counted)
+        families = [Planar(XHAT, YHAT, f1=self.POLYS[0], f2=self.POLYS[2]),
+                    Explicit.from_polynomials(self.POLYS[1:])]
+        for _ in range(3):
+            for fam in families:
+                fam.evaluate_many([0.1, 0.2], [0.3, -0.1])
+        components = [families[0].f1, families[0].f2, *families[1].components]
+        expected = sorted(id(p) for p in components)
+        assert sorted(calls["dx"]) == sorted(calls["dy"]) == expected
 
 
 class TestGenericZ:

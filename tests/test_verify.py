@@ -149,3 +149,16 @@ def test_operators_solved_once_per_point(monkeypatch):
     assert calls == {"sld_operators": 3, "rld_operators": 3, "density_point": 2 * 3}
     monkeypatch.undo()
     assert run_verification(seed=7, count=3).table() == before
+
+
+def test_trabs_pair_evaluated_once_per_weight_instance(monkeypatch):
+    calls = []
+    original = verify.trabs_from_root
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(verify, "trabs_from_root", counted)
+    assert run_verification(seed=5, count=4).passed
+    assert len(calls) == 4

@@ -8,6 +8,9 @@ measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
 * ``import``: ``python -c "import holevo2q.cli"``, the interpreter start and
   package import that every CLI path below pays first;
 * ``bounds``: ``holevo2q bounds`` at one point, interpreter start included;
+* ``help``, ``help_sweep_weight``: ``holevo2q --help`` and
+  ``holevo2q sweep-weight --help``, whose hashes compare the CLI's text
+  across columns;
 * ``sweep_weight_53``, ``sweep_weight_42``: ``sweep-weight --grid 101`` on
   generic_z theta0=0.2 at theta=(0.2447, 0.2447), both weight families;
 * ``sweep_theta``: ``sweep-theta --grid 101`` on generic_z theta0=0.23 at
@@ -45,7 +48,7 @@ import time
 
 REPEATS = 5
 SHORT_REPEATS = 15
-SHORT_PATHS = ("import", "bounds")
+SHORT_PATHS = ("import", "bounds", "help", "help_sweep_weight")
 SWEEP_TARGET_S = 0.4
 MODELS = {"gz02.json": {"kind": "generic_z", "theta0": 0.2},
           "gz023.json": {"kind": "generic_z", "theta0": 0.23}}
@@ -54,6 +57,8 @@ WEIGHT = "0.55,0.1,0.45"
 PATHS = {
     "import": ["-c", "import holevo2q.cli"],
     "bounds": ["bounds", "--model", "gz02.json", "--theta", THETA, "--weight", WEIGHT],
+    "help": ["--help"],
+    "help_sweep_weight": ["sweep-weight", "--help"],
     "sweep_weight_53": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
                         "--weight-family", "53", "--out", "out.csv"],
     "sweep_weight_42": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
