@@ -1,0 +1,36 @@
+"""The user-visible outputs, byte for byte, against ``tests/golden/MANIFEST.json``.
+
+``tools/golden.py --write`` rewrites the manifest; a change that does so says
+which output changed and why.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import golden  # noqa: E402
+
+
+def test_manifest_covers_the_golden_paths():
+    manifest = golden.load_manifest()
+    assert list(manifest["sha256"]) == list(golden.GOLDEN)
+    assert set(golden.GOLDEN) <= set(golden.PATHS)
+    assert manifest["numpy"] and manifest["python"]
+
+
+def test_outputs_match_the_manifest():
+    manifest = golden.load_manifest()
+    reason = golden.version_mismatch(manifest)
+    if reason:
+        pytest.skip(reason)
+    problems = golden.check(manifest)
+    assert not problems, "\n".join(problems)
+
+
+def test_another_numpy_version_names_both():
+    reason = golden.version_mismatch({"numpy": "0.0.0"})
+    assert "0.0.0" in reason and golden.np.__version__ in reason
+    assert golden.version_mismatch({"numpy": golden.np.__version__}) is None
