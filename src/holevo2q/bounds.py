@@ -259,7 +259,9 @@ def holevo_bounds_many(fb: FisherBundle, w11, w12, w22) -> BoundsReport:
     against the entries of positive-definite weights: a grid of weights at
     one point, or of points at one weight.  Each report field is an array
     over the cells (``branch`` of ``Branch`` values: the sign of B outside a
-    relative band of ``BOUNDARY_RTOL``, where it is ``BOUNDARY``)."""
+    relative band of ``BOUNDARY_RTOL``, where it is ``BOUNDARY``).  Raises
+    DomainError at the first weight that is not finite positive definite."""
+    _require_positive(w11, w12, w22)
     det_w = _det(w11, w12, w22)
     sqrt_det_w = np.sqrt(det_w)
     eps = fb.one_minus_s_sq

@@ -24,7 +24,7 @@ from holevo2q.bounds import (
     weight_from_angles_many,
 )
 from holevo2q.cli import BOUND_COLUMNS, main
-from holevo2q.errors import DegenerateModelError, ModelError, PureStateError
+from holevo2q.errors import DegenerateModelError, DomainError, ModelError, PureStateError
 from holevo2q.fisher import bloch_scalars, bloch_scalars_many, fisher_bundle, fisher_bundle_many
 from holevo2q.models import Domain, Explicit, GenericZ, Planar, Poly2D, Unitary, load_model
 
@@ -284,3 +284,20 @@ def test_chain_without_slack_near_the_shell(tmp_path):
             assert max(c_s, c_r) <= c_h <= c_z, row
             branches.add(row["branch"])
     assert {"rld", "correction"} <= branches
+
+
+def test_bounds_many_refuses_a_weight_that_is_not_positive_definite():
+    point = GenericZ(0.2).evaluate((0.2447, 0.2447))
+    fb = fisher_bundle(point)
+    stack = np.array([[0.55, 0.55, np.nan], [0.1, 1.0, 0.1], [0.45, 0.45, 0.45]])
+    cases = [
+        ((-1.0, 0.0, -1.0), r"\[\[-1.0, 0.0\], \[0.0, -1.0\]\] is not positive definite"),
+        ((np.nan, 0.0, 1.0), "entries must be finite"),
+        (stack, r"\[\[0.55, 1.0\], \[1.0, 0.45\]\] is not positive definite"),  # cell 1 of 3
+    ]
+    for weight, message in cases:
+        with pytest.raises(DomainError, match=message):
+            holevo_bounds_many(fb, *weight)
+    fbm = fisher_bundle_many(*(np.stack([v, v]) for v in (point.s, point.d1s, point.d2s)))
+    with pytest.raises(DomainError, match="not positive definite"):
+        holevo_bounds_many(fbm, -1.0, 0.0, -1.0)  # two points at one bad weight
