@@ -135,11 +135,13 @@ def fisher_determinant_identities(m, weight, fm=None, fb=None) -> DeterminantIde
 
     fb = fisher_bundle(m) if fb is None else fb
     fm = fisher_matrices(m, fb) if fm is None else fm
-    return _identities(fb, fm, weight, _trabs_pair(fm, weight))
+    trabs = _trabs_pair(fm, weight)
+    return _identities(fb, fm, weight, trabs, _matrix_form_bounds(fm, weight, trabs))
 
 
-def _identities(fb, fm, weight: WeightMatrix, trabs) -> DeterminantIdentityResiduals:
-    """:func:`fisher_determinant_identities` given ``trabs`` = :func:`_trabs_pair` (fm, weight)."""
+def _identities(fb, fm, weight: WeightMatrix, trabs, forms) -> DeterminantIdentityResiduals:
+    """:func:`fisher_determinant_identities` given ``trabs`` = :func:`_trabs_pair` (fm, weight)
+    and ``forms`` = :func:`_matrix_form_bounds` (fm, weight, trabs)."""
     one_minus = fb.one_minus_s_sq
 
     det_g = float(np.linalg.det(fm.g))
@@ -152,7 +154,7 @@ def _identities(fb, fm, weight: WeightMatrix, trabs) -> DeterminantIdentityResid
     res2 = _spread(lhs2, mid2, rhs2, floor=1.0)
 
     w_inv = invert_2x2(w, exc=SingularMatrixError)
-    _, c_r, c_z = _matrix_form_bounds(fm, weight, trabs)
+    _, c_r, c_z = forms
     gap = c_z - c_r
     res3 = _spread(float(fb.gamma @ w_inv @ fb.gamma), det_g / weight.det / one_minus * gap,
                    floor=1.0)
@@ -250,7 +252,8 @@ def _weight_checks(fb, fm, w) -> dict:
     the three identities of :func:`fisher_determinant_identities`, and the
     bounds against each other and against their matrix definitions."""
     trabs = _trabs_pair(fm, w)
-    ids = _identities(fb, fm, w, trabs)
+    forms = _matrix_form_bounds(fm, w, trabs)
+    ids = _identities(fb, fm, w, trabs, forms)
     report = holevo_bound(fb, w)
     closed = (report.c_s, report.c_r, report.c_z)
     return {
@@ -260,8 +263,7 @@ def _weight_checks(fb, fm, w) -> dict:
         # The inequalities hold by construction, so with no slack.
         "bound_inequality_chain": [report.c_h - report.c_z, report.c_s - report.c_h,
                                    report.c_r - report.c_h, 0.0],
-        "bounds_vs_matrix_forms": [abs(x - y) / abs(y)
-                                   for x, y in zip(closed, _matrix_form_bounds(fm, w, trabs))],
+        "bounds_vs_matrix_forms": [abs(x - y) / abs(y) for x, y in zip(closed, forms)],
     }
 
 

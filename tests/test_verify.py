@@ -162,3 +162,16 @@ def test_trabs_pair_evaluated_once_per_weight_instance(monkeypatch):
     monkeypatch.setattr(verify, "trabs_from_root", counted)
     assert run_verification(seed=5, count=4).passed
     assert len(calls) == 4
+
+
+def test_matrix_form_bounds_evaluated_once_per_weight_instance(monkeypatch):
+    calls = []
+    original = verify._matrix_form_bounds
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(verify, "_matrix_form_bounds", counted)
+    assert run_verification(seed=5, count=4).passed
+    assert len(calls) == 4
