@@ -26,7 +26,7 @@ _EXPORTS = {
                      " pure_limit_holevo"),
         ("fisher", "FisherBundle fisher_bundle"),
         ("models", "Explicit GenericZ Planar Unitary evaluate from_descriptor"),
-        ("errors", "ModelError PureStateError DegenerateModelError SingularMatrixError BranchError"
+        ("errors", "ModelError PureStateError DegenerateModelError SingularMatrixError"
                    " SpecialModelError DomainError FeasibilityError OracleCertificateError"
                    " AsymptoticallyClassicalLimitError"),
     ]

@@ -15,7 +15,6 @@ __all__ = [
     "PureStateError",
     "DegenerateModelError",
     "SingularMatrixError",
-    "BranchError",
     "SpecialModelError",
     "DomainError",
     "FeasibilityError",
@@ -40,13 +39,6 @@ class DegenerateModelError(ModelError):
 
 class SingularMatrixError(ModelError):
     """A matrix that must be invertible is numerically singular."""
-
-
-class BranchError(ModelError):
-    """The correction term was requested where its denominator is not positive.
-
-    Deprecated: no holevo2q function raises it; it stays exported for callers
-    that catch it."""
 
 
 class SpecialModelError(ModelError):

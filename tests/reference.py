@@ -8,6 +8,8 @@
   repeats the raising step of :func:`holevo2q.oracle.operator_fisher`.
 * Small closed forms and samplers that only tests use: ``one_param_bound``,
   ``n_copy_bound``, ``random_planar_point`` and ``random_model_point_3``.
+* ``OffBranchError``, raised by the reference forms of the Holevo bound in
+  ``tests/test_bounds.py`` off the branch where they are defined.
 """
 
 import numpy as np
@@ -17,6 +19,10 @@ from holevo2q.errors import DegenerateModelError, DomainError, PureStateError, S
 from holevo2q.fisher import invert_2x2
 from holevo2q.oracle import DensityPoint, sld_inner, sld_operators
 from holevo2q.sampling import MIN_CROSS_FRACTION, _ball_point, _independent_derivatives
+
+
+class OffBranchError(ValueError):
+    """A reference form of the Holevo bound was evaluated where it is undefined."""
 
 
 def _nelder_mead(fun, x0: np.ndarray, scale: float) -> tuple[float, np.ndarray]:

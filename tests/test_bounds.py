@@ -31,7 +31,7 @@ from holevo2q.bounds import (
     trabs_eigenvalues,
     weight_from_angles,
 )
-from holevo2q.errors import BranchError, DomainError, SpecialModelError
+from holevo2q.errors import DomainError, SpecialModelError
 from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
 from holevo2q.models import Unitary
 from holevo2q.oracle import density_point, minimize_holevo_6d
@@ -41,7 +41,7 @@ from holevo2q.sampling import (
     random_model_point,
     random_weight,
 )
-from reference import quadratic_abs_min, random_planar_point
+from reference import OffBranchError, quadratic_abs_min, random_planar_point
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -67,7 +67,7 @@ def s_correction(c_s: float, c_r: float, c_z: float) -> float:
     gap = c_z - c_r
     scale = abs(c_z) + abs(c_r) + abs(c_s)
     if gap <= GAP_UNDERFLOW_RTOL * scale:
-        raise BranchError(
+        raise OffBranchError(
             f"correction term undefined: C^Z - C^R = {gap:.3e} is not positive"
         )
     half_sum = 0.5 * (c_z + c_s)
@@ -110,7 +110,7 @@ def holevo_bound_correction_form(fb, w) -> float:
     numer = trabs(w, fm.g_tilde_inv.imag) ** 2
     denom = 4.0 * float(np.trace(w.matrix @ (fm.g_inv - fm.g_tilde_inv.real)))
     if denom <= 0.0:
-        raise BranchError("correction form undefined: Tr(W(G^-1 - Re G~^-1)) <= 0")
+        raise OffBranchError("correction form undefined: Tr(W(G^-1 - Re G~^-1)) <= 0")
     return bound_sld(fb, w) + numer / denom
 
 
@@ -315,7 +315,7 @@ class TestSCorrection:
         assert s_correction(2.0, 2.5, 3.0) == pytest.approx(0.0)
 
     def test_guard(self):
-        with pytest.raises(BranchError):
+        with pytest.raises(OffBranchError):
             s_correction(2.0, 3.0, 3.0)
 
 
