@@ -19,13 +19,12 @@ _EXPORTS = {
     name: module
     for module, names in [
         ("bloch", "BlochModelPoint BlochModelPoint3"),
-        ("bounds", "BoundsReport Branch WeightMatrix WeightRegion WeightRegionLabel bound_nagaoka"
-                   " bound_rld bound_sld bound_z holevo_bound holevo_bound_three_param"
+        ("bounds", "BoundsReport Branch WeightMatrix holevo_bound holevo_bound_three_param"
                    " weight_from_angles"),
         ("classify", "ModelClass ModelLabel classify_family classify_point pure_limit_duals"
                      " pure_limit_holevo"),
         ("fisher", "FisherBundle fisher_bundle"),
-        ("models", "Explicit GenericZ Planar Unitary evaluate from_descriptor"),
+        ("models", "Explicit GenericZ Planar Unitary from_descriptor"),
         ("errors", "ModelError PureStateError DegenerateModelError SingularMatrixError"
                    " SpecialModelError DomainError FeasibilityError OracleCertificateError"
                    " AsymptoticallyClassicalLimitError"),

@@ -53,7 +53,7 @@ DERIVATIVE_INDEPENDENCE_RTOL = 1e-10  # |d1s x d2s| (|det| of three) below this 
 CLASSIFICATION_RTOL = 1e-10  # |r_i| <= this |s||d_i s|, |k| <= this |s||n|: exact-zero classes
 TANGENCY_RTOL = 1e-8  # |n x s| <= this |n|: shell derivatives tangent to the sphere
 SINGULAR_RTOL = 1e-14  # |det M| < this ||M||_F^2: a singular 2x2 matrix
-BOUNDARY_RTOL = 1e-9  # |B| <= this (|C^Z| + |C^S|): the weight lies on W_boundary
+BOUNDARY_RTOL = 1e-9  # |B| <= this (|C^Z| + |C^S|): the weight's branch is BOUNDARY
 HERMITIAN_RTOL = 1e-12  # max|M - M^H| > this max|M|: weights, rho, d_i rho, D's X; Tr, trabs Im X
 PAIR_RTOL = 1e-10  # the Hermitian test of observable pairs and of i X for trabs's antisymmetric X
 ORTHONORMAL_TOL = 1e-10  # |A A^T - I| of unitary axes, ||u_i| - 1| of planar directions

@@ -9,8 +9,9 @@ For a mixed model point and a positive weight matrix W this module gives
 
 and the Holevo bound C^H = C^R where B[W] = C^R - (C^Z + C^S)/2 >= 0 (the
 RLD region) and C^H = C^R + B^2/(C^Z - C^R) where B < 0 (the correction
-region); ``classify_weight`` labels the regions and their boundary, and
-``boundary_weight_family`` parametrizes weights of prescribed region.
+region).  The report's ``branch`` names the region of the weight, with
+``BOUNDARY`` where |B| <= BOUNDARY_RTOL (|C^Z| + |C^S|), and its ``b_value``
+is B[W]; ``boundary_weight_family`` parametrizes weights of prescribed region.
 
 Explicit formula.  G^-1, Re G~^-1 and Im G~^-1 share the denominator
 p = <n, Q^-1 n> = eps |n|^2 + |s x n|^2 with n = d1s x d2s and eps = 1 - s^2,
@@ -54,21 +55,12 @@ __all__ = [
     "BOUNDARY_RTOL",
     "WeightMatrix",
     "Branch",
-    "WeightRegion",
-    "WeightRegionLabel",
     "BoundsReport",
     "trabs",
-    "trabs_eigenvalues",
     "weight_root",
     "trabs_from_root",
-    "bound_sld",
-    "bound_rld",
-    "bound_z",
-    "bound_nagaoka",
     "holevo_bound",
     "holevo_bounds_many",
-    "b_theta",
-    "classify_weight",
     "alpha_theta",
     "boundary_weight_family",
     "boundary_weight_family_many",
@@ -153,17 +145,6 @@ class Branch(enum.Enum):
     BOUNDARY = "boundary"
 
 
-class WeightRegion(enum.Enum):
-    W_PLUS = "w_plus"
-    W_MINUS = "w_minus"
-    W_BOUNDARY = "w_boundary"
-
-
-class WeightRegionLabel(Record):
-    region: WeightRegion
-    b_value: float
-
-
 class BoundsReport(Record):
     """All scalar bounds at one (model point, weight) pair."""
 
@@ -183,7 +164,7 @@ def trabs(weight, x) -> float:
 
     For 2x2 inputs the closed form 2 sqrt(det W) |x_12| is returned; for
     larger antisymmetric X (the three-parameter bound) the eigenvalue
-    definition :func:`trabs_eigenvalues` is evaluated.
+    definition :func:`trabs_from_root` is evaluated.
     """
     w = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, dtype=float)
     xm = np.asarray(x)
@@ -200,16 +181,6 @@ def trabs(weight, x) -> float:
     if xm.shape == (2, 2):
         det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
         return float(2.0 * np.sqrt(det_w) * abs(xm[0, 1]))
-    return trabs_eigenvalues(w, xm)
-
-
-def trabs_eigenvalues(w: np.ndarray, xm: np.ndarray) -> float:
-    """TrAbs by its definition: sum |eig(W^(1/2) X W^(1/2))| for any size.
-
-    No input checks beyond positivity of W; :func:`trabs` is the checked
-    entry point.  The oracle calls this directly so that it never relies on
-    the 2x2 closed form it is there to test.
-    """
     return trabs_from_root(weight_root(w), xm)
 
 
@@ -231,26 +202,6 @@ def trabs_from_root(w_half: np.ndarray, xm: np.ndarray):
     """
     sums = np.abs(np.linalg.eigvals(w_half @ xm @ w_half)).sum(axis=-1)
     return float(sums) if sums.ndim == 0 else sums
-
-
-def bound_sld(fb: FisherBundle, w) -> float:
-    """SLD Cramer-Rao bound Tr(W G^-1)."""
-    return holevo_bound(fb, w).c_s
-
-
-def bound_rld(fb: FisherBundle, w) -> float:
-    """RLD Cramer-Rao bound Tr(W Re G~^-1) + TrAbs(W Im G~^-1)."""
-    return holevo_bound(fb, w).c_r
-
-
-def bound_z(fb: FisherBundle, w) -> float:
-    """D-invariant bound Tr(W Re Z) + TrAbs(W Im Z)."""
-    return holevo_bound(fb, w).c_z
-
-
-def bound_nagaoka(fb: FisherBundle, w) -> float:
-    """Nagaoka bound C^S + 2 sqrt(det(W G^-1)), achievable by separable POVMs."""
-    return holevo_bound(fb, w).c_n
 
 
 def holevo_bounds_many(fb: FisherBundle, w11, w12, w22) -> BoundsReport:
@@ -310,24 +261,6 @@ def holevo_bound(fb: FisherBundle, w) -> BoundsReport:
     return BoundsReport(*values, Branch(str(r.branch)), float(r.b_value), r.xi_star)
 
 
-def b_theta(fb: FisherBundle, w) -> float:
-    """Weight-region indicator B[W] = C^R - (C^Z + C^S)/2."""
-    return holevo_bound(fb, w).b_value
-
-
-_REGION_OF_BRANCH = {
-    Branch.RLD: WeightRegion.W_PLUS,
-    Branch.CORRECTION: WeightRegion.W_MINUS,
-    Branch.BOUNDARY: WeightRegion.W_BOUNDARY,
-}
-
-
-def classify_weight(fb: FisherBundle, w) -> WeightRegionLabel:
-    """Label a weight as W_plus / W_minus / W_boundary by the sign of B[W]."""
-    report = holevo_bound(fb, w)
-    return WeightRegionLabel(region=_REGION_OF_BRANCH[report.branch], b_value=report.b_value)
-
-
 def alpha_theta(fb: FisherBundle) -> float:
     """Model constant |Im z^12| / Tr(G^-1 - Re G~^-1) = (1-s^2)|k| / |r|^2.
 
@@ -348,7 +281,7 @@ def alpha_theta(fb: FisherBundle) -> float:
 def boundary_weight_family_many(fb: FisherBundle, w, w2, c: float = 1.0):
     """(w11, w12, w22) of c U [[1, a w w2], [a w w2, a^2 w2^2]] U^T, a = alpha_theta,
     over broadcast arrays w, w2; U is the rotation built from gamma.  The
-    weight lies in W_plus, W_boundary or W_minus as w^2 + w2^2 <, =, > 1."""
+    weight's branch is RLD, BOUNDARY or CORRECTION as w^2 + w2^2 <, =, > 1."""
     w, w2 = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(w2, dtype=float))
     checks = [
         (~(np.abs(w) < 1.0), DomainError, "require |w| < 1 for positive definiteness"),
@@ -409,4 +342,4 @@ def holevo_bound_three_param(m3: BlochModelPoint3, w3) -> float:
     derivs = [m3.d1s, m3.d2s, m3.d3s]
     gt = np.array([[np.conj(di) @ qt @ dj for dj in derivs] for di in derivs])
     gt_inv = np.linalg.inv(gt)
-    return float(np.trace(w @ gt_inv.real) + trabs_eigenvalues(w, gt_inv.imag))
+    return float(np.trace(w @ gt_inv.real) + trabs_from_root(weight_root(w), gt_inv.imag))

@@ -40,7 +40,6 @@ __all__ = [
     "GenericZ",
     "Explicit",
     "ModelFamily",
-    "evaluate",
     "from_descriptor",
     "load_model",
 ]
@@ -331,11 +330,6 @@ class Explicit(_Family):
 
 ModelFamily = Unitary | Planar | GenericZ | Explicit
 _KINDS = {cls.kind: cls for cls in (Unitary, Planar, GenericZ, Explicit)}
-
-
-def evaluate(family: ModelFamily, theta) -> BlochModelPoint:
-    """Evaluate a family at a parameter point."""
-    return family.evaluate(theta)
 
 
 def from_descriptor(desc: dict) -> ModelFamily:

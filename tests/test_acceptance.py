@@ -16,13 +16,7 @@ from holevo2q.bounds import (
     BOUNDARY_RTOL,
     Branch,
     WeightMatrix,
-    WeightRegion,
-    b_theta,
-    bound_nagaoka,
-    bound_sld,
-    bound_z,
     boundary_weight_family,
-    classify_weight,
     holevo_bound,
 )
 from holevo2q.classify import pure_limit_holevo
@@ -211,7 +205,7 @@ def test_criterion_5_nagaoka_gap():
         m = BlochModelPoint(s=[theta[0], theta[1], 0.0], d1s=XHAT, d2s=YHAT)
         w = random_weight(rng)
         rep = holevo_bound(fisher_bundle(m), w)
-        gap = bound_nagaoka(fisher_bundle(m), w) - rep.c_h
+        gap = rep.c_n - rep.c_h
         expected = 2.0 * np.sqrt(w.det) * np.sqrt(1.0 - m.s_squared)
         worst = max(worst, abs(gap - expected))
     report(
@@ -234,17 +228,18 @@ def test_criterion_6_region_geometry():
         w_par, w2 = np.cos(phi), np.sin(phi)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         w = boundary_weight_family(fb, sign * w_par, w2, c=0.5 + rng.random())
-        tau = BOUNDARY_RTOL * (abs(bound_z(fb, w)) + abs(bound_sld(fb, w)))
-        worst_boundary = max(worst_boundary, abs(b_theta(fb, w)) / tau)
+        rep = holevo_bound(fb, w)
+        tau = BOUNDARY_RTOL * (abs(rep.c_z) + abs(rep.c_s))
+        worst_boundary = max(worst_boundary, abs(rep.b_value) / tau)
 
         shrink = rng.uniform(0.5, 0.9)
         inner = boundary_weight_family(fb, sign * w_par * shrink, w2 * shrink)
-        if classify_weight(fb, inner).region is not WeightRegion.W_PLUS:
+        if holevo_bound(fb, inner).branch is not Branch.RLD:
             mislabels += 1
         grow = rng.uniform(1.1, 1.5)
         if abs(w_par * grow) < 0.999:
             outer = boundary_weight_family(fb, sign * w_par * grow, w2 * grow)
-            if classify_weight(fb, outer).region is not WeightRegion.W_MINUS:
+            if holevo_bound(fb, outer).branch is not Branch.CORRECTION:
                 mislabels += 1
             checked += 1
     ok = worst_boundary <= 1.0 and mislabels == 0 and checked > 50

@@ -16,20 +16,14 @@ from holevo2q.bounds import (
     BOUNDARY_RTOL,
     Branch,
     WeightMatrix,
-    WeightRegion,
     alpha_theta,
-    b_theta,
-    bound_nagaoka,
-    bound_rld,
-    bound_sld,
-    bound_z,
     boundary_weight_family,
-    classify_weight,
     holevo_bound,
     holevo_bound_three_param,
     trabs,
-    trabs_eigenvalues,
+    trabs_from_root,
     weight_from_angles,
+    weight_root,
 )
 from holevo2q.errors import DomainError, SpecialModelError
 from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
@@ -89,7 +83,7 @@ def holevo_objective_xi(fb, w, xi) -> float:
     quad = fb.perp_quadratic * float(xi @ w.matrix @ xi)
     im_z12 = fisher_matrices(fb.point).z[0, 1].imag
     affine = im_z12 + fb.one_minus_s_sq * float(fb.gamma @ xi)
-    return bound_sld(fb, w) + quad + 2.0 * np.sqrt(w.det) * abs(affine)
+    return holevo_bound(fb, w).c_s + quad + 2.0 * np.sqrt(w.det) * abs(affine)
 
 
 def reduction_coefficients(fb, w):
@@ -111,15 +105,14 @@ def holevo_bound_correction_form(fb, w) -> float:
     denom = 4.0 * float(np.trace(w.matrix @ (fm.g_inv - fm.g_tilde_inv.real)))
     if denom <= 0.0:
         raise OffBranchError("correction form undefined: Tr(W(G^-1 - Re G~^-1)) <= 0")
-    return bound_sld(fb, w) + numer / denom
+    return holevo_bound(fb, w).c_s + numer / denom
 
 
 def holevo_bound_unified(fb, w) -> float:
     """Unified form C^S + (C^Z - C^R) H( (C^Z - C^S) / (2 (C^Z - C^R)) ),
     with the degenerate gap handled as the limit a H(b/a) -> 2|b|."""
-    c_s = bound_sld(fb, w)
-    c_r = bound_rld(fb, w)
-    c_z = bound_z(fb, w)
+    rep = holevo_bound(fb, w)
+    c_s, c_r, c_z = rep.c_s, rep.c_r, rep.c_z
     gap = c_z - c_r
     half_trabs = 0.5 * (c_z - c_s)
     if gap < GAP_UNDERFLOW_RTOL * (abs(c_z) + 1.0):
@@ -217,7 +210,7 @@ class TestTrAbs:
             x12 = rng.normal() * 10.0 ** rng.uniform(-3, 3)
             x = np.array([[0.0, x12], [-x12, 0.0]])
             value = trabs(w, x)
-            assert abs(value - trabs_eigenvalues(w.matrix, x)) <= 1e-12 * (1.0 + value)
+            assert abs(value - trabs_from_root(weight_root(w.matrix), x)) <= 1e-12 * (1.0 + value)
 
     def test_three_by_three(self):
         # W^(1/2) X W^(1/2) has eigenvalues {0, +-i nu}; TrAbs = 2 nu.
@@ -230,14 +223,14 @@ class TestTrAbs:
 
 class TestScalarBounds:
     def test_sld_identity_case(self):
-        assert bound_sld(bundle([0, 0, 0.5]), IDENTITY) == pytest.approx(2.0)
+        assert holevo_bound(bundle([0, 0, 0.5]), IDENTITY).c_s == pytest.approx(2.0)
 
     def test_sld_planar_point(self):
         fb = bundle([0.6, 0.0, 0.0])
-        assert bound_sld(fb, IDENTITY) == pytest.approx(1.64)
+        assert holevo_bound(fb, IDENTITY).c_s == pytest.approx(1.64)
 
     def test_rld_z_half(self):
-        assert bound_rld(bundle([0, 0, 0.5]), IDENTITY) == pytest.approx(3.0)
+        assert holevo_bound(bundle([0, 0, 0.5]), IDENTITY).c_r == pytest.approx(3.0)
 
     def test_rld_fixed_height_formula(self):
         # TrAbs(W Im G~^-1) is linear in (1-s^2)/(1-t0^2): the inverse RLD
@@ -248,16 +241,17 @@ class TestScalarBounds:
         s_sq = 2 * t * t + t0 * t0
         ratio = (1 - s_sq) / (1 - t0**2)
         expected = 2 * ratio + 2 * ratio * abs(t0)
-        assert bound_rld(fb, IDENTITY) == pytest.approx(expected, rel=1e-12)
+        assert holevo_bound(fb, IDENTITY).c_r == pytest.approx(expected, rel=1e-12)
 
     def test_rld_planar_real_only(self):
         fb = bundle([0.3, 0.2, 0.0])
         expected = float(np.trace(fisher_matrices(fb.point).g_tilde_inv.real))
-        assert bound_rld(fb, IDENTITY) == pytest.approx(expected, rel=1e-12)
+        assert holevo_bound(fb, IDENTITY).c_r == pytest.approx(expected, rel=1e-12)
 
     def test_z_equals_rld_on_d_invariant(self):
         fb = bundle([0, 0, 0.5])
-        assert bound_z(fb, IDENTITY) == pytest.approx(bound_rld(fb, IDENTITY), rel=1e-12)
+        rep = holevo_bound(fb, IDENTITY)
+        assert rep.c_z == pytest.approx(rep.c_r, rel=1e-12)
 
     def test_z_fixed_height_formula(self):
         # C^Z = C^S + TrAbs(W Im Z) with the same linear ratio as the RLD
@@ -270,7 +264,7 @@ class TestScalarBounds:
             - (t1**2 + t2**2) / (1 - t0**2)
             + 2.0 * (1 - s_sq) / (1 - t0**2) * abs(t0)
         )
-        assert bound_z(fb, IDENTITY) == pytest.approx(expected, rel=1e-12)
+        assert holevo_bound(fb, IDENTITY).c_z == pytest.approx(expected, rel=1e-12)
 
     def test_z_minus_rld_gap_identity(self):
         rng = np.random.default_rng(31)
@@ -278,15 +272,16 @@ class TestScalarBounds:
             m = random_model_point(rng)
             fb = fisher_bundle(m)
             w = random_weight(rng)
-            gap = bound_z(fb, w) - bound_rld(fb, w)
+            rep = holevo_bound(fb, w)
+            gap = rep.c_z - rep.c_r
             w_inv = np.linalg.inv(w.matrix)
             det_ratio = np.linalg.det(fisher_matrices(m).g) / w.det
             expected = (1 - m.s_squared) * (fb.gamma @ w_inv @ fb.gamma) / det_ratio
             assert abs(gap - expected) <= 1e-10 * (1 + abs(gap))
 
     def test_nagaoka_values(self):
-        assert bound_nagaoka(bundle([0.6, 0.0, 0.0]), IDENTITY) == pytest.approx(3.24)
-        assert bound_nagaoka(bundle([0, 0, 0], d1=XHAT, d2=YHAT), IDENTITY) == pytest.approx(4.0)
+        assert holevo_bound(bundle([0.6, 0.0, 0.0]), IDENTITY).c_n == pytest.approx(3.24)
+        assert holevo_bound(bundle([0, 0, 0], d1=XHAT, d2=YHAT), IDENTITY).c_n == pytest.approx(4.0)
 
     def test_homogeneity_degree_one(self):
         rng = np.random.default_rng(32)
@@ -294,10 +289,10 @@ class TestScalarBounds:
             fb = fisher_bundle(random_model_point(rng))
             w = random_weight(rng)
             c = 0.1 + 3.0 * rng.random()
-            for fn in (bound_sld, bound_rld, bound_z, bound_nagaoka):
-                assert fn(fb, w.scaled(c)) == pytest.approx(c * fn(fb, w), rel=1e-12)
             rep1 = holevo_bound(fb, w)
             rep2 = holevo_bound(fb, w.scaled(c))
+            for field in ("c_s", "c_r", "c_z", "c_n"):
+                assert getattr(rep2, field) == pytest.approx(c * getattr(rep1, field), rel=1e-12)
             assert rep2.c_h == pytest.approx(c * rep1.c_h, rel=1e-12)
 
 
@@ -438,20 +433,6 @@ class TestHolevoBound:
         brute = minimize_holevo_6d(density_point(m), w)
         assert abs(rep.c_h - brute) <= 1e-8 * abs(rep.c_h)
 
-    def test_branch_matches_weight_region(self):
-        rng = np.random.default_rng(38)
-        mapping = {
-            Branch.RLD: WeightRegion.W_PLUS,
-            Branch.CORRECTION: WeightRegion.W_MINUS,
-            Branch.BOUNDARY: WeightRegion.W_BOUNDARY,
-        }
-        for _ in range(300):
-            fb = fisher_bundle(random_model_point(rng))
-            w = random_weight(rng)
-            rep = holevo_bound(fb, w)
-            label = classify_weight(fb, w)
-            assert mapping[rep.branch] is label.region
-
 
 class TestMinimizingOffset:
     def test_zero_for_d_invariant(self):
@@ -480,15 +461,15 @@ class TestWeightRegions:
         rng = np.random.default_rng(40)
         fb = bundle([0, 0, 0.5])
         for _ in range(100):
-            label = classify_weight(fb, random_weight(rng))
-            assert label.region is not WeightRegion.W_MINUS
+            branch = holevo_bound(fb, random_weight(rng)).branch
+            assert branch is not Branch.CORRECTION
 
     def test_planar_never_w_plus(self):
         rng = np.random.default_rng(41)
         fb = bundle([0.3, 0.2, 0.0])
         for _ in range(100):
-            label = classify_weight(fb, random_weight(rng))
-            assert label.region is not WeightRegion.W_PLUS
+            branch = holevo_bound(fb, random_weight(rng)).branch
+            assert branch is not Branch.RLD
 
     def test_boundary_family_circle(self):
         rng = np.random.default_rng(42)
@@ -499,8 +480,9 @@ class TestWeightRegions:
             if w2 < 1e-3 or abs(w_par) > 0.999:
                 continue
             w = boundary_weight_family(fb, w_par, w2, c=0.5 + rng.random())
-            tau = BOUNDARY_RTOL * (abs(bound_z(fb, w)) + abs(bound_sld(fb, w)))
-            assert abs(b_theta(fb, w)) <= tau
+            rep = holevo_bound(fb, w)
+            tau = BOUNDARY_RTOL * (abs(rep.c_z) + abs(rep.c_s))
+            assert abs(rep.b_value) <= tau
 
     def test_family_interior_and_exterior(self):
         rng = np.random.default_rng(43)
@@ -509,13 +491,13 @@ class TestWeightRegions:
             phi = 2 * np.pi * rng.random()
             w_par, w2 = 0.9 * np.cos(phi), max(0.05, 0.9 * abs(np.sin(phi)))
             inner = boundary_weight_family(fb, w_par, w2)
-            assert classify_weight(fb, inner).region is WeightRegion.W_PLUS
+            assert holevo_bound(fb, inner).branch is Branch.RLD
             scale = 1.3 / np.hypot(w_par, w2)
             w_out, w2_out = w_par * scale, w2 * scale
             if abs(w_out) >= 0.999:
                 continue
             outer = boundary_weight_family(fb, w_out, w2_out)
-            assert classify_weight(fb, outer).region is WeightRegion.W_MINUS
+            assert holevo_bound(fb, outer).branch is Branch.CORRECTION
 
     def test_chain_without_slack_at_the_band_edge(self):
         # Just outside the BOUNDARY_RTOL band C^H - C^R = B^2 p/q is below one

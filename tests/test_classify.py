@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holevo2q.bloch import CLASSIFICATION_RTOL, BlochModelPoint, rld_bloch_vectors
-from holevo2q.bounds import WeightMatrix, bound_rld
+from holevo2q.bounds import WeightMatrix, holevo_bound
 from holevo2q.classify import (
     ModelLabel,
     classify_family,
@@ -258,7 +258,7 @@ class TestPureLimitHolevo:
             m = random_model_point(rng)
             w = random_weight(rng)
             fb = fisher_bundle(m)
-            assert pure_limit_holevo(m, w).hex() == bound_rld(fb, w).hex()
+            assert pure_limit_holevo(m, w).hex() == holevo_bound(fb, w).c_r.hex()
 
     def test_tangent_pure_value(self):
         w = WeightMatrix.identity()
@@ -272,7 +272,7 @@ class TestPureLimitHolevo:
         for k in (6, 8):
             r = 1.0 - 10.0**-k
             m = point([0, 0, r], d1=r * XHAT, d2=r * YHAT)
-            mixed = bound_rld(fisher_bundle(m), w)
+            mixed = holevo_bound(fisher_bundle(m), w).c_r
             assert abs(mixed - pure) / pure <= 10.0**-k * 20
 
     def test_classical_pure_limit_raises(self):

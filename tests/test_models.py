@@ -16,7 +16,6 @@ from holevo2q.models import (
     Poly2D,
     Unitary,
     _poly_arrays,
-    evaluate,
     from_descriptor,
 )
 from reference import n_copy_bound
@@ -205,8 +204,8 @@ class TestDescriptors:
         rebuilt = from_descriptor(json.loads(text))
         assert rebuilt.to_descriptor() == desc
         theta = (0.5, 0.25)
-        a = evaluate(family, theta)
-        b = evaluate(rebuilt, theta)
+        a = family.evaluate(theta)
+        b = rebuilt.evaluate(theta)
         assert np.allclose(a.s, b.s) and np.allclose(a.d1s, b.d1s)
 
     def test_planar_takes_plain_coefficient_lists(self):

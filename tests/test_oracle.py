@@ -11,10 +11,8 @@ from holevo2q.bounds import (
     Branch,
     WeightMatrix,
     boundary_weight_family,
-    bound_z,
     holevo_bound,
     holevo_bound_three_param,
-    trabs_eigenvalues,
     trabs_from_root,
     weight_root,
 )
@@ -300,7 +298,7 @@ class TestHolevoFunction:
             w = random_weight(rng)
             pair = pair_from_bloch_vectors(m, fm.dual1, fm.dual2)
             value = holevo_function(density_point(m), pair, w)
-            assert value == pytest.approx(bound_z(fb, w), rel=1e-10)
+            assert value == pytest.approx(holevo_bound(fb, w).c_z, rel=1e-10)
 
     def test_d_invariant_duals_reach_rld_bound(self):
         rng = np.random.default_rng(80)
@@ -362,7 +360,7 @@ class TestHolevoFunction:
             )
             wm = w.matrix
             expected = float(
-                np.trace(wm @ z.real) + trabs_eigenvalues(wm, (z.imag - z.imag.T) / 2)
+                np.trace(wm @ z.real) + trabs_from_root(weight_root(wm), (z.imag - z.imag.T) / 2)
             )
             pair = pair_from_bloch_vectors(m, *vecs)
             assert pair.x1.tobytes() == ops[0].tobytes()

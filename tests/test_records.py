@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from holevo2q.bloch import BlochModelPoint, BlochModelPoint3
-from holevo2q.bounds import BoundsReport, Branch, WeightMatrix, WeightRegion, WeightRegionLabel
+from holevo2q.bounds import BoundsReport, Branch, WeightMatrix
 from holevo2q.classify import FamilyClassification, ModelClass, ModelLabel
 from holevo2q.fisher import FisherBundle, FisherMatrices
 from holevo2q.models import Domain, Explicit, GenericZ, Planar, Poly2D, Unitary
@@ -34,8 +34,6 @@ RECORDS = [
      "d2s=array([0., 1., 0.]), d3s=array([0., 0., 1.]))"),
     (WeightMatrix, ("w11", "w12", "w22"), (2, 0.5, 1),
      "WeightMatrix(w11=2.0, w12=0.5, w22=1.0)"),
-    (WeightRegionLabel, ("region", "b_value"), (WeightRegion.W_MINUS, -0.25),
-     "WeightRegionLabel(region=<WeightRegion.W_MINUS: 'w_minus'>, b_value=-0.25)"),
     (BoundsReport,
      ("c_s", "c_r", "c_z", "c_n", "c_h", "s_correction", "branch", "b_value", "xi_star"),
      (1.0, 2.0, 3.0, 4.0, 2.5, 0.5, Branch.CORRECTION, -0.125, np.array([0.5, -1.0])),
@@ -174,11 +172,9 @@ def test_defaults():
      (2.0, 0.5, 1.0)),
     (Domain((-1, 1), (0, 2)), Domain((-1.0, 1.0), (0.0, 2.0)), Domain((-1, 1), (0, 3)),
      ((-1.0, 1.0), (0.0, 2.0))),
-    (WeightRegionLabel(WeightRegion.W_PLUS, 0.5), WeightRegionLabel(WeightRegion.W_PLUS, 0.5),
-     WeightRegionLabel(WeightRegion.W_MINUS, 0.5), (WeightRegion.W_PLUS, 0.5)),
     (GenericZ(0.5), GenericZ(0.5, Domain(*GenericZ(0.5).domain.to_descriptor().values())),
      GenericZ(0.5, DOMAIN), (0.5, GenericZ(0.5).domain)),
-], ids=["WeightMatrix", "Domain", "WeightRegionLabel", "GenericZ"])
+], ids=["WeightMatrix", "Domain", "GenericZ"])
 def test_equality_and_hash_over_the_fields(a, same, other, fields):
     assert a == same and not a != same
     assert a != other and not a == other
