@@ -35,8 +35,8 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 MANIFEST = os.path.join(ROOT, "tests", "golden", "MANIFEST.json")
-sys.path.insert(0, HERE)
 
+# The tools directory is on sys.path: it holds this script, and the test adds it.
 import sweep_diff  # noqa: E402
 from bench_summary import MODELS, PATHS, _command, _run  # noqa: E402
 
