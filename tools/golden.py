@@ -85,10 +85,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _versions() -> dict:
-    return {"numpy": np.__version__, "python": platform.python_version()}
-
-
 def _clean_commit():
     """HEAD's commit if ``src/`` matches it, else None."""
     try:
@@ -110,7 +106,8 @@ def load_manifest() -> dict:
 def write_manifest() -> dict:
     with tempfile.TemporaryDirectory() as work:
         hashes = {path: _sha256(data) for path, data in outputs(work).items()}
-    manifest = {**_versions(), "commit": _clean_commit(), "sha256": hashes}
+    manifest = {"numpy": np.__version__, "python": platform.python_version(),
+                "commit": _clean_commit(), "sha256": hashes}
     os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -156,9 +153,9 @@ def check(manifest: dict) -> list:
     problems = []
     with tempfile.TemporaryDirectory() as work:
         for path, data in outputs(work).items():
-            expected = manifest["sha256"].get(path)
-            if _sha256(data) != expected:
-                problems.append(f"{path}: sha256 {_sha256(data)}, manifest {expected}")
+            got, expected = _sha256(data), manifest["sha256"].get(path)
+            if got != expected:
+                problems.append(f"{path}: sha256 {got}, manifest {expected}")
                 if OUT_CSV in PATHS[path]:
                     problems.append(_column_diff(manifest.get("commit"), path, data, work))
     return problems
