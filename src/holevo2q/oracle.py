@@ -9,7 +9,7 @@ module is to validate those formulas from scratch:
   for the right one),
 * Fisher / Z matrices as operator traces,
 * the commutation superoperator from its defining inner-product relation,
-  solved as a 4x4 real linear system in the Pauli basis,
+  solved entrywise in the eigenbasis of rho,
 * the Holevo function on explicit Hermitian observable pairs,
 * exact minimizations of the Holevo function (a 2-d reduced search and a
   6-d constrained search through a generic null-space parametrization).
@@ -126,11 +126,9 @@ class DensityPoint(Record):
         return self.drho1, self.drho2
 
     @functools.cached_property
-    def pauli_gram(self) -> np.ndarray:
-        """<a, b>_rho over the basis {I, sx, sy, sz}, built once per point:
-        the matrix :func:`commutation_operator` solves with."""
-        basis = (_ID2,) + PAULI
-        return np.array([[sld_inner(self.rho, a, b).real for b in basis] for a in basis])
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh(rho)``, (p, V) with rho = V diag(p) V^dagger, once per point."""
+        return np.linalg.eigh(self.rho)
 
 
 class HermitianPair(Record):
@@ -166,9 +164,7 @@ def sld_operators(dp: DensityPoint) -> tuple[np.ndarray, np.ndarray]:
 
     Solved in the eigenbasis of rho: L_jk = 2 (d rho)_jk / (p_j + p_k).
     """
-    evals, evecs = np.linalg.eigh(dp.rho)
-    if evals.min() < MIN_EIGENVALUE:
-        raise PureStateError("rho eigenvalue below tolerance; SLD solve unstable")
+    evals, evecs = dp.eigenbasis
     denom = evals[:, None] + evals[None, :]
     out = []
     for drho in dp.derivatives():
@@ -230,29 +226,16 @@ def bloch_coefficients(op: np.ndarray) -> tuple[complex, np.ndarray]:
 
 def commutation_operator(dp: DensityPoint, x: np.ndarray) -> np.ndarray:
     """Superoperator value D(x) defined by <Y, D(X)>_rho = tr(rho [X, Y])/(2i)
-    for all Hermitian Y, solved in the basis {I, sx, sy, sz}.
+    for all Hermitian Y, and extended complex-linearly.
 
     The sign convention is pinned by the consistency relations it must
-    satisfy: (I + iD)(L~_i) = L_i and <X, Y>+ = <X, (I + iD)(Y)>.  In the
-    eigenbasis of rho the solution is D_jk = i (p_k - p_j)/(p_j + p_k) X_jk.
-    Complex-linear extension: non-Hermitian x is split into Hermitian parts.
+    satisfy: (I + iD)(L~_i) = L_i and <X, Y>+ = <X, (I + iD)(Y)>.  Solved in
+    the eigenbasis of rho: D_jk = i (p_k - p_j)/(p_j + p_k) X_jk.
     """
-    x = np.asarray(x, dtype=complex)
-    if not_hermitian(x, HERMITIAN_RTOL):
-        xh = _herm(x)
-        xa = _herm(-1j * (x - xh))  # x = xh + i xa with both Hermitian
-        return commutation_operator(dp, xh) + 1j * commutation_operator(dp, xa)
-
-    basis = (_ID2,) + PAULI
-    rho = dp.rho
-    rhs = np.array(
-        [float((_trace(rho @ (x @ a - a @ x)) / 2.0j).real) for a in basis]
-    )
-    try:
-        coeffs = np.linalg.solve(dp.pauli_gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("Pauli-basis Gram matrix is singular") from exc
-    return sum(coeffs[k] * basis[k] for k in range(4))
+    evals, evecs = dp.eigenbasis
+    x_in_basis = evecs.conj().T @ np.asarray(x, dtype=complex) @ evecs
+    factor = 1j * (evals[None, :] - evals[:, None]) / (evals[:, None] + evals[None, :])
+    return evecs @ (factor * x_in_basis) @ evecs.conj().T
 
 
 def holevo_function(dp: DensityPoint, pair: HermitianPair, w) -> float:

@@ -119,7 +119,7 @@ class DeterminantIdentityResiduals(Record):
                              self.gamma_gap]))
 
 
-def fisher_determinant_identities(m, weight, fm=None, fb=None) -> DeterminantIdentityResiduals:
+def fisher_determinant_identities(m, weight) -> DeterminantIdentityResiduals:
     """Evaluate the three structural identities at a mixed point.
 
     1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
@@ -127,14 +127,13 @@ def fisher_determinant_identities(m, weight, fm=None, fb=None) -> DeterminantIde
        TrAbs from its eigenvalue definition
     3. (gamma | W^-1 gamma) = det(W^-1 G)/(1-s^2) * (C^Z - C^R)
 
-    ``weight`` is a :class:`holevo2q.bounds.WeightMatrix` or a 2x2 array;
-    ``fm`` and ``fb`` are ``fisher_matrices(m)`` and ``fisher_bundle(m)`` if already built.
+    ``weight`` is a :class:`holevo2q.bounds.WeightMatrix` or a 2x2 array.
     """
     if not isinstance(weight, WeightMatrix):
         weight = WeightMatrix.from_matrix(np.asarray(weight, dtype=float))
 
-    fb = fisher_bundle(m) if fb is None else fb
-    fm = fisher_matrices(m, fb) if fm is None else fm
+    fb = fisher_bundle(m)
+    fm = fisher_matrices(m, fb)
     trabs = _trabs_pair(fm, weight)
     return _identities(fb, fm, weight, trabs, _matrix_form_bounds(fm, weight, trabs))
 

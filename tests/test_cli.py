@@ -458,6 +458,57 @@ def test_bounds_with_overflowing_weight_is_invalid_input(generic_model):
     assert err.startswith("DomainError: c_r is not finite"), err
 
 
+REFUSED_ARGUMENTS = {
+    "sweep_weight_grid_1": (
+        ["sweep-weight", "--theta", "0.2,0.1", "--grid", "1"],
+        "ModelError: --grid must be at least 2",
+    ),
+    "sweep_theta_grid_1": (
+        ["sweep-theta", "--weight", "1,0,1", "--grid", "1"],
+        "ModelError: --grid must be at least 2",
+    ),
+    "bounds_theta_one_number": (
+        ["bounds", "--theta", "0.1", "--weight", "1,0,1"],
+        "ModelError: --theta expects 2 comma-separated numbers, got '0.1'",
+    ),
+    "bounds_theta_not_numbers": (
+        ["bounds", "--theta", "a,b", "--weight", "1,0,1"],
+        "ModelError: could not parse --theta = 'a,b'",
+    ),
+    "bounds_weight_two_numbers": (
+        ["bounds", "--theta", "0.2,0.1", "--weight", "1,0"],
+        "ModelError: --weight expects 3 comma-separated numbers, got '1,0'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", REFUSED_ARGUMENTS.values(), ids=REFUSED_ARGUMENTS.keys()
+)
+def test_refused_argument_is_invalid_input(generic_model, tmp_path, argv, message):
+    out = tmp_path / "out.csv"
+    to_file = [] if argv[0] == "bounds" else ["--out", str(out)]
+    result = run_cli(argv[0], "--model", generic_model, *argv[1:], *to_file)
+    assert result == (2, "", message + "\n")
+    assert not out.exists()
+
+
+SWEEP_ARGUMENTS = {
+    "sweep-weight": ["--theta", "0.2,0.1", "--grid", "11"],
+    "sweep-theta": ["--weight", "0.55,0.1,0.45", "--grid", "11"],
+}
+
+
+@pytest.mark.parametrize("command", SWEEP_ARGUMENTS)
+def test_sweep_without_out_writes_its_csv_to_stdout(generic_model, tmp_path, command):
+    out = tmp_path / "out.csv"
+    args = [command, "--model", generic_model, *SWEEP_ARGUMENTS[command]]
+    assert run_cli(*args, "--out", str(out)) == (0, "", "")
+    code, stdout, err = run_cli(*args)
+    assert (code, err) == (0, "")
+    assert stdout.encode() == out.read_bytes()
+
+
 class TestFisherMatricesOffProductionPaths:
     """bounds and both sweeps read only the scalar bundle: they succeed with
     the verification-side ``fisher_matrices`` replaced by a function that raises."""

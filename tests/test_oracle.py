@@ -54,8 +54,17 @@ XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
 
 
+NEAR_SHELL_DELTAS = [1e-1, 1e-3, 1e-6, 1e-9, 1e-11]
+
+
 def point(s, d1=XHAT, d2=YHAT):
     return BlochModelPoint(s=s, d1s=d1, d2s=d2)
+
+
+def random_hermitian(rng, count):
+    """``count`` random Hermitian 2x2 matrices."""
+    h = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    return h + h.conj().swapaxes(1, 2)
 
 
 class TestDensityPoint:
@@ -200,6 +209,31 @@ class TestCommutationOperator:
     def test_identity_maps_to_zero(self):
         dp = density_point(point([0.2, 0.1, 0.4]))
         assert np.abs(commutation_operator(dp, np.eye(2))).max() <= 1e-14
+
+    @pytest.mark.parametrize("delta", NEAR_SHELL_DELTAS)
+    def test_defining_relation(self, delta):
+        # <Y, D(X)>_rho = tr(rho [X, Y])/(2i) for Y in {I, sx, sy, sz}.
+        rng = np.random.default_rng(74)
+        for m in near_shell_points(delta, rng):
+            dp = density_point(m)
+            for x in random_hermitian(rng, 2):
+                image = commutation_operator(dp, x)
+                for y in (np.eye(2),) + PAULI:
+                    target = np.trace(dp.rho @ (x @ y - y @ x)) / 2.0j
+                    assert abs(sld_inner(dp.rho, y, image) - target) <= 1e-14 * np.abs(x).max()
+
+    @pytest.mark.parametrize("delta", NEAR_SHELL_DELTAS)
+    def test_complex_linear(self, delta):
+        # D(A + iB) = D(A) + i D(B) for Hermitian A and B; as D is bounded by
+        # 1 entrywise in rho's eigenbasis, the rounding stays at eps |X| up to
+        # the shell.
+        rng = np.random.default_rng(74)
+        for m in near_shell_points(delta, rng):
+            dp = density_point(m)
+            a, b = random_hermitian(rng, 2)
+            x = a + 1j * b
+            split = commutation_operator(dp, a) + 1j * commutation_operator(dp, b)
+            assert np.abs(commutation_operator(dp, x) - split).max() <= 1e-14 * np.abs(x).max()
 
     def test_reconstruction_relation(self):
         rng = np.random.default_rng(75)

@@ -10,8 +10,9 @@ read back, and ``tools/oracle_values.py`` through ``runpy``.  The sha256 of
 each output is the one ``bench_summary.py`` records for the path.
 
 ``--write`` stores the hashes in ``tests/golden/MANIFEST.json``, with the
-numpy and Python versions and, when ``src/`` has no uncommitted change, the
-commit it was written at.  ``--check`` exits 1 if an output differs from the
+numpy and Python versions, the machine (operating system and architecture,
+recorded only) and, when ``src/`` has no uncommitted change, the commit it
+was written at.  ``--check`` exits 1 if an output differs from the
 manifest; for a differing CSV it also prints the ``tools/sweep_diff.py``
 summary against the CSV that the manifest's commit writes (a ``git archive``
 of its ``src/``).  The floats come from numpy, so under another numpy version
@@ -35,6 +36,7 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 MANIFEST = os.path.join(ROOT, "tests", "golden", "MANIFEST.json")
+PERFBENCH = os.path.realpath(os.path.join(ROOT, "perfbench"))
 
 # The tools directory is on sys.path: it holds this script, and the test adds it.
 import sweep_diff  # noqa: E402
@@ -46,13 +48,18 @@ OUT_CSV = "out.csv"  # the sweeps' --out file in PATHS, relative to the working 
 
 
 def _run_script(script: str, args) -> None:
-    """``python3 script args`` in this interpreter; sys.argv and sys.path are restored."""
-    saved = sys.argv, sys.path[:]
+    """``python3 script args`` in this interpreter; sys.argv and sys.path are restored,
+    and the modules it loaded from ``perfbench/`` are dropped (its holevo2q imports stay)."""
+    saved, loaded = (sys.argv, sys.path[:]), set(sys.modules)
     sys.argv = [script, *args]
     try:
         runpy.run_path(script, run_name="__main__")
     finally:
         sys.argv, sys.path[:] = saved
+        for name in set(sys.modules) - loaded:
+            path = getattr(sys.modules[name], "__file__", None)
+            if path and os.path.dirname(os.path.realpath(path)) == PERFBENCH:
+                del sys.modules[name]
 
 
 def outputs(work: str) -> dict:
@@ -107,6 +114,7 @@ def write_manifest() -> dict:
     with tempfile.TemporaryDirectory() as work:
         hashes = {path: _sha256(data) for path, data in outputs(work).items()}
     manifest = {"numpy": np.__version__, "python": platform.python_version(),
+                "machine": f"{platform.system()} {platform.machine()}",
                 "commit": _clean_commit(), "sha256": hashes}
     os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
     with open(MANIFEST, "w", encoding="utf-8") as fh:
