@@ -31,12 +31,14 @@ with c = -eps sqrt(det W) k/p.  ``holevo_bounds_many`` inlines the case split
 of that problem; its general solver, ``quadratic_abs_min`` in
 ``tests/reference.py``, is the test-side cross-check.
 
-Error model.  The one cancellation is eps = 1 - s.s, known to about
+Error model.  The first cancellation is eps = 1 - s.s, known to about
 u/(1-|s|^2) relative (u = 2^-53); it enters only through eps a and t.  C^R,
 and C^H on the RLD branch, carry all of it unless n is parallel to s
 (unitary families), where eps cancels.  C^S, C^Z and C^H on the correction
 branch carry about u (a + 2 sqrt(det W)|k|)/q: a few ulps unless the
-derivatives are nearly tangent to the sphere (r ~ 0).
+derivatives are nearly tangent to the sphere (r ~ 0).  The second is
+det W = w11 w22 - w12^2, known to about u cond(W) relative: C^N's error was
+3e-15, 6e-14, 7e-12 and 1e-9 at cond W = 1e2, 1e6, 1e10 and 1e14.
 """
 
 from __future__ import annotations
@@ -164,23 +166,28 @@ def trabs(weight, x) -> float:
 
     For 2x2 inputs the closed form 2 sqrt(det W) |x_12| is returned; for
     larger antisymmetric X (the three-parameter bound) the eigenvalue
-    definition :func:`trabs_from_root` is evaluated.
+    definition :func:`trabs_from_root` is evaluated.  A 2x2 weight is read
+    through :meth:`WeightMatrix.from_matrix`.  DomainError unless X and W are
+    finite n x n matrices, X antisymmetric and W symmetric positive definite.
     """
     w = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, dtype=float)
     xm = np.asarray(x)
+    if not np.isfinite(xm).all():
+        raise DomainError("trabs argument entries must be finite")
     if np.iscomplexobj(xm):
         if np.abs(xm.imag).max(initial=0.0) > HERMITIAN_RTOL * np.abs(xm).max():
             raise DomainError("trabs expects the (real) imaginary part of a Hermitian matrix")
         xm = xm.real
-    if xm.shape != w.shape:
-        raise DomainError(f"shape mismatch: weight {w.shape} vs argument {xm.shape}")
+    if xm.shape != w.shape or xm.ndim != 2 or xm.shape[0] != xm.shape[1]:
+        raise DomainError(f"trabs expects two n x n matrices, got {w.shape} and {xm.shape}")
     if not_hermitian(1j * xm, PAIR_RTOL):  # X is antisymmetric iff i X is Hermitian
         raise DomainError("trabs argument must be antisymmetric")
     xm = 0.5 * (xm - xm.T)  # scrub rounding off the exact antisymmetry
 
     if xm.shape == (2, 2):
-        det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-        return float(2.0 * np.sqrt(det_w) * abs(xm[0, 1]))
+        return float(2.0 * np.sqrt(WeightMatrix.from_matrix(w).det) * abs(xm[0, 1]))
+    if not np.isfinite(w).all() or not_hermitian(w, HERMITIAN_RTOL):
+        raise DomainError("weight matrix must be finite and symmetric")
     return trabs_from_root(weight_root(w), xm)
 
 
@@ -253,10 +260,9 @@ def holevo_bounds_many(fb: FisherBundle, w11, w12, w22) -> BoundsReport:
     return BoundsReport(c_s, c_r, c_z, c_n, c_h, corr, branch, b_value, xi_star)
 
 
-def holevo_bound(fb: FisherBundle, w) -> BoundsReport:
+def holevo_bound(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
     """:func:`holevo_bounds_many` at one point and one weight."""
-    wm = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
-    r = holevo_bounds_many(fb, wm.w11, wm.w12, wm.w22)
+    r = holevo_bounds_many(fb, w.w11, w.w12, w.w22)
     values = map(float, (r.c_s, r.c_r, r.c_z, r.c_n, r.c_h, r.s_correction))
     return BoundsReport(*values, Branch(str(r.branch)), float(r.b_value), r.xi_star)
 
@@ -333,13 +339,14 @@ def holevo_bound_three_param(m3: BlochModelPoint3, w3) -> float:
     """
     m3.require_mixed()
     w = np.asarray(w3, dtype=float)
+    if not np.isfinite(w).all():
+        raise DomainError("three-parameter weight entries must be finite")
     if w.shape != (3, 3) or not_hermitian(w, HERMITIAN_RTOL):
         raise DomainError("three-parameter weight must be a symmetric 3x3 matrix")
-    if np.linalg.eigvalsh(w).min() <= 0.0:
-        raise DomainError("three-parameter weight must be positive definite")
+    w_half = weight_root(w)  # DomainError unless positive definite
 
     qt = q_tilde(m3)  # depends only on s
     derivs = [m3.d1s, m3.d2s, m3.d3s]
     gt = np.array([[np.conj(di) @ qt @ dj for dj in derivs] for di in derivs])
     gt_inv = np.linalg.inv(gt)
-    return float(np.trace(w @ gt_inv.real) + trabs_from_root(weight_root(w), gt_inv.imag))
+    return float(np.trace(w @ gt_inv.real) + trabs_from_root(w_half, gt_inv.imag))

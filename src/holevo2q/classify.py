@@ -181,13 +181,12 @@ def pure_limit_rld_inverse(m: BlochModelPoint) -> np.ndarray:
     return np.array([[l1 @ l1, g12 - 1j / c], [g12 + 1j / c, l2 @ l2]], dtype=complex)
 
 
-def pure_limit_holevo(m: BlochModelPoint, w) -> float:
+def pure_limit_holevo(m: BlochModelPoint, w: WeightMatrix) -> float:
     """Holevo bound in the pure-state limit: the RLD bound ``c_r`` of
     :func:`holevo2q.bounds.holevo_bound` at a mixed point; on the shell,
     Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|."""
-    weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     if m.is_mixed:
-        return holevo_bound(fisher_bundle(m), weight).c_r
+        return holevo_bound(fisher_bundle(m), w).c_r
     l1, l2, c = _shell_limit(m)
-    trace = weight.w11 * (l1 @ l1) + 2.0 * weight.w12 * (l1 @ l2) + weight.w22 * (l2 @ l2)
-    return float(trace + 2.0 * np.sqrt(weight.det) / abs(c))
+    trace = w.w11 * (l1 @ l1) + 2.0 * w.w12 * (l1 @ l2) + w.w22 * (l2 @ l2)
+    return float(trace + 2.0 * np.sqrt(w.det) / abs(c))

@@ -26,8 +26,8 @@ Each quantity has one producer:
   ``fisher_bundle`` are the same pass on one point; without a bundle,
   ``sld_duals`` runs only its accept/reject half (``_admit``), the one guard.
 * ``fisher_matrices`` builds G, G~, their inverses, the SLD duals and Z.
-  Only the verification suite, the oracle's reduced search and the tests
-  read them.
+  Only the verification suite, the oracle's reduced search, the tests and
+  ``classify.pure_limit_duals`` / ``pure_limit_rld_inverse`` read them.
 """
 
 from __future__ import annotations

@@ -238,7 +238,7 @@ def commutation_operator(dp: DensityPoint, x: np.ndarray) -> np.ndarray:
     return evecs @ (factor * x_in_basis) @ evecs.conj().T
 
 
-def holevo_function(dp: DensityPoint, pair: HermitianPair, w) -> float:
+def holevo_function(dp: DensityPoint, pair: HermitianPair, w: WeightMatrix) -> float:
     """Tr(W Re Z[X]) + TrAbs(W Im Z[X]) with Z[X]_ij = tr(rho X^j X^i).
 
     Raises :class:`FeasibilityError` when tr(rho X^j) = 0 or tr(d_i rho X^j) =
@@ -246,7 +246,6 @@ def holevo_function(dp: DensityPoint, pair: HermitianPair, w) -> float:
     absolute terms of its trace (by its target where all terms vanish, as for
     a zero operator).
     """
-    weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     ops, xs_t = np.array([dp.rho, dp.drho1, dp.drho2]), np.array(pair.operators()).swapaxes(1, 2)
     terms = ops[:, None] * xs_t  # [a, j, k, l] = A_kl X^j_lk for A = rho, d_1 rho, d_2 rho
     miss = np.abs(terms.sum(axis=(2, 3)) - [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -256,7 +255,7 @@ def holevo_function(dp: DensityPoint, pair: HermitianPair, w) -> float:
         raise FeasibilityError(
             f"observable pair violates unbiasedness constraints by {residual:.3e}"
         )
-    return float(_holevo_evaluator(dp.rho, weight)(np.array([pair.operators()]))[0])
+    return float(_holevo_evaluator(dp.rho, w)(np.array([pair.operators()]))[0])
 
 
 def _holevo_evaluator(rho: np.ndarray, weight: WeightMatrix):
@@ -378,7 +377,7 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
     return value, np.array(points[best])
 
 
-def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarray]:
+def minimize_holevo_2d(m: BlochModelPoint, w: WeightMatrix, fm=None) -> tuple[float, np.ndarray]:
     """Holevo bound by exact minimization of the unconstrained 2-d reduction.
 
     Candidate Bloch vectors x^i = l^i + xi_i l_perp stay feasible for every
@@ -393,7 +392,6 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
     candidates and the probes).  Returns (value, xi*).  Only the SLD duals
     are read: from ``fm = fisher_matrices(m)`` if given, else :func:`sld_duals`.
     """
-    weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     dual1, dual2 = sld_duals(m)[2:] if fm is None else (fm.dual1, fm.dual2)
     s, (d1, d2) = m.s, m.derivatives()
     perp = cross(d1, d2)
@@ -409,9 +407,9 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
         raise DegenerateModelError("reduced parametrization violates the constraints")
 
     q_inv = np.eye(3) - s[:, None] * s  # np.outer(s, s), without its call overhead
-    wm = weight.matrix
-    w11, w12, w22 = weight.w11, weight.w12, weight.w22
-    sqrt_det_w = np.sqrt(weight.det)
+    wm = w.matrix
+    w11, w12, w22 = w.w11, w.w12, w.w22
+    sqrt_det_w = np.sqrt(w.det)
 
     duals = np.array([dual1, dual2])
     s_x_dual2 = cross(s, dual2)
@@ -433,7 +431,7 @@ def minimize_holevo_2d(m: BlochModelPoint, w, fm=None) -> tuple[float, np.ndarra
     return _kink_minimum(objective, s0, g, a, b, c)
 
 
-def minimize_holevo_6d(dp: DensityPoint, w) -> float:
+def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
     """Holevo bound by exact minimization over a generic affine parametrization.
 
     The four unbiasedness constraints on (x^1, x^2) in R^6 are solved by
@@ -446,7 +444,6 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
     in one stacked evaluation; then :func:`_kink_minimum` returns the lowest
     raw value among the candidates, with one more stacked evaluation.
     """
-    weight = w if isinstance(w, WeightMatrix) else WeightMatrix.from_matrix(w)
     # Recover the Bloch data from the operators themselves: rho = (I + s.sigma)/2.
     s, d1, d2 = (2.0 * bloch_coefficients(op)[1].real for op in (dp.rho, dp.drho1, dp.drho2))
 
@@ -458,20 +455,20 @@ def minimize_holevo_6d(dp: DensityPoint, w) -> float:
         raise DegenerateModelError("constraint matrix is rank deficient")
     null_basis = vt[4:].T  # (6, 2)
 
-    holevo = _holevo_evaluator(dp.rho, weight)
+    holevo = _holevo_evaluator(dp.rho, w)
 
     def operators(t: np.ndarray) -> np.ndarray:  # (N, 2, 2, 2): [n, i] = X^i, one build
         x = x0 + (null_basis @ t[:, :, None])[:, :, 0]
         return _bloch_operator(s, x.reshape(-1, 3)).reshape(-1, 2, 2, 2)
 
     fit_t = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)], dtype=float)
-    re, im = _z_parts(dp.rho, weight.matrix, operators(fit_t))
+    re, im = _z_parts(dp.rho, w.matrix, operators(fit_t))
     s0, sp1, sm1, sp2, sm2, s12 = re.tolist()
     l0, lp1, lm1, lp2, lm2, _ = im[:, 0, 1].tolist()
     g1, g2 = (sp1 - sm1) / 4.0, (sp2 - sm2) / 4.0
     a11, a22 = 0.5 * (sp1 + sm1) - s0, 0.5 * (sp2 + sm2) - s0
     a12 = 0.5 * (s12 - s0 - 2.0 * (g1 + g2) - a11 - a22)
-    sqrt_det_w = np.sqrt(weight.det)
+    sqrt_det_w = np.sqrt(w.det)
     b = [sqrt_det_w * (lp1 - lm1) / 2.0, sqrt_det_w * (lp2 - lm2) / 2.0]
     g, a, b = np.array([g1, g2]), np.array([[a11, a12], [a12, a22]]), np.array(b)
     return _kink_minimum(lambda t: holevo(operators(t)), s0, g, a, b, sqrt_det_w * l0)[0]

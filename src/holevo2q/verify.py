@@ -38,7 +38,6 @@ __all__ = [
     "VerificationReport",
     "run_verification",
     "TOLERANCES",
-    "DeterminantIdentityResiduals",
     "fisher_determinant_identities",
 ]
 
@@ -81,23 +80,6 @@ class VerificationReport(Record):
         return "\n".join(lines)
 
 
-def _trabs_pair(fm, weight: WeightMatrix) -> np.ndarray:
-    """[TrAbs(W Im G~^-1), TrAbs(W Im Z)] from the eigenvalue definition."""
-    return trabs_from_root(weight_root(weight.matrix), np.stack([fm.g_tilde_inv.imag, fm.z.imag]))
-
-
-def _matrix_form_bounds(fm, weight: WeightMatrix, trabs) -> tuple[float, float, float]:
-    """(C^S, C^R, C^Z) from their matrix definitions on ``fisher_matrices``:
-    Tr(W G^-1), Tr(W Re G~^-1) + TrAbs(W Im G~^-1), Tr(W Re Z) + TrAbs(W Im Z),
-    given ``trabs`` = :func:`_trabs_pair` (fm, weight)."""
-    w = weight.matrix
-    trabs_r, trabs_z = trabs
-    c_s = float(np.trace(w @ fm.g_inv))
-    c_r = float(np.trace(w @ fm.g_tilde_inv.real)) + trabs_r
-    c_z = float(np.trace(w @ fm.z.real)) + trabs_z
-    return c_s, c_r, c_z
-
-
 def _spread(*ends, floor: float) -> float:
     """max |difference of consecutive ends| relative to max(max |end|, floor);
     NaN if any end is NaN."""
@@ -105,59 +87,21 @@ def _spread(*ends, floor: float) -> float:
     return float(np.abs(np.diff(ends)).max() / np.maximum(np.abs(ends).max(), floor))
 
 
-class DeterminantIdentityResiduals(Record):
-    """Relative residuals of the three closed-form identities linking the
-    reduced quadratic coefficient, the determinants, the TrAbs terms and the
-    gap C^Z - C^R.  All three vanish for exact arithmetic."""
-
-    quadratic_vs_determinants: float
-    trabs_consistency: float
-    gamma_gap: float
-
-    def max_residual(self) -> float:
-        return float(np.max([self.quadratic_vs_determinants, self.trabs_consistency,
-                             self.gamma_gap]))
-
-
-def fisher_determinant_identities(m, weight) -> DeterminantIdentityResiduals:
-    """Evaluate the three structural identities at a mixed point.
+def fisher_determinant_identities(m, weight: WeightMatrix) -> dict:
+    """Relative residuals of three structural identities at a mixed point,
+    as ``{check name: residual}``; all three vanish for exact arithmetic.
 
     1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
     2. 2 sqrt(det W) |<l^1, F l^2>| = TrAbs(W Im G~^-1) = TrAbs(W Im Z), with
        TrAbs from its eigenvalue definition
     3. (gamma | W^-1 gamma) = det(W^-1 G)/(1-s^2) * (C^Z - C^R)
 
-    ``weight`` is a :class:`holevo2q.bounds.WeightMatrix` or a 2x2 array.
+    The values are the bits of the ``identity_*`` rows that the suite computes
+    for (m, weight).
     """
-    if not isinstance(weight, WeightMatrix):
-        weight = WeightMatrix.from_matrix(np.asarray(weight, dtype=float))
-
     fb = fisher_bundle(m)
-    fm = fisher_matrices(m, fb)
-    trabs = _trabs_pair(fm, weight)
-    return _identities(fb, fm, weight, trabs, _matrix_form_bounds(fm, weight, trabs))
-
-
-def _identities(fb, fm, weight: WeightMatrix, trabs, forms) -> DeterminantIdentityResiduals:
-    """:func:`fisher_determinant_identities` given ``trabs`` = :func:`_trabs_pair` (fm, weight)
-    and ``forms`` = :func:`_matrix_form_bounds` (fm, weight, trabs)."""
-    one_minus = fb.one_minus_s_sq
-
-    det_g = float(np.linalg.det(fm.g))
-    det_gt = float(np.linalg.det(fm.g_tilde).real)
-    res1 = _spread(fb.perp_quadratic, one_minus * det_g, one_minus**2 * det_gt, floor=1e-300)
-
-    w = weight.matrix
-    lhs2 = 2.0 * np.sqrt(weight.det) * abs(fm.z[0, 1].imag)
-    mid2, rhs2 = trabs
-    res2 = _spread(lhs2, mid2, rhs2, floor=1.0)
-
-    w_inv = invert_2x2(w, exc=SingularMatrixError)
-    _, c_r, c_z = forms
-    gap = c_z - c_r
-    res3 = _spread(float(fb.gamma @ w_inv @ fb.gamma), det_g / weight.det / one_minus * gap,
-                   floor=1.0)
-    return DeterminantIdentityResiduals(res1, res2, res3)
+    checks = _weight_checks(fb, fisher_matrices(m, fb), weight)
+    return {name: value for name, value in checks.items() if name.startswith("identity_")}
 
 
 # The tolerance of each check, in report order.
@@ -246,23 +190,35 @@ def _point_checks(fb, fm) -> dict:
     }
 
 
-def _weight_checks(fb, fm, w) -> dict:
+def _weight_checks(fb, fm, w: WeightMatrix) -> dict:
     """Residuals of the checks that read the model point and a weight ``w``:
     the three identities of :func:`fisher_determinant_identities`, and the
-    bounds against each other and against their matrix definitions."""
-    trabs = _trabs_pair(fm, w)
-    forms = _matrix_form_bounds(fm, w, trabs)
-    ids = _identities(fb, fm, w, trabs, forms)
+    bounds against each other and against their matrix definitions
+    C^S = Tr(W G^-1), C^R = Tr(W Re G~^-1) + TrAbs(W Im G~^-1) and
+    C^Z = Tr(W Re Z) + TrAbs(W Im Z), with TrAbs from its eigenvalue definition."""
+    wm = w.matrix
+    trabs_r, trabs_z = trabs_from_root(weight_root(wm),
+                                       np.stack([fm.g_tilde_inv.imag, fm.z.imag]))
+    c_s = float(np.trace(wm @ fm.g_inv))
+    c_r = float(np.trace(wm @ fm.g_tilde_inv.real)) + trabs_r
+    c_z = float(np.trace(wm @ fm.z.real)) + trabs_z
+    one_minus = fb.one_minus_s_sq
+    det_g = float(np.linalg.det(fm.g))
+    det_gt = float(np.linalg.det(fm.g_tilde).real)
+    lhs2 = 2.0 * np.sqrt(w.det) * abs(fm.z[0, 1].imag)
+    w_inv = invert_2x2(wm, exc=SingularMatrixError)
     report = holevo_bound(fb, w)
     closed = (report.c_s, report.c_r, report.c_z)
     return {
-        "identity_quadratic_determinant": ids.quadratic_vs_determinants,
-        "identity_trabs_forms": ids.trabs_consistency,
-        "identity_gamma_gap": ids.gamma_gap,
+        "identity_quadratic_determinant": _spread(
+            fb.perp_quadratic, one_minus * det_g, one_minus**2 * det_gt, floor=1e-300),
+        "identity_trabs_forms": _spread(lhs2, trabs_r, trabs_z, floor=1.0),
+        "identity_gamma_gap": _spread(float(fb.gamma @ w_inv @ fb.gamma),
+                                      det_g / w.det / one_minus * (c_z - c_r), floor=1.0),
         # The inequalities hold by construction, so with no slack.
         "bound_inequality_chain": [report.c_h - report.c_z, report.c_s - report.c_h,
                                    report.c_r - report.c_h, 0.0],
-        "bounds_vs_matrix_forms": [abs(x - y) / abs(y) for x, y in zip(closed, forms)],
+        "bounds_vs_matrix_forms": [abs(x - y) / abs(y) for x, y in zip(closed, (c_s, c_r, c_z))],
     }
 
 

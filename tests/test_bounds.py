@@ -212,6 +212,25 @@ class TestTrAbs:
             value = trabs(w, x)
             assert abs(value - trabs_from_root(weight_root(w.matrix), x)) <= 1e-12 * (1.0 + value)
 
+    X2 = [[0.0, 1.0], [-1.0, 0.0]]
+    X3 = [[0.0, 0.3, -0.1], [-0.3, 0.0, 0.7], [0.1, -0.7, 0.0]]
+
+    @pytest.mark.parametrize("weight, x", [
+        ([[1.0, 0.0], [0.0, -1.0]], X2),
+        ([[np.nan, 0.0], [0.0, 1.0]], X2),
+        ([[1.0, 5.0], [0.0, 1.0]], X2),
+        (IDENTITY, [[0.0, np.inf], [-np.inf, 0.0]]),
+        (np.eye(3), [[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        (np.diag([1.0, np.nan, 1.0]), X3),
+        ([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], X3),
+        (np.ones((2, 3)), np.zeros((2, 3))),
+        (np.ones(3), np.zeros(3)),
+    ], ids=["indefinite", "nan_weight", "asymmetric_weight", "inf_x", "nan_x_3x3",
+            "nan_weight_3x3", "asymmetric_weight_3x3", "not_square", "vector"])
+    def test_rejects_invalid_input(self, weight, x):
+        with pytest.raises(DomainError):
+            trabs(weight, x)
+
     def test_three_by_three(self):
         # W^(1/2) X W^(1/2) has eigenvalues {0, +-i nu}; TrAbs = 2 nu.
         x = np.array([[0.0, 0.3, -0.1], [-0.3, 0.0, 0.7], [0.1, -0.7, 0.0]])
@@ -628,5 +647,6 @@ class TestThreeParamBound:
         m3 = BlochModelPoint3(
             s=[0, 0, 0.5], d1s=[1, 0, 0], d2s=[0, 1, 0], d3s=[0, 0, 1]
         )
-        with pytest.raises(DomainError):
-            holevo_bound_three_param(m3, np.diag([1.0, -1.0, 1.0]))
+        for diag in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0]):
+            with pytest.raises(DomainError):
+                holevo_bound_three_param(m3, np.diag(diag))

@@ -15,7 +15,7 @@ from holevo2q.classify import FamilyClassification, ModelClass, ModelLabel
 from holevo2q.fisher import FisherBundle, FisherMatrices
 from holevo2q.models import Domain, Explicit, GenericZ, Planar, Poly2D, Unitary
 from holevo2q.oracle import DensityPoint, HermitianPair
-from holevo2q.verify import CheckRow, DeterminantIdentityResiduals, VerificationReport
+from holevo2q.verify import CheckRow, VerificationReport
 
 POINT = BlochModelPoint([0.1, 0.2, 0.3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 DOMAIN = Domain((-0.5, 0.5), (-0.25, 0.25))
@@ -91,10 +91,6 @@ RECORDS = [
      (7, 3, [CheckRow("a", 1.0, 0.5)], {"rld": 2}),
      "VerificationReport(seed=7, count=3, rows=[CheckRow(name='a', tolerance=1.0, value=0.5, "
      "witness='')], branch_counts={'rld': 2})"),
-    (DeterminantIdentityResiduals, ("quadratic_vs_determinants", "trabs_consistency", "gamma_gap"),
-     (1e-16, 2e-16, 3e-16),
-     "DeterminantIdentityResiduals(quadratic_vs_determinants=1e-16, trabs_consistency=2e-16, "
-     "gamma_gap=3e-16)"),
 ]
 # The verification report and its rows are the records that are built up
 # while a run goes on; read-only fields are pinned for the others.

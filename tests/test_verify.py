@@ -73,8 +73,9 @@ def test_witnesses_replay_bit_for_bit():
     report = run_verification(seed=9, count=3)
     rows = {row.name: row for row in report.rows}
 
-    m, w = parse_witness(rows["identity_gamma_gap"].witness)
-    assert fisher_determinant_identities(m, w).gamma_gap == rows["identity_gamma_gap"].value
+    for name in ("identity_quadratic_determinant", "identity_trabs_forms", "identity_gamma_gap"):
+        m, w = parse_witness(rows[name].witness)
+        assert fisher_determinant_identities(m, w)[name] == rows[name].value
 
     row = rows["holevo_vs_reduced_search"]
     m, w = parse_witness(row.witness)
@@ -165,13 +166,14 @@ def test_trabs_pair_evaluated_once_per_weight_instance(monkeypatch):
 
 
 def test_matrix_form_bounds_evaluated_once_per_weight_instance(monkeypatch):
+    # W^(1/2) and the matrix forms built on it are computed once per instance.
     calls = []
-    original = verify._matrix_form_bounds
+    original = verify.weight_root
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(verify, "_matrix_form_bounds", counted)
+    monkeypatch.setattr(verify, "weight_root", counted)
     assert run_verification(seed=5, count=4).passed
     assert len(calls) == 4
