@@ -1,7 +1,8 @@
-"""The user-visible outputs, byte for byte, against ``tests/golden/MANIFEST.json``.
+"""The user-visible outputs, byte for byte, against ``tests/golden/MANIFEST.json``
+and the full text of the small outputs in ``tests/golden/``.
 
-``tools/golden.py --write`` rewrites the manifest; a change that does so says
-which output changed and why.
+``tools/golden.py --write`` rewrites the manifest and the small outputs; a
+change that does so says which output changed and why.
 """
 
 import sys
@@ -21,6 +22,25 @@ def test_manifest_covers_the_golden_paths():
     assert list(manifest["sha256"]) == list(golden.GOLDEN)
     assert set(golden.GOLDEN) <= set(golden.PATHS)
     assert manifest["numpy"] and manifest["python"] and manifest["machine"]
+    stored = {p.name for p in Path(golden.GOLDEN_DIR).iterdir()} - {"MANIFEST.json"}
+    assert stored == set(golden.SMALL)
+
+
+def test_a_changed_small_output_is_shown(tmp_path):
+    # A flipped digit in one JSON line and one CSV row of the stored text.
+    result = {}
+    for name in golden.SMALL:
+        result[name] = (Path(golden.GOLDEN_DIR) / name).read_bytes()
+    assert golden.small_problems(result, str(tmp_path)) == []
+    json_name, csv_name = "bounds_planar.json", "sweep_theta_grid11.csv"
+    result[json_name] = result[json_name].replace(b'"c_s": 1', b'"c_s": 2')
+    lines = result[csv_name].splitlines(keepends=True)
+    lines[2] = lines[2].replace(b",0.", b",1.", 1)
+    result[csv_name] = b"".join(lines)
+    problems = "\n".join(golden.small_problems(result, str(tmp_path)))
+    assert f"{json_name}: differs" in problems and '+  "c_s": 2' in problems
+    assert f"{csv_name}: differs" in problems
+    assert "rows differing by at least one byte: 1" in problems
 
 
 def test_outputs_match_the_manifest():

@@ -9,17 +9,25 @@ through ``holevo2q.cli.main`` with stdout captured, the sweeps' ``--out`` CSV
 read back, and ``tools/oracle_values.py`` through ``runpy``.  The sha256 of
 each output is the one ``bench_summary.py`` records for the path.
 
+The SMALL outputs (``bounds`` JSON for four model kinds, the three sweeps at
+``--grid 11``) are kept as full text, one file each in ``tests/golden/``, so
+a reader sees every byte that a change moves.
+
 ``--write`` stores the hashes in ``tests/golden/MANIFEST.json``, with the
 numpy and Python versions, the machine (operating system and architecture,
 recorded only) and, when ``src/`` has no uncommitted change, the commit it
-was written at.  ``--check`` exits 1 if an output differs from the
-manifest; for a differing CSV it also prints the ``tools/sweep_diff.py``
-summary against the CSV that the manifest's commit writes (a ``git archive``
-of its ``src/``).  The floats come from numpy, so under another numpy version
-``--check`` compares nothing and says so.
+was written at; it also rewrites the SMALL files.  ``--check`` exits 1 if
+an output differs from the manifest or from its SMALL file.  For a
+differing hashed CSV it also prints the ``tools/sweep_diff.py`` summary
+against the CSV that the manifest's commit writes (a ``git archive`` of its
+``src/``); for a differing SMALL output it prints the ``sweep_diff.py``
+summary (a CSV) or a unified diff (JSON) against the stored text.  The
+floats come from numpy, so under another numpy version ``--check`` compares
+nothing and says so.
 """
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -35,16 +43,37 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-MANIFEST = os.path.join(ROOT, "tests", "golden", "MANIFEST.json")
+GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
+MANIFEST = os.path.join(GOLDEN_DIR, "MANIFEST.json")
 PERFBENCH = os.path.realpath(os.path.join(ROOT, "perfbench"))
 
 # The tools directory is on sys.path: it holds this script, and the test adds it.
 import sweep_diff  # noqa: E402
-from bench_summary import MODELS, PATHS, _command, _run  # noqa: E402
+from bench_summary import MODELS, PATHS, WEIGHT, _command, _run  # noqa: E402
 
 GOLDEN = ("bounds", "sweep_weight_53", "sweep_weight_42", "sweep_theta", "classify_grid",
           "verify", "oracle_values")
 OUT_CSV = "out.csv"  # the sweeps' --out file in PATHS, relative to the working directory
+SMALL_MODELS = {
+    "unitary.json": {"kind": "unitary", "radius": 0.7},
+    "planar.json": {"kind": "planar", "u1": [1, 0, 0], "u2": [0, 0.6, 0.8],
+                    "f1": [[0.1, 0.5], [0.3, 0.2]], "f2": [[0.0, 1.0, 0.2], [0.1, 0.0, 0.0]]},
+    "explicit.json": {"kind": "explicit", "components": [
+        [[0.1, 0.4], [0.2, 0.0]], [[0.0, 0.1], [0.5, 0.1]], [[0.3, 0.0], [0.0, 0.2]]]},
+}
+# {file name in tests/golden/: CLI arguments} of the outputs kept as full text.
+SMALL = {
+    "bounds_generic_z.json": PATHS["bounds"],
+    "bounds_unitary.json": ["bounds", "--model", "unitary.json", "--theta", "1.1,0.6",
+                            "--weight", WEIGHT],
+    "bounds_planar.json": ["bounds", "--model", "planar.json", "--theta", "0.3,-0.2",
+                           "--weight", WEIGHT],
+    "bounds_explicit.json": ["bounds", "--model", "explicit.json", "--theta", "0.2,0.3",
+                             "--weight", WEIGHT],
+    "sweep_weight_53_grid11.csv": [*PATHS["sweep_weight_53"], "--grid", "11"],
+    "sweep_weight_42_grid11.csv": [*PATHS["sweep_weight_42"], "--grid", "11"],
+    "sweep_theta_grid11.csv": [*PATHS["sweep_theta"], "--grid", "11"],
+}
 
 
 def _run_script(script: str, args) -> None:
@@ -62,28 +91,30 @@ def _run_script(script: str, args) -> None:
                 del sys.modules[name]
 
 
-def outputs(work: str) -> dict:
-    """{path: output bytes} of the GOLDEN paths, with the model files and the
-    sweeps' CSV in the directory ``work``."""
+def outputs(work: str, paths=None) -> dict:
+    """{name: output bytes} of ``paths`` ({name: CLI arguments}; by default the
+    GOLDEN paths), with the model files and the sweeps' CSV in the directory
+    ``work``."""
     from holevo2q.cli import main
 
-    for filename, desc in MODELS.items():
+    models = {**MODELS, **SMALL_MODELS}
+    for filename, desc in models.items():
         with open(os.path.join(work, filename), "w", encoding="utf-8") as fh:
             json.dump(desc, fh)
     out_csv = os.path.join(work, OUT_CSV)
     result = {}
-    for path in GOLDEN:
-        args = [os.path.join(work, a) if a in MODELS or a == OUT_CSV else a for a in PATHS[path]]
+    for name, path_args in (paths or {path: PATHS[path] for path in GOLDEN}).items():
+        args = [os.path.join(work, a) if a in models or a == OUT_CSV else a for a in path_args]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             if args[0].endswith(".py"):
                 _run_script(os.path.join(HERE, args[0]), args[1:])
             elif main(args) != 0:
-                raise RuntimeError(f"{path}: holevo2q {' '.join(args)} failed")
-        result[path] = stdout.getvalue().encode()
+                raise RuntimeError(f"{name}: holevo2q {' '.join(args)} failed")
+        result[name] = stdout.getvalue().encode()
         if os.path.exists(out_csv):
             with open(out_csv, "rb") as fh:
-                result[path] = fh.read()
+                result[name] = fh.read()
             os.remove(out_csv)
     return result
 
@@ -110,16 +141,25 @@ def load_manifest() -> dict:
         return json.load(fh)
 
 
+def _all_paths() -> dict:
+    """{name: CLI arguments} of the GOLDEN paths and the SMALL outputs."""
+    return {**{path: PATHS[path] for path in GOLDEN}, **SMALL}
+
+
 def write_manifest() -> dict:
     with tempfile.TemporaryDirectory() as work:
-        hashes = {path: _sha256(data) for path, data in outputs(work).items()}
+        result = outputs(work, _all_paths())
+    hashes = {path: _sha256(result[path]) for path in GOLDEN}
     manifest = {"numpy": np.__version__, "python": platform.python_version(),
                 "machine": f"{platform.system()} {platform.machine()}",
                 "commit": _clean_commit(), "sha256": hashes}
-    os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+    for name in SMALL:
+        with open(os.path.join(GOLDEN_DIR, name), "wb") as fh:
+            fh.write(result[name])
     return manifest
 
 
@@ -129,6 +169,18 @@ def version_mismatch(manifest: dict):
     if manifest["numpy"] != here:
         return f"manifest written under numpy {manifest['numpy']}, running numpy {here}"
     return None
+
+
+def _sweep_summary(old: bytes, new: bytes, work: str) -> str:
+    """``sweep_diff.py`` summary of the CSV ``new`` against the CSV ``old``."""
+    files = os.path.join(work, "golden.csv"), os.path.join(work, "new.csv")
+    for name, data in zip(files, (old, new)):
+        with open(name, "wb") as fh:
+            fh.write(data)
+    summary = io.StringIO()
+    with contextlib.redirect_stdout(summary):
+        sweep_diff.main(["sweep_diff.py", *files])
+    return summary.getvalue().rstrip()
 
 
 def _column_diff(commit, path: str, new: bytes, work: str) -> str:
@@ -145,34 +197,60 @@ def _column_diff(commit, path: str, new: bytes, work: str) -> str:
         _run(_command(PATHS[path], tree), tree, work)
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         return f"  no column diff: the CSV of {commit} could not be made ({exc})"
-    old, new_csv = os.path.join(work, "golden.csv"), os.path.join(work, "new.csv")
-    os.replace(os.path.join(work, OUT_CSV), old)
-    with open(new_csv, "wb") as fh:
-        fh.write(new)
-    summary = io.StringIO()
-    with contextlib.redirect_stdout(summary):
-        sweep_diff.main(["sweep_diff.py", old, new_csv])
-    return summary.getvalue().rstrip()
+    with open(os.path.join(work, OUT_CSV), "rb") as fh:
+        old = fh.read()
+    os.remove(os.path.join(work, OUT_CSV))
+    return _sweep_summary(old, new, work)
+
+
+def small_problems(result: dict, work: str) -> list:
+    """For each SMALL output in ``result`` that differs from its file in
+    ``tests/golden/``, a line naming it, then the ``sweep_diff.py`` summary
+    (a CSV) or a unified diff (JSON) of the stored text to the new one."""
+    problems = []
+    for name in SMALL:
+        stored_path = os.path.join(GOLDEN_DIR, name)
+        if not os.path.exists(stored_path):
+            problems.append(f"{name}: tests/golden/{name} is missing")
+            continue
+        with open(stored_path, "rb") as fh:
+            stored = fh.read()
+        new = result[name]
+        if new == stored:
+            continue
+        problems.append(f"{name}: differs from tests/golden/{name}")
+        if name.endswith(".csv"):
+            problems.append(_sweep_summary(stored, new, work))
+        else:
+            problems.extend(difflib.unified_diff(
+                stored.decode().splitlines(), new.decode().splitlines(),
+                f"tests/golden/{name}", "now", lineterm=""))
+    return problems
 
 
 def check(manifest: dict) -> list:
-    """One line per output whose sha256 differs from the manifest, each CSV's
-    followed by its column diff; empty when every output matches."""
+    """One line per GOLDEN output whose sha256 differs from the manifest, each
+    CSV's followed by its column diff, then ``small_problems``; empty when
+    every output matches."""
     problems = []
     with tempfile.TemporaryDirectory() as work:
-        for path, data in outputs(work).items():
-            got, expected = _sha256(data), manifest["sha256"].get(path)
+        result = outputs(work, _all_paths())
+        for path in GOLDEN:
+            got, expected = _sha256(result[path]), manifest["sha256"].get(path)
             if got != expected:
                 problems.append(f"{path}: sha256 {got}, manifest {expected}")
                 if OUT_CSV in PATHS[path]:
-                    problems.append(_column_diff(manifest.get("commit"), path, data, work))
+                    problems.append(_column_diff(manifest.get("commit"), path, result[path],
+                                                 work))
+        problems.extend(small_problems(result, work))
     return problems
 
 
 def main(argv) -> int:
     if argv[1:] == ["--write"]:
         manifest = write_manifest()
-        print(f"golden: wrote {len(manifest['sha256'])} hashes to {MANIFEST}")
+        print(f"golden: wrote {len(manifest['sha256'])} hashes to {MANIFEST} "
+              f"and {len(SMALL)} small outputs to {GOLDEN_DIR}")
         return 0
     if argv[1:] != ["--check"]:
         print(__doc__.strip(), file=sys.stderr)
@@ -183,7 +261,8 @@ def main(argv) -> int:
         print(f"golden: nothing compared: {reason}")
         return 0
     problems = check(manifest)
-    print("\n".join(problems) or f"golden: all {len(manifest['sha256'])} outputs match")
+    count = len(manifest["sha256"]) + len(SMALL)
+    print("\n".join(problems) or f"golden: all {count} outputs match")
     return 1 if problems else 0
 
 
