@@ -65,9 +65,7 @@ __all__ = [
     "holevo_bounds_many",
     "alpha_theta",
     "boundary_weight_family",
-    "boundary_weight_family_many",
     "weight_from_angles",
-    "weight_from_angles_many",
     "holevo_bound_three_param",
 ]
 
@@ -88,13 +86,11 @@ def _require_positive(w11, w12, w22) -> None:
 
 
 def _symmetric_entries(mat):
-    """(w11, w12, w22) of a symmetric positive-definite 2x2 matrix, or of a stack of them."""
+    """(w11, w12, w22) of a symmetric 2x2 matrix, or of a stack of them."""
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (2, 2) or np.count_nonzero(not_hermitian(m, HERMITIAN_RTOL)):
         raise DomainError("weight matrix must be symmetric 2x2")
-    w11, w12, w22 = m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1]
-    _require_positive(w11, w12, w22)
-    return w11, w12, w22
+    return m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1]
 
 
 def _where(cond, a, b):
@@ -103,18 +99,26 @@ def _where(cond, a, b):
 
 
 class WeightMatrix(Record):
-    """Real symmetric positive-definite 2x2 cost weight."""
+    """Real symmetric positive-definite 2x2 cost weight, or a stack of them.
+
+    Entries are floats (one weight) or arrays broadcast to one shape (a stack;
+    ``matrix`` is then (..., 2, 2)).  Each weight is checked here, once, and
+    the kernel takes the record as it is.  As for a stacked
+    :class:`~holevo2q.fisher.FisherBundle`, a stack has no equality or hash.
+    """
 
     w11: float
     w12: float
     w22: float
 
     def __post_init__(self):
-        for name in ("w11", "w12", "w22"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         w = self.w11, self.w12, self.w22
+        stack = any(getattr(x, "ndim", 0) for x in w)  # 0-d arrays are one weight
+        w = np.broadcast_arrays(*(np.asarray(x, float) for x in w)) if stack else [*map(float, w)]
+        for name, x in zip(self._fields, w):
+            object.__setattr__(self, name, x)
         # The usual valid weight in plain floats; _require_positive raises the errors.
-        if not (w[0] > 0.0 and _det(*w) > 0.0 and math.isfinite(sum(w))):
+        if stack or not (w[0] > 0.0 and _det(*w) > 0.0 and math.isfinite(sum(w))):
             _require_positive(*w)
 
     @property
@@ -123,7 +127,7 @@ class WeightMatrix(Record):
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.w11, self.w12], [self.w12, self.w22]])
+        return stack_last([[self.w11, self.w12], [self.w12, self.w22]], 2)
 
     @classmethod
     def from_matrix(cls, mat) -> WeightMatrix:
@@ -211,15 +215,14 @@ def trabs_from_root(w_half: np.ndarray, xm: np.ndarray):
     return float(sums) if sums.ndim == 0 else sums
 
 
-def holevo_bounds_many(fb: FisherBundle, w11, w12, w22) -> BoundsReport:
+def holevo_bounds_many(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
     """The explicit formula of the module docstring, elementwise over the
     points of ``fb`` (one, or a stack from ``fisher_bundle_many``) broadcast
-    against the entries of positive-definite weights: a grid of weights at
-    one point, or of points at one weight.  Each report field is an array
-    over the cells (``branch`` of ``Branch`` values: the sign of B outside a
-    relative band of ``BOUNDARY_RTOL``, where it is ``BOUNDARY``).  Raises
-    DomainError at the first weight that is not finite positive definite."""
-    _require_positive(w11, w12, w22)
+    against the weights of ``w`` (one, or a stack from a weight builder).
+    Both records are checked when built; nothing is checked here.  Each report
+    field is an array over the cells (``branch`` of ``Branch`` values: the sign
+    of B outside a relative band of ``BOUNDARY_RTOL``, where it is ``BOUNDARY``)."""
+    w11, w12, w22 = w.w11, w.w12, w.w22
     det_w = _det(w11, w12, w22)
     sqrt_det_w = np.sqrt(det_w)
     eps = fb.one_minus_s_sq
@@ -262,7 +265,7 @@ def holevo_bounds_many(fb: FisherBundle, w11, w12, w22) -> BoundsReport:
 
 def holevo_bound(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
     """:func:`holevo_bounds_many` at one point and one weight."""
-    r = holevo_bounds_many(fb, w.w11, w.w12, w.w22)
+    r = holevo_bounds_many(fb, w)
     values = map(float, (r.c_s, r.c_r, r.c_z, r.c_n, r.c_h, r.s_correction))
     return BoundsReport(*values, Branch(str(r.branch)), float(r.b_value), r.xi_star)
 
@@ -284,10 +287,11 @@ def alpha_theta(fb: FisherBundle) -> float:
     return fb.one_minus_s_sq * abs(fb.triple_product) / float(r @ r)
 
 
-def boundary_weight_family_many(fb: FisherBundle, w, w2, c: float = 1.0):
-    """(w11, w12, w22) of c U [[1, a w w2], [a w w2, a^2 w2^2]] U^T, a = alpha_theta,
-    over broadcast arrays w, w2; U is the rotation built from gamma.  The
-    weight's branch is RLD, BOUNDARY or CORRECTION as w^2 + w2^2 <, =, > 1."""
+def boundary_weight_family(fb: FisherBundle, w, w2, c: float = 1.0) -> WeightMatrix:
+    """c U [[1, a w w2], [a w w2, a^2 w2^2]] U^T, a = alpha_theta, U the rotation
+    built from gamma: one weight for floats w, w2, a stack for broadcast
+    arrays.  The weight's branch is RLD, BOUNDARY or CORRECTION as
+    w^2 + w2^2 <, =, > 1."""
     w, w2 = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(w2, dtype=float))
     checks = [
         (~(np.abs(w) < 1.0), DomainError, "require |w| < 1 for positive definiteness"),
@@ -303,18 +307,13 @@ def boundary_weight_family_many(fb: FisherBundle, w, w2, c: float = 1.0):
     u = np.array([[g1, -g2], [g2, g1]]) / norm
     off = alpha * w * w2
     core = stack_last([[np.ones_like(off), off], [off, alpha * alpha * (w2 * w2)]], 2)
-    return _symmetric_entries(c * (u @ core @ u.T))
+    return WeightMatrix.from_matrix(c * (u @ core @ u.T))
 
 
-def boundary_weight_family(fb: FisherBundle, w: float, w2: float, c: float = 1.0) -> WeightMatrix:
-    """:func:`boundary_weight_family_many` at one (w, w2)."""
-    return WeightMatrix(*boundary_weight_family_many(fb, w, w2, c))
-
-
-def weight_from_angles_many(w, omega):
-    """(w11, w12, w22) of the trace-one R(omega) diag((1+w)/2, (1-w)/2) R(omega)^T
-    over broadcast arrays: w in (-1, 1) sets the eigenvalue split
-    (det W = (1-w^2)/4), omega rotates the eigenbasis."""
+def weight_from_angles(w, omega) -> WeightMatrix:
+    """The trace-one R(omega) diag((1+w)/2, (1-w)/2) R(omega)^T: one weight for
+    floats, a stack for broadcast arrays.  w in (-1, 1) sets the eigenvalue
+    split (det W = (1-w^2)/4), omega rotates the eigenbasis."""
     w, omega = np.asarray(w, dtype=float), np.asarray(omega, dtype=float)
     message = "weight parameter w = {} must lie in (-1, 1)"
     raise_first([(~((-1.0 < w) & (w < 1.0)), DomainError, lambda i: message.format(w.flat[i]))])
@@ -322,12 +321,7 @@ def weight_from_angles_many(w, omega):
     rot = stack_last([[cos, -sin], [sin, cos]], 2)
     zero = np.zeros_like(w)
     core = stack_last([[0.5 * (1.0 + w), zero], [zero, 0.5 * (1.0 - w)]], 2)
-    return _symmetric_entries(rot @ core @ np.swapaxes(rot, -1, -2))
-
-
-def weight_from_angles(w: float, omega: float) -> WeightMatrix:
-    """:func:`weight_from_angles_many` at one (w, omega)."""
-    return WeightMatrix(*weight_from_angles_many(w, omega))
+    return WeightMatrix.from_matrix(rot @ core @ np.swapaxes(rot, -1, -2))
 
 
 def holevo_bound_three_param(m3: BlochModelPoint3, w3) -> float:

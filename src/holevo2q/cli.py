@@ -17,12 +17,12 @@ printed to 17 significant digits, and the header carries a schema version.
 A sweep is one batched pass over its whole grid, with no per-cell Python
 loop: sweep-theta maps the cells through the family's ``evaluate_many``
 (dropping cells outside the domain or the mixed-state disk) and
-``fisher_bundle_many``; sweep-weight builds every weight with
-``weight_from_angles_many`` or ``boundary_weight_family_many`` at one
-``fisher_bundle``.  ``holevo_bounds_many`` then evaluates all cells at
-once, and ``_emit_csv`` formats each row with one %-format and writes the
-file in one call.  Invalid input raises what a cell-by-cell loop would
-raise first.
+``fisher_bundle_many``; sweep-weight builds every weight as one stacked
+``WeightMatrix`` with ``weight_from_angles`` or ``boundary_weight_family``
+at one ``fisher_bundle``.  Each weight is checked once, when its record is
+built.  ``holevo_bounds_many`` then evaluates all cells at once, and
+``_emit_csv`` formats each row with one %-format and writes the file in one
+call.  Invalid input raises what a cell-by-cell loop would raise first.
 
 Imports are lazy per subcommand: ``classify`` loads :mod:`holevo2q.classify`
 and ``verify`` the oracle and the verification suite inside their command
@@ -42,12 +42,7 @@ import sys
 
 import numpy as np
 
-from .bounds import (
-    WeightMatrix,
-    boundary_weight_family_many,
-    holevo_bounds_many,
-    weight_from_angles_many,
-)
+from .bounds import WeightMatrix, boundary_weight_family, holevo_bounds_many, weight_from_angles
 from .errors import DomainError, ModelError
 from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from .models import load_model
@@ -90,7 +85,7 @@ def _parse_weight(text: str) -> WeightMatrix:
 
 def _bounds_record(fb: FisherBundle, weight: WeightMatrix) -> dict:
     """The bound columns and the optimal offset ``xi_star`` at one point."""
-    report = holevo_bounds_many(fb, weight.w11, weight.w12, weight.w22)
+    report = holevo_bounds_many(fb, weight)
     record = {name: np.asarray(get(fb, report)).tolist() for name, _, get in _COLUMNS}
     return {**record, "xi_star": report.xi_star.tolist()}
 
@@ -173,12 +168,12 @@ def cmd_sweep_weight(args) -> int:
     if args.weight_family == "53":
         second = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         coords = ["w", "omega"]
-        weights = weight_from_angles_many(*_grid(first, second))
+        weights = weight_from_angles(*_grid(first, second))
     else:  # family "42": boundary-adapted coordinates (w, w2)
         second = np.linspace(args.w2_min, args.w2_max, n)
         coords = ["w", "w2"]
-        weights = boundary_weight_family_many(fb, *_grid(first, second))
-    report = holevo_bounds_many(fb, *weights)
+        weights = boundary_weight_family(fb, *_grid(first, second))
+    report = holevo_bounds_many(fb, weights)
     _emit_csv(args.out, "sweep-weight", coords, (first, second), fb, report)
     return 0
 
@@ -200,7 +195,7 @@ def cmd_sweep_theta(args) -> int:
     axes = (_axis(*dom.theta1), _axis(*dom.theta2))
     s, d1, d2, usable = _usable_rows(family, axes)
     fb = fisher_bundle_many(s, d1, d2)
-    report = holevo_bounds_many(fb, weight.w11, weight.w12, weight.w22)
+    report = holevo_bounds_many(fb, weight)
     _emit_csv(args.out, "sweep-theta", ["theta1", "theta2"], axes, fb, report, usable)
     return 0
 

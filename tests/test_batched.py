@@ -17,11 +17,9 @@ import pytest
 from holevo2q.bounds import (
     WeightMatrix,
     boundary_weight_family,
-    boundary_weight_family_many,
     holevo_bound,
     holevo_bounds_many,
     weight_from_angles,
-    weight_from_angles_many,
 )
 from holevo2q.cli import BOUND_COLUMNS, main
 from holevo2q.errors import DegenerateModelError, DomainError, ModelError, PureStateError
@@ -103,7 +101,7 @@ def test_evaluate_many_and_bounds_match_one_point_calls(name):
         assert_same_bits(getattr(fbm, name), [getattr(fb, name) for fb in bundles])
     assert fbm.d_invariant.tolist() == [fb.d_invariant for fb in bundles]
     assert fbm.asymptotically_classical.tolist() == [fb.asymptotically_classical for fb in bundles]
-    rep = holevo_bounds_many(fbm, W.w11, W.w12, W.w22)
+    rep = holevo_bounds_many(fbm, W)
     assert_same_reports(rep, [holevo_bound(fb, W) for fb in bundles])
     scal = bloch_scalars_many(s[usable], d1[usable], d2[usable])
     assert_same_bits(scal.perp_quadratic, [bloch_scalars(p).perp_quadratic for _, p in kept])
@@ -126,15 +124,15 @@ def test_weight_families_match_one_point_calls(weights):
     first = np.repeat(np.linspace(-0.99, 0.99, 11), 11)
     second = np.tile(np.linspace(0.05, 6.2, 11), 11)
     if weights == "53":
-        many = weight_from_angles_many(first, second)
+        many = weight_from_angles(first, second)
         ones = [weight_from_angles(a, b) for a, b in zip(first, second)]
     else:
         second = second / 3.2
-        many = boundary_weight_family_many(fb, first, second)
+        many = boundary_weight_family(fb, first, second)
         ones = [boundary_weight_family(fb, a, b) for a, b in zip(first, second)]
     for k, name in enumerate(("w11", "w12", "w22")):
-        assert_same_bits(many[k], [getattr(w, name) for w in ones])
-    assert_same_reports(holevo_bounds_many(fb, *many), [holevo_bound(fb, w) for w in ones])
+        assert_same_bits(getattr(many, name), [getattr(w, name) for w in ones])
+    assert_same_reports(holevo_bounds_many(fb, many), [holevo_bound(fb, w) for w in ones])
 
 
 def run_cli(*argv):
@@ -297,7 +295,7 @@ def test_bounds_many_refuses_a_weight_that_is_not_positive_definite():
     ]
     for weight, message in cases:
         with pytest.raises(DomainError, match=message):
-            holevo_bounds_many(fb, *weight)
+            holevo_bounds_many(fb, WeightMatrix(*weight))
     fbm = fisher_bundle_many(*(np.stack([v, v]) for v in (point.s, point.d1s, point.d2s)))
     with pytest.raises(DomainError, match="not positive definite"):
-        holevo_bounds_many(fbm, -1.0, 0.0, -1.0)  # two points at one bad weight
+        holevo_bounds_many(fbm, WeightMatrix(-1.0, 0.0, -1.0))  # two points at one bad weight

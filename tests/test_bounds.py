@@ -6,11 +6,13 @@ C^1 profile H) live here as reference helpers: they exist only to
 cross-check ``holevo_bound``, the one production formula.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from holevo2q import bounds
 from holevo2q.bloch import BlochModelPoint, BlochModelPoint3
 from holevo2q.bounds import (
     BOUNDARY_RTOL,
@@ -25,9 +27,10 @@ from holevo2q.bounds import (
     weight_from_angles,
     weight_root,
 )
+from holevo2q.cli import main
 from holevo2q.errors import DomainError, SpecialModelError
 from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
-from holevo2q.models import Unitary
+from holevo2q.models import GenericZ, Unitary
 from holevo2q.oracle import density_point, minimize_holevo_6d
 from holevo2q.sampling import (
     random_d_invariant_point,
@@ -186,6 +189,30 @@ class TestWeightMatrix:
     def test_matrix_round_trip(self):
         w = WeightMatrix(2.0, 0.5, 1.0)
         assert np.allclose(WeightMatrix.from_matrix(w.matrix).matrix, w.matrix)
+
+
+def test_each_weight_is_admitted_once(tmp_path, monkeypatch):
+    # WeightMatrix checks a weight once (a valid float weight on its fast
+    # path); the kernel takes the record as it is.
+    calls = []
+    original = bounds._require_positive
+    monkeypatch.setattr(bounds, "_require_positive", lambda *w: calls.append(w) or original(*w))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "generic_z", "theta0": 0.2}))
+    sweep = ["--model", str(model), "--grid", "5", "--out", str(tmp_path / "out.csv")]
+    sweep_weight = ["sweep-weight", *sweep, "--theta", "0.2447,0.2447", "--weight-family"]
+
+    def admissions(argv):
+        calls.clear()
+        assert main(argv) == 0
+        return len(calls)
+
+    holevo_bound(fisher_bundle(GenericZ(0.2).evaluate((0.2447, 0.2447))),
+                 WeightMatrix(0.55, 0.1, 0.45))
+    assert len(calls) == 0
+    assert admissions([*sweep_weight, "53"]) == 1
+    assert admissions([*sweep_weight, "42"]) == 1
+    assert admissions(["sweep-theta", *sweep, "--weight", "0.55,0.1,0.45"]) == 0
 
 
 class TestTrAbs:
