@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 import numpy as np
 
@@ -74,15 +75,19 @@ def _det(w11, w12, w22):
 
 
 def _require_positive(w11, w12, w22) -> None:
-    """DomainError for the first weight that is not finite positive definite."""
+    """DomainError for the first weight that is not finite positive definite, or
+    whose w11 w22 and w12^2 underflow, so that det W cannot be resolved in floats."""
 
-    def indefinite(i):
+    def matrix(i):
         a, b, c = (x.flat[i] for x in np.broadcast_arrays(w11, w12, w22))
-        return f"weight matrix [[{a}, {b}], [{b}, {c}]] is not positive definite"
+        return f"weight matrix [[{a}, {b}], [{b}, {c}]]"
 
     finite = np.isfinite(w11) & np.isfinite(w12) & np.isfinite(w22)
+    tiny = (w11 > 0.0) & (w22 > 0.0) & (np.maximum(w11 * w22, w12 * w12) < sys.float_info.min)
     raise_first([(~finite, DomainError, "weight matrix entries must be finite"),
-                 ((w11 <= 0.0) | (_det(w11, w12, w22) <= 0.0), DomainError, indefinite)])
+                 (tiny, DomainError, lambda i: f"{matrix(i)}: det W cannot be resolved in floats"),
+                 ((w11 <= 0.0) | (_det(w11, w12, w22) <= 0.0), DomainError,
+                  lambda i: f"{matrix(i)} is not positive definite")])
 
 
 def _symmetric_entries(mat):
@@ -118,7 +123,8 @@ class WeightMatrix(Record):
         for name, x in zip(self._fields, w):
             object.__setattr__(self, name, x)
         # The usual valid weight in plain floats; _require_positive raises the errors.
-        if stack or not (w[0] > 0.0 and _det(*w) > 0.0 and math.isfinite(sum(w))):
+        if stack or not (w[0] > 0.0 and w[0] * w[2] >= sys.float_info.min and _det(*w) > 0.0
+                         and math.isfinite(sum(w))):
             _require_positive(*w)
 
     @property

@@ -190,6 +190,17 @@ class TestWeightMatrix:
         w = WeightMatrix(2.0, 0.5, 1.0)
         assert np.allclose(WeightMatrix.from_matrix(w.matrix).matrix, w.matrix)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170])
+    def test_rejects_a_weight_whose_det_underflows(self, scale):
+        # w11 w22 is below the smallest normal float: det W is subnormal or 0.
+        message = rf"\[\[{scale}, 0.0\], \[0.0, {scale}\]\]: det W cannot be resolved in floats"
+        with pytest.raises(DomainError, match=message):
+            WeightMatrix(scale, 0.0, scale)
+        with pytest.raises(DomainError, match=message):
+            WeightMatrix.from_matrix(np.array([np.eye(2), scale * np.eye(2)]))
+        with pytest.raises(DomainError, match="is not positive definite"):
+            WeightMatrix(scale, 1.0, scale)  # w12^2 is a normal float: det W < 0 for certain
+
 
 def test_each_weight_is_admitted_once(tmp_path, monkeypatch):
     # WeightMatrix checks a weight once (a valid float weight on its fast

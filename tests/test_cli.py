@@ -458,6 +458,17 @@ def test_bounds_with_overflowing_weight_is_invalid_input(generic_model):
     assert err.startswith("DomainError: c_r is not finite"), err
 
 
+@pytest.mark.parametrize("scale", ["1e-160", "1e-170"])
+def test_bounds_with_underflowing_weight_is_invalid_input(tmp_path, scale):
+    # w11 w22 underflows, so det W cannot be resolved: refused, not printed wrong.
+    (tmp_path / "model.json").write_text(json.dumps({"kind": "generic_z", "theta0": 0.2}))
+    proc = run_python("-W", "default", "-m", "holevo2q.cli", "bounds", "--model", "model.json",
+                      "--theta", "0.2447,0.1", "--weight", f"{scale},0,{scale}", cwd=tmp_path)
+    message = (f"DomainError: weight matrix [[{scale}, 0.0], [0.0, {scale}]]: "
+               "det W cannot be resolved in floats\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
 REFUSED_ARGUMENTS = {
     "sweep_weight_grid_1": (
         ["sweep-weight", "--theta", "0.2,0.1", "--grid", "1"],
