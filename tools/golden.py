@@ -91,10 +91,9 @@ def _run_script(script: str, args) -> None:
                 del sys.modules[name]
 
 
-def outputs(work: str, paths=None) -> dict:
-    """{name: output bytes} of ``paths`` ({name: CLI arguments}; by default the
-    GOLDEN paths), with the model files and the sweeps' CSV in the directory
-    ``work``."""
+def outputs(work: str) -> dict:
+    """{name: output bytes} of the GOLDEN paths and the SMALL outputs, with the
+    model files and the sweeps' CSV in the directory ``work``."""
     from holevo2q.cli import main
 
     models = {**MODELS, **SMALL_MODELS}
@@ -103,7 +102,7 @@ def outputs(work: str, paths=None) -> dict:
             json.dump(desc, fh)
     out_csv = os.path.join(work, OUT_CSV)
     result = {}
-    for name, path_args in (paths or {path: PATHS[path] for path in GOLDEN}).items():
+    for name, path_args in {**{path: PATHS[path] for path in GOLDEN}, **SMALL}.items():
         args = [os.path.join(work, a) if a in models or a == OUT_CSV else a for a in path_args]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
@@ -141,14 +140,9 @@ def load_manifest() -> dict:
         return json.load(fh)
 
 
-def _all_paths() -> dict:
-    """{name: CLI arguments} of the GOLDEN paths and the SMALL outputs."""
-    return {**{path: PATHS[path] for path in GOLDEN}, **SMALL}
-
-
 def write_manifest() -> dict:
     with tempfile.TemporaryDirectory() as work:
-        result = outputs(work, _all_paths())
+        result = outputs(work)
     hashes = {path: _sha256(result[path]) for path in GOLDEN}
     manifest = {"numpy": np.__version__, "python": platform.python_version(),
                 "machine": f"{platform.system()} {platform.machine()}",
@@ -209,11 +203,7 @@ def small_problems(result: dict, work: str) -> list:
     (a CSV) or a unified diff (JSON) of the stored text to the new one."""
     problems = []
     for name in SMALL:
-        stored_path = os.path.join(GOLDEN_DIR, name)
-        if not os.path.exists(stored_path):
-            problems.append(f"{name}: tests/golden/{name} is missing")
-            continue
-        with open(stored_path, "rb") as fh:
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
             stored = fh.read()
         new = result[name]
         if new == stored:
@@ -234,7 +224,7 @@ def check(manifest: dict) -> list:
     every output matches."""
     problems = []
     with tempfile.TemporaryDirectory() as work:
-        result = outputs(work, _all_paths())
+        result = outputs(work)
         for path in GOLDEN:
             got, expected = _sha256(result[path]), manifest["sha256"].get(path)
             if got != expected:
