@@ -9,9 +9,9 @@ through ``holevo2q.cli.main`` with stdout captured, the sweeps' ``--out`` CSV
 read back, and ``tools/oracle_values.py`` through ``runpy``.  The sha256 of
 each output is the one ``bench_summary.py`` records for the path.
 
-The SMALL outputs (``bounds`` JSON for four model kinds, the three sweeps at
-``--grid 11``) are kept as full text, one file each in ``tests/golden/``, so
-a reader sees every byte that a change moves.
+The SMALL outputs (``bounds`` and ``classify --grid 11`` JSON for four model
+kinds, the three sweeps at ``--grid 11``) are kept as full text, one file each
+in ``tests/golden/``, so a reader sees every byte that a change moves.
 
 ``--write`` stores the hashes in ``tests/golden/MANIFEST.json``, with the
 numpy and Python versions, the machine (operating system and architecture,
@@ -49,7 +49,7 @@ PERFBENCH = os.path.realpath(os.path.join(ROOT, "perfbench"))
 
 # The tools directory is on sys.path: it holds this script, and the test adds it.
 import sweep_diff  # noqa: E402
-from bench_summary import MODELS, PATHS, WEIGHT, _command, _run  # noqa: E402
+from bench_summary import MODELS, PATHS, THETA, WEIGHT, _command, _run  # noqa: E402
 
 GOLDEN = ("bounds", "sweep_weight_53", "sweep_weight_42", "sweep_theta", "classify_grid",
           "verify", "oracle_values")
@@ -70,6 +70,14 @@ SMALL = {
                            "--weight", WEIGHT],
     "bounds_explicit.json": ["bounds", "--model", "explicit.json", "--theta", "0.2,0.3",
                              "--weight", WEIGHT],
+    "classify_generic_z.json": ["classify", "--model", "gz02.json", "--theta", THETA,
+                                "--grid", "11"],
+    "classify_unitary.json": ["classify", "--model", "unitary.json", "--theta", "1.1,0.6",
+                              "--grid", "11"],
+    "classify_planar.json": ["classify", "--model", "planar.json", "--theta", "0.3,-0.2",
+                             "--grid", "11"],
+    "classify_explicit.json": ["classify", "--model", "explicit.json", "--theta", "0.2,0.3",
+                               "--grid", "11"],
     "sweep_weight_53_grid11.csv": [*PATHS["sweep_weight_53"], "--grid", "11"],
     "sweep_weight_42_grid11.csv": [*PATHS["sweep_weight_42"], "--grid", "11"],
     "sweep_theta_grid11.csv": [*PATHS["sweep_theta"], "--grid", "11"],
