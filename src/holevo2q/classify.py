@@ -30,7 +30,7 @@ from .bloch import (CLASSIFICATION_RTOL, TANGENCY_RTOL, BlochModelPoint, Record,
                     ell_perp, rld_bloch_vectors)
 from .bounds import WeightMatrix, holevo_bound
 from .errors import AsymptoticallyClassicalLimitError, DomainError, PureStateError
-from .fisher import bloch_scalars, bloch_scalars_many, fisher_bundle, fisher_matrices
+from .fisher import FisherBundle, bloch_scalars_many, fisher_bundle, fisher_matrices
 
 __all__ = [
     "CLASSIFICATION_RTOL",
@@ -53,10 +53,14 @@ class ModelLabel(enum.Enum):
 
 
 class ModelClass(Record):
-    """Classification verdict with the raw diagnostics that produced it.
+    """Classification verdict with the raw diagnostics that produced it, for
+    one point (plain values, ``label`` a :class:`ModelLabel`) or a stack of
+    points (arrays over the rows, ``label`` of the ``ModelLabel`` value
+    strings, as a stacked report's ``branch`` holds ``Branch`` values).
 
     Both flags can hold at once (e.g. at the Bloch-ball origin); the label
-    then reports D-invariance.
+    then reports D-invariance.  As for a stacked
+    :class:`~holevo2q.fisher.FisherBundle`, a stack has no equality or hash.
     """
 
     label: ModelLabel
@@ -66,46 +70,48 @@ class ModelClass(Record):
     triple_product: float
 
 
-def _model_class(d_invariant, asymptotically_classical, gamma, triple_product) -> ModelClass:
-    """The verdict of one point's flags and scalars: D-invariance wins where both flags hold."""
-    label = (ModelLabel.D_INVARIANT if d_invariant else ModelLabel.ASYMPTOTICALLY_CLASSICAL
-             if asymptotically_classical else ModelLabel.GENERIC)
-    return ModelClass(label, d_invariant, asymptotically_classical, gamma, triple_product)
+def _model_class(fb: FisherBundle) -> ModelClass:
+    """The stacked verdict of a bundle's flags: D-invariance wins where both hold."""
+    label = np.where(fb.d_invariant, ModelLabel.D_INVARIANT.value,
+                     np.where(fb.asymptotically_classical,
+                              ModelLabel.ASYMPTOTICALLY_CLASSICAL.value, ModelLabel.GENERIC.value))
+    return ModelClass(label, fb.d_invariant, fb.asymptotically_classical, fb.gamma,
+                      fb.triple_product)
 
 
 def classify_point(m: BlochModelPoint) -> ModelClass:
-    """Classify a mixed model point by the flags of :func:`holevo2q.fisher.bloch_scalars`.
+    """:func:`classify_rows`'s verdict at one mixed model point, in plain values.
 
     Raises :class:`DegenerateModelError` when the derivatives are dependent;
     a singular SLD Fisher matrix is not an error here.
     """
-    fb = bloch_scalars(m)
-    return _model_class(fb.d_invariant, fb.asymptotically_classical, fb.gamma, fb.triple_product)
+    c = _model_class(bloch_scalars_many(m.s, m.d1s, m.d2s))
+    return ModelClass(ModelLabel(str(c.label)), bool(c.d_invariant),
+                      bool(c.asymptotically_classical), c.gamma, float(c.triple_product))
 
 
 class FamilyClassification(Record):
     globally_d_invariant: bool
     radii: np.ndarray
-    point_classes: tuple[ModelClass, ...]
+    point_classes: ModelClass
 
 
 def classify_rows(s, d1, d2) -> FamilyClassification:
-    """:func:`classify_point` of each row of (N, 3) stacks of (s, d1s, d2s), in
-    one :func:`~holevo2q.fisher.bloch_scalars_many` pass that raises what
-    ``classify_point`` raises at the first row that fails.  The rows are
-    globally D-invariant iff |s| is constant over them (relative spread below
-    ``CLASSIFICATION_RTOL``).
+    """The verdicts of the rows of (N, 3) stacks of (s, d1s, d2s), as one
+    stacked :class:`ModelClass`, from one
+    :func:`~holevo2q.fisher.bloch_scalars_many` pass that raises what
+    ``classify_point`` raises at the first row that fails.  Row i has the bits
+    of ``classify_point`` of that row.  The rows are globally D-invariant iff
+    |s| is constant over them (relative spread below ``CLASSIFICATION_RTOL``).
     """
     s = np.asarray(s, dtype=float)
     if not len(s):
         raise DomainError("classification grid is empty")
-    fb = bloch_scalars_many(s, d1, d2)
+    point_classes = _model_class(bloch_scalars_many(s, d1, d2))
     radii = np.sqrt(dot3(s, s))
     spread = float(radii.max() - radii.min())
     globally_d_invariant = spread <= CLASSIFICATION_RTOL * max(float(radii.max()), 1e-300)
-    flags = fb.d_invariant.tolist(), fb.asymptotically_classical.tolist()
-    point_classes = map(_model_class, *flags, fb.gamma, fb.triple_product.tolist())
-    return FamilyClassification(globally_d_invariant, radii, tuple(point_classes))
+    return FamilyClassification(globally_d_invariant, radii, point_classes)
 
 
 def classify_family(family, grid) -> FamilyClassification:

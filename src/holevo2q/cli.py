@@ -224,11 +224,10 @@ def cmd_classify(args) -> int:
         axes = [np.linspace(lo, hi, args.grid + 2)[1:-1] for lo, hi in limits]
         s, d1, d2, _ = _usable_rows(family, axes)
         fam = classify_rows(s, d1, d2)
-        labels = sorted({c.label.value for c in fam.point_classes})
         out["family"] = {
             "globally_d_invariant": fam.globally_d_invariant,
-            "grid_points": len(fam.point_classes),
-            "labels_present": labels,
+            "grid_points": len(fam.radii),
+            "labels_present": sorted(set(fam.point_classes.label.tolist())),
         }
     _require_finite(out)
     print(json.dumps(out, indent=2, allow_nan=False))

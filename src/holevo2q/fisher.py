@@ -22,9 +22,10 @@ Each quantity has one producer:
   and the two special-model flags that ``classify_point`` reports.  p is
   taken in Lagrange form because the equal |n|^2 - k^2 cancels near the
   shell.  ``fisher_bundle_many`` is the same pass with a guard on the
-  singularity of G; it is what every bound reads.  ``bloch_scalars`` and
-  ``fisher_bundle`` are the same pass on one point; without a bundle,
-  ``sld_duals`` runs only its accept/reject half (``_admit``), the one guard.
+  singularity of G; it is what every bound reads.  ``fisher_bundle`` is the
+  same pass on one point, and ``classify_point`` reads the flags of a
+  one-point ``bloch_scalars_many``; without a bundle, ``sld_duals`` runs only
+  its accept/reject half (``_admit``), the one guard.
 * ``fisher_matrices`` builds G, G~, their inverses, the SLD duals and Z.
   Only the verification suite, the oracle's reduced search, the tests and
   ``classify.pure_limit_duals`` / ``pure_limit_rld_inverse`` read them.
@@ -41,7 +42,6 @@ from .errors import DegenerateModelError, DomainError, PureStateError, raise_fir
 __all__ = [
     "FisherBundle",
     "FisherMatrices",
-    "bloch_scalars",
     "bloch_scalars_many",
     "fisher_bundle",
     "fisher_bundle_many",
@@ -146,27 +146,19 @@ def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
     )
 
 
-def _one(fb: FisherBundle, m: BlochModelPoint) -> FisherBundle:
-    return FisherBundle(
-        m, fb.gram, fb.radial, float(fb.triple_product), float(fb.perp_quadratic), fb.gamma,
-        float(fb.one_minus_s_sq), bool(fb.d_invariant), bool(fb.asymptotically_classical),
-    )
-
-
 def fisher_bundle_many(s, d1, d2) -> FisherBundle:
     """:func:`bloch_scalars_many` of rows whose SLD Fisher matrix is
     invertible: the input of every bound."""
     return bloch_scalars_many(s, d1, d2, invertible=True)
 
 
-def bloch_scalars(m: BlochModelPoint) -> FisherBundle:
-    """:func:`bloch_scalars_many` of one point."""
-    return _one(bloch_scalars_many(m.s, m.d1s, m.d2s), m)
-
-
 def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
     """:func:`fisher_bundle_many` of one point."""
-    return _one(fisher_bundle_many(m.s, m.d1s, m.d2s), m)
+    fb = fisher_bundle_many(m.s, m.d1s, m.d2s)
+    return FisherBundle(
+        m, fb.gram, fb.radial, float(fb.triple_product), float(fb.perp_quadratic), fb.gamma,
+        float(fb.one_minus_s_sq), bool(fb.d_invariant), bool(fb.asymptotically_classical),
+    )
 
 
 class FisherMatrices(Record):

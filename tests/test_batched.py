@@ -23,7 +23,7 @@ from holevo2q.bounds import (
 )
 from holevo2q.cli import BOUND_COLUMNS, main
 from holevo2q.errors import DegenerateModelError, DomainError, ModelError, PureStateError
-from holevo2q.fisher import bloch_scalars, bloch_scalars_many, fisher_bundle, fisher_bundle_many
+from holevo2q.fisher import bloch_scalars_many, fisher_bundle, fisher_bundle_many
 from holevo2q.models import Domain, Explicit, GenericZ, Planar, Poly2D, Unitary, load_model
 
 W = WeightMatrix(0.55, 0.1, 0.45)
@@ -104,7 +104,8 @@ def test_evaluate_many_and_bounds_match_one_point_calls(name):
     rep = holevo_bounds_many(fbm, W)
     assert_same_reports(rep, [holevo_bound(fb, W) for fb in bundles])
     scal = bloch_scalars_many(s[usable], d1[usable], d2[usable])
-    assert_same_bits(scal.perp_quadratic, [bloch_scalars(p).perp_quadratic for _, p in kept])
+    ones = [bloch_scalars_many(p.s, p.d1s, p.d2s) for _, p in kept]
+    assert_same_bits(scal.perp_quadratic, [one.perp_quadratic for one in ones])
 
 
 def test_generic_z_grid_skips_shell_and_outside_cells():
@@ -130,7 +131,7 @@ def test_weight_families_match_one_point_calls(weights):
         second = second / 3.2
         many = boundary_weight_family(fb, first, second)
         ones = [boundary_weight_family(fb, a, b) for a, b in zip(first, second)]
-    for k, name in enumerate(("w11", "w12", "w22")):
+    for name in ("w11", "w12", "w22"):
         assert_same_bits(getattr(many, name), [getattr(w, name) for w in ones])
     assert_same_reports(holevo_bounds_many(fb, many), [holevo_bound(fb, w) for w in ones])
 
@@ -251,7 +252,7 @@ def test_batch_raises_for_the_first_offending_row():
         stacks = [np.array([row[k] for row in rows], dtype=float) for k in range(3)]
         with pytest.raises(exc, match=message):
             fisher_bundle_many(*stacks)
-    # Without the SLD guard a singular G is admitted, as bloch_scalars admits it.
+    # Without the SLD guard a singular G is admitted, as classify_point admits it.
     bloch_scalars_many(*(np.array([row[k] for row in [singular]]) for k in range(3)))
 
 

@@ -8,9 +8,11 @@ import pytest
 from holevo2q.bloch import CLASSIFICATION_RTOL, BlochModelPoint, rld_bloch_vectors
 from holevo2q.bounds import WeightMatrix, holevo_bound
 from holevo2q.classify import (
+    ModelClass,
     ModelLabel,
     classify_family,
     classify_point,
+    classify_rows,
     pure_limit_duals,
     pure_limit_holevo,
     pure_limit_rld_inverse,
@@ -151,6 +153,17 @@ class TestOneScalarPass:
             fisher_bundle(m)
 
 
+def assert_rows_are_point_verdicts(stack, points):
+    """Row i of the stacked ModelClass has the bits of classify_point(points[i])."""
+    assert len(stack.label) == len(points)
+    for i, want in enumerate(map(classify_point, points)):
+        assert (ModelLabel(stack.label[i]), stack.d_invariant[i],
+                stack.asymptotically_classical[i]) == (
+            want.label, want.d_invariant, want.asymptotically_classical)
+        assert stack.gamma[i].tobytes() == want.gamma.tobytes()
+        assert stack.triple_product[i].tobytes() == np.float64(want.triple_product).tobytes()
+
+
 class TestClassifyFamily:
     def test_unitary_family_globally_d_invariant(self):
         fam = Unitary(radius=0.8)
@@ -158,17 +171,17 @@ class TestClassifyFamily:
         grid = [(a, b) for a in ts for b in ts]
         rep = classify_family(fam, grid)
         assert rep.globally_d_invariant
-        assert all(c.d_invariant for c in rep.point_classes)
+        assert rep.point_classes.d_invariant.all()
 
     def test_fixed_height_family_not_global(self):
         fam = GenericZ(0.35)
         grid = [(0.1, 0.2), (0.0, 0.0), (0.3, 0.1), (0.0, 0.4)]
         rep = classify_family(fam, grid)
         assert not rep.globally_d_invariant
-        labels = [c.label for c in rep.point_classes]
-        assert labels[0] is ModelLabel.GENERIC
-        assert labels[1] is ModelLabel.D_INVARIANT  # the origin
-        assert labels[3] is ModelLabel.GENERIC  # single-axis point
+        labels = rep.point_classes.label
+        assert labels[0] == ModelLabel.GENERIC.value
+        assert labels[1] == ModelLabel.D_INVARIANT.value  # the origin
+        assert labels[3] == ModelLabel.GENERIC.value  # single-axis point
 
     def test_empty_grid_is_a_domain_error(self):
         with pytest.raises(DomainError, match="empty"):
@@ -178,7 +191,7 @@ class TestClassifyFamily:
         fam = Planar(u1=XHAT, u2=YHAT)
         grid = [(0.1, 0.2), (0.3, -0.1), (-0.2, 0.4)]
         rep = classify_family(fam, grid)
-        assert all(c.asymptotically_classical for c in rep.point_classes)
+        assert rep.point_classes.asymptotically_classical.all()
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.kind)
     def test_bit_identical_to_per_point_definition(self, fam):
@@ -190,12 +203,18 @@ class TestClassifyFamily:
         points = [fam.evaluate(theta) for theta in grid]
         radii = np.array([np.linalg.norm(p.s) for p in points])
         assert rep.radii.tobytes() == radii.tobytes()
-        for got, want in zip(rep.point_classes, [classify_point(p) for p in points], strict=True):
-            assert (got.label, got.d_invariant, got.asymptotically_classical) == (
-                want.label, want.d_invariant, want.asymptotically_classical)
-            assert got.gamma.tobytes() == want.gamma.tobytes()
-            assert np.float64(got.triple_product).tobytes() == np.float64(
-                want.triple_product).tobytes()
+        assert_rows_are_point_verdicts(rep.point_classes, points)
+
+    def test_rows_are_one_stacked_verdict(self):
+        # Interior points of every family kind: all three labels occur.
+        points = [fam.evaluate((np.mean(fam.domain.theta1) + a, np.mean(fam.domain.theta2) + b))
+                  for fam in FAMILIES for a in (0.0, 0.1) for b in (0.0, -0.2)]
+        s, d1, d2 = (np.array([getattr(p, name) for p in points]) for name in ("s", "d1s", "d2s"))
+        stack = classify_rows(s, d1, d2).point_classes
+        assert type(stack) is ModelClass
+        assert [len(v) for v in stack._values()] == [len(points)] * len(ModelClass._fields)
+        assert set(stack.label.tolist()) == {label.value for label in ModelLabel}
+        assert_rows_are_point_verdicts(stack, points)
 
     @pytest.mark.parametrize("fam, bad", [
         (GenericZ(0.35), (2.0, 0.0)),              # outside the domain
