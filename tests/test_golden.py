@@ -43,12 +43,19 @@ def test_a_changed_small_output_is_shown(tmp_path):
     assert "rows differing by at least one byte: 1" in problems
 
 
-def test_outputs_match_the_manifest():
+@pytest.fixture(scope="module")
+def computed(tmp_path_factory):
+    """(holevo2q.oracle before the run, the golden outputs), computed once."""
+    oracle = sys.modules["holevo2q.oracle"]
+    return oracle, golden.outputs(str(tmp_path_factory.mktemp("golden")))
+
+
+def test_outputs_match_the_manifest(computed):
     manifest = golden.load_manifest()
     reason = golden.version_mismatch(manifest)
     if reason:
         pytest.skip(reason)
-    problems = golden.check(manifest)
+    problems = golden.check(manifest, computed[1])
     assert not problems, "\n".join(problems)
 
 
@@ -58,10 +65,9 @@ def test_another_numpy_version_names_both():
     assert golden.version_mismatch({"numpy": golden.np.__version__}) is None
 
 
-def test_outputs_leave_no_perfbench_module_loaded(tmp_path):
+def test_outputs_leave_no_perfbench_module_loaded(computed):
     # oracle_values imports perfbench's run, checks and tracer as top-level
     # modules; holevo2q's modules stay, so no second copy of a class is built.
-    oracle = sys.modules["holevo2q.oracle"]
-    golden.outputs(str(tmp_path))
+    oracle = computed[0]
     assert not {"run", "checks", "tracer"} & set(sys.modules)
     assert sys.modules["holevo2q.oracle"] is oracle

@@ -226,13 +226,12 @@ def small_problems(result: dict, work: str) -> list:
     return problems
 
 
-def check(manifest: dict) -> list:
-    """One line per GOLDEN output whose sha256 differs from the manifest, each
-    CSV's followed by its column diff, then ``small_problems``; empty when
-    every output matches."""
+def check(manifest: dict, result: dict) -> list:
+    """One line per GOLDEN output of ``result`` (from :func:`outputs`) whose
+    sha256 differs from the manifest, each CSV's followed by its column diff,
+    then ``small_problems``; empty when every output matches."""
     problems = []
     with tempfile.TemporaryDirectory() as work:
-        result = outputs(work)
         for path in GOLDEN:
             got, expected = _sha256(result[path]), manifest["sha256"].get(path)
             if got != expected:
@@ -258,7 +257,8 @@ def main(argv) -> int:
     if reason:
         print(f"golden: nothing compared: {reason}")
         return 0
-    problems = check(manifest)
+    with tempfile.TemporaryDirectory() as work:
+        problems = check(manifest, outputs(work))
     count = len(manifest["sha256"]) + len(SMALL)
     print("\n".join(problems) or f"golden: all {count} outputs match")
     return 1 if problems else 0
