@@ -37,6 +37,10 @@ class TestModelPoint:
         with pytest.raises(DomainError):
             point([np.nan, 0.0, 0.0])
 
+    def test_rejects_a_vector_that_is_not_3d(self):
+        with pytest.raises(DomainError, match=r"s must be a real 3-vector, got shape \(2,\)"):
+            point([0.1, 0.2])
+
     def test_pure_shell_constructs_but_is_not_mixed(self):
         p = point(ZHAT)
         assert not p.is_mixed

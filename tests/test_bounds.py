@@ -186,6 +186,10 @@ class TestWeightMatrix:
         with pytest.raises(DomainError):
             WeightMatrix(-1.0, 0.0, 1.0)
 
+    def test_rejects_a_non_positive_scale(self):
+        with pytest.raises(DomainError, match="weight scale factor must be positive"):
+            WeightMatrix.identity().scaled(-1.0)
+
     def test_matrix_round_trip(self):
         w = WeightMatrix(2.0, 0.5, 1.0)
         assert np.allclose(WeightMatrix.from_matrix(w.matrix).matrix, w.matrix)

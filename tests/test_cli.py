@@ -355,6 +355,7 @@ MALFORMED_MODELS = {
     "non_numeric_explicit_component": '{"kind": "explicit", '
                                       '"components": [[[0.1]], [["y"]], [[0.3]]]}',
     "truncated_json": '{"kind": "generic_z", "theta0": 0.',
+    "json_list": '[1, 2]',
 }
 
 

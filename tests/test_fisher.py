@@ -14,6 +14,7 @@ from holevo2q.bloch import (
 from holevo2q.bounds import WeightMatrix
 from holevo2q.errors import (
     DegenerateModelError,
+    DomainError,
     ModelError,
     PureStateError,
     SingularMatrixError,
@@ -52,6 +53,10 @@ class TestInvert2x2:
     def test_singular_raises(self):
         with pytest.raises(DegenerateModelError):
             invert_2x2(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_rejects_a_matrix_that_is_not_2x2(self):
+        with pytest.raises(DomainError, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
+            invert_2x2(np.eye(3))
 
     @pytest.mark.parametrize(
         "m, det",

@@ -224,6 +224,22 @@ class TestDescriptors:
             from_descriptor({"kind": "generic_z"})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Poly2D(np.zeros((2, 2, 2))), "polynomial coefficients must form a 2-d array"),
+    (lambda: Unitary(0.5, axes=np.ones((3, 3))), "axes must form a 3x3 orthogonal matrix"),
+    (lambda: Planar(u1=[1, 0, 0], u2=[1, 0, 0]), "u1 and u2 must be linearly independent"),
+    (lambda: Explicit(func=len, step=0.5), "finite-difference step 0.5 out of range"),
+    (lambda: Explicit.from_polynomials([[[0.1]], [[0.2]]]),
+     "explicit family needs exactly 3 component polynomials"),
+    (lambda: from_descriptor([1, 2]), "model descriptor must be an object with a 'kind' key"),
+], ids=["poly_3d", "unitary_axes", "planar_parallel", "explicit_step", "explicit_two",
+        "descriptor_list"])
+def test_malformed_family_refused(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
+
+
 class TestDomain:
     def test_contains(self):
         d = Domain((-1.0, 1.0), (0.0, 2.0))

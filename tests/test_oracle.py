@@ -16,7 +16,8 @@ from holevo2q.bounds import (
     trabs_from_root,
     weight_root,
 )
-from holevo2q.errors import DomainError, FeasibilityError, OracleCertificateError, PureStateError
+from holevo2q.errors import (DegenerateModelError, DomainError, FeasibilityError,
+                             OracleCertificateError, PureStateError)
 from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
 from holevo2q.models import GenericZ, Unitary
 from holevo2q.oracle import (
@@ -455,6 +456,11 @@ class TestMinimizers:
         for _ in range(20):
             m, w = random_generic_pair(rng)
             assert_oracle_matches(BlochModelPoint(m.s, np.ldexp(m.d1s, j), np.ldexp(m.d2s, j)), w)
+
+    def test_6d_refuses_equal_derivatives(self):
+        dp = density_point(point([0.1, 0.2, 0.3]))
+        with pytest.raises(DegenerateModelError, match="constraint matrix is rank deficient"):
+            minimize_holevo_6d(DensityPoint(dp.rho, dp.drho1, dp.drho1), WeightMatrix.identity())
 
     def test_6d_d_invariant(self):
         value = minimize_holevo_6d(
