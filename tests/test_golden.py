@@ -5,6 +5,7 @@ and the full text of the small outputs in ``tests/golden/``.
 change that does so says which output changed and why.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import golden  # noqa: E402
 
 import holevo2q.oracle  # noqa: E402
+from test_cli import run_python  # noqa: E402
 
 
 def test_manifest_covers_the_golden_paths():
@@ -23,13 +25,13 @@ def test_manifest_covers_the_golden_paths():
     assert set(golden.GOLDEN) <= set(golden.PATHS)
     assert manifest["numpy"] and manifest["python"] and manifest["machine"]
     stored = {p.name for p in Path(golden.GOLDEN_DIR).iterdir()} - {"MANIFEST.json"}
-    assert stored == set(golden.SMALL)
+    assert stored == set(golden.KEPT)
 
 
 def test_a_changed_small_output_is_shown(tmp_path):
     # A flipped digit in one JSON line and one CSV row of the stored text.
     result = {}
-    for name in golden.SMALL:
+    for name in golden.KEPT:
         result[name] = (Path(golden.GOLDEN_DIR) / name).read_bytes()
     assert golden.small_problems(result, str(tmp_path)) == []
     json_name, csv_name = "bounds_planar.json", "sweep_theta_grid11.csv"
@@ -57,6 +59,35 @@ def test_outputs_match_the_manifest(computed):
         pytest.skip(reason)
     problems = golden.check(manifest, computed[1])
     assert not problems, "\n".join(problems)
+
+
+def test_refusal_corpus(computed):
+    # Each case is refused with exit 2, no output and one stderr line, except
+    # the huge derivatives that the kernel does not refuse today (exit 0).
+    corpus = json.loads(computed[1][golden.REFUSALS_FILE])
+    assert list(corpus) == list(golden.REFUSALS)
+    no_output = golden._sha256(b"")
+    for name, (code, stdout_sha256, stderr) in corpus.items():
+        if name == "huge-derivatives":
+            assert (code, stderr) == (0, "")
+        else:
+            assert (code, stdout_sha256) == (2, no_output), name
+            assert stderr.endswith("\n") and stderr.count("\n") == 1, name
+    reason = golden.version_mismatch(golden.load_manifest())
+    if reason:
+        pytest.skip(reason)
+    stored = (Path(golden.GOLDEN_DIR) / golden.REFUSALS_FILE).read_bytes()
+    assert computed[1][golden.REFUSALS_FILE] == stored
+
+
+def test_refusal_corpus_under_optimization(computed, tmp_path):
+    # Under python -O no assert guards an input: the refusals stay the same.
+    tools = str(Path(golden.__file__).parent)
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import golden; "
+            "print(json.dumps(golden.refusals(sys.argv[2])))")
+    proc = run_python("-O", "-c", code, tools, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(computed[1][golden.REFUSALS_FILE])
 
 
 def test_another_numpy_version_names_both():

@@ -11,19 +11,23 @@ each output is the one ``bench_summary.py`` records for the path.
 
 The SMALL outputs (``bounds`` and ``classify --grid 11`` JSON for four model
 kinds, the three sweeps at ``--grid 11``) are kept as full text, one file each
-in ``tests/golden/``, so a reader sees every byte that a change moves.
+in ``tests/golden/``, so a reader sees every byte that a change moves.  So is
+the refusal corpus, ``tests/golden/refusals.json``: for each REFUSALS case (a
+malformed model file, an out-of-range weight or family parameter, ``--grid 1``,
+tiny or huge derivatives) its exit code, the sha256 of its stdout and its
+stderr text, so a change that moves a refusal shows which.
 
 ``--write`` stores the hashes in ``tests/golden/MANIFEST.json``, with the
 numpy and Python versions, the machine (operating system and architecture,
 recorded only) and, when ``src/`` has no uncommitted change, the commit it
-was written at; it also rewrites the SMALL files.  ``--check`` exits 1 if
-an output differs from the manifest or from its SMALL file.  For a
-differing hashed CSV it also prints the ``tools/sweep_diff.py`` summary
-against the CSV that the manifest's commit writes (a ``git archive`` of its
-``src/``); for a differing SMALL output it prints the ``sweep_diff.py``
-summary (a CSV) or a unified diff (JSON) against the stored text.  The
-floats come from numpy, so under another numpy version ``--check`` compares
-nothing and says so.
+was written at; it also rewrites the SMALL files and the refusal corpus.
+``--check`` exits 1 if an output differs from the manifest or from its kept
+text.  For a differing hashed CSV it also prints the ``tools/sweep_diff.py``
+summary against the CSV that the manifest's commit writes (a ``git archive``
+of its ``src/``); for a differing kept text it prints the ``sweep_diff.py``
+summary (a CSV) or a unified diff (JSON) against the stored text.  The floats
+come from numpy, so under another numpy version ``--check`` compares nothing
+and says so.
 """
 
 import contextlib
@@ -82,6 +86,65 @@ SMALL = {
     "sweep_weight_42_grid11.csv": [*PATHS["sweep_weight_42"], "--grid", "11"],
     "sweep_theta_grid11.csv": [*PATHS["sweep_theta"], "--grid", "11"],
 }
+# The refusal corpus: {model file name: descriptor, or the raw text of a file
+# that is not JSON} and {case name: CLI arguments}, run in the models' directory.
+REFUSAL_MODELS = {
+    "not_json.json": "{kind: generic_z",
+    "list.json": [{"kind": "generic_z", "theta0": 0.2}],
+    "unknown_kind.json": {"kind": "helix"},
+    "gz_height.json": {"kind": "generic_z", "theta0": 1.5},
+    "unitary_radius.json": {"kind": "unitary", "radius": 1.2},
+    "explicit_no_components.json": {"kind": "explicit"},
+    "explicit_two_components.json": {"kind": "explicit", "components": [
+        [[0.1, 0.0], [1.0, 0.0]], [[0.2, 1.0]]]},
+    "infinite_domain.json": {"kind": "generic_z", "theta0": 0.2,
+                             "domain": {"theta1": [-1e999, 0.5], "theta2": [-0.5, 0.5]}},
+    "tiny_derivatives.json": {"kind": "explicit", "components": [
+        [[0.1, 0.0], [1e-80, 0.0]], [[0.2, 1e-80], [0.0, 0.0]], [[0.3]]]},
+    "huge_derivatives.json": {"kind": "explicit", "components": [
+        [[0.1, 0.0], [1e80, 0.0]], [[0.2, 1e80], [0.0, 0.0]], [[0.3]]]},
+}
+
+
+def _bounds_at(model: str, theta: str = THETA, weight: str = WEIGHT) -> list:
+    return ["bounds", "--model", model, "--theta", theta, "--weight", weight]
+
+
+REFUSALS = {
+    "weight-nan": _bounds_at("gz02.json", weight="nan,0,1"),
+    "weight-inf": _bounds_at("gz02.json", weight="1,0,inf"),
+    "weight-indefinite": _bounds_at("gz02.json", weight="1,2,1"),
+    "weight-underflowing": _bounds_at("gz02.json", weight="1e-170,0,1e-170"),
+    "weight-overflowing": _bounds_at("gz02.json", weight="1e160,0,1e160"),
+    "sweep-theta-weight-overflowing": ["sweep-theta", "--model", "gz023.json", "--weight",
+                                       "1e160,0,1e160", "--grid", "3"],
+    "sweep-weight-42-huge-w2": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
+                                "--weight-family", "42", "--w2-min", "1e160", "--w2-max",
+                                "1e161", "--grid", "3"],
+    "generic-z-height": _bounds_at("gz_height.json"),
+    "unitary-radius": _bounds_at("unitary_radius.json", theta="1.1,0.6"),
+    "theta-outside-domain": _bounds_at("gz02.json", theta="2,0"),
+    "model-not-json": _bounds_at("not_json.json"),
+    "model-json-list": _bounds_at("list.json"),
+    "model-unknown-kind": _bounds_at("unknown_kind.json"),
+    "explicit-without-components": _bounds_at("explicit_no_components.json"),
+    "explicit-two-components": _bounds_at("explicit_two_components.json"),
+    "model-infinite-domain": _bounds_at("infinite_domain.json"),
+    "model-file-missing": _bounds_at("missing.json"),
+    "sweep-weight-grid-1": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
+                            "--grid", "1"],
+    "sweep-theta-grid-1": ["sweep-theta", "--model", "gz023.json", "--weight", WEIGHT,
+                           "--grid", "1"],
+    "tiny-derivatives": _bounds_at("tiny_derivatives.json", theta="0,0"),
+    "tiny-derivatives-sweep-weight": ["sweep-weight", "--model", "tiny_derivatives.json",
+                                      "--theta", "0.1,0.1", "--grid", "3"],
+    # Not refused today: every bound prints as 0.0 (the kernel's scale limit).
+    "huge-derivatives": _bounds_at("huge_derivatives.json", theta="0,0"),
+    "point-outside-ball": _bounds_at("huge_derivatives.json", theta="0.1,0.1"),
+}
+REFUSALS_FILE = "refusals.json"
+# The outputs kept as full text in tests/golden/.
+KEPT = (*SMALL, REFUSALS_FILE)
 
 
 def _run_script(script: str, args) -> None:
@@ -99,15 +162,37 @@ def _run_script(script: str, args) -> None:
                 del sys.modules[name]
 
 
+def _write_models(work: str, models: dict) -> None:
+    for filename, desc in models.items():
+        with open(os.path.join(work, filename), "w", encoding="utf-8") as fh:
+            fh.write(desc if isinstance(desc, str) else json.dumps(desc))
+
+
+def refusals(work: str) -> dict:
+    """{case: [exit code, stdout sha256, stderr text]} of the REFUSALS, run
+    through ``holevo2q.cli.main`` in the directory ``work``, which receives the
+    model files; file names stay relative, so no message names ``work``."""
+    from holevo2q.cli import main
+
+    _write_models(work, {**MODELS, **REFUSAL_MODELS})
+    result = {}
+    with contextlib.chdir(work):
+        for name, args in REFUSALS.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(args)
+            result[name] = [code, _sha256(stdout.getvalue().encode()), stderr.getvalue()]
+    return result
+
+
 def outputs(work: str) -> dict:
-    """{name: output bytes} of the GOLDEN paths and the SMALL outputs, with the
-    model files and the sweeps' CSV in the directory ``work``."""
+    """{name: output bytes} of the GOLDEN paths, the SMALL outputs and the
+    refusal corpus, with the model files and the sweeps' CSV in the directory
+    ``work``."""
     from holevo2q.cli import main
 
     models = {**MODELS, **SMALL_MODELS}
-    for filename, desc in models.items():
-        with open(os.path.join(work, filename), "w", encoding="utf-8") as fh:
-            json.dump(desc, fh)
+    _write_models(work, models)
     out_csv = os.path.join(work, OUT_CSV)
     result = {}
     for name, path_args in {**{path: PATHS[path] for path in GOLDEN}, **SMALL}.items():
@@ -123,6 +208,7 @@ def outputs(work: str) -> dict:
             with open(out_csv, "rb") as fh:
                 result[name] = fh.read()
             os.remove(out_csv)
+    result[REFUSALS_FILE] = (json.dumps(refusals(work), indent=2) + "\n").encode()
     return result
 
 
@@ -159,7 +245,7 @@ def write_manifest() -> dict:
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    for name in SMALL:
+    for name in KEPT:
         with open(os.path.join(GOLDEN_DIR, name), "wb") as fh:
             fh.write(result[name])
     return manifest
@@ -206,11 +292,11 @@ def _column_diff(commit, path: str, new: bytes, work: str) -> str:
 
 
 def small_problems(result: dict, work: str) -> list:
-    """For each SMALL output in ``result`` that differs from its file in
+    """For each KEPT output in ``result`` that differs from its file in
     ``tests/golden/``, a line naming it, then the ``sweep_diff.py`` summary
     (a CSV) or a unified diff (JSON) of the stored text to the new one."""
     problems = []
-    for name in SMALL:
+    for name in KEPT:
         with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
             stored = fh.read()
         new = result[name]
@@ -247,7 +333,7 @@ def main(argv) -> int:
     if argv[1:] == ["--write"]:
         manifest = write_manifest()
         print(f"golden: wrote {len(manifest['sha256'])} hashes to {MANIFEST} "
-              f"and {len(SMALL)} small outputs to {GOLDEN_DIR}")
+              f"and {len(KEPT)} outputs as text to {GOLDEN_DIR}")
         return 0
     if argv[1:] != ["--check"]:
         print(__doc__.strip(), file=sys.stderr)
@@ -259,7 +345,7 @@ def main(argv) -> int:
         return 0
     with tempfile.TemporaryDirectory() as work:
         problems = check(manifest, outputs(work))
-    count = len(manifest["sha256"]) + len(SMALL)
+    count = len(manifest["sha256"]) + len(KEPT)
     print("\n".join(problems) or f"golden: all {count} outputs match")
     return 1 if problems else 0
 
