@@ -9,12 +9,14 @@ Each family maps a parameter pair theta = (theta1, theta2) to a
   coefficient functions; asymptotically classical everywhere.
 * :class:`GenericZ` -- s = (theta1, theta2, theta0) with fixed height
   theta0; generic away from the axes' origin.
-* :class:`Explicit` -- any user-supplied s(theta): three polynomial
-  components, or a callable.
+* :class:`Explicit` -- any user-supplied s(theta) with three polynomial
+  components.
 
 Polynomial components, of :class:`Planar` and :class:`Explicit` alike, are
-differentiated exactly through one path (``_poly_arrays``); only a callable
-is differentiated by central finite differences of step ``h`` (O(h^2) error).
+differentiated exactly through one path (``_poly_arrays``).  A model that is
+not polynomial needs no family: its (N, 3) stacks of s, d1s and d2s go to
+``holevo2q.fisher.fisher_bundle_many`` and then
+``holevo2q.bounds.holevo_bounds_many`` as they are.
 
 Families serialize to plain JSON descriptors (``to_descriptor`` /
 ``from_descriptor``) so the CLI can load them from files.
@@ -23,7 +25,6 @@ Families serialize to plain JSON descriptors (``to_descriptor`` /
 from __future__ import annotations
 
 import functools
-from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .bloch import (ORTHONORMAL_TOL, BlochModelPoint, Record, cross, dependent, 
 from .errors import DomainError, ModelError, PureStateError
 
 __all__ = [
-    "DEFAULT_FD_STEP",
     "Poly2D",
     "Domain",
     "Unitary",
@@ -43,8 +43,6 @@ __all__ = [
     "from_descriptor",
     "load_model",
 ]
-
-DEFAULT_FD_STEP = 1e-5
 
 
 def _finite(value, name: str) -> np.ndarray:
@@ -170,12 +168,15 @@ class _Family(Record):
         return s, d1, d2, inside & np.isfinite(out).all(axis=(0, 2)) & mixed(dot3(s, s))
 
     def to_descriptor(self) -> dict:
-        """``kind``, then each field as plain JSON: what :func:`from_descriptor` reads."""
+        """``kind``, then each field as plain JSON: what ``from_descriptor``
+        reads.  A tuple of polynomials becomes a list of coefficient lists."""
         desc = {"kind": self.kind}
         for name in self._fields:
             value = getattr(self, name)
             if isinstance(value, Domain):
                 value = value.to_descriptor()
+            elif isinstance(value, tuple):
+                value = [p.tolist() for p in value]
             desc[name] = value.tolist() if isinstance(value, (np.ndarray, Poly2D)) else value
         return desc
 
@@ -274,58 +275,22 @@ class GenericZ(_Family):
 
 
 class Explicit(_Family):
-    """User-supplied s(theta).
+    """User-supplied s(theta) = (p1, p2, p3)(theta): three :class:`Poly2D`
+    components, differentiated exactly, like :class:`Planar`'s f1 and f2."""
 
-    ``func`` maps a 2-vector to a real 3-vector.  Built by
-    :meth:`from_polynomials` (as from a JSON descriptor), the three
-    ``components`` are :class:`Poly2D` and are differentiated exactly; direct
-    library use may pass any callable, whose derivatives are central
-    differences of step ``step`` (error O(step^2))."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    step: float = DEFAULT_FD_STEP
+    components: tuple[Poly2D, Poly2D, Poly2D]
     domain: Domain = factory(lambda: Domain((-0.7, 0.7), (-0.7, 0.7)))
-    components: tuple[Poly2D, Poly2D, Poly2D] | None = None
 
     kind = "explicit"
 
     def __post_init__(self):
-        if not 0.0 < self.step < 1e-1:
-            raise DomainError(f"finite-difference step {self.step} out of range")
-
-    @classmethod
-    def from_polynomials(cls, components, domain: Domain | None = None) -> Explicit:
-        polys = tuple(p if isinstance(p, Poly2D) else Poly2D(p) for p in components)
+        polys = tuple(p if isinstance(p, Poly2D) else Poly2D(p) for p in self.components)
         if len(polys) != 3:
             raise DomainError("explicit family needs exactly 3 component polynomials")
-
-        def func(theta):
-            t1, t2 = float(theta[0]), float(theta[1])
-            return np.array([p(t1, t2) for p in polys])
-
-        kwargs = {} if domain is None else {"domain": domain}
-        return cls(func=func, components=polys, **kwargs)
+        object.__setattr__(self, "components", polys)
 
     def _bloch_arrays(self, t1, t2):
-        if self.components is not None:
-            return _poly_arrays(self.components, t1, t2)
-
-        def f(a, b):
-            return np.array([np.asarray(self.func(np.array(t)), float) for t in zip(a, b)])
-
-        h = self.step
-        d1 = (f(t1 + h, t2 + 0.0) - f(t1 - h, t2 - 0.0)) / (2.0 * h)
-        d2 = (f(t1 + 0.0, t2 + h) - f(t1 - 0.0, t2 - h)) / (2.0 * h)
-        return f(t1, t2), d1, d2
-
-    def to_descriptor(self) -> dict:
-        if self.components is None:
-            raise DomainError("only polynomial-backed explicit families serialize to JSON")
-        return {
-            "kind": self.kind,
-            "components": [p.tolist() for p in self.components],
-            "domain": self.domain.to_descriptor(),
-        }
+        return _poly_arrays(self.components, t1, t2)
 
 
 ModelFamily = Unitary | Planar | GenericZ | Explicit
@@ -335,9 +300,8 @@ _KINDS = {cls.kind: cls for cls in (Unitary, Planar, GenericZ, Explicit)}
 def from_descriptor(desc: dict) -> ModelFamily:
     """Build a family from a JSON descriptor dictionary: ``kind`` and the
     family's fields (for ``explicit``: ``components`` and ``domain``).
-    Other keys, such as the finite-difference ``step`` that older explicit
-    descriptors carry, are ignored; a malformed value raises
-    :class:`DomainError`."""
+    Other keys are ignored, such as the finite-difference setting that older
+    explicit descriptors carry; a malformed value raises :class:`DomainError`."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise DomainError("model descriptor must be an object with a 'kind' key")
     kind = desc["kind"]
@@ -348,8 +312,6 @@ def from_descriptor(desc: dict) -> ModelFamily:
     try:
         if "domain" in kwargs:
             kwargs["domain"] = Domain(kwargs["domain"]["theta1"], kwargs["domain"]["theta2"])
-        if cls is Explicit:
-            return Explicit.from_polynomials(kwargs["components"], kwargs.get("domain"))
         return cls(**kwargs)
     except ModelError:
         raise

@@ -40,11 +40,8 @@ def families():
             u1=[1.0, 0.0, 0.0], u2=[0.0, 0.6, 0.8],
             f1=Poly2D([[0.1, 0.5], [0.3, 0.2]]), f2=Poly2D([[0.0, 1.0, 0.2], [0.1, 0.0, 0.0]]),
         ),
-        "explicit_polynomial": Explicit.from_polynomials(
+        "explicit_polynomial": Explicit(
             [[[0.1, 0.4], [0.2, 0.0]], [[0.0, 0.1], [0.5, 0.1]], [[0.3, 0.0], [0.0, 0.2]]]
-        ),
-        "explicit_callable": Explicit(
-            func=lambda t: np.array([0.4 * np.sin(t[0]), 0.3 * np.cos(t[1]) * t[0], 0.2 + t[1]])
         ),
     }
 

@@ -39,7 +39,7 @@ FAMILIES = [
     GenericZ(0.35),
     Unitary(radius=0.8),
     Planar(u1=XHAT, u2=np.array([0.6, 0.8, 0.0]), f1=[[0.1, 0.2], [1.0, 0.3]]),
-    Explicit.from_polynomials([[[0.0, 0.1], [0.9, 0.0]], [[0.0, 0.8], [0.2, 0.0]], [[0.3, 0.1]]]),
+    Explicit([[[0.0, 0.1], [0.9, 0.0]], [[0.0, 0.8], [0.2, 0.0]], [[0.3, 0.1]]]),
 ]
 
 

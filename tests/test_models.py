@@ -65,7 +65,7 @@ class TestPolyArrays:
 
             monkeypatch.setattr(Poly2D, name, counted)
         families = [Planar(XHAT, YHAT, f1=self.POLYS[0], f2=self.POLYS[2]),
-                    Explicit.from_polynomials(self.POLYS[1:])]
+                    Explicit(self.POLYS[1:])]
         for _ in range(3):
             for fam in families:
                 fam.evaluate_many([0.1, 0.2], [0.3, -0.1])
@@ -145,37 +145,12 @@ class TestUnitary:
 
 class TestExplicit:
     def test_polynomial_derivatives_exact(self):
-        fam_poly = Explicit.from_polynomials(
-            [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.35]]]
-        )
+        fam_poly = Explicit([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.35]]])
         theta = (0.15, -0.2)
         m_poly = fam_poly.evaluate(theta)
         m_exact = GenericZ(0.35).evaluate(theta)
         for name in ("s", "d1s", "d2s"):
             assert getattr(m_poly, name).tobytes() == getattr(m_exact, name).tobytes()
-
-    def test_richardson_ratio(self):
-        # Halving the step divides the O(h^2) derivative error by ~4.
-        def curve(theta):
-            t1, t2 = theta
-            return np.array([np.sin(0.6 * t1), 0.3 * t2**3 + 0.2 * t1, 0.25])
-
-        def exact_d1(theta):
-            return np.array([0.6 * np.cos(0.6 * theta[0]), 0.2, 0.0])
-
-        theta = np.array([0.4, 0.3])
-        errors = []
-        for h in (4e-3, 2e-3):
-            fam = Explicit(func=curve, step=h)
-            err = np.abs(fam.evaluate(theta).d1s - exact_d1(theta)).max()
-            errors.append(err)
-        ratio = errors[0] / errors[1]
-        assert 3.5 <= ratio <= 4.5
-
-    def test_callable_only_family_does_not_serialize(self):
-        fam = Explicit(func=lambda t: np.array([0.1, 0.1, 0.1]))
-        with pytest.raises(DomainError):
-            fam.to_descriptor()
 
 
 class TestDescriptors:
@@ -185,9 +160,7 @@ class TestDescriptors:
             GenericZ(0.2),
             Unitary(radius=0.8),
             Planar(u1=XHAT, u2=YHAT),
-            Explicit.from_polynomials(
-                [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.3]]],
-            ),
+            Explicit([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.3]]]),
         ],
         ids=["generic_z", "unitary", "planar", "explicit"],
     )
@@ -228,11 +201,10 @@ class TestDescriptors:
     (lambda: Poly2D(np.zeros((2, 2, 2))), "polynomial coefficients must form a 2-d array"),
     (lambda: Unitary(0.5, axes=np.ones((3, 3))), "axes must form a 3x3 orthogonal matrix"),
     (lambda: Planar(u1=[1, 0, 0], u2=[1, 0, 0]), "u1 and u2 must be linearly independent"),
-    (lambda: Explicit(func=len, step=0.5), "finite-difference step 0.5 out of range"),
-    (lambda: Explicit.from_polynomials([[[0.1]], [[0.2]]]),
+    (lambda: Explicit([[[0.1]], [[0.2]]]),
      "explicit family needs exactly 3 component polynomials"),
     (lambda: from_descriptor([1, 2]), "model descriptor must be an object with a 'kind' key"),
-], ids=["poly_3d", "unitary_axes", "planar_parallel", "explicit_step", "explicit_two",
+], ids=["poly_3d", "unitary_axes", "planar_parallel", "explicit_two",
         "descriptor_list"])
 def test_malformed_family_refused(build, message):
     with pytest.raises(DomainError) as info:

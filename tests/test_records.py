@@ -74,9 +74,9 @@ RECORDS = [
      f"domain={DOMAIN_REPR})"),
     (GenericZ, ("theta0", "domain"), (0.25, DOMAIN),
      f"GenericZ(theta0=0.25, domain={DOMAIN_REPR})"),
-    (Explicit, ("func", "step", "domain", "components"), (len, 1e-4, DOMAIN, None),
-     f"Explicit(func=<built-in function len>, step=0.0001, domain={DOMAIN_REPR}, "
-     "components=None)"),
+    (Explicit, ("components", "domain"), (([[0.1]], [[0.2]], [[0.3]]), DOMAIN),
+     "Explicit(components=(Poly2D(coeffs=array([[0.1]])), Poly2D(coeffs=array([[0.2]])), "
+     f"Poly2D(coeffs=array([[0.3]]))), domain={DOMAIN_REPR})"),
     (DensityPoint, ("rho", "drho1", "drho2"),
      (np.diag([0.6, 0.4]), np.diag([0.1, -0.1]), np.array([[0.0, 0.1], [0.1, 0.0]])),
      "DensityPoint(rho=array([[0.6+0.j, 0. +0.j],\n       [0. +0.j, 0.4+0.j]]), "
@@ -154,9 +154,9 @@ def test_defaults():
         "GenericZ(theta0=0.6, domain=Domain(theta1=(-0.8, 0.8), theta2=(-0.8, 0.8)))"
     )
     assert GenericZ(0.6) == GenericZ(0.6, None)
-    explicit = Explicit(len)
-    assert (explicit.step, explicit.domain, explicit.components) == (
-        1e-5, Domain((-0.7, 0.7), (-0.7, 0.7)), None)
+    explicit = Explicit(([[0.1]], [[0.2]], [[0.3]]))
+    assert explicit.domain == Domain((-0.7, 0.7), (-0.7, 0.7))
+    assert [p.tolist() for p in explicit.components] == [[[0.1]], [[0.2]], [[0.3]]]
     assert CheckRow("a", 1.0, 0.5).witness == ""
     report = VerificationReport(1, 2)
     assert (report.rows, report.branch_counts) == ([], {})
