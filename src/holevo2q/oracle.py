@@ -434,9 +434,10 @@ def minimize_holevo_2d(m: BlochModelPoint, w: WeightMatrix, fm=None) -> tuple[fl
 def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
     """Holevo bound by exact minimization over a generic affine parametrization.
 
-    The four unbiasedness constraints on (x^1, x^2) in R^6 are solved by
-    least squares; the remaining two directions t come from the SVD null
-    space.  The objective is the operator-trace Holevo function, so this
+    The four unbiasedness constraints on (x^1, x^2) in R^6 are solved by one
+    SVD: it gives the least-norm solution x0 and the two null directions t,
+    scaled to the power of two nearest |x0|, so that the solve is exact
+    under a power-of-two scaling of the derivatives.  The objective is the operator-trace Holevo function, so this
     route shares nothing with the closed Bloch-side formulas; it is the
     evaluator of :func:`holevo_function`, built once for (rho, W).  Its
     quadratic part Tr(W Re Z) is fitted from raw traces at t in {0, +-e1,
@@ -449,11 +450,13 @@ def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
 
     constraint = np.zeros((4, 6))
     constraint[0:2, 0:3] = constraint[2:4, 3:6] = (d1, d2)
-    x0, *_ = np.linalg.lstsq(constraint, [1.0, 0.0, 0.0, 1.0], rcond=None)
-    _, svals, vt = np.linalg.svd(constraint)
+    u, svals, vt = np.linalg.svd(constraint)
     if np.count_nonzero(svals > RANK_RTOL * svals.max()) != 4:
         raise DegenerateModelError("constraint matrix is rank deficient")
-    null_basis = vt[4:].T  # (6, 2)
+    x0 = vt[:4].T @ ((u.T @ [1.0, 0.0, 0.0, 1.0]) / svals)  # the least-norm solution
+    # Null directions at the power of two nearest |x0|: t is then degree 0 in the
+    # derivative scale, and the fit and the certificate probe the same relative steps.
+    null_basis = vt[4:].T * math.ldexp(1.0, round(math.log2(math.sqrt(x0 @ x0))))  # (6, 2)
 
     holevo = _holevo_evaluator(dp.rho, w)
 

@@ -661,10 +661,10 @@ PINNED_ORACLE_BITS = [
      '0x1.8e878dc4d9ad2p+1', '0x1.8e878dc4d9ad0p+1',
      '0x1.79526af5114c3p-2', '-0x1.d88f87d5f89f0p-3'),
     ((-0.41, 0.17), (1.2817376791724389, -1.0532366805901012, 1.1644234627132715),  # rld
-     '0x1.120bbd3e37c34p+1', '0x1.120bbd3e37c37p+1',
+     '0x1.120bbd3e37c34p+1', '0x1.120bbd3e37c36p+1',
      '-0x1.0110cd14da3a0p-1', '-0x1.70a4109ecad61p-2'),
     ((-0.41, 0.17), (0.42028650644816024, 0.2177004996858095, 0.1872342713893408),  # correction
-     '0x1.23ecd6b0d1abcp-1', '0x1.23ecd6b0d1abdp-1',
+     '0x1.23ecd6b0d1abcp-1', '0x1.23ecd6b0d1abcp-1',
      '-0x1.f4bf1552cdba4p-3', '0x1.61a620030cef8p-2'),
     ((0.12, 0.55), (0.14015120087500538, 0.07145096657330646, 1.0097530417180942),  # boundary
      '0x1.bd12cdeb9eb60p-1', '0x1.bd12cdeb9eb5ep-1',

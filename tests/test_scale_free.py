@@ -4,6 +4,8 @@ a power of two must not change its verdict.  Each case below is one guard on
 one input, called at several scales; the verdict is the exception class
 raised, or None where the input is accepted."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from holevo2q.oracle import (
     _kink_minimum,
     density_point,
     holevo_function,
+    minimize_holevo_2d,
+    minimize_holevo_6d,
     pair_from_bloch_vectors,
 )
 from holevo2q.sampling import random_generic_pair
@@ -112,3 +116,24 @@ def _verdict(call, scale):
 @pytest.mark.parametrize("call, expected, scales", CASES.values(), ids=CASES.keys())
 def test_guard_verdict_is_scale_free(call, expected, scales):
     assert [_verdict(call, c) for c in scales] == [expected] * len(scales)
+
+
+@pytest.fixture(scope="module")
+def oracle_minima():
+    """100 seeded generic pairs, each with both minimizers' values at unit scale."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(100):
+        m, w = random_generic_pair(rng)
+        cases.append((m, w, minimize_holevo_2d(m, w)[0], minimize_holevo_6d(density_point(m), w)))
+    return cases
+
+
+@pytest.mark.parametrize("j", [-60, -20, -3, 3, 20, 60])
+def test_oracle_minima_are_exact_images_under_derivative_scaling(oracle_minima, j):
+    # Scaling both derivatives by 2^j scales the Holevo bound by 2^-2j exactly:
+    # each minimizer returns the ldexp image of its unit-scale value, and raises nothing.
+    for m, w, value_2d, value_6d in oracle_minima:
+        scaled = BlochModelPoint(m.s, math.ldexp(1.0, j) * m.d1s, math.ldexp(1.0, j) * m.d2s)
+        assert minimize_holevo_2d(scaled, w)[0] == math.ldexp(value_2d, -2 * j)
+        assert minimize_holevo_6d(density_point(scaled), w) == math.ldexp(value_6d, -2 * j)
