@@ -10,7 +10,12 @@
   ``n_copy_bound``, ``random_planar_point`` and ``random_model_point_3``.
 * ``OffBranchError``, raised by the reference forms of the Holevo bound in
   ``tests/test_bounds.py`` off the branch where they are defined.
+* Exact rational references on the float inputs, in ``fractions.Fraction``:
+  ``exact_bounds`` (the bounds, for det W = 1) and ``exact_branch_sign``
+  (the sign of B[W], for any W).
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -160,3 +165,77 @@ def random_model_point_3(rng: np.random.Generator, radius: float = 0.95) -> Bloc
         scale = np.prod([np.linalg.norm(d) for d in derivs])
         if scale > 0.0 and abs(np.linalg.det(derivs)) >= MIN_CROSS_FRACTION * scale:
             return BlochModelPoint3(s=s, d1s=derivs[0], d2s=derivs[1], d3s=derivs[2])
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _apply(mat, v):
+    return [_dot(row, v) for row in mat]
+
+
+def exact_bounds(m, w):
+    """(C^S, C^R, C^Z, C^H) as exact Fractions, from the matrix definitions
+    G = D^T Q D, G~ = D^T Q~ D and z^ij = <l^i, Q~^-1 l^j> on the SLD duals
+    l^i = sum_j (G^-1)_ji Q d_j s.  Complex entries are kept as separate
+    real and imaginary parts.  W must have det W = 1, so that
+    TrAbs(W X) = 2 |x_12| is exact."""
+    wm = [[Fraction(w.w11), Fraction(w.w12)], [Fraction(w.w12), Fraction(w.w22)]]
+    assert wm[0][0] * wm[1][1] - wm[0][1] ** 2 == 1
+    s = [Fraction(x) for x in m.s]
+    ds = [[Fraction(x) for x in m.d1s], [Fraction(x) for x in m.d2s]]
+    eps = 1 - _dot(s, s)
+    eye = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
+    q = [[eye[a][b] + s[a] * s[b] / eps for b in range(3)] for a in range(3)]
+    f = [[0, -s[2], s[1]], [s[2], 0, -s[0]], [-s[1], s[0], 0]]  # F a = s x a
+    q_inv = [[eye[a][b] - s[a] * s[b] for b in range(3)] for a in range(3)]
+
+    def inv2(mat):
+        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+        return [[mat[1][1] / det, -mat[0][1] / det], [-mat[1][0] / det, mat[0][0] / det]]
+
+    def tr_w(mat):
+        return sum(wm[i][j] * mat[j][i] for i in range(2) for j in range(2))
+
+    g = [[_dot(di, _apply(q, dj)) for dj in ds] for di in ds]
+    g_inv = inv2(g)
+    # Q~ = (I - iF)/eps; G~ = re + i im is Hermitian.
+    gt_re = [[_dot(di, dj) / eps for dj in ds] for di in ds]
+    gt_im = [[-_dot(di, _apply(f, dj)) / eps for dj in ds] for di in ds]
+    det_gt = gt_re[0][0] * gt_re[1][1] - gt_re[0][1] ** 2 - gt_im[0][1] ** 2
+    gti_re = [[gt_re[1][1] / det_gt, -gt_re[0][1] / det_gt],
+              [-gt_re[1][0] / det_gt, gt_re[0][0] / det_gt]]
+    gti_im12 = -gt_im[0][1] / det_gt
+    ls = [_apply(q, d) for d in ds]
+    duals = [[g_inv[0][i] * a + g_inv[1][i] * b for a, b in zip(*ls)] for i in range(2)]
+    # Q~^-1 = Q^-1 + iF.
+    z_re = [[_dot(li, _apply(q_inv, lj)) for lj in duals] for li in duals]
+    z_im12 = _dot(duals[0], _apply(f, duals[1]))
+
+    c_s = tr_w(g_inv)
+    c_r = tr_w(gti_re) + 2 * abs(gti_im12)
+    c_z = tr_w(z_re) + 2 * abs(z_im12)
+    b_value = c_r - (c_z + c_s) / 2
+    c_h = c_r if b_value >= 0 else c_r + b_value**2 / (c_z - c_r)
+    return c_s, c_r, c_z, c_h
+
+
+def exact_branch_sign(m, w) -> int:
+    """The sign of B[W] = C^R - (C^Z + C^S)/2 at the float inputs, exactly: +1
+    where C^H = C^R (W+), -1 where the correction applies (W-), 0 on B = 0.
+
+    The kernel's p B = t - q has t = eps sqrt(det W) |k| >= 0 and
+    q = (r | adj W r) >= 0, with eps = 1 - s.s, k = s.(d1s x d2s) and
+    r_i = s.d_i s, so sign(B) = sign(eps^2 det W k^2 - q^2): no square root,
+    and every term is a Fraction of the float inputs.  Any W > 0."""
+    s, d1, d2 = ([Fraction(x) for x in v] for v in (m.s, m.d1s, m.d2s))
+    w11, w12, w22 = Fraction(w.w11), Fraction(w.w12), Fraction(w.w22)
+    eps = 1 - _dot(s, s)
+    n = [d1[1] * d2[2] - d1[2] * d2[1], d1[2] * d2[0] - d1[0] * d2[2],
+         d1[0] * d2[1] - d1[1] * d2[0]]
+    k = _dot(s, n)
+    r1, r2 = _dot(s, d1), _dot(s, d2)
+    q = w22 * r1 * r1 - 2 * w12 * r1 * r2 + w11 * r2 * r2
+    diff = eps * eps * (w11 * w22 - w12 * w12) * k * k - q * q
+    return (diff > 0) - (diff < 0)

@@ -30,7 +30,7 @@ from holevo2q.bounds import (
 from holevo2q.cli import main
 from holevo2q.errors import DomainError, SpecialModelError
 from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
-from holevo2q.models import GenericZ, Unitary
+from holevo2q.models import Explicit, GenericZ, Unitary
 from holevo2q.oracle import density_point, minimize_holevo_6d
 from holevo2q.sampling import (
     random_d_invariant_point,
@@ -38,7 +38,8 @@ from holevo2q.sampling import (
     random_model_point,
     random_weight,
 )
-from reference import OffBranchError, quadratic_abs_min, random_planar_point
+from reference import (OffBranchError, exact_bounds, exact_branch_sign, quadratic_abs_min,
+                       random_planar_point)
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -121,60 +122,6 @@ def holevo_bound_unified(fb, w) -> float:
     if gap < GAP_UNDERFLOW_RTOL * (abs(c_z) + 1.0):
         return c_s + 2.0 * abs(half_trabs)
     return c_s + gap * h_of_x(half_trabs / gap)
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _apply(mat, v):
-    return [_dot(row, v) for row in mat]
-
-
-def exact_bounds(m, w):
-    """(C^S, C^R, C^Z, C^H) as exact Fractions, from the matrix definitions
-    G = D^T Q D, G~ = D^T Q~ D and z^ij = <l^i, Q~^-1 l^j> on the SLD duals
-    l^i = sum_j (G^-1)_ji Q d_j s.  Complex entries are kept as separate
-    real and imaginary parts.  W must have det W = 1, so that
-    TrAbs(W X) = 2 |x_12| is exact."""
-    wm = [[Fraction(w.w11), Fraction(w.w12)], [Fraction(w.w12), Fraction(w.w22)]]
-    assert wm[0][0] * wm[1][1] - wm[0][1] ** 2 == 1
-    s = [Fraction(x) for x in m.s]
-    ds = [[Fraction(x) for x in m.d1s], [Fraction(x) for x in m.d2s]]
-    eps = 1 - _dot(s, s)
-    eye = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
-    q = [[eye[a][b] + s[a] * s[b] / eps for b in range(3)] for a in range(3)]
-    f = [[0, -s[2], s[1]], [s[2], 0, -s[0]], [-s[1], s[0], 0]]  # F a = s x a
-    q_inv = [[eye[a][b] - s[a] * s[b] for b in range(3)] for a in range(3)]
-
-    def inv2(mat):
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        return [[mat[1][1] / det, -mat[0][1] / det], [-mat[1][0] / det, mat[0][0] / det]]
-
-    def tr_w(mat):
-        return sum(wm[i][j] * mat[j][i] for i in range(2) for j in range(2))
-
-    g = [[_dot(di, _apply(q, dj)) for dj in ds] for di in ds]
-    g_inv = inv2(g)
-    # Q~ = (I - iF)/eps; G~ = re + i im is Hermitian.
-    gt_re = [[_dot(di, dj) / eps for dj in ds] for di in ds]
-    gt_im = [[-_dot(di, _apply(f, dj)) / eps for dj in ds] for di in ds]
-    det_gt = gt_re[0][0] * gt_re[1][1] - gt_re[0][1] ** 2 - gt_im[0][1] ** 2
-    gti_re = [[gt_re[1][1] / det_gt, -gt_re[0][1] / det_gt],
-              [-gt_re[1][0] / det_gt, gt_re[0][0] / det_gt]]
-    gti_im12 = -gt_im[0][1] / det_gt
-    ls = [_apply(q, d) for d in ds]
-    duals = [[g_inv[0][i] * a + g_inv[1][i] * b for a, b in zip(*ls)] for i in range(2)]
-    # Q~^-1 = Q^-1 + iF.
-    z_re = [[_dot(li, _apply(q_inv, lj)) for lj in duals] for li in duals]
-    z_im12 = _dot(duals[0], _apply(f, duals[1]))
-
-    c_s = tr_w(g_inv)
-    c_r = tr_w(gti_re) + 2 * abs(gti_im12)
-    c_z = tr_w(z_re) + 2 * abs(z_im12)
-    b_value = c_r - (c_z + c_s) / 2
-    c_h = c_r if b_value >= 0 else c_r + b_value**2 / (c_z - c_r)
-    return c_s, c_r, c_z, c_h
 
 
 class TestWeightMatrix:
@@ -644,6 +591,33 @@ class TestNearShell:
                 assert rel(rep.c_h, c_h) <= h_tol
                 branches.add(rep.branch)
         assert branches == {Branch.RLD, Branch.CORRECTION}
+
+
+class TestExactBranchSign:
+    """The exact sign of B[W] on the float inputs, against the kernel's label."""
+
+    def test_agrees_with_every_decided_label(self):
+        rng = np.random.default_rng(28)
+        signs = {Branch.RLD: 1, Branch.CORRECTION: -1}
+        decided = set()
+        for _ in range(300):
+            m, w = random_generic_pair(rng)
+            branch = holevo_bound(fisher_bundle(m), w).branch
+            if branch is not Branch.BOUNDARY:
+                assert exact_branch_sign(m, w) == signs[branch]
+                decided.add(branch)
+        assert decided == {Branch.RLD, Branch.CORRECTION}
+
+    def test_near_shell_reproduction_point(self):
+        # 1 - |s| ~ 1e-9: the exact B is -1.69e-17 (W-), where the float kernel
+        # labels the cell rld with b_theta +2.31e-17.  Only the reference is pinned.
+        s = [0.897826840640418, -0.42170189587498647, 0.12678514597967627]
+        d1 = [-0.46330757653841514, 0.12726841122583082, -1.18719452785014]
+        d2 = [-0.5793015965026732, -0.1961959728044967, 0.8987638721004078]
+        family = Explicit([[[s_k, d2_k], [d1_k, 0.0]] for s_k, d1_k, d2_k in zip(s, d1, d2)])
+        m = family.evaluate((0.0, 0.0))
+        w = WeightMatrix(0.7861722648825379, 0.41000662776594043, 0.213827735117462)
+        assert exact_branch_sign(m, w) == -1
 
 
 class TestWeightFromAngles:
