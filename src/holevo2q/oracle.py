@@ -437,13 +437,14 @@ def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
     The four unbiasedness constraints on (x^1, x^2) in R^6 are solved by one
     SVD: it gives the least-norm solution x0 and the two null directions t,
     scaled to the power of two nearest |x0|, so that the solve is exact
-    under a power-of-two scaling of the derivatives.  The objective is the operator-trace Holevo function, so this
-    route shares nothing with the closed Bloch-side formulas; it is the
-    evaluator of :func:`holevo_function`, built once for (rho, W).  Its
-    quadratic part Tr(W Re Z) is fitted from raw traces at t in {0, +-e1,
-    +-e2, e1 + e2} and the affine Im Z_12 from t in {0, +-e1, +-e2}, all six
-    in one stacked evaluation; then :func:`_kink_minimum` returns the lowest
-    raw value among the candidates, with one more stacked evaluation.
+    under a power-of-two scaling of the derivatives.  The objective is the
+    operator-trace Holevo function, so this route shares nothing with the
+    closed Bloch-side formulas; it is the evaluator of
+    :func:`holevo_function`, built once for (rho, W).  Its quadratic part
+    Tr(W Re Z) is fitted from raw traces at t in {0, +-e1, +-e2, e1 + e2} and
+    the affine Im Z_12 from t in {0, +-e1, +-e2}, all six in one stacked
+    evaluation; then :func:`_kink_minimum` returns the lowest raw value among
+    the candidates, with one more stacked evaluation.
     """
     # Recover the Bloch data from the operators themselves: rho = (I + s.sigma)/2.
     s, d1, d2 = (2.0 * bloch_coefficients(op)[1].real for op in (dp.rho, dp.drho1, dp.drho2))
@@ -454,8 +455,7 @@ def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
     if np.count_nonzero(svals > RANK_RTOL * svals.max()) != 4:
         raise DegenerateModelError("constraint matrix is rank deficient")
     x0 = vt[:4].T @ ((u.T @ [1.0, 0.0, 0.0, 1.0]) / svals)  # the least-norm solution
-    # Null directions at the power of two nearest |x0|: t is then degree 0 in the
-    # derivative scale, and the fit and the certificate probe the same relative steps.
+    # Null directions scaled to |x0| (a power of two): t is degree 0 in the derivative scale.
     null_basis = vt[4:].T * math.ldexp(1.0, round(math.log2(math.sqrt(x0 @ x0))))  # (6, 2)
 
     holevo = _holevo_evaluator(dp.rho, w)
