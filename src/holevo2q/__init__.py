@@ -18,9 +18,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in [
-        ("bloch", "BlochModelPoint BlochModelPoint3"),
-        ("bounds", "BoundsReport Branch WeightMatrix holevo_bound holevo_bound_three_param"
-                   " weight_from_angles"),
+        ("bloch", "BlochModelPoint"),
+        ("matrix_forms", "BlochModelPoint3"),
+        ("bounds", "BoundsReport Branch WeightMatrix holevo_bound"),
+        ("matrix_forms", "holevo_bound_three_param"),
+        ("bounds", "weight_from_angles"),
         ("classify", "ModelClass ModelLabel classify_family classify_point pure_limit_duals"
                      " pure_limit_holevo"),
         ("fisher", "FisherBundle fisher_bundle"),

@@ -1,27 +1,22 @@
-"""Bloch-vector algebra for qubit estimation models.
+"""Bloch-vector data of qubit estimation models.
 
 A qubit state is written rho = (I + s.sigma)/2 with s a real 3-vector,
 |s| < 1 for mixed states.  A two-parameter model is specified locally by
-the triple (s, d1s, d2s) = (s, ds/dtheta^1, ds/dtheta^2).  Everything in this
-module is elementary 3-vector/3x3-matrix calculus on that data:
-
-* ``Q = I + |s><s| / (1 - s^2)`` and its inverse ``I - |s><s|``, the
-  symmetric metric factor relating derivatives to SLD Bloch vectors,
-* ``F a = s x a``, the antisymmetric cross-product matrix,
-* ``Q~ = (I - iF)/(1 - s^2)`` and its inverse ``Q^{-1} + iF``, the
-  Hermitian metric factor for RLD Bloch vectors,
-* SLD / RLD Bloch vectors ``l_i = Q d_i s`` and ``l~_i = Q~ d_i s``,
-* ``l_perp = d1s x d2s``, the direction orthogonal to the tangent plane.
-
-Inner products are conjugate-linear in the first argument.  All functions
-are pure; none mutate their inputs.
+the triple (s, d1s, d2s) = (s, ds/dtheta^1, ds/dtheta^2), held by
+:class:`BlochModelPoint`.  This module also holds the package's tolerance
+table, :class:`Record` (the frozen-record base of its value classes) and the
+row-wise 3-vector helpers (``cross``, ``dot3``, ``stack_last``) and guards
+(``mixed``, ``dependent``, ``not_hermitian``) that the other modules share.
+The 3x3 metric factors Q, F and Q~ and the Bloch vectors built from them are
+in :mod:`holevo2q.matrix_forms`.  All functions are pure; none mutate their
+inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateModelError, DomainError, PureStateError
+from .errors import DomainError, PureStateError
 
 __all__ = [
     # The tolerance table.
@@ -30,18 +25,9 @@ __all__ = [
     "ORTHONORMAL_TOL", "MIN_EIGENVALUE", "FEASIBILITY_RTOL", "CONSTRAINT_RTOL", "RANK_RTOL",
     "FIT_RTOL", "CERTIFICATE_RTOL",
     "BlochModelPoint",
-    "BlochModelPoint3",
     "Record",
     "factory",
     "cross",
-    "q_matrix",
-    "q_inverse",
-    "f_matrix",
-    "q_tilde",
-    "q_tilde_inverse",
-    "sld_bloch_vectors",
-    "rld_bloch_vectors",
-    "ell_perp",
 ]
 
 # The package's tolerances, each assigned here only, with what it bounds.  Every
@@ -226,79 +212,3 @@ class BlochModelPoint(Record):
 
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         return self.d1s, self.d2s
-
-
-class BlochModelPoint3(BlochModelPoint):
-    """A three-parameter qubit model point (used by the D-invariant bound)."""
-
-    d3s: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "d3s", _as_real_vec3(self.d3s, "d3s"))
-        derivs = np.column_stack([self.d1s, self.d2s, self.d3s])
-        scale = np.prod([np.linalg.norm(d) for d in derivs.T])
-        if scale == 0.0 or abs(np.linalg.det(derivs)) < DERIVATIVE_INDEPENDENCE_RTOL * scale:
-            raise DegenerateModelError("the three derivative vectors are linearly dependent")
-
-
-def q_matrix(m: BlochModelPoint) -> np.ndarray:
-    """Q = I + |s><s|/(1 - s^2); real positive with eigenvalues {1, 1, 1/(1-s^2)}."""
-    m.require_mixed()
-    s = m.s
-    return np.eye(3) + np.outer(s, s) / (1.0 - m.s_squared)
-
-
-def q_inverse(m: BlochModelPoint) -> np.ndarray:
-    """Inverse of Q: I - |s><s|."""
-    m.require_mixed()
-    return np.eye(3) - np.outer(m.s, m.s)
-
-
-def f_matrix(m: BlochModelPoint) -> np.ndarray:
-    """Real antisymmetric matrix acting as F a = s x a."""
-    s1, s2, s3 = m.s
-    return np.array(
-        [
-            [0.0, -s3, s2],
-            [s3, 0.0, -s1],
-            [-s2, s1, 0.0],
-        ]
-    )
-
-
-def q_tilde(m: BlochModelPoint) -> np.ndarray:
-    """Q~ = (I - iF)/(1 - s^2); Hermitian positive definite."""
-    m.require_mixed()
-    return (np.eye(3) - 1j * f_matrix(m)) / (1.0 - m.s_squared)
-
-
-def q_tilde_inverse(m: BlochModelPoint) -> np.ndarray:
-    """Inverse of Q~: Q^{-1} + iF."""
-    m.require_mixed()
-    return q_inverse(m) + 1j * f_matrix(m)
-
-
-def sld_bloch_vectors(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray]:
-    """SLD Bloch vectors l_i = Q d_i s (real)."""
-    q = q_matrix(m)
-    return q @ m.d1s, q @ m.d2s
-
-
-def rld_bloch_vectors(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray]:
-    """RLD Bloch vectors l~_i = Q~ d_i s (complex in general)."""
-    qt = q_tilde(m)
-    return qt @ m.d1s, qt @ m.d2s
-
-
-def ell_perp(m: BlochModelPoint) -> np.ndarray:
-    """l_perp = d1s x d2s, orthogonal to both derivatives.
-
-    Raises :class:`DegenerateModelError` when the derivatives are parallel
-    beyond ``DERIVATIVE_INDEPENDENCE_RTOL``.
-    """
-    perp = cross(m.d1s, m.d2s)
-    if dependent(m.d1s, m.d2s, perp):
-        raise DegenerateModelError("d1s and d2s are linearly dependent")
-    return perp
-

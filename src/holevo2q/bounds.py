@@ -29,7 +29,9 @@ so with the Bloch scalars of :class:`~holevo2q.fisher.FisherBundle`
 xi* minimizing the reduced problem (xi|p W xi) + 2|(sqrt(det W) r|xi) + c|
 with c = -eps sqrt(det W) k/p.  ``holevo_bounds_many`` inlines the case split
 of that problem; its general solver, ``quadratic_abs_min`` in
-``tests/reference.py``, is the test-side cross-check.
+``tests/reference.py``, is the test-side cross-check.  TrAbs from its
+eigenvalue definition and the three-parameter bound are in
+:mod:`holevo2q.matrix_forms`.
 
 Error model.  The first cancellation is eps = 1 - s.s, known to about
 u/(1-|s|^2) relative (u = 2^-53); it enters only through eps a and t.  C^R,
@@ -49,8 +51,7 @@ import sys
 
 import numpy as np
 
-from .bloch import (BOUNDARY_RTOL, HERMITIAN_RTOL, PAIR_RTOL, BlochModelPoint3, Record,
-                    not_hermitian, q_tilde, stack_last)
+from .bloch import BOUNDARY_RTOL, HERMITIAN_RTOL, Record, not_hermitian, stack_last
 from .errors import DomainError, SpecialModelError, raise_first
 from .fisher import FisherBundle
 
@@ -59,15 +60,11 @@ __all__ = [
     "WeightMatrix",
     "Branch",
     "BoundsReport",
-    "trabs",
-    "weight_root",
-    "trabs_from_root",
     "holevo_bound",
     "holevo_bounds_many",
     "alpha_theta",
     "boundary_weight_family",
     "weight_from_angles",
-    "holevo_bound_three_param",
 ]
 
 def _det(w11, w12, w22):
@@ -169,56 +166,6 @@ class BoundsReport(Record):
     branch: Branch
     b_value: float
     xi_star: np.ndarray
-
-
-def trabs(weight, x) -> float:
-    """Sum of absolute eigenvalues of W^(1/2) X W^(1/2) for antisymmetric X.
-
-    For 2x2 inputs the closed form 2 sqrt(det W) |x_12| is returned; for
-    larger antisymmetric X (the three-parameter bound) the eigenvalue
-    definition :func:`trabs_from_root` is evaluated.  A 2x2 weight is read
-    through :meth:`WeightMatrix.from_matrix`.  DomainError unless X and W are
-    finite n x n matrices, X antisymmetric and W symmetric positive definite.
-    """
-    w = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, dtype=float)
-    xm = np.asarray(x)
-    if not np.isfinite(xm).all():
-        raise DomainError("trabs argument entries must be finite")
-    if np.iscomplexobj(xm):
-        if np.abs(xm.imag).max(initial=0.0) > HERMITIAN_RTOL * np.abs(xm).max():
-            raise DomainError("trabs expects the (real) imaginary part of a Hermitian matrix")
-        xm = xm.real
-    if xm.shape != w.shape or xm.ndim != 2 or xm.shape[0] != xm.shape[1]:
-        raise DomainError(f"trabs expects two n x n matrices, got {w.shape} and {xm.shape}")
-    if not_hermitian(1j * xm, PAIR_RTOL):  # X is antisymmetric iff i X is Hermitian
-        raise DomainError("trabs argument must be antisymmetric")
-    xm = 0.5 * (xm - xm.T)  # scrub rounding off the exact antisymmetry
-
-    if xm.shape == (2, 2):
-        return float(2.0 * np.sqrt(WeightMatrix.from_matrix(w).det) * abs(xm[0, 1]))
-    if not np.isfinite(w).all() or not_hermitian(w, HERMITIAN_RTOL):
-        raise DomainError("weight matrix must be finite and symmetric")
-    return trabs_from_root(weight_root(w), xm)
-
-
-def weight_root(w: np.ndarray) -> np.ndarray:
-    """W^(1/2) from the eigen-decomposition of a positive-definite W."""
-    evals, evecs = np.linalg.eigh(w)
-    if evals.min() <= 0.0:
-        raise DomainError("weight matrix must be positive definite")
-    return (evecs * np.sqrt(evals)) @ evecs.T
-
-
-def trabs_from_root(w_half: np.ndarray, xm: np.ndarray):
-    """sum |eig(W^(1/2) X W^(1/2))| given ``w_half`` = :func:`weight_root` (W),
-    for callers that evaluate TrAbs at many X under one W.
-
-    ``xm`` is one 2x2 X (a float is returned) or an (N, 2, 2) stack (an array
-    of N values, each the bits of the one-X call); ``w_half`` may be a
-    matching stack of roots.
-    """
-    sums = np.abs(np.linalg.eigvals(w_half @ xm @ w_half)).sum(axis=-1)
-    return float(sums) if sums.ndim == 0 else sums
 
 
 def holevo_bounds_many(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
@@ -328,25 +275,3 @@ def weight_from_angles(w, omega) -> WeightMatrix:
     zero = np.zeros_like(w)
     core = stack_last([[0.5 * (1.0 + w), zero], [zero, 0.5 * (1.0 - w)]], 2)
     return WeightMatrix.from_matrix(rot @ core @ np.swapaxes(rot, -1, -2))
-
-
-def holevo_bound_three_param(m3: BlochModelPoint3, w3) -> float:
-    """Holevo bound of a full three-parameter qubit model.
-
-    Three independent derivatives make the model D-invariant, so the bound
-    is the RLD expression Tr(W Re G~^-1) + TrAbs(W Im G~^-1) with the 3x3
-    RLD Fisher matrix; TrAbs uses the eigenvalue path.
-    """
-    m3.require_mixed()
-    w = np.asarray(w3, dtype=float)
-    if not np.isfinite(w).all():
-        raise DomainError("three-parameter weight entries must be finite")
-    if w.shape != (3, 3) or not_hermitian(w, HERMITIAN_RTOL):
-        raise DomainError("three-parameter weight must be a symmetric 3x3 matrix")
-    w_half = weight_root(w)  # DomainError unless positive definite
-
-    qt = q_tilde(m3)  # depends only on s
-    derivs = [m3.d1s, m3.d2s, m3.d3s]
-    gt = np.array([[np.conj(di) @ qt @ dj for dj in derivs] for di in derivs])
-    gt_inv = np.linalg.inv(gt)
-    return float(np.trace(w @ gt_inv.real) + trabs_from_root(w_half, gt_inv.imag))

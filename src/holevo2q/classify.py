@@ -11,13 +11,15 @@ A mixed two-parameter qubit point falls into one of three classes:
 A family is globally D-invariant exactly when |s_theta| is constant, which
 happens iff the family is unitary.
 
-The pure-limit operations read the Fisher route at a mixed point
-(``fisher_matrices``, ``holevo_bound``).  On the shell, with n = d1s x d2s
-and c = <s, n>, a genuine pure model has derivatives tangent to the sphere
-(n parallel to s); the SLD duals then have the limits l^1 = -(s x d2s)/c and
-l^2 = (s x d1s)/c, the RLD duals coincide with them, and the bound is
-Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|.  c -> 0 is the asymptotically
-classical degeneration, where an error is raised instead.
+The pure-limit operations read ``holevo_bound`` and the matrix forms of
+:mod:`holevo2q.matrix_forms` (``fisher_matrices`` and ``rld_bloch_vectors``
+at a mixed point, ``ell_perp`` on the shell); classification reads neither.
+On the shell, with n = d1s x d2s and c = <s, n>, a genuine pure model has
+derivatives tangent to the sphere (n parallel to s); the SLD duals then
+have the limits l^1 = -(s x d2s)/c and l^2 = (s x d1s)/c, the RLD duals
+coincide with them, and the bound is Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|.
+c -> 0 is the asymptotically classical degeneration, where an error is
+raised instead.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import enum
 
 import numpy as np
 
-from .bloch import (CLASSIFICATION_RTOL, TANGENCY_RTOL, BlochModelPoint, Record, cross, dot3,
-                    ell_perp, rld_bloch_vectors)
+from .bloch import CLASSIFICATION_RTOL, TANGENCY_RTOL, BlochModelPoint, Record, cross, dot3
 from .bounds import WeightMatrix, holevo_bound
 from .errors import AsymptoticallyClassicalLimitError, DomainError, PureStateError
-from .fisher import FisherBundle, bloch_scalars_many, fisher_bundle, fisher_matrices
+from .fisher import FisherBundle, bloch_scalars_many, fisher_bundle
+from .matrix_forms import ell_perp, fisher_matrices, rld_bloch_vectors
 
 __all__ = [
     "CLASSIFICATION_RTOL",

@@ -1,18 +1,10 @@
-"""SLD and RLD Fisher information in Bloch form.
+"""SLD and RLD Fisher information in Bloch form, as the explicit bounds read it.
 
-For a mixed two-parameter qubit point the Fisher matrices are the bilinear
-forms of the derivatives under the metric factors of :mod:`holevo2q.bloch`:
-
-    G_ij  = <d_i s, Q d_j s>          (real symmetric, SLD)
-    G~_ij = <d_i s, Q~ d_j s>         (Hermitian, RLD)
-
-Dual Bloch vectors carry the inverse-metric index: l^i = sum_j (G^-1)_ji l_j,
-so that <l^i, Q^-1 l_j> = delta^i_j.  The
-Z matrix collects the RLD-type pairings of the SLD duals,
-
-    z^ij = <l^i, Q~^-1 l^j> = (G^-1)_ij + i <l^i, F l^j>,
-
-whose real part is exactly G^-1 and whose imaginary part equals Im G~^-1.
+Of a mixed two-parameter qubit point (s, d1s, d2s) the bounds of
+:mod:`holevo2q.bounds` read only a few Bloch scalars; the SLD Fisher matrix,
+for one, is G = Gram + r r^T/(1 - s^2) with Gram_ij = <d_i s, d_j s> and
+r_i = <s, d_i s>.  The 3x3 matrix forms of G, G~ and Z that cross-check
+them are in :mod:`holevo2q.matrix_forms`.
 
 Each quantity has one producer:
 
@@ -24,11 +16,9 @@ Each quantity has one producer:
   shell.  ``fisher_bundle_many`` is the same pass with a guard on the
   singularity of G; it is what every bound reads.  ``fisher_bundle`` is the
   same pass on one point, and ``classify_point`` reads the flags of a
-  one-point ``bloch_scalars_many``; without a bundle, ``sld_duals`` runs only
-  its accept/reject half (``_admit``), the one guard.
-* ``fisher_matrices`` builds G, G~, their inverses, the SLD duals and Z.
-  Only the verification suite, the oracle's reduced search, the tests and
-  ``classify.pure_limit_duals`` / ``pure_limit_rld_inverse`` read them.
+  one-point ``bloch_scalars_many``.
+* ``_admit`` is the accept/reject half of that pass, the one guard;
+  ``matrix_forms.sld_duals`` runs it alone when it has no bundle.
 """
 
 from __future__ import annotations
@@ -36,48 +26,15 @@ from __future__ import annotations
 import numpy as np
 
 from .bloch import (CLASSIFICATION_RTOL, SINGULAR_RTOL, BlochModelPoint, Record, cross, dependent,
-                    dot3, mixed, not_mixed_message, q_matrix, q_tilde, q_tilde_inverse, stack_last)
-from .errors import DegenerateModelError, DomainError, PureStateError, raise_first
+                    dot3, mixed, not_mixed_message, stack_last)
+from .errors import DegenerateModelError, PureStateError, raise_first
 
 __all__ = [
     "FisherBundle",
-    "FisherMatrices",
     "bloch_scalars_many",
     "fisher_bundle",
     "fisher_bundle_many",
-    "fisher_matrices",
-    "invert_2x2",
-    "sld_duals",
 ]
-
-def invert_2x2(mat: np.ndarray, exc: type[Exception] = DegenerateModelError) -> np.ndarray:
-    """Closed-form adjugate inversion of a 2x2 matrix (real or complex)."""
-    m = np.asarray(mat)
-    if m.shape != (2, 2):
-        raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-    (a, b), (c, d) = m.tolist()
-    det = a * d - b * c
-    norm_sq = sum(x * x for x in map(abs, (a, b, c, d)))
-    if abs(det) < SINGULAR_RTOL * norm_sq or norm_sq == 0.0:
-        raise exc(f"2x2 matrix is singular beyond tolerance (det = {det:.3e})")
-    return np.array([[d, -b], [-c, a]], dtype=m.dtype) / det
-
-
-def _bilinear(u: np.ndarray, mat: np.ndarray, v: np.ndarray) -> complex:
-    return complex(np.conj(u) @ (mat @ v))
-
-
-def _hermitian_from_upper(u: np.ndarray, v: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """[[<u,Mu>, <u,Mv>], [conj, <v,Mv>]] for Hermitian M.
-
-    Only the upper triangle is evaluated: real diagonal, lower = conj(upper),
-    so the imaginary part of the result (and of its inverse) is exactly
-    antisymmetric rather than antisymmetric up to rounding.
-    """
-    off = _bilinear(u, mat, v)
-    diag = _bilinear(u, mat, u).real, _bilinear(v, mat, v).real
-    return np.array([[diag[0], off], [off.conjugate(), diag[1]]], dtype=complex)
-
 
 class FisherBundle(Record):
     """The Bloch scalars and class flags of one mixed model point, or of a
@@ -159,45 +116,3 @@ def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
         m, fb.gram, fb.radial, float(fb.triple_product), float(fb.perp_quadratic), fb.gamma,
         float(fb.one_minus_s_sq), bool(fb.d_invariant), bool(fb.asymptotically_classical),
     )
-
-
-class FisherMatrices(Record):
-    """The Fisher matrices, SLD duals and Z of one mixed model point."""
-
-    point: BlochModelPoint
-    g: np.ndarray            # SLD Fisher, real symmetric (2, 2)
-    g_inv: np.ndarray
-    g_tilde: np.ndarray      # RLD Fisher, Hermitian (2, 2)
-    g_tilde_inv: np.ndarray
-    z: np.ndarray            # Hermitian (2, 2)
-    dual1: np.ndarray        # SLD dual Bloch vectors, real (3,)
-    dual2: np.ndarray
-
-
-def sld_duals(m: BlochModelPoint, fb: FisherBundle | None = None):
-    """(G, G^-1, l^1, l^2), the SLD side of :func:`fisher_matrices`.
-
-    Without ``fb`` (``fisher_bundle(m)``, when the caller has it) it runs the
-    guard half of :func:`fisher_bundle` alone: it accepts and raises the same.
-    """
-    if fb is None:
-        _admit(m.s, m.d1s, m.d2s, invertible=True)
-    q = q_matrix(m)
-    d1, d2 = m.derivatives()
-    l1, l2 = q @ d1, q @ d2
-    g = np.array([[float(dq @ b) for b in (d1, d2)] for dq in (d1 @ q, d2 @ q)])
-    g_inv = invert_2x2(g)
-    dual1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
-    dual2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2
-    return g, g_inv, dual1, dual2
-
-
-def fisher_matrices(m: BlochModelPoint, fb: FisherBundle | None = None) -> FisherMatrices:
-    """G, G~, their inverses, the SLD duals and Z from the metric factors;
-    accepts, raises and takes ``fb`` as :func:`sld_duals` does."""
-    g, g_inv, dual1, dual2 = sld_duals(m, fb)
-    d1, d2 = m.derivatives()
-    g_tilde = _hermitian_from_upper(d1, d2, q_tilde(m))
-    g_tilde_inv = invert_2x2(g_tilde)
-    z = _hermitian_from_upper(dual1, dual2, q_tilde_inverse(m))
-    return FisherMatrices(m, g, g_inv, g_tilde, g_tilde_inv, z, dual1, dual2)

@@ -38,7 +38,7 @@ import numpy as np
 from .bloch import (CERTIFICATE_RTOL, CONSTRAINT_RTOL, FEASIBILITY_RTOL, FIT_RTOL, HERMITIAN_RTOL,
                     MIN_EIGENVALUE, PAIR_RTOL, RANK_RTOL, BlochModelPoint, Record, cross, dot3,
                     not_hermitian)
-from .bounds import WeightMatrix, trabs_from_root, weight_root
+from .bounds import WeightMatrix
 from .errors import (
     DegenerateModelError,
     DomainError,
@@ -47,7 +47,7 @@ from .errors import (
     PureStateError,
     SingularMatrixError,
 )
-from .fisher import invert_2x2, sld_duals
+from .matrix_forms import invert_2x2, sld_duals, trabs_from_root, weight_root
 
 __all__ = [
     "PAULI",
@@ -119,7 +119,7 @@ class DensityPoint(Record):
                 raise DomainError(f"{name} must {what}")
         for name, mat in zip(names, mats):
             object.__setattr__(self, name, mat)
-        if np.linalg.eigvalsh(self.rho).min() < MIN_EIGENVALUE:
+        if self.eigenbasis[0].min() < MIN_EIGENVALUE:
             raise PureStateError("rho is not strictly positive")
 
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:

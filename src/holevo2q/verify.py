@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import (Record, ell_perp, f_matrix, factory, q_inverse, rld_bloch_vectors,
-                    sld_bloch_vectors)
-from .bounds import WeightMatrix, holevo_bound, trabs_from_root, weight_root
+from .bloch import Record, factory
+from .bounds import WeightMatrix, holevo_bound
 from .errors import ModelError, SingularMatrixError
-from .fisher import fisher_bundle, fisher_matrices, invert_2x2
+from .fisher import fisher_bundle
+from .matrix_forms import (ell_perp, f_matrix, fisher_matrices, invert_2x2, q_inverse,
+                           rld_bloch_vectors, sld_bloch_vectors, trabs_from_root, weight_root)
 from .oracle import (
     commutation_operator,
     density_point,

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from holevo2q.bloch import BlochModelPoint, BlochModelPoint3, q_matrix
+from holevo2q.bloch import BlochModelPoint
 from holevo2q.errors import DegenerateModelError, DomainError, PureStateError, SingularMatrixError
-from holevo2q.fisher import invert_2x2
+from holevo2q.matrix_forms import BlochModelPoint3, invert_2x2, q_matrix
 from holevo2q.oracle import DensityPoint, sld_inner, sld_operators
 from holevo2q.sampling import MIN_CROSS_FRACTION, _ball_point, _independent_derivatives
 

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from holevo2q.bloch import BlochModelPoint, f_matrix, q_inverse
+from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import (
     BOUNDARY_RTOL,
     Branch,
@@ -21,7 +21,8 @@ from holevo2q.bounds import (
 )
 from holevo2q.classify import pure_limit_holevo
 from holevo2q.cli import main as cli_main
-from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
+from holevo2q.fisher import fisher_bundle
+from holevo2q.matrix_forms import f_matrix, fisher_matrices, invert_2x2, q_inverse
 from holevo2q.models import GenericZ
 from holevo2q.oracle import (
     commutation_operator,
@@ -133,7 +134,7 @@ def test_criterion_3_identity_suite():
         worst = max(worst, abs(evals[0]) / scale, max(0.0, -evals[1]) / scale)
 
         f = f_matrix(m)
-        from holevo2q.bloch import rld_bloch_vectors, sld_bloch_vectors
+        from holevo2q.matrix_forms import rld_bloch_vectors, sld_bloch_vectors
 
         l1, l2 = sld_bloch_vectors(m)
         lt1, lt2 = rld_bloch_vectors(m)

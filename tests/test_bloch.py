@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from holevo2q.bloch import (
-    BlochModelPoint,
-    cross,
+from holevo2q.bloch import BlochModelPoint, cross
+from holevo2q.errors import DegenerateModelError, DomainError, PureStateError
+from holevo2q.fisher import fisher_bundle
+from holevo2q.matrix_forms import (
     ell_perp,
     f_matrix,
     q_inverse,
@@ -15,8 +16,6 @@ from holevo2q.bloch import (
     rld_bloch_vectors,
     sld_bloch_vectors,
 )
-from holevo2q.errors import DegenerateModelError, DomainError, PureStateError
-from holevo2q.fisher import fisher_bundle
 from holevo2q.sampling import random_model_point
 
 XHAT = np.array([1.0, 0.0, 0.0])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from holevo2q import bounds
-from holevo2q.bloch import BlochModelPoint, BlochModelPoint3
+from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import (
     BOUNDARY_RTOL,
     Branch,
@@ -21,15 +21,20 @@ from holevo2q.bounds import (
     alpha_theta,
     boundary_weight_family,
     holevo_bound,
-    holevo_bound_three_param,
-    trabs,
-    trabs_from_root,
     weight_from_angles,
-    weight_root,
 )
 from holevo2q.cli import main
 from holevo2q.errors import DomainError, SpecialModelError
-from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
+from holevo2q.fisher import fisher_bundle
+from holevo2q.matrix_forms import (
+    BlochModelPoint3,
+    fisher_matrices,
+    holevo_bound_three_param,
+    invert_2x2,
+    trabs,
+    trabs_from_root,
+    weight_root,
+)
 from holevo2q.models import Explicit, GenericZ, Unitary
 from holevo2q.oracle import density_point, minimize_holevo_6d
 from holevo2q.sampling import (

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from holevo2q.bloch import CLASSIFICATION_RTOL, BlochModelPoint, rld_bloch_vectors
+from holevo2q.bloch import CLASSIFICATION_RTOL, BlochModelPoint
 from holevo2q.bounds import WeightMatrix, holevo_bound
 from holevo2q.classify import (
     ModelClass,
@@ -24,7 +24,8 @@ from holevo2q.errors import (
     ModelError,
     PureStateError,
 )
-from holevo2q.fisher import fisher_bundle, fisher_matrices
+from holevo2q.fisher import fisher_bundle
+from holevo2q.matrix_forms import fisher_matrices, rld_bloch_vectors
 from holevo2q.models import Explicit, GenericZ, Planar, Unitary
 from holevo2q.sampling import (
     random_d_invariant_point,

@@ -527,9 +527,9 @@ class TestFisherMatricesOffProductionPaths:
 
     @pytest.fixture(autouse=True)
     def forbid_fisher_matrices(self, monkeypatch):
-        import holevo2q.fisher
+        import holevo2q.matrix_forms
 
-        original = holevo2q.fisher.fisher_matrices
+        original = holevo2q.matrix_forms.fisher_matrices
 
         def forbidden(*args, **kwargs):
             raise AssertionError("fisher_matrices called on a production path")
@@ -600,6 +600,34 @@ class TestLazyImport:
             "missing = [name for name in holevo2q.__all__ if name not in namespace]\n"
             "assert not missing, missing\n"
             "assert set(holevo2q.__all__) <= set(dir(holevo2q))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    # The Bloch-matrix cross-check route, which lives in holevo2q.matrix_forms only.
+    MATRIX_FORMS = (
+        "q_matrix q_inverse f_matrix q_tilde q_tilde_inverse sld_bloch_vectors rld_bloch_vectors"
+        " ell_perp BlochModelPoint3 invert_2x2 _bilinear _hermitian_from_upper FisherMatrices"
+        " sld_duals fisher_matrices trabs weight_root trabs_from_root holevo_bound_three_param"
+    ).split()
+
+    def test_sweep_leaves_the_matrix_forms_unloaded(self, generic_model, tmp_path):
+        import holevo2q.matrix_forms
+
+        assert all(hasattr(holevo2q.matrix_forms, name) for name in self.MATRIX_FORMS)
+        argv = ["sweep-weight", "--model", generic_model, "--theta", "0.2,0.1", "--grid", "3",
+                "--out", str(tmp_path / "out.csv")]
+        code = (
+            "import sys\n"
+            "import holevo2q.cli as cli\n"
+            "from holevo2q.models import load_model\n"
+            f"load_model({generic_model!r})\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'holevo2q.matrix_forms' not in sys.modules, 'matrix_forms loaded'\n"
+            "from holevo2q import bloch, bounds, fisher\n"
+            f"left = [(m.__name__, name) for m in (bloch, fisher, bounds) for name in "
+            f"{self.MATRIX_FORMS!r} if hasattr(m, name)]\n"
+            "assert not left, left\n"
         )
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stdout + proc.stderr

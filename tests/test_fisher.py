@@ -8,8 +8,6 @@ from holevo2q.bloch import (
     DERIVATIVE_INDEPENDENCE_RTOL,
     PURE_SHELL_TOL,
     BlochModelPoint,
-    ell_perp,
-    q_inverse,
 )
 from holevo2q.bounds import WeightMatrix
 from holevo2q.errors import (
@@ -19,10 +17,12 @@ from holevo2q.errors import (
     PureStateError,
     SingularMatrixError,
 )
-from holevo2q.fisher import (
-    fisher_bundle,
+from holevo2q.fisher import fisher_bundle
+from holevo2q.matrix_forms import (
+    ell_perp,
     fisher_matrices,
     invert_2x2,
+    q_inverse,
     sld_duals,
 )
 from holevo2q.sampling import random_model_point, random_weight
@@ -269,7 +269,7 @@ class TestDualVectors:
 
     def test_rld_duals_pair_to_identity(self):
         rng = np.random.default_rng(25)
-        from holevo2q.bloch import q_tilde_inverse, rld_bloch_vectors
+        from holevo2q.matrix_forms import q_tilde_inverse, rld_bloch_vectors
 
         for _ in range(100):
             m = random_model_point(rng)

@@ -12,13 +12,17 @@ from holevo2q.bounds import (
     WeightMatrix,
     boundary_weight_family,
     holevo_bound,
-    holevo_bound_three_param,
-    trabs_from_root,
-    weight_root,
 )
 from holevo2q.errors import (DegenerateModelError, DomainError, FeasibilityError,
                              OracleCertificateError, PureStateError)
-from holevo2q.fisher import fisher_bundle, fisher_matrices, invert_2x2
+from holevo2q.fisher import fisher_bundle
+from holevo2q.matrix_forms import (
+    fisher_matrices,
+    holevo_bound_three_param,
+    invert_2x2,
+    trabs_from_root,
+    weight_root,
+)
 from holevo2q.models import GenericZ, Unitary
 from holevo2q.oracle import (
     PAULI,
@@ -159,7 +163,7 @@ class TestSldOperators:
     def test_bloch_vector_cross_check(self):
         # sigma coefficients of L equal the SLD Bloch vector; the trace
         # carries twice the radial component.
-        from holevo2q.bloch import sld_bloch_vectors
+        from holevo2q.matrix_forms import sld_bloch_vectors
 
         rng = np.random.default_rng(72)
         for _ in range(100):
@@ -894,7 +898,7 @@ class TestThreeParamOracle:
             assert value == pytest.approx(expected, rel=1e-10)
 
     def test_simple_point(self):
-        from holevo2q.bloch import BlochModelPoint3
+        from holevo2q.matrix_forms import BlochModelPoint3
 
         m3 = BlochModelPoint3(
             s=[0, 0, 0.5], d1s=[1, 0, 0], d2s=[0, 1, 0], d3s=[0, 0, 1]

@@ -9,10 +9,11 @@ output.
 import numpy as np
 import pytest
 
-from holevo2q.bloch import BlochModelPoint, BlochModelPoint3
+from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import BoundsReport, Branch, WeightMatrix
 from holevo2q.classify import FamilyClassification, ModelClass, ModelLabel
-from holevo2q.fisher import FisherBundle, FisherMatrices
+from holevo2q.fisher import FisherBundle
+from holevo2q.matrix_forms import BlochModelPoint3, FisherMatrices
 from holevo2q.models import Domain, Explicit, GenericZ, Planar, Poly2D, Unitary
 from holevo2q.oracle import DensityPoint, HermitianPair
 from holevo2q.verify import CheckRow, VerificationReport

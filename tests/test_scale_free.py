@@ -9,15 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from holevo2q.bloch import BlochModelPoint, BlochModelPoint3
-from holevo2q.bounds import WeightMatrix, holevo_bound_three_param, trabs
+from holevo2q.bloch import BlochModelPoint
+from holevo2q.bounds import WeightMatrix
 from holevo2q.errors import (
     DegenerateModelError,
     DomainError,
     FeasibilityError,
     OracleCertificateError,
 )
-from holevo2q.fisher import fisher_matrices
+from holevo2q.matrix_forms import BlochModelPoint3, fisher_matrices, holevo_bound_three_param, trabs
 from holevo2q.oracle import (
     DensityPoint,
     HermitianPair,

@@ -31,7 +31,9 @@ of repetitions in which it was the fastest column, the sha256 of each path's
 output (equal hashes mean byte-identical CSV, JSON or text; a path whose
 output differs between repetitions of one column is an error), the tier-1
 summary line, and whether the median of every 101x101 sweep is under
-SWEEP_TARGET_S (the ROADMAP's 0.4 s target).  Columns already in OUT.json that
+SWEEP_TARGET_S (the ROADMAP's 0.4 s target), and the import graph of
+``import holevo2q.cli``: each ``holevo2q`` module it loads with the source
+lines of its file, and their total.  Columns already in OUT.json that
 are not named again are kept; the machine record (usable cores, Python, numpy)
 is rewritten.  Standard library only.
 """
@@ -96,6 +98,20 @@ def _run(argv, root, cwd):
     return seconds, proc.stdout
 
 
+def _import_graph(root):
+    """{module: source lines} of the holevo2q modules that ``import holevo2q.cli``
+    loads from ROOT, and their total."""
+    probe = ("import json, sys, holevo2q.cli\n"
+             "print(json.dumps({name: module.__file__ for name, module in sys.modules.items()\n"
+             "                  if name.split('.')[0] == 'holevo2q'}))")
+    _, stdout = _run([sys.executable, "-c", probe], root, root)
+    lines = {}
+    for name, path in sorted(json.loads(stdout).items()):
+        with open(path, encoding="utf-8") as fh:
+            lines[name] = sum(1 for _ in fh)
+    return {"modules": lines, "source_lines": sum(lines.values())}
+
+
 def _machine():
     probe = "import numpy; print(numpy.__version__)"
     numpy_version = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -150,7 +166,8 @@ def main(argv):
             sweeps = [v["median_s"] for p, v in paths.items() if p.startswith("sweep")]
             results[name] = {"paths": paths, "output_sha256": digests[name],
                              "sweeps_under_target_s": {"target_s": SWEEP_TARGET_S,
-                                                       "all": max(sweeps) < SWEEP_TARGET_S}}
+                                                       "all": max(sweeps) < SWEEP_TARGET_S},
+                             "import_graph": _import_graph(root)}
     record = {}
     if os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as fh:
@@ -162,7 +179,9 @@ def main(argv):
         fh.write("\n")
     for name, res in results.items():
         medians = ", ".join(f"{p} {v['median_s']:.3f}" for p, v in res["paths"].items())
-        print(f"{name}: {medians} (s)")
+        graph = res["import_graph"]
+        print(f"{name}: {medians} (s); import holevo2q.cli loads {len(graph['modules'])} "
+              f"modules, {graph['source_lines']} lines")
     return 0
 
 
