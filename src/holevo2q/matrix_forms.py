@@ -162,8 +162,8 @@ class FisherMatrices(Record):
 def sld_duals(m: BlochModelPoint, fb: FisherBundle | None = None):
     """(G, G^-1, l^1, l^2), the SLD side of :func:`fisher_matrices`.
 
-    Without ``fb`` (``fisher_bundle(m)``, when the caller has it) it runs the
-    guard half of :func:`fisher_bundle` alone: it accepts and raises the same.
+    Without ``fb`` (``fisher_bundle(m)``, when the caller has it) it runs
+    ``fisher._admit``, the guard of ``fisher_bundle``: it accepts and raises the same.
     """
     if fb is None:
         _admit(m.s, m.d1s, m.d2s, invertible=True)
