@@ -23,8 +23,8 @@ _EXPORTS = {
         ("bounds", "BoundsReport Branch WeightMatrix holevo_bound"),
         ("matrix_forms", "holevo_bound_three_param"),
         ("bounds", "weight_from_angles"),
-        ("classify", "ModelClass ModelLabel classify_family classify_point pure_limit_duals"
-                     " pure_limit_holevo"),
+        ("classify", "ModelClass ModelLabel classify_family classify_point"),
+        ("matrix_forms", "pure_limit_duals pure_limit_holevo"),
         ("fisher", "FisherBundle fisher_bundle"),
         ("models", "Explicit GenericZ Planar Unitary from_descriptor"),
         ("errors", "ModelError PureStateError DegenerateModelError SingularMatrixError"

@@ -1,4 +1,4 @@
-"""Model classification and pure-state-limit operations.
+"""Model classification.
 
 A mixed two-parameter qubit point falls into one of three classes:
 
@@ -11,15 +11,9 @@ A mixed two-parameter qubit point falls into one of three classes:
 A family is globally D-invariant exactly when |s_theta| is constant, which
 happens iff the family is unitary.
 
-The pure-limit operations read ``holevo_bound`` and the matrix forms of
-:mod:`holevo2q.matrix_forms` (``fisher_matrices`` and ``rld_bloch_vectors``
-at a mixed point, ``ell_perp`` on the shell); classification reads neither.
-On the shell, with n = d1s x d2s and c = <s, n>, a genuine pure model has
-derivatives tangent to the sphere (n parallel to s); the SLD duals then
-have the limits l^1 = -(s x d2s)/c and l^2 = (s x d1s)/c, the RLD duals
-coincide with them, and the bound is Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|.
-c -> 0 is the asymptotically classical degeneration, where an error is
-raised instead.
+The verdicts are the flags of one :func:`~holevo2q.fisher.bloch_scalars_many`
+pass.  The pure-state limits, which continue the Bloch-matrix forms to the
+shell, are in :mod:`holevo2q.matrix_forms`.
 """
 
 from __future__ import annotations
@@ -28,24 +22,18 @@ import enum
 
 import numpy as np
 
-from .bloch import CLASSIFICATION_RTOL, TANGENCY_RTOL, BlochModelPoint, Record, cross, dot3
-from .bounds import WeightMatrix, holevo_bound
-from .errors import AsymptoticallyClassicalLimitError, DomainError, PureStateError
-from .fisher import FisherBundle, bloch_scalars_many, fisher_bundle
-from .matrix_forms import ell_perp, fisher_matrices, rld_bloch_vectors
+from .bloch import CLASSIFICATION_RTOL, BlochModelPoint, Record, dot3
+from .errors import DomainError
+from .fisher import FisherBundle, bloch_scalars_many
 
 __all__ = [
     "CLASSIFICATION_RTOL",
-    "TANGENCY_RTOL",
     "ModelLabel",
     "ModelClass",
     "classify_point",
     "FamilyClassification",
     "classify_family",
     "classify_rows",
-    "pure_limit_duals",
-    "pure_limit_rld_inverse",
-    "pure_limit_holevo",
 ]
 
 class ModelLabel(enum.Enum):
@@ -135,66 +123,3 @@ def classify_family(family, grid) -> FamilyClassification:
         classify_point(family.evaluate(thetas[first]))  # an unusable point raises here
     return classify_rows(s, d1, d2)
 
-
-def _shell_limit(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray, float]:
-    """(l^1, l^2, c) at a pure-shell point: the tangent limits of the SLD duals.
-
-    Raises :class:`AsymptoticallyClassicalLimitError` where c = <s, n>
-    vanishes and :class:`PureStateError` where the derivatives are not
-    tangent to the sphere.  The tangency test reads |n x s| itself: its
-    square, |n|^2 - c^2, cancels to rounding size, far above TANGENCY_RTOL^2.
-    """
-    n = ell_perp(m)
-    c = float(m.s @ n)
-    scale = float(np.linalg.norm(m.s) * np.linalg.norm(n))
-    if abs(c) <= CLASSIFICATION_RTOL * max(scale, 1e-300):
-        raise AsymptoticallyClassicalLimitError(
-            "pure-state limit degenerates: <s, d1s x d2s> = 0 at the shell"
-        )
-    if np.linalg.norm(cross(n, m.s)) > TANGENCY_RTOL * np.linalg.norm(n):
-        raise PureStateError(
-            "pure-shell point has non-tangent derivatives; the RLD limit "
-            "collapses and is not a valid pure-state model"
-        )
-    return -cross(m.s, m.d2s) / c, cross(m.s, m.d1s) / c, c
-
-
-def pure_limit_duals(
-    m: BlochModelPoint,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """SLD and RLD dual Bloch vectors ``(l1, l2, lt1, lt2)``.
-
-    At a mixed point these are ``fisher_matrices(m).dual1/dual2`` and
-    l~^i = sum_j (G~^-1)_ji l~_j; on the shell, the tangent limits, with the
-    RLD duals equal to the SLD ones.
-    """
-    if m.is_mixed:
-        fm = fisher_matrices(m)
-        gt_inv = fm.g_tilde_inv
-        r1, r2 = rld_bloch_vectors(m)
-        rdual1 = gt_inv[0, 0] * r1 + gt_inv[1, 0] * r2
-        rdual2 = gt_inv[0, 1] * r1 + gt_inv[1, 1] * r2
-        return fm.dual1, fm.dual2, rdual1, rdual2
-    l1, l2, _ = _shell_limit(m)
-    return l1, l2, l1.astype(complex), l2.astype(complex)
-
-
-def pure_limit_rld_inverse(m: BlochModelPoint) -> np.ndarray:
-    """Inverse RLD Fisher matrix: ``fisher_matrices(m).g_tilde_inv`` at a
-    mixed point; on the shell, Gram(l^1, l^2) with imaginary part -J/c."""
-    if m.is_mixed:
-        return fisher_matrices(m).g_tilde_inv
-    l1, l2, c = _shell_limit(m)
-    g12 = float(l1 @ l2)
-    return np.array([[l1 @ l1, g12 - 1j / c], [g12 + 1j / c, l2 @ l2]], dtype=complex)
-
-
-def pure_limit_holevo(m: BlochModelPoint, w: WeightMatrix) -> float:
-    """Holevo bound in the pure-state limit: the RLD bound ``c_r`` of
-    :func:`holevo2q.bounds.holevo_bound` at a mixed point; on the shell,
-    Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|."""
-    if m.is_mixed:
-        return holevo_bound(fisher_bundle(m), w).c_r
-    l1, l2, c = _shell_limit(m)
-    trace = w.w11 * (l1 @ l1) + 2.0 * w.w12 * (l1 @ l2) + w.w22 * (l2 @ l2)
-    return float(trace + 2.0 * np.sqrt(w.det) / abs(c))

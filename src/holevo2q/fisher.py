@@ -6,19 +6,16 @@ for one, is G = Gram + r r^T/(1 - s^2) with Gram_ij = <d_i s, d_j s> and
 r_i = <s, d_i s>.  The 3x3 matrix forms of G, G~ and Z that cross-check
 them are in :mod:`holevo2q.matrix_forms`.
 
-Each quantity has one producer:
-
-* ``bloch_scalars_many`` computes, in one pass over (N, 3) stacks of
-  (s, d1s, d2s), the Bloch scalars the explicit bounds are built from (Gram
-  matrix, r_i = <s, d_i s>, k = <s, n>, p = <n, Q^-1 n>, 1 - s^2), gamma
-  and the two special-model flags that ``classify_point`` reports.  p is
-  taken in Lagrange form because the equal |n|^2 - k^2 cancels near the
-  shell.  ``fisher_bundle_many`` is the same pass with a guard on the
-  singularity of G; it is what every bound reads.  ``fisher_bundle`` is the
-  same pass on one point, and ``classify_point`` reads the flags of a
-  one-point ``bloch_scalars_many``.
-* ``_admit`` is the accept/reject half of that pass, the one guard;
-  ``matrix_forms.sld_duals`` runs it alone when it has no bundle.
+Each quantity has one producer, ``bloch_scalars_many``.  It computes, in
+one pass over (N, 3) stacks of (s, d1s, d2s), the Bloch scalars the
+explicit bounds are built from (Gram matrix, r_i = <s, d_i s>, k = <s, n>,
+p = <n, Q^-1 n>, 1 - s^2), gamma and the two special-model flags that
+``classify_point`` reports.  p is taken in Lagrange form because the equal
+|n|^2 - k^2 cancels near the shell.  ``fisher_bundle_many`` is the same
+pass with a guard on the singularity of G; it is what every bound reads,
+and the one guard that ``matrix_forms.sld_duals`` runs when it has no
+bundle.  ``fisher_bundle`` is the same pass on one point, and
+``classify_point`` reads the flags of a one-point ``bloch_scalars_many``.
 """
 
 from __future__ import annotations
@@ -51,8 +48,16 @@ class FisherBundle(Record):
     asymptotically_classical: bool  # |k| <= CLASSIFICATION_RTOL |s||n|
 
 
-def _admit(s, d1, d2, invertible: bool):
-    """The accept/reject half of :func:`bloch_scalars_many`, which reuses its scalars."""
+def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
+    """The Bloch scalars and class flags of the rows of (N, 3) stacks of
+    (s, d1s, d2s), or of one point's 3-vectors.
+
+    Raises, for the first row that fails and in this order within a row,
+    :class:`PureStateError` off the open Bloch ball,
+    :class:`DegenerateModelError` for dependent derivatives and, when
+    ``invertible``, :class:`DegenerateModelError` for a singular SLD Fisher
+    matrix G = Gram + r r^T/(1 - s^2).
+    """
     s, d1, d2 = (np.asarray(x, dtype=float) for x in (s, d1, d2))
     s_squared = dot3(s, s)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -72,20 +77,6 @@ def _admit(s, d1, d2, invertible: bool):
             message = "SLD Fisher matrix is singular; derivatives degenerate"
             checks.append((singular, DegenerateModelError, message))
         raise_first(checks)
-    return s, d1, d2, s_squared, one_minus, r1, r2, g11, g12, g22, n
-
-
-def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
-    """The Bloch scalars and class flags of the rows of (N, 3) stacks of
-    (s, d1s, d2s), or of one point's 3-vectors.
-
-    Raises, for the first row that fails and in this order within a row,
-    :class:`PureStateError` off the open Bloch ball,
-    :class:`DegenerateModelError` for dependent derivatives and, when
-    ``invertible``, :class:`DegenerateModelError` for a singular SLD Fisher
-    matrix G = Gram + r r^T/(1 - s^2).
-    """
-    s, d1, d2, s_squared, one_minus, r1, r2, g11, g12, g22, n = _admit(s, d1, d2, invertible)
     n_squared = dot3(n, n)
     triple = dot3(s, n)
     s_cross_n = r2[..., None] * d1 - r1[..., None] * d2

@@ -16,29 +16,41 @@ route that ``verify`` compares with it (the density-matrix route is
   <l^i, Q^-1 l_j> = delta^i_j) and z^ij = <l^i, Q~^-1 l^j>
   = (G^-1)_ij + i <l^i, F l^j>, whose imaginary part equals Im G~^-1,
 * TrAbs from its eigenvalue definition, and the Holevo bound of a full
-  three-parameter model.
+  three-parameter model,
+* the pure-state limits, which continue these forms to the shell.
+
+The pure-limit operations read ``fisher_matrices`` and ``rld_bloch_vectors``
+(and ``holevo_bound``) at a mixed point and ``ell_perp`` on the shell.  On
+the shell, with n = d1s x d2s and c = <s, n>, a genuine pure model has
+derivatives tangent to the sphere (n parallel to s); the SLD duals then
+have the limits l^1 = -(s x d2s)/c and l^2 = (s x d1s)/c, the RLD duals
+coincide with them, and the bound is Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|.
+c -> 0 is the asymptotically classical degeneration, where an error is
+raised instead.
 
 Inner products are conjugate-linear in the first argument.  The oracle,
-``verify``, ``classify``'s pure-limit operations and the tests import this
-module; ``bloch``, ``fisher``, ``bounds``, ``models`` and ``cli`` do not, so
-``import holevo2q.cli``, ``bounds`` and the sweeps never load it.
+``verify`` and the tests import this module; ``bloch``, ``fisher``,
+``bounds``, ``models``, ``classify`` and ``cli`` do not, so
+``import holevo2q.cli``, ``bounds``, the sweeps and ``classify`` never load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bloch import (DERIVATIVE_INDEPENDENCE_RTOL, HERMITIAN_RTOL, PAIR_RTOL, SINGULAR_RTOL,
-                    BlochModelPoint, Record, _as_real_vec3, cross, dependent, not_hermitian)
-from .bounds import WeightMatrix
-from .errors import DegenerateModelError, DomainError
-from .fisher import FisherBundle, _admit
+from .bloch import (CLASSIFICATION_RTOL, DERIVATIVE_INDEPENDENCE_RTOL, HERMITIAN_RTOL, PAIR_RTOL,
+                    SINGULAR_RTOL, TANGENCY_RTOL, BlochModelPoint, Record, _as_real_vec3, cross,
+                    dependent, not_hermitian)
+from .bounds import WeightMatrix, holevo_bound
+from .errors import (AsymptoticallyClassicalLimitError, DegenerateModelError, DomainError,
+                     PureStateError)
+from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 
 __all__ = [
     "BlochModelPoint3", "q_matrix", "q_inverse", "f_matrix", "q_tilde", "q_tilde_inverse",
     "sld_bloch_vectors", "rld_bloch_vectors", "ell_perp", "invert_2x2", "FisherMatrices",
     "sld_duals", "fisher_matrices", "trabs", "weight_root", "trabs_from_root",
-    "holevo_bound_three_param",
+    "holevo_bound_three_param", "pure_limit_duals", "pure_limit_rld_inverse", "pure_limit_holevo",
 ]
 
 
@@ -163,13 +175,13 @@ def sld_duals(m: BlochModelPoint, fb: FisherBundle | None = None):
     """(G, G^-1, l^1, l^2), the SLD side of :func:`fisher_matrices`.
 
     Without ``fb`` (``fisher_bundle(m)``, when the caller has it) it runs
-    ``fisher._admit``, the guard of ``fisher_bundle``: it accepts and raises the same.
+    ``fisher_bundle_many``, the guard of ``fisher_bundle``: it accepts and raises the same.
     """
     if fb is None:
-        _admit(m.s, m.d1s, m.d2s, invertible=True)
+        fisher_bundle_many(m.s, m.d1s, m.d2s)
     q = q_matrix(m)
     d1, d2 = m.derivatives()
-    l1, l2 = sld_bloch_vectors(m)
+    l1, l2 = q @ d1, q @ d2
     g = np.array([[float(dq @ b) for b in (d1, d2)] for dq in (d1 @ q, d2 @ q)])
     g_inv = invert_2x2(g)
     dual1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
@@ -258,3 +270,67 @@ def holevo_bound_three_param(m3: BlochModelPoint3, w3) -> float:
     gt = np.array([[np.conj(di) @ qt @ dj for dj in derivs] for di in derivs])
     gt_inv = np.linalg.inv(gt)
     return float(np.trace(w @ gt_inv.real) + trabs_from_root(w_half, gt_inv.imag))
+
+
+def _shell_limit(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray, float]:
+    """(l^1, l^2, c) at a pure-shell point: the tangent limits of the SLD duals.
+
+    Raises :class:`AsymptoticallyClassicalLimitError` where c = <s, n>
+    vanishes and :class:`PureStateError` where the derivatives are not
+    tangent to the sphere.  The tangency test reads |n x s| itself: its
+    square, |n|^2 - c^2, cancels to rounding size, far above TANGENCY_RTOL^2.
+    """
+    n = ell_perp(m)
+    c = float(m.s @ n)
+    scale = float(np.linalg.norm(m.s) * np.linalg.norm(n))
+    if abs(c) <= CLASSIFICATION_RTOL * max(scale, 1e-300):
+        raise AsymptoticallyClassicalLimitError(
+            "pure-state limit degenerates: <s, d1s x d2s> = 0 at the shell"
+        )
+    if np.linalg.norm(cross(n, m.s)) > TANGENCY_RTOL * np.linalg.norm(n):
+        raise PureStateError(
+            "pure-shell point has non-tangent derivatives; the RLD limit "
+            "collapses and is not a valid pure-state model"
+        )
+    return -cross(m.s, m.d2s) / c, cross(m.s, m.d1s) / c, c
+
+
+def pure_limit_duals(
+    m: BlochModelPoint,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """SLD and RLD dual Bloch vectors ``(l1, l2, lt1, lt2)``.
+
+    At a mixed point these are ``fisher_matrices(m).dual1/dual2`` and
+    l~^i = sum_j (G~^-1)_ji l~_j; on the shell, the tangent limits, with the
+    RLD duals equal to the SLD ones.
+    """
+    if m.is_mixed:
+        fm = fisher_matrices(m)
+        gt_inv = fm.g_tilde_inv
+        r1, r2 = rld_bloch_vectors(m)
+        rdual1 = gt_inv[0, 0] * r1 + gt_inv[1, 0] * r2
+        rdual2 = gt_inv[0, 1] * r1 + gt_inv[1, 1] * r2
+        return fm.dual1, fm.dual2, rdual1, rdual2
+    l1, l2, _ = _shell_limit(m)
+    return l1, l2, l1.astype(complex), l2.astype(complex)
+
+
+def pure_limit_rld_inverse(m: BlochModelPoint) -> np.ndarray:
+    """Inverse RLD Fisher matrix: ``fisher_matrices(m).g_tilde_inv`` at a
+    mixed point; on the shell, Gram(l^1, l^2) with imaginary part -J/c."""
+    if m.is_mixed:
+        return fisher_matrices(m).g_tilde_inv
+    l1, l2, c = _shell_limit(m)
+    g12 = float(l1 @ l2)
+    return np.array([[l1 @ l1, g12 - 1j / c], [g12 + 1j / c, l2 @ l2]], dtype=complex)
+
+
+def pure_limit_holevo(m: BlochModelPoint, w: WeightMatrix) -> float:
+    """Holevo bound in the pure-state limit: the RLD bound ``c_r`` of
+    :func:`holevo2q.bounds.holevo_bound` at a mixed point; on the shell,
+    Tr(W Gram(l^1, l^2)) + 2 sqrt(det W)/|c|."""
+    if m.is_mixed:
+        return holevo_bound(fisher_bundle(m), w).c_r
+    l1, l2, c = _shell_limit(m)
+    trace = w.w11 * (l1 @ l1) + 2.0 * w.w12 * (l1 @ l2) + w.w22 * (l2 @ l2)
+    return float(trace + 2.0 * np.sqrt(w.det) / abs(c))

@@ -390,7 +390,8 @@ def minimize_holevo_2d(m: BlochModelPoint, w: WeightMatrix, fm=None) -> tuple[fl
     geometry, and :func:`_kink_minimum` returns the lowest raw value among
     the three closed-form candidates, evaluating h on one stack of xi (the
     candidates and the probes).  Returns (value, xi*).  Only the SLD duals
-    are read: from ``fm = fisher_matrices(m)`` if given, else :func:`sld_duals`.
+    are read: from ``fm = fisher_matrices(m)`` if given, else :func:`sld_duals`,
+    whose guard is ``fisher_bundle_many``.
     """
     dual1, dual2 = sld_duals(m)[2:] if fm is None else (fm.dual1, fm.dual2)
     s, (d1, d2) = m.s, m.derivatives()

@@ -257,11 +257,14 @@ def run_verification(seed: int = 42, count: int = 200) -> VerificationReport:
 
     Each instance's residuals come from one of the check functions above; a
     row holds the worst residual of its check (NaN counts as the worst) and
-    the first instance that reached it.  Raises ``RuntimeError`` if the
-    names the functions produce are not the keys of ``TOLERANCES``.
+    the first instance that reached it.  Raises ``ModelError`` unless
+    ``count`` is positive and ``seed`` non-negative, and ``RuntimeError`` if
+    the names the functions produce are not the keys of ``TOLERANCES``.
     """
     if count <= 0:
         raise ModelError(f"count must be a positive integer, got {count}")
+    if seed < 0:
+        raise ModelError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     results = []  # (residuals, instance) in draw order
     for _ in range(count):

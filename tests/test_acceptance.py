@@ -19,10 +19,10 @@ from holevo2q.bounds import (
     boundary_weight_family,
     holevo_bound,
 )
-from holevo2q.classify import pure_limit_holevo
 from holevo2q.cli import main as cli_main
 from holevo2q.fisher import fisher_bundle
-from holevo2q.matrix_forms import f_matrix, fisher_matrices, invert_2x2, q_inverse
+from holevo2q.matrix_forms import (f_matrix, fisher_matrices, invert_2x2, pure_limit_holevo,
+                                   q_inverse)
 from holevo2q.models import GenericZ
 from holevo2q.oracle import (
     commutation_operator,

@@ -13,9 +13,6 @@ from holevo2q.classify import (
     classify_family,
     classify_point,
     classify_rows,
-    pure_limit_duals,
-    pure_limit_holevo,
-    pure_limit_rld_inverse,
 )
 from holevo2q.errors import (
     AsymptoticallyClassicalLimitError,
@@ -25,7 +22,13 @@ from holevo2q.errors import (
     PureStateError,
 )
 from holevo2q.fisher import fisher_bundle
-from holevo2q.matrix_forms import fisher_matrices, rld_bloch_vectors
+from holevo2q.matrix_forms import (
+    fisher_matrices,
+    pure_limit_duals,
+    pure_limit_holevo,
+    pure_limit_rld_inverse,
+    rld_bloch_vectors,
+)
 from holevo2q.models import Explicit, GenericZ, Planar, Unitary
 from holevo2q.sampling import (
     random_d_invariant_point,

@@ -632,6 +632,27 @@ class TestLazyImport:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    # The pure-state limits, defined in holevo2q.matrix_forms only.
+    PURE_LIMITS = "_shell_limit pure_limit_duals pure_limit_rld_inverse pure_limit_holevo".split()
+
+    def test_classify_leaves_the_matrix_forms_unloaded(self, generic_model):
+        import holevo2q.matrix_forms
+
+        assert all(hasattr(holevo2q.matrix_forms, name) for name in self.PURE_LIMITS)
+        argv = ["classify", "--model", generic_model, "--theta", "0.2,0.1", "--grid", "3"]
+        code = (
+            "import sys\n"
+            "import holevo2q.cli as cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'holevo2q.matrix_forms' not in sys.modules, 'matrix_forms loaded'\n"
+            "from holevo2q import classify, fisher\n"
+            f"left = [name for name in {self.PURE_LIMITS!r} if hasattr(classify, name)]\n"
+            "assert not left, left\n"
+            "assert not hasattr(fisher, '_admit'), 'fisher._admit defined'\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self):
@@ -643,6 +664,12 @@ class TestVerifyCommand:
         code, _, err = run_cli("verify", "--seed", "7", "--count", "0")
         assert code == 2
         assert "ModelError" in err
+
+    def test_negative_seed_invalid(self):
+        code, out, err = run_cli("verify", "--seed", "-1", "--count", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ModelError") and err.count("\n") == 1, err
 
     def test_injected_failure(self, monkeypatch):
         from holevo2q import verify

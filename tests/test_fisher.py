@@ -183,9 +183,9 @@ def _guard_table(rng):
 
 
 class TestAdmitOnlyGuard:
-    """``sld_duals(m)`` without a bundle runs only the guard half of
-    ``fisher_bundle``: it accepts the same points and raises the same class
-    and message at the edge of every guard."""
+    """``sld_duals(m)`` without a bundle is guarded by ``fisher_bundle_many``
+    alone: it accepts the same points as ``fisher_bundle`` and raises the
+    same class and message at the edge of every guard."""
 
     @pytest.mark.parametrize("group", ["near_shell", "near_dependent", "near_singular"])
     def test_same_verdicts_as_fisher_bundle(self, group):

@@ -6,10 +6,10 @@ import pytest
 
 from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import WeightMatrix, holevo_bound
-from holevo2q.classify import pure_limit_duals, pure_limit_holevo, pure_limit_rld_inverse
 from holevo2q.errors import DegenerateModelError, PureStateError
 from holevo2q.fisher import fisher_bundle
-from holevo2q.matrix_forms import fisher_matrices, rld_bloch_vectors, trabs
+from holevo2q.matrix_forms import (fisher_matrices, pure_limit_duals, pure_limit_holevo,
+                                   pure_limit_rld_inverse, rld_bloch_vectors, trabs)
 from holevo2q.sampling import random_model_point, random_weight
 
 XHAT = np.array([1.0, 0.0, 0.0])

@@ -31,9 +31,10 @@ of repetitions in which it was the fastest column, the sha256 of each path's
 output (equal hashes mean byte-identical CSV, JSON or text; a path whose
 output differs between repetitions of one column is an error), the tier-1
 summary line, and whether the median of every 101x101 sweep is under
-SWEEP_TARGET_S (the ROADMAP's 0.4 s target), and the import graph of
-``import holevo2q.cli``: each ``holevo2q`` module it loads with the source
-lines of its file, and their total.  Columns already in OUT.json that
+SWEEP_TARGET_S (the ROADMAP's 0.4 s target), and the import graphs of
+``import holevo2q.cli`` (``import_graph``) and of the ``classify_grid`` path
+(``import_graph_classify_grid``): each ``holevo2q`` module it loads with the
+source lines of its file, and their total.  Columns already in OUT.json that
 are not named again are kept; the machine record (usable cores, Python, numpy)
 is rewritten.  Standard library only.
 """
@@ -98,13 +99,16 @@ def _run(argv, root, cwd):
     return seconds, proc.stdout
 
 
-def _import_graph(root):
-    """{module: source lines} of the holevo2q modules that ``import holevo2q.cli``
-    loads from ROOT, and their total."""
-    probe = ("import json, sys, holevo2q.cli\n"
+def _import_graph(root, cwd, cli_args=None):
+    """{module: source lines} of the holevo2q modules loaded from ROOT by
+    ``import holevo2q.cli`` and, given ``cli_args``, ``holevo2q.cli.main(cli_args)``
+    run in ``cwd`` with its stdout dropped, and their total."""
+    run = ("" if cli_args is None else
+           f"with contextlib.redirect_stdout(io.StringIO()): holevo2q.cli.main({cli_args!r})\n")
+    probe = ("import contextlib, io, json, sys, holevo2q.cli\n" + run +
              "print(json.dumps({name: module.__file__ for name, module in sys.modules.items()\n"
              "                  if name.split('.')[0] == 'holevo2q'}))")
-    _, stdout = _run([sys.executable, "-c", probe], root, root)
+    _, stdout = _run([sys.executable, "-c", probe], root, cwd)
     lines = {}
     for name, path in sorted(json.loads(stdout).items()):
         with open(path, encoding="utf-8") as fh:
@@ -167,7 +171,9 @@ def main(argv):
             results[name] = {"paths": paths, "output_sha256": digests[name],
                              "sweeps_under_target_s": {"target_s": SWEEP_TARGET_S,
                                                        "all": max(sweeps) < SWEEP_TARGET_S},
-                             "import_graph": _import_graph(root)}
+                             "import_graph": _import_graph(root, work),
+                             "import_graph_classify_grid":
+                                 _import_graph(root, work, PATHS["classify_grid"])}
     record = {}
     if os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as fh:
@@ -179,9 +185,11 @@ def main(argv):
         fh.write("\n")
     for name, res in results.items():
         medians = ", ".join(f"{p} {v['median_s']:.3f}" for p, v in res["paths"].items())
-        graph = res["import_graph"]
-        print(f"{name}: {medians} (s); import holevo2q.cli loads {len(graph['modules'])} "
-              f"modules, {graph['source_lines']} lines")
+        graphs = "; ".join(f"{what} loads {len(graph['modules'])} modules, "
+                           f"{graph['source_lines']} lines"
+                           for what, graph in (("import holevo2q.cli", res["import_graph"]),
+                                               ("classify", res["import_graph_classify_grid"])))
+        print(f"{name}: {medians} (s); {graphs}")
     return 0
 
 

@@ -14,7 +14,7 @@ kinds, the three sweeps at ``--grid 11``) are kept as full text, one file each
 in ``tests/golden/``, so a reader sees every byte that a change moves.  So is
 the refusal corpus, ``tests/golden/refusals.json``: for each REFUSALS case (a
 malformed model file, an out-of-range weight or family parameter, ``--grid 1``,
-tiny or huge derivatives) its exit code, the sha256 of its stdout and its
+tiny or huge derivatives, a negative ``verify --seed``) its exit code, the sha256 of its stdout and its
 stderr text, so a change that moves a refusal shows which.
 
 ``--write`` stores the hashes in ``tests/golden/MANIFEST.json``, with the
@@ -141,6 +141,7 @@ REFUSALS = {
     # Not refused today: every bound prints as 0.0 (the kernel's scale limit).
     "huge-derivatives": _bounds_at("huge_derivatives.json", theta="0,0"),
     "point-outside-ball": _bounds_at("huge_derivatives.json", theta="0.1,0.1"),
+    "verify-negative-seed": ["verify", "--seed", "-1", "--count", "2"],
 }
 REFUSALS_FILE = "refusals.json"
 # The outputs kept as full text in tests/golden/.
