@@ -19,10 +19,7 @@ _EXPORTS = {
     name: module
     for module, names in [
         ("bloch", "BlochModelPoint"),
-        ("matrix_forms", "BlochModelPoint3"),
-        ("bounds", "BoundsReport Branch WeightMatrix holevo_bound"),
-        ("matrix_forms", "holevo_bound_three_param"),
-        ("bounds", "weight_from_angles"),
+        ("bounds", "BoundsReport Branch WeightMatrix holevo_bound weight_from_angles"),
         ("classify", "ModelClass ModelLabel classify_family classify_point"),
         ("matrix_forms", "pure_limit_duals pure_limit_holevo"),
         ("fisher", "FisherBundle fisher_bundle"),

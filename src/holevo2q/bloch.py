@@ -35,13 +35,13 @@ __all__ = [
 # power of two keeps its verdict.  ``verify.TOLERANCES`` holds the checks' own.
 PURE_SHELL_TOL = 1e-12  # |s| >= 1 - this is pure: (1-s^2)^-1 is no longer trusted
 BALL_SLACK = 1e-9  # |s|^2 > 1 + this lies outside the Bloch ball
-DERIVATIVE_INDEPENDENCE_RTOL = 1e-10  # |d1s x d2s| (|det| of three) below this times the norms
+DERIVATIVE_INDEPENDENCE_RTOL = 1e-10  # |d1s x d2s| below this |d1s||d2s|: dependent derivatives
 CLASSIFICATION_RTOL = 1e-10  # |r_i| <= this |s||d_i s|, |k| <= this |s||n|: exact-zero classes
 TANGENCY_RTOL = 1e-8  # |n x s| <= this |n|: shell derivatives tangent to the sphere
 SINGULAR_RTOL = 1e-14  # |det M| < this ||M||_F^2: a singular 2x2 matrix
 BOUNDARY_RTOL = 1e-9  # |B| <= this (|C^Z| + |C^S|): the weight's branch is BOUNDARY
-HERMITIAN_RTOL = 1e-12  # max|M - M^H| > this max|M|: weights, rho, d_i rho, D's X; Tr, trabs Im X
-PAIR_RTOL = 1e-10  # the Hermitian test of observable pairs and of i X for trabs's antisymmetric X
+HERMITIAN_RTOL = 1e-12  # max|M - M^H| > this max|M|: weights, rho, d_i rho; their traces
+PAIR_RTOL = 1e-10  # the Hermitian test of observable pairs (and of i X in tests' TrAbs)
 ORTHONORMAL_TOL = 1e-10  # |A A^T - I| of unitary axes, ||u_i| - 1| of planar directions
 MIN_EIGENVALUE = 1e-12  # an eigenvalue of the unit-trace rho below this: not strictly positive
 FEASIBILITY_RTOL = 1e-8  # an unbiasedness residual of a pair over the size of its trace's terms

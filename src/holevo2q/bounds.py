@@ -29,9 +29,10 @@ so with the Bloch scalars of :class:`~holevo2q.fisher.FisherBundle`
 xi* minimizing the reduced problem (xi|p W xi) + 2|(sqrt(det W) r|xi) + c|
 with c = -eps sqrt(det W) k/p.  ``holevo_bounds_many`` inlines the case split
 of that problem; its general solver, ``quadratic_abs_min`` in
-``tests/reference.py``, is the test-side cross-check.  TrAbs from its
-eigenvalue definition and the three-parameter bound are in
-:mod:`holevo2q.matrix_forms`.
+``tests/reference.py``, is the test-side cross-check.  q is a positive
+semidefinite form whose float value can round below zero; the kernel clamps
+it at zero, which is what makes max(C^S, C^R) <= C^H <= C^Z exact in floats.
+TrAbs from its eigenvalue definition is in :mod:`holevo2q.matrix_forms`.
 
 Error model.  The first cancellation is eps = 1 - s.s, known to about
 u/(1-|s|^2) relative (u = 2^-53); it enters only through eps a and t.  C^R,
@@ -185,7 +186,7 @@ def holevo_bounds_many(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
     r1, r2 = fb.radial.T
 
     a = w11 * g22 - 2.0 * w12 * g12 + w22 * g11
-    q = w11 * r2 * r2 - 2.0 * w12 * r1 * r2 + w22 * r1 * r1
+    q = np.maximum(w11 * r2 * r2 - 2.0 * w12 * r1 * r2 + w22 * r1 * r1, 0.0)  # keeps a NaN
     t = eps * sqrt_det_w * abs(k)
     c_s = (eps * a + q) / p
     c_z = c_s + 2.0 * t / p
@@ -199,8 +200,9 @@ def holevo_bounds_many(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
     )
 
     # Exact rewritings under which max(C^S, C^R) <= C^H <= C^Z follows from
-    # monotone rounding, so it holds without a tolerance.  Both branches are
-    # evaluated everywhere; the one that does not apply is discarded.
+    # monotone rounding, given q >= 0: the clamp above is what makes the chain
+    # exact.  Both branches are evaluated everywhere; the one that does not
+    # apply is discarded.
     with np.errstate(divide="ignore", invalid="ignore"):
         # B >= 0: C^H = C^R = C^S + (2t - q)/p, 0 <= 2t - q <= 2t
         rld = t >= q

@@ -15,8 +15,8 @@ route that ``verify`` compares with it (the density-matrix route is
   (RLD), their inverses, the SLD duals l^i = sum_j (G^-1)_ji l_j (so that
   <l^i, Q^-1 l_j> = delta^i_j) and z^ij = <l^i, Q~^-1 l^j>
   = (G^-1)_ij + i <l^i, F l^j>, whose imaginary part equals Im G~^-1,
-* TrAbs from its eigenvalue definition, and the Holevo bound of a full
-  three-parameter model,
+* TrAbs from its eigenvalue definition (``weight_root``, ``trabs_from_root``),
+  which ``verify`` and the oracle use in place of its closed form 2 sqrt(det W) |x_12|,
 * the pure-state limits, which continue these forms to the shell.
 
 The pure-limit operations read ``fisher_matrices`` and ``rld_bloch_vectors``
@@ -38,34 +38,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import (CLASSIFICATION_RTOL, DERIVATIVE_INDEPENDENCE_RTOL, HERMITIAN_RTOL, PAIR_RTOL,
-                    SINGULAR_RTOL, TANGENCY_RTOL, BlochModelPoint, Record, _as_real_vec3, cross,
-                    dependent, not_hermitian)
+from .bloch import (CLASSIFICATION_RTOL, SINGULAR_RTOL, TANGENCY_RTOL, BlochModelPoint, Record,
+                    cross, dependent)
 from .bounds import WeightMatrix, holevo_bound
 from .errors import (AsymptoticallyClassicalLimitError, DegenerateModelError, DomainError,
                      PureStateError)
 from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 
 __all__ = [
-    "BlochModelPoint3", "q_matrix", "q_inverse", "f_matrix", "q_tilde", "q_tilde_inverse",
-    "sld_bloch_vectors", "rld_bloch_vectors", "ell_perp", "invert_2x2", "FisherMatrices",
-    "sld_duals", "fisher_matrices", "trabs", "weight_root", "trabs_from_root",
-    "holevo_bound_three_param", "pure_limit_duals", "pure_limit_rld_inverse", "pure_limit_holevo",
+    "q_matrix", "q_inverse", "f_matrix", "q_tilde", "q_tilde_inverse", "sld_bloch_vectors",
+    "rld_bloch_vectors", "ell_perp", "invert_2x2", "FisherMatrices", "sld_duals",
+    "fisher_matrices", "weight_root", "trabs_from_root", "pure_limit_duals",
+    "pure_limit_rld_inverse", "pure_limit_holevo",
 ]
-
-
-class BlochModelPoint3(BlochModelPoint):
-    """A three-parameter qubit model point (used by the D-invariant bound)."""
-
-    d3s: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "d3s", _as_real_vec3(self.d3s, "d3s"))
-        derivs = np.column_stack([self.d1s, self.d2s, self.d3s])
-        scale = np.prod([np.linalg.norm(d) for d in derivs.T])
-        if scale == 0.0 or abs(np.linalg.det(derivs)) < DERIVATIVE_INDEPENDENCE_RTOL * scale:
-            raise DegenerateModelError("the three derivative vectors are linearly dependent")
 
 
 def q_matrix(m: BlochModelPoint) -> np.ndarray:
@@ -200,36 +185,6 @@ def fisher_matrices(m: BlochModelPoint, fb: FisherBundle | None = None) -> Fishe
     return FisherMatrices(m, g, g_inv, g_tilde, g_tilde_inv, z, dual1, dual2)
 
 
-def trabs(weight, x) -> float:
-    """Sum of absolute eigenvalues of W^(1/2) X W^(1/2) for antisymmetric X,
-    from that definition (:func:`trabs_from_root`) at every size, so that at
-    2x2 it checks the explicit bounds' closed form 2 sqrt(det W) |x_12|.
-
-    A 2x2 weight is read through :meth:`WeightMatrix.from_matrix`.
-    DomainError unless X and W are finite n x n matrices, X antisymmetric and
-    W symmetric positive definite.
-    """
-    w = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, dtype=float)
-    xm = np.asarray(x)
-    if not np.isfinite(xm).all():
-        raise DomainError("trabs argument entries must be finite")
-    if np.iscomplexobj(xm):
-        if np.abs(xm.imag).max(initial=0.0) > HERMITIAN_RTOL * np.abs(xm).max():
-            raise DomainError("trabs expects the (real) imaginary part of a Hermitian matrix")
-        xm = xm.real
-    if xm.shape != w.shape or xm.ndim != 2 or xm.shape[0] != xm.shape[1]:
-        raise DomainError(f"trabs expects two n x n matrices, got {w.shape} and {xm.shape}")
-    if not_hermitian(1j * xm, PAIR_RTOL):  # X is antisymmetric iff i X is Hermitian
-        raise DomainError("trabs argument must be antisymmetric")
-    xm = 0.5 * (xm - xm.T)  # scrub rounding off the exact antisymmetry
-
-    if xm.shape == (2, 2):
-        w = WeightMatrix.from_matrix(w).matrix
-    elif not np.isfinite(w).all() or not_hermitian(w, HERMITIAN_RTOL):
-        raise DomainError("weight matrix must be finite and symmetric")
-    return trabs_from_root(weight_root(w), xm)
-
-
 def weight_root(w: np.ndarray) -> np.ndarray:
     """W^(1/2) from the eigen-decomposition of a positive-definite W."""
     evals, evecs = np.linalg.eigh(w)
@@ -248,28 +203,6 @@ def trabs_from_root(w_half: np.ndarray, xm: np.ndarray):
     """
     sums = np.abs(np.linalg.eigvals(w_half @ xm @ w_half)).sum(axis=-1)
     return float(sums) if sums.ndim == 0 else sums
-
-
-def holevo_bound_three_param(m3: BlochModelPoint3, w3) -> float:
-    """Holevo bound of a full three-parameter qubit model.
-
-    Three independent derivatives make the model D-invariant, so the bound
-    is the RLD expression Tr(W Re G~^-1) + TrAbs(W Im G~^-1) with the 3x3
-    RLD Fisher matrix; TrAbs uses the eigenvalue path.
-    """
-    m3.require_mixed()
-    w = np.asarray(w3, dtype=float)
-    if not np.isfinite(w).all():
-        raise DomainError("three-parameter weight entries must be finite")
-    if w.shape != (3, 3) or not_hermitian(w, HERMITIAN_RTOL):
-        raise DomainError("three-parameter weight must be a symmetric 3x3 matrix")
-    w_half = weight_root(w)  # DomainError unless positive definite
-
-    qt = q_tilde(m3)  # depends only on s
-    derivs = [m3.d1s, m3.d2s, m3.d3s]
-    gt = np.array([[np.conj(di) @ qt @ dj for dj in derivs] for di in derivs])
-    gt_inv = np.linalg.inv(gt)
-    return float(np.trace(w @ gt_inv.real) + trabs_from_root(w_half, gt_inv.imag))
 
 
 def _shell_limit(m: BlochModelPoint) -> tuple[np.ndarray, np.ndarray, float]:

@@ -39,7 +39,6 @@ __all__ = [
     "VerificationReport",
     "run_verification",
     "TOLERANCES",
-    "fisher_determinant_identities",
 ]
 
 
@@ -86,23 +85,6 @@ def _spread(*ends, floor: float) -> float:
     NaN if any end is NaN."""
     ends = np.array(ends)
     return float(np.abs(np.diff(ends)).max() / np.maximum(np.abs(ends).max(), floor))
-
-
-def fisher_determinant_identities(m, weight: WeightMatrix) -> dict:
-    """Relative residuals of three structural identities at a mixed point,
-    as ``{check name: residual}``; all three vanish for exact arithmetic.
-
-    1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
-    2. 2 sqrt(det W) |<l^1, F l^2>| = TrAbs(W Im G~^-1) = TrAbs(W Im Z), with
-       TrAbs from its eigenvalue definition
-    3. (gamma | W^-1 gamma) = det(W^-1 G)/(1-s^2) * (C^Z - C^R)
-
-    The values are the bits of the ``identity_*`` rows that the suite computes
-    for (m, weight).
-    """
-    fb = fisher_bundle(m)
-    checks = _weight_checks(fb, fisher_matrices(m, fb), weight)
-    return {name: value for name, value in checks.items() if name.startswith("identity_")}
 
 
 # The tolerance of each check, in report order.
@@ -193,8 +175,13 @@ def _point_checks(fb, fm) -> dict:
 
 def _weight_checks(fb, fm, w: WeightMatrix) -> dict:
     """Residuals of the checks that read the model point and a weight ``w``:
-    the three identities of :func:`fisher_determinant_identities`, and the
-    bounds against each other and against their matrix definitions
+    three identities that hold in exact arithmetic (the ``identity_*`` rows),
+
+    1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
+    2. 2 sqrt(det W) |<l^1, F l^2>| = TrAbs(W Im G~^-1) = TrAbs(W Im Z)
+    3. (gamma | W^-1 gamma) = det(W^-1 G)/(1-s^2) * (C^Z - C^R),
+
+    and the bounds against each other and against their matrix definitions
     C^S = Tr(W G^-1), C^R = Tr(W Re G~^-1) + TrAbs(W Im G~^-1) and
     C^Z = Tr(W Re Z) + TrAbs(W Im Z), with TrAbs from its eigenvalue definition."""
     wm = w.matrix

@@ -4,10 +4,14 @@
   scipy is a test dependency and is imported lazily.
 * Second texts of production formulas, kept only to cross-check them:
   ``quadratic_abs_min`` solves the reduced problem whose case split
-  :func:`holevo2q.bounds.holevo_bounds_many` inlines, and ``dual_operators``
-  repeats the raising step of :func:`holevo2q.oracle.operator_fisher`.
+  :func:`holevo2q.bounds.holevo_bounds_many` inlines, ``dual_operators``
+  repeats the raising step of :func:`holevo2q.oracle.operator_fisher`, and
+  ``trabs`` is TrAbs of a 2x2 X from its eigenvalue definition, against
+  which the kernel's closed form 2 sqrt(det W) |x_12| is checked.
+* ``fisher_determinant_identities``: the ``identity_*`` residuals that
+  ``verify`` computes for one point and weight, as ``{check name: residual}``.
 * Small closed forms and samplers that only tests use: ``one_param_bound``,
-  ``n_copy_bound``, ``random_planar_point`` and ``random_model_point_3``.
+  ``n_copy_bound`` and ``random_planar_point``.
 * ``OffBranchError``, raised by the reference forms of the Holevo bound in
   ``tests/test_bounds.py`` off the branch where they are defined.
 * Exact rational references on the float inputs, in ``fractions.Fraction``:
@@ -19,11 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from holevo2q.bloch import BlochModelPoint
+from holevo2q.bloch import HERMITIAN_RTOL, PAIR_RTOL, BlochModelPoint, not_hermitian
+from holevo2q.bounds import WeightMatrix
 from holevo2q.errors import DegenerateModelError, DomainError, PureStateError, SingularMatrixError
-from holevo2q.matrix_forms import BlochModelPoint3, invert_2x2, q_matrix
+from holevo2q.fisher import fisher_bundle
+from holevo2q.matrix_forms import (fisher_matrices, invert_2x2, q_matrix, trabs_from_root,
+                                   weight_root)
 from holevo2q.oracle import DensityPoint, sld_inner, sld_operators
-from holevo2q.sampling import MIN_CROSS_FRACTION, _ball_point, _independent_derivatives
+from holevo2q.sampling import _independent_derivatives
+from holevo2q.verify import _weight_checks
 
 
 class OffBranchError(ValueError):
@@ -120,6 +128,43 @@ def dual_operators(dp: DensityPoint) -> tuple[np.ndarray, np.ndarray]:
     return g_inv[0, 0] * l1 + g_inv[1, 0] * l2, g_inv[0, 1] * l1 + g_inv[1, 1] * l2
 
 
+def trabs(weight, x) -> float:
+    """Sum of absolute eigenvalues of W^(1/2) X W^(1/2) for a 2x2 antisymmetric X,
+    from that definition (:func:`holevo2q.matrix_forms.trabs_from_root`), so that
+    it checks the explicit bounds' closed form 2 sqrt(det W) |x_12|.
+
+    A weight that is not a ``WeightMatrix`` is read through
+    :meth:`WeightMatrix.from_matrix`.  DomainError unless X is a finite 2x2
+    antisymmetric matrix (a complex X only with a negligible imaginary part)
+    and W a valid weight.
+    """
+    xm = np.asarray(x)
+    if not np.isfinite(xm).all():
+        raise DomainError("trabs argument entries must be finite")
+    if np.iscomplexobj(xm):
+        if np.abs(xm.imag).max(initial=0.0) > HERMITIAN_RTOL * np.abs(xm).max():
+            raise DomainError("trabs expects the (real) imaginary part of a Hermitian matrix")
+        xm = xm.real
+    if xm.shape != (2, 2):
+        raise DomainError(f"trabs expects a 2x2 matrix, got shape {xm.shape}")
+    if not_hermitian(1j * xm, PAIR_RTOL):  # X is antisymmetric iff i X is Hermitian
+        raise DomainError("trabs argument must be antisymmetric")
+    xm = 0.5 * (xm - xm.T)  # scrub rounding off the exact antisymmetry
+    w = weight if isinstance(weight, WeightMatrix) else WeightMatrix.from_matrix(weight)
+    return trabs_from_root(weight_root(w.matrix), xm)
+
+
+def fisher_determinant_identities(m, weight: WeightMatrix) -> dict:
+    """Relative residuals of the three structural identities listed in
+    :func:`holevo2q.verify._weight_checks` at a mixed point, as
+    ``{check name: residual}``: the bits of the ``identity_*`` rows that
+    ``verify`` computes for (m, weight).  All three vanish in exact arithmetic.
+    """
+    fb = fisher_bundle(m)
+    checks = _weight_checks(fb, fisher_matrices(m, fb), weight)
+    return {name: value for name, value in checks.items() if name.startswith("identity_")}
+
+
 def one_param_bound(s, ds) -> float:
     """Holevo bound of a one-parameter model: 1/g with g = <ds, Q ds>.
 
@@ -155,16 +200,6 @@ def random_planar_point(rng: np.random.Generator, radius: float = 0.8) -> BlochM
         target = radius * (0.2 + 0.8 * rng.random())
         s = s * (target / norm)
         return BlochModelPoint(s=s, d1s=d1, d2s=d2)
-
-
-def random_model_point_3(rng: np.random.Generator, radius: float = 0.95) -> BlochModelPoint3:
-    """Three-parameter model point with independent derivatives."""
-    while True:
-        s = _ball_point(rng, radius)
-        derivs = rng.standard_normal((3, 3))
-        scale = np.prod([np.linalg.norm(d) for d in derivs])
-        if scale > 0.0 and abs(np.linalg.det(derivs)) >= MIN_CROSS_FRACTION * scale:
-            return BlochModelPoint3(s=s, d1s=derivs[0], d2s=derivs[1], d3s=derivs[2])
 
 
 def _dot(u, v):

@@ -40,9 +40,9 @@ from holevo2q.sampling import (
     random_model_point,
     random_weight,
 )
-from holevo2q.verify import fisher_determinant_identities
 from reference import (
     dual_operators,
+    fisher_determinant_identities,
     grid_min_quadratic_abs,
     quadratic_abs_min,
     random_planar_point,

@@ -607,8 +607,8 @@ class TestLazyImport:
     # The Bloch-matrix cross-check route, which lives in holevo2q.matrix_forms only.
     MATRIX_FORMS = (
         "q_matrix q_inverse f_matrix q_tilde q_tilde_inverse sld_bloch_vectors rld_bloch_vectors"
-        " ell_perp BlochModelPoint3 invert_2x2 _bilinear _hermitian_from_upper FisherMatrices"
-        " sld_duals fisher_matrices trabs weight_root trabs_from_root holevo_bound_three_param"
+        " ell_perp invert_2x2 _bilinear _hermitian_from_upper FisherMatrices sld_duals"
+        " fisher_matrices weight_root trabs_from_root"
     ).split()
 
     def test_sweep_leaves_the_matrix_forms_unloaded(self, generic_model, tmp_path):
@@ -631,6 +631,19 @@ class TestLazyImport:
         )
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_three_parameter_bound_and_test_only_helpers_are_not_in_the_package(self):
+        import holevo2q
+        import holevo2q.matrix_forms
+        import holevo2q.verify
+
+        for name in ("BlochModelPoint3", "holevo_bound_three_param"):
+            assert name not in holevo2q.__all__
+            assert name not in dir(holevo2q)
+            assert not hasattr(holevo2q.matrix_forms, name)
+        # TrAbs from its definition and the determinant identities are in tests/reference.py.
+        assert not hasattr(holevo2q.verify, "fisher_determinant_identities")
+        assert not hasattr(holevo2q.matrix_forms, "trabs")
 
     # The pure-state limits, defined in holevo2q.matrix_forms only.
     PURE_LIMITS = "_shell_limit pure_limit_duals pure_limit_rld_inverse pure_limit_holevo".split()

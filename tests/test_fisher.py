@@ -26,8 +26,7 @@ from holevo2q.matrix_forms import (
     sld_duals,
 )
 from holevo2q.sampling import random_model_point, random_weight
-from holevo2q.verify import fisher_determinant_identities
-from reference import one_param_bound
+from reference import fisher_determinant_identities, one_param_bound
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])

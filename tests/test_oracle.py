@@ -18,7 +18,6 @@ from holevo2q.errors import (DegenerateModelError, DomainError, FeasibilityError
 from holevo2q.fisher import fisher_bundle
 from holevo2q.matrix_forms import (
     fisher_matrices,
-    holevo_bound_three_param,
     invert_2x2,
     trabs_from_root,
     weight_root,
@@ -36,7 +35,6 @@ from holevo2q.oracle import (
     minimize_holevo_6d,
     operator_fisher,
     pair_from_bloch_vectors,
-    rld_inner,
     rld_operators,
     sld_inner,
     sld_operators,
@@ -51,7 +49,6 @@ from reference import (
     dual_operators,
     grid_min_quadratic_abs,
     quadratic_abs_min,
-    random_model_point_3,
     random_planar_point,
 )
 
@@ -845,53 +842,3 @@ class TestGridQuadraticOracle:
             x, y = rng.standard_normal(2), rng.standard_normal(2)
             mid = f(0.5 * (x + y))
             assert mid <= 0.5 * (f(x) + f(y)) + 1e-12
-
-
-class TestThreeParamOracle:
-    def test_matrix_level_agreement(self):
-        # The three-parameter bound from the Bloch route must match the
-        # density-matrix RLD Fisher computation.
-        rng = np.random.default_rng(88)
-        for _ in range(50):
-            m3 = random_model_point_3(rng)
-            w3 = rng.standard_normal((3, 3))
-            w3 = w3.T @ w3 + 0.3 * np.eye(3)
-            value = holevo_bound_three_param(m3, w3)
-
-            rho = 0.5 * (np.eye(2) + sum(m3.s[k] * PAULI[k] for k in range(3)))
-            rho_inv = np.linalg.inv(rho)
-            lts = [
-                rho_inv @ (0.5 * sum(d[k] * PAULI[k] for k in range(3)))
-                for d in (m3.d1s, m3.d2s, m3.d3s)
-            ]
-            gt = np.array(
-                [[rld_inner(rho, a, b) for b in lts] for a in lts]
-            )
-            gt_inv = np.linalg.inv(gt)
-            im = 0.5 * (gt_inv.imag - gt_inv.imag.T)
-            evals, evecs = np.linalg.eigh(w3)
-            w_half = (evecs * np.sqrt(evals)) @ evecs.T
-            expected = float(
-                np.trace(w3 @ gt_inv.real)
-                + np.sum(np.abs(np.linalg.eigvals(w_half @ im @ w_half)))
-            )
-            assert value == pytest.approx(expected, rel=1e-10)
-
-    def test_simple_point(self):
-        from holevo2q.matrix_forms import BlochModelPoint3
-
-        m3 = BlochModelPoint3(
-            s=[0, 0, 0.5], d1s=[1, 0, 0], d2s=[0, 1, 0], d3s=[0, 0, 1]
-        )
-        value = holevo_bound_three_param(m3, np.eye(3))
-        # Direct density-matrix computation gives the same number.
-        rho = np.diag([0.75, 0.25]).astype(complex)
-        rho_inv = np.linalg.inv(rho)
-        lts = [rho_inv @ (0.5 * PAULI[k]) for k in range(3)]
-        gt = np.array([[rld_inner(rho, a, b) for b in lts] for a in lts])
-        gt_inv = np.linalg.inv(gt)
-        im = 0.5 * (gt_inv.imag - gt_inv.imag.T)
-        expected = float(
-            np.trace(gt_inv.real) + np.sum(np.abs(np.linalg.eigvals(im)))
-        )
-        assert value == pytest.approx(expected, rel=1e-12)

@@ -13,7 +13,7 @@ from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import BoundsReport, Branch, WeightMatrix
 from holevo2q.classify import FamilyClassification, ModelClass, ModelLabel
 from holevo2q.fisher import FisherBundle
-from holevo2q.matrix_forms import BlochModelPoint3, FisherMatrices
+from holevo2q.matrix_forms import FisherMatrices
 from holevo2q.models import Domain, Explicit, GenericZ, Planar, Poly2D, Unitary
 from holevo2q.oracle import DensityPoint, HermitianPair
 from holevo2q.verify import CheckRow, VerificationReport
@@ -29,10 +29,6 @@ RECORDS = [
      ([0.1, 0.2, 0.3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
      "BlochModelPoint(s=array([0.1, 0.2, 0.3]), d1s=array([1., 0., 0.]), "
      "d2s=array([0., 1., 0.]))"),
-    (BlochModelPoint3, ("s", "d1s", "d2s", "d3s"),
-     ([0.1, 0.2, 0.3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]),
-     "BlochModelPoint3(s=array([0.1, 0.2, 0.3]), d1s=array([1., 0., 0.]), "
-     "d2s=array([0., 1., 0.]), d3s=array([0., 0., 1.]))"),
     (WeightMatrix, ("w11", "w12", "w22"), (2, 0.5, 1),
      "WeightMatrix(w11=2.0, w12=0.5, w22=1.0)"),
     (BoundsReport,

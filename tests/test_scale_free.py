@@ -11,13 +11,8 @@ import pytest
 
 from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import WeightMatrix
-from holevo2q.errors import (
-    DegenerateModelError,
-    DomainError,
-    FeasibilityError,
-    OracleCertificateError,
-)
-from holevo2q.matrix_forms import BlochModelPoint3, fisher_matrices, holevo_bound_three_param, trabs
+from holevo2q.errors import DomainError, FeasibilityError, OracleCertificateError
+from holevo2q.matrix_forms import fisher_matrices
 from holevo2q.oracle import (
     DensityPoint,
     HermitianPair,
@@ -29,6 +24,7 @@ from holevo2q.oracle import (
     pair_from_bloch_vectors,
 )
 from holevo2q.sampling import random_generic_pair
+from reference import trabs
 
 SCALES = (1.0, 2.0**60, 2.0**-60)
 DERIVATIVE_SCALES = (1.0, 2.0**40, 2.0**-40, 2.0**60, 2.0**-60)
@@ -38,8 +34,7 @@ W = WeightMatrix(0.55, 0.1, 0.45)
 RHO = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
 DRHO = np.array([[0.5, 0.3 + 0.1j], [0.3 - 0.1j, -0.5]])
 S_IN, S_OUT = np.array([0.3, 0.2, 0.1]), np.array([0.8, 0.7, 0.0])
-D1, D2, D3 = np.array([1.0, 0.2, 0.0]), np.array([0.1, 1.0, 0.3]), np.array([0.0, 0.4, 1.0])
-W3 = np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 1.0]])
+D1, D2 = np.array([1.0, 0.2, 0.0]), np.array([0.1, 1.0, 0.3])
 
 
 def _dual_pairs(scale, perturb=0.0, count=12):
@@ -86,18 +81,8 @@ CASES = {
     "pair_not_hermitian": (lambda c: HermitianPair(c * np.array(
         [[1.0, 0.3], [0.1, -1.0]]), c * DRHO), DomainError, SCALES),
     "pair_hermitian": (lambda c: HermitianPair(c * DRHO, c * RHO), None, SCALES),
-    "three_param_weight_asymmetric": (lambda c: holevo_bound_three_param(
-        BlochModelPoint3(S_IN, D1, D2, D3), c * np.triu(W3)), DomainError, SCALES),
-    "three_param_weight_symmetric": (lambda c: holevo_bound_three_param(
-        BlochModelPoint3(S_IN, D1, D2, D3), c * W3), None, SCALES),
     "point_outside_ball": (lambda c: BlochModelPoint(S_OUT, c * D1, c * D2), DomainError, SCALES),
     "point_inside_ball": (lambda c: BlochModelPoint(S_IN, c * D1, c * D2), None, SCALES),
-    "point3_outside_ball": (lambda c: BlochModelPoint3(S_OUT, c * D1, c * D2, c * D3),
-                            DomainError, SCALES),
-    "point3_dependent": (lambda c: BlochModelPoint3(S_IN, c * D1, c * D2, c * (D1 + D2)),
-                         DegenerateModelError, SCALES),
-    "point3_inside_ball": (lambda c: BlochModelPoint3(S_IN, c * D1, c * D2, c * D3),
-                           None, SCALES),
     "holevo_function_dual_pairs": (_dual_pairs, None, DERIVATIVE_SCALES),
     "holevo_function_perturbed_pairs": (lambda c: _dual_pairs(c, perturb=1e-3),
                                         FeasibilityError, DERIVATIVE_SCALES),

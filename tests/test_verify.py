@@ -8,7 +8,8 @@ from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import WeightMatrix, holevo_bound
 from holevo2q.fisher import fisher_bundle
 from holevo2q.oracle import minimize_holevo_2d
-from holevo2q.verify import fisher_determinant_identities, run_verification
+from holevo2q.verify import run_verification
+from reference import fisher_determinant_identities
 
 WITNESS = re.compile(r"s=(\[.*?\]) d1s=(\[.*?\]) d2s=(\[.*?\])(?: W=(\(.*?\)))?$")
 

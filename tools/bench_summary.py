@@ -32,11 +32,12 @@ output (equal hashes mean byte-identical CSV, JSON or text; a path whose
 output differs between repetitions of one column is an error), the tier-1
 summary line, and whether the median of every 101x101 sweep is under
 SWEEP_TARGET_S (the ROADMAP's 0.4 s target), and the import graphs of
-``import holevo2q.cli`` (``import_graph``) and of the ``classify_grid`` path
-(``import_graph_classify_grid``): each ``holevo2q`` module it loads with the
-source lines of its file, and their total.  Columns already in OUT.json that
-are not named again are kept; the machine record (usable cores, Python, numpy)
-is rewritten.  Standard library only.
+``import holevo2q.cli`` (``import_graph``), of the ``classify_grid`` path
+(``import_graph_classify_grid``) and of the ``verify`` path, which loads
+``matrix_forms`` and the oracle (``import_graph_verify``): each ``holevo2q``
+module it loads with the source lines of its file, and their total.  Columns
+already in OUT.json that are not named again are kept; the machine record
+(usable cores, Python, numpy) is rewritten.  Standard library only.
 """
 
 import hashlib
@@ -173,7 +174,8 @@ def main(argv):
                                                        "all": max(sweeps) < SWEEP_TARGET_S},
                              "import_graph": _import_graph(root, work),
                              "import_graph_classify_grid":
-                                 _import_graph(root, work, PATHS["classify_grid"])}
+                                 _import_graph(root, work, PATHS["classify_grid"]),
+                             "import_graph_verify": _import_graph(root, work, PATHS["verify"])}
     record = {}
     if os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as fh:
@@ -188,7 +190,8 @@ def main(argv):
         graphs = "; ".join(f"{what} loads {len(graph['modules'])} modules, "
                            f"{graph['source_lines']} lines"
                            for what, graph in (("import holevo2q.cli", res["import_graph"]),
-                                               ("classify", res["import_graph_classify_grid"])))
+                                               ("classify", res["import_graph_classify_grid"]),
+                                               ("verify", res["import_graph_verify"])))
         print(f"{name}: {medians} (s); {graphs}")
     return 0
 
