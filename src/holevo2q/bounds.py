@@ -32,6 +32,7 @@ of that problem; its general solver, ``quadratic_abs_min`` in
 ``tests/reference.py``, is the test-side cross-check.  q is a positive
 semidefinite form whose float value can round below zero; the kernel clamps
 it at zero, which is what makes max(C^S, C^R) <= C^H <= C^Z exact in floats.
+A bound is never returned as 0, inf or NaN: the kernel raises DomainError.
 TrAbs from its eigenvalue definition is in :mod:`holevo2q.matrix_forms`.
 
 Error model.  The first cancellation is eps = 1 - s.s, known to about
@@ -61,6 +62,7 @@ __all__ = [
     "WeightMatrix",
     "Branch",
     "BoundsReport",
+    "REPORT_COLUMNS",
     "holevo_bound",
     "holevo_bounds_many",
     "alpha_theta",
@@ -155,6 +157,13 @@ class Branch(enum.Enum):
     BOUNDARY = "boundary"
 
 
+# The ``branch`` values by index (np.where on strings is slow), and the report's
+# scalar float fields in CSV order, keyed by their CSV and JSON names.
+_BRANCH_VALUES = np.array([Branch.BOUNDARY.value, Branch.RLD.value, Branch.CORRECTION.value])
+REPORT_COLUMNS = {"c_s": "c_s", "c_r": "c_r", "c_z": "c_z", "c_n": "c_n", "c_h": "c_h",
+                  "s_correction": "s_correction", "b_theta": "b_value"}
+
+
 class BoundsReport(Record):
     """All scalar bounds at one (model point, weight) pair."""
 
@@ -169,13 +178,36 @@ class BoundsReport(Record):
     xi_star: np.ndarray
 
 
+def _check_report(fields) -> None:
+    """DomainError at the first cell with a bound (first five ``fields``) not
+    finite or not > 0, or another field not finite, naming that field.  The
+    stack is tested first: C^Z, C^N, C^H add terms >= 0 to C^S or C^R; a sum
+    of products with a positive field (or itself) is finite only if all are."""
+    c_s, c_r, c_z, c_n, c_h, corr, b_value, xi_star = fields
+    if isinstance(c_s, np.ndarray):
+        low = min(c_s.min(), c_r.min())
+        total = (np.vdot(c_s, b_value) + np.vdot(c_r, corr) + np.vdot(c_z, c_n)
+                 + np.vdot(c_h, c_h) + np.vdot(xi_star, xi_star))
+    else:  # numpy scalars at one point
+        low, total = min(c_s, c_r), sum(map(float, fields[:-1]), sum(xi_star.tolist()))
+    if low > 0.0 and math.isfinite(total):
+        return
+    checks = []
+    for k, (name, v) in enumerate(zip([*REPORT_COLUMNS, "xi_star"], fields)):
+        v = np.reshape(v, (np.size(fields[0]), -1))
+        for what, bad in (("finite", ~np.isfinite(v)), ("positive", (v <= 0.0) & (k < 5))):
+            checks.append((bad.any(1), DomainError, lambda i, h=f"{name} is not {what}", v=v,
+                           b=bad: f"{h} ({float(v[i][b[i]][0])})"))
+    raise_first(checks)
+
+
 def holevo_bounds_many(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
     """The explicit formula of the module docstring, elementwise over the
     points of ``fb`` (one, or a stack from ``fisher_bundle_many``) broadcast
     against the weights of ``w`` (one, or a stack from a weight builder).
-    Both records are checked when built; nothing is checked here.  Each report
-    field is an array over the cells (``branch`` of ``Branch`` values: the sign
-    of B outside a relative band of ``BOUNDARY_RTOL``, where it is ``BOUNDARY``)."""
+    Both records are checked when built, the report here by ``_check_report``.
+    Each report field is an array over the cells (``branch`` of ``Branch``
+    values: the sign of B, or ``BOUNDARY`` within a band of ``BOUNDARY_RTOL``)."""
     w11, w12, w22 = w.w11, w.w12, w.w22
     det_w = _det(w11, w12, w22)
     sqrt_det_w = np.sqrt(det_w)
@@ -192,12 +224,6 @@ def holevo_bounds_many(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
     c_z = c_s + 2.0 * t / p
     c_n = c_s + 2.0 * np.sqrt(det_w * eps / p)
     b_value = (t - q) / p
-    tau = BOUNDARY_RTOL * (abs(c_z) + abs(c_s))
-    branch = _where(
-        b_value > tau,
-        Branch.RLD.value,
-        _where(b_value < -tau, Branch.CORRECTION.value, Branch.BOUNDARY.value),
-    )
 
     # Exact rewritings under which max(C^S, C^R) <= C^H <= C^Z follows from
     # monotone rounding, given q >= 0: the clamp above is what makes the chain
@@ -215,6 +241,9 @@ def holevo_bounds_many(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
         ratio = np.copysign(np.minimum(1.0, t / q), k) / (p * sqrt_det_w)
     scale = _where(q > 0.0, ratio, 0.0)
     xi_star = stack_last([scale * (w22 * r1 - w12 * r2), scale * (w11 * r2 - w12 * r1)], 1)
+    _check_report((c_s, c_r, c_z, c_n, c_h, corr, b_value, xi_star))
+    tau = BOUNDARY_RTOL * (c_z + c_s)  # both > 0 once checked
+    branch = _BRANCH_VALUES[_where(b_value > tau, 1, _where(b_value < -tau, 2, 0))]
     return BoundsReport(c_s, c_r, c_z, c_n, c_h, corr, branch, b_value, xi_star)
 
 

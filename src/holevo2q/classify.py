@@ -72,8 +72,8 @@ def _model_class(fb: FisherBundle) -> ModelClass:
 def classify_point(m: BlochModelPoint) -> ModelClass:
     """:func:`classify_rows`'s verdict at one mixed model point, in plain values.
 
-    Raises :class:`DegenerateModelError` when the derivatives are dependent;
-    a singular SLD Fisher matrix is not an error here.
+    Raises :class:`DegenerateModelError` for dependent derivatives, DomainError
+    where they overflow; a singular SLD Fisher matrix is not an error here.
     """
     c = _model_class(bloch_scalars_many(m.s, m.d1s, m.d2s))
     return ModelClass(ModelLabel(str(c.label)), bool(c.d_invariant),

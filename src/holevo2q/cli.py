@@ -18,11 +18,10 @@ A sweep is one batched pass over its whole grid, with no per-cell Python
 loop: sweep-theta maps the cells through the family's ``evaluate_many``
 (dropping cells outside the domain or the mixed-state disk) and
 ``fisher_bundle_many``; sweep-weight builds every weight as one stacked
-``WeightMatrix`` with ``weight_from_angles`` or ``boundary_weight_family``
-at one ``fisher_bundle``.  Each weight is checked once, when its record is
-built.  ``holevo_bounds_many`` then evaluates all cells at once, and
-``_emit_csv`` formats each row with one %-format and writes the file in one
-call.  Invalid input raises what a cell-by-cell loop would raise first.
+``WeightMatrix`` at one ``fisher_bundle``.  ``_emit_csv`` runs
+``holevo_bounds_many`` on all cells at once (adding the coordinates of a
+cell it refuses), formats each row with one %-format and writes the file in
+one call.  Invalid input raises what a cell-by-cell loop would raise first.
 
 Imports are lazy per subcommand: ``classify`` loads :mod:`holevo2q.classify`
 and ``verify`` the oracle and the verification suite inside their command
@@ -42,7 +41,8 @@ import sys
 
 import numpy as np
 
-from .bounds import WeightMatrix, boundary_weight_family, holevo_bounds_many, weight_from_angles
+from .bounds import (REPORT_COLUMNS, WeightMatrix, boundary_weight_family, holevo_bounds_many,
+                     weight_from_angles)
 from .errors import DomainError, ModelError
 from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from .models import load_model
@@ -52,13 +52,8 @@ __all__ = ["main", "build_parser"]
 CSV_SCHEMA = "v1"
 # The bound columns of the CSV rows and the bounds JSON: (name, CSV format, value(fb, report)).
 _COLUMNS = (
-    ("c_s", "%.17g", lambda fb, report: report.c_s),
-    ("c_r", "%.17g", lambda fb, report: report.c_r),
-    ("c_z", "%.17g", lambda fb, report: report.c_z),
-    ("c_n", "%.17g", lambda fb, report: report.c_n),
-    ("c_h", "%.17g", lambda fb, report: report.c_h),
-    ("s_correction", "%.17g", lambda fb, report: report.s_correction),
-    ("b_theta", "%.17g", lambda fb, report: report.b_value),
+    *((name, "%.17g", lambda fb, report, field=field: getattr(report, field))
+      for name, field in REPORT_COLUMNS.items()),
     ("branch", "%s", lambda fb, report: report.branch),
     ("gamma1", "%.17g", lambda fb, report: fb.gamma[..., 0]),
     ("gamma2", "%.17g", lambda fb, report: fb.gamma[..., 1]),
@@ -78,29 +73,11 @@ def _parse_floats(text: str, count: int, name: str) -> tuple[float, ...]:
         raise ModelError(f"could not parse {name} = {text!r}") from exc
 
 
-def _parse_weight(text: str) -> WeightMatrix:
-    w11, w12, w22 = _parse_floats(text, 3, "--weight")
-    return WeightMatrix(w11, w12, w22)
-
-
 def _bounds_record(fb: FisherBundle, weight: WeightMatrix) -> dict:
     """The bound columns and the optimal offset ``xi_star`` at one point."""
     report = holevo_bounds_many(fb, weight)
     record = {name: np.asarray(get(fb, report)).tolist() for name, _, get in _COLUMNS}
     return {**record, "xi_star": report.xi_star.tolist()}
-
-
-def _require_finite(value, name: str = "report") -> None:
-    """Raise DomainError naming the field of a JSON report that holds NaN or
-    an infinity (strict JSON has neither)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, key)
-    elif isinstance(value, list):
-        for item in value:
-            _require_finite(item, name)
-    elif isinstance(value, float) and not np.isfinite(value):
-        raise DomainError(f"{name} is not finite ({value})")
 
 
 def _grid(axis1, axis2):
@@ -119,19 +96,20 @@ def _usable_rows(family, axes):
     return s[usable], d1[usable], d2[usable], usable
 
 
-def _emit_csv(path, header_name: str, coords: list[str], axes, fb, report, keep=...) -> None:
-    """One CSV row per kept cell of the grid ``axes``: the coordinates, then
-    BOUND_COLUMNS.  Axis values, and values shared by every row (baked into
-    the row template), are formatted once.  A non-finite float raises
-    DomainError naming its column and cell before anything is written."""
+def _emit_csv(path, header_name: str, coords: list[str], axes, fb, weights, keep=...) -> None:
+    """One CSV row per kept cell of the grid ``axes``, from
+    ``holevo_bounds_many(fb, weights)``: the coordinates, then BOUND_COLUMNS.
+    Axis values, and values shared by every row (baked into the row
+    template), are formatted once.  A report that the kernel refuses is
+    refused with the coordinates of its cell, before anything is written."""
     labels = _grid(*(np.array(["%.17g" % x for x in a.tolist()], dtype=object) for a in axes))
-    values = (labels[0][keep], labels[1][keep], *(get(fb, report) for _, _, get in _COLUMNS))
-    for (name, spec, _), value in zip(_COLUMNS, values[2:]):
-        bad = np.flatnonzero(~np.isfinite(value)) if spec == "%.17g" else ()
-        if len(bad):
-            i = bad[0]
-            raise DomainError(f"{name} is not finite ({float(np.ravel(value)[i])}) at "
-                              f"{coords[0]}={values[0][i]}, {coords[1]}={values[1][i]}")
+    labels = [column[keep] for column in labels]
+    try:
+        report = holevo_bounds_many(fb, weights)
+    except DomainError as exc:
+        at = ", ".join(f"{c}={x[exc.index]}" for c, x in zip(coords, labels))
+        raise DomainError(f"{exc} at {at}") from None
+    values = (*labels, *(get(fb, report) for _, _, get in _COLUMNS))
     specs = ["%s", "%s", *(spec for _, spec, _ in _COLUMNS)]
     row = ",".join(spec % v if np.ndim(v) == 0 else spec for spec, v in zip(specs, values))
     columns = [v.tolist() for v in values if np.ndim(v)]
@@ -148,10 +126,9 @@ def _emit_csv(path, header_name: str, coords: list[str], axes, fb, report, keep=
 def cmd_bounds(args) -> int:
     family = load_model(args.model)
     theta = _parse_floats(args.theta, 2, "--theta")
-    weight = _parse_weight(args.weight)
+    weight = WeightMatrix(*_parse_floats(args.weight, 3, "--weight"))
     fb = fisher_bundle(family.evaluate(theta))
     record = {"theta1": theta[0], "theta2": theta[1], **_bounds_record(fb, weight)}
-    _require_finite(record)
     print(json.dumps(record, indent=2, allow_nan=False))
     return 0
 
@@ -160,43 +137,35 @@ def cmd_sweep_weight(args) -> int:
     family = load_model(args.model)
     theta = _parse_floats(args.theta, 2, "--theta")
     fb = fisher_bundle(family.evaluate(theta))
-    n = args.grid
-    if n < 2:
+    if args.grid < 2:
         raise ModelError("--grid must be at least 2")
 
-    first = np.linspace(-args.w_max, args.w_max, n)
+    first = np.linspace(-args.w_max, args.w_max, args.grid)
     if args.weight_family == "53":
-        second = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        second = np.linspace(0.0, 2.0 * np.pi, args.grid, endpoint=False)
         coords = ["w", "omega"]
         weights = weight_from_angles(*_grid(first, second))
     else:  # family "42": boundary-adapted coordinates (w, w2)
-        second = np.linspace(args.w2_min, args.w2_max, n)
+        second = np.linspace(args.w2_min, args.w2_max, args.grid)
         coords = ["w", "w2"]
         weights = boundary_weight_family(fb, *_grid(first, second))
-    report = holevo_bounds_many(fb, weights)
-    _emit_csv(args.out, "sweep-weight", coords, (first, second), fb, report)
+    _emit_csv(args.out, "sweep-weight", coords, (first, second), fb, weights)
     return 0
 
 
 def cmd_sweep_theta(args) -> int:
     family = load_model(args.model)
-    weight = _parse_weight(args.weight)
-    n = args.grid
-    if n < 2:
+    weight = WeightMatrix(*_parse_floats(args.weight, 3, "--weight"))
+    if args.grid < 2:
         raise ModelError("--grid must be at least 2")
     if not 0.0 <= args.shrink < 0.5:
         raise ModelError(f"--shrink must lie in [0, 0.5), got {args.shrink}")
-    dom = family.domain
-
-    def _axis(lo: float, hi: float) -> np.ndarray:
-        pad = args.shrink * (hi - lo)
-        return np.linspace(lo + pad, hi - pad, n)
-
-    axes = (_axis(*dom.theta1), _axis(*dom.theta2))
+    limits = (family.domain.theta1, family.domain.theta2)
+    pads = [args.shrink * (hi - lo) for lo, hi in limits]
+    axes = tuple(np.linspace(lo + pad, hi - pad, args.grid) for (lo, hi), pad in zip(limits, pads))
     s, d1, d2, usable = _usable_rows(family, axes)
     fb = fisher_bundle_many(s, d1, d2)
-    report = holevo_bounds_many(fb, weight)
-    _emit_csv(args.out, "sweep-theta", ["theta1", "theta2"], axes, fb, report, usable)
+    _emit_csv(args.out, "sweep-theta", ["theta1", "theta2"], axes, fb, weight, usable)
     return 0
 
 
@@ -229,7 +198,6 @@ def cmd_classify(args) -> int:
             "grid_points": len(fam.radii),
             "labels_present": sorted(set(fam.point_classes.label.tolist())),
         }
-    _require_finite(out)
     print(json.dumps(out, indent=2, allow_nan=False))
     return 0
 
@@ -323,8 +291,8 @@ def main(argv=None) -> int:
     # Only a named subcommand's parser; no arguments, --help or a typo get the full one.
     args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        # A non-finite result is refused with DomainError before anything is
-        # written, so numpy's warnings on the way there are noise.
+        # The library refuses a non-finite or non-positive result with
+        # DomainError, so numpy's warnings on the way there are noise.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except (ModelError, OSError) as exc:

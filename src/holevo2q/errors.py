@@ -47,7 +47,7 @@ class SpecialModelError(ModelError):
 
 
 class DomainError(ModelError):
-    """A parameter value lies outside the declared domain."""
+    """An input lies outside the declared domain, or a result outside floats."""
 
 
 class FeasibilityError(ModelError):
@@ -68,10 +68,12 @@ def raise_first(checks) -> None:
     """Raise what a loop over the cells would raise first: ``checks`` holds
     ``(bad, exc_class, message)``, ``bad`` a mask over the cells, ``message``
     a string or a function of the flat index; within a cell the earlier
-    check wins."""
+    check wins.  The error's ``index`` is the flat index of its cell."""
     hits = [(np.flatnonzero(bad)[0], k)
             for k, (bad, *_) in enumerate(checks) if np.count_nonzero(bad)]
     if hits:
         index, k = min(hits)
         _, exc, message = checks[k]
-        raise exc(message(int(index)) if callable(message) else message)
+        error = exc(message(int(index)) if callable(message) else message)
+        error.index = int(index)
+        raise error

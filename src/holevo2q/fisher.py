@@ -24,7 +24,7 @@ import numpy as np
 
 from .bloch import (CLASSIFICATION_RTOL, SINGULAR_RTOL, BlochModelPoint, Record, cross, dependent,
                     dot3, mixed, not_mixed_message, stack_last)
-from .errors import DegenerateModelError, PureStateError, raise_first
+from .errors import DegenerateModelError, DomainError, PureStateError, raise_first
 
 __all__ = [
     "FisherBundle",
@@ -53,20 +53,24 @@ def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
     (s, d1s, d2s), or of one point's 3-vectors.
 
     Raises, for the first row that fails and in this order within a row,
-    :class:`PureStateError` off the open Bloch ball,
+    :class:`PureStateError` off the open Bloch ball, :class:`DomainError` where
+    |d1s|^2 + |d2s|^2 + p is not finite (so every returned field is finite),
     :class:`DegenerateModelError` for dependent derivatives and, when
-    ``invertible``, :class:`DegenerateModelError` for a singular SLD Fisher
-    matrix G = Gram + r r^T/(1 - s^2).
+    ``invertible``, for a singular SLD Fisher matrix G = Gram + r r^T/(1 - s^2).
     """
     s, d1, d2 = (np.asarray(x, dtype=float) for x in (s, d1, d2))
     s_squared = dot3(s, s)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         one_minus = 1.0 - s_squared
         r1, r2 = dot3(s, d1), dot3(s, d2)
         g11, g12, g22 = dot3(d1, d1), dot3(d1, d2), dot3(d2, d2)
         n = np.ascontiguousarray(cross(d1, d2))
+        n_squared = dot3(n, n)
+        s_cross_n = r2[..., None] * d1 - r1[..., None] * d2
+        p = one_minus * n_squared + dot3(s_cross_n, s_cross_n)
         checks = [
             (~mixed(s_squared), PureStateError, lambda i: not_mixed_message(s_squared.flat[i])),
+            (~np.isfinite(g11 + g22 + p), DomainError, "derivatives overflow in floats"),
             (dependent(d1, d2, n), DegenerateModelError, "d1s and d2s are linearly dependent"),
         ]
         if invertible:
@@ -77,16 +81,14 @@ def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
             message = "SLD Fisher matrix is singular; derivatives degenerate"
             checks.append((singular, DegenerateModelError, message))
         raise_first(checks)
-    n_squared = dot3(n, n)
     triple = dot3(s, n)
-    s_cross_n = r2[..., None] * d1 - r1[..., None] * d2
     tol = CLASSIFICATION_RTOL * np.sqrt(s_squared)
     return FisherBundle(
         point=None,
         gram=stack_last([[g11, g12], [g12, g22]], 2),
         radial=stack_last([r1, r2], 1),
         triple_product=triple,
-        perp_quadratic=one_minus * n_squared + dot3(s_cross_n, s_cross_n),
+        perp_quadratic=p,
         gamma=stack_last([r1 / one_minus, r2 / one_minus], 1),
         one_minus_s_sq=one_minus,
         d_invariant=(abs(r1) <= tol * np.sqrt(g11)) & (abs(r2) <= tol * np.sqrt(g22)),
@@ -103,7 +105,6 @@ def fisher_bundle_many(s, d1, d2) -> FisherBundle:
 def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
     """:func:`fisher_bundle_many` of one point."""
     fb = fisher_bundle_many(m.s, m.d1s, m.d2s)
-    return FisherBundle(
-        m, fb.gram, fb.radial, float(fb.triple_product), float(fb.perp_quadratic), fb.gamma,
-        float(fb.one_minus_s_sq), bool(fb.d_invariant), bool(fb.asymptotically_classical),
-    )
+    return FisherBundle(m, fb.gram, fb.radial, float(fb.triple_product), float(fb.perp_quadratic),
+                        fb.gamma, float(fb.one_minus_s_sq), bool(fb.d_invariant),
+                        bool(fb.asymptotically_classical))

@@ -25,8 +25,8 @@ from holevo2q.bounds import (
     weight_from_angles,
 )
 from holevo2q.cli import main
-from holevo2q.errors import DomainError, SpecialModelError
-from holevo2q.fisher import fisher_bundle, fisher_bundle_many
+from holevo2q.errors import DomainError, ModelError, SpecialModelError
+from holevo2q.fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from holevo2q.matrix_forms import fisher_matrices, invert_2x2
 from holevo2q.models import Explicit, GenericZ, Unitary
 from holevo2q.oracle import density_point, minimize_holevo_6d
@@ -657,3 +657,118 @@ class TestWeightFromAngles:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             weight_from_angles(1.0, 0.0)
+
+
+def _assert_finite_and_positive(rep):
+    bounds_ = np.array([rep.c_s, rep.c_r, rep.c_z, rep.c_n, rep.c_h])
+    assert np.isfinite(bounds_).all() and (bounds_ > 0.0).all()
+    assert np.isfinite([rep.s_correction, rep.b_value]).all() and np.isfinite(rep.xi_star).all()
+
+
+def _stacks(points):
+    return [np.array([getattr(m, f) for m in points]) for f in ("s", "d1s", "d2s")]
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")  # numpy, on refused input
+class TestReportContract:
+    """The library returns a report whose fields are all finite and whose five
+    bounds are all > 0, or raises DomainError where the report is made."""
+
+    # Five bounds near 5e59, but xi* = [-inf, inf]: p underflows to 1.5e-320.
+    XI_POINT = BlochModelPoint(
+        s=[-0.5022865205058039, 0.5841968824933482, 0.17878678018684607],
+        d1s=[1.2323103991921598e-80, 1.3992733328538627e-80, -3.210361832582837e-81],
+        d2s=[2.3759246799245464e-80, -1.9081109791548734e-81, 1.0334887124089505e-80],
+    )
+    XI_WEIGHT = (3.2010135983716305e-101, 4.038173582520873e-101, 3.293273107433739e-100)
+
+    def test_huge_derivatives_are_refused(self):
+        # The seeded generic pairs at W = I, derivatives x 1e80: 43 of 100 c_h
+        # came back NaN, with no error, before the Bloch scalars were checked.
+        rng = np.random.default_rng(3)
+        points = [random_generic_pair(rng)[0] for _ in range(100)]
+        s, d1, d2 = _stacks(points)
+        with pytest.raises(DomainError, match="^derivatives overflow in floats$"):
+            holevo_bounds_many(fisher_bundle_many(s, 1e80 * d1, 1e80 * d2), IDENTITY)
+        for m in points:
+            with pytest.raises(DomainError):
+                holevo_bound(fisher_bundle(BlochModelPoint(m.s, 1e80 * m.d1s, 1e80 * m.d2s)),
+                             IDENTITY)
+
+    def test_infinite_offset_is_refused(self):
+        w = WeightMatrix(*self.XI_WEIGHT)
+        with pytest.raises(DomainError, match=r"^xi_star is not finite \(-inf\)$"):
+            holevo_bound(fisher_bundle(self.XI_POINT), w)
+        # In a stack, behind a valid cell.
+        points = [BlochModelPoint([0.1, 0.2, 0.3], XHAT, YHAT), self.XI_POINT]
+        with pytest.raises(DomainError, match=r"^xi_star is not finite \(-inf\)$") as info:
+            holevo_bounds_many(fisher_bundle_many(*_stacks(points)), w)
+        assert info.value.index == 1
+
+    def test_zero_bound_is_refused(self):
+        # Bundles built by hand, with a zero Gram matrix: C^S = 0.
+        fb = FisherBundle(None, np.zeros((2, 2)), np.zeros(2), 0.0, 1.0, np.zeros(2), 0.5,
+                          True, True)
+        with pytest.raises(DomainError, match=r"^c_s is not positive \(0.0\)$"):
+            holevo_bound(fb, IDENTITY)
+        # In a stack, behind a valid cell.
+        valid = bundle(np.array([0.1, 0.2, 0.3]))
+        fb = FisherBundle(None, np.array([valid.gram, np.zeros((2, 2))]),
+                          np.array([valid.radial, np.zeros(2)]),
+                          *(np.array([getattr(valid, f), getattr(fb, f)]) for f in
+                            ("triple_product", "perp_quadratic", "gamma", "one_minus_s_sq",
+                             "d_invariant", "asymptotically_classical")))
+        with pytest.raises(DomainError, match=r"^c_s is not positive \(0.0\)$") as info:
+            holevo_bounds_many(fb, IDENTITY)
+        assert info.value.index == 1
+
+    def test_error_index_is_the_refused_cell(self):
+        diagonal = np.array([1.0, 1e160, 1.0])
+        weights = WeightMatrix(diagonal, np.zeros(3), diagonal)
+        with pytest.raises(DomainError, match=r"^c_r is not finite \(inf\)$") as info:
+            holevo_bounds_many(bundle(np.array([0.1, 0.2, 0.3])), weights)
+        assert info.value.index == 1
+        s, d1, d2 = np.full((3, 3), 0.2), np.array([XHAT] * 3), np.array([YHAT] * 3)
+        d1[1] *= 1e80
+        d2[1] *= 1e80
+        with pytest.raises(DomainError, match="^derivatives overflow in floats$") as info:
+            fisher_bundle_many(s, d1, d2)
+        assert info.value.index == 1
+
+    def test_first_cell_first(self):
+        # Cell 0 fails only in its last field, cell 1 in c_r: cell 0 is named.
+        points = [self.XI_POINT, BlochModelPoint([0.1, 0.2, 0.3], XHAT, YHAT)]
+        fb = fisher_bundle_many(*_stacks(points))
+        w11, w12, w22 = self.XI_WEIGHT
+        weights = WeightMatrix(np.array([w11, 1e160]), np.array([w12, 0.0]),
+                               np.array([w22, 1e160]))
+        with pytest.raises(DomainError, match=r"^xi_star is not finite \(-inf\)$") as info:
+            holevo_bounds_many(fb, weights)
+        assert info.value.index == 0
+
+    def test_scale_grid(self):
+        # Derivatives x 10^k and W x 10^j over seeded generic pairs: each call,
+        # on one cell or on a stack of four, is refused or returns a valid report.
+        rng = np.random.default_rng(12)
+        outcomes = {"refused": 0, "returned": 0}
+        for k in range(-170, 171, 20):
+            for j in range(-300, 301, 50):
+                pairs = [random_generic_pair(rng) for _ in range(4)]
+                s, d1, d2 = _stacks([m for m, _ in pairs])
+                ws = [w for _, w in pairs]
+                try:
+                    w = WeightMatrix(*(10.0**j * np.array([getattr(x, f) for x in ws])
+                                       for f in ("w11", "w12", "w22")))
+                    reports = [holevo_bounds_many(fisher_bundle_many(s, 10.0**k * d1,
+                                                                     10.0**k * d2), w)]
+                    m, one = pairs[0][0], ws[0]
+                    reports.append(holevo_bound(
+                        fisher_bundle(BlochModelPoint(m.s, 10.0**k * m.d1s, 10.0**k * m.d2s)),
+                        WeightMatrix(10.0**j * one.w11, 10.0**j * one.w12, 10.0**j * one.w22)))
+                except ModelError:
+                    outcomes["refused"] += 1
+                    continue
+                for rep in reports:
+                    _assert_finite_and_positive(rep)
+                outcomes["returned"] += 1
+        assert min(outcomes.values()) > 20, outcomes

@@ -52,6 +52,12 @@ def point(s, d1=XHAT, d2=YHAT):
 
 
 class TestClassifyPoint:
+    def test_overflowing_derivatives_are_refused(self):
+        # |d1s x d2s|^2 = 1e320 overflows; the exact label is generic (k = 3e159),
+        # which the float flags, reading k against an infinite |n|, got wrong.
+        with pytest.raises(DomainError, match="^derivatives overflow in floats$"):
+            classify_point(point(np.array([0.1, 0.2, 0.3]), 1e80 * XHAT, 1e80 * YHAT))
+
     def test_d_invariant(self):
         cls = classify_point(point([0, 0, 0.5]))
         assert cls.label is ModelLabel.D_INVARIANT

@@ -62,18 +62,14 @@ def test_outputs_match_the_manifest(computed):
 
 
 def test_refusal_corpus(computed):
-    # Each case is refused with exit 2, no output and one stderr line, except
-    # the huge derivatives that the kernel does not refuse today (exit 0).
+    # Each case is refused with exit 2, no output and one stderr line.
     # test_outputs_match_the_manifest compares the corpus with its stored text.
     corpus = json.loads(computed[1][golden.REFUSALS_FILE])
     assert list(corpus) == list(golden.REFUSALS)
     no_output = golden._sha256(b"")
     for name, (code, stdout_sha256, stderr) in corpus.items():
-        if name == "huge-derivatives":
-            assert (code, stderr) == (0, "")
-        else:
-            assert (code, stdout_sha256) == (2, no_output), name
-            assert stderr.endswith("\n") and stderr.count("\n") == 1, name
+        assert (code, stdout_sha256) == (2, no_output), name
+        assert stderr.endswith("\n") and stderr.count("\n") == 1, name
 
 
 def test_refusal_corpus_under_optimization(computed, tmp_path):

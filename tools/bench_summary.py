@@ -22,6 +22,15 @@ measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
 * ``tier1``: ``python -m pytest -q --continue-on-collection-errors`` in ROOT,
   run once per column.
 
+The ``kernel`` entry of a column times the library's kernels with ``timeit``:
+``fisher_bundle_many`` and ``holevo_bounds_many`` on KERNEL_CELLS seeded
+generic cells (s uniform in the ball of radius 0.9, normal derivatives, one
+random positive-definite weight per cell) and ``holevo_bound`` on the first
+of them.  Each measurement is the minimum per call over KERNEL_TIMEIT rounds,
+taken in a fresh interpreter; it is repeated KERNEL_REPEATS times, the column
+that runs first alternating as for the paths, and the column keeps each
+run's seconds and their minimum and median.
+
 Every other path runs REPEATS times, the short start-up paths SHORT_REPEATS
 times.  A path's repetitions run back to back, one run per column each, and
 the column that runs first alternates between repetitions, so a drift in host
@@ -74,6 +83,31 @@ PATHS = {
     "oracle_values": ["oracle_values.py", "21", "31", "77"],
 }
 
+KERNEL_CELLS = 10201  # a 101 x 101 grid's worth
+KERNEL_REPEATS = 10
+KERNEL_TIMEIT = 15  # timeit rounds per fresh interpreter
+# {name: (statement, calls per round)}; the statements read the names KERNEL_SETUP defines.
+KERNEL = {"fisher_bundle_many": ("fisher_bundle_many(s, d1, d2)", 20),
+          "holevo_bounds_many": ("holevo_bounds_many(fb, w)", 20),
+          "holevo_bound": ("holevo_bound(fb1, w1)", 2000)}
+KERNEL_SETUP = f"""
+import numpy as np
+from holevo2q.bloch import BlochModelPoint
+from holevo2q.bounds import WeightMatrix, holevo_bound, holevo_bounds_many
+from holevo2q.fisher import fisher_bundle, fisher_bundle_many
+rng = np.random.default_rng(0)
+s = rng.standard_normal(({KERNEL_CELLS}, 3))
+s *= 0.9 * rng.random(({KERNEL_CELLS}, 1)) ** (1 / 3) / np.linalg.norm(s, axis=1, keepdims=True)
+d1, d2 = rng.standard_normal((2, {KERNEL_CELLS}, 3))
+m = rng.standard_normal(({KERNEL_CELLS}, 2, 2))
+w = WeightMatrix.from_matrix(np.swapaxes(m, 1, 2) @ m + 0.1 * np.eye(2))
+fb = fisher_bundle_many(s, d1, d2)
+if (fb.d_invariant | fb.asymptotically_classical).any():
+    raise SystemExit("a kernel cell is not generic")
+fb1 = fisher_bundle(BlochModelPoint(s[0], d1[0], d2[0]))
+w1 = WeightMatrix(float(w.w11[0]), float(w.w12[0]), float(w.w22[0]))
+"""
+
 
 def _env(root):
     env = dict(os.environ)
@@ -115,6 +149,15 @@ def _import_graph(root, cwd, cli_args=None):
         with open(path, encoding="utf-8") as fh:
             lines[name] = sum(1 for _ in fh)
     return {"modules": lines, "source_lines": sum(lines.values())}
+
+
+def _kernel_seconds(name, root, cwd):
+    """Seconds per call of KERNEL[name]: the timeit minimum in a fresh interpreter."""
+    stmt, number = KERNEL[name]
+    probe = (f"import timeit\nsetup = {KERNEL_SETUP!r}\n"
+             f"print(min(timeit.repeat({stmt!r}, setup, number={number}, "
+             f"repeat={KERNEL_TIMEIT})) / {number})")
+    return float(_run([sys.executable, "-c", probe], root, cwd)[1])
 
 
 def _machine():
@@ -159,6 +202,12 @@ def main(argv):
                     runs[name][path].append(round(seconds, 4))
                     seconds_of[name] = seconds
                 fastest[min(seconds_of, key=seconds_of.get)][path] += 1
+        kernel = {name: {k: [] for k in KERNEL} for name in columns}
+        for kernel_name in KERNEL:
+            for rep in range(KERNEL_REPEATS):
+                for name in list(columns) if rep % 2 == 0 else list(reversed(columns)):
+                    seconds = _kernel_seconds(kernel_name, columns[name], work)
+                    kernel[name][kernel_name].append(seconds)
         for name, root in columns.items():
             cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
                    "-p", "no:cacheprovider"]
@@ -172,6 +221,9 @@ def main(argv):
             results[name] = {"paths": paths, "output_sha256": digests[name],
                              "sweeps_under_target_s": {"target_s": SWEEP_TARGET_S,
                                                        "all": max(sweeps) < SWEEP_TARGET_S},
+                             "kernel": {k: {"runs_s": r, "min_s": min(r),
+                                            "median_s": statistics.median(r)}
+                                        for k, r in kernel[name].items()},
                              "import_graph": _import_graph(root, work),
                              "import_graph_classify_grid":
                                  _import_graph(root, work, PATHS["classify_grid"]),
@@ -192,7 +244,8 @@ def main(argv):
                            for what, graph in (("import holevo2q.cli", res["import_graph"]),
                                                ("classify", res["import_graph_classify_grid"]),
                                                ("verify", res["import_graph_verify"])))
-        print(f"{name}: {medians} (s); {graphs}")
+        kernels = ", ".join(f"{k} {v['min_s'] * 1e6:.1f}" for k, v in res["kernel"].items())
+        print(f"{name}: {medians} (s); kernel minima {kernels} (us); {graphs}")
     return 0
 
 

@@ -138,8 +138,13 @@ REFUSALS = {
     "tiny-derivatives": _bounds_at("tiny_derivatives.json", theta="0,0"),
     "tiny-derivatives-sweep-weight": ["sweep-weight", "--model", "tiny_derivatives.json",
                                       "--theta", "0.1,0.1", "--grid", "3"],
-    # Not refused today: every bound prints as 0.0 (the kernel's scale limit).
+    # |d1s x d2s|^2 overflows: refused where the Bloch scalars are made (these
+    # exited 0 once, printing all-zero bounds or the label asymptotically_classical).
     "huge-derivatives": _bounds_at("huge_derivatives.json", theta="0,0"),
+    "huge-derivatives-classify": ["classify", "--model", "huge_derivatives.json",
+                                  "--theta", "0,0"],
+    "huge-derivatives-sweep-theta": ["sweep-theta", "--model", "huge_derivatives.json",
+                                     "--weight", WEIGHT, "--grid", "3"],
     "point-outside-ball": _bounds_at("huge_derivatives.json", theta="0.1,0.1"),
     "verify-negative-seed": ["verify", "--seed", "-1", "--count", "2"],
 }
