@@ -32,7 +32,8 @@ of that problem; its general solver, ``quadratic_abs_min`` in
 ``tests/reference.py``, is the test-side cross-check.  q is a positive
 semidefinite form whose float value can round below zero; the kernel clamps
 it at zero, which is what makes max(C^S, C^R) <= C^H <= C^Z exact in floats.
-A bound is never returned as 0, inf or NaN: the kernel raises DomainError.
+A bound is never returned as 0, inf or NaN: the kernel raises DomainError,
+and prints no numpy warning on the way to the refusal.
 TrAbs from its eigenvalue definition is in :mod:`holevo2q.matrix_forms`.
 
 Error model.  The first cancellation is eps = 1 - s.s, known to about
@@ -82,12 +83,14 @@ def _require_positive(w11, w12, w22) -> None:
         a, b, c = (x.flat[i] for x in np.broadcast_arrays(w11, w12, w22))
         return f"weight matrix [[{a}, {b}], [{b}, {c}]]"
 
-    finite = np.isfinite(w11) & np.isfinite(w12) & np.isfinite(w22)
-    tiny = (w11 > 0.0) & (w22 > 0.0) & (np.maximum(w11 * w22, w12 * w12) < sys.float_info.min)
-    raise_first([(~finite, DomainError, "weight matrix entries must be finite"),
-                 (tiny, DomainError, lambda i: f"{matrix(i)}: det W cannot be resolved in floats"),
-                 ((w11 <= 0.0) | (_det(w11, w12, w22) <= 0.0), DomainError,
-                  lambda i: f"{matrix(i)} is not positive definite")])
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite entries
+        finite = np.isfinite(w11) & np.isfinite(w12) & np.isfinite(w22)
+        tiny = (w11 > 0.0) & (w22 > 0.0) & (np.maximum(w11 * w22, w12 * w12) < sys.float_info.min)
+        raise_first([(~finite, DomainError, "weight matrix entries must be finite"),
+                     (tiny, DomainError,
+                      lambda i: f"{matrix(i)}: det W cannot be resolved in floats"),
+                     ((w11 <= 0.0) | (_det(w11, w12, w22) <= 0.0), DomainError,
+                      lambda i: f"{matrix(i)} is not positive definite")])
 
 
 def _symmetric_entries(mat):
@@ -96,11 +99,6 @@ def _symmetric_entries(mat):
     if m.shape[-2:] != (2, 2) or np.count_nonzero(not_hermitian(m, HERMITIAN_RTOL)):
         raise DomainError("weight matrix must be symmetric 2x2")
     return m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1]
-
-
-def _where(cond, a, b):
-    """``np.where(cond, a, b)``, without its per-call cost at one cell."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 class WeightMatrix(Record):
@@ -184,12 +182,9 @@ def _check_report(fields) -> None:
     stack is tested first: C^Z, C^N, C^H add terms >= 0 to C^S or C^R; a sum
     of products with a positive field (or itself) is finite only if all are."""
     c_s, c_r, c_z, c_n, c_h, corr, b_value, xi_star = fields
-    if isinstance(c_s, np.ndarray):
-        low = min(c_s.min(), c_r.min())
-        total = (np.vdot(c_s, b_value) + np.vdot(c_r, corr) + np.vdot(c_z, c_n)
-                 + np.vdot(c_h, c_h) + np.vdot(xi_star, xi_star))
-    else:  # numpy scalars at one point
-        low, total = min(c_s, c_r), sum(map(float, fields[:-1]), sum(xi_star.tolist()))
+    low = min(np.min(c_s), np.min(c_r))
+    total = (np.vdot(c_s, b_value) + np.vdot(c_r, corr) + np.vdot(c_z, c_n)
+             + np.vdot(c_h, c_h) + np.vdot(xi_star, xi_star))
     if low > 0.0 and math.isfinite(total):
         return
     checks = []
@@ -208,42 +203,43 @@ def holevo_bounds_many(fb: FisherBundle, w: WeightMatrix) -> BoundsReport:
     Both records are checked when built, the report here by ``_check_report``.
     Each report field is an array over the cells (``branch`` of ``Branch``
     values: the sign of B, or ``BOUNDARY`` within a band of ``BOUNDARY_RTOL``)."""
-    w11, w12, w22 = w.w11, w.w12, w.w22
-    det_w = _det(w11, w12, w22)
-    sqrt_det_w = np.sqrt(det_w)
-    eps = fb.one_minus_s_sq
-    p = fb.perp_quadratic
-    k = fb.triple_product
-    (g11, g12), (_, g22) = fb.gram.T  # .T: numpy scalars, not 0-d arrays, at one point
-    r1, r2 = fb.radial.T
+    # _check_report refuses what overflows, so numpy's warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w11, w12, w22 = w.w11, w.w12, w.w22
+        det_w = _det(w11, w12, w22)
+        sqrt_det_w = np.sqrt(det_w)
+        eps = fb.one_minus_s_sq
+        p = fb.perp_quadratic
+        k = fb.triple_product
+        (g11, g12), (_, g22) = fb.gram.T  # .T: the cells last
+        r1, r2 = fb.radial.T
 
-    a = w11 * g22 - 2.0 * w12 * g12 + w22 * g11
-    q = np.maximum(w11 * r2 * r2 - 2.0 * w12 * r1 * r2 + w22 * r1 * r1, 0.0)  # keeps a NaN
-    t = eps * sqrt_det_w * abs(k)
-    c_s = (eps * a + q) / p
-    c_z = c_s + 2.0 * t / p
-    c_n = c_s + 2.0 * np.sqrt(det_w * eps / p)
-    b_value = (t - q) / p
+        a = w11 * g22 - 2.0 * w12 * g12 + w22 * g11
+        q = np.maximum(w11 * r2 * r2 - 2.0 * w12 * r1 * r2 + w22 * r1 * r1, 0.0)  # keeps a NaN
+        t = eps * sqrt_det_w * abs(k)
+        c_s = (eps * a + q) / p
+        c_z = c_s + 2.0 * t / p
+        c_n = c_s + 2.0 * np.sqrt(det_w * eps / p)
+        b_value = (t - q) / p
 
-    # Exact rewritings under which max(C^S, C^R) <= C^H <= C^Z follows from
-    # monotone rounding, given q >= 0: the clamp above is what makes the chain
-    # exact.  Both branches are evaluated everywhere; the one that does not
-    # apply is discarded.
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # Exact rewritings under which max(C^S, C^R) <= C^H <= C^Z follows from
+        # monotone rounding, given q >= 0: the clamp above is what makes the chain
+        # exact.  Both branches are evaluated everywhere; the one that does not
+        # apply is discarded.
         # B >= 0: C^H = C^R = C^S + (2t - q)/p, 0 <= 2t - q <= 2t
         rld = t >= q
         c_rld = c_s + (2.0 * t - q) / p
         # Else q > 0.  Add the smaller of the two increments to its own base;
         # the other lower bound then keeps a margin of at least |B|/2.
-        c_r = _where(rld, c_rld, eps * (a + 2.0 * sqrt_det_w * abs(k)) / p)
-        corr = _where(rld, 0.0, (q - t) * (q - t) / (q * p))
-        c_h = _where(rld, c_rld, _where(q <= 2.0 * t, c_r + corr, c_s + t * t / (q * p)))
+        c_r = np.where(rld, c_rld, eps * (a + 2.0 * sqrt_det_w * abs(k)) / p)
+        corr = np.where(rld, 0.0, (q - t) * (q - t) / (q * p))
+        c_h = np.where(rld, c_rld, np.where(q <= 2.0 * t, c_r + corr, c_s + t * t / (q * p)))
         ratio = np.copysign(np.minimum(1.0, t / q), k) / (p * sqrt_det_w)
-    scale = _where(q > 0.0, ratio, 0.0)
-    xi_star = stack_last([scale * (w22 * r1 - w12 * r2), scale * (w11 * r2 - w12 * r1)], 1)
-    _check_report((c_s, c_r, c_z, c_n, c_h, corr, b_value, xi_star))
-    tau = BOUNDARY_RTOL * (c_z + c_s)  # both > 0 once checked
-    branch = _BRANCH_VALUES[_where(b_value > tau, 1, _where(b_value < -tau, 2, 0))]
+        scale = np.where(q > 0.0, ratio, 0.0)
+        xi_star = stack_last([scale * (w22 * r1 - w12 * r2), scale * (w11 * r2 - w12 * r1)], 1)
+        _check_report((c_s, c_r, c_z, c_n, c_h, corr, b_value, xi_star))
+        tau = BOUNDARY_RTOL * (c_z + c_s)  # both > 0 once checked
+        branch = _BRANCH_VALUES[np.where(b_value > tau, 1, np.where(b_value < -tau, 2, 0))]
     return BoundsReport(c_s, c_r, c_z, c_n, c_h, corr, branch, b_value, xi_star)
 
 
@@ -289,9 +285,10 @@ def boundary_weight_family(fb: FisherBundle, w, w2, c: float = 1.0) -> WeightMat
     g1, g2 = fb.gamma
     norm = np.hypot(g1, g2)
     u = np.array([[g1, -g2], [g2, g1]]) / norm
-    off = alpha * w * w2
-    core = stack_last([[np.ones_like(off), off], [off, alpha * alpha * (w2 * w2)]], 2)
-    return WeightMatrix.from_matrix(c * (u @ core @ u.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # WeightMatrix refuses what overflows
+        off = alpha * w * w2
+        core = stack_last([[np.ones_like(off), off], [off, alpha * alpha * (w2 * w2)]], 2)
+        return WeightMatrix.from_matrix(c * (u @ core @ u.T))
 
 
 def weight_from_angles(w, omega) -> WeightMatrix:

@@ -19,9 +19,10 @@ loop: sweep-theta maps the cells through the family's ``evaluate_many``
 (dropping cells outside the domain or the mixed-state disk) and
 ``fisher_bundle_many``; sweep-weight builds every weight as one stacked
 ``WeightMatrix`` at one ``fisher_bundle``.  ``_emit_csv`` runs
-``holevo_bounds_many`` on all cells at once (adding the coordinates of a
-cell it refuses), formats each row with one %-format and writes the file in
-one call.  Invalid input raises what a cell-by-cell loop would raise first.
+``holevo_bounds_many`` on all cells at once, formats each row with one
+%-format and writes the file in one call; a cell that either kernel refuses
+is named by its coordinates.  Invalid input raises what a cell-by-cell loop
+would raise first.  The library owns the float policy: this module sets none.
 
 Imports are lazy per subcommand: ``classify`` loads :mod:`holevo2q.classify`
 and ``verify`` the oracle and the verification suite inside their command
@@ -96,19 +97,27 @@ def _usable_rows(family, axes):
     return s[usable], d1[usable], d2[usable], usable
 
 
-def _emit_csv(path, header_name: str, coords: list[str], axes, fb, weights, keep=...) -> None:
-    """One CSV row per kept cell of the grid ``axes``, from
-    ``holevo_bounds_many(fb, weights)``: the coordinates, then BOUND_COLUMNS.
-    Axis values, and values shared by every row (baked into the row
-    template), are formatted once.  A report that the kernel refuses is
-    refused with the coordinates of its cell, before anything is written."""
+def _cell_labels(axes, keep=...) -> list:
+    """The ``%.17g`` coordinates of the kept cells of the grid ``axes``, per axis."""
     labels = _grid(*(np.array(["%.17g" % x for x in a.tolist()], dtype=object) for a in axes))
-    labels = [column[keep] for column in labels]
+    return [column[keep] for column in labels]
+
+
+def _in_cell(coords: list[str], labels: list, func, *args):
+    """``func(*args)``; its DomainError gains the coordinates of the refused cell."""
     try:
-        report = holevo_bounds_many(fb, weights)
+        return func(*args)
     except DomainError as exc:
         at = ", ".join(f"{c}={x[exc.index]}" for c, x in zip(coords, labels))
         raise DomainError(f"{exc} at {at}") from None
+
+
+def _emit_csv(path, header_name: str, coords: list[str], labels: list, fb, weights) -> None:
+    """One CSV row per cell, from ``holevo_bounds_many(fb, weights)``: the
+    coordinate ``labels``, then BOUND_COLUMNS; values shared by every row are
+    baked into the row template.  A report that the kernel refuses is refused
+    with the coordinates of its cell, before anything is written."""
+    report = _in_cell(coords, labels, holevo_bounds_many, fb, weights)
     values = (*labels, *(get(fb, report) for _, _, get in _COLUMNS))
     specs = ["%s", "%s", *(spec for _, spec, _ in _COLUMNS)]
     row = ",".join(spec % v if np.ndim(v) == 0 else spec for spec, v in zip(specs, values))
@@ -149,7 +158,7 @@ def cmd_sweep_weight(args) -> int:
         second = np.linspace(args.w2_min, args.w2_max, args.grid)
         coords = ["w", "w2"]
         weights = boundary_weight_family(fb, *_grid(first, second))
-    _emit_csv(args.out, "sweep-weight", coords, (first, second), fb, weights)
+    _emit_csv(args.out, "sweep-weight", coords, _cell_labels((first, second)), fb, weights)
     return 0
 
 
@@ -164,8 +173,9 @@ def cmd_sweep_theta(args) -> int:
     pads = [args.shrink * (hi - lo) for lo, hi in limits]
     axes = tuple(np.linspace(lo + pad, hi - pad, args.grid) for (lo, hi), pad in zip(limits, pads))
     s, d1, d2, usable = _usable_rows(family, axes)
-    fb = fisher_bundle_many(s, d1, d2)
-    _emit_csv(args.out, "sweep-theta", ["theta1", "theta2"], axes, fb, weight, usable)
+    coords, labels = ["theta1", "theta2"], _cell_labels(axes, usable)
+    fb = _in_cell(coords, labels, fisher_bundle_many, s, d1, d2)
+    _emit_csv(args.out, "sweep-theta", coords, labels, fb, weight)
     return 0
 
 
@@ -291,10 +301,7 @@ def main(argv=None) -> int:
     # Only a named subcommand's parser; no arguments, --help or a typo get the full one.
     args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        # The library refuses a non-finite or non-positive result with
-        # DomainError, so numpy's warnings on the way there are noise.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (ModelError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

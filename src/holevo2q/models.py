@@ -129,12 +129,6 @@ def _check_theta(theta) -> tuple[float, float]:
     return float(t[0]), float(t[1])
 
 
-def _point(s, d1s, d2s) -> BlochModelPoint:
-    if float(np.dot(s, s)) >= 1.0:
-        raise PureStateError(f"family evaluates to |s| = {np.linalg.norm(s):.6g} >= 1")
-    return BlochModelPoint(s, d1s, d2s)
-
-
 def _poly_arrays(polys, t1, t2):
     """(values, d/dtheta1, d/dtheta2) of the polynomials ``polys`` at arrays
     t1, t2: three (N, len(polys)) arrays, the derivatives exact."""
@@ -152,8 +146,12 @@ class _Family(Record):
         1 - PURE_SHELL_TOL <= |s| < 1 that :meth:`evaluate_many` marks unusable."""
         t1, t2 = _check_theta(theta)
         self.domain.require((t1, t2))
-        s, d1, d2 = (x[0] for x in self._bloch_arrays(np.array([t1]), np.array([t2])))
-        return _point(s, d1, d2)
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+            s, d1, d2 = (x[0] for x in self._bloch_arrays(np.array([t1]), np.array([t2])))
+            s_squared = float(np.dot(s, s))
+        if s_squared >= 1.0:
+            raise PureStateError(f"family evaluates to |s| = {np.sqrt(s_squared):.6g} >= 1")
+        return BlochModelPoint(s, d1, d2)
 
     def evaluate_many(self, theta1, theta2):
         """(S, D1, D2, usable) at the points (theta1[i], theta2[i]): (N, 3)
@@ -162,10 +160,11 @@ class _Family(Record):
         t1, t2 = (np.asarray(t, dtype=float).ravel() for t in (theta1, theta2))
         inside = self.domain.contains((t1, t2))
         out = np.zeros((3, t1.size, 3))
-        if inside.any():
-            out[:, inside] = self._bloch_arrays(t1[inside], t2[inside])
-        s, d1, d2 = out
-        return s, d1, d2, inside & np.isfinite(out).all(axis=(0, 2)) & mixed(dot3(s, s))
+        with np.errstate(over="ignore", invalid="ignore"):  # such cells are skipped
+            if inside.any():
+                out[:, inside] = self._bloch_arrays(t1[inside], t2[inside])
+            s, d1, d2 = out
+            return s, d1, d2, inside & np.isfinite(out).all(axis=(0, 2)) & mixed(dot3(s, s))
 
     def to_descriptor(self) -> dict:
         """``kind``, then each field as plain JSON: what ``from_descriptor``

@@ -23,8 +23,8 @@ candidates together with the probes of the one the model ranks lowest (a
 second evaluation, of another candidate's probes, only when the raw values
 disagree with that ranking).  An evaluation's observable pairs are one
 (N, 2, 2, 2) operator stack, [n, i] = X^i, built in one pass and fed as it
-is to Z.  Density matrices, Pauli coefficients and 2x2 traces are read entry
-by entry, with the bits of the numpy calls they replace.
+is to Z.  Density matrices and Pauli coefficients are read entry by entry,
+with the bits of the numpy calls they replace.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ _SIGNED_STEPS = [sign * h for h in _CERTIFICATE_STEPS for sign in (1, -1)]
 
 def _herm(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
-
-
-def _trace(mat: np.ndarray):
-    """The bits of ``np.trace`` of a 2x2 matrix or of each of a stack, without
-    its call overhead: np.trace sums from 0, so an exact zero is +0.0."""
-    return mat[..., 0, 0] + mat[..., 1, 1] + 0.0
 
 
 class DensityPoint(Record):
@@ -187,12 +181,12 @@ def sld_inner(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
     linear in ``x``) is what the mixed relations with the commutation
     superoperator use.
     """
-    return complex(0.5 * _trace(rho @ (y @ x.conj().T + x.conj().T @ y)))
+    return complex(0.5 * np.trace(rho @ (y @ x.conj().T + x.conj().T @ y)))
 
 
 def rld_inner(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
     """Right inner product tr(rho y x^dagger)."""
-    return complex(_trace(rho @ y @ x.conj().T))
+    return complex(np.trace(rho @ y @ x.conj().T))
 
 
 def operator_fisher(dp: DensityPoint, slds=None, rlds=None):
@@ -212,13 +206,13 @@ def operator_fisher(dp: DensityPoint, slds=None, rlds=None):
     gt = np.array([[rld_inner(rho, a, b) for b in rlds] for a in rlds])
     g_inv = invert_2x2(g)
     duals = (g_inv[0, 0] * l1 + g_inv[1, 0] * l2, g_inv[0, 1] * l1 + g_inv[1, 1] * l2)
-    z = np.array([[_trace(rho @ duals[j] @ duals[i]) for j in range(2)] for i in range(2)])
+    z = np.array([[np.trace(rho @ duals[j] @ duals[i]) for j in range(2)] for i in range(2)])
     return g, gt, z
 
 
 def bloch_coefficients(op: np.ndarray) -> tuple[complex, np.ndarray]:
     """Expansion op = a I + v.sigma; returns (a, v) with v the sigma part."""
-    # tr(op) and tr(op sigma_k) from the entries, + 0.0 as in _trace.
+    # tr(op) and tr(op sigma_k) from the entries, + 0.0 as np.trace sums from 0.
     (a00, a01), (a10, a11) = np.asarray(op).tolist()
     halves = (np.array([a00 + a11, a01 + a10, 1j * (a01 - a10), a00 - a11]) + 0.0) / 2.0
     return complex(halves[0]), halves[1:]

@@ -669,7 +669,7 @@ def _stacks(points):
     return [np.array([getattr(m, f) for m in points]) for f in ("s", "d1s", "d2s")]
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")  # numpy, on refused input
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # refused without a numpy warning
 class TestReportContract:
     """The library returns a report whose fields are all finite and whose five
     bounds are all > 0, or raises DomainError where the report is made."""

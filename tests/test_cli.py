@@ -268,6 +268,19 @@ class TestSweepTheta:
             assert err == "DomainError: c_r is not finite (inf) at theta1=0, theta2=0\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_derivatives_name_their_cell(self, tmp_path):
+        # s1 = 1e200 theta1 theta2^2: the cells off both axes leave the ball and
+        # are skipped; of the five kept, d1s overflows at the second, (0, -0.7).
+        path = tmp_path / "model.json"
+        components = [[[0, 0, 0], [0, 0, 1e200]], [[0.1], [0.3]], [[0, 0.3]]]
+        path.write_text(json.dumps({"kind": "explicit", "components": components}))
+        code, stdout, err = run_cli("sweep-theta", "--model", str(path), "--weight", "1,0,1",
+                                    "--grid", "3")
+        assert (code, stdout) == (2, "")
+        assert err == ("DomainError: derivatives overflow in floats "
+                       "at theta1=0, theta2=-0.69999999999999996\n")
+
     def test_no_usable_grid_point_invalid(self, tmp_path):
         # Every cell of the domain lies outside the Bloch ball.
         path = tmp_path / "outside.json"

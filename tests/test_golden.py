@@ -73,13 +73,15 @@ def test_refusal_corpus(computed):
 
 
 def test_refusal_corpus_under_optimization(computed, tmp_path):
-    # Under python -O no assert guards an input: the refusals stay the same.
+    # Under python -O no assert guards an input, and under -W error no numpy
+    # warning is printed on the way to a refusal: the refusals stay the same.
     tools = str(Path(golden.__file__).parent)
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import golden; "
             "print(json.dumps(golden.refusals(sys.argv[2])))")
-    proc = run_python("-O", "-c", code, tools, str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == json.loads(computed[1][golden.REFUSALS_FILE])
+    for flags in (["-O"], ["-W", "error::RuntimeWarning"]):
+        proc = run_python(*flags, "-c", code, tools, str(tmp_path))
+        assert proc.returncode == 0, (flags, proc.stderr)
+        assert json.loads(proc.stdout) == json.loads(computed[1][golden.REFUSALS_FILE]), flags
 
 
 def test_another_numpy_version_names_both():

@@ -14,7 +14,8 @@ kinds, the three sweeps at ``--grid 11``) are kept as full text, one file each
 in ``tests/golden/``, so a reader sees every byte that a change moves.  So is
 the refusal corpus, ``tests/golden/refusals.json``: for each REFUSALS case (a
 malformed model file, an out-of-range weight or family parameter, ``--grid 1``,
-tiny or huge derivatives, a negative ``verify --seed``) its exit code, the sha256 of its stdout and its
+tiny or huge derivatives, polynomial coefficients whose |s|^2 and derivatives
+overflow, a negative ``verify --seed``) its exit code, the sha256 of its stdout and its
 stderr text, so a change that moves a refusal shows which.
 
 ``--write`` stores the hashes in ``tests/golden/MANIFEST.json``, with the
@@ -103,6 +104,8 @@ REFUSAL_MODELS = {
         [[0.1, 0.0], [1e-80, 0.0]], [[0.2, 1e-80], [0.0, 0.0]], [[0.3]]]},
     "huge_derivatives.json": {"kind": "explicit", "components": [
         [[0.1, 0.0], [1e80, 0.0]], [[0.2, 1e80], [0.0, 0.0]], [[0.3]]]},
+    "overflowing_coefficients.json": {"kind": "explicit", "components": [
+        [[0.1, 0], [1e200, 0]], [[0.2, 1e200], [0, 0]], [[0.3]]]},
 }
 
 
@@ -146,6 +149,13 @@ REFUSALS = {
     "huge-derivatives-sweep-theta": ["sweep-theta", "--model", "huge_derivatives.json",
                                      "--weight", WEIGHT, "--grid", "3"],
     "point-outside-ball": _bounds_at("huge_derivatives.json", theta="0.1,0.1"),
+    # |s|^2 overflows away from theta = (0, 0), and the derivatives everywhere.
+    "overflowing-coefficients": _bounds_at("overflowing_coefficients.json", theta="0.1,0.1"),
+    "overflowing-coefficients-sweep-theta": ["sweep-theta", "--model",
+                                             "overflowing_coefficients.json", "--weight",
+                                             WEIGHT, "--grid", "3"],
+    "overflowing-coefficients-classify": ["classify", "--model", "overflowing_coefficients.json",
+                                          "--grid", "3"],
     "verify-negative-seed": ["verify", "--seed", "-1", "--count", "2"],
 }
 REFUSALS_FILE = "refusals.json"
