@@ -168,7 +168,8 @@ def not_mixed_message(s_squared: float) -> str:
 def not_hermitian(m, rtol: float):
     """max|M - M^H| > rtol max|M| for a matrix, or per matrix of a stack (..., n, n)."""
     m = np.asarray(m)
-    residual = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf; the caller refuses non-finite entries
+        residual = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max(axis=(-2, -1))
     return residual > rtol * np.abs(m).max(axis=(-2, -1))
 
 
@@ -195,8 +196,10 @@ class BlochModelPoint(Record):
         object.__setattr__(self, "s", _as_real_vec3(self.s, "s"))
         object.__setattr__(self, "d1s", _as_real_vec3(self.d1s, "d1s"))
         object.__setattr__(self, "d2s", _as_real_vec3(self.d2s, "d2s"))
-        if self.s_squared > 1.0 + BALL_SLACK:
-            raise DomainError(f"|s| = {np.linalg.norm(self.s):.6g} lies outside the Bloch ball")
+        with np.errstate(over="ignore"):  # a huge s: |s|^2 overflows, and s is refused
+            if self.s_squared > 1.0 + BALL_SLACK:
+                norm = np.linalg.norm(self.s)
+                raise DomainError(f"|s| = {norm:.6g} lies outside the Bloch ball")
 
     @property
     def s_squared(self) -> float:

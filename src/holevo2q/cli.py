@@ -20,9 +20,10 @@ loop: sweep-theta maps the cells through the family's ``evaluate_many``
 ``fisher_bundle_many``; sweep-weight builds every weight as one stacked
 ``WeightMatrix`` at one ``fisher_bundle``.  ``_emit_csv`` runs
 ``holevo_bounds_many`` on all cells at once, formats each row with one
-%-format and writes the file in one call; a cell that either kernel refuses
-is named by its coordinates.  Invalid input raises what a cell-by-cell loop
-would raise first.  The library owns the float policy: this module sets none.
+%-format and writes the file in one call; a grid cell that a kernel refuses
+(also under ``classify --grid``) is named by its coordinates, whatever the
+error class.  Invalid input raises what a cell-by-cell loop would raise
+first.  The library owns the float policy: this module sets none.
 
 Imports are lazy per subcommand: ``classify`` loads :mod:`holevo2q.classify`
 and ``verify`` the oracle and the verification suite inside their command
@@ -44,7 +45,7 @@ import numpy as np
 
 from .bounds import (REPORT_COLUMNS, WeightMatrix, boundary_weight_family, holevo_bounds_many,
                      weight_from_angles)
-from .errors import DomainError, ModelError
+from .errors import ModelError
 from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from .models import load_model
 
@@ -104,12 +105,14 @@ def _cell_labels(axes, keep=...) -> list:
 
 
 def _in_cell(coords: list[str], labels: list, func, *args):
-    """``func(*args)``; its DomainError gains the coordinates of the refused cell."""
+    """``func(*args)``; a ModelError with the ``index`` of a cell gains its coordinates."""
     try:
         return func(*args)
-    except DomainError as exc:
+    except ModelError as exc:
+        if not hasattr(exc, "index"):
+            raise
         at = ", ".join(f"{c}={x[exc.index]}" for c, x in zip(coords, labels))
-        raise DomainError(f"{exc} at {at}") from None
+        raise type(exc)(f"{exc} at {at}") from None
 
 
 def _emit_csv(path, header_name: str, coords: list[str], labels: list, fb, weights) -> None:
@@ -201,8 +204,8 @@ def cmd_classify(args) -> int:
     if args.grid:
         limits = (family.domain.theta1, family.domain.theta2)
         axes = [np.linspace(lo, hi, args.grid + 2)[1:-1] for lo, hi in limits]
-        s, d1, d2, _ = _usable_rows(family, axes)
-        fam = classify_rows(s, d1, d2)
+        s, d1, d2, usable = _usable_rows(family, axes)
+        fam = _in_cell(["theta1", "theta2"], _cell_labels(axes, usable), classify_rows, s, d1, d2)
         out["family"] = {
             "globally_d_invariant": fam.globally_d_invariant,
             "grid_points": len(fam.radii),

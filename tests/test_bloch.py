@@ -28,9 +28,11 @@ def point(s, d1=XHAT, d2=YHAT):
 
 
 class TestModelPoint:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # |s|^2 overflows for 1e200
     def test_rejects_outside_ball(self):
-        with pytest.raises(DomainError):
-            point([1.2, 0.0, 0.0])
+        for x in (1.2, 1e200):
+            with pytest.raises(DomainError, match="lies outside the Bloch ball"):
+                point([x, 0.0, 0.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):

@@ -139,6 +139,11 @@ class TestWeightMatrix:
         w = WeightMatrix(2.0, 0.5, 1.0)
         assert np.allclose(WeightMatrix.from_matrix(w.matrix).matrix, w.matrix)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # inf - inf in the symmetry check
+    def test_from_matrix_rejects_an_infinite_entry(self):
+        with pytest.raises(DomainError, match="^weight matrix entries must be finite$"):
+            WeightMatrix.from_matrix([[np.inf, 0.0], [0.0, 1.0]])
+
     @pytest.mark.parametrize("scale", [1e-160, 1e-170])
     def test_rejects_a_weight_whose_det_underflows(self, scale):
         # w11 w22 is below the smallest normal float: det W is subnormal or 0.

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import holevo2q
-from holevo2q.cli import main
+from holevo2q.cli import _in_cell, main
+from holevo2q.errors import DegenerateModelError, DomainError
 from holevo2q.models import GenericZ
 
 SRC_DIR = str(Path(holevo2q.__file__).resolve().parents[1])
@@ -356,6 +357,30 @@ class TestClassifyCommand:
         assert code == 0
         assert sum(rows) == 16 == json.loads(out)["family"]["grid_points"]
         assert calls == []
+
+
+@pytest.mark.parametrize("command, cell", [
+    (["sweep-theta", "--weight", "1,0,1"], "theta1=-0.69999999999999996, theta2=0"),
+    (["classify"], "theta1=-0.34999999999999998, theta2=0"),
+], ids=["sweep-theta", "classify"])
+def test_theta_grid_refusal_of_any_class_names_its_cell(tmp_path, command, cell):
+    # s = (0.1 + theta1^2, 0.2 + theta2^2, 0.3): d2s = 0 on theta2 = 0, so the
+    # first such grid cell is refused with DegenerateModelError, not DomainError.
+    path = tmp_path / "model.json"
+    components = [[[0.1, 0], [0, 0], [1, 0]], [[0.2, 0, 1]], [[0.3]]]
+    path.write_text(json.dumps({"kind": "explicit", "components": components}))
+    code, stdout, err = run_cli(command[0], "--model", str(path), *command[1:], "--grid", "3")
+    assert (code, stdout) == (2, "")
+    assert err == f"DegenerateModelError: d1s and d2s are linearly dependent at {cell}\n"
+
+
+def test_a_refusal_without_a_cell_index_passes_through_unchanged():
+    for error in (DomainError("no cell"), DegenerateModelError("no cell")):
+        def refuse():
+            raise error
+        with pytest.raises(type(error)) as info:
+            _in_cell(["theta1", "theta2"], [np.array(["0"]), np.array(["0"])], refuse)
+        assert info.value is error
 
 
 MALFORMED_MODELS = {

@@ -103,10 +103,12 @@ class TestDensityPoint:
         kept = DensityPoint(rho=[[0.5, 0.0], [0.0, 0.5]], drho1=good["drho1"], drho2=good["drho2"])
         assert kept.rho.dtype == complex and kept.rho.shape == (2, 2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # inf - inf in the Hermitian check
     def test_hermitian_pair_rejects_nan(self):
-        with pytest.raises(ValueError) as info:
-            HermitianPair(x1=PAULI[0], x2=[[np.nan, 0.0], [0.0, 1.0]])
-        assert str(info.value) == "x2 must be finite"
+        for x in (np.nan, np.inf):
+            with pytest.raises(ValueError) as info:
+                HermitianPair(x1=PAULI[0], x2=[[x, 0.0], [0.0, 1.0]])
+            assert str(info.value) == "x2 must be finite"
 
     def test_bits_of_pauli_sums(self):
         # rho = (I + s.sigma)/2 and d rho = d.sigma/2 as Pauli sums, and the

@@ -47,6 +47,8 @@ SWEEP_TARGET_S (the ROADMAP's 0.4 s target), and the import graphs of
 module it loads with the source lines of its file, and their total.  Columns
 already in OUT.json that are not named again are kept; the machine record
 (usable cores, Python, numpy) is rewritten.  Standard library only.
+``tools/golden.py`` runs the same PATHS on the same MODELS in process, with
+the model writer and the ``--out`` CSV read-back defined here.
 """
 
 import hashlib
@@ -67,17 +69,18 @@ MODELS = {"gz02.json": {"kind": "generic_z", "theta0": 0.2},
           "gz023.json": {"kind": "generic_z", "theta0": 0.23}}
 THETA = "0.2447,0.2447"
 WEIGHT = "0.55,0.1,0.45"
+OUT_CSV = "out.csv"  # the sweeps' --out file, relative to the working directory
 PATHS = {
     "import": ["-c", "import holevo2q.cli"],
     "bounds": ["bounds", "--model", "gz02.json", "--theta", THETA, "--weight", WEIGHT],
     "help": ["--help"],
     "help_sweep_weight": ["sweep-weight", "--help"],
     "sweep_weight_53": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
-                        "--weight-family", "53", "--out", "out.csv"],
+                        "--weight-family", "53", "--out", OUT_CSV],
     "sweep_weight_42": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
-                        "--weight-family", "42", "--out", "out.csv"],
+                        "--weight-family", "42", "--out", OUT_CSV],
     "sweep_theta": ["sweep-theta", "--model", "gz023.json", "--weight", WEIGHT,
-                    "--out", "out.csv"],
+                    "--out", OUT_CSV],
     "classify_grid": ["classify", "--model", "gz02.json", "--grid", "101"],
     "verify": ["verify", "--seed", "42", "--count", "200"],
     "oracle_values": ["oracle_values.py", "21", "31", "77"],
@@ -113,6 +116,24 @@ def _env(root):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
     return env
+
+
+def write_models(work, models):
+    """Write ``models``, {file name: descriptor, or raw text}, into the directory ``work``."""
+    for filename, desc in models.items():
+        with open(os.path.join(work, filename), "w", encoding="utf-8") as fh:
+            fh.write(desc if isinstance(desc, str) else json.dumps(desc))
+
+
+def take_out_csv(work, stdout):
+    """A path's output: the CSV a sweep wrote to OUT_CSV in ``work`` (removed), else ``stdout``."""
+    out_csv = os.path.join(work, OUT_CSV)
+    if not os.path.exists(out_csv):
+        return stdout
+    with open(out_csv, "rb") as fh:
+        data = fh.read()
+    os.remove(out_csv)
+    return data
 
 
 def _command(args, root):
@@ -180,22 +201,14 @@ def main(argv):
     digests = {name: {} for name in columns}
     results = {}
     with tempfile.TemporaryDirectory() as work:
-        out_csv = os.path.join(work, "out.csv")
-        for filename, desc in MODELS.items():
-            with open(os.path.join(work, filename), "w", encoding="utf-8") as fh:
-                json.dump(desc, fh)
+        write_models(work, MODELS)
         for path, args in PATHS.items():
             for rep in range(SHORT_REPEATS if path in SHORT_PATHS else REPEATS):
                 order = list(columns) if rep % 2 == 0 else list(reversed(columns))
                 seconds_of = {}
                 for name in order:
                     seconds, stdout = _run(_command(args, columns[name]), columns[name], work)
-                    data = stdout.encode()
-                    if os.path.exists(out_csv):  # the sweeps write their CSV here
-                        with open(out_csv, "rb") as fh:
-                            data = fh.read()
-                        os.remove(out_csv)
-                    digest = hashlib.sha256(data).hexdigest()
+                    digest = hashlib.sha256(take_out_csv(work, stdout.encode())).hexdigest()
                     if digests[name].setdefault(path, digest) != digest:
                         raise RuntimeError(f"{path} output of column {name} differs "
                                            f"between repetitions")

@@ -9,30 +9,28 @@ Differences are relative to max(|old|, |new|), except for ``b_theta`` and
 ``s_correction``, which cross zero and are taken relative to |c_z| of the
 old row.  Exits 1 when the headers or row counts differ or any label or
 flag changed, so it can gate a change that must keep every label.
+``compare(old_text, new_text)`` returns the summary and the exit code.
 """
 
 import csv
 import sys
+from pathlib import Path
 
 ZERO_CROSSING = ("b_theta", "s_correction")
 LABELS = ("branch", "d_invariant", "asymptotically_classical")
 
 
-def load(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _parse(text):
+    lines = text.splitlines()
     return lines[0], lines[2:], list(csv.DictReader(lines[1:]))
 
 
-def main(argv) -> int:
-    if len(argv) != 3:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    (head_a, lines_a, rows_a), (head_b, lines_b, rows_b) = load(argv[1]), load(argv[2])
+def compare(old_text: str, new_text: str):
+    """(summary, exit code) of the CSV ``new_text`` against the CSV ``old_text``."""
+    (head_a, lines_a, rows_a), (head_b, lines_b, rows_b) = _parse(old_text), _parse(new_text)
     if head_a != head_b or len(rows_a) != len(rows_b) or not rows_a:
-        print(f"not comparable: {head_a!r} with {len(rows_a)} rows "
-              f"vs {head_b!r} with {len(rows_b)} rows")
-        return 1
+        return (f"not comparable: {head_a!r} with {len(rows_a)} rows "
+                f"vs {head_b!r} with {len(rows_b)} rows"), 1
     columns = [c for c in rows_a[0] if c not in LABELS]
     worst = dict.fromkeys(columns, 0.0)
     changed = []
@@ -48,14 +46,20 @@ def main(argv) -> int:
         changed += [f"  row {i}: {col} {a[col]} -> {b[col]}"
                     for col in LABELS if col in a and a[col] != b[col]]
     differing = sum(x != y for x, y in zip(lines_a, lines_b))
-    print(f"rows compared: {len(rows_a)}")
-    print(f"rows differing by at least one byte: {differing}")
-    for col in columns:
-        print(f"  {col:<26} max rel diff {worst[col]:.3e}")
-    print(f"label/flag changes: {len(changed)}")
-    for line in changed[:20]:
-        print(line)
-    return 1 if changed else 0
+    summary = [f"rows compared: {len(rows_a)}",
+               f"rows differing by at least one byte: {differing}",
+               *(f"  {col:<26} max rel diff {worst[col]:.3e}" for col in columns),
+               f"label/flag changes: {len(changed)}", *changed[:20]]
+    return "\n".join(summary), 1 if changed else 0
+
+
+def main(argv) -> int:
+    if len(argv) != 3:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    summary, code = compare(*(Path(path).read_text(encoding="utf-8") for path in argv[1:]))
+    print(summary)
+    return code
 
 
 if __name__ == "__main__":
