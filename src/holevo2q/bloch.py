@@ -161,8 +161,8 @@ def mixed(s_squared):
     return s_squared < (1.0 - PURE_SHELL_TOL) ** 2
 
 
-def not_mixed_message(s_squared: float) -> str:
-    return f"operation requires |s| < 1 - {PURE_SHELL_TOL:g}, got |s| = {np.sqrt(s_squared):.12g}"
+def not_mixed_message(s) -> str:
+    return f"operation requires |s| < 1 - {PURE_SHELL_TOL:g}, got |s| = {np.hypot.reduce(s):.12g}"
 
 
 def not_hermitian(m, rtol: float):
@@ -198,7 +198,7 @@ class BlochModelPoint(Record):
         object.__setattr__(self, "d2s", _as_real_vec3(self.d2s, "d2s"))
         with np.errstate(over="ignore"):  # a huge s: |s|^2 overflows, and s is refused
             if self.s_squared > 1.0 + BALL_SLACK:
-                norm = np.linalg.norm(self.s)
+                norm = np.hypot.reduce(self.s)
                 raise DomainError(f"|s| = {norm:.6g} lies outside the Bloch ball")
 
     @property
@@ -211,7 +211,7 @@ class BlochModelPoint(Record):
 
     def require_mixed(self) -> None:
         if not self.is_mixed:
-            raise PureStateError(not_mixed_message(self.s_squared))
+            raise PureStateError(not_mixed_message(self.s))
 
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         return self.d1s, self.d2s

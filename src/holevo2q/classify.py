@@ -11,8 +11,9 @@ A mixed two-parameter qubit point falls into one of three classes:
 A family is globally D-invariant exactly when |s_theta| is constant, which
 happens iff the family is unitary.
 
-The verdicts are the flags of one :func:`~holevo2q.fisher.bloch_scalars_many`
-pass.  The pure-state limits, which continue the Bloch-matrix forms to the
+A verdict, :class:`ModelClass`, is the bundle of one
+:func:`~holevo2q.fisher.bloch_scalars_many` pass, whose ``label`` reads its
+flags.  The pure-state limits, which continue the Bloch-matrix forms to the
 shell, are in :mod:`holevo2q.matrix_forms`.
 """
 
@@ -42,31 +43,19 @@ class ModelLabel(enum.Enum):
     GENERIC = "generic"
 
 
-class ModelClass(Record):
-    """Classification verdict with the raw diagnostics that produced it, for
-    one point (plain values, ``label`` a :class:`ModelLabel`) or a stack of
-    points (arrays over the rows, ``label`` of the ``ModelLabel`` value
-    strings, as a stacked report's ``branch`` holds ``Branch`` values).
+class ModelClass(FisherBundle):
+    """A :class:`~holevo2q.fisher.FisherBundle` read as a verdict.  ``label``,
+    in which D-invariance wins where both flags hold (e.g. at the Bloch-ball
+    origin), is a :class:`ModelLabel` at one point and the ``ModelLabel`` value
+    strings over a stack, as a stacked report's ``branch`` holds ``Branch``
+    values.  Its array fields leave it, like any bundle, without equality or hash."""
 
-    Both flags can hold at once (e.g. at the Bloch-ball origin); the label
-    then reports D-invariance.  As for a stacked
-    :class:`~holevo2q.fisher.FisherBundle`, a stack has no equality or hash.
-    """
-
-    label: ModelLabel
-    d_invariant: bool
-    asymptotically_classical: bool
-    gamma: np.ndarray
-    triple_product: float
-
-
-def _model_class(fb: FisherBundle) -> ModelClass:
-    """The stacked verdict of a bundle's flags: D-invariance wins where both hold."""
-    label = np.where(fb.d_invariant, ModelLabel.D_INVARIANT.value,
-                     np.where(fb.asymptotically_classical,
-                              ModelLabel.ASYMPTOTICALLY_CLASSICAL.value, ModelLabel.GENERIC.value))
-    return ModelClass(label, fb.d_invariant, fb.asymptotically_classical, fb.gamma,
-                      fb.triple_product)
+    @property
+    def label(self):
+        label = np.where(self.d_invariant, ModelLabel.D_INVARIANT.value, np.where(
+            self.asymptotically_classical, ModelLabel.ASYMPTOTICALLY_CLASSICAL.value,
+            ModelLabel.GENERIC.value))
+        return ModelLabel(label.item()) if label.ndim == 0 else label
 
 
 def classify_point(m: BlochModelPoint) -> ModelClass:
@@ -75,9 +64,7 @@ def classify_point(m: BlochModelPoint) -> ModelClass:
     Raises :class:`DegenerateModelError` for dependent derivatives, DomainError
     where they overflow; a singular SLD Fisher matrix is not an error here.
     """
-    c = _model_class(bloch_scalars_many(m.s, m.d1s, m.d2s))
-    return ModelClass(ModelLabel(str(c.label)), bool(c.d_invariant),
-                      bool(c.asymptotically_classical), c.gamma, float(c.triple_product))
+    return ModelClass(*bloch_scalars_many(m.s, m.d1s, m.d2s)._values()).item()
 
 
 class FamilyClassification(Record):
@@ -97,7 +84,7 @@ def classify_rows(s, d1, d2) -> FamilyClassification:
     s = np.asarray(s, dtype=float)
     if not len(s):
         raise DomainError("classification grid is empty")
-    point_classes = _model_class(bloch_scalars_many(s, d1, d2))
+    point_classes = ModelClass(*bloch_scalars_many(s, d1, d2)._values())
     radii = np.sqrt(dot3(s, s))
     spread = float(radii.max() - radii.min())
     globally_d_invariant = spread <= CLASSIFICATION_RTOL * max(float(radii.max()), 1e-300)

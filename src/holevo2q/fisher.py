@@ -14,8 +14,9 @@ p = <n, Q^-1 n>, 1 - s^2), gamma and the two special-model flags that
 |n|^2 - k^2 cancels near the shell.  ``fisher_bundle_many`` is the same
 pass with a guard on the singularity of G; it is what every bound reads,
 and the one guard that ``matrix_forms.sld_duals`` runs when it has no
-bundle.  ``fisher_bundle`` is the same pass on one point, and
-``classify_point`` reads the flags of a one-point ``bloch_scalars_many``.
+bundle.  A one-point bundle has the fields of a stacked one; ``fisher_bundle``
+is the pass on one point, made plain by :meth:`FisherBundle.item`.
+``classify.ModelClass`` is a ``bloch_scalars_many`` bundle read as a verdict.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ __all__ = [
 
 class FisherBundle(Record):
     """The Bloch scalars and class flags of one mixed model point, or of a
-    stack of points (``point`` None, each field with the stack's leading axes)."""
+    stack of points (the same fields, each with the stack's leading axes)."""
 
-    point: BlochModelPoint | None
     gram: np.ndarray         # <d_i s, d_j s>, real symmetric (..., 2, 2)
     radial: np.ndarray       # r_i = <s, d_i s>, real (..., 2)
     triple_product: float    # k = <s, n>, n = l_perp = d1s x d2s
@@ -46,6 +46,10 @@ class FisherBundle(Record):
     one_minus_s_sq: float
     d_invariant: bool        # |r_i| <= CLASSIFICATION_RTOL |s||d_i s|, both i
     asymptotically_classical: bool  # |k| <= CLASSIFICATION_RTOL |s||n|
+
+    def item(self):
+        """This one-point record with its numpy scalars as plain ``float`` and ``bool``."""
+        return type(self)(*(v.item() if isinstance(v, np.generic) else v for v in self._values()))
 
 
 def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
@@ -59,8 +63,8 @@ def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
     ``invertible``, for a singular SLD Fisher matrix G = Gram + r r^T/(1 - s^2).
     """
     s, d1, d2 = (np.asarray(x, dtype=float) for x in (s, d1, d2))
-    s_squared = dot3(s, s)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s_squared = dot3(s, s)
         one_minus = 1.0 - s_squared
         r1, r2 = dot3(s, d1), dot3(s, d2)
         g11, g12, g22 = dot3(d1, d1), dot3(d1, d2), dot3(d2, d2)
@@ -69,7 +73,7 @@ def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
         s_cross_n = r2[..., None] * d1 - r1[..., None] * d2
         p = one_minus * n_squared + dot3(s_cross_n, s_cross_n)
         checks = [
-            (~mixed(s_squared), PureStateError, lambda i: not_mixed_message(s_squared.flat[i])),
+            (~mixed(s_squared), PureStateError, lambda i: not_mixed_message(s.reshape(-1, 3)[i])),
             (~np.isfinite(g11 + g22 + p), DomainError, "derivatives overflow in floats"),
             (dependent(d1, d2, n), DegenerateModelError, "d1s and d2s are linearly dependent"),
         ]
@@ -84,7 +88,6 @@ def bloch_scalars_many(s, d1, d2, invertible: bool = False) -> FisherBundle:
     triple = dot3(s, n)
     tol = CLASSIFICATION_RTOL * np.sqrt(s_squared)
     return FisherBundle(
-        point=None,
         gram=stack_last([[g11, g12], [g12, g22]], 2),
         radial=stack_last([r1, r2], 1),
         triple_product=triple,
@@ -103,8 +106,5 @@ def fisher_bundle_many(s, d1, d2) -> FisherBundle:
 
 
 def fisher_bundle(m: BlochModelPoint) -> FisherBundle:
-    """:func:`fisher_bundle_many` of one point."""
-    fb = fisher_bundle_many(m.s, m.d1s, m.d2s)
-    return FisherBundle(m, fb.gram, fb.radial, float(fb.triple_product), float(fb.perp_quadratic),
-                        fb.gamma, float(fb.one_minus_s_sq), bool(fb.d_invariant),
-                        bool(fb.asymptotically_classical))
+    """:func:`fisher_bundle_many` of one point, in plain values."""
+    return fisher_bundle_many(m.s, m.d1s, m.d2s).item()

@@ -150,7 +150,7 @@ class _Family(Record):
             s, d1, d2 = (x[0] for x in self._bloch_arrays(np.array([t1]), np.array([t2])))
             s_squared = float(np.dot(s, s))
         if s_squared >= 1.0:
-            raise PureStateError(f"family evaluates to |s| = {np.sqrt(s_squared):.6g} >= 1")
+            raise PureStateError(f"family evaluates to |s| = {np.hypot.reduce(s):.6g} >= 1")
         return BlochModelPoint(s, d1, d2)
 
     def evaluate_many(self, theta1, theta2):

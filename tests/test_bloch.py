@@ -30,8 +30,8 @@ def point(s, d1=XHAT, d2=YHAT):
 class TestModelPoint:
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # |s|^2 overflows for 1e200
     def test_rejects_outside_ball(self):
-        for x in (1.2, 1e200):
-            with pytest.raises(DomainError, match="lies outside the Bloch ball"):
+        for x, norm in ((1.2, r"1\.2"), (1e200, r"1e\+200")):
+            with pytest.raises(DomainError, match=rf"^\|s\| = {norm} lies outside the Bloch ball$"):
                 point([x, 0.0, 0.0])
 
     def test_rejects_non_finite(self):

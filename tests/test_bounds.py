@@ -78,36 +78,38 @@ def h_of_x(x: float) -> float:
     return x * x
 
 
-def holevo_objective_xi(fb, w, xi) -> float:
+def holevo_objective_xi(m, w, xi) -> float:
     """Reduced objective h(xi) = C^S + <l_perp,Q^-1 l_perp>(xi|W xi)
-    + 2 sqrt(det W) |Im z^12 + (1-s^2)(gamma|xi)|."""
+    + 2 sqrt(det W) |Im z^12 + (1-s^2)(gamma|xi)| at the point m."""
+    fb = fisher_bundle(m)
     xi = np.asarray(xi, dtype=float)
     quad = fb.perp_quadratic * float(xi @ w.matrix @ xi)
-    im_z12 = fisher_matrices(fb.point).z[0, 1].imag
+    im_z12 = fisher_matrices(m).z[0, 1].imag
     affine = im_z12 + fb.one_minus_s_sq * float(fb.gamma @ xi)
     return holevo_bound(fb, w).c_s + quad + 2.0 * np.sqrt(w.det) * abs(affine)
 
 
-def reduction_coefficients(fb, w):
+def reduction_coefficients(m, w):
     """(A, b, c) of the reduced minimization min (xi|A xi) + 2|(b|xi) + c|:
     A = <l_perp, Q^-1 l_perp> W, b = (1-s^2) sqrt(det W) gamma and
-    c = sqrt(det W) Im z^12, all from the bundle's matrices."""
+    c = sqrt(det W) Im z^12, all from the bundle and matrices of the point m."""
+    fb = fisher_bundle(m)
     sqrt_det_w = np.sqrt(w.det)
     a = fb.perp_quadratic * w.matrix
     b = fb.one_minus_s_sq * sqrt_det_w * fb.gamma
-    c = sqrt_det_w * fisher_matrices(fb.point).z[0, 1].imag
+    c = sqrt_det_w * fisher_matrices(m).z[0, 1].imag
     return a, b, c
 
 
-def holevo_bound_correction_form(fb, w) -> float:
+def holevo_bound_correction_form(m, w) -> float:
     """Correction-branch rewriting C^S + (TrAbs(W Im G~^-1))^2 /
-    (4 Tr(W (G^-1 - Re G~^-1))); equals the Holevo bound where B <= 0."""
-    fm = fisher_matrices(fb.point)
+    (4 Tr(W (G^-1 - Re G~^-1))) at the point m; equals the Holevo bound where B <= 0."""
+    fm = fisher_matrices(m)
     numer = trabs(w, fm.g_tilde_inv.imag) ** 2
     denom = 4.0 * float(np.trace(w.matrix @ (fm.g_inv - fm.g_tilde_inv.real)))
     if denom <= 0.0:
         raise OffBranchError("correction form undefined: Tr(W(G^-1 - Re G~^-1)) <= 0")
-    return holevo_bound(fb, w).c_s + numer / denom
+    return holevo_bound(fisher_bundle(m), w).c_s + numer / denom
 
 
 def holevo_bound_unified(fb, w) -> float:
@@ -242,8 +244,9 @@ class TestScalarBounds:
         assert holevo_bound(fb, IDENTITY).c_r == pytest.approx(expected, rel=1e-12)
 
     def test_rld_planar_real_only(self):
-        fb = bundle([0.3, 0.2, 0.0])
-        expected = float(np.trace(fisher_matrices(fb.point).g_tilde_inv.real))
+        m = BlochModelPoint([0.3, 0.2, 0.0], XHAT, YHAT)
+        fb = fisher_bundle(m)
+        expected = float(np.trace(fisher_matrices(m).g_tilde_inv.real))
         assert holevo_bound(fb, IDENTITY).c_r == pytest.approx(expected, rel=1e-12)
 
     def test_z_equals_rld_on_d_invariant(self):
@@ -397,24 +400,25 @@ class TestHolevoBound:
         rng = np.random.default_rng(36)
         seen_correction = 0
         for _ in range(300):
-            fb = fisher_bundle(random_model_point(rng))
+            m = random_model_point(rng)
+            fb = fisher_bundle(m)
             w = random_weight(rng)
             rep = holevo_bound(fb, w)
             unified = holevo_bound_unified(fb, w)
             assert unified == pytest.approx(rep.c_h, rel=1e-10)
             if rep.branch is Branch.CORRECTION:
                 seen_correction += 1
-                alt = holevo_bound_correction_form(fb, w)
+                alt = holevo_bound_correction_form(m, w)
                 assert alt == pytest.approx(rep.c_h, rel=1e-10)
         assert seen_correction > 20
 
     def test_minimizer_reproduces_bound(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
-            fb = fisher_bundle(random_model_point(rng))
+            m = random_model_point(rng)
             w = random_weight(rng)
-            rep = holevo_bound(fb, w)
-            value = holevo_objective_xi(fb, w, rep.xi_star)
+            rep = holevo_bound(fisher_bundle(m), w)
+            value = holevo_objective_xi(m, w, rep.xi_star)
             assert value == pytest.approx(rep.c_h, rel=1e-9)
 
     def test_admitted_point_with_ill_scaled_rld_inverse(self):
@@ -441,9 +445,10 @@ class TestMinimizingOffset:
         rng = np.random.default_rng(39)
         found = 0
         for _ in range(300):
-            fb = fisher_bundle(random_model_point(rng))
+            m = random_model_point(rng)
+            fb = fisher_bundle(m)
             w = random_weight(rng)
-            a, b, c = reduction_coefficients(fb, w)
+            a, b, c = reduction_coefficients(m, w)
             a_inv = invert_2x2(a)
             alpha = float(b @ a_inv @ b)
             if alpha <= 0.0 or abs(c) >= alpha:
@@ -712,13 +717,12 @@ class TestReportContract:
 
     def test_zero_bound_is_refused(self):
         # Bundles built by hand, with a zero Gram matrix: C^S = 0.
-        fb = FisherBundle(None, np.zeros((2, 2)), np.zeros(2), 0.0, 1.0, np.zeros(2), 0.5,
-                          True, True)
+        fb = FisherBundle(np.zeros((2, 2)), np.zeros(2), 0.0, 1.0, np.zeros(2), 0.5, True, True)
         with pytest.raises(DomainError, match=r"^c_s is not positive \(0.0\)$"):
             holevo_bound(fb, IDENTITY)
         # In a stack, behind a valid cell.
         valid = bundle(np.array([0.1, 0.2, 0.3]))
-        fb = FisherBundle(None, np.array([valid.gram, np.zeros((2, 2))]),
+        fb = FisherBundle(np.array([valid.gram, np.zeros((2, 2))]),
                           np.array([valid.radial, np.zeros(2)]),
                           *(np.array([getattr(valid, f), getattr(fb, f)]) for f in
                             ("triple_product", "perp_quadratic", "gamma", "one_minus_s_sq",

@@ -17,7 +17,7 @@ from holevo2q.errors import (
     PureStateError,
     SingularMatrixError,
 )
-from holevo2q.fisher import fisher_bundle
+from holevo2q.fisher import fisher_bundle, fisher_bundle_many
 from holevo2q.matrix_forms import (
     ell_perp,
     fisher_matrices,
@@ -116,6 +116,30 @@ class TestSldFisher:
     def test_degenerate_guard(self):
         with pytest.raises(DegenerateModelError):
             fisher_bundle(point([0.1, 0.2, 0.3], d1=XHAT, d2=2.0 * XHAT))
+
+
+class TestBundleShape:
+    FIELDS = ("gram", "radial", "triple_product", "perp_quadratic", "gamma", "one_minus_s_sq",
+              "d_invariant", "asymptotically_classical")
+
+    def test_one_point_is_the_plain_row_of_a_stack(self):
+        rng = np.random.default_rng(99)
+        points = [random_model_point(rng) for _ in range(20)]
+        stack = fisher_bundle_many(*(np.array([getattr(m, name) for m in points])
+                                     for name in ("s", "d1s", "d2s")))
+        assert stack._fields == self.FIELDS
+        for i, m in enumerate(points):
+            one = fisher_bundle(m)
+            assert one._fields == stack._fields
+            for name, got, row in zip(self.FIELDS, one._values(), stack._values()):
+                if isinstance(got, np.ndarray):
+                    assert got.tobytes() == row[i].tobytes(), name
+                else:
+                    assert type(got) is type(row[i].item()) and got == row[i], name
+
+    def test_a_huge_s_is_refused_with_its_finite_norm(self):
+        with pytest.raises(PureStateError, match=r"got \|s\| = 1e\+200$"):
+            fisher_bundle_many([[1e200, 0.0, 0.0]], [XHAT], [YHAT])
 
 
 class TestSldDuals:

@@ -22,9 +22,10 @@ PURE_LIMIT_OPERATIONS = {
 }
 
 
-def test_mixed_points_read_the_fisher_route_bit_for_bit():
-    rng = np.random.default_rng(1301)
-    for _ in range(50):
+@pytest.mark.parametrize("seed, count", [(1301, 50), (51, 300), (52, 200), (53, 100)])
+def test_mixed_points_read_the_fisher_route_bit_for_bit(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         m = random_model_point(rng)
         w = random_weight(rng)
         fm = fisher_matrices(m)

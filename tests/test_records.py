@@ -11,7 +11,7 @@ import pytest
 
 from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import BoundsReport, Branch, WeightMatrix
-from holevo2q.classify import FamilyClassification, ModelClass, ModelLabel
+from holevo2q.classify import FamilyClassification, ModelClass
 from holevo2q.fisher import FisherBundle
 from holevo2q.matrix_forms import FisherMatrices
 from holevo2q.models import Domain, Explicit, GenericZ, Planar, Poly2D, Unitary
@@ -22,6 +22,8 @@ POINT = BlochModelPoint([0.1, 0.2, 0.3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 DOMAIN = Domain((-0.5, 0.5), (-0.25, 0.25))
 DOMAIN_REPR = "Domain(theta1=(-0.5, 0.5), theta2=(-0.25, 0.25))"
 EYE2 = "array([[1., 0.],\n       [0., 1.]])"
+BUNDLE_FIELDS = ("gram", "radial", "triple_product", "perp_quadratic", "gamma", "one_minus_s_sq",
+                 "d_invariant", "asymptotically_classical")
 
 # (class, field names in order, positional arguments, repr of the record).
 RECORDS = [
@@ -36,11 +38,9 @@ RECORDS = [
      (1.0, 2.0, 3.0, 4.0, 2.5, 0.5, Branch.CORRECTION, -0.125, np.array([0.5, -1.0])),
      "BoundsReport(c_s=1.0, c_r=2.0, c_z=3.0, c_n=4.0, c_h=2.5, s_correction=0.5, "
      "branch=<Branch.CORRECTION: 'correction'>, b_value=-0.125, xi_star=array([ 0.5, -1. ]))"),
-    (FisherBundle,
-     ("point", "gram", "radial", "triple_product", "perp_quadratic", "gamma",
-      "one_minus_s_sq", "d_invariant", "asymptotically_classical"),
-     (None, np.eye(2), np.array([0.1, 0.2]), 0.3, 0.4, np.array([0.5, 0.6]), 0.86, False, True),
-     f"FisherBundle(point=None, gram={EYE2}, radial=array([0.1, 0.2]), triple_product=0.3, "
+    (FisherBundle, BUNDLE_FIELDS,
+     (np.eye(2), np.array([0.1, 0.2]), 0.3, 0.4, np.array([0.5, 0.6]), 0.86, False, True),
+     f"FisherBundle(gram={EYE2}, radial=array([0.1, 0.2]), triple_product=0.3, "
      "perp_quadratic=0.4, gamma=array([0.5, 0.6]), one_minus_s_sq=0.86, d_invariant=False, "
      "asymptotically_classical=True)"),
     (FisherMatrices, ("point", "g", "g_inv", "g_tilde", "g_tilde_inv", "z", "dual1", "dual2"),
@@ -50,10 +50,11 @@ RECORDS = [
      f"d2s=array([0., 1., 0.])), g={EYE2}, g_inv={EYE2}, "
      "g_tilde=array([[1.+0.5j, 0.+0.j ],\n       [0.+0.j , 1.+0.5j]]), "
      f"g_tilde_inv={EYE2}, z={EYE2}, dual1=array([1., 0., 0.]), dual2=array([0., 1., 0.]))"),
-    (ModelClass, ("label", "d_invariant", "asymptotically_classical", "gamma", "triple_product"),
-     (ModelLabel.GENERIC, False, False, np.array([0.25, -0.5]), 0.75),
-     "ModelClass(label=<ModelLabel.GENERIC: 'generic'>, d_invariant=False, "
-     "asymptotically_classical=False, gamma=array([ 0.25, -0.5 ]), triple_product=0.75)"),
+    (ModelClass, BUNDLE_FIELDS,
+     (np.eye(2), np.array([0.1, 0.2]), 0.75, 0.4, np.array([0.25, -0.5]), 0.86, False, False),
+     f"ModelClass(gram={EYE2}, radial=array([0.1, 0.2]), triple_product=0.75, "
+     "perp_quadratic=0.4, gamma=array([ 0.25, -0.5 ]), one_minus_s_sq=0.86, d_invariant=False, "
+     "asymptotically_classical=False)"),
     (FamilyClassification, ("globally_d_invariant", "radii", "point_classes"),
      (True, np.array([0.5, 0.5]), ()),
      "FamilyClassification(globally_d_invariant=True, radii=array([0.5, 0.5]), "

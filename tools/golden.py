@@ -185,14 +185,17 @@ def _run_in(work: str, args) -> tuple:
     written, else stdout; file names stay relative, so no message names ``work``."""
     from holevo2q.cli import main
 
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with (contextlib.chdir(work), contextlib.redirect_stdout(stdout),
-          contextlib.redirect_stderr(stderr)):
-        if args[0].endswith(".py"):
-            _run_script(os.path.join(HERE, args[0]), args[1:])
-            code = 0
-        else:
-            code = main(args)
+    stdout, stderr, home = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            if args[0].endswith(".py"):
+                _run_script(os.path.join(HERE, args[0]), args[1:])
+                code = 0
+            else:
+                code = main(args)
+    finally:
+        os.chdir(home)
     return code, take_out_csv(work, stdout.getvalue().encode()), stderr.getvalue()
 
 
