@@ -72,7 +72,10 @@ class Record:
     to one is its default.  A record takes its fields positionally or by
     keyword, then runs ``__post_init__`` (which may normalize a field with
     ``object.__setattr__``).  It prints as ``Name(field=value, ...)``, compares
-    and hashes as the tuple of its fields, and refuses assignment and deletion.
+    field by field (an array field with ``np.array_equal``, so arrays of
+    different shapes are unequal), hashes as the tuple of its fields (so a
+    record with an array field is unhashable, as an array is), and refuses
+    assignment and deletion.
     """
 
     _fields: tuple = ()
@@ -110,7 +113,8 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

@@ -106,8 +106,8 @@ class WeightMatrix(Record):
 
     Entries are floats (one weight) or arrays broadcast to one shape (a stack;
     ``matrix`` is then (..., 2, 2)).  Each weight is checked here, once, and
-    the kernel takes the record as it is.  As for a stacked
-    :class:`~holevo2q.fisher.FisherBundle`, a stack has no equality or hash.
+    the kernel takes the record as it is.  A stack's array fields compare
+    with ``np.array_equal``, and like an array a stack has no hash.
     """
 
     w11: float

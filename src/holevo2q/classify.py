@@ -48,7 +48,8 @@ class ModelClass(FisherBundle):
     in which D-invariance wins where both flags hold (e.g. at the Bloch-ball
     origin), is a :class:`ModelLabel` at one point and the ``ModelLabel`` value
     strings over a stack, as a stacked report's ``branch`` holds ``Branch``
-    values.  Its array fields leave it, like any bundle, without equality or hash."""
+    values.  It compares as a bundle, with ``np.array_equal`` on its array
+    fields, and like any bundle it has no hash."""
 
     @property
     def label(self):

@@ -15,8 +15,8 @@ route that ``verify`` compares with it (the density-matrix route is
   (RLD), their inverses, the SLD duals l^i = sum_j (G^-1)_ji l_j (so that
   <l^i, Q^-1 l_j> = delta^i_j) and z^ij = <l^i, Q~^-1 l^j>
   = (G^-1)_ij + i <l^i, F l^j>, whose imaginary part equals Im G~^-1,
-* TrAbs from its eigenvalue definition (``weight_root``, ``trabs_from_root``),
-  which ``verify`` and the oracle use in place of its closed form 2 sqrt(det W) |x_12|,
+* ``trabs``: TrAbs[W X] = sum |eig(W X)| from its definition, which ``verify``
+  and the oracle use in place of its closed form 2 sqrt(det W) |x_12|,
 * the pure-state limits, which continue these forms to the shell.
 
 The pure-limit operations read ``fisher_matrices`` and ``rld_bloch_vectors``
@@ -48,8 +48,7 @@ from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 __all__ = [
     "q_matrix", "q_inverse", "f_matrix", "q_tilde", "q_tilde_inverse", "sld_bloch_vectors",
     "rld_bloch_vectors", "ell_perp", "invert_2x2", "FisherMatrices", "sld_duals",
-    "fisher_matrices", "weight_root", "trabs_from_root", "pure_limit_duals",
-    "pure_limit_rld_inverse", "pure_limit_holevo",
+    "fisher_matrices", "trabs", "pure_limit_duals", "pure_limit_rld_inverse", "pure_limit_holevo",
 ]
 
 
@@ -185,23 +184,11 @@ def fisher_matrices(m: BlochModelPoint, fb: FisherBundle | None = None) -> Fishe
     return FisherMatrices(m, g, g_inv, g_tilde, g_tilde_inv, z, dual1, dual2)
 
 
-def weight_root(w: np.ndarray) -> np.ndarray:
-    """W^(1/2) from the eigen-decomposition of a positive-definite W."""
-    evals, evecs = np.linalg.eigh(w)
-    if evals.min() <= 0.0:
-        raise DomainError("weight matrix must be positive definite")
-    return (evecs * np.sqrt(evals)) @ evecs.T
-
-
-def trabs_from_root(w_half: np.ndarray, xm: np.ndarray):
-    """sum |eig(W^(1/2) X W^(1/2))| given ``w_half`` = :func:`weight_root` (W),
-    for callers that evaluate TrAbs at many X under one W.
-
-    ``xm`` is one 2x2 X (a float is returned) or an (N, 2, 2) stack (an array
-    of N values, each the bits of the one-X call); ``w_half`` may be a
-    matching stack of roots.
-    """
-    sums = np.abs(np.linalg.eigvals(w_half @ xm @ w_half)).sum(axis=-1)
+def trabs(w: np.ndarray, xm: np.ndarray):
+    """TrAbs[W X] = sum |eig(W X)| for a positive-definite W: a float for one
+    2x2 X, and for an (N, 2, 2) stack of X (and optionally a matching stack
+    of W) an array of N values, each the bits of the one-X call."""
+    sums = np.abs(np.linalg.eigvals(w @ xm)).sum(axis=-1)
     return float(sums) if sums.ndim == 0 else sums
 
 

@@ -47,7 +47,7 @@ from .errors import (
     PureStateError,
     SingularMatrixError,
 )
-from .matrix_forms import invert_2x2, sld_duals, trabs_from_root, weight_root
+from .matrix_forms import invert_2x2, sld_duals, trabs
 
 __all__ = [
     "PAULI",
@@ -249,21 +249,14 @@ def holevo_function(dp: DensityPoint, pair: HermitianPair, w: WeightMatrix) -> f
         raise FeasibilityError(
             f"observable pair violates unbiasedness constraints by {residual:.3e}"
         )
-    return float(_holevo_evaluator(dp.rho, w)(np.array([pair.operators()]))[0])
+    return float(_holevo_values(dp.rho, w.matrix, np.array([pair.operators()]))[0])
 
 
-def _holevo_evaluator(rho: np.ndarray, weight: WeightMatrix):
-    """The Holevo function of a stack (N, 2, 2, 2) of pairs, [n, i] = X^i, at
-    fixed (rho, W), as N values.  W^(1/2) is computed once per (rho, W).
-    """
-    wm = weight.matrix
-    w_half = weight_root(wm)
-
-    def values(xs: np.ndarray) -> np.ndarray:
-        re, im = _z_parts(rho, wm, xs)
-        return re + trabs_from_root(w_half, im)
-
-    return values
+def _holevo_values(rho: np.ndarray, wm: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The Holevo function at (rho, W) of a stack (N, 2, 2, 2) of pairs,
+    [n, i] = X^i, as N values."""
+    re, im = _z_parts(rho, wm, xs)
+    return re + trabs(wm, im)
 
 
 def _z_parts(rho: np.ndarray, wm: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -434,8 +427,8 @@ def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
     scaled to the power of two nearest |x0|, so that the solve is exact
     under a power-of-two scaling of the derivatives.  The objective is the
     operator-trace Holevo function, so this route shares nothing with the
-    closed Bloch-side formulas; it is the evaluator of
-    :func:`holevo_function`, built once for (rho, W).  Its quadratic part
+    closed Bloch-side formulas; it is :func:`holevo_function`'s evaluator,
+    ``_holevo_values``, on stacks of pairs.  Its quadratic part
     Tr(W Re Z) is fitted from raw traces at t in {0, +-e1, +-e2, e1 + e2} and
     the affine Im Z_12 from t in {0, +-e1, +-e2}, all six in one stacked
     evaluation; then :func:`_kink_minimum` returns the lowest raw value among
@@ -453,14 +446,13 @@ def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
     # Null directions scaled to |x0| (a power of two): t is degree 0 in the derivative scale.
     null_basis = vt[4:].T * math.ldexp(1.0, round(math.log2(math.sqrt(x0 @ x0))))  # (6, 2)
 
-    holevo = _holevo_evaluator(dp.rho, w)
-
     def operators(t: np.ndarray) -> np.ndarray:  # (N, 2, 2, 2): [n, i] = X^i, one build
         x = x0 + (null_basis @ t[:, :, None])[:, :, 0]
         return _bloch_operator(s, x.reshape(-1, 3)).reshape(-1, 2, 2, 2)
 
     fit_t = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)], dtype=float)
-    re, im = _z_parts(dp.rho, w.matrix, operators(fit_t))
+    wm = w.matrix
+    re, im = _z_parts(dp.rho, wm, operators(fit_t))
     s0, sp1, sm1, sp2, sm2, s12 = re.tolist()
     l0, lp1, lm1, lp2, lm2, _ = im[:, 0, 1].tolist()
     g1, g2 = (sp1 - sm1) / 4.0, (sp2 - sm2) / 4.0
@@ -469,4 +461,5 @@ def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
     sqrt_det_w = np.sqrt(w.det)
     b = [sqrt_det_w * (lp1 - lm1) / 2.0, sqrt_det_w * (lp2 - lm2) / 2.0]
     g, a, b = np.array([g1, g2]), np.array([[a11, a12], [a12, a22]]), np.array(b)
-    return _kink_minimum(lambda t: holevo(operators(t)), s0, g, a, b, sqrt_det_w * l0)[0]
+    return _kink_minimum(lambda t: _holevo_values(dp.rho, wm, operators(t)),
+                         s0, g, a, b, sqrt_det_w * l0)[0]

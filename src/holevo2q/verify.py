@@ -19,7 +19,7 @@ from .bounds import WeightMatrix, holevo_bound
 from .errors import ModelError, SingularMatrixError
 from .fisher import fisher_bundle
 from .matrix_forms import (ell_perp, f_matrix, fisher_matrices, invert_2x2, q_inverse,
-                           rld_bloch_vectors, sld_bloch_vectors, trabs_from_root, weight_root)
+                           rld_bloch_vectors, sld_bloch_vectors, trabs)
 from .oracle import (
     commutation_operator,
     density_point,
@@ -185,8 +185,7 @@ def _weight_checks(fb, fm, w: WeightMatrix) -> dict:
     C^S = Tr(W G^-1), C^R = Tr(W Re G~^-1) + TrAbs(W Im G~^-1) and
     C^Z = Tr(W Re Z) + TrAbs(W Im Z), with TrAbs from its eigenvalue definition."""
     wm = w.matrix
-    trabs_r, trabs_z = trabs_from_root(weight_root(wm),
-                                       np.stack([fm.g_tilde_inv.imag, fm.z.imag]))
+    trabs_r, trabs_z = trabs(wm, np.stack([fm.g_tilde_inv.imag, fm.z.imag]))
     c_s = float(np.trace(wm @ fm.g_inv))
     c_r = float(np.trace(wm @ fm.g_tilde_inv.real)) + trabs_r
     c_z = float(np.trace(wm @ fm.z.real)) + trabs_z

@@ -27,8 +27,8 @@ from holevo2q.bloch import HERMITIAN_RTOL, PAIR_RTOL, BlochModelPoint, not_hermi
 from holevo2q.bounds import WeightMatrix
 from holevo2q.errors import DegenerateModelError, DomainError, PureStateError, SingularMatrixError
 from holevo2q.fisher import fisher_bundle
-from holevo2q.matrix_forms import (fisher_matrices, invert_2x2, q_matrix, trabs_from_root,
-                                   weight_root)
+from holevo2q import matrix_forms
+from holevo2q.matrix_forms import fisher_matrices, invert_2x2, q_matrix
 from holevo2q.oracle import DensityPoint, sld_inner, sld_operators
 from holevo2q.sampling import _independent_derivatives
 from holevo2q.verify import _weight_checks
@@ -129,9 +129,9 @@ def dual_operators(dp: DensityPoint) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trabs(weight, x) -> float:
-    """Sum of absolute eigenvalues of W^(1/2) X W^(1/2) for a 2x2 antisymmetric X,
-    from that definition (:func:`holevo2q.matrix_forms.trabs_from_root`), so that
-    it checks the explicit bounds' closed form 2 sqrt(det W) |x_12|.
+    """TrAbs[W X], the sum of the absolute eigenvalues of W X, for a 2x2
+    antisymmetric X, from that definition (:func:`holevo2q.matrix_forms.trabs`),
+    so that it checks the explicit bounds' closed form 2 sqrt(det W) |x_12|.
 
     A weight that is not a ``WeightMatrix`` is read through
     :meth:`WeightMatrix.from_matrix`.  DomainError unless X is a finite 2x2
@@ -151,7 +151,7 @@ def trabs(weight, x) -> float:
         raise DomainError("trabs argument must be antisymmetric")
     xm = 0.5 * (xm - xm.T)  # scrub rounding off the exact antisymmetry
     w = weight if isinstance(weight, WeightMatrix) else WeightMatrix.from_matrix(weight)
-    return trabs_from_root(weight_root(w.matrix), xm)
+    return matrix_forms.trabs(w.matrix, xm)
 
 
 def fisher_determinant_identities(m, weight: WeightMatrix) -> dict:

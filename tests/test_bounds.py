@@ -549,6 +549,83 @@ class TestWeightRegions:
             assert alpha_theta(fb) == pytest.approx(expected, rel=1e-12)
 
 
+class TestSmoothnessAcrossTheBoundary:
+    """C^H is C^1 and not C^2 across B[W] = 0: on the correction side it adds
+    B^2 / (C^Z - C^R) to C^R, whose value and slope vanish with B, and whose
+    second derivative along a path jumps by 2 (B')^2 / (C^Z - C^R)."""
+
+    STEPS = np.array([1e-3, 1e-4, 1e-5])
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(20)
+        return [GenericZ(0.2).evaluate((0.2447, 0.2447)),
+                *(random_model_point(rng) for _ in range(5))]
+
+    def _walks(self):
+        # Rays of the boundary family through the circle w^2 + w2^2 = 1, where
+        # B = 0: radius 1 + k h for k = -2..2, one row per step h.
+        for m in self._points():
+            fb = fisher_bundle(m)
+            for phi in (0.7, 2.1):
+                rho = 1.0 + self.STEPS[:, None] * np.arange(-2, 3)
+                rep = holevo_bounds_many(fb, boundary_weight_family(
+                    fb, rho * np.cos(phi), rho * np.sin(phi)))
+                assert (rep.branch[:, :2] == Branch.RLD.value).all()
+                assert (rep.branch[:, 3:] == Branch.CORRECTION.value).all()
+                yield rep
+
+    def test_first_difference_jump_shrinks_with_the_step(self):
+        for rep in self._walks():
+            f = rep.c_h
+            jump = ((f[:, 3] - f[:, 2]) - (f[:, 2] - f[:, 1])) / self.STEPS
+            assert np.all(np.abs(jump[:-1] / jump[1:] - 10.0) < 1.0), jump
+
+    def test_second_difference_jump_is_twice_the_squared_slope_of_b_over_the_gap(self):
+        h = self.STEPS[1]
+        for rep in self._walks():
+            f, b = rep.c_h[1], rep.b_value[1]
+            jump = ((f[4] - 2.0 * f[3] + f[2]) - (f[2] - 2.0 * f[1] + f[0])) / h**2
+            slope = (b[3] - b[1]) / (2.0 * h)
+            assert jump == pytest.approx(2.0 * slope**2 / (rep.c_z[1, 2] - rep.c_r[1, 2]),
+                                         rel=1e-2)
+
+
+class TestReparametrization:
+    def test_bounds_are_covariant(self):
+        # C(D A, W) = C(D, A^-T W A^-1) for derivatives D = (d1s, d2s) and an
+        # invertible A, on the same branch.  Forming A^-T W A^-1 in floats
+        # costs about u cond(A)^2.
+        u = np.finfo(float).eps / 2
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            n = 2000
+            direction = rng.standard_normal((n, 3))
+            s = (0.95 * rng.random((n, 1)) ** (1 / 3) * direction
+                 / np.linalg.norm(direction, axis=1, keepdims=True))
+            d = rng.standard_normal((n, 3, 2))
+            angles = rng.uniform(0, np.pi, (2, n))
+            cos, sin = np.cos(angles), np.sin(angles)
+            cond = 10.0 ** rng.uniform(0, 3, n)
+            a = (np.stack([cos[0], -sin[0], sin[0], cos[0]], -1).reshape(n, 2, 2)
+                 * np.stack([np.ones(n), 1 / cond], -1)[:, None, :]
+                 @ np.stack([cos[1], sin[1], -sin[1], cos[1]], -1).reshape(n, 2, 2))
+            a[rng.random(n) < 0.5, :, 0] *= -1.0  # reverse the orientation of half
+            m = rng.standard_normal((n, 2, 2))
+            w = m.swapaxes(1, 2) @ m
+            w += 0.05 * np.trace(w, axis1=1, axis2=2)[:, None, None] * np.eye(2)
+            a_inv = np.linalg.inv(a)
+            da = d @ a
+            moved = holevo_bounds_many(fisher_bundle_many(s, da[..., 0], da[..., 1]),
+                                       WeightMatrix.from_matrix(w))
+            pulled = holevo_bounds_many(fisher_bundle_many(s, d[..., 0], d[..., 1]),
+                                        WeightMatrix.from_matrix(a_inv.swapaxes(1, 2) @ w @ a_inv))
+            assert (moved.branch == pulled.branch).all()
+            for name in ("c_s", "c_r", "c_z", "c_n", "c_h"):
+                x, y = getattr(moved, name), getattr(pulled, name)
+                assert np.all(np.abs(x - y) <= 32.0 * u * (1.0 + cond**2) * y), name
+
+
 class TestNearShell:
     """Closed forms against the exact rational reference as |s| -> 1."""
 

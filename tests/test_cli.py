@@ -646,7 +646,7 @@ class TestLazyImport:
     MATRIX_FORMS = (
         "q_matrix q_inverse f_matrix q_tilde q_tilde_inverse sld_bloch_vectors rld_bloch_vectors"
         " ell_perp invert_2x2 _bilinear _hermitian_from_upper FisherMatrices sld_duals"
-        " fisher_matrices weight_root trabs_from_root"
+        " fisher_matrices trabs"
     ).split()
 
     def test_sweep_leaves_the_matrix_forms_unloaded(self, generic_model, tmp_path):
@@ -679,9 +679,8 @@ class TestLazyImport:
             assert name not in holevo2q.__all__
             assert name not in dir(holevo2q)
             assert not hasattr(holevo2q.matrix_forms, name)
-        # TrAbs from its definition and the determinant identities are in tests/reference.py.
+        # TrAbs's input checks and the determinant identities are in tests/reference.py.
         assert not hasattr(holevo2q.verify, "fisher_determinant_identities")
-        assert not hasattr(holevo2q.matrix_forms, "trabs")
 
     # The pure-state limits, defined in holevo2q.matrix_forms only.
     PURE_LIMITS = "_shell_limit pure_limit_duals pure_limit_rld_inverse pure_limit_holevo".split()

@@ -6,13 +6,15 @@ witnesses of failing checks print them, so their format is part of the
 output.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import BoundsReport, Branch, WeightMatrix
 from holevo2q.classify import FamilyClassification, ModelClass
-from holevo2q.fisher import FisherBundle
+from holevo2q.fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from holevo2q.matrix_forms import FisherMatrices
 from holevo2q.models import Domain, Explicit, GenericZ, Planar, Poly2D, Unitary
 from holevo2q.oracle import DensityPoint, HermitianPair
@@ -175,3 +177,29 @@ def test_equality_and_hash_over_the_fields(a, same, other, fields):
     assert hash(a) == hash(same) == hash(fields)
     assert a != fields  # a tuple of the same values is another type
     assert len({a, same, other}) == 2
+
+
+@pytest.mark.parametrize("cls, names, args, text", RECORDS, ids=ids(RECORDS))
+def test_equality_of_distinct_records_field_by_field(cls, names, args, text):
+    # Deep copies, as tuple equality skips the comparison of identical objects.
+    record = cls(*args)
+    same = cls(*copy.deepcopy(args))
+    assert record == same and not record != same
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, np.ndarray):
+            changed = copy.deepcopy(record)
+            entries = value.copy()
+            entries.flat[0] += 1.0
+            object.__setattr__(changed, name, entries)
+            assert record != changed and not record == changed, name
+
+
+def test_one_point_and_stacked_bundles_compare_unequal():
+    one = fisher_bundle(POINT)
+    stacked = fisher_bundle_many(POINT.s[None], POINT.d1s[None], POINT.d2s[None])
+    assert one == fisher_bundle(BlochModelPoint(*copy.deepcopy((POINT.s, POINT.d1s, POINT.d2s))))
+    assert one != stacked and not one == stacked
+    assert stacked == fisher_bundle_many(*(x[None].copy() for x in (POINT.s, POINT.d1s, POINT.d2s)))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(one)

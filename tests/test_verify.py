@@ -155,26 +155,12 @@ def test_operators_solved_once_per_point(monkeypatch):
 
 def test_trabs_pair_evaluated_once_per_weight_instance(monkeypatch):
     calls = []
-    original = verify.trabs_from_root
+    original = verify.trabs
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(verify, "trabs_from_root", counted)
-    assert run_verification(seed=5, count=4).passed
-    assert len(calls) == 4
-
-
-def test_matrix_form_bounds_evaluated_once_per_weight_instance(monkeypatch):
-    # W^(1/2) and the matrix forms built on it are computed once per instance.
-    calls = []
-    original = verify.weight_root
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(verify, "weight_root", counted)
+    monkeypatch.setattr(verify, "trabs", counted)
     assert run_verification(seed=5, count=4).passed
     assert len(calls) == 4

@@ -44,13 +44,15 @@ SWEEP_TARGET_S (the ROADMAP's 0.4 s target), and the import graphs of
 ``import holevo2q.cli`` (``import_graph``), of the ``classify_grid`` path
 (``import_graph_classify_grid``) and of the ``verify`` path, which loads
 ``matrix_forms`` and the oracle (``import_graph_verify``): each ``holevo2q``
-module it loads with the source lines of its file, and their total.  Columns
+module it loads with the source lines of its file, and their total.  It also
+keeps ``src_lines``, the total lines of ROOT's ``src/holevo2q/*.py``.  Columns
 already in OUT.json that are not named again are kept; the machine record
 (usable cores, Python, numpy) is rewritten.  Standard library only.
 ``tools/golden.py`` runs the same PATHS on the same MODELS in process, with
 the model writer and the ``--out`` CSV read-back defined here.
 """
 
+import glob
 import hashlib
 import json
 import os
@@ -172,6 +174,15 @@ def _import_graph(root, cwd, cli_args=None):
     return {"modules": lines, "source_lines": sum(lines.values())}
 
 
+def _src_lines(root):
+    """Total lines of ROOT's ``src/holevo2q/*.py``."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "holevo2q", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def _kernel_seconds(name, root, cwd):
     """Seconds per call of KERNEL[name]: the timeit minimum in a fresh interpreter."""
     stmt, number = KERNEL[name]
@@ -240,7 +251,8 @@ def main(argv):
                              "import_graph": _import_graph(root, work),
                              "import_graph_classify_grid":
                                  _import_graph(root, work, PATHS["classify_grid"]),
-                             "import_graph_verify": _import_graph(root, work, PATHS["verify"])}
+                             "import_graph_verify": _import_graph(root, work, PATHS["verify"]),
+                             "src_lines": _src_lines(root)}
     record = {}
     if os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as fh:
@@ -258,7 +270,8 @@ def main(argv):
                                                ("classify", res["import_graph_classify_grid"]),
                                                ("verify", res["import_graph_verify"])))
         kernels = ", ".join(f"{k} {v['min_s'] * 1e6:.1f}" for k, v in res["kernel"].items())
-        print(f"{name}: {medians} (s); kernel minima {kernels} (us); {graphs}")
+        print(f"{name}: {medians} (s); kernel minima {kernels} (us); {graphs}; "
+              f"src {res['src_lines']} lines")
     return 0
 
 
