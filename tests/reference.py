@@ -23,11 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from holevo2q import matrix_forms
 from holevo2q.bloch import HERMITIAN_RTOL, PAIR_RTOL, BlochModelPoint, not_hermitian
 from holevo2q.bounds import WeightMatrix
 from holevo2q.errors import DegenerateModelError, DomainError, PureStateError, SingularMatrixError
 from holevo2q.fisher import fisher_bundle
-from holevo2q import matrix_forms
 from holevo2q.matrix_forms import fisher_matrices, invert_2x2, q_matrix
 from holevo2q.oracle import DensityPoint, sld_inner, sld_operators
 from holevo2q.sampling import _independent_derivatives

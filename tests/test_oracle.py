@@ -650,7 +650,8 @@ class TestExactSolve:
 # value_6d and xi*, recorded at commit 152dad4: an RLD-branch and a
 # correction-branch weight from random_weight at two points, two weights from
 # boundary_weight_family (B[W] = 0; entries written out) and the D-invariant
-# point theta = (0, 0).
+# point theta = (0, 0).  The first case's value_6d was re-recorded at commit
+# 6c214ca, where TrAbs became sum |eig(W X)|: it moved by one ulp.
 PINNED_ORACLE_BITS = [
     ((0.3, -0.25), (2.4468655557226846, -1.2287057625374183, 1.1301515503468968),  # rld
      '0x1.b16229ffc4c49p+1', '0x1.b16229ffc4c48p+1',

@@ -167,20 +167,13 @@ def _import_graph(root, cwd, cli_args=None):
              "print(json.dumps({name: module.__file__ for name, module in sys.modules.items()\n"
              "                  if name.split('.')[0] == 'holevo2q'}))")
     _, stdout = _run([sys.executable, "-c", probe], root, cwd)
-    lines = {}
-    for name, path in sorted(json.loads(stdout).items()):
-        with open(path, encoding="utf-8") as fh:
-            lines[name] = sum(1 for _ in fh)
+    lines = {name: _lines(path) for name, path in sorted(json.loads(stdout).items())}
     return {"modules": lines, "source_lines": sum(lines.values())}
 
 
-def _src_lines(root):
-    """Total lines of ROOT's ``src/holevo2q/*.py``."""
-    total = 0
-    for path in glob.glob(os.path.join(root, "src", "holevo2q", "*.py")):
-        with open(path, encoding="utf-8") as fh:
-            total += sum(1 for _ in fh)
-    return total
+def _lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for _ in fh)
 
 
 def _kernel_seconds(name, root, cwd):
@@ -252,7 +245,8 @@ def main(argv):
                              "import_graph_classify_grid":
                                  _import_graph(root, work, PATHS["classify_grid"]),
                              "import_graph_verify": _import_graph(root, work, PATHS["verify"]),
-                             "src_lines": _src_lines(root)}
+                             "src_lines": sum(map(_lines, glob.glob(
+                                 os.path.join(root, "src", "holevo2q", "*.py"))))}
     record = {}
     if os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as fh:
