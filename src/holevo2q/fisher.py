@@ -13,9 +13,9 @@ p = <n, Q^-1 n>, 1 - s^2), gamma and the two special-model flags that
 ``classify_point`` reports.  p is taken in Lagrange form because the equal
 |n|^2 - k^2 cancels near the shell.  ``fisher_bundle_many`` is the same
 pass with a guard on the singularity of G; it is what every bound reads,
-and the one guard that ``matrix_forms.sld_duals`` runs when it has no
-bundle.  A one-point bundle has the fields of a stacked one; ``fisher_bundle``
-is the pass on one point, made plain by :meth:`FisherBundle.item`.
+and the guard of ``matrix_forms.sld_duals``, whose bundle heads each
+``FisherMatrices`` record.  A one-point bundle has a stacked one's fields;
+``fisher_bundle`` is the pass on one point, made plain by :meth:`FisherBundle.item`.
 ``classify.ModelClass`` is a ``bloch_scalars_many`` bundle read as a verdict.
 """
 

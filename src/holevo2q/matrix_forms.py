@@ -11,10 +11,11 @@ route that ``verify`` compares with it (the density-matrix route is
   ``Q^{-1} + iF``, the Hermitian metric factor for RLD Bloch vectors,
 * SLD / RLD Bloch vectors ``l_i = Q d_i s`` and ``l~_i = Q~ d_i s``, and
   ``l_perp = d1s x d2s``, orthogonal to the tangent plane,
-* ``fisher_matrices``: G_ij = <d_i s, Q d_j s> (SLD), G~_ij = <d_i s, Q~ d_j s>
-  (RLD), their inverses, the SLD duals l^i = sum_j (G^-1)_ji l_j (so that
-  <l^i, Q^-1 l_j> = delta^i_j) and z^ij = <l^i, Q~^-1 l^j>
-  = (G^-1)_ij + i <l^i, F l^j>, whose imaginary part equals Im G~^-1,
+* ``fisher_matrices``: the point's Fisher bundle, G_ij = <d_i s, Q d_j s>
+  (SLD), G~_ij = <d_i s, Q~ d_j s> (RLD), their inverses, the SLD duals
+  l^i = sum_j (G^-1)_ji l_j (so that <l^i, Q^-1 l_j> = delta^i_j) and
+  z^ij = <l^i, Q~^-1 l^j> = (G^-1)_ij + i <l^i, F l^j>, whose imaginary part
+  equals Im G~^-1,
 * ``trabs``: TrAbs[W X] = sum |eig(W X)| from its definition, which ``verify``
   and the oracle use in place of its closed form 2 sqrt(det W) |x_12|,
 * the pure-state limits, which continue these forms to the shell.
@@ -38,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import (CLASSIFICATION_RTOL, SINGULAR_RTOL, TANGENCY_RTOL, BlochModelPoint, Record,
-                    cross, dependent)
+from .bloch import (CLASSIFICATION_RTOL, SINGULAR_RTOL, TANGENCY_RTOL, BlochModelPoint, cross,
+                    dependent)
 from .bounds import WeightMatrix, holevo_bound
 from .errors import (AsymptoticallyClassicalLimitError, DegenerateModelError, DomainError,
                      PureStateError)
@@ -142,8 +143,9 @@ def _hermitian_from_upper(u: np.ndarray, v: np.ndarray, mat: np.ndarray) -> np.n
     return np.array([[diag[0], off], [off.conjugate(), diag[1]]], dtype=complex)
 
 
-class FisherMatrices(Record):
-    """The Fisher matrices, SLD duals and Z of one mixed model point."""
+class FisherMatrices(FisherBundle):
+    """The Fisher bundle of one mixed model point, in plain values, followed by
+    the point and its matrix route: the Fisher matrices, SLD duals and Z."""
 
     point: BlochModelPoint
     g: np.ndarray            # SLD Fisher, real symmetric (2, 2)
@@ -155,14 +157,11 @@ class FisherMatrices(Record):
     dual2: np.ndarray
 
 
-def sld_duals(m: BlochModelPoint, fb: FisherBundle | None = None):
-    """(G, G^-1, l^1, l^2), the SLD side of :func:`fisher_matrices`.
-
-    Without ``fb`` (``fisher_bundle(m)``, when the caller has it) it runs
-    ``fisher_bundle_many``, the guard of ``fisher_bundle``: it accepts and raises the same.
-    """
-    if fb is None:
-        fisher_bundle_many(m.s, m.d1s, m.d2s)
+def sld_duals(m: BlochModelPoint):
+    """(bundle, G, G^-1, l^1, l^2), the SLD side of :func:`fisher_matrices`; the
+    bundle is the ``fisher_bundle_many`` pass on the point, the guard of
+    ``fisher_bundle``: it accepts and raises the same."""
+    fb = fisher_bundle_many(m.s, m.d1s, m.d2s)
     q = q_matrix(m)
     d1, d2 = m.derivatives()
     l1, l2 = q @ d1, q @ d2
@@ -170,18 +169,18 @@ def sld_duals(m: BlochModelPoint, fb: FisherBundle | None = None):
     g_inv = invert_2x2(g)
     dual1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
     dual2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2
-    return g, g_inv, dual1, dual2
+    return fb, g, g_inv, dual1, dual2
 
 
-def fisher_matrices(m: BlochModelPoint, fb: FisherBundle | None = None) -> FisherMatrices:
-    """G, G~, their inverses, the SLD duals and Z from the metric factors;
-    accepts, raises and takes ``fb`` as :func:`sld_duals` does."""
-    g, g_inv, dual1, dual2 = sld_duals(m, fb)
+def fisher_matrices(m: BlochModelPoint) -> FisherMatrices:
+    """The bundle of :func:`sld_duals`, with G, G~, their inverses, the SLD
+    duals and Z from the metric factors; accepts and raises as it does."""
+    fb, g, g_inv, dual1, dual2 = sld_duals(m)
     d1, d2 = m.derivatives()
     g_tilde = _hermitian_from_upper(d1, d2, q_tilde(m))
     g_tilde_inv = invert_2x2(g_tilde)
     z = _hermitian_from_upper(dual1, dual2, q_tilde_inverse(m))
-    return FisherMatrices(m, g, g_inv, g_tilde, g_tilde_inv, z, dual1, dual2)
+    return FisherMatrices(*fb._values(), m, g, g_inv, g_tilde, g_tilde_inv, z, dual1, dual2).item()
 
 
 def trabs(w: np.ndarray, xm: np.ndarray):

@@ -189,18 +189,17 @@ def rld_inner(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.trace(rho @ y @ x.conj().T))
 
 
-def operator_fisher(dp: DensityPoint, slds=None, rlds=None):
+def operator_fisher(dp: DensityPoint, slds, rlds):
     """(G, G~, Z) as operator traces; the cross-check for the Bloch route.
 
     G_ij  = tr(rho (L_i L_j + L_j L_i))/2
     G~_ij = tr(rho L~_j L~_i^dagger)
-    z^ij  = tr(rho L^j L^i) on the SLD duals L^i = sum_j (G^-1)_ji L_j.
+    z^ij  = tr(rho L^j L^i) on the SLD duals L^i = sum_j (G^-1)_ji L_j,
 
-    ``slds`` and ``rlds`` are ``sld_operators(dp)`` and ``rld_operators(dp)``
-    when the caller has already solved them.
+    with ``slds`` and ``rlds`` the operators ``sld_operators(dp)`` and
+    ``rld_operators(dp)``.
     """
-    l1, l2 = slds = sld_operators(dp) if slds is None else slds
-    rlds = rld_operators(dp) if rlds is None else rlds
+    l1, l2 = slds
     rho = dp.rho
     g = np.array([[sld_inner(rho, a, b).real for b in slds] for a in slds])
     gt = np.array([[rld_inner(rho, a, b) for b in rlds] for a in rlds])
@@ -378,9 +377,9 @@ def minimize_holevo_2d(m: BlochModelPoint, w: WeightMatrix, fm=None) -> tuple[fl
     the three closed-form candidates, evaluating h on one stack of xi (the
     candidates and the probes).  Returns (value, xi*).  Only the SLD duals
     are read: from ``fm = fisher_matrices(m)`` if given, else :func:`sld_duals`,
-    whose guard is ``fisher_bundle_many``.
+    whose guard is the ``fisher_bundle_many`` pass it returns.
     """
-    dual1, dual2 = sld_duals(m)[2:] if fm is None else (fm.dual1, fm.dual2)
+    dual1, dual2 = sld_duals(m)[3:] if fm is None else (fm.dual1, fm.dual2)
     s, (d1, d2) = m.s, m.derivatives()
     perp = cross(d1, d2)
     norm_perp = math.sqrt(perp @ perp)

@@ -17,7 +17,6 @@ import numpy as np
 from .bloch import Record, factory
 from .bounds import WeightMatrix, holevo_bound
 from .errors import ModelError, SingularMatrixError
-from .fisher import fisher_bundle
 from .matrix_forms import (ell_perp, f_matrix, fisher_matrices, invert_2x2, q_inverse,
                            rld_bloch_vectors, sld_bloch_vectors, trabs)
 from .oracle import (
@@ -114,9 +113,9 @@ TOLERANCES = {
 }
 
 
-def _point_checks(fb, fm) -> dict:
-    """Residuals of the checks that read only the model point ``fm.point``
-    (``fb`` is its bundle): the oracle's operator equations and Fisher
+def _point_checks(fm) -> dict:
+    """Residuals of the checks that read only the model point of ``fm``, its
+    :func:`fisher_matrices` record: the oracle's operator equations and Fisher
     matrices against the closed forms, the Bloch-vector relations and the
     commutation-operator relations.  A check of several parts maps to their
     list, of which the suite takes the max."""
@@ -130,7 +129,7 @@ def _point_checks(fb, fm) -> dict:
     lt1, lt2 = rld_bloch_vectors(m)
     qi = q_inverse(m)
     perp = ell_perp(m)
-    one_minus = fb.one_minus_s_sq
+    one_minus = fm.one_minus_s_sq
     evals = np.linalg.eigvalsh(fm.g_inv - fm.g_tilde_inv.real)
     scale = max(float(np.abs(fm.g_inv).max()), 1.0)
     detg = float(np.linalg.det(fm.g))
@@ -159,8 +158,8 @@ def _point_checks(fb, fm) -> dict:
         "dual_orthogonality": [
             abs(float(fm.dual1 @ qi @ l1) - 1.0), abs(float(fm.dual1 @ qi @ l2)),
             abs(float(fm.dual2 @ qi @ l1)), abs(float(fm.dual2 @ qi @ l2) - 1.0)],
-        "perp_gamma_relations": [abs(float(perp @ f @ fm.dual2) - one_minus * fb.gamma[0]),
-                                 abs(float(perp @ f @ fm.dual1) + one_minus * fb.gamma[1])],
+        "perp_gamma_relations": [abs(float(perp @ f @ fm.dual2) - one_minus * fm.gamma[0]),
+                                 abs(float(perp @ f @ fm.dual1) + one_minus * fm.gamma[1])],
         "determinant_chain": abs(one_minus * detgt - detg) / abs(detg),
         "commutation_reconstruction": [
             np.abs(lt + 1j * commutation_operator(dp, lt) - l).max()
@@ -173,8 +172,8 @@ def _point_checks(fb, fm) -> dict:
     }
 
 
-def _weight_checks(fb, fm, w: WeightMatrix) -> dict:
-    """Residuals of the checks that read the model point and a weight ``w``:
+def _weight_checks(fm, w: WeightMatrix) -> dict:
+    """Residuals of the checks that read the model point of ``fm`` and a weight ``w``:
     three identities that hold in exact arithmetic (the ``identity_*`` rows),
 
     1. <l_perp, Q^-1 l_perp> = (1-s^2) det G = (1-s^2)^2 det G~
@@ -189,18 +188,18 @@ def _weight_checks(fb, fm, w: WeightMatrix) -> dict:
     c_s = float(np.trace(wm @ fm.g_inv))
     c_r = float(np.trace(wm @ fm.g_tilde_inv.real)) + trabs_r
     c_z = float(np.trace(wm @ fm.z.real)) + trabs_z
-    one_minus = fb.one_minus_s_sq
+    one_minus = fm.one_minus_s_sq
     det_g = float(np.linalg.det(fm.g))
     det_gt = float(np.linalg.det(fm.g_tilde).real)
     lhs2 = 2.0 * np.sqrt(w.det) * abs(fm.z[0, 1].imag)
     w_inv = invert_2x2(wm, exc=SingularMatrixError)
-    report = holevo_bound(fb, w)
+    report = holevo_bound(fm, w)
     closed = (report.c_s, report.c_r, report.c_z)
     return {
         "identity_quadratic_determinant": _spread(
-            fb.perp_quadratic, one_minus * det_g, one_minus**2 * det_gt, floor=1e-300),
+            fm.perp_quadratic, one_minus * det_g, one_minus**2 * det_gt, floor=1e-300),
         "identity_trabs_forms": _spread(lhs2, trabs_r, trabs_z, floor=1.0),
-        "identity_gamma_gap": _spread(float(fb.gamma @ w_inv @ fb.gamma),
+        "identity_gamma_gap": _spread(float(fm.gamma @ w_inv @ fm.gamma),
                                       det_g / w.det / one_minus * (c_z - c_r), floor=1.0),
         # The inequalities hold by construction, so with no slack.
         "bound_inequality_chain": [report.c_h - report.c_z, report.c_s - report.c_h,
@@ -255,19 +254,18 @@ def run_verification(seed: int = 42, count: int = 200) -> VerificationReport:
     results = []  # (residuals, instance) in draw order
     for _ in range(count):
         m = random_model_point(rng)
-        fb = fisher_bundle(m)
-        fm = fisher_matrices(m, fb)
-        results.append((_point_checks(fb, fm), (m,)))
+        fm = fisher_matrices(m)
+        results.append((_point_checks(fm), (m,)))
         w = random_weight(rng)
-        results.append((_weight_checks(fb, fm, w), (m, w)))
+        results.append((_weight_checks(fm, w), (m, w)))
 
     branch_counts: dict[str, int] = {}
     for _ in range(count):  # fresh generic pairs for the oracle
         m, w = random_generic_pair(rng)
-        fb = fisher_bundle(m)
-        report = holevo_bound(fb, w)
+        fm = fisher_matrices(m)
+        report = holevo_bound(fm, w)
         branch_counts[report.branch.value] = branch_counts.get(report.branch.value, 0) + 1
-        results.append((_oracle_checks(fisher_matrices(m, fb), w, report), (m, w)))
+        results.append((_oracle_checks(fm, w, report), (m, w)))
 
     worst: dict[str, tuple[float, tuple]] = {}
     for residuals, instance in results:

@@ -27,7 +27,6 @@ from holevo2q import matrix_forms
 from holevo2q.bloch import HERMITIAN_RTOL, PAIR_RTOL, BlochModelPoint, not_hermitian
 from holevo2q.bounds import WeightMatrix
 from holevo2q.errors import DegenerateModelError, DomainError, PureStateError, SingularMatrixError
-from holevo2q.fisher import fisher_bundle
 from holevo2q.matrix_forms import fisher_matrices, invert_2x2, q_matrix
 from holevo2q.oracle import DensityPoint, sld_inner, sld_operators
 from holevo2q.sampling import _independent_derivatives
@@ -160,8 +159,7 @@ def fisher_determinant_identities(m, weight: WeightMatrix) -> dict:
     ``{check name: residual}``: the bits of the ``identity_*`` rows that
     ``verify`` computes for (m, weight).  All three vanish in exact arithmetic.
     """
-    fb = fisher_bundle(m)
-    checks = _weight_checks(fb, fisher_matrices(m, fb), weight)
+    checks = _weight_checks(fisher_matrices(m), weight)
     return {name: value for name, value in checks.items() if name.startswith("identity_")}
 
 

@@ -433,7 +433,7 @@ def test_criterion_10_operator_equation_residuals():
             worst_defining = max(
                 worst_defining, float(np.abs(drho - dp.rho @ lt).max())
             )
-        g, gt, z = operator_fisher(dp)
+        g, gt, z = operator_fisher(dp, ls, lts)
         g_inv, gt_inv = invert_2x2(g), invert_2x2(gt)
         duals = dual_operators(dp)
         rduals = (

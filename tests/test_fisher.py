@@ -9,7 +9,7 @@ from holevo2q.bloch import (
     PURE_SHELL_TOL,
     BlochModelPoint,
 )
-from holevo2q.bounds import WeightMatrix
+from holevo2q.bounds import WeightMatrix, holevo_bound
 from holevo2q.errors import (
     DegenerateModelError,
     DomainError,
@@ -17,7 +17,8 @@ from holevo2q.errors import (
     PureStateError,
     SingularMatrixError,
 )
-from holevo2q.fisher import fisher_bundle, fisher_bundle_many
+from holevo2q import fisher
+from holevo2q.fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from holevo2q.matrix_forms import (
     ell_perp,
     fisher_matrices,
@@ -148,10 +149,40 @@ class TestSldDuals:
         for _ in range(100):
             m = random_model_point(rng)
             fm = fisher_matrices(m)
-            for fb in (None, fisher_bundle(m)):
-                got = sld_duals(m, fb)
-                want = (fm.g, fm.g_inv, fm.dual1, fm.dual2)
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            got = sld_duals(m)[1:]
+            want = (fm.g, fm.g_inv, fm.dual1, fm.dual2)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_fisher_matrices_is_the_bundle_and_bounds_read_its_bits(self):
+        def bits(report):
+            return [np.asarray(getattr(report, name)).tobytes()
+                    for name in report._fields if name != "branch"]
+
+        rng = np.random.default_rng(99)
+        for _ in range(100):
+            m, w = random_model_point(rng), random_weight(rng)
+            fm, fb = fisher_matrices(m), fisher_bundle(m)
+            assert isinstance(fm, FisherBundle) and fm.point is m
+            head = fm._values()[:len(FisherBundle._fields)]
+            assert [type(v) for v in head] == [type(v) for v in fb._values()]
+            assert FisherBundle(*head) == fb
+            got, want = holevo_bound(fm, w), holevo_bound(fb, w)
+            assert got.branch is want.branch and bits(got) == bits(want)
+
+    @pytest.mark.parametrize("producer", [sld_duals, fisher_matrices])
+    def test_one_guard_pass_per_call(self, producer, monkeypatch):
+        calls = []
+        original = fisher.bloch_scalars_many
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fisher, "bloch_scalars_many", counted)
+        m = random_model_point(np.random.default_rng(100))
+        producer(m)
+        assert len(calls) == 1
+        assert sld_duals(m)[0] == fisher_bundle_many(m.s, m.d1s, m.d2s)
 
     @pytest.mark.parametrize(
         "s, d2, exc, message",
@@ -206,7 +237,7 @@ def _guard_table(rng):
 
 
 class TestAdmitOnlyGuard:
-    """``sld_duals(m)`` without a bundle is guarded by ``fisher_bundle_many``
+    """``sld_duals(m)`` is guarded by the ``fisher_bundle_many`` pass it returns
     alone: it accepts the same points as ``fisher_bundle`` and raises the
     same class and message at the edge of every guard."""
 

@@ -196,7 +196,8 @@ class TestOperatorFisher:
         for _ in range(500):
             m = random_model_point(rng)
             fm = fisher_matrices(m)
-            g, gt, z = operator_fisher(density_point(m))
+            dp = density_point(m)
+            g, gt, z = operator_fisher(dp, sld_operators(dp), rld_operators(dp))
             assert np.abs(g - fm.g).max() <= 1e-10 * max(1.0, np.abs(fm.g).max())
             assert np.abs(gt - fm.g_tilde).max() <= 1e-10 * max(
                 1.0, np.abs(fm.g_tilde).max()
@@ -249,7 +250,7 @@ class TestCommutationOperator:
         for _ in range(200):
             dp = density_point(random_model_point(rng))
             duals = dual_operators(dp)
-            g, gt, z = operator_fisher(dp)
+            g, gt, z = operator_fisher(dp, sld_operators(dp), rld_operators(dp))
             g_inv, gt_inv = invert_2x2(g), invert_2x2(gt)
             lts = rld_operators(dp)
             rduals = (
@@ -271,7 +272,7 @@ class TestCommutationOperator:
             dp = density_point(random_d_invariant_point(rng))
             ls = sld_operators(dp)
             duals = dual_operators(dp)
-            _, _, z = operator_fisher(dp)
+            _, _, z = operator_fisher(dp, ls, rld_operators(dp))
             for i in range(2):
                 image = commutation_operator(dp, duals[i])
                 recon = z.imag[0, i] * ls[0] + z.imag[1, i] * ls[1]
@@ -289,7 +290,7 @@ class TestCommutationOperator:
             )
             dp = density_point(m)
             duals = dual_operators(dp)
-            _, gt, _ = operator_fisher(dp)
+            _, gt, _ = operator_fisher(dp, sld_operators(dp), rld_operators(dp))
             gt_inv = invert_2x2(gt)
             lts = rld_operators(dp)
             rduals = (

@@ -45,10 +45,14 @@ RECORDS = [
      f"FisherBundle(gram={EYE2}, radial=array([0.1, 0.2]), triple_product=0.3, "
      "perp_quadratic=0.4, gamma=array([0.5, 0.6]), one_minus_s_sq=0.86, d_invariant=False, "
      "asymptotically_classical=True)"),
-    (FisherMatrices, ("point", "g", "g_inv", "g_tilde", "g_tilde_inv", "z", "dual1", "dual2"),
-     (POINT, np.eye(2), np.eye(2), np.eye(2) * (1 + 0.5j), np.eye(2), np.eye(2),
+    (FisherMatrices,
+     BUNDLE_FIELDS + ("point", "g", "g_inv", "g_tilde", "g_tilde_inv", "z", "dual1", "dual2"),
+     (np.eye(2), np.array([0.1, 0.2]), 0.3, 0.4, np.array([0.5, 0.6]), 0.86, False, True,
+      POINT, np.eye(2), np.eye(2), np.eye(2) * (1 + 0.5j), np.eye(2), np.eye(2),
       np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
-     "FisherMatrices(point=BlochModelPoint(s=array([0.1, 0.2, 0.3]), d1s=array([1., 0., 0.]), "
+     f"FisherMatrices(gram={EYE2}, radial=array([0.1, 0.2]), triple_product=0.3, "
+     "perp_quadratic=0.4, gamma=array([0.5, 0.6]), one_minus_s_sq=0.86, d_invariant=False, "
+     "asymptotically_classical=True, point=BlochModelPoint(s=array([0.1, 0.2, 0.3]), d1s=array([1., 0., 0.]), "
      f"d2s=array([0., 1., 0.])), g={EYE2}, g_inv={EYE2}, "
      "g_tilde=array([[1.+0.5j, 0.+0.j ],\n       [0.+0.j , 1.+0.5j]]), "
      f"g_tilde_inv={EYE2}, z={EYE2}, dual1=array([1., 0., 0.]), dual2=array([0., 1., 0.]))"),

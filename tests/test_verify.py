@@ -111,19 +111,20 @@ def test_kink_valley_reduced_search_witness_passes():
 
 
 def test_one_fisher_bundle_per_point(monkeypatch):
-    # Each sampled point builds its bundle once; fisher_matrices, the identities
-    # and the reduced search take it from the caller.
+    # Each sampled point builds its bundle once, as the guard of fisher_matrices;
+    # the checks, the bounds and the reduced search read it from that record.
     import holevo2q.fisher
-    import holevo2q.verify
+    import holevo2q.matrix_forms
 
     calls = []
+    original = holevo2q.fisher.fisher_bundle_many
 
-    def counted(m):
-        calls.append(m)
-        return fisher_bundle(m)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(holevo2q.fisher, "fisher_bundle", counted)
-    monkeypatch.setattr(holevo2q.verify, "fisher_bundle", counted)
+    monkeypatch.setattr(holevo2q.fisher, "fisher_bundle_many", counted)
+    monkeypatch.setattr(holevo2q.matrix_forms, "fisher_bundle_many", counted)
     before = run_verification(seed=7, count=3).table()
     assert len(calls) == 2 * 3
     monkeypatch.undo()
