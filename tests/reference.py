@@ -14,9 +14,9 @@
   ``n_copy_bound`` and ``random_planar_point``.
 * ``OffBranchError``, raised by the reference forms of the Holevo bound in
   ``tests/test_bounds.py`` off the branch where they are defined.
-* Exact rational references on the float inputs, in ``fractions.Fraction``:
-  ``exact_bounds`` (the bounds, for det W = 1) and ``exact_branch_sign``
-  (the sign of B[W], for any W).
+* Exact references on the float inputs, in ``fractions.Fraction``, for any
+  W > 0: ``exact_bounds`` (the bounds; sqrt(det W) is the one quantity taken
+  to 50 digits with mpmath) and ``exact_branch_sign`` (the sign of B[W]).
 """
 
 from fractions import Fraction
@@ -209,13 +209,20 @@ def _apply(mat, v):
 
 
 def exact_bounds(m, w):
-    """(C^S, C^R, C^Z, C^H) as exact Fractions, from the matrix definitions
+    """(C^S, C^R, C^Z, C^H) as Fractions, from the matrix definitions
     G = D^T Q D, G~ = D^T Q~ D and z^ij = <l^i, Q~^-1 l^j> on the SLD duals
-    l^i = sum_j (G^-1)_ji Q d_j s.  Complex entries are kept as separate
-    real and imaginary parts.  W must have det W = 1, so that
-    TrAbs(W X) = 2 |x_12| is exact."""
+    l^i = sum_j (G^-1)_ji Q d_j s, for any W > 0.  Complex entries are kept as
+    separate real and imaginary parts.  TrAbs(W X) = 2 sqrt(det W) |x_12|,
+    where sqrt(det W) is the Fraction of a 50-digit mpmath square root of the
+    exact det W (exactly 1 at det W = 1); every other quantity is exact.  The
+    branch is :func:`exact_branch_sign`, which needs no square root."""
+    import mpmath  # lazy: only the exact reference needs it
+
     wm = [[Fraction(w.w11), Fraction(w.w12)], [Fraction(w.w12), Fraction(w.w22)]]
-    assert wm[0][0] * wm[1][1] - wm[0][1] ** 2 == 1
+    det_w = wm[0][0] * wm[1][1] - wm[0][1] ** 2
+    with mpmath.workdps(50):
+        man, exp = mpmath.sqrt(mpmath.mpf(det_w.numerator) / det_w.denominator).man_exp
+    sqrt_det_w = man * Fraction(2) ** exp
     s = [Fraction(x) for x in m.s]
     ds = [[Fraction(x) for x in m.d1s], [Fraction(x) for x in m.d2s]]
     eps = 1 - _dot(s, s)
@@ -247,10 +254,10 @@ def exact_bounds(m, w):
     z_im12 = _dot(duals[0], _apply(f, duals[1]))
 
     c_s = tr_w(g_inv)
-    c_r = tr_w(gti_re) + 2 * abs(gti_im12)
-    c_z = tr_w(z_re) + 2 * abs(z_im12)
+    c_r = tr_w(gti_re) + 2 * sqrt_det_w * abs(gti_im12)
+    c_z = tr_w(z_re) + 2 * sqrt_det_w * abs(z_im12)
     b_value = c_r - (c_z + c_s) / 2
-    c_h = c_r if b_value >= 0 else c_r + b_value**2 / (c_z - c_r)
+    c_h = c_r if exact_branch_sign(m, w) >= 0 else c_r + b_value**2 / (c_z - c_r)
     return c_s, c_r, c_z, c_h
 
 

@@ -6,6 +6,7 @@ C^1 profile H) live here as reference helpers: they exist only to
 cross-check ``holevo_bound``, the one production formula.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from holevo2q.cli import main
 from holevo2q.errors import DomainError, ModelError, SpecialModelError
 from holevo2q.fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from holevo2q.matrix_forms import fisher_matrices, invert_2x2
-from holevo2q.models import Explicit, GenericZ, Unitary
+from holevo2q.models import Explicit, GenericZ, Planar, Unitary
 from holevo2q.oracle import density_point, minimize_holevo_6d
 from holevo2q.sampling import (
     random_d_invariant_point,
@@ -590,6 +591,34 @@ class TestSmoothnessAcrossTheBoundary:
             assert jump == pytest.approx(2.0 * slope**2 / (rep.c_z[1, 2] - rep.c_r[1, 2]),
                                          rel=1e-2)
 
+    # A weight_from_angles grid: 9 eigenvalue splits by 9 orientations.
+    GRID = weight_from_angles(*np.meshgrid(np.linspace(-0.9, 0.9, 9), np.linspace(0.0, 3.0, 9)))
+
+    def test_no_seam_where_r_or_k_is_exactly_zero(self):
+        # r = 0 (D-invariant): C^H = C^R for every weight.  k = 0 (asymptotically
+        # classical): C^H = C^S.  The boundary family is empty on both.
+        cases = [(GenericZ(0.2).evaluate((0.0, 0.0)), "radial", "c_r")]
+        cases += [(Planar(u1=XHAT, u2=YHAT).evaluate(theta), "triple_product", "c_s")
+                  for theta in ((0.3, -0.2), (-0.5, 0.6), (0.1, 0.05))]
+        for m, zero, same in cases:
+            fb = fisher_bundle(m)
+            assert not np.any(getattr(fb, zero))
+            rep = holevo_bounds_many(fb, self.GRID)
+            assert rep.c_h.tobytes() == getattr(rep, same).tobytes()
+            with pytest.raises(SpecialModelError):
+                boundary_weight_family(fb, 0.5, 0.5)
+
+    def test_no_seam_where_r_or_k_rounds_to_nearly_zero(self):
+        rng = np.random.default_rng(21)
+        for sampler, same in ((random_d_invariant_point, "c_r"), (random_planar_point, "c_s")):
+            for _ in range(10):
+                fb = fisher_bundle(sampler(rng))
+                rep = holevo_bounds_many(fb, self.GRID)
+                ref = getattr(rep, same)
+                assert np.all(np.abs(rep.c_h - ref) <= 4.0 * np.spacing(ref))
+                with pytest.raises(SpecialModelError):
+                    boundary_weight_family(fb, 0.5, 0.5)
+
 
 class TestReparametrization:
     def test_bounds_are_covariant(self):
@@ -721,6 +750,103 @@ class TestChainAtNearlySingularWeight:
         rep = holevo_bounds_many(fb, w)
         # Written as <= so that a NaN cell fails too.
         assert np.all((np.maximum(rep.c_s, rep.c_r) <= rep.c_h) & (rep.c_h <= rep.c_z))
+
+
+U = 2.0**-53
+BOUND_NAMES = ("c_s", "c_r", "c_z", "c_h")
+
+
+def documented_error(fb, w):
+    """Relative error of each bound by the error model of ``holevo2q.bounds``:
+    eps = 1 - s.s carries u/(1-|s|^2) into C^R; q = (r | adj W r) carries
+    u (a + 2 sqrt(det W)|k|)/q into C^S and C^Z (no bound where q rounds to
+    <= 0); det W carries u cond(W) into the 2 sqrt(det W)|k| share of C^R and
+    C^Z.  C^H is built from C^R and q on either side of B = 0, so it carries all three."""
+    (g11, g12), (_, g22) = fb.gram
+    r1, r2 = fb.radial
+    a = w.w11 * g22 - 2.0 * w.w12 * g12 + w.w22 * g11
+    q = w.w11 * r2 * r2 - 2.0 * w.w12 * r1 * r2 + w.w22 * r1 * r1
+    root_k = 2.0 * np.sqrt(w.det) * abs(fb.triple_product)
+    shell = U / fb.one_minus_s_sq
+    radial = U * (a + root_k) / q if q > 0.0 else np.inf
+    weight = U * (w.w11 + w.w22) ** 2 / w.det * root_k / (a + root_k)  # (tr W)^2/det W >= cond W
+    return {"c_s": radial, "c_r": shell + weight, "c_z": radial + weight,
+            "c_h": shell + radial + weight}
+
+
+def relative_errors(m, fb, w):
+    """{bound: |kernel - exact_bounds| / exact_bounds} at (m, w); ``fb`` is m's bundle."""
+    rep = holevo_bound(fb, w)
+    return {name: float(abs(Fraction(getattr(rep, name)) - ref) / ref)
+            for name, ref in zip(BOUND_NAMES, exact_bounds(m, w))}
+
+
+@functools.cache
+def near_shell_cells(delta):
+    """(m, bundle, W, report) at 1 - |s| = delta: 8 seeded points (the same
+    directions and derivatives at every delta), 8 boundary-family weights each.
+    Near the shell the family's W is nearly singular and ``WeightMatrix``
+    refuses some of them (ROADMAP item 13); those cells are left out."""
+    rng = np.random.default_rng(2)
+    cells = []
+    for _ in range(8):
+        direction = rng.normal(size=3)
+        m = BlochModelPoint(s=(1.0 - delta) * direction / np.linalg.norm(direction),
+                            d1s=rng.normal(size=3), d2s=rng.normal(size=3))
+        fb = fisher_bundle(m)
+        for w_par, w2 in zip(rng.uniform(-0.95, 0.95, 8), rng.uniform(0.05, 1.5, 8)):
+            try:
+                w = boundary_weight_family(fb, w_par, w2)
+            except DomainError:
+                continue
+            cells.append((m, fb, w, holevo_bound(fb, w)))
+    return cells
+
+
+def wrong_labels(cells) -> int:
+    """Cells labelled rld or correction whose label is not ``exact_branch_sign``'s."""
+    signs = {Branch.RLD: 1, Branch.CORRECTION: -1}
+    return sum(exact_branch_sign(m, w) != signs[rep.branch]
+               for m, _, w, rep in cells if rep.branch in signs)
+
+
+class TestExactReferenceAtAnyWeight:
+    """The kernel against ``exact_bounds`` at ill-conditioned weights and near
+    the shell, within 8 times the documented error model (the measured worst
+    is below a quarter of that)."""
+
+    @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+    def test_ill_conditioned_weights(self, cond):
+        # W = e e^T + v v^T / cond, e at a random angle or along r rotated by ~1e-9
+        # (TestChainAtNearlySingularWeight's construction), v = e rotated by 90°.
+        rng = np.random.default_rng(int(np.log10(cond)))
+        for aligned in (False, True):
+            for _ in range(8):
+                m = random_model_point(rng)
+                fb = fisher_bundle(m)
+                angle = (np.arctan2(fb.radial[1], fb.radial[0]) + 1e-9 * rng.standard_normal()
+                         if aligned else rng.uniform(0.0, np.pi))
+                e = np.array([np.cos(angle), np.sin(angle)])
+                v = np.array([-e[1], e[0]])
+                w = WeightMatrix.from_matrix(np.outer(e, e) + np.outer(v, v) / cond)
+                model = documented_error(fb, w)
+                for name, err in relative_errors(m, fb, w).items():
+                    assert err <= 8.0 * (U + model[name]), (name, err, model[name])
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-9])
+    def test_near_shell_boundary_weights(self, delta):
+        cells = near_shell_cells(delta)
+        assert cells
+        for m, fb, w, _ in cells:
+            model = documented_error(fb, w)
+            for name, err in relative_errors(m, fb, w).items():
+                assert err <= 8.0 * (U + model[name]), (name, err, model[name])
+        if delta == 1e-2:
+            assert wrong_labels(cells) == 0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+    def test_near_shell_labels_are_exact(self):
+        assert [wrong_labels(near_shell_cells(delta)) for delta in (1e-6, 1e-9)] == [0, 0]
 
 
 class TestWeightFromAngles:

@@ -39,8 +39,7 @@ adjacent runs.  A column keeps each run's seconds, their median, the number
 of repetitions in which it was the fastest column, the sha256 of each path's
 output (equal hashes mean byte-identical CSV, JSON or text; a path whose
 output differs between repetitions of one column is an error), the tier-1
-summary line, and whether the median of every 101x101 sweep is under
-SWEEP_TARGET_S (the ROADMAP's 0.4 s target), and the import graphs of
+summary line, and the import graphs of
 ``import holevo2q.cli`` (``import_graph``), of the ``classify_grid`` path
 (``import_graph_classify_grid``) and of the ``verify`` path, which loads
 ``matrix_forms`` and the oracle (``import_graph_verify``): each ``holevo2q``
@@ -63,10 +62,9 @@ import sys
 import tempfile
 import time
 
-REPEATS = 5
+REPEATS = 11  # odd, so that two columns' fastest_in counts cannot tie
 SHORT_REPEATS = 15
 SHORT_PATHS = ("import", "bounds", "help", "help_sweep_weight")
-SWEEP_TARGET_S = 0.4
 MODELS = {"gz02.json": {"kind": "generic_z", "theta0": 0.2},
           "gz023.json": {"kind": "generic_z", "theta0": 0.23}}
 THETA = "0.2447,0.2447"
@@ -234,10 +232,7 @@ def main(argv):
                      for path, r in runs[name].items()}
             paths["tier1"] = {"runs_s": [round(seconds, 4)], "median_s": round(seconds, 4),
                               "summary": stdout.strip().splitlines()[-1]}
-            sweeps = [v["median_s"] for p, v in paths.items() if p.startswith("sweep")]
             results[name] = {"paths": paths, "output_sha256": digests[name],
-                             "sweeps_under_target_s": {"target_s": SWEEP_TARGET_S,
-                                                       "all": max(sweeps) < SWEEP_TARGET_S},
                              "kernel": {k: {"runs_s": r, "min_s": min(r),
                                             "median_s": statistics.median(r)}
                                         for k, r in kernel[name].items()},
@@ -257,7 +252,8 @@ def main(argv):
         json.dump(record, fh, indent=2)
         fh.write("\n")
     for name, res in results.items():
-        medians = ", ".join(f"{p} {v['median_s']:.3f}" for p, v in res["paths"].items())
+        medians = ", ".join(f"{p} {v['median_s']:.3f} (fastest in {v.get('fastest_in', '-')})"
+                            for p, v in res["paths"].items())
         graphs = "; ".join(f"{what} loads {len(graph['modules'])} modules, "
                            f"{graph['source_lines']} lines"
                            for what, graph in (("import holevo2q.cli", res["import_graph"]),
