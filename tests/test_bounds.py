@@ -6,7 +6,6 @@ C^1 profile H) live here as reference helpers: they exist only to
 cross-check ``holevo_bound``, the one production formula.
 """
 
-import functools
 import json
 from fractions import Fraction
 
@@ -781,7 +780,6 @@ def relative_errors(m, fb, w):
             for name, ref in zip(BOUND_NAMES, exact_bounds(m, w))}
 
 
-@functools.cache
 def near_shell_cells(delta):
     """(m, bundle, W, report) at 1 - |s| = delta: 8 seeded points (the same
     directions and derivatives at every delta), 8 boundary-family weights each.

@@ -4,6 +4,7 @@ read from their one producer ``fisher_matrices``; gamma from ``fisher_bundle``."
 import numpy as np
 import pytest
 
+from holevo2q import fisher
 from holevo2q.bloch import (
     DERIVATIVE_INDEPENDENCE_RTOL,
     PURE_SHELL_TOL,
@@ -17,7 +18,6 @@ from holevo2q.errors import (
     PureStateError,
     SingularMatrixError,
 )
-from holevo2q import fisher
 from holevo2q.fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from holevo2q.matrix_forms import (
     ell_perp,
