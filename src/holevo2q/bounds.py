@@ -36,14 +36,14 @@ A bound is never returned as 0, inf or NaN: the kernel raises DomainError,
 and prints no numpy warning on the way to the refusal.
 TrAbs from its eigenvalue definition is in :mod:`holevo2q.matrix_forms`.
 
-Error model.  The first cancellation is eps = 1 - s.s, known to about
-u/(1-|s|^2) relative (u = 2^-53); it enters only through eps a and t.  C^R,
-and C^H on the RLD branch, carry all of it unless n is parallel to s
-(unitary families), where eps cancels.  C^S, C^Z and C^H on the correction
-branch carry about u (a + 2 sqrt(det W)|k|)/q: a few ulps unless the
-derivatives are nearly tangent to the sphere (r ~ 0).  The second is
-det W = w11 w22 - w12^2, known to about u cond(W) relative: C^N's error was
-3e-15, 6e-14, 7e-12 and 1e-9 at cond W = 1e2, 1e6, 1e10 and 1e14.
+Error model.  eps = 1 - s.s is known to about u/(1-|s|^2) relative (u = 2^-53)
+and enters only through eps a and t: C^R carries all of it unless n is parallel
+to s (unitary families), where eps cancels.  q's error,
+u (a + 2 sqrt(det W)|k|)/q, reaches C^S and C^Z: a few ulps unless r ~ 0.  C^H
+carries both on either branch (q picks it): where q rounds to <= 0 near the
+shell, the clamp makes the cell rld with C^H = C^R, up to q/p below exact
+C^H.  det W is known to u cond(W) relative: C^N's error was 3e-15, 6e-14,
+7e-12 and 1e-9 at cond W = 1e2, 1e6, 1e10 and 1e14.
 """
 
 from __future__ import annotations

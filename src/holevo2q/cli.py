@@ -19,11 +19,11 @@ loop: sweep-theta maps the cells through the family's ``evaluate_many``
 (dropping cells outside the domain or the mixed-state disk) and
 ``fisher_bundle_many``; sweep-weight builds every weight as one stacked
 ``WeightMatrix`` at one ``fisher_bundle``.  ``_emit_csv`` runs
-``holevo_bounds_many`` on all cells at once, formats each row with one
-%-format and writes the file in one call; a grid cell that a kernel refuses
-(also under ``classify --grid``) is named by its coordinates, whatever the
-error class.  Invalid input raises what a cell-by-cell loop would raise
-first.  The library owns the float policy: this module sets none.
+``holevo_bounds_many`` on all cells, then writes ``_BLOCK_ROWS`` rows per
+call, one %-format each; a grid cell that a kernel refuses (also under
+``classify --grid``) is named by its coordinates, whatever the error class.
+Invalid input raises what a cell-by-cell loop would raise first.  The
+library owns the float policy: this module sets none.
 
 Imports are lazy per subcommand: ``classify`` loads :mod:`holevo2q.classify`
 and ``verify`` the oracle and the verification suite inside their command
@@ -37,6 +37,7 @@ process.  Usage lines and error texts are the same either way.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -63,6 +64,7 @@ _COLUMNS = (
     ("asymptotically_classical", "%d", lambda fb, report: fb.asymptotically_classical),
 )
 BOUND_COLUMNS = [name for name, _, _ in _COLUMNS]
+_BLOCK_ROWS = 256  # rows per CSV write: ~60 KiB of text, under malloc's 128 KiB mmap threshold
 
 
 def _parse_floats(text: str, count: int, name: str) -> tuple[float, ...]:
@@ -117,22 +119,20 @@ def _in_cell(coords: list[str], labels: list, func, *args):
 
 def _emit_csv(path, header_name: str, coords: list[str], labels: list, fb, weights) -> None:
     """One CSV row per cell, from ``holevo_bounds_many(fb, weights)``: the
-    coordinate ``labels``, then BOUND_COLUMNS; values shared by every row are
-    baked into the row template.  A report that the kernel refuses is refused
-    with the coordinates of its cell, before anything is written."""
+    coordinate ``labels``, then BOUND_COLUMNS, values shared by every row baked
+    into the template.  A cell the kernel refuses is named before any write;
+    then the header is one write and each block of _BLOCK_ROWS rows one more."""
     report = _in_cell(coords, labels, holevo_bounds_many, fb, weights)
     values = (*labels, *(get(fb, report) for _, _, get in _COLUMNS))
     specs = ["%s", "%s", *(spec for _, spec, _ in _COLUMNS)]
-    row = ",".join(spec % v if np.ndim(v) == 0 else spec for spec, v in zip(specs, values))
-    columns = [v.tolist() for v in values if np.ndim(v)]
-    lines = [f"# holevo2q {header_name} schema {CSV_SCHEMA}", ",".join(coords + BOUND_COLUMNS)]
-    lines.extend(row % cells for cells in zip(*columns))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    row = ",".join(spec % v if np.ndim(v) == 0 else spec for spec, v in zip(specs, values)) + "\n"
+    header = f"# holevo2q {header_name} schema {CSV_SCHEMA}\n{','.join(coords + BOUND_COLUMNS)}\n"
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as fh:
+        fh.write(header)
+        for start in range(0, len(labels[0]), _BLOCK_ROWS):
+            block = [v[start:start + _BLOCK_ROWS].tolist() for v in values if np.ndim(v)]
+            fh.write("".join(row % cells for cells in zip(*block)))
 
 
 def cmd_bounds(args) -> int:

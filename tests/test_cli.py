@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import holevo2q
+from holevo2q import cli
 from holevo2q.cli import _in_cell, main
 from holevo2q.errors import DegenerateModelError, DomainError
 from holevo2q.models import GenericZ
@@ -557,6 +558,108 @@ def test_sweep_without_out_writes_its_csv_to_stdout(generic_model, tmp_path, com
     code, stdout, err = run_cli(*args)
     assert (code, err) == (0, "")
     assert stdout.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("command", SWEEP_ARGUMENTS)
+def test_out_that_cannot_be_opened_is_invalid_input(generic_model, tmp_path, command):
+    # Only a missing --out means stdout: "" names no file and is refused as one.
+    args = [command, "--model", generic_model, *SWEEP_ARGUMENTS[command]]
+    for out, error in ((str(tmp_path), "IsADirectoryError: "), ("", "FileNotFoundError: ")):
+        code, stdout, err = run_cli(*args, "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(error)
+
+
+class _RecordedWrites(io.StringIO):
+    """A stdout that keeps each ``write`` call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+BLOCKED_SWEEPS = {
+    "sweep-theta": ["sweep-theta", "--weight", "0.55,0.1,0.45"],
+    "sweep-weight-53": ["sweep-weight", "--theta", "0.2,0.1", "--weight-family", "53"],
+    "sweep-weight-42": ["sweep-weight", "--theta", "0.2,0.1", "--weight-family", "42"],
+}
+
+
+class TestBlockedEmitter:
+    """The CSV goes out as the header, then blocks of ``cli._BLOCK_ROWS`` rows."""
+
+    @pytest.mark.parametrize("sweep", BLOCKED_SWEEPS.values(), ids=BLOCKED_SWEEPS.keys())
+    def test_any_block_size_writes_the_same_bytes(self, generic_model, tmp_path, monkeypatch,
+                                                  sweep):
+        args = [sweep[0], "--model", generic_model, *sweep[1:], "--grid", "11"]
+        code, expected, err = run_cli(*args)
+        assert (code, err) == (0, "")
+        rows = expected.count("\n") - 2
+        assert rows > 8  # so that 1, 7 and rows - 1 are three sizes, each with 2+ blocks
+        for size in (1, 7, rows - 1):
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", size)
+            assert run_cli(*args) == (0, expected, "")
+            out = tmp_path / f"block{size}.csv"
+            assert run_cli(*args, "--out", str(out)) == (0, "", "")
+            assert out.read_bytes() == expected.encode()
+
+    # 307 and 289 rows: more than one default block.
+    @pytest.mark.parametrize("sweep, grid", [
+        (BLOCKED_SWEEPS["sweep-theta"], "21"),
+        (BLOCKED_SWEEPS["sweep-weight-53"], "17"),
+    ], ids=["sweep-theta", "sweep-weight"])
+    def test_no_write_after_the_header_holds_more_than_a_block(self, generic_model, sweep,
+                                                               grid):
+        sink = _RecordedWrites()
+        with redirect_stdout(sink):
+            assert main([sweep[0], "--model", generic_model, *sweep[1:], "--grid", grid]) == 0
+        header, *blocks = sink.writes
+        assert header.startswith("# holevo2q ") and header.count("\n") == 2
+        rows = sink.getvalue().count("\n") - 2
+        assert rows > cli._BLOCK_ROWS
+        assert len(blocks) == -(-rows // cli._BLOCK_ROWS)
+        assert all(block.endswith("\n") for block in blocks)
+        assert all(block.count("\n") <= cli._BLOCK_ROWS for block in blocks)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refusal_at_a_later_cell_writes_nothing(self, tmp_path, monkeypatch):
+        # The model of TestSweepTheta::test_overflowing_derivatives_name_their_cell,
+        # refused at its second kept cell, with one row per block.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 1)
+        path = tmp_path / "model.json"
+        components = [[[0, 0, 0], [0, 0, 1e200]], [[0.1], [0.3]], [[0, 0.3]]]
+        path.write_text(json.dumps({"kind": "explicit", "components": components}))
+        out = tmp_path / "theta.csv"
+        argv = ["sweep-theta", "--model", str(path), "--weight", "1,0,1", "--grid", "3"]
+        for extra in ([], ["--out", str(out)]):
+            code, stdout, err = run_cli(*argv, *extra)
+            assert (code, stdout) == (2, "")
+            assert err == ("DomainError: derivatives overflow in floats "
+                           "at theta1=0, theta2=-0.69999999999999996\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", BLOCKED_SWEEPS.values(), ids=BLOCKED_SWEEPS.keys())
+    def test_kernel_refusal_of_the_last_cell_writes_nothing(self, generic_model, tmp_path,
+                                                            monkeypatch, sweep):
+        # A kernel that refuses the grid's last cell, with one row per block.
+        def refuse_last(fb, weights):
+            report = holevo2q.bounds.holevo_bounds_many(fb, weights)
+            error = DomainError("c_h is not finite (nan)")
+            error.index = report.c_h.size - 1
+            raise error
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(cli, "holevo_bounds_many", refuse_last)
+        out = tmp_path / "out.csv"
+        args = [sweep[0], "--model", generic_model, *sweep[1:], "--grid", "5"]
+        for extra in ([], ["--out", str(out)]):
+            code, stdout, err = run_cli(*args, *extra)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("DomainError: c_h is not finite (nan) at ")
+        assert not out.exists()
 
 
 class TestFisherMatricesOffProductionPaths:

@@ -15,6 +15,8 @@ measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
   generic_z theta0=0.2 at theta=(0.2447, 0.2447), both weight families;
 * ``sweep_theta``: ``sweep-theta --grid 101`` on generic_z theta0=0.23 at
   W=(0.55, 0.1, 0.45);
+* ``sweep_theta_1001``: the same sweep at ``--grid 1001`` (785,321 rows, a
+  181 MB CSV), the path whose peak RSS shows how the CSV emitter scales;
 * ``classify_grid``: ``classify --grid 101`` on generic_z theta0=0.2;
 * ``verify``: ``verify --seed 42 --count 200``;
 * ``oracle_values``: ROOT's ``tools/oracle_values.py 21 31 77``, both oracle
@@ -32,21 +34,25 @@ that runs first alternating as for the paths, and the column keeps each
 run's seconds and their minimum and median.
 
 Every other path runs REPEATS times, the short start-up paths SHORT_REPEATS
-times.  A path's repetitions run back to back, one run per column each, and
-the column that runs first alternates between repetitions, so a drift in host
-speed reaches every column alike and each repetition is a pair (or tuple) of
-adjacent runs.  A column keeps each run's seconds, their median, the number
-of repetitions in which it was the fastest column, the sha256 of each path's
-output (equal hashes mean byte-identical CSV, JSON or text; a path whose
-output differs between repetitions of one column is an error), the tier-1
-summary line, and the import graphs of
+times and the LARGE_PATHS LARGE_REPEATS times.  A path's repetitions run back
+to back, one run per column each, and the column that runs first alternates
+between repetitions, so a drift in host speed reaches every column alike and
+each repetition is a pair (or tuple) of adjacent runs.  A column keeps each
+run's seconds and peak RSS (the child's ``ru_maxrss`` from ``os.wait4``, in
+MiB), their medians, the number of repetitions in which it was the fastest
+column, the sha256 of each path's output (equal hashes mean byte-identical
+CSV, JSON or text; a path whose output differs between repetitions of one
+column is an error), the tier-1 summary line, and the import graphs of
 ``import holevo2q.cli`` (``import_graph``), of the ``classify_grid`` path
 (``import_graph_classify_grid``) and of the ``verify`` path, which loads
 ``matrix_forms`` and the oracle (``import_graph_verify``): each ``holevo2q``
 module it loads with the source lines of its file, and their total.  It also
 keeps ``src_lines``, the total lines of ROOT's ``src/holevo2q/*.py``.  Columns
 already in OUT.json that are not named again are kept; the machine record
-(usable cores, Python, numpy) is rewritten.  Standard library only.
+(usable cores, Python, numpy) is rewritten, and so is ``rss_floor_mb``, this
+script's own peak RSS: Linux carries the spawning process's peak into a
+child's ``ru_maxrss``, so only a reading above it is the child's own, and
+the outputs are hashed in chunks to keep it low.  Standard library only.
 ``tools/golden.py`` runs the same PATHS on the same MODELS in process, with
 the model writer and the ``--out`` CSV read-back defined here.
 """
@@ -56,6 +62,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -65,6 +72,8 @@ import time
 REPEATS = 11  # odd, so that two columns' fastest_in counts cannot tie
 SHORT_REPEATS = 15
 SHORT_PATHS = ("import", "bounds", "help", "help_sweep_weight")
+LARGE_REPEATS = 3
+LARGE_PATHS = ("sweep_theta_1001",)
 MODELS = {"gz02.json": {"kind": "generic_z", "theta0": 0.2},
           "gz023.json": {"kind": "generic_z", "theta0": 0.23}}
 THETA = "0.2447,0.2447"
@@ -81,6 +90,8 @@ PATHS = {
                         "--weight-family", "42", "--out", OUT_CSV],
     "sweep_theta": ["sweep-theta", "--model", "gz023.json", "--weight", WEIGHT,
                     "--out", OUT_CSV],
+    "sweep_theta_1001": ["sweep-theta", "--model", "gz023.json", "--weight", WEIGHT,
+                         "--grid", "1001", "--out", OUT_CSV],
     "classify_grid": ["classify", "--model", "gz02.json", "--grid", "101"],
     "verify": ["verify", "--seed", "42", "--count", "200"],
     "oracle_values": ["oracle_values.py", "21", "31", "77"],
@@ -136,6 +147,18 @@ def take_out_csv(work, stdout):
     return data
 
 
+def _output_sha256(work, stdout):
+    """The sha256 of a path's output, as :func:`take_out_csv` reads it, with
+    the CSV hashed in chunks so that this process's peak RSS stays small."""
+    out_csv = os.path.join(work, OUT_CSV)
+    if not os.path.exists(out_csv):
+        return hashlib.sha256(stdout.encode()).hexdigest()
+    with open(out_csv, "rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+    os.remove(out_csv)
+    return digest
+
+
 def _command(args, root):
     """Interpreter argv of one path: inline code, a script of ROOT's tools/, or the CLI."""
     if args[0] == "-c":
@@ -146,13 +169,19 @@ def _command(args, root):
 
 
 def _run(argv, root, cwd):
-    """(seconds, stdout) of one fresh-interpreter run; raises on failure."""
-    start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=cwd, env=_env(root), capture_output=True, text=True)
-    seconds = time.perf_counter() - start
+    """(seconds, stdout, peak RSS in MiB) of one fresh-interpreter run; raises on failure."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=cwd, env=_env(root), stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        for f in (out, err):
+            f.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
     if proc.returncode != 0:
-        raise RuntimeError(f"{argv} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    return seconds, proc.stdout
+        raise RuntimeError(f"{argv} in {root} exited {proc.returncode}:\n{stderr}")
+    return seconds, stdout, usage.ru_maxrss / 1024  # Linux reports KiB
 
 
 def _import_graph(root, cwd, cli_args=None):
@@ -164,7 +193,7 @@ def _import_graph(root, cwd, cli_args=None):
     probe = ("import contextlib, io, json, sys, holevo2q.cli\n" + run +
              "print(json.dumps({name: module.__file__ for name, module in sys.modules.items()\n"
              "                  if name.split('.')[0] == 'holevo2q'}))")
-    _, stdout = _run([sys.executable, "-c", probe], root, cwd)
+    stdout = _run([sys.executable, "-c", probe], root, cwd)[1]
     lines = {name: _lines(path) for name, path in sorted(json.loads(stdout).items())}
     return {"modules": lines, "source_lines": sum(lines.values())}
 
@@ -199,22 +228,27 @@ def main(argv):
     out_path = argv[1]
     columns = {name: os.path.abspath(root) for name, root in (a.split("=", 1) for a in argv[2:])}
     runs = {name: {path: [] for path in PATHS} for name in columns}
+    rss = {name: {path: [] for path in PATHS} for name in columns}
     fastest = {name: dict.fromkeys(PATHS, 0) for name in columns}
     digests = {name: {} for name in columns}
     results = {}
     with tempfile.TemporaryDirectory() as work:
         write_models(work, MODELS)
         for path, args in PATHS.items():
-            for rep in range(SHORT_REPEATS if path in SHORT_PATHS else REPEATS):
+            repeats = (SHORT_REPEATS if path in SHORT_PATHS else
+                       LARGE_REPEATS if path in LARGE_PATHS else REPEATS)
+            for rep in range(repeats):
                 order = list(columns) if rep % 2 == 0 else list(reversed(columns))
                 seconds_of = {}
                 for name in order:
-                    seconds, stdout = _run(_command(args, columns[name]), columns[name], work)
-                    digest = hashlib.sha256(take_out_csv(work, stdout.encode())).hexdigest()
+                    seconds, stdout, mib = _run(_command(args, columns[name]), columns[name],
+                                                work)
+                    digest = _output_sha256(work, stdout)
                     if digests[name].setdefault(path, digest) != digest:
                         raise RuntimeError(f"{path} output of column {name} differs "
                                            f"between repetitions")
                     runs[name][path].append(round(seconds, 4))
+                    rss[name][path].append(round(mib, 1))
                     seconds_of[name] = seconds
                 fastest[min(seconds_of, key=seconds_of.get)][path] += 1
         kernel = {name: {k: [] for k in KERNEL} for name in columns}
@@ -226,11 +260,14 @@ def main(argv):
         for name, root in columns.items():
             cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
                    "-p", "no:cacheprovider"]
-            seconds, stdout = _run(cmd, root, root)
+            seconds, stdout, mib = _run(cmd, root, root)
             paths = {path: {"runs_s": r, "median_s": round(statistics.median(r), 4),
-                            "fastest_in": fastest[name][path]}
+                            "fastest_in": fastest[name][path],
+                            "peak_rss_mb": rss[name][path],
+                            "median_peak_rss_mb": statistics.median(rss[name][path])}
                      for path, r in runs[name].items()}
             paths["tier1"] = {"runs_s": [round(seconds, 4)], "median_s": round(seconds, 4),
+                              "peak_rss_mb": [round(mib, 1)], "median_peak_rss_mb": round(mib, 1),
                               "summary": stdout.strip().splitlines()[-1]}
             results[name] = {"paths": paths, "output_sha256": digests[name],
                              "kernel": {k: {"runs_s": r, "min_s": min(r),
@@ -247,12 +284,14 @@ def main(argv):
         with open(out_path, encoding="utf-8") as fh:
             record = json.load(fh)
     record["machine"] = _machine()
+    record["rss_floor_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     record.setdefault("columns", {}).update(results)
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
     for name, res in results.items():
-        medians = ", ".join(f"{p} {v['median_s']:.3f} (fastest in {v.get('fastest_in', '-')})"
+        medians = ", ".join(f"{p} {v['median_s']:.3f} s {v['median_peak_rss_mb']:.0f} MiB "
+                            f"(fastest in {v.get('fastest_in', '-')})"
                             for p, v in res["paths"].items())
         graphs = "; ".join(f"{what} loads {len(graph['modules'])} modules, "
                            f"{graph['source_lines']} lines"
@@ -260,7 +299,7 @@ def main(argv):
                                                ("classify", res["import_graph_classify_grid"]),
                                                ("verify", res["import_graph_verify"])))
         kernels = ", ".join(f"{k} {v['min_s'] * 1e6:.1f}" for k, v in res["kernel"].items())
-        print(f"{name}: {medians} (s); kernel minima {kernels} (us); {graphs}; "
+        print(f"{name}: {medians}; kernel minima {kernels} (us); {graphs}; "
               f"src {res['src_lines']} lines")
     return 0
 
