@@ -20,7 +20,7 @@ _EXPORTS = {
     for module, names in [
         ("bloch", "BlochModelPoint"),
         ("bounds", "BoundsReport Branch WeightMatrix holevo_bound weight_from_angles"),
-        ("classify", "ModelClass ModelLabel classify_family classify_point"),
+        ("classify", "ModelClass ModelLabel classify_point"),
         ("matrix_forms", "pure_limit_duals pure_limit_holevo"),
         ("fisher", "FisherBundle fisher_bundle"),
         ("models", "Explicit GenericZ Planar Unitary from_descriptor"),

@@ -43,7 +43,10 @@ u (a + 2 sqrt(det W)|k|)/q, reaches C^S and C^Z: a few ulps unless r ~ 0.  C^H
 carries both on either branch (q picks it): where q rounds to <= 0 near the
 shell, the clamp makes the cell rld with C^H = C^R, up to q/p below exact
 C^H.  det W is known to u cond(W) relative: C^N's error was 3e-15, 6e-14,
-7e-12 and 1e-9 at cond W = 1e2, 1e6, 1e10 and 1e14.
+7e-12 and 1e-9 at cond W = 1e2, 1e6, 1e10 and 1e14.  n = d1s x d2s is known
+to u |d1s||d2s|/|n| relative, since its components cancel where the
+derivatives are nearly dependent; k, |n|^2 and p inherit that, and so does
+every bound.
 """
 
 from __future__ import annotations

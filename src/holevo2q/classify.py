@@ -8,13 +8,13 @@ A mixed two-parameter qubit point falls into one of three classes:
   the Holevo bound equals the SLD bound for every weight.
 * generic: everything else; the bound switches branch as the weight varies.
 
-A family is globally D-invariant exactly when |s_theta| is constant, which
-happens iff the family is unitary.
+A family is globally D-invariant, as :func:`classify_rows` reports over its
+``evaluate_many`` rows, exactly when |s_theta| is constant: iff it is unitary.
 
-A verdict, :class:`ModelClass`, is the bundle of one
-:func:`~holevo2q.fisher.bloch_scalars_many` pass, whose ``label`` reads its
-flags.  The pure-state limits, which continue the Bloch-matrix forms to the
-shell, are in :mod:`holevo2q.matrix_forms`.
+A verdict, :class:`ModelClass`, is the bundle of one ``bloch_scalars_many``
+pass, whose ``label`` reads its flags (:func:`classify_point` at one point).
+The pure-state limits, which continue the Bloch-matrix forms to the shell,
+are in :mod:`holevo2q.matrix_forms`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "ModelClass",
     "classify_point",
     "FamilyClassification",
-    "classify_family",
     "classify_rows",
 ]
 
@@ -90,24 +89,3 @@ def classify_rows(s, d1, d2) -> FamilyClassification:
     spread = float(radii.max() - radii.min())
     globally_d_invariant = spread <= CLASSIFICATION_RTOL * max(float(radii.max()), 1e-300)
     return FamilyClassification(globally_d_invariant, radii, point_classes)
-
-
-def classify_family(family, grid) -> FamilyClassification:
-    """Classify a parametric family over a grid of parameter points.
-
-    ``family`` is a family of :mod:`holevo2q.models`; ``grid`` is an iterable
-    of 2-vectors.  The grid is one ``evaluate_many`` pass, classified by
-    :func:`classify_rows`.  At the first grid point where
-    ``classify_point(family.evaluate(theta))`` raises, this raises the same.
-    """
-    thetas = list(grid)
-    # A malformed theta becomes a NaN row, which evaluate_many marks unusable.
-    rows = [t if np.shape(t) == (2,) else (np.nan, np.nan) for t in thetas]
-    t1, t2 = np.array(rows, dtype=float).reshape(-1, 2).T
-    s, d1, d2, usable = family.evaluate_many(t1, t2)
-    if not usable.all():
-        first = int(np.argmin(usable))
-        bloch_scalars_many(s[:first], d1[:first], d2[:first])  # a failing earlier row raises
-        classify_point(family.evaluate(thetas[first]))  # an unusable point raises here
-    return classify_rows(s, d1, d2)
-

@@ -1,7 +1,5 @@
 """Model classification and pure-limit operations."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from holevo2q.bounds import WeightMatrix, holevo_bound
 from holevo2q.classify import (
     ModelClass,
     ModelLabel,
-    classify_family,
     classify_point,
     classify_rows,
 )
@@ -192,19 +189,28 @@ def assert_rows_are_point_verdicts(stack, points):
         assert stack.triple_product[i].tobytes() == np.float64(want.triple_product).tobytes()
 
 
+def grid_rows(fam, grid):
+    """The (s, d1s, d2s) stacks of ``fam.evaluate_many`` over ``grid``, with no
+    mask applied (``classify --grid`` passes only the usable rows)."""
+    t1, t2 = np.array(grid, dtype=float).reshape(-1, 2).T
+    return fam.evaluate_many(t1, t2)[:3]
+
+
 class TestClassifyFamily:
+    """``classify_rows`` over the rows of a family's ``evaluate_many`` grid."""
+
     def test_unitary_family_globally_d_invariant(self):
         fam = Unitary(radius=0.8)
         ts = np.linspace(0.3, 2.5, 7)
         grid = [(a, b) for a in ts for b in ts]
-        rep = classify_family(fam, grid)
+        rep = classify_rows(*grid_rows(fam, grid))
         assert rep.globally_d_invariant
         assert rep.point_classes.d_invariant.all()
 
     def test_fixed_height_family_not_global(self):
         fam = GenericZ(0.35)
         grid = [(0.1, 0.2), (0.0, 0.0), (0.3, 0.1), (0.0, 0.4)]
-        rep = classify_family(fam, grid)
+        rep = classify_rows(*grid_rows(fam, grid))
         assert not rep.globally_d_invariant
         labels = rep.point_classes.label
         assert labels[0] == ModelLabel.GENERIC.value
@@ -213,12 +219,12 @@ class TestClassifyFamily:
 
     def test_empty_grid_is_a_domain_error(self):
         with pytest.raises(DomainError, match="empty"):
-            classify_family(GenericZ(0.35), [])
+            classify_rows(*grid_rows(GenericZ(0.35), []))
 
     def test_planar_family_all_classical(self):
         fam = Planar(u1=XHAT, u2=YHAT)
         grid = [(0.1, 0.2), (0.3, -0.1), (-0.2, 0.4)]
-        rep = classify_family(fam, grid)
+        rep = classify_rows(*grid_rows(fam, grid))
         assert rep.point_classes.asymptotically_classical.all()
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.kind)
@@ -227,7 +233,7 @@ class TestClassifyFamily:
         # The middle half of the domain, where every family is strictly mixed.
         axis1, axis2 = np.linspace(lo1, hi1, 9)[2:-2], np.linspace(lo2, hi2, 9)[2:-2]
         grid = [(a, b) for a in axis1 for b in axis2]
-        rep = classify_family(fam, grid)
+        rep = classify_rows(*grid_rows(fam, grid))
         points = [fam.evaluate(theta) for theta in grid]
         radii = np.array([np.linalg.norm(p.s) for p in points])
         assert rep.radii.tobytes() == radii.tobytes()
@@ -244,20 +250,22 @@ class TestClassifyFamily:
         assert set(stack.label.tolist()) == {label.value for label in ModelLabel}
         assert_rows_are_point_verdicts(stack, points)
 
+    # A row that evaluate_many marks unusable (outside the domain, beyond the
+    # shell, not finite) is one that classify --grid skips before classify_rows.
     @pytest.mark.parametrize("fam, bad", [
-        (GenericZ(0.35), (2.0, 0.0)),              # outside the domain
-        (GenericZ(0.35), (0.9, 0.3)),              # |s| > 1
         (GenericZ(0.6), (0.8 - 2e-13, 0.0)),       # within PURE_SHELL_TOL of the shell
-        (GenericZ(0.35), (0.1,)),                  # not a 2-vector
         (Planar(u1=XHAT, u2=YHAT, f1=[[0.0], [0.0], [1.0]]), (0.0, 0.2)),  # d1s = 0
-    ], ids=["outside", "beyond_shell", "near_shell", "malformed", "dependent"])
+    ], ids=["near_shell", "dependent"])
     def test_first_failing_point_raises_as_per_point(self, fam, bad):
         grid = [(0.1, 0.2), bad, (0.3, 0.1), (5.0, 5.0)]
         with pytest.raises(ModelError) as per_point:
             for theta in grid:
                 classify_point(fam.evaluate(theta))
-        with pytest.raises(type(per_point.value), match=re.escape(str(per_point.value))):
-            classify_family(fam, grid)
+        with pytest.raises(ModelError) as rows:
+            classify_rows(*grid_rows(fam, grid))
+        assert type(rows.value) is type(per_point.value)
+        assert str(rows.value) == str(per_point.value)
+        assert rows.value.index == 1
 
 
 class TestPureLimitDuals:

@@ -782,6 +782,9 @@ class TestLazyImport:
             assert name not in holevo2q.__all__
             assert name not in dir(holevo2q)
             assert not hasattr(holevo2q.matrix_forms, name)
+        # One family classifier: classify_rows, over the rows of evaluate_many.
+        assert "classify_family" not in holevo2q.__all__
+        assert "classify_family" not in dir(holevo2q)
         # TrAbs's input checks and the determinant identities are in tests/reference.py.
         assert not hasattr(holevo2q.verify, "fisher_determinant_identities")
 
