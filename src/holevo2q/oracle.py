@@ -85,7 +85,8 @@ def _herm(mat: np.ndarray) -> np.ndarray:
 
 
 class DensityPoint(Record):
-    """2x2 density matrix with its two parameter derivatives."""
+    """2x2 density matrix with its two parameter derivatives.  Admission takes
+    rho's least eigenvalue in closed form from the entries eigh reads (UPLO='L')."""
 
     rho: np.ndarray
     drho1: np.ndarray
@@ -113,7 +114,8 @@ class DensityPoint(Record):
                 raise DomainError(f"{name} must {what}")
         for name, mat in zip(names, mats):
             object.__setattr__(self, name, mat)
-        if self.eigenbasis[0].min() < MIN_EIGENVALUE:
+        (a, _), (b, d) = entries[0]
+        if (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b)) < MIN_EIGENVALUE:
             raise PureStateError("rho is not strictly positive")
 
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +123,7 @@ class DensityPoint(Record):
 
     @functools.cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh(rho)``, (p, V) with rho = V diag(p) V^dagger, once per point."""
+        """``np.linalg.eigh(rho)``, (p, V) with rho = V diag(p) V^dagger, on first use."""
         return np.linalg.eigh(self.rho)
 
 

@@ -1,12 +1,13 @@
 """Density-matrix oracle: operator solves, traces, exact minima."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from holevo2q import oracle
-from holevo2q.bloch import BlochModelPoint
+from holevo2q.bloch import HERMITIAN_RTOL, MIN_EIGENVALUE, BlochModelPoint
 from holevo2q.bounds import (
     Branch,
     WeightMatrix,
@@ -40,6 +41,7 @@ from holevo2q.sampling import (
     random_model_point,
     random_weight,
 )
+from holevo2q.verify import run_verification
 from reference import (
     dual_operators,
     grid_min_quadratic_abs,
@@ -98,6 +100,39 @@ class TestDensityPoint:
         kept = DensityPoint(rho=[[0.5, 0.0], [0.0, 0.5]], drho1=good["drho1"], drho2=good["drho2"])
         assert kept.rho.dtype == complex and kept.rho.shape == (2, 2)
 
+    def test_positivity_verdict_is_eighs(self):
+        # rho near the shell, lambda_min = 1e-12 10^U(-2, 2) and none within 1e-15
+        # of MIN_EIGENVALUE: admission refuses exactly the rho whose eigh(rho)
+        # falls below it.  Every other rho has an upper entry off the lower's
+        # conjugate by up to 0.9 HERMITIAN_RTOL; reading it would move some
+        # verdicts, and eigh (UPLO='L') reads the lower one.
+        rng = np.random.default_rng(40)
+        lam = MIN_EIGENVALUE * 10.0 ** rng.uniform(-2.0, 2.0, 20_100)
+        lam = lam[np.abs(lam - MIN_EIGENVALUE) >= 1e-15][:20_000]
+        n = rng.normal(size=(len(lam), 3))
+        n /= np.sqrt((n * n).sum(axis=1))[:, None]
+        r = 1.0 - 2.0 * lam  # rho = (I + r n.sigma)/2 has eigenvalues lam and 1 - lam
+        rho = np.zeros((len(lam), 2, 2), dtype=complex)
+        rho[:, 0, 0], rho[:, 1, 1] = (1.0 + r * n[:, 2]) / 2.0, (1.0 - r * n[:, 2]) / 2.0
+        rho[:, 1, 0] = r * (n[:, 0] + 1j * n[:, 1]) / 2.0
+        skew = 0.9 * HERMITIAN_RTOL * rng.uniform(-1.0, 1.0, len(lam)) * (np.arange(len(lam)) % 2)
+        rho[:, 0, 1] = rho[:, 1, 0].conj() * (1.0 + skew)
+        want = np.linalg.eigh(rho)[0].min(axis=1) < MIN_EIGENVALUE
+
+        def refused(mat):
+            try:
+                DensityPoint(mat, PAULI[0] / 2.0, PAULI[1] / 2.0)
+            except PureStateError:
+                return True
+            return False
+
+        got = np.array([refused(mat) for mat in rho])
+        a, d = rho[:, 0, 0].real, rho[:, 1, 1].real
+        upper = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(rho[:, 0, 1])) < MIN_EIGENVALUE
+        assert len(lam) == 20_000 and want.any() and not want.all()
+        assert (upper != want).any()  # the upper entry would give other verdicts
+        assert np.array_equal(got, want), np.flatnonzero(got != want)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # inf - inf in the Hermitian check
     def test_hermitian_pair_rejects_nan(self):
         for x in (np.nan, np.inf):
@@ -131,6 +166,49 @@ class TestDensityPoint:
             for op in (dp.rho, dp.drho1, other):
                 (a, v_got), (a_want, v_want) = bloch_coefficients(op), coefficients(op)
                 assert type(a) is complex and same(a, a_want) and same(v_got, v_want)
+
+
+class TestEigensolverCalls:
+    """Admission reads rho's entries; the first operator solve runs the point's one eigh."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_admission_and_minimizers_call_no_eigensolver(self, calls):
+        for theta, weight, *_ in PINNED_ORACLE_BITS:
+            m = GenericZ(0.2).evaluate(theta)
+            w = WeightMatrix(*weight)
+            dp = density_point(m)
+            minimize_holevo_2d(m, w)
+            minimize_holevo_6d(dp, w)
+        assert calls == []
+
+    def test_first_operator_solve_runs_the_one_eigh(self, calls):
+        m = GenericZ(0.2).evaluate((0.3, -0.25))
+        solves = (sld_operators, lambda dp: commutation_operator(dp, PAULI[0]))
+        for first, second in (solves, solves[::-1]):
+            calls.clear()
+            dp = density_point(m)
+            assert calls == []
+            first(dp)
+            assert calls == ["eigh"]
+            second(dp)
+            assert calls == ["eigh"]
+
+    def test_verify_runs_one_eigh_per_instance(self, calls):
+        # The table's sha256 is that of the same run when admission also ran eigh.
+        table = run_verification(42, 20).table()
+        assert calls.count("eigh") == 20
+        digest = "589db52befc46aed7727a21a34c2b01130a66af0976695ad721c497e1643c89b"
+        assert hashlib.sha256(table.encode()).hexdigest() == digest
 
 
 class TestSldOperators:
