@@ -28,7 +28,9 @@ The ``kernel`` entry of a column times the library's kernels with ``timeit``:
 ``fisher_bundle_many`` and ``holevo_bounds_many`` on KERNEL_CELLS seeded
 generic cells (s uniform in the ball of radius 0.9, normal derivatives, one
 random positive-definite weight per cell) and ``holevo_bound`` on the first
-of them.  Each measurement is the minimum per call over KERNEL_TIMEIT rounds,
+of them, and ``explicit_evaluate_many``, the family layer: ``evaluate_many`` of
+the EXPLICIT model (``tools/golden.py``'s explicit model) on a 101 x 101 grid
+of its domain.  Each measurement is the minimum per call over KERNEL_TIMEIT rounds,
 taken in a fresh interpreter; it is repeated KERNEL_REPEATS times, the column
 that runs first alternating as for the paths, and the column keeps each
 run's seconds and their minimum and median.
@@ -76,6 +78,10 @@ LARGE_REPEATS = 3
 LARGE_PATHS = ("sweep_theta_1001",)
 MODELS = {"gz02.json": {"kind": "generic_z", "theta0": 0.2},
           "gz023.json": {"kind": "generic_z", "theta0": 0.23}}
+# The explicit model of tools/golden.py's small outputs, which the kernel entry
+# explicit_evaluate_many evaluates on a grid.
+EXPLICIT = {"kind": "explicit", "components": [
+    [[0.1, 0.4], [0.2, 0.0]], [[0.0, 0.1], [0.5, 0.1]], [[0.3, 0.0], [0.0, 0.2]]]}
 THETA = "0.2447,0.2447"
 WEIGHT = "0.55,0.1,0.45"
 OUT_CSV = "out.csv"  # the sweeps' --out file, relative to the working directory
@@ -103,12 +109,14 @@ KERNEL_TIMEIT = 15  # timeit rounds per fresh interpreter
 # {name: (statement, calls per round)}; the statements read the names KERNEL_SETUP defines.
 KERNEL = {"fisher_bundle_many": ("fisher_bundle_many(s, d1, d2)", 20),
           "holevo_bounds_many": ("holevo_bounds_many(fb, w)", 20),
-          "holevo_bound": ("holevo_bound(fb1, w1)", 2000)}
+          "holevo_bound": ("holevo_bound(fb1, w1)", 2000),
+          "explicit_evaluate_many": ("family.evaluate_many(t1, t2)", 20)}
 KERNEL_SETUP = f"""
 import numpy as np
 from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import WeightMatrix, holevo_bound, holevo_bounds_many
 from holevo2q.fisher import fisher_bundle, fisher_bundle_many
+from holevo2q.models import from_descriptor
 rng = np.random.default_rng(0)
 s = rng.standard_normal(({KERNEL_CELLS}, 3))
 s *= 0.9 * rng.random(({KERNEL_CELLS}, 1)) ** (1 / 3) / np.linalg.norm(s, axis=1, keepdims=True)
@@ -120,6 +128,9 @@ if (fb.d_invariant | fb.asymptotically_classical).any():
     raise SystemExit("a kernel cell is not generic")
 fb1 = fisher_bundle(BlochModelPoint(s[0], d1[0], d2[0]))
 w1 = WeightMatrix(float(w.w11[0]), float(w.w12[0]), float(w.w22[0]))
+family = from_descriptor({EXPLICIT!r})
+t1, t2 = np.meshgrid(*(np.linspace(*interval, 101) for interval in
+                       (family.domain.theta1, family.domain.theta2)))
 """
 
 

@@ -57,8 +57,8 @@ PERFBENCH = os.path.realpath(os.path.join(ROOT, "perfbench"))
 
 # The tools directory is on sys.path: it holds this script, and the test adds it.
 import sweep_diff  # noqa: E402
-from bench_summary import (MODELS, OUT_CSV, PATHS, THETA, WEIGHT, _command, _run,  # noqa: E402
-                           take_out_csv, write_models)
+from bench_summary import (EXPLICIT, MODELS, OUT_CSV, PATHS, THETA, WEIGHT, _command,  # noqa: E402
+                           _run, take_out_csv, write_models)
 
 GOLDEN = ("bounds", "sweep_weight_53", "sweep_weight_42", "sweep_theta", "classify_grid",
           "verify", "oracle_values")
@@ -66,8 +66,7 @@ SMALL_MODELS = {
     "unitary.json": {"kind": "unitary", "radius": 0.7},
     "planar.json": {"kind": "planar", "u1": [1, 0, 0], "u2": [0, 0.6, 0.8],
                     "f1": [[0.1, 0.5], [0.3, 0.2]], "f2": [[0.0, 1.0, 0.2], [0.1, 0.0, 0.0]]},
-    "explicit.json": {"kind": "explicit", "components": [
-        [[0.1, 0.4], [0.2, 0.0]], [[0.0, 0.1], [0.5, 0.1]], [[0.3, 0.0], [0.0, 0.2]]]},
+    "explicit.json": EXPLICIT,
 }
 # {model kind: (model file, theta)}: each gives a bounds and a classify --grid 11 output.
 SMALL_POINTS = {"generic_z": ("gz02.json", THETA), "unitary": ("unitary.json", "1.1,0.6"),
@@ -90,6 +89,8 @@ SMALL = {
        for kind, (model, theta) in SMALL_POINTS.items()},
     **{f"{path}_grid11.csv": [*PATHS[path], "--grid", "11"]
        for path in ("sweep_weight_53", "sweep_weight_42", "sweep_theta")},
+    **{f"sweep_theta_{kind}_grid11.csv": _theta_grid(SMALL_POINTS[kind][0], grid="11")
+       for kind in ("planar", "explicit")},
 }
 # The refusal corpus: {model file name: descriptor, or the raw text of a file
 # that is not JSON} and {case name: CLI arguments}, run in the models' directory.
