@@ -12,19 +12,17 @@ Each family maps a parameter pair theta = (theta1, theta2) to a
 * :class:`Explicit` -- any user-supplied s(theta) with three polynomial
   components.
 
-Polynomial components, of :class:`Planar` and :class:`Explicit` alike, are
-differentiated exactly through one path (``_poly_arrays``).  A model that is
-not polynomial needs no family: its (N, 3) stacks of s, d1s and d2s go to
-``holevo2q.fisher.fisher_bundle_many`` and then
-``holevo2q.bounds.holevo_bounds_many`` as they are.
+Polynomial components, of :class:`Planar` and :class:`Explicit` alike, and
+their exact partials come from one table of powers of each variable
+(``_poly_arrays``).  A model that is not polynomial needs no family: its
+(N, 3) stacks of s, d1s and d2s go to ``holevo2q.fisher.fisher_bundle_many``
+and then ``holevo2q.bounds.holevo_bounds_many`` as they are.
 
 Families serialize to plain JSON descriptors (``to_descriptor`` /
 ``from_descriptor``) so the CLI can load them from files.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -66,29 +64,7 @@ class Poly2D(Record):
 
     def __call__(self, x, y):
         """f at (x, y), elementwise over arrays of points."""
-        xs = np.asarray(x, dtype=float)[..., None] ** np.arange(self.coeffs.shape[0])
-        ys = np.asarray(y, dtype=float)[..., None] ** np.arange(self.coeffs.shape[1])
-        return ((xs[..., None, :] @ self.coeffs) @ ys[..., :, None])[..., 0, 0]
-
-    def dx(self) -> Poly2D:
-        c = self.coeffs
-        if c.shape[0] == 1:
-            return Poly2D(np.zeros((1, c.shape[1])))
-        rows = np.arange(1, c.shape[0])
-        return Poly2D(c[1:, :] * rows[:, None])
-
-    def dy(self) -> Poly2D:
-        c = self.coeffs
-        if c.shape[1] == 1:
-            return Poly2D(np.zeros((c.shape[0], 1)))
-        cols = np.arange(1, c.shape[1])
-        return Poly2D(c[:, 1:] * cols[None, :])
-
-    @functools.cached_property
-    def gradient(self) -> tuple[Poly2D, Poly2D]:
-        """(:meth:`dx`, :meth:`dy`), built once per polynomial: what
-        ``_poly_arrays`` evaluates on every call."""
-        return self.dx(), self.dy()
+        return _poly_arrays([self], x, y)[0][..., 0]
 
     def tolist(self) -> list:
         return self.coeffs.tolist()
@@ -131,9 +107,20 @@ def _check_theta(theta) -> tuple[float, float]:
 
 def _poly_arrays(polys, t1, t2):
     """(values, d/dtheta1, d/dtheta2) of the polynomials ``polys`` at arrays
-    t1, t2: three (N, len(polys)) arrays, the derivatives exact."""
-    dxs, dys = zip(*(p.gradient for p in polys))
-    return tuple(stack_last([p(t1, t2) for p in ps], 1) for ps in (polys, dxs, dys))
+    t1, t2: three (..., len(polys)) arrays, from one table of powers per
+    variable; the partials' coefficients are c[1:] * i and c[:, 1:] * j."""
+    rows, cols = np.max([p.coeffs.shape for p in polys], axis=0)
+    xs = np.asarray(t1, dtype=float)[..., None] ** np.arange(rows)
+    ys = np.asarray(t2, dtype=float)[..., None] ** np.arange(cols)
+
+    def at(c):
+        return ((xs[..., None, :len(c)] @ c) @ ys[..., :c.shape[1], None])[..., 0, 0]
+
+    def terms(c):
+        i, j = np.indices(c.shape)
+        return at(c), at(c[1:] * i[1:]), at(c[:, 1:] * j[:, 1:])
+
+    return tuple(stack_last(f, 1) for f in zip(*(terms(p.coeffs) for p in polys)))
 
 
 class _Family(Record):

@@ -32,46 +32,67 @@ class TestPoly2D:
 
     def test_partials(self):
         p = Poly2D([[0.0, 0.0], [1.0, 2.0]])  # x + 2 x y
-        assert p.dx()(0.3, 0.7) == pytest.approx(1 + 2 * 0.7)
-        assert p.dy()(0.3, 0.7) == pytest.approx(2 * 0.3)
+        _, dx, dy = _poly_arrays([p], 0.3, 0.7)
+        assert dx[0] == pytest.approx(1 + 2 * 0.7)
+        assert dy[0] == pytest.approx(2 * 0.3)
 
 
 class TestPolyArrays:
     POLYS = ([[0.0, 0.0], [1.0, 2.0]], [[0.3]], [[0.1, -0.4, 0.2]], [[0.2], [0.5], [-0.1]])
 
     @staticmethod
-    def rebuilt_each_call(polys, t1, t2):
-        """The derivative polynomials built anew on every call."""
-        return tuple(stack_last([p(t1, t2) for p in ps], 1)
-                     for ps in (polys, [p.dx() for p in polys], [p.dy() for p in polys]))
+    def evaluated(c, x, y):
+        """sum_ij c[i, j] x^i y^j from power tables of c's own size, as (x^T C) y."""
+        xs = np.asarray(x, dtype=float)[..., None] ** np.arange(c.shape[0])
+        ys = np.asarray(y, dtype=float)[..., None] ** np.arange(c.shape[1])
+        return ((xs[..., None, :] @ c) @ ys[..., :, None])[..., 0, 0]
+
+    @classmethod
+    def rebuilt_each_call(cls, coeffs, t1, t2):
+        """Each polynomial and its two derivative polynomials, each evaluated
+        from power tables of its own size; the partial of a one-row or
+        one-column polynomial is a one-row or one-column zero polynomial."""
+        out = []
+        for c in map(np.atleast_2d, coeffs):
+            a, b = c.shape
+            dx = c[1:, :] * np.arange(1, a)[:, None] if a > 1 else np.zeros((1, b))
+            dy = c[:, 1:] * np.arange(1, b)[None, :] if b > 1 else np.zeros((a, 1))
+            out.append([cls.evaluated(d, t1, t2) for d in (c, dx, dy)])
+        return tuple(stack_last(list(f), 1) for f in zip(*out))
 
     def test_outputs_bit_equal_to_rebuilding(self):
         rng = np.random.default_rng(11)
-        t1, t2 = rng.uniform(-0.7, 0.7, (2, 50))
-        polys = [Poly2D(c) for c in self.POLYS]
-        for _ in range(2):
-            got = _poly_arrays(polys, t1, t2)
-            want = self.rebuilt_each_call([Poly2D(c) for c in self.POLYS], t1, t2)
-            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        coeff_sets = [self.POLYS] + [
+            [rng.standard_normal(tuple(rng.integers(1, 5, 2))) for _ in range(rng.integers(1, 5))]
+            for _ in range(40)]
+        for n in (1, 50):
+            t1, t2 = rng.uniform(-0.7, 0.7, (2, n))
+            t1[::7] = t2[3::7] = -0.0
+            for coeffs in coeff_sets:
+                got = _poly_arrays([Poly2D(c) for c in coeffs], t1, t2)
+                want = self.rebuilt_each_call(coeffs, t1, t2)
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        for c in (c for coeffs in coeff_sets for c in coeffs):
+            for x, y in ((0.3, -0.0), (-0.0, 0.6), (t1, t2), (t1[:1], 0.2), (t1[:4, None], t2[:3])):
+                got, want = Poly2D(c)(x, y), self.evaluated(np.atleast_2d(c), x, y)
+                assert type(got) is type(want) and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
-    def test_derivatives_built_once_per_component(self, monkeypatch):
-        calls = {"dx": [], "dy": []}
-        for name in calls:
-            original = getattr(Poly2D, name)
-
-            def counted(self, _name=name, _original=original):
-                calls[_name].append(id(self))
-                return _original(self)
-
-            monkeypatch.setattr(Poly2D, name, counted)
+    def test_evaluation_builds_no_polynomial(self, monkeypatch):
         families = [Planar(XHAT, YHAT, f1=self.POLYS[0], f2=self.POLYS[2]),
                     Explicit(self.POLYS[1:])]
-        for _ in range(3):
-            for fam in families:
-                fam.evaluate_many([0.1, 0.2], [0.3, -0.1])
-        components = [families[0].f1, families[0].f2, *families[1].components]
-        expected = sorted(id(p) for p in components)
-        assert sorted(calls["dx"]) == sorted(calls["dy"]) == expected
+        built = []
+        original = Poly2D.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Poly2D, "__post_init__", counted)
+        for fam in families:
+            fam.evaluate((0.1, 0.3))
+            fam.evaluate_many([0.1, 0.2], [0.3, -0.1])
+        assert built == []
 
 
 class TestGenericZ:

@@ -12,7 +12,8 @@ and stderr captured: the CLI through ``holevo2q.cli.main``,
 records; a kept path that exits non-zero or writes to stderr is an error.
 
 The SMALL outputs (``bounds`` and ``classify --grid 11`` JSON at one point
-of each of four model kinds, the three sweeps at ``--grid 11``) are kept as
+of each of four model kinds, the three sweeps at ``--grid 11``, and
+``sweep-theta --grid 11`` on the planar and explicit models) are kept as
 full text, one file each in ``tests/golden/``, so a reader sees every byte
 that a change moves.  So is the refusal corpus, ``tests/golden/refusals.json``:
 for each REFUSALS case (a malformed model file, an out-of-range weight or
