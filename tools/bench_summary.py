@@ -27,13 +27,13 @@ measured in fresh interpreters with ``PYTHONPATH=ROOT/src``.  The paths are
 The ``kernel`` entry of a column times the library's kernels with ``timeit``:
 ``fisher_bundle_many`` and ``holevo_bounds_many`` on KERNEL_CELLS seeded
 generic cells (s uniform in the ball of radius 0.9, normal derivatives, one
-random positive-definite weight per cell) and ``holevo_bound`` on the first
-of them, and ``explicit_evaluate_many``, the family layer: ``evaluate_many`` of
+random positive-definite weight per cell), ``holevo_bound`` on the first of
+them, and ``explicit_evaluate_many``, the family layer: ``evaluate_many`` of
 the EXPLICIT model (``tools/golden.py``'s explicit model) on a 101 x 101 grid
-of its domain.  Each measurement is the minimum per call over KERNEL_TIMEIT rounds,
-taken in a fresh interpreter; it is repeated KERNEL_REPEATS times, the column
-that runs first alternating as for the paths, and the column keeps each
-run's seconds and their minimum and median.
+of its domain.  Each measurement is the minimum per call over KERNEL_TIMEIT
+rounds, taken in a fresh interpreter; it is repeated KERNEL_REPEATS times, the
+column that runs first alternating as for the paths, and the column keeps
+each run's seconds and their minimum and median.
 
 Every other path runs REPEATS times, the short start-up paths SHORT_REPEATS
 times and the LARGE_PATHS LARGE_REPEATS times.  A path's repetitions run back
