@@ -145,7 +145,7 @@ class WeightMatrix(Record):
         return cls(1.0, 0.0, 1.0)
 
     def scaled(self, factor: float) -> WeightMatrix:
-        if factor <= 0.0:
+        if not factor > 0.0:
             raise DomainError("weight scale factor must be positive")
         return WeightMatrix(factor * self.w11, factor * self.w12, factor * self.w22)
 
@@ -278,8 +278,8 @@ def boundary_weight_family(fb: FisherBundle, w, w2, c: float = 1.0) -> WeightMat
     w, w2 = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(w2, dtype=float))
     checks = [
         (~(np.abs(w) < 1.0), DomainError, "require |w| < 1 for positive definiteness"),
-        (w2 <= 0.0, DomainError, "require w2 > 0"),
-        (np.full(w.shape, c <= 0.0), DomainError, "require scale c > 0"),
+        (~(w2 > 0.0), DomainError, "require w2 > 0"),
+        (np.full(w.shape, not c > 0.0), DomainError, "require scale c > 0"),
     ]
     # The first cell's own guards come before the point's special-model guard.
     raise_first([(bad.ravel()[:1], exc, message) for bad, exc, message in checks])

@@ -8,11 +8,12 @@ A mixed two-parameter qubit point falls into one of three classes:
   the Holevo bound equals the SLD bound for every weight.
 * generic: everything else; the bound switches branch as the weight varies.
 
-A family is globally D-invariant, as :func:`classify_rows` reports over its
-``evaluate_many`` rows, exactly when |s_theta| is constant: iff it is unitary.
-
 A verdict, :class:`ModelClass`, is the bundle of one ``bloch_scalars_many``
-pass, whose ``label`` reads its flags (:func:`classify_point` at one point).
+pass, whose ``label`` reads its flags: :func:`classify_rows` over the rows of
+a family's ``evaluate_many`` grid, :func:`classify_point` its length-1 view.
+A family is globally D-invariant where every row's ``d_invariant`` flag holds;
+the theorem's equivalent, |s_theta| constant (the unitary families), is not
+the test.
 The pure-state limits, which continue the Bloch-matrix forms to the shell,
 are in :mod:`holevo2q.matrix_forms`.
 """
@@ -23,7 +24,7 @@ import enum
 
 import numpy as np
 
-from .bloch import CLASSIFICATION_RTOL, BlochModelPoint, Record, dot3
+from .bloch import CLASSIFICATION_RTOL, BlochModelPoint
 from .errors import DomainError
 from .fisher import FisherBundle, bloch_scalars_many
 
@@ -32,7 +33,6 @@ __all__ = [
     "ModelLabel",
     "ModelClass",
     "classify_point",
-    "FamilyClassification",
     "classify_rows",
 ]
 
@@ -64,28 +64,16 @@ def classify_point(m: BlochModelPoint) -> ModelClass:
     Raises :class:`DegenerateModelError` for dependent derivatives, DomainError
     where they overflow; a singular SLD Fisher matrix is not an error here.
     """
-    return ModelClass(*bloch_scalars_many(m.s, m.d1s, m.d2s)._values()).item()
+    return classify_rows(m.s, m.d1s, m.d2s).item()
 
 
-class FamilyClassification(Record):
-    globally_d_invariant: bool
-    radii: np.ndarray
-    point_classes: ModelClass
-
-
-def classify_rows(s, d1, d2) -> FamilyClassification:
-    """The verdicts of the rows of (N, 3) stacks of (s, d1s, d2s), as one
-    stacked :class:`ModelClass`, from one
+def classify_rows(s, d1, d2) -> ModelClass:
+    """The verdicts of the rows of (N, 3) stacks of (s, d1s, d2s), or of one
+    point's 3-vectors, as one stacked :class:`ModelClass`, from one
     :func:`~holevo2q.fisher.bloch_scalars_many` pass that raises what
     ``classify_point`` raises at the first row that fails.  Row i has the bits
-    of ``classify_point`` of that row.  The rows are globally D-invariant iff
-    |s| is constant over them (relative spread below ``CLASSIFICATION_RTOL``).
+    of ``classify_point`` of that row.
     """
-    s = np.asarray(s, dtype=float)
     if not len(s):
         raise DomainError("classification grid is empty")
-    point_classes = ModelClass(*bloch_scalars_many(s, d1, d2)._values())
-    radii = np.sqrt(dot3(s, s))
-    spread = float(radii.max() - radii.min())
-    globally_d_invariant = spread <= CLASSIFICATION_RTOL * max(float(radii.max()), 1e-300)
-    return FamilyClassification(globally_d_invariant, radii, point_classes)
+    return ModelClass(*bloch_scalars_many(s, d1, d2)._values())

@@ -185,8 +185,8 @@ def cmd_sweep_theta(args) -> int:
 def cmd_classify(args) -> int:
     from .classify import classify_point, classify_rows
 
-    if args.grid < 0:
-        raise ModelError("--grid must be non-negative")
+    if args.grid < 0 or args.grid == 1:
+        raise ModelError("--grid must be 0 or at least 2")
     family = load_model(args.model)
     out: dict = {"model": family.to_descriptor()}
     if args.theta is not None:
@@ -205,11 +205,11 @@ def cmd_classify(args) -> int:
         limits = (family.domain.theta1, family.domain.theta2)
         axes = [np.linspace(lo, hi, args.grid + 2)[1:-1] for lo, hi in limits]
         s, d1, d2, usable = _usable_rows(family, axes)
-        fam = _in_cell(["theta1", "theta2"], _cell_labels(axes, usable), classify_rows, s, d1, d2)
+        rows = _in_cell(["theta1", "theta2"], _cell_labels(axes, usable), classify_rows, s, d1, d2)
         out["family"] = {
-            "globally_d_invariant": fam.globally_d_invariant,
-            "grid_points": len(fam.radii),
-            "labels_present": sorted(set(fam.point_classes.label.tolist())),
+            "globally_d_invariant": bool(rows.d_invariant.all()),
+            "grid_points": len(s),
+            "labels_present": sorted(set(rows.label.tolist())),
         }
     print(json.dumps(out, indent=2, allow_nan=False))
     return 0

@@ -138,6 +138,10 @@ class TestWeightMatrix:
         with pytest.raises(DomainError, match="weight scale factor must be positive"):
             WeightMatrix.identity().scaled(-1.0)
 
+    def test_rejects_a_nan_scale_as_not_positive(self):
+        with pytest.raises(DomainError, match="^weight scale factor must be positive$"):
+            WeightMatrix.identity().scaled(np.nan)
+
     def test_matrix_round_trip(self):
         w = WeightMatrix(2.0, 0.5, 1.0)
         assert np.allclose(WeightMatrix.from_matrix(w.matrix).matrix, w.matrix)
@@ -515,6 +519,18 @@ class TestWeightRegions:
                 w = boundary_weight_family(fb, rho * np.cos(phi), rho * np.sin(phi))
                 rep = holevo_bound(fb, w)
                 assert max(rep.c_s, rep.c_r) <= rep.c_h <= rep.c_z
+
+    # NaN fails every comparison, so each guard is written as "not > 0".
+    @pytest.mark.parametrize("w2, c, message", [
+        (np.nan, 1.0, "require w2 > 0"),
+        (0.0, 1.0, "require w2 > 0"),
+        (0.5, np.nan, "require scale c > 0"),
+        (0.5, 0.0, "require scale c > 0"),
+    ], ids=["w2_nan", "w2_zero", "c_nan", "c_zero"])
+    def test_family_refuses_a_parameter_that_is_not_positive(self, w2, c, message):
+        fb = bundle([0.25, 0.35, 0.4])
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            boundary_weight_family(fb, 0.3, w2, c=c)
 
     def test_family_output_positive_definite(self):
         fb = bundle([0.25, 0.35, 0.4])

@@ -203,16 +203,14 @@ class TestClassifyFamily:
         fam = Unitary(radius=0.8)
         ts = np.linspace(0.3, 2.5, 7)
         grid = [(a, b) for a in ts for b in ts]
-        rep = classify_rows(*grid_rows(fam, grid))
-        assert rep.globally_d_invariant
-        assert rep.point_classes.d_invariant.all()
+        assert classify_rows(*grid_rows(fam, grid)).d_invariant.all()
 
     def test_fixed_height_family_not_global(self):
         fam = GenericZ(0.35)
         grid = [(0.1, 0.2), (0.0, 0.0), (0.3, 0.1), (0.0, 0.4)]
-        rep = classify_rows(*grid_rows(fam, grid))
-        assert not rep.globally_d_invariant
-        labels = rep.point_classes.label
+        rows = classify_rows(*grid_rows(fam, grid))
+        assert not rows.d_invariant.all()
+        labels = rows.label
         assert labels[0] == ModelLabel.GENERIC.value
         assert labels[1] == ModelLabel.D_INVARIANT.value  # the origin
         assert labels[3] == ModelLabel.GENERIC.value  # single-axis point
@@ -224,8 +222,7 @@ class TestClassifyFamily:
     def test_planar_family_all_classical(self):
         fam = Planar(u1=XHAT, u2=YHAT)
         grid = [(0.1, 0.2), (0.3, -0.1), (-0.2, 0.4)]
-        rep = classify_rows(*grid_rows(fam, grid))
-        assert rep.point_classes.asymptotically_classical.all()
+        assert classify_rows(*grid_rows(fam, grid)).asymptotically_classical.all()
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.kind)
     def test_bit_identical_to_per_point_definition(self, fam):
@@ -233,18 +230,15 @@ class TestClassifyFamily:
         # The middle half of the domain, where every family is strictly mixed.
         axis1, axis2 = np.linspace(lo1, hi1, 9)[2:-2], np.linspace(lo2, hi2, 9)[2:-2]
         grid = [(a, b) for a in axis1 for b in axis2]
-        rep = classify_rows(*grid_rows(fam, grid))
         points = [fam.evaluate(theta) for theta in grid]
-        radii = np.array([np.linalg.norm(p.s) for p in points])
-        assert rep.radii.tobytes() == radii.tobytes()
-        assert_rows_are_point_verdicts(rep.point_classes, points)
+        assert_rows_are_point_verdicts(classify_rows(*grid_rows(fam, grid)), points)
 
     def test_rows_are_one_stacked_verdict(self):
         # Interior points of every family kind: all three labels occur.
         points = [fam.evaluate((np.mean(fam.domain.theta1) + a, np.mean(fam.domain.theta2) + b))
                   for fam in FAMILIES for a in (0.0, 0.1) for b in (0.0, -0.2)]
         s, d1, d2 = (np.array([getattr(p, name) for p in points]) for name in ("s", "d1s", "d2s"))
-        stack = classify_rows(s, d1, d2).point_classes
+        stack = classify_rows(s, d1, d2)
         assert type(stack) is ModelClass
         assert [len(v) for v in stack._values()] == [len(points)] * len(ModelClass._fields)
         assert set(stack.label.tolist()) == {label.value for label in ModelLabel}

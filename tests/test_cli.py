@@ -317,6 +317,23 @@ class TestClassifyCommand:
         assert data["family"]["globally_d_invariant"] is True
 
 
+    @pytest.mark.parametrize("grid", ["2", "3", "4", "5"])
+    def test_family_verdict_is_every_cells_flag(self, generic_model, grid):
+        # At --grid 2 the four cells of generic_z lie symmetric about theta = 0,
+        # so |s| is equal on them, yet none of them is D-invariant.
+        code, out, err = run_cli("classify", "--model", generic_model, "--grid", grid)
+        assert (code, err) == (0, "")
+        family = json.loads(out)["family"]
+        assert family["grid_points"] == int(grid) ** 2
+        assert family["globally_d_invariant"] is (family["labels_present"] == ["d_invariant"])
+        assert family["globally_d_invariant"] is False
+
+    @pytest.mark.parametrize("grid", ["1", "-1"])
+    def test_grid_of_one_cell_or_negative_invalid(self, generic_model, grid):
+        # One cell decides no family verdict: at --grid 1 it is the domain centre.
+        result = run_cli("classify", "--model", generic_model, "--grid", grid)
+        assert result == (2, "", "ModelError: --grid must be 0 or at least 2\n")
+
     def test_negative_grid_invalid(self, generic_model):
         code, out, err = run_cli("classify", "--model", generic_model, "--grid", "-1")
         assert code == 2
@@ -542,6 +559,34 @@ def test_refused_argument_is_invalid_input(generic_model, tmp_path, argv, messag
     result = run_cli(argv[0], "--model", generic_model, *argv[1:], *to_file)
     assert result == (2, "", message + "\n")
     assert not out.exists()
+
+
+# A number that parses but is not finite is refused under its own name.
+NON_FINITE_ARGUMENTS = {
+    **{f"{command}_theta_{x}": (
+        [command, "--theta", f"{x},0", *extra],
+        f"DomainError: theta must be a finite 2-vector, got ({x}, 0.0)")
+       for command, extra in (("bounds", ["--weight", "1,0,1"]), ("sweep-weight", []),
+                              ("classify", []))
+       for x in ("nan", "inf")},
+    "sweep_weight_53_w_max": (
+        ["sweep-weight", "--theta", "0.2,0.1", "--weight-family", "53", "--w-max", "nan"],
+        "DomainError: weight parameter w = nan must lie in (-1, 1)"),
+    "sweep_weight_42_w_max": (
+        ["sweep-weight", "--theta", "0.2,0.1", "--weight-family", "42", "--w-max", "nan"],
+        "DomainError: require |w| < 1 for positive definiteness"),
+    **{f"sweep_weight_42_{option[2:].replace('-', '_')}": (
+        ["sweep-weight", "--theta", "0.2,0.1", "--weight-family", "42", option, "nan"],
+        "DomainError: require w2 > 0")
+       for option in ("--w2-min", "--w2-max")},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", NON_FINITE_ARGUMENTS.values(), ids=NON_FINITE_ARGUMENTS.keys()
+)
+def test_non_finite_argument_is_refused_under_its_name(generic_model, argv, message):
+    assert run_cli(argv[0], "--model", generic_model, *argv[1:]) == (2, "", message + "\n")
 
 
 SWEEP_ARGUMENTS = {

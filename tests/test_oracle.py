@@ -501,6 +501,16 @@ class TestMinimizers:
         assert value == pytest.approx(3.0, rel=1e-10)
         assert np.abs(xi).max() <= 1e-5
 
+    def test_2d_refuses_duals_that_miss_the_constraints(self):
+        # <dual1, d1s> = 1.01: the reduced parametrization's own check refuses it.
+        m = GenericZ(0.2).evaluate((0.3, -0.25))
+        fm = fisher_matrices(m)
+        off = type(fm)(**{**dict(zip(fm._fields, fm._values())), "dual1": 1.01 * fm.dual1})
+        minimize_holevo_2d(m, WeightMatrix.identity(), fm)  # the record itself is accepted
+        with pytest.raises(DegenerateModelError,
+                           match="^reduced parametrization violates the constraints$"):
+            minimize_holevo_2d(m, WeightMatrix.identity(), off)
+
     def test_2d_matches_closed_form(self):
         rng = np.random.default_rng(82)
         for _ in range(60):

@@ -13,7 +13,7 @@ import pytest
 
 from holevo2q.bloch import BlochModelPoint
 from holevo2q.bounds import BoundsReport, Branch, WeightMatrix
-from holevo2q.classify import FamilyClassification, ModelClass
+from holevo2q.classify import ModelClass
 from holevo2q.fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 from holevo2q.matrix_forms import FisherMatrices
 from holevo2q.models import Domain, Explicit, GenericZ, Planar, Poly2D, Unitary
@@ -61,10 +61,6 @@ RECORDS = [
      f"ModelClass(gram={EYE2}, radial=array([0.1, 0.2]), triple_product=0.75, "
      "perp_quadratic=0.4, gamma=array([ 0.25, -0.5 ]), one_minus_s_sq=0.86, d_invariant=False, "
      "asymptotically_classical=False)"),
-    (FamilyClassification, ("globally_d_invariant", "radii", "point_classes"),
-     (True, np.array([0.5, 0.5]), ()),
-     "FamilyClassification(globally_d_invariant=True, radii=array([0.5, 0.5]), "
-     "point_classes=())"),
     (Poly2D, ("coeffs",), ([[0.0, 1.0], [2.0, 0.0]],),
      "Poly2D(coeffs=array([[0., 1.],\n       [2., 0.]]))"),
     (Domain, ("theta1", "theta2"), ((-0.5, 0.5), (-0.25, 0.25)), DOMAIN_REPR),
