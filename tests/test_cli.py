@@ -316,11 +316,11 @@ class TestClassifyCommand:
         data = json.loads(out)
         assert data["family"]["globally_d_invariant"] is True
 
-
-    @pytest.mark.parametrize("grid", ["2", "3", "4", "5"])
+    @pytest.mark.parametrize("grid", ["2", "3"])
     def test_family_verdict_is_every_cells_flag(self, generic_model, grid):
         # At --grid 2 the four cells of generic_z lie symmetric about theta = 0,
-        # so |s| is equal on them, yet none of them is D-invariant.
+        # so |s| is equal on them, yet none of them is D-invariant; at --grid 3
+        # only the centre cell is.
         code, out, err = run_cli("classify", "--model", generic_model, "--grid", grid)
         assert (code, err) == (0, "")
         family = json.loads(out)["family"]
