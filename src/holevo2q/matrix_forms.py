@@ -48,7 +48,7 @@ from .fisher import FisherBundle, fisher_bundle, fisher_bundle_many
 
 __all__ = [
     "q_matrix", "q_inverse", "f_matrix", "q_tilde", "q_tilde_inverse", "sld_bloch_vectors",
-    "rld_bloch_vectors", "ell_perp", "invert_2x2", "FisherMatrices", "sld_duals",
+    "rld_bloch_vectors", "ell_perp", "invert_2x2", "raise_duals", "FisherMatrices", "sld_duals",
     "fisher_matrices", "trabs", "pure_limit_duals", "pure_limit_rld_inverse", "pure_limit_holevo",
 ]
 
@@ -127,6 +127,12 @@ def invert_2x2(mat: np.ndarray, exc: type[Exception] = DegenerateModelError) -> 
     return np.array([[d, -b], [-c, a]], dtype=m.dtype) / det
 
 
+def raise_duals(inverse, x1, x2):
+    """Dual basis x^i = sum_j inverse_ji x_j of Bloch vectors or operators x1, x2,
+    for inverse G^-1 or G~^-1 (Hermitian: its transpose is its conjugate)."""
+    return (inverse[0, 0] * x1 + inverse[1, 0] * x2, inverse[0, 1] * x1 + inverse[1, 1] * x2)
+
+
 def _bilinear(u: np.ndarray, mat: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.conj(u) @ (mat @ v))
 
@@ -167,9 +173,7 @@ def sld_duals(m: BlochModelPoint):
     l1, l2 = q @ d1, q @ d2
     g = np.array([[float(dq @ b) for b in (d1, d2)] for dq in (d1 @ q, d2 @ q)])
     g_inv = invert_2x2(g)
-    dual1 = g_inv[0, 0] * l1 + g_inv[1, 0] * l2
-    dual2 = g_inv[0, 1] * l1 + g_inv[1, 1] * l2
-    return fb, g, g_inv, dual1, dual2
+    return (fb, g, g_inv, *raise_duals(g_inv, l1, l2))
 
 
 def fisher_matrices(m: BlochModelPoint) -> FisherMatrices:
@@ -225,11 +229,7 @@ def pure_limit_duals(
     """
     if m.is_mixed:
         fm = fisher_matrices(m)
-        gt_inv = fm.g_tilde_inv
-        r1, r2 = rld_bloch_vectors(m)
-        rdual1 = gt_inv[0, 0] * r1 + gt_inv[1, 0] * r2
-        rdual2 = gt_inv[0, 1] * r1 + gt_inv[1, 1] * r2
-        return fm.dual1, fm.dual2, rdual1, rdual2
+        return (fm.dual1, fm.dual2, *raise_duals(fm.g_tilde_inv, *rld_bloch_vectors(m)))
     l1, l2, _ = _shell_limit(m)
     return l1, l2, l1.astype(complex), l2.astype(complex)
 

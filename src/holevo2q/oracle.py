@@ -47,7 +47,7 @@ from .errors import (
     PureStateError,
     SingularMatrixError,
 )
-from .matrix_forms import invert_2x2, sld_duals, trabs
+from .matrix_forms import invert_2x2, raise_duals, sld_duals, trabs
 
 __all__ = [
     "PAULI",
@@ -201,12 +201,10 @@ def operator_fisher(dp: DensityPoint, slds, rlds):
     with ``slds`` and ``rlds`` the operators ``sld_operators(dp)`` and
     ``rld_operators(dp)``.
     """
-    l1, l2 = slds
     rho = dp.rho
     g = np.array([[sld_inner(rho, a, b).real for b in slds] for a in slds])
     gt = np.array([[rld_inner(rho, a, b) for b in rlds] for a in rlds])
-    g_inv = invert_2x2(g)
-    duals = (g_inv[0, 0] * l1 + g_inv[1, 0] * l2, g_inv[0, 1] * l1 + g_inv[1, 1] * l2)
+    duals = raise_duals(invert_2x2(g), *slds)
     z = np.array([[np.trace(rho @ duals[j] @ duals[i]) for j in range(2)] for i in range(2)])
     return g, gt, z
 

@@ -18,7 +18,7 @@ from .bloch import Record, factory
 from .bounds import WeightMatrix, holevo_bound
 from .errors import ModelError, SingularMatrixError
 from .matrix_forms import (ell_perp, f_matrix, fisher_matrices, invert_2x2, q_inverse,
-                           rld_bloch_vectors, sld_bloch_vectors, trabs)
+                           raise_duals, rld_bloch_vectors, sld_bloch_vectors, trabs)
 from .oracle import (
     commutation_operator,
     density_point,
@@ -135,8 +135,7 @@ def _point_checks(fm) -> dict:
     detg = float(np.linalg.det(fm.g))
     detgt = float(np.linalg.det(fm.g_tilde).real)
     g_inv, gt_inv = invert_2x2(g_op), invert_2x2(gt_op)
-    duals = [g_inv[0, i] * l_ops[0] + g_inv[1, i] * l_ops[1] for i in range(2)]
-    rduals = [gt_inv[0, i] * lt_ops[0] + gt_inv[1, i] * lt_ops[1] for i in range(2)]
+    duals, rduals = raise_duals(g_inv, *l_ops), raise_duals(gt_inv, *lt_ops)
     d_duals = [commutation_operator(dp, dual) for dual in duals]
     # Relative like cross_path_*: the residual is the rounding of G^-1 and G~^-1.
     pairing_scale = max(1.0, np.abs(g_inv).max(), np.abs(gt_inv).max())
