@@ -154,11 +154,14 @@ def cmd_sweep_weight(args) -> int:
 
     first = np.linspace(-args.w_max, args.w_max, args.grid)
     if args.weight_family == "53":
+        if (args.w2_min, args.w2_max) != (None, None):
+            raise ModelError("--w2-min and --w2-max apply only to --weight-family 42")
         second = np.linspace(0.0, 2.0 * np.pi, args.grid, endpoint=False)
         coords = ["w", "omega"]
         weights = weight_from_angles(*_grid(first, second))
     else:  # family "42": boundary-adapted coordinates (w, w2)
-        second = np.linspace(args.w2_min, args.w2_max, args.grid)
+        second = np.linspace(0.05 if args.w2_min is None else args.w2_min,
+                             1.95 if args.w2_max is None else args.w2_max, args.grid)
         coords = ["w", "w2"]
         weights = boundary_weight_family(fb, *_grid(first, second))
     _emit_csv(args.out, "sweep-weight", coords, _cell_labels((first, second)), fb, weights)
@@ -247,8 +250,8 @@ _COMMANDS = {
             choices=("53", "42"), default="53",
             help="53: rotated trace-one weights (w, omega); 42: boundary-adapted (w, w2)")),
         ("--w-max", dict(type=float, default=0.99)),
-        ("--w2-min", dict(type=float, default=0.05)),
-        ("--w2-max", dict(type=float, default=1.95)),
+        ("--w2-min", dict(type=float)),
+        ("--w2-max", dict(type=float)),
         ("--out", dict(default=None, help="output CSV path (default stdout)")),
     )),
     "sweep-theta": (cmd_sweep_theta, "sweep the parameter-space grid", (

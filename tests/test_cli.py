@@ -589,6 +589,15 @@ def test_non_finite_argument_is_refused_under_its_name(generic_model, argv, mess
     assert run_cli(argv[0], "--model", generic_model, *argv[1:]) == (2, "", message + "\n")
 
 
+# Family 53 reads neither w2 option, so giving one is refused, whatever its value.
+@pytest.mark.parametrize("option", [
+    ["--w2-min", "0.5"], ["--w2-max", "nan"], ["--weight-family", "53", "--w2-min", "0.05"]],
+    ids=["w2_min", "w2_max_nan", "explicit_default"])
+def test_w2_option_outside_family_42_is_refused(generic_model, option):
+    assert run_cli("sweep-weight", "--model", generic_model, "--theta", "0.2,0.1", *option) == (
+        2, "", "ModelError: --w2-min and --w2-max apply only to --weight-family 42\n")
+
+
 SWEEP_ARGUMENTS = {
     "sweep-weight": ["--theta", "0.2,0.1", "--grid", "11"],
     "sweep-theta": ["--weight", "0.55,0.1,0.45", "--grid", "11"],

@@ -126,6 +126,8 @@ REFUSALS = {
     "sweep-weight-42-huge-w2": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
                                 "--weight-family", "42", "--w2-min", "1e160", "--w2-max",
                                 "1e161", "--grid", "3"],
+    "sweep-weight-53-w2-option": ["sweep-weight", "--model", "gz02.json", "--theta", THETA,
+                                  "--w2-min", "0.5", "--grid", "3"],
     "generic-z-height": _bounds_at("gz_height.json"),
     "unitary-radius": _bounds_at("unitary_radius.json", theta="1.1,0.6"),
     "theta-outside-domain": _bounds_at("gz02.json", theta="2,0"),
