@@ -17,6 +17,9 @@
 * Exact references on the float inputs, in ``fractions.Fraction``, for any
   W > 0: ``exact_bounds`` (the bounds; sqrt(det W) is the one quantity taken
   to 50 digits with mpmath) and ``exact_branch_sign`` (the sign of B[W]).
+* ``exact_holevo_minimum``: C^H from its definition, the least Holevo
+  function over locally unbiased observables, in the same arithmetic,
+  without B or the correction formula; it checks ``exact_bounds``' C^H.
 """
 
 from fractions import Fraction
@@ -208,6 +211,27 @@ def _apply(mat, v):
     return [_dot(row, v) for row in mat]
 
 
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _inv2(mat):
+    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    return [[mat[1][1] / det, -mat[0][1] / det], [-mat[1][0] / det, mat[0][0] / det]]
+
+
+def _exact_weight(w):
+    """(W, sqrt(det W)) as Fractions: W exact, and sqrt(det W) the Fraction of
+    a 50-digit mpmath square root of the exact det W (exactly 1 at det W = 1)."""
+    import mpmath  # lazy: only the exact reference needs it
+
+    wm = [[Fraction(w.w11), Fraction(w.w12)], [Fraction(w.w12), Fraction(w.w22)]]
+    det_w = wm[0][0] * wm[1][1] - wm[0][1] ** 2
+    with mpmath.workdps(50):
+        man, exp = mpmath.sqrt(mpmath.mpf(det_w.numerator) / det_w.denominator).man_exp
+    return wm, man * Fraction(2) ** exp
+
+
 def exact_bounds(m, w):
     """(C^S, C^R, C^Z, C^H) as Fractions, from the matrix definitions
     G = D^T Q D, G~ = D^T Q~ D and z^ij = <l^i, Q~^-1 l^j> on the SLD duals
@@ -216,13 +240,7 @@ def exact_bounds(m, w):
     where sqrt(det W) is the Fraction of a 50-digit mpmath square root of the
     exact det W (exactly 1 at det W = 1); every other quantity is exact.  The
     branch is :func:`exact_branch_sign`, which needs no square root."""
-    import mpmath  # lazy: only the exact reference needs it
-
-    wm = [[Fraction(w.w11), Fraction(w.w12)], [Fraction(w.w12), Fraction(w.w22)]]
-    det_w = wm[0][0] * wm[1][1] - wm[0][1] ** 2
-    with mpmath.workdps(50):
-        man, exp = mpmath.sqrt(mpmath.mpf(det_w.numerator) / det_w.denominator).man_exp
-    sqrt_det_w = man * Fraction(2) ** exp
+    wm, sqrt_det_w = _exact_weight(w)
     s = [Fraction(x) for x in m.s]
     ds = [[Fraction(x) for x in m.d1s], [Fraction(x) for x in m.d2s]]
     eps = 1 - _dot(s, s)
@@ -231,15 +249,11 @@ def exact_bounds(m, w):
     f = [[0, -s[2], s[1]], [s[2], 0, -s[0]], [-s[1], s[0], 0]]  # F a = s x a
     q_inv = [[eye[a][b] - s[a] * s[b] for b in range(3)] for a in range(3)]
 
-    def inv2(mat):
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        return [[mat[1][1] / det, -mat[0][1] / det], [-mat[1][0] / det, mat[0][0] / det]]
-
     def tr_w(mat):
         return sum(wm[i][j] * mat[j][i] for i in range(2) for j in range(2))
 
     g = [[_dot(di, _apply(q, dj)) for dj in ds] for di in ds]
-    g_inv = inv2(g)
+    g_inv = _inv2(g)
     # Q~ = (I - iF)/eps; G~ = re + i im is Hermitian.
     gt_re = [[_dot(di, dj) / eps for dj in ds] for di in ds]
     gt_im = [[-_dot(di, _apply(f, dj)) / eps for dj in ds] for di in ds]
@@ -272,10 +286,53 @@ def exact_branch_sign(m, w) -> int:
     s, d1, d2 = ([Fraction(x) for x in v] for v in (m.s, m.d1s, m.d2s))
     w11, w12, w22 = Fraction(w.w11), Fraction(w.w12), Fraction(w.w22)
     eps = 1 - _dot(s, s)
-    n = [d1[1] * d2[2] - d1[2] * d2[1], d1[2] * d2[0] - d1[0] * d2[2],
-         d1[0] * d2[1] - d1[1] * d2[0]]
-    k = _dot(s, n)
+    k = _dot(s, _cross(d1, d2))
     r1, r2 = _dot(s, d1), _dot(s, d2)
     q = w22 * r1 * r1 - 2 * w12 * r1 * r2 + w11 * r2 * r2
     diff = eps * eps * (w11 * w22 - w12 * w12) * k * k - q * q
     return (diff > 0) - (diff < 0)
+
+
+def exact_holevo_minimum(m, w):
+    """(C^H, case) from the definition of the Holevo bound, in Fractions: the
+    minimum over locally unbiased qubit observables X^i = a_i I + x^i.sigma of
+    Tr(W Re Z) + TrAbs(W Im Z), Z^ij = tr(rho X^j X^i), without B or the
+    correction formula of :func:`exact_bounds`.
+
+    Local unbiasedness fixes a_i = -s.x^i and d_j s.x^i = delta_ij, so
+    x^i = x^i_0 + xi_i n, with x^i_0 the dual basis of span(d1s, d2s) and
+    n = d1s x d2s.  Then Re Z^ij = <x^i, (I - |s><s|) x^j> and
+    |Im Z^12| = |s.(x^1 x x^2)|, so the objective is a quadratic in xi plus
+    2 sqrt(det W) |y0 + l.xi|: convex, with its minimum at the stationary
+    point of one sign-consistent smooth piece (``case`` "smooth", where
+    C^H = C^R) or on the kink line y0 + l.xi = 0 ("kink").  sqrt(det W) is
+    :func:`exact_bounds`' 50-digit Fraction; every other quantity is exact."""
+    wm, sqrt_det_w = _exact_weight(w)
+    s, d1, d2 = ([Fraction(x) for x in v] for v in (m.s, m.d1s, m.d2s))
+    n = _cross(d1, d2)
+    gram_inv = _inv2([[_dot(a, b) for b in (d1, d2)] for a in (d1, d2)])
+    x0 = [[row[0] * a + row[1] * b for a, b in zip(d1, d2)] for row in gram_inv]
+
+    def re_z(u, v):  # <u, (I - |s><s|) v>
+        return _dot(u, v) - _dot(s, u) * _dot(s, v)
+
+    def holevo_function(xi):
+        x = [[a + t * b for a, b in zip(x0_i, n)] for x0_i, t in zip(x0, xi)]
+        trace = sum(wm[i][j] * re_z(x[i], x[j]) for i in range(2) for j in range(2))
+        return trace + 2 * sqrt_det_w * abs(_dot(s, _cross(*x)))
+
+    # Gradient of the piece of sign sigma: 2 W b + 2 c W xi + 2 sigma sqrt(det W) l.
+    b, c = [re_z(x, n) for x in x0], re_z(n, n)
+    y0 = _dot(s, _cross(*x0))
+    lin = [_dot(s, _cross(n, x0[1])), _dot(s, _cross(x0[0], n))]
+    w_inv_l = _apply(_inv2(wm), lin)
+    candidates = []
+    for sigma in (1, -1):
+        xi = [-(bi + sigma * sqrt_det_w * vi) / c for bi, vi in zip(b, w_inv_l)]
+        if sigma * (y0 + _dot(lin, xi)) >= 0:
+            candidates.append((holevo_function(xi), "smooth"))
+    if any(lin):  # the least of the quadratic on the line: xi = -b/c + mu W^-1 l
+        mu = (_dot(lin, b) / c - y0) / _dot(lin, w_inv_l)
+        candidates.append((holevo_function([-bi / c + mu * vi for bi, vi in zip(b, w_inv_l)]),
+                           "kink"))
+    return min(candidates)

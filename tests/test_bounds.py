@@ -37,8 +37,8 @@ from holevo2q.sampling import (
     random_unit_vector,
     random_weight,
 )
-from reference import (OffBranchError, exact_bounds, exact_branch_sign, quadratic_abs_min,
-                       random_planar_point, trabs)
+from reference import (OffBranchError, exact_bounds, exact_branch_sign, exact_holevo_minimum,
+                       quadratic_abs_min, random_planar_point, trabs)
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -914,6 +914,39 @@ class TestExactReferenceAtAnyWeight:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
     def test_near_shell_labels_are_exact(self):
         assert [wrong_labels(near_shell_cells(delta)) for delta in (1e-6, 1e-9)] == [0, 0]
+
+
+class TestHolevoFromItsDefinition:
+    """The paper's C^H (``exact_bounds``) against the minimum of the Holevo
+    function over locally unbiased observables (``exact_holevo_minimum``),
+    both exact but for the 50-digit sqrt(det W): the values agree within
+    1e-40, and the minimum is off the kink line exactly where B[W] > 0."""
+
+    @staticmethod
+    def cases(cells):
+        found = set()
+        for m, w in cells:
+            value, case = exact_holevo_minimum(m, w)
+            c_h = exact_bounds(m, w)[3]
+            assert abs(value - c_h) <= Fraction(1, 10**40) * c_h
+            assert case == ("smooth" if exact_branch_sign(m, w) > 0 else "kink")
+            found.add(case)
+        return found
+
+    # D-invariant points have C^H = C^R at every W, planar points C^H = C^S.
+    @pytest.mark.parametrize("sampler, count, found", [
+        (random_model_point, 40, {"smooth", "kink"}),
+        (random_d_invariant_point, 12, {"smooth"}),
+        (random_planar_point, 12, {"kink"}),
+    ], ids=["generic", "d_invariant", "planar"])
+    def test_seeded_points(self, sampler, count, found):
+        rng = np.random.default_rng(22)
+        assert self.cases([(sampler(rng), random_weight(rng)) for _ in range(count)]) == found
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9])
+    def test_near_shell_boundary_weights(self, delta):
+        cells = [(m, w) for m, _, w, _ in near_shell_cells(delta)]
+        assert self.cases(cells) == {"smooth", "kink"}
 
 
 class TestWeightFromAngles:
