@@ -13,7 +13,7 @@ route that ``verify`` compares with it (the density-matrix route is
   ``l_perp = d1s x d2s``, orthogonal to the tangent plane,
 * ``fisher_matrices``: the point's Fisher bundle, G_ij = <d_i s, Q d_j s>
   (SLD), G~_ij = <d_i s, Q~ d_j s> (RLD), their inverses, the SLD duals
-  l^i = sum_j (G^-1)_ji l_j (so that <l^i, Q^-1 l_j> = delta^i_j) and
+  l^i = sum_j (G^-1)_ji l_j by ``raise_duals``, with <l^i, Q^-1 l_j> = delta^i_j, and
   z^ij = <l^i, Q~^-1 l^j> = (G^-1)_ij + i <l^i, F l^j>, whose imaginary part
   equals Im G~^-1,
 * ``trabs``: TrAbs[W X] = sum |eig(W X)| from its definition, which ``verify``
