@@ -49,7 +49,10 @@ column is an error), the tier-1 summary line, and the import graphs of
 (``import_graph_classify_grid``) and of the ``verify`` path, which loads
 ``matrix_forms`` and the oracle (``import_graph_verify``): each ``holevo2q``
 module it loads with the source lines of its file, and their total.  It also
-keeps ``src_lines``, the total lines of ROOT's ``src/holevo2q/*.py``.  Columns
+keeps ``src_lines``, the total lines of ROOT's ``src/holevo2q/*.py``, and
+``src_bytes``, each of those files' size in bytes and their total: children
+that compile ``src/`` from source (``PYTHONDONTWRITEBYTECODE=1``) reach a
+peak RSS that steps with the source bytes, not its lines.  Columns
 already in OUT.json that are not named again are kept; the machine record
 (usable cores, Python, numpy) is rewritten, and so is ``rss_floor_mb``, this
 script's own peak RSS: Linux carries the spawning process's peak into a
@@ -214,6 +217,12 @@ def _lines(path):
         return sum(1 for _ in fh)
 
 
+def _byte_sizes(paths):
+    """{file name: size in bytes} of ``paths``, and their total."""
+    sizes = {os.path.basename(path): os.path.getsize(path) for path in paths}
+    return {"files": sizes, "total": sum(sizes.values())}
+
+
 def _kernel_seconds(name, root, cwd):
     """Seconds per call of KERNEL[name]: the timeit minimum in a fresh interpreter."""
     stmt, number = KERNEL[name]
@@ -269,6 +278,7 @@ def main(argv):
                     seconds = _kernel_seconds(kernel_name, columns[name], work)
                     kernel[name][kernel_name].append(seconds)
         for name, root in columns.items():
+            sources = sorted(glob.glob(os.path.join(root, "src", "holevo2q", "*.py")))
             cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
                    "-p", "no:cacheprovider"]
             seconds, stdout, mib = _run(cmd, root, root)
@@ -288,8 +298,8 @@ def main(argv):
                              "import_graph_classify_grid":
                                  _import_graph(root, work, PATHS["classify_grid"]),
                              "import_graph_verify": _import_graph(root, work, PATHS["verify"]),
-                             "src_lines": sum(map(_lines, glob.glob(
-                                 os.path.join(root, "src", "holevo2q", "*.py"))))}
+                             "src_lines": sum(map(_lines, sources)),
+                             "src_bytes": _byte_sizes(sources)}
     record = {}
     if os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as fh:
@@ -311,7 +321,7 @@ def main(argv):
                                                ("verify", res["import_graph_verify"])))
         kernels = ", ".join(f"{k} {v['min_s'] * 1e6:.1f}" for k, v in res["kernel"].items())
         print(f"{name}: {medians}; kernel minima {kernels} (us); {graphs}; "
-              f"src {res['src_lines']} lines")
+              f"src {res['src_lines']} lines, {res['src_bytes']['total']} bytes")
     return 0
 
 
