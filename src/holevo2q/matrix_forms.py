@@ -173,7 +173,7 @@ def sld_duals(m: BlochModelPoint):
     l1, l2 = q @ d1, q @ d2
     g = np.array([[float(dq @ b) for b in (d1, d2)] for dq in (d1 @ q, d2 @ q)])
     g_inv = invert_2x2(g)
-    return (fb, g, g_inv, *raise_duals(g_inv, l1, l2))
+    return fb, g, g_inv, *raise_duals(g_inv, l1, l2)
 
 
 def fisher_matrices(m: BlochModelPoint) -> FisherMatrices:
@@ -229,7 +229,7 @@ def pure_limit_duals(
     """
     if m.is_mixed:
         fm = fisher_matrices(m)
-        return (fm.dual1, fm.dual2, *raise_duals(fm.g_tilde_inv, *rld_bloch_vectors(m)))
+        return fm.dual1, fm.dual2, *raise_duals(fm.g_tilde_inv, *rld_bloch_vectors(m))
     l1, l2, _ = _shell_limit(m)
     return l1, l2, l1.astype(complex), l2.astype(complex)
 
