@@ -216,6 +216,3 @@ class BlochModelPoint(Record):
     def require_mixed(self) -> None:
         if not self.is_mixed:
             raise PureStateError(not_mixed_message(self.s))
-
-    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.d1s, self.d2s

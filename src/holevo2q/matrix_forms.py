@@ -169,7 +169,7 @@ def sld_duals(m: BlochModelPoint):
     ``fisher_bundle``: it accepts and raises the same."""
     fb = fisher_bundle_many(m.s, m.d1s, m.d2s)
     q = q_matrix(m)
-    d1, d2 = m.derivatives()
+    d1, d2 = m.d1s, m.d2s
     l1, l2 = q @ d1, q @ d2
     g = np.array([[float(dq @ b) for b in (d1, d2)] for dq in (d1 @ q, d2 @ q)])
     g_inv = invert_2x2(g)
@@ -180,7 +180,7 @@ def fisher_matrices(m: BlochModelPoint) -> FisherMatrices:
     """The bundle of :func:`sld_duals`, with G, G~, their inverses, the SLD
     duals and Z from the metric factors; accepts and raises as it does."""
     fb, g, g_inv, dual1, dual2 = sld_duals(m)
-    d1, d2 = m.derivatives()
+    d1, d2 = m.d1s, m.d2s
     g_tilde = _hermitian_from_upper(d1, d2, q_tilde(m))
     g_tilde_inv = invert_2x2(g_tilde)
     z = _hermitian_from_upper(dual1, dual2, q_tilde_inverse(m))

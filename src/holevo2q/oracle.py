@@ -50,7 +50,6 @@ from .errors import (
 from .matrix_forms import invert_2x2, raise_duals, sld_duals, trabs
 
 __all__ = [
-    "PAULI",
     "DensityPoint",
     "HermitianPair",
     "density_point",
@@ -67,16 +66,11 @@ __all__ = [
     "minimize_holevo_6d",
 ]
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (_SX, _SY, _SZ)
 _ID2 = np.eye(2, dtype=complex)
 
-_FIT_PROBES = (np.array([0.6, 0.8]), np.array([-0.8, 0.6]))
+_FIT_OFFSETS = [[0.6, 0.8], [-0.8, 0.6]]
 _CERTIFICATE_STEPS = (1e-2, 1e-4, 1e-6)
-# As floats: the fit offsets, and +-h in probe order.
-_FIT_OFFSETS = [u.tolist() for u in _FIT_PROBES]
+# +-h in probe order.
 _SIGNED_STEPS = [sign * h for h in _CERTIFICATE_STEPS for sign in (1, -1)]
 
 
@@ -118,9 +112,6 @@ class DensityPoint(Record):
         if (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b)) < MIN_EIGENVALUE:
             raise PureStateError("rho is not strictly positive")
 
-    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.drho1, self.drho2
-
     @functools.cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
         """``np.linalg.eigh(rho)``, (p, V) with rho = V diag(p) V^dagger, on first use."""
@@ -142,9 +133,6 @@ class HermitianPair(Record):
                 raise DomainError(f"{name} must be finite")
             object.__setattr__(self, name, mat)
 
-    def operators(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x1, self.x2
-
 
 def density_point(m: BlochModelPoint) -> DensityPoint:
     """rho = (I + s.sigma)/2 and its derivatives from a Bloch model point."""
@@ -163,7 +151,7 @@ def sld_operators(dp: DensityPoint) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = dp.eigenbasis
     denom = evals[:, None] + evals[None, :]
     out = []
-    for drho in dp.derivatives():
+    for drho in (dp.drho1, dp.drho2):
         d_in_basis = evecs.conj().T @ drho @ evecs
         l_in_basis = 2.0 * d_in_basis / denom
         out.append(_herm(evecs @ l_in_basis @ evecs.conj().T))
@@ -239,7 +227,7 @@ def holevo_function(dp: DensityPoint, pair: HermitianPair, w: WeightMatrix) -> f
     absolute terms of its trace (by its target where all terms vanish, as for
     a zero operator).
     """
-    ops, xs_t = np.array([dp.rho, dp.drho1, dp.drho2]), np.array(pair.operators()).swapaxes(1, 2)
+    ops, xs_t = np.array([dp.rho, dp.drho1, dp.drho2]), np.array([pair.x1, pair.x2]).swapaxes(1, 2)
     terms = ops[:, None] * xs_t  # [a, j, k, l] = A_kl X^j_lk for A = rho, d_1 rho, d_2 rho
     miss = np.abs(terms.sum(axis=(2, 3)) - [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     size = np.abs(terms).sum(axis=(2, 3))
@@ -248,7 +236,7 @@ def holevo_function(dp: DensityPoint, pair: HermitianPair, w: WeightMatrix) -> f
         raise FeasibilityError(
             f"observable pair violates unbiasedness constraints by {residual:.3e}"
         )
-    return float(_holevo_values(dp.rho, w.matrix, np.array([pair.operators()]))[0])
+    return float(_holevo_values(dp.rho, w.matrix, np.array([[pair.x1, pair.x2]]))[0])
 
 
 def _holevo_values(rho: np.ndarray, wm: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -352,12 +340,12 @@ def _kink_minimum(fun, s0: float, g, a, b, c: float) -> tuple[float, np.ndarray]
         probe_raws = fun(np.array(probe)).tolist()
     if not all(map(math.isfinite, [value, *probe_raws])):
         raise OracleCertificateError("raw objective is not finite at its minimum or a probe")
-    for x, raw in zip(probe[: len(_FIT_PROBES)], probe_raws):
+    for x, raw in zip(probe[: len(_FIT_OFFSETS)], probe_raws):
         fit = raw - model(*x)
         if abs(fit) > FIT_RTOL * abs(raw):
             raise OracleCertificateError(f"raw objective departs from its model by {fit:.3e}")
     tolerance = CERTIFICATE_RTOL * abs(value)
-    for raw in probe_raws[len(_FIT_PROBES) :]:
+    for raw in probe_raws[len(_FIT_OFFSETS) :]:
         if value - raw > tolerance:
             raise OracleCertificateError(f"raw objective is {value - raw:.3e} below its minimum")
     return value, np.array(points[best])
@@ -380,7 +368,7 @@ def minimize_holevo_2d(m: BlochModelPoint, w: WeightMatrix, fm=None) -> tuple[fl
     whose guard is the ``fisher_bundle_many`` pass it returns.
     """
     dual1, dual2 = sld_duals(m)[3:] if fm is None else (fm.dual1, fm.dual2)
-    s, (d1, d2) = m.s, m.derivatives()
+    s, d1, d2 = m.s, m.d1s, m.d2s
     perp = cross(d1, d2)
     norm_perp = math.sqrt(perp @ perp)
 
@@ -445,13 +433,13 @@ def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
     # Null directions scaled to |x0| (a power of two): t is degree 0 in the derivative scale.
     null_basis = vt[4:].T * math.ldexp(1.0, round(math.log2(math.sqrt(x0 @ x0))))  # (6, 2)
 
-    def operators(t: np.ndarray) -> np.ndarray:  # (N, 2, 2, 2): [n, i] = X^i, one build
+    def pairs(t: np.ndarray) -> np.ndarray:  # (N, 2, 2, 2): [n, i] = X^i, one build
         x = x0 + (null_basis @ t[:, :, None])[:, :, 0]
         return _bloch_operator(s, x.reshape(-1, 3)).reshape(-1, 2, 2, 2)
 
     fit_t = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)], dtype=float)
     wm = w.matrix
-    re, im = _z_parts(dp.rho, wm, operators(fit_t))
+    re, im = _z_parts(dp.rho, wm, pairs(fit_t))
     s0, sp1, sm1, sp2, sm2, s12 = re.tolist()
     l0, lp1, lm1, lp2, lm2, _ = im[:, 0, 1].tolist()
     g1, g2 = (sp1 - sm1) / 4.0, (sp2 - sm2) / 4.0
@@ -460,5 +448,5 @@ def minimize_holevo_6d(dp: DensityPoint, w: WeightMatrix) -> float:
     sqrt_det_w = np.sqrt(w.det)
     b = [sqrt_det_w * (lp1 - lm1) / 2.0, sqrt_det_w * (lp2 - lm2) / 2.0]
     g, a, b = np.array([g1, g2]), np.array([[a11, a12], [a12, a22]]), np.array(b)
-    return _kink_minimum(lambda t: _holevo_values(dp.rho, wm, operators(t)),
+    return _kink_minimum(lambda t: _holevo_values(dp.rho, wm, pairs(t)),
                          s0, g, a, b, sqrt_det_w * l0)[0]

@@ -142,9 +142,9 @@ def _point_checks(fm) -> dict:
     pairs = [(i, j) for i in range(2) for j in range(2)]
     return {
         "sld_defining_equation": [np.abs(d - 0.5 * (rho @ l + l @ rho)).max()
-                                  for d, l in zip(dp.derivatives(), l_ops)],
+                                  for d, l in zip((dp.drho1, dp.drho2), l_ops)],
         "rld_defining_equation": [np.abs(d - rho @ lt).max()
-                                  for d, lt in zip(dp.derivatives(), lt_ops)],
+                                  for d, lt in zip((dp.drho1, dp.drho2), lt_ops)],
         # Entrywise, relative to the matrix scale.
         "cross_path_sld_fisher": np.abs(g_op - fm.g).max() / max(1.0, np.abs(fm.g).max()),
         "cross_path_rld_fisher":

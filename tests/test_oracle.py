@@ -20,7 +20,6 @@ from holevo2q.fisher import fisher_bundle
 from holevo2q.matrix_forms import fisher_matrices, invert_2x2, trabs
 from holevo2q.models import GenericZ, Unitary
 from holevo2q.oracle import (
-    PAULI,
     DensityPoint,
     HermitianPair,
     bloch_coefficients,
@@ -51,6 +50,9 @@ from reference import (
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
+PAULI = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+         np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+         np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 
 
 NEAR_SHELL_DELTAS = [1e-1, 1e-3, 1e-6, 1e-9, 1e-11]
@@ -228,7 +230,7 @@ class TestSldOperators:
         for _ in range(500):
             dp = density_point(random_model_point(rng))
             ls = sld_operators(dp)
-            for drho, l_op in zip(dp.derivatives(), ls):
+            for drho, l_op in zip((dp.drho1, dp.drho2), ls):
                 r = drho - 0.5 * (dp.rho @ l_op + l_op @ dp.rho)
                 assert np.abs(r).max() <= 1e-12
 
@@ -261,7 +263,7 @@ class TestRldOperators:
         for _ in range(500):
             dp = density_point(random_model_point(rng))
             lts = rld_operators(dp)
-            for drho, lt in zip(dp.derivatives(), lts):
+            for drho, lt in zip((dp.drho1, dp.drho2), lts):
                 assert np.abs(drho - dp.rho @ lt).max() <= 1e-12
                 assert abs(np.trace(dp.rho @ lt)) <= 1e-12
 
@@ -820,7 +822,7 @@ class TestKinkProbes:
             b_norm = float(np.hypot(*b))
             kink = [np.array([-b[1], b[0]]) / b_norm] if b_norm > 0.0 else []
             directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), *kink]
-            probes = [xi + scale * u for u in oracle._FIT_PROBES] + [
+            probes = [xi + scale * u for u in np.array(oracle._FIT_OFFSETS)] + [
                 xi + sign * h * scale * d
                 for d in directions for h in oracle._CERTIFICATE_STEPS for sign in (1, -1)
             ]
@@ -831,11 +833,11 @@ class TestKinkProbes:
         # Two certificate probes fall below the minimum; the message gives the
         # drop of the first in probe order (+h before -h, larger h first):
         # 2e-3 less the h^2 = 1e-4 that the quadratic adds at h = 1e-2.
-        n_probes = len(oracle._FIT_PROBES) + 2 * 2 * len(oracle._CERTIFICATE_STEPS)
+        n_probes = len(oracle._FIT_OFFSETS) + 2 * 2 * len(oracle._CERTIFICATE_STEPS)
 
         def fun(xi):
             out = 1.0 + (xi * xi).sum(axis=1)
-            first = len(xi) - n_probes + len(oracle._FIT_PROBES)  # after the fit probes
+            first = len(xi) - n_probes + len(oracle._FIT_OFFSETS)  # after the fit probes
             out[first + 3] -= 1e-3
             out[first] -= 2e-3
             return out
