@@ -128,9 +128,9 @@ class _Family(Record):
     theta1, theta2 of in-domain points to (N, 3) arrays of s, d1s and d2s."""
 
     def evaluate(self, theta) -> BlochModelPoint:
-        """:meth:`evaluate_many` of one point.  Raises outside the domain, for a
-        non-finite s and where |s| >= 1, but returns the points with
-        1 - PURE_SHELL_TOL <= |s| < 1 that :meth:`evaluate_many` marks unusable."""
+        """The family's arrays at one point, with the bits of :meth:`evaluate_many`'s row.
+        Raises outside the domain, for a non-finite s and where |s| >= 1, but returns
+        the points with 1 - PURE_SHELL_TOL <= |s| < 1 that evaluate_many marks unusable."""
         t1, t2 = _check_theta(theta)
         self.domain.require((t1, t2))
         with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
