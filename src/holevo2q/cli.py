@@ -8,11 +8,11 @@ sweep-theta   grid over parameter space at fixed weight, CSV rows per cell
 classify      point and optional grid classification of a model
 verify        oracle-versus-closed-form residual suite on random instances
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.  Input
-validation failures print the exception class name (for example
-``PureStateError``) with the message.  CSV output is deterministic for a
-fixed spec and seed: rows are emitted in row-major grid order with floats
-printed to 17 significant digits, and the header carries a schema version.
+Exit codes: 0 success, 1 verification failure, 2 invalid input, 141 stdout
+closed by its reader (silent, as for SIGPIPE).  Input validation failures print
+the exception class name (``PureStateError``, say) with the message.  CSV
+output is deterministic for a fixed spec and seed: rows come in row-major grid
+order, floats have 17 significant digits, and the header has a schema version.
 
 A sweep is one batched pass over its whole grid, with no per-cell Python
 loop: sweep-theta maps the cells through the family's ``evaluate_many``
@@ -40,6 +40,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -308,6 +309,9 @@ def main(argv=None) -> int:
     args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # quiet as a writer that SIGPIPE killed; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 141
     except (ModelError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -44,12 +44,17 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_python(*args, cwd=None):
-    """Run a fresh interpreter that imports this checkout's holevo2q."""
+def checkout_env():
+    """The environment, with this checkout's holevo2q first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter that imports this checkout's holevo2q."""
     return subprocess.run(
-        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True,
+        [sys.executable, *args], env=checkout_env(), cwd=cwd, capture_output=True, text=True,
         timeout=300,
     )
 
@@ -612,6 +617,20 @@ def test_sweep_without_out_writes_its_csv_to_stdout(generic_model, tmp_path, com
     code, stdout, err = run_cli(*args)
     assert (code, err) == (0, "")
     assert stdout.encode() == out.read_bytes()
+
+
+def test_stdout_closed_by_its_reader_exits_141_silently(generic_model):
+    # As `sweep-theta ... | head -1`: the reader takes the header and closes the
+    # pipe while megabytes of rows remain; a shell reports 141 for a writer that
+    # SIGPIPE killed, and the interpreter's exit flush must not print either.
+    argv = ["sweep-theta", "--model", generic_model, "--weight", "0.55,0.1,0.45", "--grid", "101"]
+    proc = subprocess.Popen([sys.executable, "-m", "holevo2q.cli", *argv], env=checkout_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with proc.stderr:
+        assert proc.stdout.readline().startswith(b"# holevo2q")
+        proc.stdout.close()
+        assert proc.wait(timeout=300) == 141
+        assert proc.stderr.read() == b""
 
 
 @pytest.mark.parametrize("command", SWEEP_ARGUMENTS)
