@@ -624,9 +624,8 @@ def test_stdout_closed_by_its_reader_exits_141_silently(generic_model):
     # pipe while megabytes of rows remain; a shell reports 141 for a writer that
     # SIGPIPE killed, and the interpreter's exit flush must not print either.
     argv = ["sweep-theta", "--model", generic_model, "--weight", "0.55,0.1,0.45", "--grid", "101"]
-    proc = subprocess.Popen([sys.executable, "-m", "holevo2q.cli", *argv], env=checkout_env(),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    with proc.stderr:
+    with subprocess.Popen([sys.executable, "-m", "holevo2q.cli", *argv], env=checkout_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline().startswith(b"# holevo2q")
         proc.stdout.close()
         assert proc.wait(timeout=300) == 141
