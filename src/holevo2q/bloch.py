@@ -127,7 +127,10 @@ class Record:
 
 
 def _as_real_vec3(value, name: str) -> np.ndarray:
-    vec = np.asarray(value, dtype=float)
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a real 3-vector: {exc}") from exc
     if vec.shape != (3,):
         raise DomainError(f"{name} must be a real 3-vector, got shape {vec.shape}")
     if not np.isfinite(vec).all():

@@ -120,7 +120,11 @@ class WeightMatrix(Record):
     def __post_init__(self):
         w = self.w11, self.w12, self.w22
         stack = any(getattr(x, "ndim", 0) for x in w)  # 0-d arrays are one weight
-        w = np.broadcast_arrays(*(np.asarray(x, float) for x in w)) if stack else [*map(float, w)]
+        try:
+            w = (np.broadcast_arrays(*(np.asarray(x, float) for x in w)) if stack
+                 else [*map(float, w)])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"weight entries must be real numbers of one shape: {exc}") from exc
         for name, x in zip(self._fields, w):
             object.__setattr__(self, name, x)
         # The usual valid weight in plain floats; _require_positive raises the errors.

@@ -28,20 +28,19 @@ library owns the float policy: this module sets none.
 Imports are lazy per subcommand: ``classify`` loads :mod:`holevo2q.classify`
 and ``verify`` the oracle and the verification suite inside their command
 functions, so ``bounds`` and the sweeps load only the module-level imports.
-The parser is lazy the same way: each subcommand is declared once in
-``_COMMANDS``, and ``main`` builds only the invoked subcommand's parser (the
-full one for no arguments, ``--help`` or an unknown command), once per
-process.  Usage lines and error texts are the same either way.
+Each subcommand is declared once in ``_COMMANDS``.  ``_plain_args`` reads a
+well-formed argv straight from that table into argparse's namespace, so such
+a run imports no argparse; ``main`` builds the argparse parser only for the
+rest (help, a prefix, a value starting with "-", a refusal), whose texts it prints.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -275,21 +274,41 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with only ``command``'s.
+def _plain_args(argv):
+    """``build_parser().parse_args(argv)`` read from ``_COMMANDS`` if ``argv`` is a command,
+    exact ``--flag=value`` or ``--flag value`` tokens (that value not starting with "-"),
+    values of their flags' type and choices and every required flag; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    table, tokens = dict(arguments), iter(argv[1:])
+    given = {flag: options.get("default") for flag, options in arguments
+             if not options.get("required")}
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        value = value if eq else next(tokens, "-")
+        if flag not in table or value == "--" or not eq and value.startswith("-"):
+            return None  # argparse's to read (a value "--" it drops)
+        try:  # a repeated flag keeps its last value, as in argparse
+            given[flag] = typed = table[flag].get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if typed not in table[flag].get("choices", [typed]):
+            return None
+    if len(given) < len(table):  # a required flag is missing
+        return None
+    return types.SimpleNamespace(command=argv[0], func=func,
+                                 **{flag[2:].replace("-", "_"): v for flag, v in given.items()})
 
-    Both print the same usage and error texts for ``command``: the
-    one-command parser spells out the full choice list as its metavar, which
-    the full parser renders by default (an explicit metavar there would also
-    rename ``command`` in its missing- and invalid-command errors)."""
+
+def build_parser():
+    """The argparse parser, for the help, usage and error texts of what ``_plain_args`` refuses."""
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="holevo2q",
-        description="Bounds for two-parameter qubit estimation models",
-    )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        func, help_text, arguments = _COMMANDS[name]
+        prog="holevo2q", description="Bounds for two-parameter qubit estimation models")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -297,16 +316,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """``build_parser(command)``, built at most once per process."""
-    return build_parser(command)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Only a named subcommand's parser; no arguments, --help or a typo get the full one.
-    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # quiet as a writer that SIGPIPE killed; devnull takes the exit flush

@@ -99,8 +99,11 @@ class Domain(Record):
 
 
 def _check_theta(theta) -> tuple[float, float]:
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (2,) or not np.all(np.isfinite(t)):
+    try:
+        t = np.asarray(theta, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        t = None
+    if t is None or t.shape != (2,) or not np.all(np.isfinite(t)):
         raise DomainError(f"theta must be a finite 2-vector, got {theta!r}")
     return float(t[0]), float(t[1])
 

@@ -1,15 +1,21 @@
-"""CLI parser surface: help, usage and error texts, per-subcommand parsers,
-one parser build per process, and a clean stderr on refused input."""
+"""CLI parser surface: help, usage and error texts, the plain argument path
+against argparse, no parser machinery on a well-formed run, and a clean
+stderr on refused input."""
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from holevo2q import cli
 from holevo2q.cli import build_parser, main
 from test_cli import run_python
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import golden  # noqa: E402
 
 COMMANDS = ("bounds", "sweep-weight", "sweep-theta", "classify", "verify")
 SURFACE = [
@@ -65,30 +71,118 @@ def test_full_parser_texts_name_the_command_argument():
     assert all(f"    {command} " in help_text for command in COMMANDS)
 
 
-@pytest.mark.parametrize("argv", REPRESENTATIVE, ids=lambda argv: argv[0])
-def test_one_command_parser_gives_the_same_namespace(argv):
-    expected = build_parser().parse_args(argv)
-    assert build_parser(argv[0]).parse_args(argv) == expected
-    assert cli._parser(argv[0]).parse_args(argv) == expected
+def argparse_vars(parser, argv):
+    """``vars(parser.parse_args(argv))``, or None where argparse exits (help or an error)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
 
 
-def test_two_sweeps_build_one_parser(tmp_path, monkeypatch):
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({"kind": "generic_z", "theta0": 0.2}))
-    built = []
-    original = cli.build_parser
+def variants(base):
+    """Argument lists around ``base``, a command and a value for each of its
+    flags: both token forms, values starting with "-" in both forms (``--grid
+    -5`` among them), "-h" and "--" as values, a missing, repeated, prefixed or
+    valueless flag, a value that fails the flag's type or choices (also before
+    a valid repeat), and an extra positional argument."""
+    command, pairs = base[0], list(zip(base[1::2], base[2::2]))
+    table = dict(cli._COMMANDS[command][2])
+    yield base
+    yield [command, *(f"{flag}={value}" for flag, value in pairs)]
+    yield [*base, "extra"]
+    yield [command, "extra", *base[1:]]
+    for token in ("-h", "--help", "--", "--bogus", "-x"):
+        yield [*base, token]
+    for i, (flag, value) in enumerate(pairs):
+        others = [token for pair in pairs[:i] + pairs[i + 1:] for token in pair]
+        yield [command, *others]
+        yield [command, *others, f"{flag}={value}"]
+        yield [*base, flag]
+        yield [*base, flag, value]
+        yield [*base, f"{flag}={base[-1]}"]
+        for odd in ("-" + value, "-5", "-h", "--", "-", "", "a=b", " -1", "1e3", "3"):
+            yield [command, *others, flag, odd]
+            yield [command, *others, f"{flag}={odd}"]
+        for end in range(3, len(flag)):
+            yield [command, *others, flag[:end], value]
+            yield [command, *others, f"{flag[:end]}={value}"]
+        kind = table[flag].get("choices") or table[flag].get("type")
+        for bad in {int: ("x", "1.5", "0x10"), float: ("x", "1,2")}.get(kind, ("54",)):
+            yield [command, *others, flag, bad]
+            yield [command, flag, bad, *base[1:]]
 
-    def counted(command=None):
-        built.append(command)
-        return original(command)
 
-    monkeypatch.setattr(cli, "build_parser", counted)
-    cli._parser.cache_clear()
-    for family in ("53", "42"):
-        argv = ["sweep-weight", "--model", str(model), "--theta", "0.2,0.2", "--grid", "3",
-                "--weight-family", family, "--out", str(tmp_path / f"{family}.csv")]
-        assert main(argv) == 0
-    assert built == ["sweep-weight"]
+# One well-formed argument list per command that gives every flag.
+BASES = {
+    "bounds": REPRESENTATIVE[0],
+    "sweep-weight": [*REPRESENTATIVE[1], "--out", "x.csv"],
+    "sweep-theta": [*REPRESENTATIVE[2], "--grid", "7"],
+    "classify": REPRESENTATIVE[3],
+    "verify": REPRESENTATIVE[4],
+}
+# The argument shapes of the benchmark: "--flag=value" with values that start with "-".
+PERFBENCH = [
+    ["sweep-theta", "--model", "/tmp/m.json", "--weight=0.55,-0.1,0.45", "--grid", "31",
+     "--out", "/tmp/theta.csv"],
+    ["sweep-weight", "--model", "/tmp/m.json", "--theta=-0.2447,0.1", "--grid", "31",
+     "--w-max", "0.99", "--weight-family", "53", "--out", "/tmp/w53.csv"],
+    ["sweep-weight", "--model", "/tmp/m.json", "--theta=-0.2447,0.1", "--grid", "31",
+     "--w-max", "0.99", "--weight-family", "42", "--w2-min", "0.05", "--w2-max", "1.95",
+     "--out", "/tmp/w42.csv"],
+]
+GOLDEN_CLI = [argv for argv in [*(golden.PATHS[path] for path in golden.GOLDEN),
+                                *golden.SMALL.values()] if argv[0] in COMMANDS]
+CORPUS = [*SURFACE, *REPRESENTATIVE, *PERFBENCH, *GOLDEN_CLI, *golden.REFUSALS.values(),
+          *(golden.PATHS[path] for path in golden.GOLDEN if golden.PATHS[path] not in GOLDEN_CLI),
+          *(argv for base in BASES.values() for argv in variants(base))]
+
+
+def test_bases_give_every_flag():
+    for command, base in BASES.items():
+        assert base[0] == command
+        assert sorted(base[1::2]) == sorted(flag for flag, _ in cli._COMMANDS[command][2])
+
+
+def test_golden_and_benchmark_runs_take_the_plain_path():
+    assert len(GOLDEN_CLI) == 19
+    for argv in [*PERFBENCH, *GOLDEN_CLI, *REPRESENTATIVE, *BASES.values()]:
+        assert cli._plain_args(argv) is not None, argv
+
+
+@pytest.mark.parametrize("group", [*COMMANDS, "no command"])
+def test_plain_args_agree_with_argparse(group):
+    # _plain_args gives argparse's namespace or leaves the argument list to argparse.
+    parser = build_parser()
+    argvs = [argv for argv in CORPUS if (argv[0] if argv and argv[0] in COMMANDS
+                                         else "no command") == group]
+    taken = 0
+    for argv in argvs:
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert vars(plain) == argparse_vars(parser, argv), argv
+            taken += 1
+    if group == "no command":
+        assert taken == 0
+    else:  # the corpus holds argument lists of both kinds
+        assert 0 < taken < len(argvs)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["sweep-theta", "--model", "model.json", "--weight", "0.55,0.1,0.45", "--grid", "3",
+      "--out", "out.csv"], []),
+    (["bounds", "--model", "model.json", "--theta", "0.2,0.1", "--weight=0.55,-0.1,0.45"], []),
+    (["sweep-theta", "--model", "model.json", "--weight", "0.55,0.1,0.45", "--grid", "x"],
+     ["argparse", "gettext", "locale"]),
+], ids=["sweep-theta", "bounds", "refused"])
+def test_well_formed_run_loads_no_parser_machinery(tmp_path, argv, loaded):
+    (tmp_path / "model.json").write_text(json.dumps({"kind": "generic_z", "theta0": 0.2}))
+    probe = ("import sys\nfrom holevo2q.cli import main\n"
+             "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+             "names = ('argparse', 'gettext', 'locale')\n"
+             "print(code, *(name for name in names if name in sys.modules), file=sys.stderr)")
+    proc = run_python("-c", probe, *argv, cwd=tmp_path)
+    assert proc.stderr.splitlines()[-1].split() == [str(2 if loaded else 0), *loaded]
 
 
 @pytest.mark.parametrize("descriptor, extra, message", [

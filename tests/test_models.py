@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from holevo2q.bloch import stack_last
+from holevo2q.bloch import BlochModelPoint, stack_last
+from holevo2q.bounds import WeightMatrix
 from holevo2q.classify import classify_point
 from holevo2q.errors import DomainError, PureStateError
 from holevo2q.models import (
@@ -231,6 +232,20 @@ def test_malformed_family_refused(build, message):
     with pytest.raises(DomainError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeightMatrix("a", 0, 1),
+    lambda: WeightMatrix(10**400, 0, 1),
+    lambda: WeightMatrix(np.ones(2), np.ones(3), 1),
+    lambda: GenericZ(0.2).evaluate(("a", 0)),
+    lambda: BlochModelPoint([0.1j, 0, 0], [1, 0, 0], [0, 1, 0]),
+], ids=["weight_text", "weight_huge_int", "weight_shapes", "theta_text", "bloch_complex"])
+def test_input_that_is_not_real_numbers_raises_domain_error(build):
+    # Every error this package raises derives from ModelError, also for a value
+    # that does not convert to float at all.
+    with pytest.raises(DomainError):
+        build()
 
 
 class TestDomain:

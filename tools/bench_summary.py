@@ -45,10 +45,13 @@ MiB), their medians, the number of repetitions in which it was the fastest
 column, the sha256 of each path's output (equal hashes mean byte-identical
 CSV, JSON or text; a path whose output differs between repetitions of one
 column is an error), the tier-1 summary line, and the import graphs of
-``import holevo2q.cli`` (``import_graph``), of the ``classify_grid`` path
+``import holevo2q.cli`` (``import_graph``), of the ``bounds`` path
+(``import_graph_bounds``), of the ``classify_grid`` path
 (``import_graph_classify_grid``) and of the ``verify`` path, which loads
 ``matrix_forms`` and the oracle (``import_graph_verify``): each ``holevo2q``
-module it loads with the source lines of its file, and their total.  It also
+module it loads with the source lines of its file, their total, the count of
+every module loaded (``all_modules``, the standard library's included) and
+which of PARSER_MODULES are among them (``parser_modules``).  It also
 keeps ``src_lines``, the total lines of ROOT's ``src/holevo2q/*.py``, and
 ``src_bytes``, each of those files' size in bytes and their total: children
 that compile ``src/`` from source (``PYTHONDONTWRITEBYTECODE=1``) reach a
@@ -105,6 +108,9 @@ PATHS = {
     "verify": ["verify", "--seed", "42", "--count", "200"],
     "oracle_values": ["oracle_values.py", "21", "31", "77"],
 }
+
+# The standard-library modules behind argparse's texts, recorded in each import graph.
+PARSER_MODULES = ("argparse", "gettext", "locale")
 
 KERNEL_CELLS = 10201  # a 101 x 101 grid's worth
 KERNEL_REPEATS = 10
@@ -201,15 +207,20 @@ def _run(argv, root, cwd):
 def _import_graph(root, cwd, cli_args=None):
     """{module: source lines} of the holevo2q modules loaded from ROOT by
     ``import holevo2q.cli`` and, given ``cli_args``, ``holevo2q.cli.main(cli_args)``
-    run in ``cwd`` with its stdout dropped, and their total."""
+    run in ``cwd`` with its stdout dropped, and their total; also the count of
+    every module loaded then, the standard library's and the probe's own
+    (``contextlib``, ``io``, ``json``) included, and which of PARSER_MODULES
+    are among them."""
     run = ("" if cli_args is None else
            f"with contextlib.redirect_stdout(io.StringIO()): holevo2q.cli.main({cli_args!r})\n")
     probe = ("import contextlib, io, json, sys, holevo2q.cli\n" + run +
-             "print(json.dumps({name: module.__file__ for name, module in sys.modules.items()\n"
-             "                  if name.split('.')[0] == 'holevo2q'}))")
-    stdout = _run([sys.executable, "-c", probe], root, cwd)[1]
-    lines = {name: _lines(path) for name, path in sorted(json.loads(stdout).items())}
-    return {"modules": lines, "source_lines": sum(lines.values())}
+             "print(json.dumps({name: getattr(module, '__file__', None)\n"
+             "                  for name, module in sys.modules.items()}))")
+    loaded = json.loads(_run([sys.executable, "-c", probe], root, cwd)[1])
+    lines = {name: _lines(path) for name, path in sorted(loaded.items())
+             if name.split(".")[0] == "holevo2q"}
+    return {"modules": lines, "source_lines": sum(lines.values()), "all_modules": len(loaded),
+            "parser_modules": [name for name in PARSER_MODULES if name in loaded]}
 
 
 def _lines(path):
@@ -295,6 +306,7 @@ def main(argv):
                                             "median_s": statistics.median(r)}
                                         for k, r in kernel[name].items()},
                              "import_graph": _import_graph(root, work),
+                             "import_graph_bounds": _import_graph(root, work, PATHS["bounds"]),
                              "import_graph_classify_grid":
                                  _import_graph(root, work, PATHS["classify_grid"]),
                              "import_graph_verify": _import_graph(root, work, PATHS["verify"]),
@@ -315,8 +327,9 @@ def main(argv):
                             f"(fastest in {v.get('fastest_in', '-')})"
                             for p, v in res["paths"].items())
         graphs = "; ".join(f"{what} loads {len(graph['modules'])} modules, "
-                           f"{graph['source_lines']} lines"
+                           f"{graph['source_lines']} lines ({graph['all_modules']} in all)"
                            for what, graph in (("import holevo2q.cli", res["import_graph"]),
+                                               ("bounds", res["import_graph_bounds"]),
                                                ("classify", res["import_graph_classify_grid"]),
                                                ("verify", res["import_graph_verify"])))
         kernels = ", ".join(f"{k} {v['min_s'] * 1e6:.1f}" for k, v in res["kernel"].items())
