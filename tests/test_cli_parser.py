@@ -83,9 +83,10 @@ def argparse_vars(parser, argv):
 def variants(base):
     """Argument lists around ``base``, a command and a value for each of its
     flags: both token forms, values starting with "-" in both forms (``--grid
-    -5`` among them), "-h" and "--" as values, a missing, repeated, prefixed or
-    valueless flag, a value that fails the flag's type or choices (also before
-    a valid repeat), and an extra positional argument."""
+    -5`` among them), "-h" and "--" as values, each such value also repeating
+    a flag of ``base``, a missing, prefixed or valueless flag, a value that
+    fails the flag's type or choices (also before a valid repeat), and an
+    extra positional argument."""
     command, pairs = base[0], list(zip(base[1::2], base[2::2]))
     table = dict(cli._COMMANDS[command][2])
     yield base
@@ -99,11 +100,10 @@ def variants(base):
         yield [command, *others]
         yield [command, *others, f"{flag}={value}"]
         yield [*base, flag]
-        yield [*base, flag, value]
-        yield [*base, f"{flag}={base[-1]}"]
-        for odd in ("-" + value, "-5", "-h", "--", "-", "", "a=b", " -1", "1e3", "3"):
+        for odd in ("-" + value, "-5", "-h", "--", "-", "", "a=b", " -1", "1e3", "3", "53"):
             yield [command, *others, flag, odd]
             yield [command, *others, f"{flag}={odd}"]
+            yield [*base, flag, odd]
         for end in range(3, len(flag)):
             yield [command, *others, flag[:end], value]
             yield [command, *others, f"{flag[:end]}={value}"]
@@ -123,13 +123,13 @@ BASES = {
 }
 # The argument shapes of the benchmark: "--flag=value" with values that start with "-".
 PERFBENCH = [
-    ["sweep-theta", "--model", "/tmp/m.json", "--weight=0.55,-0.1,0.45", "--grid", "31",
-     "--out", "/tmp/theta.csv"],
-    ["sweep-weight", "--model", "/tmp/m.json", "--theta=-0.2447,0.1", "--grid", "31",
-     "--w-max", "0.99", "--weight-family", "53", "--out", "/tmp/w53.csv"],
-    ["sweep-weight", "--model", "/tmp/m.json", "--theta=-0.2447,0.1", "--grid", "31",
+    ["sweep-theta", "--model", "tmp/model.json", "--weight=0.55,-0.1,0.45", "--grid", "31",
+     "--out", "tmp/theta.csv"],
+    ["sweep-weight", "--model", "tmp/model.json", "--theta=-0.2447,0.1", "--grid", "31",
+     "--w-max", "0.99", "--weight-family", "53", "--out", "tmp/w53.csv"],
+    ["sweep-weight", "--model", "tmp/model.json", "--theta=-0.2447,0.1", "--grid", "31",
      "--w-max", "0.99", "--weight-family", "42", "--w2-min", "0.05", "--w2-max", "1.95",
-     "--out", "/tmp/w42.csv"],
+     "--out", "tmp/w42.csv"],
 ]
 GOLDEN_CLI = [argv for argv in [*(golden.PATHS[path] for path in golden.GOLDEN),
                                 *golden.SMALL.values()] if argv[0] in COMMANDS]
