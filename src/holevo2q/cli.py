@@ -28,10 +28,10 @@ library owns the float policy: this module sets none.
 Imports are lazy per subcommand: ``classify`` loads :mod:`holevo2q.classify`
 and ``verify`` the oracle and the verification suite inside their command
 functions, so ``bounds`` and the sweeps load only the module-level imports.
-Each subcommand is declared once in ``_COMMANDS``.  ``_plain_args`` reads a
-well-formed argv straight from that table into argparse's namespace, so such
-a run imports no argparse; ``main`` builds the argparse parser only for the
-rest (help, a prefix, a value starting with "-", a refusal), whose texts it prints.
+Each subcommand is declared once in ``_COMMANDS``.  ``main`` reads a
+well-formed argv straight from that table (``_plain_args``), so such a run
+imports no argparse, and builds argparse's parser only for help, abbreviated
+flags, separate values starting with "-" and refusals, with argparse's texts.
 """
 
 from __future__ import annotations
@@ -275,9 +275,9 @@ _COMMANDS = {
 
 
 def _plain_args(argv):
-    """``build_parser().parse_args(argv)`` read from ``_COMMANDS`` if ``argv`` is a command,
-    exact ``--flag=value`` or ``--flag value`` tokens (that value not starting with "-"),
-    values of their flags' type and choices and every required flag; else None."""
+    """The namespace of ``build_parser().parse_args(argv)``, read from ``_COMMANDS`` when
+    ``argv`` is a command and exact ``--flag=value`` or ``--flag value`` tokens (that value
+    not starting with "-") with valid values and every required flag; else None."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     func, _, arguments = _COMMANDS[argv[0]]
@@ -288,7 +288,7 @@ def _plain_args(argv):
         flag, eq, value = token.partition("=")
         value = value if eq else next(tokens, "-")
         if flag not in table or value == "--" or not eq and value.startswith("-"):
-            return None  # argparse's to read (a value "--" it drops)
+            return None  # argparse's to read; it stores a value "--" as []
         try:  # a repeated flag keeps its last value, as in argparse
             given[flag] = typed = table[flag].get("type", str)(value)
         except (TypeError, ValueError):

@@ -178,7 +178,8 @@ def test_plain_args_agree_with_argparse(group):
 def test_well_formed_run_loads_no_parser_machinery(tmp_path, argv, loaded):
     (tmp_path / "model.json").write_text(json.dumps({"kind": "generic_z", "theta0": 0.2}))
     probe = ("import sys\nfrom holevo2q.cli import main\n"
-             "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+             "try:\n    code = main(sys.argv[1:])\n"
+             "except SystemExit as exc:\n    code = exc.code\n"
              "names = ('argparse', 'gettext', 'locale')\n"
              "print(code, *(name for name in names if name in sys.modules), file=sys.stderr)")
     proc = run_python("-c", probe, *argv, cwd=tmp_path)
